@@ -26,6 +26,7 @@ from .gaussian import (
     BogoliubovTransform,
     GaussianState,
     ModeLabel,
+    SymplecticCheck,
     apply_to_gaussian,
     coherent_vacuum_input,
     mode_index,
@@ -49,6 +50,7 @@ class CloneReport:
     fidelity_formula: float    # closed form for this machine
     q_peak: float              # Q(xi) of the reduced clone state; pi*q_peak = fidelity
     phase_covariance_defect: complex
+    symplectic_dev: float      # the machine's, from the check that cleared its transform
 
 
 def chaotic_photons(t: BogoliubovTransform, mode: int | ModeLabel) -> float:
@@ -103,15 +105,10 @@ def phase_covariance_defect(
     the phase of the input.
     """
     row = mode_index(clone_mode)
-    if isinstance(signal, tuple):
-        signals = {mode_index(m) for m in signal}
-    else:
-        signals = {mode_index(signal)}
-    acc = 0j
-    for k in range(t.n_modes):
-        if k not in signals:
-            acc += t.A[row, k] * t.B[row, k]
-    return complex(acc)
+    vacuum_a = t.A[row].copy()
+    for m in signal if isinstance(signal, tuple) else (signal,):
+        vacuum_a[mode_index(m)] = 0.0
+    return complex(vacuum_a @ t.B[row])
 
 
 def q_function(state: GaussianState, alpha: complex, *,
@@ -169,18 +166,29 @@ def expected_fidelities(spec: ClonerSpec) -> tuple[float, ...]:
     raise TypeError(f"unknown cloner spec: {spec!r}")
 
 
-def clone_output_state(machine: CloningMachine, xi: complex) -> GaussianState:
-    """Full multimode Gaussian state leaving the machine for input amplitude xi."""
+def clone_output_state(
+    machine: CloningMachine, xi: complex, *, return_check: bool = False,
+) -> GaussianState | tuple[GaussianState, SymplecticCheck]:
+    """Full multimode Gaussian state leaving the machine for input amplitude xi.
+
+    With return_check, also the symplectic check that cleared the transform.
+    """
     state_in = coherent_vacuum_input(machine.input_amplitudes(xi))
-    return apply_to_gaussian(machine.transform, state_in)
+    return apply_to_gaussian(machine.transform, state_in, return_check=return_check)
 
 
-def clone_report(spec: ClonerSpec, xi: complex = 1.0 + 0.0j) -> list[CloneReport]:
-    """Run a cloner on |xi> inputs and report every clone's quality figures."""
-    machine = build_cloner(spec)
-    out = clone_output_state(machine, xi)
-    n_forms = expected_chaotic_photons(spec)
-    f_forms = expected_fidelities(spec)
+def clone_report(machine: ClonerSpec | CloningMachine,
+                 xi: complex = 1.0 + 0.0j) -> list[CloneReport]:
+    """Run a cloner on |xi> inputs and report every clone's quality figures.
+
+    Takes a spec, or a machine already built from one so that a caller who
+    needs the machine too builds it only once.
+    """
+    if not isinstance(machine, CloningMachine):
+        machine = build_cloner(machine)
+    out, check = clone_output_state(machine, xi, return_check=True)
+    n_forms = expected_chaotic_photons(machine.spec)
+    f_forms = expected_fidelities(machine.spec)
     reports = []
     for mode, n_form, f_form in zip(machine.clone_modes, n_forms, f_forms, strict=True):
         reduced = reduce_mode(out, mode)
@@ -196,5 +204,6 @@ def clone_report(spec: ClonerSpec, xi: complex = 1.0 + 0.0j) -> list[CloneReport
             q_peak=q_function(reduced, xi),
             phase_covariance_defect=phase_covariance_defect(
                 machine.transform, mode, machine.signal_modes),
+            symplectic_dev=check.max_dev,
         ))
     return reports

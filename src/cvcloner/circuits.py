@@ -9,9 +9,12 @@ Three constructions:
   beam splitter BS1(u) on (a, c), a NOPA(v) on (c, b), beam splitter
   BS2(w) on (a, c), with the three angles given by ``asym_params``.  It is a
   Mach-Zehnder interferometer with an amplifier in one arm.
-* ``sym_1_to_m`` / ``sym_n_to_m`` -- symmetric machines: collect N identical
-  inputs into one mode, amplify by sqrt(M/N) in a single NOPA, and split the
-  result evenly over M output modes.
+* ``sym_n_to_m`` -- symmetric machines: collect N identical inputs into one
+  mode, amplify by sqrt(M/N) in a single NOPA, and split the result evenly
+  over M output modes (N = 1 is the 1->M machine).
+
+The factorized and symmetric machines are ordered lists of two-mode gates,
+folded into (A, B) by ``fold_gates``.
 
 Mode ordering for the symmetric machines: N signal modes, then the NOPA
 idler, then the M-1 distribution ancillas.  The M clones come out on the
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import beam_splitter, collect_chain, distribute_chain, nopa
-from .gaussian import BogoliubovTransform, ModeLabel, compose, embed
+from .elements import beam_splitter_gate, collect_gates, distribute_gates
+from .gaussian import NOPA, BogoliubovTransform, ModeLabel, fold_gates
 
 GAMMA_LIMIT = 20.0
 
@@ -150,42 +153,30 @@ def asym_factorized(gamma: float) -> BogoliubovTransform:
     recombines (a, c).  Equals ``asym_direct(gamma)`` elementwise.
     """
     p = asym_params(gamma)
-    bs1 = embed(beam_splitter(p.u), [0, 2], 3)   # (a, c)
-    amp = embed(nopa(p.v), [2, 1], 3)            # (c, b)
-    bs2 = embed(beam_splitter(p.w), [0, 2], 3)   # (a, c)
-    return compose(bs2, compose(amp, bs1))
-
-
-def sym_1_to_m(M: int) -> BogoliubovTransform:
-    """Symmetric 1->M cloner on M+1 modes (signal, idler, M-1 ancillas)."""
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    total = M + 1
-    amp = embed(nopa(math.acosh(math.sqrt(M))), [0, 1], total)
-    split = distribute_chain(M, [0] + list(range(2, total)))
-    if split.n_modes < total:
-        split = embed(split, list(range(split.n_modes)), total)
-    return compose(split, amp)
+    return fold_gates((
+        beam_splitter_gate(p.u, 0, 2),   # BS1 on (a, c)
+        NOPA(p.v, 2, 1),                 # amplifier on (c, b)
+        beam_splitter_gate(p.w, 0, 2),   # BS2 on (a, c)
+    ), 3)
 
 
 def sym_n_to_m(N: int, M: int) -> BogoliubovTransform:
     """Symmetric N->M cloner on N+M modes.
 
-    collect_chain(N) concentrates the N copies, one NOPA amplifies the
-    collected mode by sqrt(M/N) against the idler (mode N), and
-    distribute_chain(M) splits it over the collected mode plus M-1 ancillas.
+    The collect cascade concentrates the N copies on mode 0, one NOPA
+    amplifies the collected mode by sqrt(M/N) against the idler (mode N),
+    and the distribute cascade splits it over mode 0 plus the M-1 ancillas.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if M < N:
         raise ValueError(f"need M >= N, got N={N}, M={M}")
-    total = N + M
-    gather = embed(collect_chain(N), list(range(N)), total)
-    amp = embed(nopa(math.acosh(math.sqrt(M / N))), [0, N], total)
-    split = distribute_chain(M, [0] + list(range(N + 1, total)))
-    if split.n_modes < total:
-        split = embed(split, list(range(split.n_modes)), total)
-    return compose(split, compose(amp, gather))
+    gates = (
+        collect_gates(N)
+        + (NOPA(math.acosh(math.sqrt(M / N)), 0, N),)
+        + distribute_gates(M, [0] + list(range(N + 1, N + M)))
+    )
+    return fold_gates(gates, N + M)
 
 
 def build_cloner(spec: ClonerSpec) -> CloningMachine:

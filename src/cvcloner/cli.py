@@ -16,6 +16,7 @@ the CVCLONER_TOLERANCE environment variable.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CloneReport, clone_report
-from .circuits import AsymSpec, ClonerSpec, SymSpec, asym_direct, asym_factorized, asym_params, build_cloner
-from .fock import TruncationError
-from .gaussian import DEFAULT_TOL, check_symplectic
+from .circuits import AsymSpec, ClonerSpec, SymSpec, asym_direct, asym_factorized, asym_params
+from .fock import FockSpace, TruncationError
+from .gaussian import DEFAULT_TOL
 from .verification import oracle_agreement, standard_suites
 
 SCHEMA_VERSION = 1
@@ -51,24 +52,37 @@ class RunConfig:
 def _parse_xi(text: str) -> complex:
     try:
         re_part, im_part = text.split(",")
-        return complex(float(re_part), float(im_part))
+        xi = complex(float(re_part), float(im_part))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"amplitude must be 're,im', for example '1,0'; got {text!r}"
         ) from None
+    if not cmath.isfinite(xi):
+        raise argparse.ArgumentTypeError(f"amplitude must be finite, got {text!r}")
+    return xi
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a float, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
+    return value
 
 
 def _tolerance_override(args: argparse.Namespace,
                         parser: argparse.ArgumentParser) -> float | None:
     if args.tolerance is not None:
-        return float(args.tolerance)
+        return args.tolerance
     env = os.environ.get("CVCLONER_TOLERANCE")
     if env is None:
         return None
     try:
-        return float(env)
-    except ValueError:
-        parser.error(f"CVCLONER_TOLERANCE must be a float, got {env!r}")
+        return _finite_float(env)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"CVCLONER_TOLERANCE: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="output_format", help="report format (default json)")
         p.add_argument("--output", default=None,
                        help="write the report to this file instead of standard output")
-        p.add_argument("--tolerance", type=float, default=None,
+        p.add_argument("--tolerance", type=_finite_float, default=None,
                        help="override the physics tolerance (default 1e-10 or CVCLONER_TOLERANCE)")
 
     p_clone = sub.add_parser("clone", help="run one machine and report every clone")
@@ -120,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also run the truncated-Fock oracle cross-check")
     p_verify.add_argument("--cutoff", type=int, default=14,
                           help="largest Fock cutoff for the oracle ladder (default 14)")
-    p_verify.add_argument("--tolerance", type=float, default=None,
+    p_verify.add_argument("--tolerance", type=_finite_float, default=None,
                           help="override every suite tolerance (diagnostic use)")
     return parser
 
@@ -184,27 +198,33 @@ def _factorization_dev(spec: ClonerSpec) -> float | None:
     return float(max(np.abs(d.A - f.A).max(), np.abs(d.B - f.B).max()))
 
 
-def _physics_violations(reports: list[CloneReport], symplectic_dev: float,
-                        tol: float) -> list[str]:
+def _physics_violations(reports: list[CloneReport], tol: float) -> list[str]:
+    # every gate reads "not (dev <= tol)" so that a NaN deviation fails it
     problems = []
-    if symplectic_dev > tol:
+    symplectic_dev = reports[0].symplectic_dev
+    if not symplectic_dev <= tol:
         problems.append(f"symplectic deviation {symplectic_dev:.3e} > {tol:.3e}")
     for r in reports:
-        if abs(r.fidelity * (r.n_chaotic_state + 1.0) - 1.0) > tol:
+        if not abs(r.fidelity * (r.n_chaotic_state + 1.0) - 1.0) <= tol:
             problems.append(f"{r.clone_mode.name}: F*(n+1) != 1 beyond {tol:.3e}")
-        if abs(math.pi * r.q_peak - r.fidelity) > tol:
+        if not abs(math.pi * r.q_peak - r.fidelity) <= tol:
             problems.append(f"{r.clone_mode.name}: pi*Q(xi) != F beyond {tol:.3e}")
-        if abs(r.fidelity - r.fidelity_formula) > tol:
+        if not abs(r.fidelity - r.fidelity_formula) <= tol:
             problems.append(
                 f"{r.clone_mode.name}: fidelity {r.fidelity!r} vs closed form "
                 f"{r.fidelity_formula!r} beyond {tol:.3e}"
             )
-        if abs(r.phase_covariance_defect) > tol:
+        if not abs(r.phase_covariance_defect) <= tol:
             problems.append(
                 f"{r.clone_mode.name}: phase covariance defect "
                 f"{abs(r.phase_covariance_defect):.3e} > {tol:.3e}"
             )
     return problems
+
+
+def _json(document: dict) -> str:
+    # allow_nan=False: a non-finite figure is an error, never a bare NaN token
+    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -226,25 +246,23 @@ def _csv_table(header: list[str], rows: list[list[object]]) -> str:
 def cmd_clone(config: RunConfig) -> int:
     assert config.spec is not None
     reports = clone_report(config.spec, config.xi)
-    machine = build_cloner(config.spec)
-    symplectic_dev = check_symplectic(machine.transform).max_dev
     document = {
         "schema_version": SCHEMA_VERSION,
         "spec": _spec_echo(config.spec, config.xi),
         "clones": _clone_rows(reports),
         "diagnostics": {
-            "symplectic_dev": symplectic_dev,
+            "symplectic_dev": reports[0].symplectic_dev,
             "factorization_dev": _factorization_dev(config.spec),
         },
     }
     if config.output_format == "json":
-        _emit(json.dumps(document, sort_keys=True, indent=2) + "\n", config.output_path)
+        _emit(_json(document), config.output_path)
     else:
         header = ["mode", "name", "n_chaotic", "n_chaotic_formula",
                   "fidelity", "fidelity_formula", "q_peak", "defect"]
         rows = [[c[k] for k in header] for c in document["clones"]]
         _emit(_csv_table(header, rows), config.output_path)
-    problems = _physics_violations(reports, symplectic_dev, config.tolerance)
+    problems = _physics_violations(reports, config.tolerance)
     for p in problems:
         print(f"invariant violation: {p}", file=sys.stderr)
     return 1 if problems else 0
@@ -261,9 +279,8 @@ def _sweep_rows_asym(config: RunConfig) -> tuple[list[str], list[list[object]], 
         spec = AsymSpec(float(g), factorized=factorized)
         reports = clone_report(spec, config.xi)
         params = asym_params(float(g))
-        dev = check_symplectic(build_cloner(spec).transform).max_dev
         problems += [f"gamma={g}: {p}"
-                     for p in _physics_violations(reports, dev, config.tolerance)]
+                     for p in _physics_violations(reports, config.tolerance)]
         r1, r2 = reports
         rows.append([float(g), params.u, params.v, params.w,
                      r1.n_chaotic, r2.n_chaotic, r1.fidelity, r2.fidelity,
@@ -279,9 +296,8 @@ def _sweep_rows_sym(config: RunConfig, n: int) -> tuple[list[str], list[list[obj
     for m in range(m_lo, m_hi + 1):
         spec = SymSpec(n, m)
         reports = clone_report(spec, config.xi)
-        dev = check_symplectic(build_cloner(spec).transform).max_dev
         problems += [f"m={m}: {p}"
-                     for p in _physics_violations(reports, dev, config.tolerance)]
+                     for p in _physics_violations(reports, config.tolerance)]
         rows.append([n, m, reports[0].n_chaotic, reports[0].fidelity])
     return header, rows, problems
 
@@ -303,7 +319,7 @@ def cmd_sweep(config: RunConfig) -> int:
             "spec": echo,
             "rows": [dict(zip(header, row, strict=True)) for row in rows],
         }
-        _emit(json.dumps(document, sort_keys=True, indent=2) + "\n", config.output_path)
+        _emit(_json(document), config.output_path)
     else:
         _emit(_csv_table(header, rows), config.output_path)
     for p in problems:
@@ -346,6 +362,11 @@ def main(argv: list[str] | None = None) -> int:
     tolerance = override if override is not None else DEFAULT_TOL
 
     if args.command == "verify":
+        if args.oracle:
+            try:
+                FockSpace(3, args.cutoff)  # the oracle's 1->2 register at its finest rung
+            except ValueError as exc:
+                parser.error(f"--cutoff: {exc}")
         config = RunConfig(command="verify", spec=None, xi=0j, gamma_range=None,
                            m_range=None, output_format="json", output_path=None,
                            tolerance=tolerance, tolerance_override=override,
@@ -368,6 +389,12 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("--gamma-range needs at least one step")
             if stop < start:
                 parser.error("--gamma-range needs STOP >= START")
+            # the grid runs from START to STOP, so the ends bound every point
+            for g in (start, stop):
+                try:
+                    AsymSpec(g)
+                except ValueError as exc:
+                    parser.error(f"--gamma-range: {exc}")
             gamma_range = (start, stop, steps)
         else:
             if args.m_range is None:
@@ -378,7 +405,10 @@ def main(argv: list[str] | None = None) -> int:
             if m_hi < m_lo:
                 parser.error("--m-range needs STOP >= START")
             m_range = (m_lo, m_hi)
-            spec = SymSpec(args.n, m_lo)
+            try:
+                spec = SymSpec(args.n, m_lo)
+            except ValueError as exc:
+                parser.error(str(exc))
         config = RunConfig(command="sweep", spec=spec, xi=args.xi,
                            gamma_range=gamma_range, m_range=m_range,
                            output_format=args.output_format, output_path=args.output,

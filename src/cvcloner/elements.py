@@ -12,61 +12,65 @@ All elements are real-coefficient Bogoliubov transforms:
 * the collect/distribute beam-splitter cascades that concentrate N identical
   inputs into one mode and split one mode evenly over M outputs.
 
-Chains are assembled by composing embedded two-mode elements rather than
-writing closed-form N-mode matrices, mirroring the table-top layout.
+Every constructor here lists its two-mode gates in physical order and hands
+the list to ``fold_gates``, mirroring the table-top layout; the cascade gate
+lists are public so the machines in ``circuits`` can splice them together.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import (
-    BogoliubovTransform,
-    compose,
-    embed,
-    identity_transform,
-    mode_index,
-)
+from .gaussian import NOPA, BogoliubovTransform, Passive, fold_gates, mode_index
 
-def _pair(modes) -> tuple[int, int]:
-    m1, m2 = (mode_index(m) for m in modes)
-    if m1 == m2:
-        raise ValueError(f"modes must be distinct, got ({m1}, {m2})")
-    return m1, m2
+
+def beam_splitter_gate(theta: float, p: int, q: int) -> Passive:
+    """Beam splitter of mixing angle theta on the ordered pair (p, q)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return Passive(((c, s), (-s, c)), p, q)
 
 
 def beam_splitter(theta: float, modes=(0, 1)) -> BogoliubovTransform:
     """Two-mode beam splitter; passive (B = 0), orthogonal on the pair."""
-    m1, m2 = _pair(modes)
-    n = max(m1, m2) + 1
-    A = np.eye(n, dtype=complex)
-    c, s = np.cos(theta), np.sin(theta)
-    A[m1, m1] = c
-    A[m1, m2] = s
-    A[m2, m1] = -s
-    A[m2, m2] = c
-    return BogoliubovTransform(A=A, B=np.zeros((n, n), dtype=complex))
+    m1, m2 = (mode_index(m) for m in modes)
+    return fold_gates((beam_splitter_gate(theta, m1, m2),), max(m1, m2) + 1)
 
 
 def nopa(r: float, modes=(0, 1)) -> BogoliubovTransform:
     """Two-mode squeezer with amplitude gain cosh(r) on both modes."""
-    m1, m2 = _pair(modes)
-    n = max(m1, m2) + 1
-    A = np.eye(n, dtype=complex)
-    B = np.zeros((n, n), dtype=complex)
-    A[m1, m1] = A[m2, m2] = np.cosh(r)
-    B[m1, m2] = B[m2, m1] = -np.sinh(r)
-    return BogoliubovTransform(A=A, B=B)
+    m1, m2 = (mode_index(m) for m in modes)
+    return fold_gates((NOPA(r, m1, m2),), max(m1, m2) + 1)
 
 
-def _passive_pair(a11: float, a12: float, a21: float, a22: float,
-                  pair: tuple[int, int], total: int) -> BogoliubovTransform:
-    """Arbitrary passive 2x2 block embedded into a `total`-mode register."""
-    block = BogoliubovTransform(
-        A=np.array([[a11, a12], [a21, a22]], dtype=complex),
-        B=np.zeros((2, 2), dtype=complex),
-    )
-    return embed(block, list(pair), total)
+def _wires(size: int, modes) -> list[int]:
+    if size < 1:
+        raise ValueError(f"need at least one mode, got {size}")
+    idx = list(range(size)) if modes is None else [mode_index(m) for m in modes]
+    if len(idx) != size or len(set(idx)) != size:
+        raise ValueError(f"need {size} distinct modes, got {idx}")
+    return idx
+
+
+def collect_gates(N: int, modes=None) -> tuple[Passive, ...]:
+    """Gates of ``collect_chain(N, modes)``, in the order they act."""
+    idx = _wires(N, modes)
+    gates = []
+    for j in range(1, N):
+        keep = np.sqrt(j / (j + 1.0))
+        leak = np.sqrt(1.0 / (j + 1.0))
+        gates.append(Passive(((keep, leak), (leak, -keep)), idx[0], idx[j]))
+    return tuple(gates)
+
+
+def distribute_gates(M: int, modes=None) -> tuple[Passive, ...]:
+    """Gates of ``distribute_chain(M, modes)``, in the order they act."""
+    idx = _wires(M, modes)
+    gates = []
+    for j in range(1, M):
+        tap = np.sqrt(1.0 / (M - j + 1.0))
+        keep = np.sqrt((M - j) / (M - j + 1.0))
+        gates.append(Passive(((keep, -tap), (tap, keep)), idx[0], idx[j]))
+    return tuple(gates)
 
 
 def collect_chain(N: int, modes=None) -> BogoliubovTransform:
@@ -80,21 +84,8 @@ def collect_chain(N: int, modes=None) -> BogoliubovTransform:
     so N identical coherent amplitudes xi leave sqrt(N) xi on the first listed
     mode and vacuum on the rest.  The collected signal stays on modes[0].
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if modes is None:
-        modes = list(range(N))
-    idx = [mode_index(m) for m in modes]
-    if len(idx) != N or len(set(idx)) != N:
-        raise ValueError(f"need {N} distinct modes, got {idx}")
-    total = max(idx) + 1
-    t = identity_transform(total)
-    for j in range(1, N):
-        keep = np.sqrt(j / (j + 1.0))
-        leak = np.sqrt(1.0 / (j + 1.0))
-        step = _passive_pair(keep, leak, leak, -keep, (idx[0], idx[j]), total)
-        t = compose(step, t)
-    return t
+    idx = _wires(N, modes)
+    return fold_gates(collect_gates(N, idx), max(idx) + 1)
 
 
 def distribute_chain(M: int, modes=None) -> BogoliubovTransform:
@@ -108,18 +99,5 @@ def distribute_chain(M: int, modes=None) -> BogoliubovTransform:
     Every output acquires signal coefficient 1/sqrt(M); the last split signal
     e_M stays on modes[0].
     """
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    if modes is None:
-        modes = list(range(M))
-    idx = [mode_index(m) for m in modes]
-    if len(idx) != M or len(set(idx)) != M:
-        raise ValueError(f"need {M} distinct modes, got {idx}")
-    total = max(idx) + 1
-    t = identity_transform(total)
-    for j in range(1, M):
-        tap = np.sqrt(1.0 / (M - j + 1.0))
-        keep = np.sqrt((M - j) / (M - j + 1.0))
-        step = _passive_pair(keep, -tap, tap, keep, (idx[0], idx[j]), total)
-        t = compose(step, t)
-    return t
+    idx = _wires(M, modes)
+    return fold_gates(distribute_gates(M, idx), max(idx) + 1)

@@ -23,7 +23,9 @@ so the vacuum variance is 1/2 and a coherent amplitude xi has mean
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -130,11 +132,58 @@ class SymplecticCheck:
 
     @property
     def max_dev(self) -> float:
-        return max(self.commutation_dev, self.symmetry_dev)
+        return worst_dev((self.commutation_dev, self.symmetry_dev))
 
     @property
     def passed(self) -> bool:
         return self.max_dev <= self.tol
+
+
+def worst_dev(devs: Iterable[float]) -> float:
+    """Largest of some deviations, counting NaN as +inf (0.0 when empty).
+
+    Python's max() keeps whichever argument came first when a NaN is
+    compared, so a NaN deviation could vanish from a gate; here it fails it.
+    """
+    return max((math.inf if math.isnan(d) else float(d) for d in devs), default=0.0)
+
+
+@dataclass(frozen=True)
+class Passive:
+    """2x2 passive block ((a, b), (c, d)) on the mode pair (p, q):
+
+        a_p' = a a_p + b a_q,    a_q' = c a_p + d a_q.
+
+    Every element this package builds has a real block.
+    """
+
+    block: tuple[tuple[complex, complex], tuple[complex, complex]]
+    p: int
+    q: int
+
+    def __post_init__(self) -> None:
+        _check_pair(self.p, self.q)
+
+
+@dataclass(frozen=True)
+class NOPA:
+    """Two-mode squeezer on the pair (p, q): a_p' = cosh r a_p - sinh r a_q^dag,
+    and the same with p and q swapped."""
+
+    r: float
+    p: int
+    q: int
+
+    def __post_init__(self) -> None:
+        _check_pair(self.p, self.q)
+
+
+Gate = Passive | NOPA
+
+
+def _check_pair(p: int, q: int) -> None:
+    if p == q or p < 0 or q < 0:
+        raise ValueError(f"a gate needs two distinct modes >= 0, got ({p}, {q})")
 
 
 def symplectic_form(n_modes: int) -> NDArray[np.float64]:
@@ -166,6 +215,36 @@ def compose(second: BogoliubovTransform, first: BogoliubovTransform) -> Bogoliub
         A=A2 @ A1 + B2 @ B1.conj(),
         B=A2 @ B1 + B2 @ A1.conj(),
     )
+
+
+def fold_gates(gates: Iterable[Gate], n_modes: int) -> BogoliubovTransform:
+    """Transform of an n_modes register after the gates act in order.
+
+    Each gate rewrites only rows p and q of (A, B), so a gate costs O(n)
+    where ``compose`` of the embedded gate costs O(n^3).  The row updates are
+    compose's A = A2 A1 + B2 conj(B1), B = A2 B1 + B2 conj(A1) with the
+    gate's identity rows dropped.
+    """
+    n = int(n_modes)
+    if n < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    rows = np.zeros((n, 2, n), dtype=complex)  # rows[j] = (A[j], B[j])
+    rows[:, 0] = np.eye(n)
+    for gate in gates:
+        p, q = gate.p, gate.q
+        if p >= n or q >= n:
+            raise ValueError(f"gate modes ({p}, {q}) out of range for {n} modes")
+        xp, xq = rows[[p, q]]
+        if isinstance(gate, Passive):
+            (a, b), (c, d) = gate.block
+            rows[p] = a * xp + b * xq
+            rows[q] = c * xp + d * xq
+        else:
+            # xq[::-1] is (B_q, A_q): the a^dag rows a NOPA feeds across the pair
+            ch, sh = np.cosh(gate.r), np.sinh(gate.r)
+            rows[p] = ch * xp - sh * xq[::-1].conj()
+            rows[q] = ch * xq - sh * xp[::-1].conj()
+    return BogoliubovTransform(A=rows[:, 0], B=rows[:, 1])
 
 
 def embed(
@@ -214,8 +293,15 @@ def apply_to_gaussian(
     t: BogoliubovTransform,
     s: GaussianState,
     tol: float = DEFAULT_TOL,
-) -> GaussianState:
-    """Evolve a Gaussian state: mean -> S mean, cov -> S cov S^T."""
+    *,
+    return_check: bool = False,
+) -> GaussianState | tuple[GaussianState, SymplecticCheck]:
+    """Evolve a Gaussian state: mean -> S mean, cov -> S cov S^T.
+
+    Refuses a transform that fails ``check_symplectic``.  With return_check
+    the passing check comes back beside the state, so a caller can report
+    the deviation without checking the same transform twice.
+    """
     if t.n_modes != s.n_modes:
         raise ValueError(f"mode count mismatch: transform {t.n_modes}, state {s.n_modes}")
     diag = check_symplectic(t, tol)
@@ -225,7 +311,8 @@ def apply_to_gaussian(
             f"commutation dev {diag.commutation_dev:.3e}, symmetry dev {diag.symmetry_dev:.3e}"
         )
     S = t.symplectic_matrix()
-    return GaussianState(mean=S @ s.mean, cov=S @ s.cov @ S.T)
+    out = GaussianState(mean=S @ s.mean, cov=S @ s.cov @ S.T)
+    return (out, diag) if return_check else out
 
 
 def reduce_mode(s: GaussianState, mode: int | ModeLabel) -> GaussianState:

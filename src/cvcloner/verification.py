@@ -13,6 +13,7 @@ scope limit of the Fock module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,8 @@ from .circuits import (
     asym_params,
     build_cloner,
 )
-from .fock import FockSpace, apply_cloning_fock, coherent_fock, fidelity_fock
-from .gaussian import check_symplectic, uncertainty_defect
+from .fock import FockSpace, TruncationError, apply_cloning_fock, coherent_fock, fidelity_fock
+from .gaussian import check_symplectic, uncertainty_defect, worst_dev
 
 GAMMA_GRID = tuple(np.linspace(-1.0, 1.0, 41))
 SYM_CASES = ((1, 2), (2, 3), (3, 5), (2, 5), (4, 4), (1, 5))
@@ -53,7 +54,7 @@ class SuiteResult:
 
     @property
     def passed(self) -> bool:
-        return self.max_dev <= self.tolerance
+        return self.max_dev <= self.tolerance  # False for a NaN deviation
 
 
 def _machines() -> list[ClonerSpec]:
@@ -68,109 +69,92 @@ def _machines() -> list[ClonerSpec]:
 def symplectic_invariants(tol: float | None = None) -> SuiteResult:
     """Every constructed transform satisfies the Bogoliubov conditions."""
     tol = 1e-10 if tol is None else tol
-    worst = 0.0
-    for g in GAMMA_GRID:
-        worst = max(worst, check_symplectic(asym_direct(g)).max_dev)
-        worst = max(worst, check_symplectic(asym_factorized(g)).max_dev)
-    for spec in _machines():
-        worst = max(worst, check_symplectic(build_cloner(spec).transform).max_dev)
+    transforms = [build(g) for g in GAMMA_GRID for build in (asym_direct, asym_factorized)]
+    transforms += [build_cloner(spec).transform for spec in _machines()]
+    worst = worst_dev(check_symplectic(t).max_dev for t in transforms)
     return SuiteResult("symplectic_invariants", worst, tol)
 
 
 def factorization_equivalence(tol: float | None = None) -> SuiteResult:
     """BS/NOPA/BS assembly matches the closed-form machine elementwise."""
     tol = 1e-9 if tol is None else tol
-    worst = 0.0
+    devs = []
     for g in GAMMA_GRID:
         d, f = asym_direct(g), asym_factorized(g)
-        worst = max(worst, float(np.abs(d.A - f.A).max()), float(np.abs(d.B - f.B).max()))
+        devs += [float(np.abs(d.A - f.A).max()), float(np.abs(d.B - f.B).max())]
     u0 = abs(asym_params(0.0).u)
-    return SuiteResult("factorization_equivalence", max(worst, u0), tol,
+    return SuiteResult("factorization_equivalence", worst_dev(devs + [u0]), tol,
                        details={"u_at_gamma_zero": u0})
 
 
 def fidelity_closed_forms(tol: float | None = None) -> SuiteResult:
     """Pipeline fidelities reproduce the closed forms for every machine."""
     tol = 1e-10 if tol is None else tol
-    worst = 0.0
-    for g in GAMMA_GRID:
-        reports = clone_report(AsymSpec(g))
-        for r in reports:
-            worst = max(worst, abs(r.fidelity - r.fidelity_formula))
-    for n, m in SYM_CASES:
-        for r in clone_report(SymSpec(n, m)):
-            worst = max(worst, abs(r.fidelity - r.fidelity_formula))
+    specs = [AsymSpec(g) for g in GAMMA_GRID] + [SymSpec(n, m) for n, m in SYM_CASES]
+    worst = worst_dev(abs(r.fidelity - r.fidelity_formula)
+                      for spec in specs for r in clone_report(spec))
     return SuiteResult("fidelity_closed_forms", worst, tol)
 
 
 def chaotic_photon_forms(tol: float | None = None) -> SuiteResult:
     """B-row photon counts reproduce the closed forms for every machine."""
     tol = 1e-10 if tol is None else tol
-    worst = 0.0
+    devs = []
     for g in GAMMA_GRID:
         t = asym_direct(g)
         na, nc = expected_chaotic_photons(AsymSpec(g))
-        worst = max(worst, abs(chaotic_photons(t, 0) - na), abs(chaotic_photons(t, 2) - nc))
+        devs += [abs(chaotic_photons(t, 0) - na), abs(chaotic_photons(t, 2) - nc)]
     for n, m in SYM_CASES:
         machine = build_cloner(SymSpec(n, m))
         forms = expected_chaotic_photons(SymSpec(n, m))
-        for mode, form in zip(machine.clone_modes, forms, strict=True):
-            worst = max(worst, abs(chaotic_photons(machine.transform, mode) - form))
-    return SuiteResult("chaotic_photon_forms", worst, tol)
+        devs += [abs(chaotic_photons(machine.transform, mode) - form)
+                 for mode, form in zip(machine.clone_modes, forms, strict=True)]
+    return SuiteResult("chaotic_photon_forms", worst_dev(devs), tol)
 
 
 def noise_product_saturation(tol: float | None = None) -> SuiteResult:
     """The asymmetric family sits exactly on the 1/4 noise-product floor."""
     tol = 1e-12 if tol is None else tol
-    worst = 0.0
-    for g in GAMMA_GRID:
-        worst = max(worst, abs(noise_product(asym_direct(g)) - 0.25))
+    worst = worst_dev(abs(noise_product(asym_direct(g)) - 0.25) for g in GAMMA_GRID)
     return SuiteResult("noise_product_saturation", worst, tol)
 
 
 def q_function_identity(tol: float | None = None) -> SuiteResult:
     """pi * Q(xi) equals the fidelity for every clone of every machine."""
     tol = 1e-10 if tol is None else tol
-    worst = 0.0
-    for spec in _machines():
-        for r in clone_report(spec, 0.7 - 0.2j):
-            worst = max(worst, abs(np.pi * r.q_peak - r.fidelity))
+    worst = worst_dev(abs(np.pi * r.q_peak - r.fidelity)
+                      for spec in _machines() for r in clone_report(spec, 0.7 - 0.2j))
     return SuiteResult("q_function_identity", worst, tol)
 
 
 def fidelity_invariance(tol: float | None = None) -> SuiteResult:
     """Fidelity does not depend on the input amplitude."""
     tol = 1e-10 if tol is None else tol
-    worst = 0.0
+    devs = []
     for spec in _machines():
-        per_clone: list[list[float]] = []
-        for xi in XI_PROBES:
-            per_clone.append([r.fidelity for r in clone_report(spec, xi)])
-        arr = np.asarray(per_clone)
-        worst = max(worst, float((arr.max(axis=0) - arr.min(axis=0)).max()))
-    return SuiteResult("fidelity_invariance", worst, tol)
+        machine = build_cloner(spec)
+        arr = np.asarray([[r.fidelity for r in clone_report(machine, xi)]
+                          for xi in XI_PROBES])
+        devs += list(arr.max(axis=0) - arr.min(axis=0))
+    return SuiteResult("fidelity_invariance", worst_dev(devs), tol)
 
 
 def phase_covariance(tol: float | None = None) -> SuiteResult:
     """Added noise on every clone is phase insensitive."""
     tol = 1e-10 if tol is None else tol
-    worst = 0.0
+    devs = []
     for spec in _machines():
         machine = build_cloner(spec)
-        for mode in machine.clone_modes:
-            defect = phase_covariance_defect(machine.transform, mode, machine.signal_modes)
-            worst = max(worst, abs(defect))
-    return SuiteResult("phase_covariance", worst, tol)
+        devs += [abs(phase_covariance_defect(machine.transform, mode, machine.signal_modes))
+                 for mode in machine.clone_modes]
+    return SuiteResult("phase_covariance", worst_dev(devs), tol)
 
 
 def uncertainty_preservation(tol: float | None = None) -> SuiteResult:
     """Output states of every machine remain physical Gaussian states."""
     tol = 1e-10 if tol is None else tol
-    worst = 0.0
-    for spec in _machines():
-        machine = build_cloner(spec)
-        out = clone_output_state(machine, 0.8 + 0.3j)
-        worst = max(worst, uncertainty_defect(out))
+    worst = worst_dev(uncertainty_defect(clone_output_state(build_cloner(spec), 0.8 + 0.3j))
+                      for spec in _machines())
     return SuiteResult("uncertainty_preservation", worst, tol)
 
 
@@ -178,13 +162,25 @@ def unit_signal_gain(tol: float | None = None) -> SuiteResult:
     """Every clone keeps the input amplitude exactly."""
     tol = 1e-12 if tol is None else tol
     xi = 1.1 - 0.6j
-    worst = 0.0
+    devs = []
     for spec in _machines():
         machine = build_cloner(spec)
         out = clone_output_state(machine, xi)
-        for mode in machine.clone_modes:
-            worst = max(worst, abs(out.mode_amplitude(mode) - xi))
-    return SuiteResult("unit_signal_gain", worst, tol)
+        devs += [abs(out.mode_amplitude(mode) - xi) for mode in machine.clone_modes]
+    return SuiteResult("unit_signal_gain", worst_dev(devs), tol)
+
+
+def _oracle_dev(cutoff: int) -> float:
+    """Worst fidelity gap between the Fock oracle at one cutoff and the closed forms."""
+    space = FockSpace(3, cutoff)
+    devs = []
+    for g in (-0.5, 0.0, 0.5):
+        fa_form, fc_form = expected_fidelities(AsymSpec(g))
+        for xi in (0.0, 0.3):
+            out = apply_cloning_fock(g, coherent_fock(space, [0.0, 0.0, xi]))
+            devs += [abs(fidelity_fock(out, 0, xi) - fa_form),
+                     abs(fidelity_fock(out, 2, xi) - fc_form)]
+    return worst_dev(devs)
 
 
 def oracle_agreement(tol: float | None = None,
@@ -193,28 +189,27 @@ def oracle_agreement(tol: float | None = None,
 
     Runs the 1->2 machine at gamma in {-0.5, 0, 0.5} and xi in {0, 0.3} for
     each cutoff.  Passes when the finest cutoff agrees within tolerance and
-    the deviation shrinks as the cutoff grows.
+    the deviation shrinks as the cutoff grows.  A cutoff too small for the
+    evolution (a TruncationError) reads as an infinite deviation and fails
+    the suite.
     """
     tol = 5e-3 if tol is None else tol
     per_cutoff: dict[str, float] = {}
     for cutoff in cutoffs:
-        space = FockSpace(3, cutoff)
-        dev = 0.0
-        for g in (-0.5, 0.0, 0.5):
-            fa_form, fc_form = expected_fidelities(AsymSpec(g))
-            for xi in (0.0, 0.3):
-                out = apply_cloning_fock(g, coherent_fock(space, [0.0, 0.0, xi]))
-                dev = max(dev,
-                          abs(fidelity_fock(out, 0, xi) - fa_form),
-                          abs(fidelity_fock(out, 2, xi) - fc_form))
-        per_cutoff[f"cutoff_{cutoff}"] = dev
+        try:
+            per_cutoff[f"cutoff_{cutoff}"] = _oracle_dev(cutoff)
+        except TruncationError:
+            per_cutoff[f"cutoff_{cutoff}"] = math.inf
     devs = list(per_cutoff.values())
-    monotone_break = max(
-        (devs[i + 1] - devs[i] for i in range(len(devs) - 1)), default=0.0
-    )
+    monotone_break = worst_dev(devs[i + 1] - devs[i] for i in range(len(devs) - 1))
     final = devs[-1] if devs else 0.0
-    # a monotonicity violation counts as failure even if the final point fits
-    reported = final if monotone_break <= 0 else max(final, tol * 2)
+    # a truncated rung, or a monotonicity violation, fails even if the final point fits
+    if math.inf in devs:
+        reported = math.inf
+    elif monotone_break > 0:
+        reported = worst_dev((final, tol * 2))
+    else:
+        reported = final
     per_cutoff["monotone_break"] = max(0.0, monotone_break)
     return SuiteResult("oracle_agreement", reported, tol, details=per_cutoff)
 

@@ -82,6 +82,20 @@ def test_phase_covariance_defect_vanishes_for_all_machines():
             assert abs(d) < 1e-12
 
 
+def test_phase_covariance_defect_matches_the_column_loop():
+    # reference: sum A[row, k] B[row, k] over the non-signal columns, one at a time;
+    # the vectorised sum may round in another order, so compare to a few ulps
+    rng = np.random.default_rng(7)
+    n = 9
+    t = BogoliubovTransform(A=rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                            B=rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    for row, signal in ((0, (2,)), (4, (0, 1, 5)), (8, 3), (2, ())):
+        signals = signal if isinstance(signal, tuple) else (signal,)
+        terms = [t.A[row, k] * t.B[row, k] for k in range(n) if k not in signals]
+        scale = sum(abs(x) for x in terms)
+        assert abs(phase_covariance_defect(t, row, signal) - sum(terms)) <= 1e-15 * scale
+
+
 def test_single_mode_squeezer_has_nonzero_defect():
     r = 0.25
     squeezer = BogoliubovTransform(

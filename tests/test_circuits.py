@@ -12,10 +12,10 @@ from cvcloner.circuits import (
     asym_factorized,
     asym_params,
     build_cloner,
-    sym_1_to_m,
     sym_n_to_m,
 )
-from cvcloner.gaussian import check_symplectic
+from cvcloner.elements import distribute_chain, nopa
+from cvcloner.gaussian import check_symplectic, compose, embed
 
 GAMMAS = np.linspace(-1.5, 1.5, 31)
 
@@ -96,9 +96,15 @@ def test_sym_spec_validation():
     SymSpec(2, 2)  # boundary is allowed
 
 
-def test_sym_1_to_m_is_the_n_equals_one_special_case():
+def test_sym_n_to_m_one_input_is_nopa_then_split():
+    # dense reference: NOPA(acosh sqrt M) on (signal, idler), then the split
     for m in (1, 2, 4):
-        a, b = sym_1_to_m(m), sym_n_to_m(1, m)
+        total = m + 1
+        amp = embed(nopa(math.acosh(math.sqrt(m))), [0, 1], total)
+        split = distribute_chain(m, [0] + list(range(2, total)))
+        if split.n_modes < total:
+            split = embed(split, list(range(split.n_modes)), total)
+        a, b = compose(split, amp), sym_n_to_m(1, m)
         assert np.allclose(a.A, b.A, atol=1e-14)
         assert np.allclose(a.B, b.B, atol=1e-14)
 
@@ -114,7 +120,7 @@ def test_sym_n_to_m_rejects_shrinking():
     with pytest.raises(ValueError):
         sym_n_to_m(3, 2)
     with pytest.raises(ValueError):
-        sym_1_to_m(0)
+        sym_n_to_m(1, 0)
 
 
 def test_build_cloner_asym_wiring():

@@ -1,9 +1,15 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
 import json
+import math
+import sys
+from dataclasses import replace
 
 import pytest
 
+from cvcloner import circuits, cli, gaussian
+from cvcloner.analysis import clone_report
+from cvcloner.circuits import AsymSpec
 from cvcloner.cli import main
 
 
@@ -174,3 +180,80 @@ def test_tolerance_flag_beats_env_var(monkeypatch, capsys):
     code, _, _ = run(capsys, ["clone", "--asym", "--gamma", "0.1",
                               "--tolerance", "1e-10"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["clone", "--asym", "--gamma", "0.1", "--xi", "nan,0"], None),
+    (["sweep", "--sym", "--n", "1", "--m-range", "2", "3", "--xi", "inf,0"], None),
+    (["clone", "--sym", "--n", "2", "--m", "3", "--tolerance", "nan"], None),
+    (["clone", "--asym", "--gamma", "0.1"], "nan"),
+    (["sweep", "--asym", "--gamma-range", "0", "30", "3"], None),   # |gamma| > 20
+    (["sweep", "--asym", "--gamma-range", "nan", "1", "3"], None),
+    (["sweep", "--sym", "--n", "0", "--m-range", "0", "3"], None),
+    (["verify", "--oracle", "--cutoff", "0"], None),
+], ids=["xi_nan", "xi_inf", "tolerance_nan", "env_tolerance_nan", "gamma_range_too_wide",
+        "gamma_range_nan", "sym_sweep_n_zero", "oracle_cutoff_zero"])
+def test_bad_input_is_a_usage_error(monkeypatch, capsys, argv, env):
+    if env is not None:
+        monkeypatch.setenv("CVCLONER_TOLERANCE", env)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_non_finite_figure_fails_instead_of_printing_nan(monkeypatch, capsys):
+    real = cli.clone_report
+
+    def poisoned(spec, xi):
+        return [replace(r, q_peak=math.nan) for r in real(spec, xi)]
+
+    monkeypatch.setattr(cli, "clone_report", poisoned)
+    code, out, err = run(capsys, ["clone", "--asym", "--gamma", "0.1"])
+    assert code == 1
+    assert "NaN" not in out
+    assert "error" in err
+
+
+@pytest.mark.parametrize("field", ["fidelity", "q_peak", "symplectic_dev",
+                                   "phase_covariance_defect"])
+def test_nan_figures_are_violations(field):
+    reports = clone_report(AsymSpec(0.2))
+    assert cli._physics_violations(reports, 1e-10) == []
+    poisoned = [replace(reports[0], **{field: math.nan})] + reports[1:]
+    assert cli._physics_violations(poisoned, 1e-10)
+
+
+def test_verify_reports_a_truncated_oracle_as_failed(capsys):
+    code, out, _ = run(capsys, ["verify", "--oracle", "--cutoff", "5"])
+    assert code == 1
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("oracle_agreement")]
+    assert "FAIL" in line and "max_dev=inf" in line
+    assert "10/11 suites passed" in out
+
+
+def _count_calls(monkeypatch, fn, calls, key):
+    """Route every cvcloner module's binding of fn through a counter."""
+    def counting(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cvcloner" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+
+
+def test_each_machine_is_built_and_checked_once(monkeypatch, capsys):
+    calls = {"build": 0, "check": 0}
+    _count_calls(monkeypatch, circuits.build_cloner, calls, "build")
+    _count_calls(monkeypatch, gaussian.check_symplectic, calls, "check")
+    for argv, machines in (
+        (["clone", "--sym", "--n", "2", "--m", "5"], 1),
+        (["clone", "--asym", "--gamma", "0.3", "--factorized"], 1),
+        (["sweep", "--sym", "--n", "1", "--m-range", "2", "4"], 3),
+        (["sweep", "--asym", "--gamma-range", "-1", "1", "5"], 5),
+    ):
+        calls.update(build=0, check=0)
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        assert calls == {"build": machines, "check": machines}, argv

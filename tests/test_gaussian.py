@@ -7,6 +7,7 @@ from cvcloner.gaussian import (
     BogoliubovTransform,
     GaussianState,
     ModeLabel,
+    SymplecticCheck,
     apply_to_gaussian,
     check_symplectic,
     coherent_vacuum_input,
@@ -174,3 +175,10 @@ def test_state_validation_rejects_asymmetric_covariance():
     cov[0, 1] = 0.3
     with pytest.raises(ValueError):
         GaussianState(mean=np.zeros(2), cov=cov)
+
+
+def test_symplectic_check_fails_on_nan_in_either_constraint():
+    for devs in ((float("nan"), 0.0), (0.0, float("nan"))):
+        check = SymplecticCheck(*devs)
+        assert check.max_dev == float("inf")
+        assert not check.passed

@@ -18,11 +18,16 @@ from cvcloner.analysis import (
 from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, asym_factorized, build_cloner
 from cvcloner.elements import beam_splitter, nopa
 from cvcloner.gaussian import (
+    NOPA,
+    BogoliubovTransform,
+    Passive,
     apply_to_gaussian,
     check_symplectic,
     coherent_vacuum_input,
     compose,
     embed,
+    fold_gates,
+    identity_transform,
     uncertainty_defect,
 )
 
@@ -105,3 +110,37 @@ def test_outputs_remain_physical_states(g, xi):
     machine = build_cloner(AsymSpec(g))
     out = clone_output_state(machine, xi)
     assert uncertainty_defect(out) < 1e-10
+
+
+def _gate_on(n):
+    """A random complex passive block (not necessarily unitary) or NOPA on a
+    random pair; complex blocks make the NOPA's conjugations matter."""
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    entry = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    passive = st.builds(lambda b, pq: Passive(((b[0], b[1]), (b[2], b[3])), *pq),
+                        st.lists(entry, min_size=4, max_size=4), pair)
+    squeeze = st.builds(lambda r, pq: NOPA(r, *pq),
+                        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), pair)
+    return st.one_of(passive, squeeze)
+
+
+@st.composite
+def registers_and_gates(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    return n, draw(st.lists(_gate_on(n), max_size=12))
+
+
+@given(registers_and_gates())
+def test_fold_equals_composing_the_embedded_gates(case):
+    n, gates = case
+    dense = identity_transform(n)
+    for g in gates:
+        if isinstance(g, Passive):
+            two = BogoliubovTransform(A=np.array(g.block), B=np.zeros((2, 2)))
+        else:
+            two = nopa(g.r)
+        dense = compose(embed(two, [g.p, g.q], n), dense)
+    folded = fold_gates(gates, n)
+    scale = max(1.0, np.abs(dense.A).max(), np.abs(dense.B).max())
+    assert np.abs(folded.A - dense.A).max() <= 1e-12 * scale
+    assert np.abs(folded.B - dense.B).max() <= 1e-12 * scale
