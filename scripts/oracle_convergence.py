@@ -21,6 +21,7 @@ from cvcloner.fock import (
     coherent_fock,
     fidelity_fock,
 )
+from cvcloner.gaussian import worst_dev
 
 GAMMAS = (-0.5, 0.0, 0.5)
 AMPLITUDES = (0.0, 0.3, 0.5)
@@ -33,9 +34,9 @@ def worst_deviation(cutoff: int) -> float:
         fa, fc = expected_fidelities(AsymSpec(gamma))
         for xi in AMPLITUDES:
             out = apply_cloning_fock(gamma, coherent_fock(space, [0j, 0j, xi]))
-            dev = max(dev,
-                      abs(fidelity_fock(out, 0, xi) - fa),
-                      abs(fidelity_fock(out, 2, xi) - fc))
+            dev = worst_dev((dev,
+                             abs(fidelity_fock(out, 0, xi) - fa),
+                             abs(fidelity_fock(out, 2, xi) - fc)))
     return dev
 
 

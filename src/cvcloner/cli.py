@@ -26,7 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CloneReport, clone_report
-from .circuits import AsymSpec, ClonerSpec, SymSpec, asym_direct, asym_factorized, asym_params
+from .circuits import (
+    AsymSpec,
+    ClonerSpec,
+    CloningMachine,
+    SymSpec,
+    asym_direct,
+    asym_factorized,
+    asym_params,
+    build_cloner,
+)
 from .fock import FockSpace, TruncationError
 from .gaussian import DEFAULT_TOL
 from .verification import oracle_agreement, standard_suites
@@ -191,11 +200,14 @@ def _clone_rows(reports: list[CloneReport]) -> list[dict]:
     return rows
 
 
-def _factorization_dev(spec: ClonerSpec) -> float | None:
+def _factorization_dev(machine: CloningMachine) -> float | None:
+    # compare the built transform against the other form of the same machine
+    spec = machine.spec
     if not isinstance(spec, AsymSpec):
         return None
-    d, f = asym_direct(spec.gamma), asym_factorized(spec.gamma)
-    return float(max(np.abs(d.A - f.A).max(), np.abs(d.B - f.B).max()))
+    built = machine.transform
+    other = asym_direct(spec.gamma) if spec.factorized else asym_factorized(spec.gamma)
+    return float(max(np.abs(built.A - other.A).max(), np.abs(built.B - other.B).max()))
 
 
 def _physics_violations(reports: list[CloneReport], tol: float) -> list[str]:
@@ -245,14 +257,15 @@ def _csv_table(header: list[str], rows: list[list[object]]) -> str:
 
 def cmd_clone(config: RunConfig) -> int:
     assert config.spec is not None
-    reports = clone_report(config.spec, config.xi)
+    machine = build_cloner(config.spec)
+    reports = clone_report(machine, config.xi)
     document = {
         "schema_version": SCHEMA_VERSION,
         "spec": _spec_echo(config.spec, config.xi),
         "clones": _clone_rows(reports),
         "diagnostics": {
             "symplectic_dev": reports[0].symplectic_dev,
-            "factorization_dev": _factorization_dev(config.spec),
+            "factorization_dev": _factorization_dev(machine),
         },
     }
     if config.output_format == "json":

@@ -17,6 +17,15 @@ number basis, so every factor of C is a real orthogonal matrix.  Truncation
 therefore never breaks unitarity; it only leaks population into the top Fock
 levels, which is measured and gated rather than ignored.
 
+Each generator is written directly from basis-index arithmetic: the nonzeros
+of a_p^dag a_q (or a_p a_q) are sqrt(n_p + 1) sqrt(n_q) (or sqrt(n_p)
+sqrt(n_q)) at indices computed from the occupations, with no per-mode
+operators lifted by Kronecker products.  The two flows of the cloner are
+built once per register and shared by every probe at that cutoff.  Because
+both factors are real, the real and imaginary parts of a state vector evolve
+separately as real vectors; a part that is all zeros is skipped, since its
+image is exactly zero.
+
 Scope: three modes (or two for squeezer sanity checks).  The N->M machines
 live in spaces of dimension (cutoff+1)^(N+M) and are out of reach here by
 design; the Gaussian invariants cover them.
@@ -98,36 +107,38 @@ class FockState:
         return float(photon_distribution(self, mode)[-1])
 
 
-def _ladder(levels: int) -> np.ndarray:
-    a = np.zeros((levels, levels))
-    ns = np.arange(1, levels)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
+def _pair_flow(space: FockSpace, pair: tuple[int, int], squeeze: bool) -> sp.csr_matrix:
+    """Real antisymmetric K = H - H^T with H = a_p^dag a_q, or a_p a_q if `squeeze`.
 
-
-def _lift(op: np.ndarray, mode: int, space: FockSpace) -> sp.csr_matrix:
-    # kron ordering matches the amplitude layout: mode 0 is the slowest index
-    out = sp.identity(1, format="csr")
-    for m in range(space.n_modes):
-        block = op if m == mode else sp.identity(space.levels, format="csr")
-        out = sp.kron(out, block, format="csr")
-    return out
+    The nonzeros of H come straight from basis-index arithmetic (mode 0 varies
+    slowest), so no per-mode operator is lifted and multiplied.  A creation
+    operator on a mode already at the cutoff leaves the register, so those
+    columns of H carry nothing.
+    """
+    levels, dim = space.levels, space.dim
+    stride_p, stride_q = (levels ** (space.n_modes - 1 - m) for m in pair)
+    col = np.arange(dim)
+    n_p, n_q = (col // stride_p) % levels, (col // stride_q) % levels
+    if squeeze:
+        keep = (n_p >= 1) & (n_q >= 1)
+        shift, factor = -stride_p - stride_q, np.sqrt(n_p)
+    else:
+        keep = (n_p < levels - 1) & (n_q >= 1)
+        shift, factor = stride_p - stride_q, np.sqrt(n_p + 1)
+    col = col[keep]
+    values = factor[keep] * np.sqrt(n_q[keep])
+    half = sp.csr_matrix((values, (col + shift, col)), shape=(dim, dim))
+    return (half - half.T).tocsr()
 
 
 def _mix_flow(space: FockSpace, pair: tuple[int, int]) -> sp.csr_matrix:
     """Real antisymmetric K with exp(theta K) acting as a beam splitter on `pair`."""
-    m1, m2 = pair
-    a = sp.csr_matrix(_ladder(space.levels))
-    a1, a2 = _lift(a, m1, space), _lift(a, m2, space)
-    return (a1.T @ a2 - a2.T @ a1).tocsr()
+    return _pair_flow(space, pair, squeeze=False)
 
 
 def _squeeze_flow(space: FockSpace, pair: tuple[int, int]) -> sp.csr_matrix:
     """Real antisymmetric K with exp(r K) acting as a NOPA on `pair`."""
-    m1, m2 = pair
-    a = sp.csr_matrix(_ladder(space.levels))
-    a1, a2 = _lift(a, m1, space), _lift(a, m2, space)
-    return (a1 @ a2 - a1.T @ a2.T).tocsr()
+    return _pair_flow(space, pair, squeeze=True)
 
 
 def mixing_generator(space: FockSpace, pair: tuple[int, int]) -> np.ndarray:
@@ -165,6 +176,20 @@ def _fixed_flow(space: FockSpace) -> sp.csr_matrix:
             + _squeeze_flow(space, (_SIGNAL, _IDLER))).tocsr()
 
 
+@lru_cache(maxsize=1)
+def _cloner_flows(space: FockSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The clone-idler squeeze and the gamma-independent flow, built once per register.
+
+    One slot is enough: the oracle runs every probe of a cutoff rung before
+    moving to the next, so the slot is reused within a rung and never grows.
+    """
+    flows = (_squeeze_flow(space, (_CLONE, _IDLER)), _fixed_flow(space))
+    for flow in flows:
+        for array in (flow.data, flow.indices, flow.indptr):
+            array.setflags(write=False)
+    return flows
+
+
 @lru_cache(maxsize=2)
 def _fixed_orthogonal(cutoff: int, budget: int) -> np.ndarray:
     space = FockSpace(3, cutoff, budget)
@@ -195,14 +220,22 @@ def apply_cloning_fock(gamma: float, state: FockState) -> FockState:
 
     Krylov evaluation of both exponential factors acting on the vector; this
     is the path to use for sweeps, where the dense matrix would dominate the
-    cost at larger cutoffs.
+    cost at larger cutoffs.  Both factors are real orthogonal, so the real
+    and imaginary parts of the amplitudes evolve separately in real
+    arithmetic, and a part that is all zeros stays exactly zero.
     """
     space = _cloner_space(state.space)
     chi = float(gamma) + 0.5 * math.log(2.0)
-    v = expm_multiply(chi * _squeeze_flow(space, (_CLONE, _IDLER)),
-                      np.asarray(state.amplitudes, dtype=complex))
-    v = expm_multiply(_fixed_flow(space), v)
-    return FockState(space=space, amplitudes=v)
+    squeeze, fixed = _cloner_flows(space)
+    right = chi * squeeze
+    amps = state.amplitudes
+    out = np.zeros(space.dim, dtype=complex)
+    for part, target in ((amps.real, out.real), (amps.imag, out.imag)):
+        if part.any():
+            # both generators are antisymmetric, hence traceless
+            v = expm_multiply(right, part, traceA=0.0)
+            target[:] = expm_multiply(fixed, v, traceA=0.0)
+    return FockState(space=space, amplitudes=out)
 
 
 def coherent_fock(space: FockSpace, amplitudes: list[complex] | tuple[complex, ...]) -> FockState:
@@ -231,15 +264,20 @@ def _coherent_column(levels: int, xi: complex) -> np.ndarray:
     return mags * phases
 
 
-def reduced_density_matrix(state: FockState, mode: int | ModeLabel) -> np.ndarray:
-    """Density matrix of one mode, the rest traced out."""
+def _mode_rows(state: FockState, mode: int | ModeLabel) -> np.ndarray:
+    """Amplitudes as a (levels, rest) matrix whose row index is one mode's photon number."""
     m = mode_index(mode)
     space = state.space
     if not 0 <= m < space.n_modes:
         raise ValueError(f"mode {m} out of range for {space.n_modes} modes")
     d = space.levels
     psi = np.asarray(state.amplitudes).reshape((d,) * space.n_modes)
-    psi = np.moveaxis(psi, m, 0).reshape(d, -1)
+    return np.moveaxis(psi, m, 0).reshape(d, -1)
+
+
+def reduced_density_matrix(state: FockState, mode: int | ModeLabel) -> np.ndarray:
+    """Density matrix of one mode, the rest traced out."""
+    psi = _mode_rows(state, mode)
     return psi @ psi.conj().T
 
 
@@ -249,10 +287,13 @@ def photon_distribution(state: FockState, mode: int | ModeLabel) -> NDArray[np.f
 
 
 def mode_expectation(state: FockState, mode: int | ModeLabel) -> complex:
-    """<a_mode> in the current state, for Heisenberg-picture cross-checks."""
-    m = mode_index(mode)
-    a = _lift(sp.csr_matrix(_ladder(state.space.levels)), m, state.space)
-    return complex(np.vdot(state.amplitudes, a @ state.amplitudes))
+    """<a_mode> in the current state, for Heisenberg-picture cross-checks.
+
+    Sum over k of sqrt(k) conj(psi[k-1]) psi[k] along the mode's axis.
+    """
+    psi = _mode_rows(state, mode)
+    root_k = np.sqrt(np.arange(1, state.space.levels))
+    return complex(np.vdot(psi[:-1], root_k[:, None] * psi[1:]))
 
 
 def fidelity_fock(state: FockState, clone_mode: int | ModeLabel, xi: complex, *,

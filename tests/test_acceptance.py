@@ -34,6 +34,7 @@ from cvcloner.gaussian import (
     coherent_vacuum_input,
     reduce_mode,
     uncertainty_defect,
+    worst_dev,
 )
 
 GAMMA_GRID = np.linspace(-1.0, 1.0, 41)
@@ -57,7 +58,7 @@ def test_criterion_01_symmetric_fidelity_two_thirds():
     start = time.perf_counter()
     reports = clone_report(AsymSpec(0.0), 1 + 0j)
     elapsed = time.perf_counter() - start
-    dev = max(abs(r.fidelity - 2 / 3) for r in reports)
+    dev = worst_dev(abs(r.fidelity - 2 / 3) for r in reports)
     report(1, "symmetric 1->2 point: both clone fidelities equal 2/3",
            dev, 1e-10, elapsed=elapsed, budget=0.1)
 
@@ -66,9 +67,9 @@ def test_criterion_02_asymmetric_fidelity_curves():
     dev = 0.0
     for g in GAMMA_GRID:
         ra, rc = clone_report(AsymSpec(float(g)))
-        dev = max(dev,
-                  abs(ra.fidelity - 2 / (math.exp(2 * g) + 2)),
-                  abs(rc.fidelity - 2 / (math.exp(-2 * g) + 2)))
+        dev = worst_dev((dev,
+                         abs(ra.fidelity - 2 / (math.exp(2 * g) + 2)),
+                         abs(rc.fidelity - 2 / (math.exp(-2 * g) + 2))))
     report(2, "asymmetric fidelity curves over 41 gamma points", dev, 1e-10)
 
 
@@ -77,10 +78,10 @@ def test_criterion_03_chaotic_photons_and_noise_product():
     dev_prod = 0.0
     for g in GAMMA_GRID:
         t = asym_direct(float(g))
-        dev_n = max(dev_n,
-                    abs(chaotic_photons(t, 0) - math.exp(2 * g) / 2),
-                    abs(chaotic_photons(t, 2) - math.exp(-2 * g) / 2))
-        dev_prod = max(dev_prod, abs(noise_product(t) - 0.25))
+        dev_n = worst_dev((dev_n,
+                           abs(chaotic_photons(t, 0) - math.exp(2 * g) / 2),
+                           abs(chaotic_photons(t, 2) - math.exp(-2 * g) / 2)))
+        dev_prod = worst_dev((dev_prod, abs(noise_product(t) - 0.25)))
     report(3, "chaotic photon curves", dev_n, 1e-10)
     report(3, "noise product pinned at 1/4", dev_prod, 1e-12)
 
@@ -89,8 +90,8 @@ def test_criterion_04_factorization_equivalence():
     dev = 0.0
     for g in GAMMA_GRID:
         d, f = asym_direct(float(g)), asym_factorized(float(g))
-        dev = max(dev, float(np.abs(d.A - f.A).max()), float(np.abs(d.B - f.B).max()))
-    dev = max(dev, abs(asym_params(0.0).u))
+        dev = worst_dev((dev, float(np.abs(d.A - f.A).max()), float(np.abs(d.B - f.B).max())))
+    dev = worst_dev((dev, abs(asym_params(0.0).u)))
     report(4, "BS/NOPA/BS factorization equals the closed form, u(0)=0", dev, 1e-9)
 
 
@@ -98,7 +99,7 @@ def test_criterion_05_one_to_m_fidelity():
     dev = 0.0
     for m in range(2, 7):
         for r in clone_report(SymSpec(1, m)):
-            dev = max(dev, abs(r.fidelity - m / (2 * m - 1)))
+            dev = worst_dev((dev, abs(r.fidelity - m / (2 * m - 1))))
     report(5, "1->M fidelity hits M/(2M-1) for M=2..6", dev, 1e-10)
 
 
@@ -107,9 +108,9 @@ def test_criterion_06_n_to_m_fidelity_and_noise():
     for n, m in ((1, 2), (2, 3), (3, 5), (2, 5), (4, 4)):
         machine = build_cloner(SymSpec(n, m))
         for r in clone_report(SymSpec(n, m)):
-            dev = max(dev, abs(r.fidelity - (m * n) / (m * n + m - n)))
+            dev = worst_dev((dev, abs(r.fidelity - (m * n) / (m * n + m - n))))
         for mode in machine.clone_modes:
-            dev = max(dev, abs(chaotic_photons(machine.transform, mode) - (m - n) / (m * n)))
+            dev = worst_dev((dev, abs(chaotic_photons(machine.transform, mode) - (m - n) / (m * n))))
     report(6, "N->M fidelity and added noise hit the optimal forms", dev, 1e-10)
 
 
@@ -118,10 +119,10 @@ def test_criterion_07_signal_collection():
     xi = 0.8 - 0.6j
     for n in (2, 3, 4):
         state = apply_to_gaussian(collect_chain(n), coherent_vacuum_input([xi] * n))
-        dev = max(dev, abs(state.mode_amplitude(0) - math.sqrt(n) * xi))
+        dev = worst_dev((dev, abs(state.mode_amplitude(0) - math.sqrt(n) * xi)))
         for k in range(1, n):
-            dev = max(dev, abs(state.mode_amplitude(k)))
-        dev = max(dev, float(np.abs(state.cov - np.eye(2 * n) / 2).max()))
+            dev = worst_dev((dev, abs(state.mode_amplitude(k))))
+        dev = worst_dev((dev, float(np.abs(state.cov - np.eye(2 * n) / 2).max())))
     report(7, "collect cascade concentrates sqrt(N) xi, leaves vacuum behind", dev, 1e-12)
 
 
@@ -129,7 +130,7 @@ def test_criterion_08_fidelity_invariance_over_inputs():
     dev = 0.0
     for spec in MACHINES:
         table = np.array([[r.fidelity for r in clone_report(spec, xi)] for xi in XI_SET])
-        dev = max(dev, float((table.max(axis=0) - table.min(axis=0)).max()))
+        dev = worst_dev((dev, float((table.max(axis=0) - table.min(axis=0)).max())))
     report(8, "fidelity identical across five input amplitudes", dev, 1e-10)
 
 
@@ -141,7 +142,7 @@ def test_criterion_09_q_function_identity():
         out = clone_output_state(machine, xi)
         for mode, r in zip(machine.clone_modes, clone_report(spec, xi), strict=True):
             q = q_function(reduce_mode(out, mode), xi)
-            dev = max(dev, abs(math.pi * q - r.fidelity))
+            dev = worst_dev((dev, abs(math.pi * q - r.fidelity)))
     report(9, "pi Q(xi) equals the fidelity on every clone", dev, 1e-10)
 
 
@@ -156,9 +157,9 @@ def test_criterion_10_fock_oracle_agreement():
             fc = 2 / (math.exp(-2 * g) + 2)
             for xi in (0.0, 0.3):
                 out = apply_cloning_fock(g, coherent_fock(space, [0j, 0j, xi]))
-                dev = max(dev,
-                          abs(fidelity_fock(out, 0, xi) - fa),
-                          abs(fidelity_fock(out, 2, xi) - fc))
+                dev = worst_dev((dev,
+                                 abs(fidelity_fock(out, 0, xi) - fa),
+                                 abs(fidelity_fock(out, 2, xi) - fc)))
         per_cutoff.append(dev)
     elapsed = time.perf_counter() - start
     monotone = all(a > b for a, b in zip(per_cutoff[:-1], per_cutoff[1:]))
@@ -176,16 +177,16 @@ def test_criterion_11_property_suite():
     machines = [build_cloner(spec) for spec in MACHINES]
     transforms += [m.transform for m in machines]
     for t in transforms:
-        dev_symp = max(dev_symp, check_symplectic(t).max_dev)
+        dev_symp = worst_dev((dev_symp, check_symplectic(t).max_dev))
     report(11, "every constructed transform is symplectic", dev_symp, 1e-10)
 
     dev_defect = 0.0
     dev_unc = 0.0
     for machine in machines:
         out = clone_output_state(machine, 0.9 + 0.2j)
-        dev_unc = max(dev_unc, uncertainty_defect(out))
+        dev_unc = worst_dev((dev_unc, uncertainty_defect(out)))
         for mode in machine.clone_modes:
             d = phase_covariance_defect(machine.transform, mode, machine.signal_modes)
-            dev_defect = max(dev_defect, abs(d))
+            dev_defect = worst_dev((dev_defect, abs(d)))
     report(11, "phase-covariance defect vanishes on every clone", dev_defect, 1e-10)
     report(11, "uncertainty relations preserved by every application", dev_unc, 1e-10)

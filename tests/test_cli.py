@@ -257,3 +257,15 @@ def test_each_machine_is_built_and_checked_once(monkeypatch, capsys):
         code, _, _ = run(capsys, argv)
         assert code == 0
         assert calls == {"build": machines, "check": machines}, argv
+
+
+@pytest.mark.parametrize("factorized", [False, True])
+def test_clone_asym_builds_each_form_once(monkeypatch, capsys, factorized):
+    calls = {"direct": 0, "factorized": 0}
+    _count_calls(monkeypatch, circuits.asym_direct, calls, "direct")
+    _count_calls(monkeypatch, circuits.asym_factorized, calls, "factorized")
+    argv = ["clone", "--asym", "--gamma", "0.3"] + (["--factorized"] if factorized else [])
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["factorization_dev"] < 1e-12
+    assert calls == {"direct": 1, "factorized": 1}

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import cvcloner.fock as fock
 from cvcloner.circuits import asym_direct
+from cvcloner.verification import oracle_agreement
 from cvcloner.fock import (
     FockSpace,
     FockState,
@@ -187,3 +189,72 @@ def test_state_vector_shape_validation():
     space = FockSpace(2, 3)
     with pytest.raises(ValueError):
         FockState(space, np.zeros(5, dtype=complex))
+
+
+def _kron_ladders(n_modes, cutoff):
+    """Annihilation operator of every mode, lifted by dense Kronecker products."""
+    levels = cutoff + 1
+    a = np.diag(np.sqrt(np.arange(1, levels)), k=1)
+    lifted = []
+    for mode in range(n_modes):
+        op = np.ones((1, 1))
+        for m in range(n_modes):
+            op = np.kron(op, a if m == mode else np.eye(levels))
+        lifted.append(op)
+    return lifted
+
+
+@pytest.mark.parametrize("n_modes", [2, 3])
+@pytest.mark.parametrize("cutoff", range(1, 7))
+def test_flows_equal_the_kron_built_operators(n_modes, cutoff):
+    space = FockSpace(n_modes, cutoff)
+    ladders = _kron_ladders(n_modes, cutoff)
+    for p in range(n_modes):
+        for q in range(n_modes):
+            if p == q:
+                continue
+            ap, aq = ladders[p], ladders[q]
+            mix = ap.T @ aq - aq.T @ ap
+            squeeze = ap @ aq - ap.T @ aq.T
+            assert (fock._mix_flow(space, (p, q)).toarray() == mix).all()
+            assert (fock._squeeze_flow(space, (p, q)).toarray() == squeeze).all()
+
+
+def test_oracle_builds_one_set_of_flows_per_rung(monkeypatch):
+    calls = []
+    real = fock._pair_flow
+
+    def counting(space, pair, squeeze):
+        calls.append(space.cutoff)
+        return real(space, pair, squeeze)
+
+    fock._cloner_flows.cache_clear()
+    monkeypatch.setattr(fock, "_pair_flow", counting)
+    try:
+        result = oracle_agreement(cutoffs=(10, 12))
+    finally:
+        fock._cloner_flows.cache_clear()
+    assert result.passed
+    # three generators (clone-idler squeeze, mix, signal-idler squeeze) per rung
+    assert calls == [10] * 3 + [12] * 3
+
+
+def test_real_input_evolves_to_exactly_real_amplitudes():
+    space = FockSpace(3, 8)
+    out = apply_cloning_fock(0.3, coherent_fock(space, [0j, 0j, 0.3 + 0j]))
+    assert (out.amplitudes.imag == 0).all()
+    assert np.abs(out.amplitudes.real).max() > 0
+
+
+def test_complex_input_matches_the_dense_exponentials():
+    space = FockSpace(3, 5)
+    gamma = 0.2
+    chi = gamma + 0.5 * math.log(2.0)
+    a, b, c = _kron_ladders(3, space.cutoff)  # clone, idler, signal
+    fixed = (a.T @ c - c.T @ a) + (c @ b - c.T @ b.T)
+    squeeze = a @ b - a.T @ b.T
+    psi = coherent_fock(space, [0.1 - 0.05j, 0j, 0.3 + 0.2j])
+    want = expm(fixed) @ (expm(chi * squeeze) @ psi.amplitudes)
+    got = apply_cloning_fock(gamma, psi).amplitudes
+    assert np.abs(psi.amplitudes.imag).max() > 0
+    assert np.abs(got - want).max() < 1e-12
