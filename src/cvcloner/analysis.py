@@ -12,6 +12,12 @@ The functions here compute n_ch by two independent routes (the B block of
 the transform, and the reduced output covariance) and F by three (1/(n+1)
 from either n_ch route, and the Q-function peak), so agreement between them
 is a real consistency check rather than one formula printed twice.
+
+``clone_report`` reads every clone of a machine at once: the 2x2 diagonal
+blocks and mean pairs of the output state, and the transform's clone rows,
+go through the same array helpers that the single-clone functions here call
+with one row, so each formula and each gate exists once.  The gates fail
+closed: a NaN variance or amplitude is refused, never passed.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .circuits import AsymSpec, ClonerSpec, CloningMachine, SymSpec, build_cloner
 from .gaussian import (
@@ -30,7 +37,6 @@ from .gaussian import (
     apply_to_gaussian,
     coherent_vacuum_input,
     mode_index,
-    reduce_mode,
 )
 
 ISOTROPY_TOL = 1e-8
@@ -53,14 +59,81 @@ class CloneReport:
     symplectic_dev: float      # the machine's, from the check that cleared its transform
 
 
+def _where(names: list[str] | None, i: int) -> str:
+    return f"{names[i]}: " if names else ""
+
+
+def _chaotic_photons(b_rows: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """|B row|^2 of each row: the noise an output row adds when every
+    non-signal input is vacuum."""
+    return np.sum(np.abs(b_rows) ** 2, axis=-1)
+
+
+def _isotropic_photons(blocks: NDArray[np.float64], tol: float,
+                       names: list[str] | None = None) -> NDArray[np.float64]:
+    """Chaotic photons (var(x) + var(p))/2 - 1/2 of stacked 2x2 covariances.
+
+    Fails closed, NaN included, unless each block has equal x and p variances
+    and no cross correlation within tol.
+    """
+    vxx, vxp, vpp = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
+    isotropic = (np.abs(vxx - vpp) <= tol) & (np.abs(vxp) <= tol)
+    if not isotropic.all():
+        i = int(np.argmin(isotropic))
+        raise ValueError(
+            f"{_where(names, i)}covariance is not isotropic: "
+            f"var(x)={vxx[i]}, var(p)={vpp[i]}, cov(x,p)={vxp[i]}"
+        )
+    return (vxx + vpp) / 2.0 - 0.5
+
+
+def _state_photons(state: GaussianState, tol: float) -> NDArray[np.float64]:
+    if state.n_modes != 1:
+        raise ValueError(f"expected a single-mode state, got {state.n_modes} modes")
+    return _isotropic_photons(state.cov[None], tol)
+
+
+def _amplitudes(means: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """Coherent amplitudes (x + i p)/sqrt(2) of stacked single-mode means."""
+    xp = means / np.sqrt(2.0)
+    return xp[:, 0] + 1j * xp[:, 1]
+
+
+def _fidelities(amps: NDArray[np.complex128], xi: complex, n: NDArray[np.float64],
+                gain_tol: float, names: list[str] | None = None) -> NDArray[np.float64]:
+    """1/(n + 1) per clone, refused (NaN included) unless each clone kept xi
+    at unit gain."""
+    unit_gain = np.abs(amps - xi) <= gain_tol * max(1.0, abs(xi))
+    if not unit_gain.all():
+        i = int(np.argmin(unit_gain))
+        raise ValueError(
+            f"{_where(names, i)}clone amplitude {complex(amps[i])} does not match "
+            f"the target {xi}: non-unit gain"
+        )
+    return 1.0 / (n + 1.0)
+
+
+def _husimi(amps: NDArray[np.complex128], n: NDArray[np.float64],
+            alpha: complex) -> NDArray[np.float64]:
+    """Q(alpha) = exp(-|alpha - xi|^2 / (n + 1)) / ((n + 1) pi) per clone."""
+    return np.exp(-np.abs(alpha - amps) ** 2 / (n + 1.0)) / ((n + 1.0) * math.pi)
+
+
+def _phase_covariance_defects(t: BogoliubovTransform, rows: list[int],
+                              signal_cols: list[int]) -> NDArray[np.complex128]:
+    """sum_k A[row, k] B[row, k] over the non-signal columns k, per row."""
+    vacuum_a = t.A[rows]
+    vacuum_a[:, signal_cols] = 0.0
+    return np.einsum("ij,ij->i", vacuum_a, t.B[rows])
+
+
 def chaotic_photons(t: BogoliubovTransform, mode: int | ModeLabel) -> float:
     """Added chaotic photons on an output mode, read off the transform.
 
     With vacuum on every non-signal input, the noise an output row adds is
     the squared norm of its a-dagger coefficients.
     """
-    row = mode_index(mode)
-    return float(np.sum(np.abs(t.B[row]) ** 2))
+    return float(_chaotic_photons(t.B[[mode_index(mode)]])[0])
 
 
 def chaotic_photons_from_state(state: GaussianState, *,
@@ -70,14 +143,7 @@ def chaotic_photons_from_state(state: GaussianState, *,
     Requires the noise to be phase insensitive: equal x and p variances and
     no cross correlation, within isotropy_tol.
     """
-    if state.n_modes != 1:
-        raise ValueError(f"expected a single-mode state, got {state.n_modes} modes")
-    vxx, vxp, vpp = state.cov[0, 0], state.cov[0, 1], state.cov[1, 1]
-    if abs(vxx - vpp) > isotropy_tol or abs(vxp) > isotropy_tol:
-        raise ValueError(
-            f"covariance is not isotropic: var(x)={vxx}, var(p)={vpp}, cov(x,p)={vxp}"
-        )
-    return float((vxx + vpp) / 2.0 - 0.5)
+    return float(_state_photons(state, isotropy_tol)[0])
 
 
 def noise_product(t: BogoliubovTransform,
@@ -104,11 +170,9 @@ def phase_covariance_defect(
     (phase-sensitive) noise, which would make the clone quality depend on
     the phase of the input.
     """
-    row = mode_index(clone_mode)
-    vacuum_a = t.A[row].copy()
-    for m in signal if isinstance(signal, tuple) else (signal,):
-        vacuum_a[mode_index(m)] = 0.0
-    return complex(vacuum_a @ t.B[row])
+    signals = signal if isinstance(signal, tuple) else (signal,)
+    return complex(_phase_covariance_defects(
+        t, [mode_index(clone_mode)], [mode_index(m) for m in signals])[0])
 
 
 def q_function(state: GaussianState, alpha: complex, *,
@@ -121,9 +185,8 @@ def q_function(state: GaussianState, alpha: complex, *,
     Raises if the covariance is not isotropic, since the closed form only
     holds for phase-insensitive noise.
     """
-    n = chaotic_photons_from_state(state, isotropy_tol=isotropy_tol)
-    xi = state.mode_amplitude(0)
-    return float(math.exp(-abs(complex(alpha) - xi) ** 2 / (n + 1.0)) / ((n + 1.0) * math.pi))
+    n = _state_photons(state, isotropy_tol)
+    return float(_husimi(_amplitudes(state.mean[None]), n, complex(alpha))[0])
 
 
 def fidelity_coherent(state: GaussianState, xi: complex, *,
@@ -134,13 +197,8 @@ def fidelity_coherent(state: GaussianState, xi: complex, *,
     amplitude is an error, not a lower fidelity, because these machines are
     supposed to be gain-preserving by construction.
     """
-    amp = state.mode_amplitude(0)
-    if abs(amp - complex(xi)) > gain_tol * max(1.0, abs(xi)):
-        raise ValueError(
-            f"clone amplitude {amp} does not match the target {xi}: non-unit gain"
-        )
-    n = chaotic_photons_from_state(state)
-    return 1.0 / (n + 1.0)
+    n = _state_photons(state, ISOTROPY_TOL)
+    return float(_fidelities(_amplitudes(state.mean[None]), complex(xi), n, gain_tol)[0])
 
 
 def expected_chaotic_photons(spec: ClonerSpec) -> tuple[float, ...]:
@@ -182,28 +240,44 @@ def clone_report(machine: ClonerSpec | CloningMachine,
     """Run a cloner on |xi> inputs and report every clone's quality figures.
 
     Takes a spec, or a machine already built from one so that a caller who
-    needs the machine too builds it only once.
+    needs the machine too builds it only once.  All clones are read at once
+    from the output state's 2x2 diagonal blocks and the transform's clone
+    rows.
     """
     if not isinstance(machine, CloningMachine):
         machine = build_cloner(machine)
+    xi = complex(xi)
     out, check = clone_output_state(machine, xi, return_check=True)
-    n_forms = expected_chaotic_photons(machine.spec)
-    f_forms = expected_fidelities(machine.spec)
-    reports = []
-    for mode, n_form, f_form in zip(machine.clone_modes, n_forms, f_forms, strict=True):
-        reduced = reduce_mode(out, mode)
-        n_state = chaotic_photons_from_state(reduced)
-        reports.append(CloneReport(
+    t = machine.transform
+    n = t.n_modes
+    rows = [m.index for m in machine.clone_modes]
+    names = [m.name for m in machine.clone_modes]
+    blocks = out.cov.reshape(n, 2, n, 2)[rows, :, rows, :]
+    amps = _amplitudes(out.mean.reshape(n, 2)[rows])
+    n_state = _isotropic_photons(blocks, ISOTROPY_TOL, names)
+    columns = zip(
+        machine.clone_modes,
+        _chaotic_photons(t.B[rows]).tolist(),
+        n_state.tolist(),
+        expected_chaotic_photons(machine.spec),
+        _fidelities(amps, xi, n_state, GAIN_TOL, names).tolist(),
+        expected_fidelities(machine.spec),
+        _husimi(amps, n_state, xi).tolist(),
+        _phase_covariance_defects(t, rows, [m.index for m in machine.signal_modes]).tolist(),
+        strict=True,
+    )
+    return [
+        CloneReport(
             clone_mode=mode,
-            signal_amplitude=complex(xi),
-            n_chaotic=chaotic_photons(machine.transform, mode),
-            n_chaotic_state=n_state,
+            signal_amplitude=xi,
+            n_chaotic=n_rows,
+            n_chaotic_state=n_cov,
             n_chaotic_formula=n_form,
-            fidelity=fidelity_coherent(reduced, xi),
+            fidelity=fidelity,
             fidelity_formula=f_form,
-            q_peak=q_function(reduced, xi),
-            phase_covariance_defect=phase_covariance_defect(
-                machine.transform, mode, machine.signal_modes),
+            q_peak=q_peak,
+            phase_covariance_defect=defect,
             symplectic_dev=check.max_dev,
-        ))
-    return reports
+        )
+        for mode, n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect in columns
+    ]

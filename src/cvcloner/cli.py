@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -146,6 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=_finite_float, default=None,
                           help="override every suite tolerance (diagnostic use)")
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves every main()
+    return build_parser()
 
 
 def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace,
@@ -369,7 +376,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     override = _tolerance_override(args, parser)
     tolerance = override if override is not None else DEFAULT_TOL

@@ -78,19 +78,19 @@ class BogoliubovTransform:
     def symplectic_matrix(self) -> NDArray[np.float64]:
         """Real 2n x 2n quadrature matrix S with r_out = S r_in.
 
-        Built as [[Re(A+B), -Im(A-B)], [Im(A+B), Re(A-B)]] in xxpp block
-        ordering and permuted to the interleaved convention.  S Omega S^T =
-        Omega holds exactly when (A, B) satisfy the commutation constraints;
-        that property is enforced by tests rather than assumed here.
+        The xxpp blocks [[Re(A+B), -Im(A-B)], [Im(A+B), Re(A-B)]] are written
+        straight into the interleaved convention: x rows and columns are the
+        even indices, p the odd ones.  S Omega S^T = Omega holds exactly when
+        (A, B) satisfy the commutation constraints; that property is enforced
+        by tests rather than assumed here.
         """
-        A, B = self.A, self.B
-        n = self.n_modes
-        blocks = np.block([
-            [(A + B).real, -(A - B).imag],
-            [(A + B).imag, (A - B).real],
-        ])
-        perm = np.arange(2 * n).reshape(2, n).T.reshape(-1)  # xxpp -> interleaved
-        return blocks[np.ix_(perm, perm)]
+        plus, minus = self.A + self.B, self.A - self.B
+        S = np.empty((2 * self.n_modes, 2 * self.n_modes))
+        S[0::2, 0::2] = plus.real
+        S[0::2, 1::2] = -minus.imag
+        S[1::2, 0::2] = plus.imag
+        S[1::2, 1::2] = minus.real
+        return S
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Figures of merit: chaotic photons, fidelity, Q function, noise products."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cvcloner.analysis import (
+    CloneReport,
     chaotic_photons,
     chaotic_photons_from_state,
     clone_output_state,
@@ -26,6 +28,7 @@ from cvcloner.gaussian import (
     embed,
     reduce_mode,
 )
+from cvcloner.verification import GAMMA_GRID, SYM_CASES
 
 
 def test_chaotic_photons_closed_forms_asym():
@@ -179,3 +182,78 @@ def test_expected_values_are_consistent_with_each_other():
     for spec in (AsymSpec(0.8), SymSpec(2, 5)):
         for n, f in zip(expected_chaotic_photons(spec), expected_fidelities(spec)):
             assert np.isclose(f, 1 / (n + 1), atol=1e-14)
+
+
+def _per_clone_route(machine, xi):
+    """Reference readout: one reduced single-mode state per clone, read
+    through the public single-clone functions."""
+    out, check = clone_output_state(machine, xi, return_check=True)
+    reports = []
+    for mode, n_form, f_form in zip(machine.clone_modes,
+                                    expected_chaotic_photons(machine.spec),
+                                    expected_fidelities(machine.spec), strict=True):
+        reduced = reduce_mode(out, mode)
+        reports.append(CloneReport(
+            clone_mode=mode,
+            signal_amplitude=complex(xi),
+            n_chaotic=chaotic_photons(machine.transform, mode),
+            n_chaotic_state=chaotic_photons_from_state(reduced),
+            n_chaotic_formula=n_form,
+            fidelity=fidelity_coherent(reduced, xi),
+            fidelity_formula=f_form,
+            q_peak=q_function(reduced, xi),
+            phase_covariance_defect=phase_covariance_defect(
+                machine.transform, mode, machine.signal_modes),
+            symplectic_dev=check.max_dev,
+        ))
+    return reports
+
+
+READOUT_SPECS = ([SymSpec(n, m) for n, m in SYM_CASES] + [SymSpec(16, 128)]
+                 + [AsymSpec(float(g), factorized=f) for f in (False, True) for g in GAMMA_GRID])
+
+
+@pytest.mark.parametrize("xi", [0j, 0.7 - 0.2j, 3 - 2j])
+def test_clone_report_equals_the_per_clone_route(xi):
+    # exact equality: the array readout must gather the same blocks and rows
+    for spec in READOUT_SPECS:
+        machine = build_cloner(spec)
+        assert clone_report(machine, xi) == _per_clone_route(machine, xi), spec
+
+
+def test_clone_report_refuses_a_squeezed_clone():
+    # a one-mode squeezer on clone a keeps the machine symplectic but makes
+    # that clone's noise phase sensitive
+    r = 0.25
+    squeezer = BogoliubovTransform(A=np.diag([np.cosh(r), 1.0, 1.0]),
+                                   B=np.diag([-np.sinh(r), 0.0, 0.0]))
+    machine = build_cloner(AsymSpec(0.3))
+    doctored = replace(machine, transform=compose(squeezer, machine.transform))
+    cov = reduce_mode(clone_output_state(doctored, 0j), 0).cov
+    message = (f"clone_1: covariance is not isotropic: "
+               f"var(x)={cov[0, 0]}, var(p)={cov[1, 1]}, cov(x,p)={cov[0, 1]}")
+    with pytest.raises(ValueError) as err:
+        clone_report(doctored, 0j)
+    assert str(err.value) == message
+
+
+def test_fidelity_refuses_a_nan_amplitude():
+    state = GaussianState(mean=[math.nan, 0.0], cov=0.5 * np.eye(2))
+    with pytest.raises(ValueError, match="gain"):
+        fidelity_coherent(state, 1.0)
+
+
+@pytest.mark.parametrize("cov", [
+    [[math.nan, 0.0], [0.0, 0.5]],
+    [[0.5, 0.0], [0.0, math.nan]],
+    [[0.5, math.nan], [math.nan, 0.5]],
+])
+def test_chaotic_photons_from_state_refuses_a_nan_covariance(cov):
+    state = GaussianState(mean=np.zeros(2), cov=cov)
+    with pytest.raises(ValueError, match="not isotropic"):
+        chaotic_photons_from_state(state)
+
+
+def test_clone_report_refuses_a_nan_amplitude():
+    with pytest.raises(ValueError, match="gain"):
+        clone_report(AsymSpec(0.3), complex(math.nan, 0.0))

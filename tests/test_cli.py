@@ -269,3 +269,30 @@ def test_clone_asym_builds_each_form_once(monkeypatch, capsys, factorized):
     assert code == 0
     assert json.loads(out)["diagnostics"]["factorization_dev"] < 1e-12
     assert calls == {"direct": 1, "factorized": 1}
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # a usage error, then a valid clone: the shared parser must answer both
+    # exactly as two fresh parsers do, and be built once
+    calls = {"build": 0}
+    _count_calls(monkeypatch, cli.build_parser, calls, "build")
+    argvs = (["clone", "--sym", "--n", "two", "--m", "3"],
+             ["clone", "--sym", "--n", "2", "--m", "3", "--xi", "0.5,-1"])
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    cli._parser.cache_clear()
+    calls["build"] = 0
+    shared = [_outcome(capsys, argv) for argv in argvs]
+    assert shared == fresh
+    assert [code for code, _ in shared] == [2, 0]
+    assert calls["build"] == 1

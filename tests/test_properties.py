@@ -144,3 +144,23 @@ def test_fold_equals_composing_the_embedded_gates(case):
     scale = max(1.0, np.abs(dense.A).max(), np.abs(dense.B).max())
     assert np.abs(folded.A - dense.A).max() <= 1e-12 * scale
     assert np.abs(folded.B - dense.B).max() <= 1e-12 * scale
+
+
+@st.composite
+def complex_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    entries = st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                          allow_infinity=False),
+                       min_size=n * n, max_size=n * n)
+    return (np.array(draw(entries), dtype=complex).reshape(n, n),
+            np.array(draw(entries), dtype=complex).reshape(n, n))
+
+
+@given(complex_pairs())
+def test_symplectic_matrix_is_the_permuted_block_matrix(pair):
+    A, B = pair
+    n = A.shape[0]
+    blocks = np.block([[(A + B).real, -(A - B).imag], [(A + B).imag, (A - B).real]])
+    perm = np.arange(2 * n).reshape(2, n).T.reshape(-1)  # xxpp -> interleaved
+    expected = blocks[np.ix_(perm, perm)]
+    assert np.array_equal(BogoliubovTransform(A=A, B=B).symplectic_matrix(), expected)
