@@ -69,15 +69,15 @@ def _chaotic_photons(b_rows: NDArray[np.complex128]) -> NDArray[np.float64]:
     return np.sum(np.abs(b_rows) ** 2, axis=-1)
 
 
-def _isotropic_photons(blocks: NDArray[np.float64], tol: float,
+def _isotropic_photons(blocks: NDArray[np.float64],
                        names: list[str] | None = None) -> NDArray[np.float64]:
     """Chaotic photons (var(x) + var(p))/2 - 1/2 of stacked 2x2 covariances.
 
     Fails closed, NaN included, unless each block has equal x and p variances
-    and no cross correlation within tol.
+    and no cross correlation within ISOTROPY_TOL.
     """
     vxx, vxp, vpp = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
-    isotropic = (np.abs(vxx - vpp) <= tol) & (np.abs(vxp) <= tol)
+    isotropic = (np.abs(vxx - vpp) <= ISOTROPY_TOL) & (np.abs(vxp) <= ISOTROPY_TOL)
     if not isotropic.all():
         i = int(np.argmin(isotropic))
         raise ValueError(
@@ -87,10 +87,10 @@ def _isotropic_photons(blocks: NDArray[np.float64], tol: float,
     return (vxx + vpp) / 2.0 - 0.5
 
 
-def _state_photons(state: GaussianState, tol: float) -> NDArray[np.float64]:
+def _state_photons(state: GaussianState) -> NDArray[np.float64]:
     if state.n_modes != 1:
         raise ValueError(f"expected a single-mode state, got {state.n_modes} modes")
-    return _isotropic_photons(state.cov[None], tol)
+    return _isotropic_photons(state.cov[None])
 
 
 def _amplitudes(means: NDArray[np.float64]) -> NDArray[np.complex128]:
@@ -100,10 +100,10 @@ def _amplitudes(means: NDArray[np.float64]) -> NDArray[np.complex128]:
 
 
 def _fidelities(amps: NDArray[np.complex128], xi: complex, n: NDArray[np.float64],
-                gain_tol: float, names: list[str] | None = None) -> NDArray[np.float64]:
+                names: list[str] | None = None) -> NDArray[np.float64]:
     """1/(n + 1) per clone, refused (NaN included) unless each clone kept xi
-    at unit gain."""
-    unit_gain = np.abs(amps - xi) <= gain_tol * max(1.0, abs(xi))
+    at unit gain within GAIN_TOL."""
+    unit_gain = np.abs(amps - xi) <= GAIN_TOL * max(1.0, abs(xi))
     if not unit_gain.all():
         i = int(np.argmin(unit_gain))
         raise ValueError(
@@ -136,14 +136,13 @@ def chaotic_photons(t: BogoliubovTransform, mode: int | ModeLabel) -> float:
     return float(_chaotic_photons(t.B[[mode_index(mode)]])[0])
 
 
-def chaotic_photons_from_state(state: GaussianState, *,
-                               isotropy_tol: float = ISOTROPY_TOL) -> float:
+def chaotic_photons_from_state(state: GaussianState) -> float:
     """Added chaotic photons of a single-mode clone, read off its covariance.
 
     Requires the noise to be phase insensitive: equal x and p variances and
-    no cross correlation, within isotropy_tol.
+    no cross correlation, within ISOTROPY_TOL.
     """
-    return float(_state_photons(state, isotropy_tol)[0])
+    return float(_state_photons(state)[0])
 
 
 def noise_product(t: BogoliubovTransform,
@@ -175,8 +174,7 @@ def phase_covariance_defect(
         t, [mode_index(clone_mode)], [mode_index(m) for m in signals])[0])
 
 
-def q_function(state: GaussianState, alpha: complex, *,
-               isotropy_tol: float = ISOTROPY_TOL) -> float:
+def q_function(state: GaussianState, alpha: complex) -> float:
     """Husimi Q of a single-mode displaced thermal state at point alpha.
 
         Q(alpha) = exp(-|alpha - xi|^2 / (n + 1)) / ((n + 1) pi)
@@ -185,20 +183,19 @@ def q_function(state: GaussianState, alpha: complex, *,
     Raises if the covariance is not isotropic, since the closed form only
     holds for phase-insensitive noise.
     """
-    n = _state_photons(state, isotropy_tol)
+    n = _state_photons(state)
     return float(_husimi(_amplitudes(state.mean[None]), n, complex(alpha))[0])
 
 
-def fidelity_coherent(state: GaussianState, xi: complex, *,
-                      gain_tol: float = GAIN_TOL) -> float:
+def fidelity_coherent(state: GaussianState, xi: complex) -> float:
     """Overlap of a single-mode clone with the ideal coherent state |xi>.
 
     Only defined when the clone kept the signal at unit gain; a mismatched
     amplitude is an error, not a lower fidelity, because these machines are
     supposed to be gain-preserving by construction.
     """
-    n = _state_photons(state, ISOTROPY_TOL)
-    return float(_fidelities(_amplitudes(state.mean[None]), complex(xi), n, gain_tol)[0])
+    n = _state_photons(state)
+    return float(_fidelities(_amplitudes(state.mean[None]), complex(xi), n)[0])
 
 
 def expected_chaotic_photons(spec: ClonerSpec) -> tuple[float, ...]:
@@ -254,13 +251,13 @@ def clone_report(machine: ClonerSpec | CloningMachine,
     names = [m.name for m in machine.clone_modes]
     blocks = out.cov.reshape(n, 2, n, 2)[rows, :, rows, :]
     amps = _amplitudes(out.mean.reshape(n, 2)[rows])
-    n_state = _isotropic_photons(blocks, ISOTROPY_TOL, names)
+    n_state = _isotropic_photons(blocks, names)
     columns = zip(
         machine.clone_modes,
         _chaotic_photons(t.B[rows]).tolist(),
         n_state.tolist(),
         expected_chaotic_photons(machine.spec),
-        _fidelities(amps, xi, n_state, GAIN_TOL, names).tolist(),
+        _fidelities(amps, xi, n_state, names).tolist(),
         expected_fidelities(machine.spec),
         _husimi(amps, n_state, xi).tolist(),
         _phase_covariance_defects(t, rows, [m.index for m in machine.signal_modes]).tolist(),

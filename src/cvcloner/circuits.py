@@ -32,6 +32,7 @@ from .elements import beam_splitter_gate, collect_gates, distribute_gates
 from .gaussian import NOPA, BogoliubovTransform, ModeLabel, fold_gates
 
 GAMMA_LIMIT = 20.0
+MODE_LIMIT = 1024  # largest register N + M a SymSpec may describe
 
 
 def _check_gamma(gamma: float) -> float:
@@ -66,6 +67,10 @@ class SymSpec:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.m < self.n:
             raise ValueError(f"need m >= n, got n={self.n}, m={self.m}")
+        if self.n + self.m > MODE_LIMIT:
+            raise ValueError(
+                f"n + m = {self.n + self.m} modes exceeds the supported {MODE_LIMIT}"
+            )
 
 
 ClonerSpec = AsymSpec | SymSpec

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,21 +41,7 @@ from .gaussian import DEFAULT_TOL
 from .verification import oracle_agreement, standard_suites
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    spec: ClonerSpec | None
-    xi: complex
-    gamma_range: tuple[float, float, int] | None
-    m_range: tuple[int, int] | None
-    output_format: str
-    output_path: str | None
-    tolerance: float                    # resolved gate tolerance for clone/sweep
-    tolerance_override: float | None    # explicit override, None = suite defaults
-    oracle: bool
-    cutoff: int
+SWEEP_STEPS_LIMIT = 10_000
 
 
 def _parse_xi(text: str) -> complex:
@@ -262,45 +247,44 @@ def _csv_table(header: list[str], rows: list[list[object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_clone(config: RunConfig) -> int:
-    assert config.spec is not None
-    machine = build_cloner(config.spec)
-    reports = clone_report(machine, config.xi)
+def cmd_clone(spec: ClonerSpec, xi: complex, output_format: str,
+              output_path: str | None, tolerance: float) -> int:
+    machine = build_cloner(spec)
+    reports = clone_report(machine, xi)
     document = {
         "schema_version": SCHEMA_VERSION,
-        "spec": _spec_echo(config.spec, config.xi),
+        "spec": _spec_echo(spec, xi),
         "clones": _clone_rows(reports),
         "diagnostics": {
             "symplectic_dev": reports[0].symplectic_dev,
             "factorization_dev": _factorization_dev(machine),
         },
     }
-    if config.output_format == "json":
-        _emit(_json(document), config.output_path)
+    if output_format == "json":
+        _emit(_json(document), output_path)
     else:
         header = ["mode", "name", "n_chaotic", "n_chaotic_formula",
                   "fidelity", "fidelity_formula", "q_peak", "defect"]
         rows = [[c[k] for k in header] for c in document["clones"]]
-        _emit(_csv_table(header, rows), config.output_path)
-    problems = _physics_violations(reports, config.tolerance)
+        _emit(_csv_table(header, rows), output_path)
+    problems = _physics_violations(reports, tolerance)
     for p in problems:
         print(f"invariant violation: {p}", file=sys.stderr)
     return 1 if problems else 0
 
 
-def _sweep_rows_asym(config: RunConfig) -> tuple[list[str], list[list[object]], list[str]]:
-    start, stop, steps = config.gamma_range  # type: ignore[misc]
+def _sweep_rows_asym(gamma_range: tuple[float, float, int], factorized: bool, xi: complex,
+                     tolerance: float) -> tuple[list[str], list[list[object]], list[str]]:
     header = ["gamma", "u", "v", "w", "n_chaotic_1", "n_chaotic_2",
               "fidelity_1", "fidelity_2", "noise_product"]
     rows: list[list[object]] = []
     problems: list[str] = []
-    factorized = isinstance(config.spec, AsymSpec) and config.spec.factorized
-    for g in np.linspace(start, stop, steps):
+    for g in np.linspace(*gamma_range):
         spec = AsymSpec(float(g), factorized=factorized)
-        reports = clone_report(spec, config.xi)
+        reports = clone_report(spec, xi)
         params = asym_params(float(g))
         problems += [f"gamma={g}: {p}"
-                     for p in _physics_violations(reports, config.tolerance)]
+                     for p in _physics_violations(reports, tolerance)]
         r1, r2 = reports
         rows.append([float(g), params.u, params.v, params.w,
                      r1.n_chaotic, r2.n_chaotic, r1.fidelity, r2.fidelity,
@@ -308,40 +292,42 @@ def _sweep_rows_asym(config: RunConfig) -> tuple[list[str], list[list[object]], 
     return header, rows, problems
 
 
-def _sweep_rows_sym(config: RunConfig, n: int) -> tuple[list[str], list[list[object]], list[str]]:
-    m_lo, m_hi = config.m_range  # type: ignore[misc]
+def _sweep_rows_sym(n: int, m_range: tuple[int, int], xi: complex,
+                    tolerance: float) -> tuple[list[str], list[list[object]], list[str]]:
+    m_lo, m_hi = m_range
     header = ["n", "m", "n_chaotic", "fidelity"]
     rows: list[list[object]] = []
     problems: list[str] = []
     for m in range(m_lo, m_hi + 1):
         spec = SymSpec(n, m)
-        reports = clone_report(spec, config.xi)
+        reports = clone_report(spec, xi)
         problems += [f"m={m}: {p}"
-                     for p in _physics_violations(reports, config.tolerance)]
+                     for p in _physics_violations(reports, tolerance)]
         rows.append([n, m, reports[0].n_chaotic, reports[0].fidelity])
     return header, rows, problems
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    if config.gamma_range is not None:
-        header, rows, problems = _sweep_rows_asym(config)
-        echo: dict = {"kind": "asym_sweep",
-                      "gamma_range": list(config.gamma_range),
-                      "xi": [config.xi.real, config.xi.imag]}
+def cmd_sweep(spec: ClonerSpec, grid: tuple, xi: complex, output_format: str,
+              output_path: str | None, tolerance: float) -> int:
+    """Sweep gamma over grid = (START, STOP, STEPS) for an AsymSpec, or M over
+    the inclusive grid = (START, STOP) at the SymSpec's n."""
+    if isinstance(spec, AsymSpec):
+        header, rows, problems = _sweep_rows_asym(grid, spec.factorized, xi, tolerance)
+        echo: dict = {"kind": "asym_sweep", "gamma_range": list(grid),
+                      "xi": [xi.real, xi.imag]}
     else:
-        n = config.spec.n if isinstance(config.spec, SymSpec) else 1
-        header, rows, problems = _sweep_rows_sym(config, n)
-        echo = {"kind": "sym_sweep", "n": n, "m_range": list(config.m_range or ()),
-                "xi": [config.xi.real, config.xi.imag]}
-    if config.output_format == "json":
+        header, rows, problems = _sweep_rows_sym(spec.n, grid, xi, tolerance)
+        echo = {"kind": "sym_sweep", "n": spec.n, "m_range": list(grid),
+                "xi": [xi.real, xi.imag]}
+    if output_format == "json":
         document = {
             "schema_version": SCHEMA_VERSION,
             "spec": echo,
             "rows": [dict(zip(header, row, strict=True)) for row in rows],
         }
-        _emit(_json(document), config.output_path)
+        _emit(_json(document), output_path)
     else:
-        _emit(_csv_table(header, rows), config.output_path)
+        _emit(_csv_table(header, rows), output_path)
     for p in problems:
         print(f"invariant violation: {p}", file=sys.stderr)
     return 1 if problems else 0
@@ -357,11 +343,14 @@ def _oracle_ladder(top: int) -> tuple[int, ...]:
     return tuple(reversed(rungs)) or (top,)
 
 
-def cmd_verify(config: RunConfig) -> int:
-    tol = config.tolerance_override
-    results = standard_suites(tol)
-    if config.oracle:
-        results.append(oracle_agreement(tol, cutoffs=_oracle_ladder(config.cutoff)))
+def cmd_verify(tolerance: float | None, oracle_cutoff: int | None) -> int:
+    """Run the fast suites, and the oracle up to oracle_cutoff unless it is None.
+
+    A tolerance of None keeps each suite's own default.
+    """
+    results = standard_suites(tolerance)
+    if oracle_cutoff is not None:
+        results.append(oracle_agreement(tolerance, cutoffs=_oracle_ladder(oracle_cutoff)))
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -375,11 +364,50 @@ def cmd_verify(config: RunConfig) -> int:
     return 1 if failed else 0
 
 
+def _sweep_from_args(parser: argparse.ArgumentParser,
+                     args: argparse.Namespace) -> tuple[ClonerSpec, tuple]:
+    if args.asym:
+        spec = _spec_from_args(parser, args, need_gamma=False, need_m=False)
+        if args.gamma_range is None:
+            parser.error("--asym sweep requires --gamma-range START STOP STEPS")
+        try:
+            start, stop = float(args.gamma_range[0]), float(args.gamma_range[1])
+            steps = int(args.gamma_range[2])
+        except ValueError:
+            parser.error("--gamma-range takes two floats and an integer step count")
+        if steps < 1:
+            parser.error("--gamma-range needs at least one step")
+        if steps > SWEEP_STEPS_LIMIT:
+            parser.error(f"--gamma-range allows at most {SWEEP_STEPS_LIMIT} steps")
+        if stop < start:
+            parser.error("--gamma-range needs STOP >= START")
+        # the grid runs from START to STOP, so the ends bound every point
+        for g in (start, stop):
+            try:
+                AsymSpec(g)
+            except ValueError as exc:
+                parser.error(f"--gamma-range: {exc}")
+        return spec, (start, stop, steps)
+    _spec_from_args(parser, args, need_gamma=False, need_m=False)
+    if args.m_range is None:
+        parser.error("--sym sweep requires --m-range START STOP")
+    m_lo, m_hi = args.m_range
+    if m_lo < args.n:
+        parser.error(f"--m-range START must be >= n ({args.n})")
+    if m_hi < m_lo:
+        parser.error("--m-range needs STOP >= START")
+    try:
+        # n <= START <= M <= STOP, so the machine at STOP bounds the whole range
+        spec = SymSpec(args.n, m_hi)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return spec, (m_lo, m_hi)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     override = _tolerance_override(args, parser)
-    tolerance = override if override is not None else DEFAULT_TOL
 
     if args.command == "verify":
         if args.oracle:
@@ -387,69 +415,23 @@ def main(argv: list[str] | None = None) -> int:
                 FockSpace(3, args.cutoff)  # the oracle's 1->2 register at its finest rung
             except ValueError as exc:
                 parser.error(f"--cutoff: {exc}")
-        config = RunConfig(command="verify", spec=None, xi=0j, gamma_range=None,
-                           m_range=None, output_format="json", output_path=None,
-                           tolerance=tolerance, tolerance_override=override,
-                           oracle=args.oracle, cutoff=args.cutoff)
-        return cmd_verify(config)
+        return cmd_verify(override, args.cutoff if args.oracle else None)
 
     if args.command == "sweep":
-        gamma_range = None
-        m_range = None
-        spec = _spec_from_args(parser, args, need_gamma=False, need_m=False)
-        if args.asym:
-            if args.gamma_range is None:
-                parser.error("--asym sweep requires --gamma-range START STOP STEPS")
-            try:
-                start, stop = float(args.gamma_range[0]), float(args.gamma_range[1])
-                steps = int(args.gamma_range[2])
-            except ValueError:
-                parser.error("--gamma-range takes two floats and an integer step count")
-            if steps < 1:
-                parser.error("--gamma-range needs at least one step")
-            if stop < start:
-                parser.error("--gamma-range needs STOP >= START")
-            # the grid runs from START to STOP, so the ends bound every point
-            for g in (start, stop):
-                try:
-                    AsymSpec(g)
-                except ValueError as exc:
-                    parser.error(f"--gamma-range: {exc}")
-            gamma_range = (start, stop, steps)
-        else:
-            if args.m_range is None:
-                parser.error("--sym sweep requires --m-range START STOP")
-            m_lo, m_hi = args.m_range
-            if m_lo < args.n:
-                parser.error(f"--m-range START must be >= n ({args.n})")
-            if m_hi < m_lo:
-                parser.error("--m-range needs STOP >= START")
-            m_range = (m_lo, m_hi)
-            try:
-                spec = SymSpec(args.n, m_lo)
-            except ValueError as exc:
-                parser.error(str(exc))
-        config = RunConfig(command="sweep", spec=spec, xi=args.xi,
-                           gamma_range=gamma_range, m_range=m_range,
-                           output_format=args.output_format, output_path=args.output,
-                           tolerance=tolerance, tolerance_override=override,
-                           oracle=False, cutoff=0)
-        try:
-            return cmd_sweep(config)
-        except (ValueError, TruncationError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    spec = _spec_from_args(parser, args, need_gamma=True, need_m=True)
-    config = RunConfig(command="clone", spec=spec, xi=args.xi, gamma_range=None,
-                       m_range=None, output_format=args.output_format,
-                       output_path=args.output, tolerance=tolerance,
-                       tolerance_override=override, oracle=False, cutoff=0)
+        run = functools.partial(cmd_sweep, *_sweep_from_args(parser, args))
+    else:
+        run = functools.partial(
+            cmd_clone, _spec_from_args(parser, args, need_gamma=True, need_m=True))
     try:
-        return cmd_clone(config)
+        return run(args.xi, args.output_format, args.output,
+                   override if override is not None else DEFAULT_TOL)
     except (ValueError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        if args.output is None:
+            raise
+        parser.error(f"--output: {exc}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Independent truncated-Fock-space oracle for the 1->2 cloner.
 
 Everything else in this package manipulates (A, B) coefficient matrices and
-Gaussian moments.  This module never touches those: it builds the cloning
+Gaussian moments.  This module never touches those: it applies the cloning
 unitary directly in a photon-number basis with a hard cutoff,
 
     C = exp(-i (U_mix + V_sq)) * exp(-i chi Y_sq),    chi = gamma + ln(2)/2,
@@ -15,7 +15,9 @@ pipeline checks both sides.
 Numerical core: each generator is i times a real antisymmetric matrix in the
 number basis, so every factor of C is a real orthogonal matrix.  Truncation
 therefore never breaks unitarity; it only leaks population into the top Fock
-levels, which is measured and gated rather than ignored.
+levels, which is measured and gated rather than ignored.  C is never formed
+as a matrix: both factors act on the state vector by Krylov steps
+(``expm_multiply``) with the sparse generators.
 
 Each generator is written directly from basis-index arithmetic: the nonzeros
 of a_p^dag a_q (or a_p a_q) are sqrt(n_p + 1) sqrt(n_q) (or sqrt(n_p)
@@ -40,7 +42,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from numpy.typing import NDArray
-from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from .gaussian import ModeLabel, mode_index
@@ -60,16 +61,15 @@ class FockSpace:
 
     n_modes: int
     cutoff: int
-    budget: int = DIMENSION_BUDGET
 
     def __post_init__(self) -> None:
         if self.n_modes < 1:
             raise ValueError(f"need at least one mode, got {self.n_modes}")
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        if self.dim > self.budget:
+        if self.dim > DIMENSION_BUDGET:
             raise ValueError(
-                f"dimension {self.dim} exceeds the budget of {self.budget}"
+                f"dimension {self.dim} exceeds the budget of {DIMENSION_BUDGET}"
             )
 
     @property
@@ -141,24 +141,6 @@ def _squeeze_flow(space: FockSpace, pair: tuple[int, int]) -> sp.csr_matrix:
     return _pair_flow(space, pair, squeeze=True)
 
 
-def mixing_generator(space: FockSpace, pair: tuple[int, int]) -> np.ndarray:
-    """Hermitian generator G with exp(-i theta G) = beam splitter on `pair`.
-
-    For pair (p, q) this is i(a_p^dag a_q - a_q^dag a_p) in the truncated
-    number basis.
-    """
-    return 1j * _mix_flow(space, pair).toarray()
-
-
-def squeezing_generator(space: FockSpace, pair: tuple[int, int]) -> np.ndarray:
-    """Hermitian generator G with exp(-i r G) = NOPA on `pair`.
-
-    For pair (p, q) this is i(a_p a_q - a_p^dag a_q^dag).  Truncation clips
-    the coupling to the top level symmetrically, so G stays exactly Hermitian.
-    """
-    return 1j * _squeeze_flow(space, pair).toarray()
-
-
 # Wiring of the 1->2 cloner in this module: mode 0 = clone a, mode 1 = idler b,
 # mode 2 = signal c.  The gamma-independent factor exp(-i(U+V)) mixes (0, 2)
 # and squeezes (2, 1); the gamma-dependent factor squeezes (0, 1).
@@ -190,39 +172,13 @@ def _cloner_flows(space: FockSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return flows
 
 
-@lru_cache(maxsize=2)
-def _fixed_orthogonal(cutoff: int, budget: int) -> np.ndarray:
-    space = FockSpace(3, cutoff, budget)
-    u = expm(_fixed_flow(space).toarray())
-    u.setflags(write=False)
-    return u
-
-
-def cloning_unitary_fock(gamma: float, space: FockSpace) -> np.ndarray:
-    """Cloning unitary as a dense matrix, exp(-i(U+V)) exp(-i chi Y).
-
-    Returned as a real array: both factors are exponentials of real
-    antisymmetric matrices and hence real orthogonal, even at finite cutoff.
-    The gamma-independent left factor is cached per cutoff; the right factor
-    only involves the clone and idler modes, so it is exponentiated in their
-    two-mode space and Kronecker-lifted.
-    """
-    _cloner_space(space)
-    chi = float(gamma) + 0.5 * math.log(2.0)
-    pair_space = FockSpace(2, space.cutoff, space.budget)
-    right_small = expm(chi * _squeeze_flow(pair_space, (0, 1)).toarray())
-    right = np.kron(right_small, np.eye(space.levels))
-    return _fixed_orthogonal(space.cutoff, space.budget) @ right
-
-
 def apply_cloning_fock(gamma: float, state: FockState) -> FockState:
     """Send a 3-mode state through the cloner without forming the matrix.
 
-    Krylov evaluation of both exponential factors acting on the vector; this
-    is the path to use for sweeps, where the dense matrix would dominate the
-    cost at larger cutoffs.  Both factors are real orthogonal, so the real
-    and imaginary parts of the amplitudes evolve separately in real
-    arithmetic, and a part that is all zeros stays exactly zero.
+    Krylov evaluation of both exponential factors acting on the vector.
+    Both factors are real orthogonal, so the real and imaginary parts of the
+    amplitudes evolve separately in real arithmetic, and a part that is all
+    zeros stays exactly zero.
     """
     space = _cloner_space(state.space)
     chi = float(gamma) + 0.5 * math.log(2.0)
@@ -296,12 +252,11 @@ def mode_expectation(state: FockState, mode: int | ModeLabel) -> complex:
     return complex(np.vdot(psi[:-1], root_k[:, None] * psi[1:]))
 
 
-def fidelity_fock(state: FockState, clone_mode: int | ModeLabel, xi: complex, *,
-                  leakage_tol: float = LEAKAGE_TOL) -> float:
+def fidelity_fock(state: FockState, clone_mode: int | ModeLabel, xi: complex) -> float:
     """Overlap <xi| rho_clone |xi> of one output mode with the coherent target.
 
     Refuses to answer when the truncated |xi> itself is too lossy (norm below
-    1 - 1e-6) or when the clone has pushed more than leakage_tol of its
+    1 - 1e-6) or when the clone has pushed more than LEAKAGE_TOL of its
     population onto the top Fock level: a silently truncated fidelity would
     look like a cloning result while actually measuring the box size.
     """
@@ -315,28 +270,10 @@ def fidelity_fock(state: FockState, clone_mode: int | ModeLabel, xi: complex, *,
         )
     rho = reduced_density_matrix(state, clone_mode)
     leak = float(rho[-1, -1].real)
-    if leak > leakage_tol:
+    if leak > LEAKAGE_TOL:
         raise TruncationError(
-            f"top-level population {leak:.3e} exceeds {leakage_tol}; "
+            f"top-level population {leak:.3e} exceeds {LEAKAGE_TOL}; "
             f"the cutoff is too small for this evolution"
         )
     return float(np.real(np.vdot(target, rho @ target)))
 
-
-def unitarity_block_deviation(u: np.ndarray, space: FockSpace,
-                              max_total_photons: int) -> float:
-    """max |(U^dag U - I)| restricted to basis states with few total photons.
-
-    At finite cutoff only the low-photon block of the cloning unitary is
-    physically meaningful; this measures how unitary that block is.
-    """
-    shape = (space.levels,) * space.n_modes
-    totals = np.zeros(shape, dtype=int)
-    for axis in range(space.n_modes):
-        idx = [1] * space.n_modes
-        idx[axis] = -1
-        totals = totals + np.arange(space.levels).reshape(idx)
-    keep = np.flatnonzero(totals.reshape(-1) <= max_total_photons)
-    g = u.conj().T @ u
-    block = g[np.ix_(keep, keep)] - np.eye(keep.size)
-    return float(np.abs(block).max())

@@ -13,6 +13,7 @@ scope limit of the Fock module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ from .analysis import (
 )
 from .circuits import (
     AsymSpec,
-    ClonerSpec,
+    CloningMachine,
     SymSpec,
     asym_direct,
     asym_factorized,
@@ -57,20 +58,28 @@ class SuiteResult:
         return self.max_dev <= self.tolerance  # False for a NaN deviation
 
 
-def _machines() -> list[ClonerSpec]:
-    specs: list[ClonerSpec] = []
-    for g in (-1.0, -0.5, 0.0, 0.3, 1.0):
-        specs.append(AsymSpec(g))
-        specs.append(AsymSpec(g, factorized=True))
-    specs.extend(SymSpec(n, m) for n, m in SYM_CASES)
-    return specs
+@functools.cache
+def _machines() -> tuple[CloningMachine, ...]:
+    """The machines the suites share, built once per process.
+
+    Sharing is safe: a machine is frozen and its transform's arrays are
+    read-only.  The symmetric ones are SYM_CASES, in order.
+    """
+    specs = [AsymSpec(g, factorized=f) for g in (-1.0, -0.5, 0.0, 0.3, 1.0)
+             for f in (False, True)]
+    specs += [SymSpec(n, m) for n, m in SYM_CASES]
+    return tuple(build_cloner(spec) for spec in specs)
+
+
+def _sym_machines() -> list[CloningMachine]:
+    return [machine for machine in _machines() if isinstance(machine.spec, SymSpec)]
 
 
 def symplectic_invariants(tol: float | None = None) -> SuiteResult:
     """Every constructed transform satisfies the Bogoliubov conditions."""
     tol = 1e-10 if tol is None else tol
     transforms = [build(g) for g in GAMMA_GRID for build in (asym_direct, asym_factorized)]
-    transforms += [build_cloner(spec).transform for spec in _machines()]
+    transforms += [machine.transform for machine in _machines()]
     worst = worst_dev(check_symplectic(t).max_dev for t in transforms)
     return SuiteResult("symplectic_invariants", worst, tol)
 
@@ -90,9 +99,9 @@ def factorization_equivalence(tol: float | None = None) -> SuiteResult:
 def fidelity_closed_forms(tol: float | None = None) -> SuiteResult:
     """Pipeline fidelities reproduce the closed forms for every machine."""
     tol = 1e-10 if tol is None else tol
-    specs = [AsymSpec(g) for g in GAMMA_GRID] + [SymSpec(n, m) for n, m in SYM_CASES]
+    cases = [AsymSpec(g) for g in GAMMA_GRID] + _sym_machines()
     worst = worst_dev(abs(r.fidelity - r.fidelity_formula)
-                      for spec in specs for r in clone_report(spec))
+                      for case in cases for r in clone_report(case))
     return SuiteResult("fidelity_closed_forms", worst, tol)
 
 
@@ -104,9 +113,8 @@ def chaotic_photon_forms(tol: float | None = None) -> SuiteResult:
         t = asym_direct(g)
         na, nc = expected_chaotic_photons(AsymSpec(g))
         devs += [abs(chaotic_photons(t, 0) - na), abs(chaotic_photons(t, 2) - nc)]
-    for n, m in SYM_CASES:
-        machine = build_cloner(SymSpec(n, m))
-        forms = expected_chaotic_photons(SymSpec(n, m))
+    for machine in _sym_machines():
+        forms = expected_chaotic_photons(machine.spec)
         devs += [abs(chaotic_photons(machine.transform, mode) - form)
                  for mode, form in zip(machine.clone_modes, forms, strict=True)]
     return SuiteResult("chaotic_photon_forms", worst_dev(devs), tol)
@@ -123,7 +131,7 @@ def q_function_identity(tol: float | None = None) -> SuiteResult:
     """pi * Q(xi) equals the fidelity for every clone of every machine."""
     tol = 1e-10 if tol is None else tol
     worst = worst_dev(abs(np.pi * r.q_peak - r.fidelity)
-                      for spec in _machines() for r in clone_report(spec, 0.7 - 0.2j))
+                      for machine in _machines() for r in clone_report(machine, 0.7 - 0.2j))
     return SuiteResult("q_function_identity", worst, tol)
 
 
@@ -131,8 +139,7 @@ def fidelity_invariance(tol: float | None = None) -> SuiteResult:
     """Fidelity does not depend on the input amplitude."""
     tol = 1e-10 if tol is None else tol
     devs = []
-    for spec in _machines():
-        machine = build_cloner(spec)
+    for machine in _machines():
         arr = np.asarray([[r.fidelity for r in clone_report(machine, xi)]
                           for xi in XI_PROBES])
         devs += list(arr.max(axis=0) - arr.min(axis=0))
@@ -143,8 +150,7 @@ def phase_covariance(tol: float | None = None) -> SuiteResult:
     """Added noise on every clone is phase insensitive."""
     tol = 1e-10 if tol is None else tol
     devs = []
-    for spec in _machines():
-        machine = build_cloner(spec)
+    for machine in _machines():
         devs += [abs(phase_covariance_defect(machine.transform, mode, machine.signal_modes))
                  for mode in machine.clone_modes]
     return SuiteResult("phase_covariance", worst_dev(devs), tol)
@@ -153,8 +159,8 @@ def phase_covariance(tol: float | None = None) -> SuiteResult:
 def uncertainty_preservation(tol: float | None = None) -> SuiteResult:
     """Output states of every machine remain physical Gaussian states."""
     tol = 1e-10 if tol is None else tol
-    worst = worst_dev(uncertainty_defect(clone_output_state(build_cloner(spec), 0.8 + 0.3j))
-                      for spec in _machines())
+    worst = worst_dev(uncertainty_defect(clone_output_state(machine, 0.8 + 0.3j))
+                      for machine in _machines())
     return SuiteResult("uncertainty_preservation", worst, tol)
 
 
@@ -163,8 +169,7 @@ def unit_signal_gain(tol: float | None = None) -> SuiteResult:
     tol = 1e-12 if tol is None else tol
     xi = 1.1 - 0.6j
     devs = []
-    for spec in _machines():
-        machine = build_cloner(spec)
+    for machine in _machines():
         out = clone_output_state(machine, xi)
         devs += [abs(out.mode_amplitude(mode) - xi) for mode in machine.clone_modes]
     return SuiteResult("unit_signal_gain", worst_dev(devs), tol)

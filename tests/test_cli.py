@@ -1,11 +1,17 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from cvcloner import circuits, cli, gaussian
 from cvcloner.analysis import clone_report
@@ -191,11 +197,17 @@ def test_tolerance_flag_beats_env_var(monkeypatch, capsys):
     (["sweep", "--asym", "--gamma-range", "nan", "1", "3"], None),
     (["sweep", "--sym", "--n", "0", "--m-range", "0", "3"], None),
     (["verify", "--oracle", "--cutoff", "0"], None),
+    (["clone", "--sym", "--n", "1", "--m", "100000"], None),
+    (["sweep", "--sym", "--n", "1", "--m-range", "2", "100000"], None),
+    (["sweep", "--asym", "--gamma-range", "0", "1", "100000000000000"], None),
+    (["clone", "--asym", "--gamma", "0", "--output", "{missing}/x.json"], None),
 ], ids=["xi_nan", "xi_inf", "tolerance_nan", "env_tolerance_nan", "gamma_range_too_wide",
-        "gamma_range_nan", "sym_sweep_n_zero", "oracle_cutoff_zero"])
-def test_bad_input_is_a_usage_error(monkeypatch, capsys, argv, env):
+        "gamma_range_nan", "sym_sweep_n_zero", "oracle_cutoff_zero", "sym_too_many_modes",
+        "sym_sweep_stop_too_many_modes", "gamma_range_too_many_steps", "output_dir_missing"])
+def test_bad_input_is_a_usage_error(monkeypatch, capsys, tmp_path, argv, env):
     if env is not None:
         monkeypatch.setenv("CVCLONER_TOLERANCE", env)
+    argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
@@ -296,3 +308,65 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert shared == fresh
     assert [code for code, _ in shared] == [2, 0]
     assert calls["build"] == 1
+
+
+# Values either small (|v| <= 3, or not a number at all) or beyond every
+# bound the CLI enforces, so no drawn argv starts a large computation.  The
+# small numbers are listed three times so that most draws are well formed.
+_NUMBERS = ["0", "1", "2", "3", "-1", "0.5"]
+_VALUES = st.sampled_from(_NUMBERS * 3 + ["-3", "two", "", "nan", "inf", "-inf", "1e999",
+                                           str(10**12)])
+_MISSING_DIR = Path(tempfile.gettempdir()) / "cvcloner-no-such-dir"
+_FLAG_VALUES = {
+    "--factorized": st.just([]),
+    "--oracle": st.just([]),
+    "--xi": st.one_of(_VALUES, st.tuples(_VALUES, _VALUES).map(",".join)).map(lambda v: [v]),
+    "--format": st.sampled_from([["json"], ["csv"], ["xml"]]),
+    "--gamma-range": st.lists(_VALUES, min_size=3, max_size=3),
+    "--m-range": st.lists(_VALUES, min_size=2, max_size=2),
+    "--output": st.just([str(_MISSING_DIR / "report.json")]),
+}
+# each subcommand's flags, with the chance in ten that a draw includes one:
+# high for what the subcommand and its family need, low for what they refuse
+_COMMON = {"--xi": 3, "--tolerance": 3, "--format": 3, "--factorized": 3, "--output": 3}
+_CHANCES = {
+    ("clone", "--asym"): {"--gamma": 9, "--n": 1, "--m": 1, **_COMMON},
+    ("clone", "--sym"): {"--n": 9, "--m": 9, "--gamma": 1, **_COMMON},
+    ("sweep", "--asym"): {"--gamma-range": 9, "--gamma": 1, "--m-range": 1, **_COMMON},
+    ("sweep", "--sym"): {"--n": 9, "--m-range": 9, "--gamma-range": 1, **_COMMON},
+    ("verify", None): {"--oracle": 5, "--cutoff": 5, "--tolerance": 3},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["clone", "sweep", "verify"]))
+    family = None if command == "verify" else draw(st.sampled_from(["--asym", "--sym"]))
+    # hypothesis favours small integers, so 0 keeps the family and drops a flag
+    argv = [command] + ([family] if family and draw(st.integers(0, 9)) < 9 else [])
+    for flag, chance in _CHANCES[command, family].items():
+        if draw(st.integers(0, 9)) >= 10 - chance:
+            argv += [flag] + draw(_FLAG_VALUES.get(
+                flag, st.lists(_VALUES, min_size=1, max_size=1)))
+    return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=50, deadline=None)
+@given(_argvs())
+def test_main_keeps_the_exit_contract_for_random_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    text = out.getvalue()
+    if code != 2 and text.startswith("{"):
+        json.loads(text, parse_constant=_refuse_constant)
+    assert not _MISSING_DIR.exists()

@@ -1,4 +1,4 @@
-"""Truncated Fock oracle: generators, unitarity, fidelity cross-checks."""
+"""Truncated Fock oracle: generators, Krylov evolution, fidelity cross-checks."""
 
 import math
 
@@ -15,15 +15,11 @@ from cvcloner.fock import (
     FockState,
     TruncationError,
     apply_cloning_fock,
-    cloning_unitary_fock,
     coherent_fock,
     fidelity_fock,
-    mixing_generator,
     mode_expectation,
     photon_distribution,
     reduced_density_matrix,
-    squeezing_generator,
-    unitarity_block_deviation,
 )
 
 
@@ -37,35 +33,29 @@ def test_space_enforces_budget_and_cutoff():
     assert FockSpace(3, 14).dim == 15 ** 3
 
 
-def test_mixing_generator_single_photon_element():
-    # basis |n0 n1>, index 2*n0 + n1 at cutoff 1: <10| G |01> = i
+def test_mix_flow_single_photon_element():
+    # basis |n0 n1>, index 2*n0 + n1 at cutoff 1; the Hermitian generator is
+    # G = i K, so <10| G |01> = i reads <10| K |01> = 1
     space = FockSpace(2, 1)
-    g = mixing_generator(space, (0, 1))
-    assert g[2, 1] == 1j
-    assert g[1, 2] == -1j
+    k = fock._mix_flow(space, (0, 1)).toarray()
+    assert k[2, 1] == 1
+    assert k[1, 2] == -1
 
 
-def test_squeezing_generator_acts_on_vacuum_as_pair_creation():
+def test_squeeze_flow_acts_on_vacuum_as_pair_creation():
+    # G = i K with G |00> = -i |11>, so K |00> = -|11>
     space = FockSpace(2, 1)
-    g = squeezing_generator(space, (0, 1))
-    column = g[:, 0]
-    expected = np.zeros(4, dtype=complex)
-    expected[3] = -1j  # -i |11>
+    column = fock._squeeze_flow(space, (0, 1)).toarray()[:, 0]
+    expected = np.zeros(4)
+    expected[3] = -1.0
     assert np.allclose(column, expected)
-
-
-def test_generators_are_hermitian():
-    space = FockSpace(2, 7)
-    for g in (mixing_generator(space, (0, 1)), squeezing_generator(space, (0, 1))):
-        assert np.abs(g - g.conj().T).max() <= 1e-12
 
 
 def test_generator_exponentials_reproduce_gaussian_elements():
     # a beam splitter angle transfers |1,0> -> cos(th)|1,0> - sin(th)|0,1>
     space = FockSpace(2, 3)
     th = 0.6
-    k = -1j * th * mixing_generator(space, (0, 1))
-    u = fock.expm(k)
+    u = expm(th * fock._mix_flow(space, (0, 1)).toarray())
     one_zero = np.zeros(space.dim)
     one_zero[1 * 4] = 1.0
     out = u @ one_zero
@@ -73,31 +63,10 @@ def test_generator_exponentials_reproduce_gaussian_elements():
     assert np.isclose(abs(out[1]) ** 2, math.sin(th) ** 2, atol=1e-12)
 
 
-def test_cloning_unitary_is_real_orthogonal():
-    space = FockSpace(3, 6)
-    u = cloning_unitary_fock(0.3, space)
-    assert u.dtype == np.float64
-    assert np.abs(u @ u.T - np.eye(space.dim)).max() < 1e-12
-
-
-def test_cloning_unitary_low_photon_block_is_unitary():
-    space = FockSpace(3, 8)
-    u = cloning_unitary_fock(0.2, space)
-    assert unitarity_block_deviation(u, space, 4) <= 1e-6
-
-
-def test_chi_zero_reduces_to_the_fixed_factor():
-    space = FockSpace(3, 5)
-    gamma = -0.5 * math.log(2.0)  # chi = gamma + ln(2)/2 = 0
-    u = cloning_unitary_fock(gamma, space)
-    fixed = fock._fixed_orthogonal(space.cutoff, space.budget)
-    assert np.abs(u - fixed).max() < 1e-13
-
-
 def test_matrix_and_krylov_paths_agree():
     space = FockSpace(3, 6)
     psi = coherent_fock(space, [0j, 0j, 0.4 + 0.1j])
-    via_matrix = cloning_unitary_fock(0.25, space) @ psi.amplitudes
+    via_matrix = _dense_cloner(space.cutoff, 0.25) @ psi.amplitudes
     via_krylov = apply_cloning_fock(0.25, psi).amplitudes
     assert np.abs(via_matrix - via_krylov).max() < 1e-10
 
@@ -246,15 +215,32 @@ def test_real_input_evolves_to_exactly_real_amplitudes():
     assert np.abs(out.amplitudes.real).max() > 0
 
 
-def test_complex_input_matches_the_dense_exponentials():
-    space = FockSpace(3, 5)
-    gamma = 0.2
+def _dense_cloner(cutoff, gamma):
+    """exp(-i(U+V)) exp(-i chi Y) as a dense matrix, from Kronecker-built ladders."""
     chi = gamma + 0.5 * math.log(2.0)
-    a, b, c = _kron_ladders(3, space.cutoff)  # clone, idler, signal
+    a, b, c = _kron_ladders(3, cutoff)  # clone, idler, signal
     fixed = (a.T @ c - c.T @ a) + (c @ b - c.T @ b.T)
     squeeze = a @ b - a.T @ b.T
+    return expm(fixed) @ expm(chi * squeeze)
+
+
+def test_chi_zero_reduces_to_the_fixed_factor():
+    # gamma = -ln(2)/2 is chi = 0: the clone-idler squeeze drops out and the
+    # cloner is the fixed factor exp(-i(U+V)) alone
+    space = FockSpace(3, 5)
+    gamma = -0.5 * math.log(2.0)
+    a, b, c = _kron_ladders(3, space.cutoff)  # clone, idler, signal
+    fixed = expm((a.T @ c - c.T @ a) + (c @ b - c.T @ b.T))
     psi = coherent_fock(space, [0.1 - 0.05j, 0j, 0.3 + 0.2j])
-    want = expm(fixed) @ (expm(chi * squeeze) @ psi.amplitudes)
     got = apply_cloning_fock(gamma, psi).amplitudes
+    assert np.abs(got - fixed @ psi.amplitudes).max() < 1e-12
+
+
+def test_complex_input_matches_the_dense_exponentials():
+    space = FockSpace(3, 5)
+    psi = coherent_fock(space, [0.1 - 0.05j, 0j, 0.3 + 0.2j])
     assert np.abs(psi.amplitudes.imag).max() > 0
-    assert np.abs(got - want).max() < 1e-12
+    for gamma in (0.2, -0.5 * math.log(2.0)):
+        want = _dense_cloner(space.cutoff, gamma) @ psi.amplitudes
+        got = apply_cloning_fock(gamma, psi).amplitudes
+        assert np.abs(got - want).max() < 1e-12

@@ -16,7 +16,6 @@ from cvcloner.gaussian import (
     identity_transform,
     reduce_mode,
     symplectic_form,
-    total_photons,
     uncertainty_defect,
 )
 
@@ -163,17 +162,19 @@ def test_uncertainty_defect_zero_for_vacuum_positive_for_squashed():
     assert uncertainty_defect(squashed) > 0.01
 
 
-def test_total_photons_counts_coherent_and_thermal_parts():
-    xi = 1.5 - 0.5j
-    assert np.isclose(total_photons(coherent_vacuum_input([xi])), abs(xi) ** 2)
-    thermal = GaussianState(mean=np.zeros(2), cov=(0.3 + 0.5) * np.eye(2))
-    assert np.isclose(total_photons(thermal), 0.3)
-
-
 def test_state_validation_rejects_asymmetric_covariance():
     cov = np.eye(2) / 2
     cov[0, 1] = 0.3
     with pytest.raises(ValueError):
+        GaussianState(mean=np.zeros(2), cov=cov)
+
+
+@pytest.mark.parametrize("cov", [
+    [[np.nan, 1.0], [5.0, 0.5]],   # a NaN must not hide the 1 vs 5 mismatch
+    [[0.5, np.nan], [0.0, 0.5]],   # a NaN with no mirror image
+])
+def test_state_validation_rejects_an_asymmetric_nan_covariance(cov):
+    with pytest.raises(ValueError, match="not symmetric"):
         GaussianState(mean=np.zeros(2), cov=cov)
 
 

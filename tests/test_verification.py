@@ -1,6 +1,7 @@
 """Verification suites fail closed on non-finite deviations."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -18,3 +19,23 @@ def test_a_nan_deviation_fails_the_suite(monkeypatch, suite, figure):
     result = suite()
     assert not result.passed
     assert result.max_dev == math.inf
+
+
+def test_suites_share_one_build_of_each_machine(monkeypatch):
+    built = Counter()
+    real = verification.build_cloner
+
+    def counting(spec):
+        built[spec] += 1
+        return real(spec)
+
+    monkeypatch.setattr(verification, "build_cloner", counting)
+    verification._machines.cache_clear()
+    try:
+        first = verification.standard_suites()
+        assert verification.standard_suites() == first
+        shared = [machine.spec for machine in verification._machines()]
+    finally:
+        verification._machines.cache_clear()
+    assert built == Counter(shared)
+    assert len(shared) == 16
