@@ -31,16 +31,19 @@ import numpy as np
 from .elements import beam_splitter_gate, collect_gates, distribute_gates
 from .gaussian import NOPA, BogoliubovTransform, ModeLabel, fold_gates
 
-GAMMA_LIMIT = 20.0
+GAMMA_LIMIT = 20.0  # widest gamma asym_params and asym_direct evaluate
+# widest gamma an AsymSpec may describe: beyond it rounding can push either
+# built form past check_symplectic at DEFAULT_TOL (first at |gamma| = 6.59)
+SPEC_GAMMA_LIMIT = 6.0
 MODE_LIMIT = 1024  # largest register N + M a SymSpec may describe
 
 
-def _check_gamma(gamma: float) -> float:
+def _check_gamma(gamma: float, limit: float = GAMMA_LIMIT) -> float:
     gamma = float(gamma)
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    if abs(gamma) > GAMMA_LIMIT:
-        raise ValueError(f"|gamma| > {GAMMA_LIMIT} exceeds the supported range")
+    if abs(gamma) > limit:
+        raise ValueError(f"|gamma| > {limit} exceeds the supported range")
     return gamma
 
 
@@ -52,7 +55,7 @@ class AsymSpec:
     factorized: bool = False  # build from BS/NOPA/BS instead of the closed form
 
     def __post_init__(self) -> None:
-        _check_gamma(self.gamma)
+        _check_gamma(self.gamma, SPEC_GAMMA_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,6 @@ class CloningMachine:
     signal_modes: tuple[ModeLabel, ...]
     idler_mode: ModeLabel
     clone_modes: tuple[ModeLabel, ...]
-    anticlone_mode: ModeLabel
 
     @property
     def n_modes(self) -> int:
@@ -194,7 +196,6 @@ def build_cloner(spec: ClonerSpec) -> CloningMachine:
             signal_modes=(ModeLabel(2, "in"),),
             idler_mode=ModeLabel(1, "idler"),
             clone_modes=(ModeLabel(0, "clone_1"), ModeLabel(2, "clone_2")),
-            anticlone_mode=ModeLabel(1, "anticlone"),
         )
     if isinstance(spec, SymSpec):
         N, M = spec.n, spec.m
@@ -210,6 +211,5 @@ def build_cloner(spec: ClonerSpec) -> CloningMachine:
             signal_modes=signals,
             idler_mode=ModeLabel(N, "idler"),
             clone_modes=clones,
-            anticlone_mode=ModeLabel(N, "anticlone"),
         )
     raise TypeError(f"unknown cloner spec: {spec!r}")

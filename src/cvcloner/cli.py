@@ -7,16 +7,18 @@ Three subcommands:
     cvcloner verify --oracle --cutoff 14
 
 Exit codes: 0 success, 1 a physics invariant or verification suite failed,
-2 usage error.  JSON output is deterministic (sorted keys, shortest
-round-trip floats); CSV carries 10 significant digits.  The default
-tolerance is 1e-10, overridable per run with --tolerance or globally with
-the CVCLONER_TOLERANCE environment variable.
+2 usage error, which includes every flag the run would not read: one of the
+other machine family (see _FAMILY_FLAGS), one the subcommand does not
+declare or that is abbreviated, and --cutoff without --oracle.  JSON output
+is deterministic (sorted keys, shortest round-trip floats); CSV carries 10
+significant digits.  The default tolerance is 1e-10, overridable per run
+with --tolerance or globally with the CVCLONER_TOLERANCE environment
+variable.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -42,6 +44,12 @@ from .verification import oracle_agreement, standard_suites
 
 SCHEMA_VERSION = 1
 SWEEP_STEPS_LIMIT = 10_000
+# largest |xi|: near 1e12 rounding in the output mean alone breaks pi*Q(xi) = F
+XI_LIMIT = 1e6
+# the flags each machine family owns: the other family's are refused, and
+# each valued one of its own that the subcommand declares is required
+_FAMILY_FLAGS = {"asym": ("gamma", "gamma_range", "factorized"),
+                 "sym": ("n", "m", "m_range")}
 
 
 def _parse_xi(text: str) -> complex:
@@ -52,18 +60,19 @@ def _parse_xi(text: str) -> complex:
         raise argparse.ArgumentTypeError(
             f"amplitude must be 're,im', for example '1,0'; got {text!r}"
         ) from None
-    if not cmath.isfinite(xi):
-        raise argparse.ArgumentTypeError(f"amplitude must be finite, got {text!r}")
+    if not abs(xi) <= XI_LIMIT:  # false for a NaN part too
+        raise argparse.ArgumentTypeError(
+            f"amplitude must be finite with |xi| <= {XI_LIMIT:g}, got {text!r}")
     return xi
 
 
-def _finite_float(text: str) -> float:
+def _tolerance(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a float, got {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
+    if not 0.0 <= value < math.inf:  # false for NaN too
+        raise argparse.ArgumentTypeError(f"expected a finite float >= 0, got {text!r}")
     return value
 
 
@@ -75,7 +84,7 @@ def _tolerance_override(args: argparse.Namespace,
     if env is None:
         return None
     try:
-        return _finite_float(env)
+        return _tolerance(env)
     except argparse.ArgumentTypeError as exc:
         parser.error(f"CVCLONER_TOLERANCE: {exc}")
 
@@ -86,50 +95,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gaussian cloning machines for coherent states: simulate, sweep, verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: sweep's --gamma-range must not answer to --gamma
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def add_spec_flags(p: argparse.ArgumentParser) -> None:
+    def add_family_flags(p: argparse.ArgumentParser) -> None:
         family = p.add_mutually_exclusive_group(required=True)
-        family.add_argument("--asym", action="store_true",
-                            help="asymmetric 1->2 machine (requires --gamma)")
-        family.add_argument("--sym", action="store_true",
-                            help="symmetric N->M machine (requires --n and --m)")
-        p.add_argument("--gamma", type=float, default=None,
-                       help="noise-split parameter of the asymmetric machine")
+        family.add_argument("--asym", action="store_true", help="asymmetric 1->2 machine")
+        family.add_argument("--sym", action="store_true", help="symmetric N->M machine")
         p.add_argument("--factorized", action="store_true",
                        help="build the asymmetric machine from BS/NOPA/BS instead of the closed form")
         p.add_argument("--n", type=int, default=None, help="number of input copies")
-        p.add_argument("--m", type=int, default=None, help="number of output clones")
 
     def add_io_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--xi", type=_parse_xi, default=complex(1.0, 0.0),
+                       help="input coherent amplitude as 're,im' (default 1,0)")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        dest="output_format", help="report format (default json)")
         p.add_argument("--output", default=None,
                        help="write the report to this file instead of standard output")
-        p.add_argument("--tolerance", type=_finite_float, default=None,
+        p.add_argument("--tolerance", type=_tolerance, default=None,
                        help="override the physics tolerance (default 1e-10 or CVCLONER_TOLERANCE)")
 
-    p_clone = sub.add_parser("clone", help="run one machine and report every clone")
-    add_spec_flags(p_clone)
-    p_clone.add_argument("--xi", type=_parse_xi, default=complex(1.0, 0.0),
-                         help="input coherent amplitude as 're,im' (default 1,0)")
+    p_clone = add_parser("clone", help="run one machine and report every clone")
+    add_family_flags(p_clone)
+    p_clone.add_argument("--gamma", type=float, default=None,
+                         help="noise-split parameter of the asymmetric machine")
+    p_clone.add_argument("--m", type=int, default=None, help="number of output clones")
     add_io_flags(p_clone)
 
-    p_sweep = sub.add_parser("sweep", help="tabulate clone figures over gamma or M")
-    add_spec_flags(p_sweep)
+    p_sweep = add_parser("sweep", help="tabulate clone figures over gamma or M")
+    add_family_flags(p_sweep)
     p_sweep.add_argument("--gamma-range", nargs=3, metavar=("START", "STOP", "STEPS"),
                          default=None, help="asymmetric sweep: gamma grid")
     p_sweep.add_argument("--m-range", nargs=2, type=int, metavar=("START", "STOP"),
                          default=None, help="symmetric sweep: inclusive M range")
-    p_sweep.add_argument("--xi", type=_parse_xi, default=complex(1.0, 0.0),
-                         help="input coherent amplitude as 're,im' (default 1,0)")
     add_io_flags(p_sweep)
 
-    p_verify = sub.add_parser("verify", help="run the verification suites")
+    p_verify = add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--oracle", action="store_true",
                           help="also run the truncated-Fock oracle cross-check")
-    p_verify.add_argument("--cutoff", type=int, default=14,
+    p_verify.add_argument("--cutoff", type=int, default=None,
                           help="largest Fock cutoff for the oracle ladder (default 14)")
-    p_verify.add_argument("--tolerance", type=_finite_float, default=None,
+    p_verify.add_argument("--tolerance", type=_tolerance, default=None,
                           help="override every suite tolerance (diagnostic use)")
     return parser
 
@@ -140,30 +147,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                    need_gamma: bool, need_m: bool) -> ClonerSpec | None:
-    if args.asym:
-        if need_gamma and args.gamma is None:
-            parser.error("--asym requires --gamma")
-        if args.n is not None or args.m is not None:
-            parser.error("--n/--m only apply to --sym")
-        try:
-            return AsymSpec(args.gamma if args.gamma is not None else 0.0,
-                            factorized=args.factorized)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.gamma is not None:
-        parser.error("--gamma only applies to --asym")
-    if args.n is None:
-        parser.error("--sym requires --n")
-    if need_m and args.m is None:
-        parser.error("--sym requires --m")
-    if need_m:
-        try:
-            return SymSpec(args.n, args.m)
-        except ValueError as exc:
-            parser.error(str(exc))
-    return None
+def _check_family_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    family = "asym" if args.asym else "sym"
+    for owner, dests in _FAMILY_FLAGS.items():
+        for dest in dests:
+            if not hasattr(args, dest):  # the subcommand does not declare it
+                continue
+            value, flag = getattr(args, dest), "--" + dest.replace("_", "-")
+            if owner == family and value is None:
+                parser.error(f"{args.command} --{family} requires {flag}")
+            if owner != family and value is not None and value is not False:
+                parser.error(f"{flag} only applies to --{owner}")
+
+
+def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ClonerSpec:
+    try:
+        if args.asym:
+            return AsymSpec(args.gamma, factorized=args.factorized)
+        return SymSpec(args.n, args.m)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _spec_echo(spec: ClonerSpec, xi: complex | None = None) -> dict:
@@ -273,52 +276,36 @@ def cmd_clone(spec: ClonerSpec, xi: complex, output_format: str,
     return 1 if problems else 0
 
 
-def _sweep_rows_asym(gamma_range: tuple[float, float, int], factorized: bool, xi: complex,
-                     tolerance: float) -> tuple[list[str], list[list[object]], list[str]]:
-    header = ["gamma", "u", "v", "w", "n_chaotic_1", "n_chaotic_2",
-              "fidelity_1", "fidelity_2", "noise_product"]
-    rows: list[list[object]] = []
-    problems: list[str] = []
-    for g in np.linspace(*gamma_range):
-        spec = AsymSpec(float(g), factorized=factorized)
-        reports = clone_report(spec, xi)
-        params = asym_params(float(g))
-        problems += [f"gamma={g}: {p}"
-                     for p in _physics_violations(reports, tolerance)]
-        r1, r2 = reports
-        rows.append([float(g), params.u, params.v, params.w,
-                     r1.n_chaotic, r2.n_chaotic, r1.fidelity, r2.fidelity,
-                     r1.n_chaotic * r2.n_chaotic])
-    return header, rows, problems
+def _sweep_row(spec: ClonerSpec, reports: list[CloneReport]) -> list[object]:
+    if isinstance(spec, SymSpec):
+        return [spec.n, spec.m, reports[0].n_chaotic, reports[0].fidelity]
+    params = asym_params(spec.gamma)
+    r1, r2 = reports
+    return [spec.gamma, params.u, params.v, params.w, r1.n_chaotic, r2.n_chaotic,
+            r1.fidelity, r2.fidelity, r1.n_chaotic * r2.n_chaotic]
 
 
-def _sweep_rows_sym(n: int, m_range: tuple[int, int], xi: complex,
-                    tolerance: float) -> tuple[list[str], list[list[object]], list[str]]:
-    m_lo, m_hi = m_range
-    header = ["n", "m", "n_chaotic", "fidelity"]
-    rows: list[list[object]] = []
-    problems: list[str] = []
-    for m in range(m_lo, m_hi + 1):
-        spec = SymSpec(n, m)
-        reports = clone_report(spec, xi)
-        problems += [f"m={m}: {p}"
-                     for p in _physics_violations(reports, tolerance)]
-        rows.append([n, m, reports[0].n_chaotic, reports[0].fidelity])
-    return header, rows, problems
-
-
-def cmd_sweep(spec: ClonerSpec, grid: tuple, xi: complex, output_format: str,
-              output_path: str | None, tolerance: float) -> int:
-    """Sweep gamma over grid = (START, STOP, STEPS) for an AsymSpec, or M over
-    the inclusive grid = (START, STOP) at the SymSpec's n."""
-    if isinstance(spec, AsymSpec):
-        header, rows, problems = _sweep_rows_asym(grid, spec.factorized, xi, tolerance)
-        echo: dict = {"kind": "asym_sweep", "gamma_range": list(grid),
-                      "xi": [xi.real, xi.imag]}
+def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | None,
+              tolerance: float, *, factorized: bool = False, n: int | None = None) -> int:
+    """Sweep gamma over grid = (START, STOP, STEPS), in the factorized form if
+    asked, or, given n input copies, M over the inclusive grid = (START, STOP)."""
+    if n is None:
+        header = ["gamma", "u", "v", "w", "n_chaotic_1", "n_chaotic_2",
+                  "fidelity_1", "fidelity_2", "noise_product"]
+        echo: dict = {"kind": "asym_sweep", "gamma_range": list(grid)}
+        points = [(f"gamma={g}", AsymSpec(float(g), factorized=factorized))
+                  for g in np.linspace(*grid)]
     else:
-        header, rows, problems = _sweep_rows_sym(spec.n, grid, xi, tolerance)
-        echo = {"kind": "sym_sweep", "n": spec.n, "m_range": list(grid),
-                "xi": [xi.real, xi.imag]}
+        header = ["n", "m", "n_chaotic", "fidelity"]
+        echo = {"kind": "sym_sweep", "n": n, "m_range": list(grid)}
+        points = [(f"m={m}", SymSpec(n, m)) for m in range(grid[0], grid[1] + 1)]
+    echo["xi"] = [xi.real, xi.imag]
+    rows: list[list[object]] = []
+    problems: list[str] = []
+    for where, spec in points:
+        reports = clone_report(spec, xi)
+        problems += [f"{where}: {p}" for p in _physics_violations(reports, tolerance)]
+        rows.append(_sweep_row(spec, reports))
     if output_format == "json":
         document = {
             "schema_version": SCHEMA_VERSION,
@@ -365,43 +352,32 @@ def cmd_verify(tolerance: float | None, oracle_cutoff: int | None) -> int:
 
 
 def _sweep_from_args(parser: argparse.ArgumentParser,
-                     args: argparse.Namespace) -> tuple[ClonerSpec, tuple]:
+                     args: argparse.Namespace) -> functools.partial:
     if args.asym:
-        spec = _spec_from_args(parser, args, need_gamma=False, need_m=False)
-        if args.gamma_range is None:
-            parser.error("--asym sweep requires --gamma-range START STOP STEPS")
+        flag, spec_at = "--gamma-range", AsymSpec
         try:
             start, stop = float(args.gamma_range[0]), float(args.gamma_range[1])
-            steps = int(args.gamma_range[2])
+            grid: tuple = (start, stop, int(args.gamma_range[2]))
         except ValueError:
             parser.error("--gamma-range takes two floats and an integer step count")
-        if steps < 1:
+        if grid[2] < 1:
             parser.error("--gamma-range needs at least one step")
-        if steps > SWEEP_STEPS_LIMIT:
+        if grid[2] > SWEEP_STEPS_LIMIT:
             parser.error(f"--gamma-range allows at most {SWEEP_STEPS_LIMIT} steps")
-        if stop < start:
-            parser.error("--gamma-range needs STOP >= START")
-        # the grid runs from START to STOP, so the ends bound every point
-        for g in (start, stop):
-            try:
-                AsymSpec(g)
-            except ValueError as exc:
-                parser.error(f"--gamma-range: {exc}")
-        return spec, (start, stop, steps)
-    _spec_from_args(parser, args, need_gamma=False, need_m=False)
-    if args.m_range is None:
-        parser.error("--sym sweep requires --m-range START STOP")
-    m_lo, m_hi = args.m_range
-    if m_lo < args.n:
-        parser.error(f"--m-range START must be >= n ({args.n})")
-    if m_hi < m_lo:
-        parser.error("--m-range needs STOP >= START")
-    try:
-        # n <= START <= M <= STOP, so the machine at STOP bounds the whole range
-        spec = SymSpec(args.n, m_hi)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return spec, (m_lo, m_hi)
+        run = functools.partial(cmd_sweep, grid, factorized=args.factorized)
+    else:
+        flag, spec_at = "--m-range", functools.partial(SymSpec, args.n)
+        grid = tuple(args.m_range)
+        run = functools.partial(cmd_sweep, grid, n=args.n)
+    if grid[1] < grid[0]:
+        parser.error(f"{flag} needs STOP >= START")
+    # the grid runs from START to STOP, so the machines at its ends bound every point
+    for end in grid[:2]:
+        try:
+            spec_at(end)
+        except ValueError as exc:
+            parser.error(f"{flag}: {exc}")
+    return run
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -410,18 +386,21 @@ def main(argv: list[str] | None = None) -> int:
     override = _tolerance_override(args, parser)
 
     if args.command == "verify":
+        if args.cutoff is not None and not args.oracle:
+            parser.error("--cutoff only applies with --oracle")
+        cutoff = 14 if args.cutoff is None else args.cutoff
         if args.oracle:
             try:
-                FockSpace(3, args.cutoff)  # the oracle's 1->2 register at its finest rung
+                FockSpace(3, cutoff)  # the oracle's 1->2 register at its finest rung
             except ValueError as exc:
                 parser.error(f"--cutoff: {exc}")
-        return cmd_verify(override, args.cutoff if args.oracle else None)
+        return cmd_verify(override, cutoff if args.oracle else None)
 
+    _check_family_flags(parser, args)
     if args.command == "sweep":
-        run = functools.partial(cmd_sweep, *_sweep_from_args(parser, args))
+        run = _sweep_from_args(parser, args)
     else:
-        run = functools.partial(
-            cmd_clone, _spec_from_args(parser, args, need_gamma=True, need_m=True))
+        run = functools.partial(cmd_clone, _spec_from_args(parser, args))
     try:
         return run(args.xi, args.output_format, args.output,
                    override if override is not None else DEFAULT_TOL)

@@ -5,6 +5,8 @@ fidelities, noise-product saturation, factorization equivalence, and so on),
 measures the worst deviation it can find, and compares that against a
 tolerance.  The suites are plain functions returning SuiteResult so they can
 run under pytest, from the CLI, or interactively with identical semantics.
+Every machine the suites read, the (direct, factorized) pair at each
+GAMMA_GRID point included, is built once per process and shared.
 
 The oracle_agreement suite is the expensive one (truncated Fock evolution);
 it is opt-in from the CLI and covers only the 1->2 machine, which is the
@@ -30,10 +32,9 @@ from .analysis import (
 )
 from .circuits import (
     AsymSpec,
+    ClonerSpec,
     CloningMachine,
     SymSpec,
-    asym_direct,
-    asym_factorized,
     asym_params,
     build_cloner,
 )
@@ -59,28 +60,38 @@ class SuiteResult:
 
 
 @functools.cache
-def _machines() -> tuple[CloningMachine, ...]:
-    """The machines the suites share, built once per process.
+def _build(spec: ClonerSpec) -> CloningMachine:
+    # sharing is safe: a machine is frozen and its transform's arrays are read-only
+    return build_cloner(spec)
 
-    Sharing is safe: a machine is frozen and its transform's arrays are
-    read-only.  The symmetric ones are SYM_CASES, in order.
-    """
+
+@functools.cache
+def _machines() -> tuple[CloningMachine, ...]:
+    """The machines the per-machine suites share; the symmetric ones are SYM_CASES, in order."""
     specs = [AsymSpec(g, factorized=f) for g in (-1.0, -0.5, 0.0, 0.3, 1.0)
              for f in (False, True)]
     specs += [SymSpec(n, m) for n, m in SYM_CASES]
-    return tuple(build_cloner(spec) for spec in specs)
+    return tuple(map(_build, specs))
 
 
-def _sym_machines() -> list[CloningMachine]:
-    return [machine for machine in _machines() if isinstance(machine.spec, SymSpec)]
+@functools.cache
+def _grid() -> tuple[tuple[CloningMachine, CloningMachine], ...]:
+    """The (direct, factorized) machine at each GAMMA_GRID point."""
+    return tuple((_build(AsymSpec(float(g))), _build(AsymSpec(float(g), factorized=True)))
+                 for g in GAMMA_GRID)
+
+
+def _closed_form_machines() -> list[CloningMachine]:
+    """The direct machine at each GAMMA_GRID point, then the SYM_CASES machines."""
+    return ([direct for direct, _ in _grid()]
+            + [machine for machine in _machines() if isinstance(machine.spec, SymSpec)])
 
 
 def symplectic_invariants(tol: float | None = None) -> SuiteResult:
     """Every constructed transform satisfies the Bogoliubov conditions."""
     tol = 1e-10 if tol is None else tol
-    transforms = [build(g) for g in GAMMA_GRID for build in (asym_direct, asym_factorized)]
-    transforms += [machine.transform for machine in _machines()]
-    worst = worst_dev(check_symplectic(t).max_dev for t in transforms)
+    machines = [machine for pair in _grid() for machine in pair] + list(_machines())
+    worst = worst_dev(check_symplectic(machine.transform).max_dev for machine in machines)
     return SuiteResult("symplectic_invariants", worst, tol)
 
 
@@ -88,8 +99,8 @@ def factorization_equivalence(tol: float | None = None) -> SuiteResult:
     """BS/NOPA/BS assembly matches the closed-form machine elementwise."""
     tol = 1e-9 if tol is None else tol
     devs = []
-    for g in GAMMA_GRID:
-        d, f = asym_direct(g), asym_factorized(g)
+    for direct, factorized in _grid():
+        d, f = direct.transform, factorized.transform
         devs += [float(np.abs(d.A - f.A).max()), float(np.abs(d.B - f.B).max())]
     u0 = abs(asym_params(0.0).u)
     return SuiteResult("factorization_equivalence", worst_dev(devs + [u0]), tol,
@@ -99,9 +110,9 @@ def factorization_equivalence(tol: float | None = None) -> SuiteResult:
 def fidelity_closed_forms(tol: float | None = None) -> SuiteResult:
     """Pipeline fidelities reproduce the closed forms for every machine."""
     tol = 1e-10 if tol is None else tol
-    cases = [AsymSpec(g) for g in GAMMA_GRID] + _sym_machines()
     worst = worst_dev(abs(r.fidelity - r.fidelity_formula)
-                      for case in cases for r in clone_report(case))
+                      for machine in _closed_form_machines()
+                      for r in clone_report(machine))
     return SuiteResult("fidelity_closed_forms", worst, tol)
 
 
@@ -109,11 +120,7 @@ def chaotic_photon_forms(tol: float | None = None) -> SuiteResult:
     """B-row photon counts reproduce the closed forms for every machine."""
     tol = 1e-10 if tol is None else tol
     devs = []
-    for g in GAMMA_GRID:
-        t = asym_direct(g)
-        na, nc = expected_chaotic_photons(AsymSpec(g))
-        devs += [abs(chaotic_photons(t, 0) - na), abs(chaotic_photons(t, 2) - nc)]
-    for machine in _sym_machines():
+    for machine in _closed_form_machines():
         forms = expected_chaotic_photons(machine.spec)
         devs += [abs(chaotic_photons(machine.transform, mode) - form)
                  for mode, form in zip(machine.clone_modes, forms, strict=True)]
@@ -123,7 +130,7 @@ def chaotic_photon_forms(tol: float | None = None) -> SuiteResult:
 def noise_product_saturation(tol: float | None = None) -> SuiteResult:
     """The asymmetric family sits exactly on the 1/4 noise-product floor."""
     tol = 1e-12 if tol is None else tol
-    worst = worst_dev(abs(noise_product(asym_direct(g)) - 0.25) for g in GAMMA_GRID)
+    worst = worst_dev(abs(noise_product(direct.transform) - 0.25) for direct, _ in _grid())
     return SuiteResult("noise_product_saturation", worst, tol)
 
 

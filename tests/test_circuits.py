@@ -129,7 +129,6 @@ def test_build_cloner_asym_wiring():
     assert [m.index for m in machine.clone_modes] == [0, 2]
     assert machine.signal_modes[0].index == 2
     assert machine.idler_mode.index == 1
-    assert machine.anticlone_mode.index == 1
     amps = machine.input_amplitudes(0.5j)
     assert amps == [0j, 0j, 0.5j]
 

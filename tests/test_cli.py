@@ -188,12 +188,20 @@ def test_tolerance_flag_beats_env_var(monkeypatch, capsys):
     assert code == 0
 
 
+def test_zero_tolerance_is_not_a_usage_error(monkeypatch, capsys):
+    # the trivial 1->1 machine is exact, so it meets a zero bound
+    argv = ["clone", "--sym", "--n", "1", "--m", "1"]
+    assert run(capsys, argv + ["--tolerance", "0"])[0] == 0
+    monkeypatch.setenv("CVCLONER_TOLERANCE", "0")
+    assert run(capsys, argv)[0] == 0
+
+
 @pytest.mark.parametrize("argv, env", [
     (["clone", "--asym", "--gamma", "0.1", "--xi", "nan,0"], None),
     (["sweep", "--sym", "--n", "1", "--m-range", "2", "3", "--xi", "inf,0"], None),
     (["clone", "--sym", "--n", "2", "--m", "3", "--tolerance", "nan"], None),
     (["clone", "--asym", "--gamma", "0.1"], "nan"),
-    (["sweep", "--asym", "--gamma-range", "0", "30", "3"], None),   # |gamma| > 20
+    (["sweep", "--asym", "--gamma-range", "0", "30", "3"], None),   # |gamma| > 6
     (["sweep", "--asym", "--gamma-range", "nan", "1", "3"], None),
     (["sweep", "--sym", "--n", "0", "--m-range", "0", "3"], None),
     (["verify", "--oracle", "--cutoff", "0"], None),
@@ -201,9 +209,28 @@ def test_tolerance_flag_beats_env_var(monkeypatch, capsys):
     (["sweep", "--sym", "--n", "1", "--m-range", "2", "100000"], None),
     (["sweep", "--asym", "--gamma-range", "0", "1", "100000000000000"], None),
     (["clone", "--asym", "--gamma", "0", "--output", "{missing}/x.json"], None),
+    (["clone", "--asym", "--gamma", "8"], None),
+    (["sweep", "--asym", "--gamma-range", "0", "8", "3"], None),
+    (["clone", "--sym", "--n", "3", "--m", "7", "--xi", "1e12,0"], None),
+    (["clone", "--asym", "--gamma", "0.1", "--tolerance", "-1"], None),
+    (["clone", "--asym", "--gamma", "0.1"], "-1"),
+    (["sweep", "--sym", "--n", "2", "--m", "7", "--m-range", "2", "3"], None),
+    (["sweep", "--asym", "--gamma", "0.3", "--gamma-range", "-1", "1", "3"], None),
+    (["sweep", "--asym", "--gamma-range", "-1", "1", "3", "--m-range", "2", "3"], None),
+    (["sweep", "--sym", "--n", "2", "--m-range", "2", "3", "--gamma-range", "0", "1", "3"], None),
+    (["sweep", "--sym", "--n", "2", "--m-range", "2", "3", "--factorized"], None),
+    (["clone", "--sym", "--n", "2", "--m", "3", "--factorized"], None),
+    (["verify", "--cutoff", "3"], None),
+    (["sweep", "--asym", "--gamma", "0.3", "0.5", "5"], None),
+    (["sweep", "--asym", "--gamma-range", "-1", "1", "3", "--form", "csv"], None),
 ], ids=["xi_nan", "xi_inf", "tolerance_nan", "env_tolerance_nan", "gamma_range_too_wide",
         "gamma_range_nan", "sym_sweep_n_zero", "oracle_cutoff_zero", "sym_too_many_modes",
-        "sym_sweep_stop_too_many_modes", "gamma_range_too_many_steps", "output_dir_missing"])
+        "sym_sweep_stop_too_many_modes", "gamma_range_too_many_steps", "output_dir_missing",
+        "gamma_not_certified", "gamma_range_not_certified", "xi_too_large",
+        "tolerance_negative", "env_tolerance_negative", "sym_sweep_m", "asym_sweep_gamma",
+        "asym_sweep_m_range", "sym_sweep_gamma_range", "sym_sweep_factorized",
+        "sym_clone_factorized", "cutoff_without_oracle", "sweep_gamma_prefix",
+        "abbreviated_flag"])
 def test_bad_input_is_a_usage_error(monkeypatch, capsys, tmp_path, argv, env):
     if env is not None:
         monkeypatch.setenv("CVCLONER_TOLERANCE", env)
@@ -211,7 +238,9 @@ def test_bad_input_is_a_usage_error(monkeypatch, capsys, tmp_path, argv, env):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
 
 
 def test_non_finite_figure_fails_instead_of_printing_nan(monkeypatch, capsys):
@@ -327,28 +356,34 @@ _FLAG_VALUES = {
     "--output": st.just([str(_MISSING_DIR / "report.json")]),
 }
 # each subcommand's flags, with the chance in ten that a draw includes one:
-# high for what the subcommand and its family need, low for what they refuse
-_COMMON = {"--xi": 3, "--tolerance": 3, "--format": 3, "--factorized": 3, "--output": 3}
+# high for what the subcommand and its family read, 1 for what they refuse
+_COMMON = {"--xi": 3, "--tolerance": 3, "--format": 3, "--output": 3}
 _CHANCES = {
-    ("clone", "--asym"): {"--gamma": 9, "--n": 1, "--m": 1, **_COMMON},
-    ("clone", "--sym"): {"--n": 9, "--m": 9, "--gamma": 1, **_COMMON},
-    ("sweep", "--asym"): {"--gamma-range": 9, "--gamma": 1, "--m-range": 1, **_COMMON},
-    ("sweep", "--sym"): {"--n": 9, "--m-range": 9, "--gamma-range": 1, **_COMMON},
+    ("clone", "--asym"): {"--gamma": 9, "--factorized": 3, "--n": 1, "--m": 1, **_COMMON},
+    ("clone", "--sym"): {"--n": 9, "--m": 9, "--gamma": 1, "--factorized": 1, **_COMMON},
+    ("sweep", "--asym"): {"--gamma-range": 9, "--factorized": 3, "--gamma": 1, "--n": 1,
+                          "--m-range": 1, **_COMMON},
+    ("sweep", "--sym"): {"--n": 9, "--m-range": 9, "--gamma-range": 1, "--gamma": 1,
+                         "--m": 1, "--factorized": 1, **_COMMON},
     ("verify", None): {"--oracle": 5, "--cutoff": 5, "--tolerance": 3},
 }
 
 
 @st.composite
 def _argvs(draw):
+    """An argv, and whether it must be refused whatever its values."""
     command = draw(st.sampled_from(["clone", "sweep", "verify"]))
     family = None if command == "verify" else draw(st.sampled_from(["--asym", "--sym"]))
     # hypothesis favours small integers, so 0 keeps the family and drops a flag
     argv = [command] + ([family] if family and draw(st.integers(0, 9)) < 9 else [])
+    refused = family is not None and family not in argv
     for flag, chance in _CHANCES[command, family].items():
         if draw(st.integers(0, 9)) >= 10 - chance:
             argv += [flag] + draw(_FLAG_VALUES.get(
                 flag, st.lists(_VALUES, min_size=1, max_size=1)))
-    return argv
+            refused |= chance == 1
+    refused |= "--cutoff" in argv and "--oracle" not in argv
+    return argv, refused
 
 
 def _refuse_constant(name):
@@ -357,7 +392,8 @@ def _refuse_constant(name):
 
 @settings(max_examples=50, deadline=None)
 @given(_argvs())
-def test_main_keeps_the_exit_contract_for_random_argv(argv):
+def test_main_keeps_the_exit_contract_for_random_argv(drawn):
+    argv, refused = drawn
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -366,6 +402,8 @@ def test_main_keeps_the_exit_contract_for_random_argv(argv):
             code = exc.code
     event(f"exit {code}")
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+    # every flag given is read or refused: none may be dropped silently
+    assert code == 2 or not refused, (argv, code)
     text = out.getvalue()
     if code != 2 and text.startswith("{"):
         json.loads(text, parse_constant=_refuse_constant)

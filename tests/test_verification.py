@@ -1,11 +1,13 @@
 """Verification suites fail closed on non-finite deviations."""
 
 import math
+import sys
 from collections import Counter
 
 import pytest
 
-from cvcloner import verification
+from cvcloner import circuits, verification
+from cvcloner.circuits import AsymSpec
 
 
 @pytest.mark.parametrize("suite, figure", [
@@ -30,12 +32,34 @@ def test_suites_share_one_build_of_each_machine(monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(verification, "build_cloner", counting)
-    verification._machines.cache_clear()
+    # every cvcloner binding of either asymmetric form, so no suite builds one aside
+    for fn in (circuits.asym_direct, circuits.asym_factorized):
+        def counting_form(*args, fn=fn):
+            built[fn.__name__] += 1
+            return fn(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "cvcloner" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting_form)
+    caches = (verification._build, verification._machines, verification._grid)
+    for cache in caches:
+        cache.cache_clear()
     try:
         first = verification.standard_suites()
+        cold = built.copy()
+        built.clear()
         assert verification.standard_suites() == first
         shared = [machine.spec for machine in verification._machines()]
+        grid = [(d.spec, f.spec) for d, f in verification._grid()]
     finally:
-        verification._machines.cache_clear()
-    assert built == Counter(shared)
-    assert len(shared) == 16
+        for cache in caches:
+            cache.cache_clear()
+    assert built == Counter()
+    assert grid == [(AsymSpec(float(g)), AsymSpec(float(g), factorized=True))
+                    for g in verification.GAMMA_GRID]
+    specs = set(shared) | {spec for pair in grid for spec in pair}
+    assert len(shared) == 16 and len(grid) == 41 and len(specs) == 90
+    asym = [spec for spec in specs if isinstance(spec, AsymSpec)]
+    assert cold == Counter(specs) + Counter(
+        asym_direct=sum(not spec.factorized for spec in asym),
+        asym_factorized=sum(spec.factorized for spec in asym))
