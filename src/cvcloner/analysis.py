@@ -13,9 +13,12 @@ the transform, and the reduced output covariance) and F by three (1/(n+1)
 from either n_ch route, and the Q-function peak), so agreement between them
 is a real consistency check rather than one formula printed twice.
 
-``clone_report`` reads every clone of a machine at once: the 2x2 diagonal
-blocks and mean pairs of the output state, and the transform's clone rows,
-go through the same array helpers that the single-clone functions here call
+``clone_report`` reads every clone of a machine at once from the clone rows
+S_r of the quadrature matrix S, never forming the full output state: every
+input is coherent or vacuum, with covariance I/2, so the clones' 2x2 blocks
+are the diagonal blocks of (S_r / 2) S_r^T and their means are S_r times the
+input means.  Those blocks and means, and the transform's clone rows, go
+through the same array helpers that the single-clone functions here call
 with one row, so each formula and each gate exists once.  The gates fail
 closed: a NaN variance or amplitude is refused, never passed.
 """
@@ -35,8 +38,10 @@ from .gaussian import (
     ModeLabel,
     SymplecticCheck,
     apply_to_gaussian,
+    coherent_means,
     coherent_vacuum_input,
     mode_index,
+    require_symplectic,
 )
 
 ISOTROPY_TOL = 1e-8
@@ -124,7 +129,7 @@ def _phase_covariance_defects(t: BogoliubovTransform, rows: list[int],
     """sum_k A[row, k] B[row, k] over the non-signal columns k, per row."""
     vacuum_a = t.A[rows]
     vacuum_a[:, signal_cols] = 0.0
-    return np.einsum("ij,ij->i", vacuum_a, t.B[rows])
+    return np.einsum("ij,ij->i", vacuum_a, t.B[rows]).astype(complex)
 
 
 def chaotic_photons(t: BogoliubovTransform, mode: int | ModeLabel) -> float:
@@ -237,20 +242,26 @@ def clone_report(machine: ClonerSpec | CloningMachine,
     """Run a cloner on |xi> inputs and report every clone's quality figures.
 
     Takes a spec, or a machine already built from one so that a caller who
-    needs the machine too builds it only once.  All clones are read at once
-    from the output state's 2x2 diagonal blocks and the transform's clone
-    rows.
+    needs the machine too builds it only once.  The transform must pass
+    ``check_symplectic``, as in ``clone_output_state``.  All clones are read
+    at once from the clone rows of the quadrature matrix and of (A, B).
     """
     if not isinstance(machine, CloningMachine):
         machine = build_cloner(machine)
     xi = complex(xi)
-    out, check = clone_output_state(machine, xi, return_check=True)
     t = machine.transform
-    n = t.n_modes
+    check = require_symplectic(t)
+    n, n_clones = t.n_modes, len(machine.clone_modes)
     rows = [m.index for m in machine.clone_modes]
     names = [m.name for m in machine.clone_modes]
-    blocks = out.cov.reshape(n, 2, n, 2)[rows, :, rows, :]
-    amps = _amplitudes(out.mean.reshape(n, 2)[rows])
+    s_rows = t.symplectic_matrix().reshape(n, 2, 2 * n)[rows].reshape(2 * n_clones, 2 * n)
+    # one product over all clone rows: the diagonal 2x2 blocks of
+    # S_r (I/2) S_r^T, rounded exactly as the full S (I/2) S^T rounds them
+    cov = (0.5 * s_rows) @ s_rows.T
+    clones = np.arange(n_clones)
+    blocks = cov.reshape(n_clones, 2, n_clones, 2)[clones, :, clones, :]
+    means = s_rows @ coherent_means(machine.input_amplitudes(xi))
+    amps = _amplitudes(means.reshape(n_clones, 2))
     n_state = _isotropic_photons(blocks, names)
     columns = zip(
         machine.clone_modes,

@@ -124,12 +124,12 @@ def asym_direct(gamma: float) -> BogoliubovTransform:
         [ep, 0.0, 1.0],
         [0.0, np.sqrt(2.0) * np.cosh(g), 0.0],
         [-em, 0.0, 1.0],
-    ], dtype=complex)
+    ])
     B = np.array([
         [0.0, -ep, 0.0],
         [-np.sqrt(2.0) * np.sinh(g), 0.0, -1.0],
         [0.0, -em, 0.0],
-    ], dtype=complex)
+    ])
     return BogoliubovTransform(A=A, B=B)
 
 

@@ -35,6 +35,7 @@ design; the Gaussian invariants cover them.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -258,19 +259,24 @@ def fidelity_fock(state: FockState, clone_mode: int | ModeLabel, xi: complex) ->
     Refuses to answer when the truncated |xi> itself is too lossy (norm below
     1 - 1e-6) or when the clone has pushed more than LEAKAGE_TOL of its
     population onto the top Fock level: a silently truncated fidelity would
-    look like a cloning result while actually measuring the box size.
+    look like a cloning result while actually measuring the box size.  Both
+    gates fail closed: a NaN norm or population is refused, and so is a
+    non-finite xi.
     """
+    xi = complex(xi)
+    if not cmath.isfinite(xi):
+        raise ValueError(f"coherent amplitude must be finite, got {xi}")
     levels = state.space.levels
-    target = _coherent_column(levels, complex(xi))
+    target = _coherent_column(levels, xi)
     norm2 = float(np.vdot(target, target).real)
-    if norm2 < 1.0 - COHERENT_NORM_TOL:
+    if not norm2 >= 1.0 - COHERENT_NORM_TOL:
         raise TruncationError(
             f"coherent amplitude {xi} keeps only norm^2 = {norm2} below cutoff "
             f"{state.space.cutoff}; raise the cutoff"
         )
     rho = reduced_density_matrix(state, clone_mode)
     leak = float(rho[-1, -1].real)
-    if leak > LEAKAGE_TOL:
+    if not leak <= LEAKAGE_TOL:
         raise TruncationError(
             f"top-level population {leak:.3e} exceeds {LEAKAGE_TOL}; "
             f"the cutoff is too small for this evolution"

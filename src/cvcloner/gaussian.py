@@ -1,7 +1,7 @@
 """Linear bosonic-mode transformations and Gaussian states.
 
 A circuit element acting on n modes is stored in the Heisenberg picture as a
-pair of complex matrices (A, B) with
+pair of real or complex matrices (A, B) with
 
     a_out[j] = sum_k A[j, k] a[k] + B[j, k] a[k]^dag .
 
@@ -23,6 +23,7 @@ so the vacuum variance is 1/2 and a coherent amplitude xi has mean
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -56,14 +57,18 @@ def mode_index(mode: int | ModeLabel) -> int:
 
 @dataclass(frozen=True)
 class BogoliubovTransform:
-    """Heisenberg-picture linear mode map a_out = A a + B a^dag."""
+    """Heisenberg-picture linear mode map a_out = A a + B a^dag.
 
-    A: NDArray[np.complex128]
-    B: NDArray[np.complex128]
+    A and B are stored as float64 when both are real, as complex128 otherwise.
+    """
+
+    A: NDArray[np.float64] | NDArray[np.complex128]
+    B: NDArray[np.float64] | NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        A = np.array(self.A, dtype=complex)
-        B = np.array(self.B, dtype=complex)
+        A, B = np.asarray(self.A), np.asarray(self.B)
+        dtype = complex if np.iscomplexobj(A) or np.iscomplexobj(B) else float
+        A, B = np.array(A, dtype=dtype), np.array(B, dtype=dtype)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if B.shape != A.shape:
@@ -159,7 +164,9 @@ class Passive:
 
         a_p' = a a_p + b a_q,    a_q' = c a_p + d a_q.
 
-    Every element this package builds has a real block.
+    Every element this package builds has a real block.  A block is refused
+    unless it is 2x2 and finite; one whose imaginary parts are all zero is
+    stored as floats, any other as complex numbers.
     """
 
     block: tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -168,6 +175,20 @@ class Passive:
 
     def __post_init__(self) -> None:
         _check_pair(self.p, self.q)
+        try:
+            (a, b), (c, d) = self.block
+            entries = [complex(a), complex(b), complex(c), complex(d)]
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"Passive gate on ({self.p}, {self.q}) needs a 2x2 block, got {self.block!r}"
+            ) from None
+        if not all(map(cmath.isfinite, entries)):
+            raise ValueError(
+                f"Passive gate on ({self.p}, {self.q}) has a non-finite block {self.block!r}"
+            )
+        real = [x.real for x in entries]
+        a, b, c, d = real if real == entries else entries
+        object.__setattr__(self, "block", ((a, b), (c, d)))
 
 
 @dataclass(frozen=True)
@@ -181,6 +202,8 @@ class NOPA:
 
     def __post_init__(self) -> None:
         _check_pair(self.p, self.q)
+        if not math.isfinite(self.r):
+            raise ValueError(f"NOPA gate on ({self.p}, {self.q}) needs a finite r, got {self.r}")
 
 
 Gate = Passive | NOPA
@@ -201,7 +224,7 @@ def identity_transform(n_modes: int) -> BogoliubovTransform:
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     n = int(n_modes)
-    return BogoliubovTransform(A=np.eye(n, dtype=complex), B=np.zeros((n, n), dtype=complex))
+    return BogoliubovTransform(A=np.eye(n), B=np.zeros((n, n)))
 
 
 def compose(second: BogoliubovTransform, first: BogoliubovTransform) -> BogoliubovTransform:
@@ -229,23 +252,30 @@ def fold_gates(gates: Iterable[Gate], n_modes: int) -> BogoliubovTransform:
     where ``compose`` of the embedded gate costs O(n^3).  The row updates are
     compose's A = A2 A1 + B2 conj(B1), B = A2 B1 + B2 conj(A1) with the
     gate's identity rows dropped.
+
+    The fold runs in float64 when every gate is real (a NOPA always is, a
+    Passive when its block is stored as floats) and in complex128 otherwise.
     """
     n = int(n_modes)
     if n < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    rows = np.zeros((n, 2, n), dtype=complex)  # rows[j] = (A[j], B[j])
+    gates = tuple(gates)
+    real = not any(isinstance(g, Passive) and isinstance(g.block[0][0], complex) for g in gates)
+    rows = np.zeros((n, 2, n), dtype=float if real else complex)  # rows[j] = (A[j], B[j])
     rows[:, 0] = np.eye(n)
     for gate in gates:
         p, q = gate.p, gate.q
         if p >= n or q >= n:
             raise ValueError(f"gate modes ({p}, {q}) out of range for {n} modes")
-        xp, xq = rows[[p, q]]
+        # row q is read in full before it is written, so only row p is copied
+        xp, xq = rows[p].copy(), rows[q]
         if isinstance(gate, Passive):
             (a, b), (c, d) = gate.block
             rows[p] = a * xp + b * xq
             rows[q] = c * xp + d * xq
         else:
-            # xq[::-1] is (B_q, A_q): the a^dag rows a NOPA feeds across the pair
+            # xq[::-1] is (B_q, A_q): the a^dag rows a NOPA feeds across the pair;
+            # conj() of a real array is the array itself, with no copy
             ch, sh = np.cosh(gate.r), np.sinh(gate.r)
             rows[p] = ch * xp - sh * xq[::-1].conj()
             rows[q] = ch * xq - sh * xp[::-1].conj()
@@ -265,8 +295,8 @@ def embed(
         raise ValueError(f"duplicate target modes: {idx}")
     if any(k < 0 or k >= total for k in idx):
         raise ValueError(f"target modes {idx} out of range for total={total}")
-    A = np.eye(total, dtype=complex)
-    B = np.zeros((total, total), dtype=complex)
+    A = np.eye(total, dtype=t.A.dtype)
+    B = np.zeros((total, total), dtype=t.B.dtype)
     A[np.ix_(idx, idx)] = t.A
     B[np.ix_(idx, idx)] = t.B
     return BogoliubovTransform(A=A, B=B)
@@ -281,17 +311,32 @@ def check_symplectic(t: BogoliubovTransform, tol: float = DEFAULT_TOL) -> Symple
     return SymplecticCheck(commutation_dev=float(commutation), symmetry_dev=float(symmetry), tol=tol)
 
 
+def require_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
+    """``check_symplectic`` at DEFAULT_TOL, raising ValueError unless it passes."""
+    diag = check_symplectic(t)
+    if not diag.passed:
+        raise ValueError(
+            f"transform is not symplectic within tol={DEFAULT_TOL}: "
+            f"commutation dev {diag.commutation_dev:.3e}, symmetry dev {diag.symmetry_dev:.3e}"
+        )
+    return diag
+
+
+def coherent_means(amplitudes: list[complex] | tuple[complex, ...]) -> NDArray[np.float64]:
+    """Interleaved quadrature means (sqrt(2) Re xi, sqrt(2) Im xi) per mode."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim != 1 or amps.size == 0:
+        raise ValueError(f"need one amplitude per mode and at least one mode, got {amplitudes!r}")
+    mean = np.empty(2 * amps.size)
+    mean[0::2] = np.sqrt(2.0) * amps.real
+    mean[1::2] = np.sqrt(2.0) * amps.imag
+    return mean
+
+
 def coherent_vacuum_input(amplitudes: list[complex] | tuple[complex, ...]) -> GaussianState:
     """Product of coherent states (vacuum where the amplitude is zero)."""
-    if len(amplitudes) == 0:
-        raise ValueError("need at least one mode")
-    n = len(amplitudes)
-    mean = np.zeros(2 * n)
-    for k, xi in enumerate(amplitudes):
-        xi = complex(xi)
-        mean[2 * k] = np.sqrt(2.0) * xi.real
-        mean[2 * k + 1] = np.sqrt(2.0) * xi.imag
-    return GaussianState(mean=mean, cov=0.5 * np.eye(2 * n))
+    mean = coherent_means(amplitudes)
+    return GaussianState(mean=mean, cov=0.5 * np.eye(mean.size))
 
 
 def apply_to_gaussian(
@@ -308,12 +353,7 @@ def apply_to_gaussian(
     """
     if t.n_modes != s.n_modes:
         raise ValueError(f"mode count mismatch: transform {t.n_modes}, state {s.n_modes}")
-    diag = check_symplectic(t)
-    if not diag.passed:
-        raise ValueError(
-            f"transform is not symplectic within tol={DEFAULT_TOL}: "
-            f"commutation dev {diag.commutation_dev:.3e}, symmetry dev {diag.symmetry_dev:.3e}"
-        )
+    diag = require_symplectic(t)
     S = t.symplectic_matrix()
     out = GaussianState(mean=S @ s.mean, cov=S @ s.cov @ S.T)
     return (out, diag) if return_check else out
@@ -332,7 +372,10 @@ def uncertainty_defect(s: GaussianState) -> float:
     """How far cov + (i/2) Omega is from positive semidefinite (0 if valid).
 
     Returns max(0, -lambda_min); a physical state keeps this at numerical zero.
+    A covariance with a NaN or infinite entry returns inf: it is no state.
     """
+    if not np.isfinite(s.cov).all():
+        return math.inf
     omega = symplectic_form(s.n_modes)
     eigs = np.linalg.eigvalsh(s.cov + 0.5j * omega)
     return float(max(0.0, -eigs.min()))

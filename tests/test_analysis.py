@@ -1,6 +1,7 @@
 """Figures of merit: chaotic photons, fidelity, Q function, noise products."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +22,13 @@ from cvcloner.analysis import (
 )
 from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, build_cloner
 from cvcloner.elements import nopa
+from cvcloner import gaussian
 from cvcloner.gaussian import (
     BogoliubovTransform,
     GaussianState,
+    SymplecticCheck,
+    apply_to_gaussian,
+    coherent_vacuum_input,
     compose,
     embed,
     reduce_mode,
@@ -257,3 +262,58 @@ def test_chaotic_photons_from_state_refuses_a_nan_covariance(cov):
 def test_clone_report_refuses_a_nan_amplitude():
     with pytest.raises(ValueError, match="gain"):
         clone_report(AsymSpec(0.3), complex(math.nan, 0.0))
+
+
+def _patch_everywhere(monkeypatch, fn, replacement):
+    """Route every cvcloner module's binding of fn to replacement."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cvcloner" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, replacement)
+
+
+@pytest.mark.parametrize("spec", [SymSpec(3, 7), AsymSpec(0.4), AsymSpec(-0.2, factorized=True)])
+def test_clone_report_reads_the_clone_rows_without_the_output_state(monkeypatch, spec):
+    machine = build_cloner(spec)
+    calls = {"apply_to_gaussian": 0, "coherent_vacuum_input": 0, "check_symplectic": 0}
+    for fn in (gaussian.apply_to_gaussian, gaussian.coherent_vacuum_input,
+               gaussian.check_symplectic):
+        def counting(*args, fn=fn, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        _patch_everywhere(monkeypatch, fn, counting)
+    clone_report(machine, 0.4 - 0.9j)
+    assert calls == {"apply_to_gaussian": 0, "coherent_vacuum_input": 0, "check_symplectic": 1}
+
+
+def test_clone_report_refuses_a_non_symplectic_transform_as_the_state_route_does():
+    machine = build_cloner(SymSpec(2, 3))
+    t = machine.transform
+    broken = replace(machine, transform=BogoliubovTransform(A=1.01 * t.A, B=t.B))
+    with pytest.raises(ValueError) as state_route:
+        apply_to_gaussian(broken.transform, coherent_vacuum_input(broken.input_amplitudes(1.0)))
+    with pytest.raises(ValueError) as rows_route:
+        clone_report(broken, 1.0)
+    assert str(rows_route.value) == str(state_route.value)
+    assert str(rows_route.value).startswith("transform is not symplectic")
+
+
+def test_state_route_tracks_the_a_row_that_the_b_route_ignores(monkeypatch):
+    # with the check patched to pass, scale clone_1's row of A by 1 + eps:
+    # the covariance route reads (|A_j|^2 + |B_j|^2)/2 - 1/2 and must move by
+    # |A_j|^2 ((1 + eps)^2 - 1)/2, while the |B row|^2 route must not move;
+    # a readout that took n_chaotic_state from |B row|^2 fails here
+    _patch_everywhere(monkeypatch, gaussian.check_symplectic,
+                      lambda t, tol=gaussian.DEFAULT_TOL: SymplecticCheck(0.0, 0.0, tol))
+    eps = 1e-3
+    machine = build_cloner(SymSpec(2, 5))
+    row = machine.clone_modes[0].index
+    A = machine.transform.A.copy()
+    A[row] *= 1.0 + eps
+    scaled = replace(machine, transform=BogoliubovTransform(A=A, B=machine.transform.B))
+    base, moved = clone_report(machine, 0j)[0], clone_report(scaled, 0j)[0]
+    a_norm2 = float(np.sum(machine.transform.A[row] ** 2))
+    expected = a_norm2 * ((1.0 + eps) ** 2 - 1.0) / 2.0
+    assert moved.n_chaotic == base.n_chaotic
+    assert moved.n_chaotic_state - base.n_chaotic_state == pytest.approx(expected, rel=1e-9)
+    others = zip(clone_report(machine, 0j)[1:], clone_report(scaled, 0j)[1:], strict=True)
+    assert all(a.n_chaotic_state == b.n_chaotic_state for a, b in others)

@@ -244,3 +244,18 @@ def test_complex_input_matches_the_dense_exponentials():
         want = _dense_cloner(space.cutoff, gamma) @ psi.amplitudes
         got = apply_cloning_fock(gamma, psi).amplitudes
         assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("xi", [complex("nan"), complex(math.inf, 0.0), complex(0.0, -math.inf)])
+def test_fidelity_fock_refuses_a_non_finite_target(xi):
+    state = coherent_fock(FockSpace(1, 10), [0.3])
+    with pytest.raises(ValueError, match="must be finite"):
+        fidelity_fock(state, 0, xi)
+
+
+def test_fidelity_fock_refuses_a_nan_state():
+    # a NaN population must trip the leakage gate, not slip past it
+    space = FockSpace(2, 6)
+    state = FockState(space, np.full(space.dim, np.nan, dtype=complex))
+    with pytest.raises(TruncationError, match="top-level population nan"):
+        fidelity_fock(state, 0, 0.3)

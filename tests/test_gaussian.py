@@ -1,18 +1,24 @@
 """Core Bogoliubov/Gaussian machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
+from cvcloner.circuits import asym_factorized, sym_n_to_m
 from cvcloner.gaussian import (
+    NOPA,
     BogoliubovTransform,
     GaussianState,
     ModeLabel,
+    Passive,
     SymplecticCheck,
     apply_to_gaussian,
     check_symplectic,
     coherent_vacuum_input,
     compose,
     embed,
+    fold_gates,
     identity_transform,
     reduce_mode,
     symplectic_form,
@@ -183,3 +189,71 @@ def test_symplectic_check_fails_on_nan_in_either_constraint():
         check = SymplecticCheck(*devs)
         assert check.max_dev == float("inf")
         assert not check.passed
+
+
+@pytest.mark.parametrize("cov", [
+    [[np.nan, 0.0], [0.0, np.nan]],   # read 0.707 before it failed closed
+    [[np.inf, 0.0], [0.0, 0.5]],      # read 0.0, a silent pass
+])
+def test_uncertainty_defect_fails_closed_on_a_non_finite_covariance(cov):
+    with np.errstate(invalid="ignore"):  # the symmetry check subtracts inf - inf
+        state = GaussianState(mean=np.zeros(2), cov=cov)
+    assert uncertainty_defect(state) == math.inf
+
+
+def test_transform_keeps_real_matrices_real():
+    real = BogoliubovTransform(A=np.eye(2), B=np.zeros((2, 2)))
+    assert real.A.dtype == real.B.dtype == np.float64
+    mixed = BogoliubovTransform(A=np.eye(2), B=np.zeros((2, 2), dtype=complex))
+    assert mixed.A.dtype == mixed.B.dtype == np.complex128
+
+
+@pytest.mark.parametrize("block", [
+    ((1, 0), (0,)),
+    ((1, 0), (0, 1), (0, 0)),
+    ((1, "x"), (0, 1)),
+    None,
+])
+def test_passive_refuses_a_block_that_is_not_2x2(block):
+    with pytest.raises(ValueError, match=r"Passive gate on \(0, 1\) needs a 2x2 block"):
+        Passive(block, 0, 1)
+
+
+@pytest.mark.parametrize("block", [
+    ((np.nan, 0), (0, 1)),
+    ((1, 0), (0, np.inf)),
+    ((1, complex(0, np.nan)), (0, 1)),
+])
+def test_passive_refuses_a_non_finite_block(block):
+    with pytest.raises(ValueError, match=r"Passive gate on \(0, 1\) has a non-finite block"):
+        Passive(block, 0, 1)
+
+
+@pytest.mark.parametrize("r", [np.inf, -np.inf, np.nan])
+def test_nopa_refuses_a_non_finite_squeeze(r):
+    with pytest.raises(ValueError, match=r"NOPA gate on \(0, 1\) needs a finite r"):
+        NOPA(r, 0, 1)
+
+
+def test_passive_stores_a_block_with_zero_imaginary_parts_as_floats():
+    real = Passive(((1 + 0j, np.float64(0.5)), (0, -1)), 0, 1)
+    assert real.block == ((1.0, 0.5), (0.0, -1.0))
+    assert all(type(x) is float for row in real.block for x in row)
+    lossy = Passive(((1, 0.5j), (0, -1)), 0, 1)
+    assert all(type(x) is complex for row in lossy.block for x in row)
+
+
+def test_fold_is_real_unless_a_gate_is_complex():
+    for t in (sym_n_to_m(3, 5), asym_factorized(0.3)):
+        assert t.A.dtype == t.B.dtype == np.float64
+    gates = (Passive(((0.6, 0.8), (-0.8, 0.6)), 0, 1), NOPA(0.2, 1, 2),
+             Passive(((1j, 0), (0, 1)), 0, 2))
+    t = fold_gates(gates, 3)
+    assert t.A.dtype == t.B.dtype == np.complex128
+    assert check_symplectic(t).passed
+
+
+@pytest.mark.parametrize("amplitudes", [[], [[1.0, 0.5j]]])
+def test_coherent_input_needs_a_flat_list_of_amplitudes(amplitudes):
+    with pytest.raises(ValueError, match="one amplitude per mode"):
+        coherent_vacuum_input(amplitudes)
