@@ -36,7 +36,6 @@ from .gaussian import (
     BogoliubovTransform,
     GaussianState,
     ModeLabel,
-    SymplecticCheck,
     apply_to_gaussian,
     coherent_means,
     coherent_vacuum_input,
@@ -150,33 +149,30 @@ def chaotic_photons_from_state(state: GaussianState) -> float:
     return float(_state_photons(state)[0])
 
 
-def noise_product(t: BogoliubovTransform,
-                  clone_a: int | ModeLabel = 0,
-                  clone_c: int | ModeLabel = 2) -> float:
-    """Product of the chaotic photon numbers on two clone modes.
+def noise_product(t: BogoliubovTransform) -> float:
+    """Product of the chaotic photon numbers on the clone modes 0 and 2.
 
     For the asymmetric 1->2 machine this sits exactly at the 1/4 floor set
     by the no-cloning bound, for every noise split gamma.
     """
-    return chaotic_photons(t, clone_a) * chaotic_photons(t, clone_c)
+    return chaotic_photons(t, 0) * chaotic_photons(t, 2)
 
 
 def phase_covariance_defect(
     t: BogoliubovTransform,
     clone_mode: int | ModeLabel,
-    signal: int | ModeLabel | tuple[int | ModeLabel, ...],
+    signal_modes: tuple[int | ModeLabel, ...],
 ) -> complex:
     """How far a clone's added noise is from phase insensitive.
 
     The noise operator on a clone row is sum_k (A_k a_k + B_k a_k^dag) over
-    the vacuum inputs k, excluding the signal mode(s).  Its <(delta a)^2>
+    the vacuum inputs k, excluding the signal modes.  Its <(delta a)^2>
     moment is sum_k A_k B_k; any nonzero value means squeezed
     (phase-sensitive) noise, which would make the clone quality depend on
     the phase of the input.
     """
-    signals = signal if isinstance(signal, tuple) else (signal,)
     return complex(_phase_covariance_defects(
-        t, [mode_index(clone_mode)], [mode_index(m) for m in signals])[0])
+        t, [mode_index(clone_mode)], [mode_index(m) for m in signal_modes])[0])
 
 
 def q_function(state: GaussianState, alpha: complex) -> float:
@@ -226,15 +222,10 @@ def expected_fidelities(spec: ClonerSpec) -> tuple[float, ...]:
     raise TypeError(f"unknown cloner spec: {spec!r}")
 
 
-def clone_output_state(
-    machine: CloningMachine, xi: complex, *, return_check: bool = False,
-) -> GaussianState | tuple[GaussianState, SymplecticCheck]:
-    """Full multimode Gaussian state leaving the machine for input amplitude xi.
-
-    With return_check, also the symplectic check that cleared the transform.
-    """
+def clone_output_state(machine: CloningMachine, xi: complex) -> GaussianState:
+    """Full multimode Gaussian state leaving the machine for input amplitude xi."""
     state_in = coherent_vacuum_input(machine.input_amplitudes(xi))
-    return apply_to_gaussian(machine.transform, state_in, return_check=return_check)
+    return apply_to_gaussian(machine.transform, state_in)
 
 
 def clone_report(machine: ClonerSpec | CloningMachine,

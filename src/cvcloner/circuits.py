@@ -9,12 +9,14 @@ Three constructions:
   beam splitter BS1(u) on (a, c), a NOPA(v) on (c, b), beam splitter
   BS2(w) on (a, c), with the three angles given by ``asym_params``.  It is a
   Mach-Zehnder interferometer with an amplifier in one arm.
-* ``sym_n_to_m`` -- symmetric machines: collect N identical inputs into one
-  mode, amplify by sqrt(M/N) in a single NOPA, and split the result evenly
-  over M output modes (N = 1 is the 1->M machine).
+* the symmetric N->M machine, built by ``build_cloner(SymSpec(N, M))``:
+  collect N identical inputs into one mode, amplify by sqrt(M/N) in a
+  single NOPA, and split the result evenly over M output modes (N = 1 is
+  the 1->M machine).
 
 The factorized and symmetric machines are ordered lists of two-mode gates,
-folded into (A, B) by ``fold_gates``.
+folded into (A, B) by ``fold_gates``; ``build_cloner`` lays out the
+symmetric machine's wires and gates in one place.
 
 Mode ordering for the symmetric machines: N signal modes, then the NOPA
 idler, then the M-1 distribution ancillas.  The M clones come out on the
@@ -167,25 +169,6 @@ def asym_factorized(gamma: float) -> BogoliubovTransform:
     ), 3)
 
 
-def sym_n_to_m(N: int, M: int) -> BogoliubovTransform:
-    """Symmetric N->M cloner on N+M modes.
-
-    The collect cascade concentrates the N copies on mode 0, one NOPA
-    amplifies the collected mode by sqrt(M/N) against the idler (mode N),
-    and the distribute cascade splits it over mode 0 plus the M-1 ancillas.
-    """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if M < N:
-        raise ValueError(f"need M >= N, got N={N}, M={M}")
-    gates = (
-        collect_gates(N)
-        + (NOPA(math.acosh(math.sqrt(M / N)), 0, N),)
-        + distribute_gates(M, [0] + list(range(N + 1, N + M)))
-    )
-    return fold_gates(gates, N + M)
-
-
 def build_cloner(spec: ClonerSpec) -> CloningMachine:
     """Build the machine a spec describes, with labeled signal/clone modes."""
     if isinstance(spec, AsymSpec):
@@ -198,16 +181,20 @@ def build_cloner(spec: ClonerSpec) -> CloningMachine:
             clone_modes=(ModeLabel(0, "clone_1"), ModeLabel(2, "clone_2")),
         )
     if isinstance(spec, SymSpec):
+        # collect the N copies on mode 0, amplify it by sqrt(M/N) against the
+        # idler (mode N), and split it over mode 0 plus the M-1 ancillas
         N, M = spec.n, spec.m
-        t = sym_n_to_m(N, M)
-        signals = tuple(ModeLabel(k, f"in_{k + 1}") for k in range(N))
-        clone_wires = [0] + list(range(N + 1, N + M))
-        clones = tuple(
-            ModeLabel(w, f"clone_{j + 1}") for j, w in enumerate(sorted(clone_wires))
+        clone_wires = [0, *range(N + 1, N + M)]
+        gates = (
+            collect_gates(N)
+            + (NOPA(math.acosh(math.sqrt(M / N)), 0, N),)
+            + distribute_gates(M, clone_wires)
         )
+        signals = tuple(ModeLabel(k, f"in_{k + 1}") for k in range(N))
+        clones = tuple(ModeLabel(w, f"clone_{j + 1}") for j, w in enumerate(clone_wires))
         return CloningMachine(
             spec=spec,
-            transform=t,
+            transform=fold_gates(gates, N + M),
             signal_modes=signals,
             idler_mode=ModeLabel(N, "idler"),
             clone_modes=clones,

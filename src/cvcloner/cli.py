@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--xi", type=_parse_xi, default=complex(1.0, 0.0),
-                       help="input coherent amplitude as 're,im' (default 1,0)")
+                       help="input coherent amplitude as 're,im' (default 1,0); "
+                            "write a negative real part as --xi=-1,0")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        dest="output_format", help="report format (default json)")
         p.add_argument("--output", default=None,
@@ -169,13 +170,12 @@ def _spec_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         parser.error(str(exc))
 
 
-def _spec_echo(spec: ClonerSpec, xi: complex | None = None) -> dict:
+def _spec_echo(spec: ClonerSpec, xi: complex) -> dict:
     if isinstance(spec, AsymSpec):
         echo: dict = {"kind": "asym", "gamma": spec.gamma, "factorized": spec.factorized}
     else:
         echo = {"kind": "sym", "n": spec.n, "m": spec.m}
-    if xi is not None:
-        echo["xi"] = [xi.real, xi.imag]
+    echo["xi"] = [xi.real, xi.imag]
     return echo
 
 

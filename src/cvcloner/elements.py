@@ -13,8 +13,11 @@ All elements are real-coefficient Bogoliubov transforms:
   inputs into one mode and split one mode evenly over M outputs.
 
 Every constructor here lists its two-mode gates in physical order and hands
-the list to ``fold_gates``, mirroring the table-top layout; the cascade gate
-lists are public so the machines in ``circuits`` can splice them together.
+the list to ``fold_gates``, mirroring the table-top layout.  The transform
+wrappers (``beam_splitter``, ``nopa``, ``collect_chain``,
+``distribute_chain``) act on modes 0..n-1; the gate lists are public so that
+``circuits.build_cloner`` can splice them into the N->M machine, and
+``distribute_gates`` alone takes the wires it splits over.
 """
 
 from __future__ import annotations
@@ -30,16 +33,14 @@ def beam_splitter_gate(theta: float, p: int, q: int) -> Passive:
     return Passive(((c, s), (-s, c)), p, q)
 
 
-def beam_splitter(theta: float, modes=(0, 1)) -> BogoliubovTransform:
-    """Two-mode beam splitter; passive (B = 0), orthogonal on the pair."""
-    m1, m2 = (mode_index(m) for m in modes)
-    return fold_gates((beam_splitter_gate(theta, m1, m2),), max(m1, m2) + 1)
+def beam_splitter(theta: float) -> BogoliubovTransform:
+    """Two-mode beam splitter on modes (0, 1); passive (B = 0), orthogonal."""
+    return fold_gates((beam_splitter_gate(theta, 0, 1),), 2)
 
 
-def nopa(r: float, modes=(0, 1)) -> BogoliubovTransform:
-    """Two-mode squeezer with amplitude gain cosh(r) on both modes."""
-    m1, m2 = (mode_index(m) for m in modes)
-    return fold_gates((NOPA(r, m1, m2),), max(m1, m2) + 1)
+def nopa(r: float) -> BogoliubovTransform:
+    """Two-mode squeezer on modes (0, 1) with amplitude gain cosh(r) on both."""
+    return fold_gates((NOPA(r, 0, 1),), 2)
 
 
 def _wires(size: int, modes) -> list[int]:
@@ -51,9 +52,9 @@ def _wires(size: int, modes) -> list[int]:
     return idx
 
 
-def collect_gates(N: int, modes=None) -> tuple[Passive, ...]:
-    """Gates of ``collect_chain(N, modes)``, in the order they act."""
-    idx = _wires(N, modes)
+def collect_gates(N: int) -> tuple[Passive, ...]:
+    """Gates of ``collect_chain(N)``, in the order they act."""
+    idx = _wires(N, None)
     gates = []
     for j in range(1, N):
         keep = np.sqrt(j / (j + 1.0))
@@ -63,7 +64,8 @@ def collect_gates(N: int, modes=None) -> tuple[Passive, ...]:
 
 
 def distribute_gates(M: int, modes=None) -> tuple[Passive, ...]:
-    """Gates of ``distribute_chain(M, modes)``, in the order they act."""
+    """Gates of ``distribute_chain(M)``, in the order they act, on the wires
+    listed in modes (0..M-1 by default; the signal enters on the first)."""
     idx = _wires(M, modes)
     gates = []
     for j in range(1, M):
@@ -73,23 +75,22 @@ def distribute_gates(M: int, modes=None) -> tuple[Passive, ...]:
     return tuple(gates)
 
 
-def collect_chain(N: int, modes=None) -> BogoliubovTransform:
-    """Cascade of N-1 beam splitters concentrating N equal inputs into one mode.
+def collect_chain(N: int) -> BogoliubovTransform:
+    """Cascade of N-1 beam splitters concentrating N equal inputs into mode 0.
 
     Step j (1-based) mixes the running collected mode d_j with input j+1:
 
         d_{j+1}  = sqrt(j/(j+1)) d_j + sqrt(1/(j+1)) c_{j+1}
         out_{j+1} = sqrt(1/(j+1)) d_j - sqrt(j/(j+1)) c_{j+1}
 
-    so N identical coherent amplitudes xi leave sqrt(N) xi on the first listed
-    mode and vacuum on the rest.  The collected signal stays on modes[0].
+    so N identical coherent amplitudes xi leave sqrt(N) xi on mode 0 and
+    vacuum on the rest.
     """
-    idx = _wires(N, modes)
-    return fold_gates(collect_gates(N, idx), max(idx) + 1)
+    return fold_gates(collect_gates(N), N)
 
 
-def distribute_chain(M: int, modes=None) -> BogoliubovTransform:
-    """Cascade of M-1 beam splitters splitting modes[0] evenly over M outputs.
+def distribute_chain(M: int) -> BogoliubovTransform:
+    """Cascade of M-1 beam splitters splitting mode 0 evenly over M outputs.
 
     Step j taps the running signal e_j into fresh mode j:
 
@@ -97,7 +98,6 @@ def distribute_chain(M: int, modes=None) -> BogoliubovTransform:
         e_{j+1} = sqrt((M-j)/(M-j+1)) e_j - sqrt(1/(M-j+1)) a_j
 
     Every output acquires signal coefficient 1/sqrt(M); the last split signal
-    e_M stays on modes[0].
+    e_M stays on mode 0.
     """
-    idx = _wires(M, modes)
-    return fold_gates(distribute_gates(M, idx), max(idx) + 1)
+    return fold_gates(distribute_gates(M), M)

@@ -103,10 +103,6 @@ class FockState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def top_level_population(self, mode: int | ModeLabel) -> float:
-        """Population sitting at the truncation boundary of one mode."""
-        return float(photon_distribution(self, mode)[-1])
-
 
 def _pair_flow(space: FockSpace, pair: tuple[int, int], squeeze: bool) -> sp.csr_matrix:
     """Real antisymmetric K = H - H^T with H = a_p^dag a_q, or a_p a_q if `squeeze`.

@@ -44,7 +44,6 @@ from .gaussian import check_symplectic, uncertainty_defect, worst_dev
 GAMMA_GRID = tuple(np.linspace(-1.0, 1.0, 41))
 SYM_CASES = ((1, 2), (2, 3), (3, 5), (2, 5), (4, 4), (1, 5))
 XI_PROBES = (0j, 1 + 0j, 2j, -1.5 + 0.5j, 3 - 2j)
-ORACLE_CUTOFFS = (10, 12, 14)
 
 
 @dataclass(frozen=True)
@@ -195,8 +194,7 @@ def _oracle_dev(cutoff: int) -> float:
     return worst_dev(devs)
 
 
-def oracle_agreement(tol: float | None = None,
-                     cutoffs: tuple[int, ...] = ORACLE_CUTOFFS) -> SuiteResult:
+def oracle_agreement(tol: float | None = None, *, cutoffs: tuple[int, ...]) -> SuiteResult:
     """Truncated-Fock fidelities converge to the Gaussian-pipeline values.
 
     Runs the 1->2 machine at gamma in {-0.5, 0, 0.5} and xi in {0, 0.3} for

@@ -12,7 +12,6 @@ from cvcloner.circuits import (
     asym_factorized,
     asym_params,
     build_cloner,
-    sym_n_to_m,
 )
 from cvcloner.elements import distribute_chain, nopa
 from cvcloner.gaussian import check_symplectic, compose, embed
@@ -96,31 +95,29 @@ def test_sym_spec_validation():
     SymSpec(2, 2)  # boundary is allowed
 
 
-def test_sym_n_to_m_one_input_is_nopa_then_split():
+def test_sym_one_input_is_nopa_then_split():
     # dense reference: NOPA(acosh sqrt M) on (signal, idler), then the split
     for m in (1, 2, 4):
         total = m + 1
         amp = embed(nopa(math.acosh(math.sqrt(m))), [0, 1], total)
-        split = distribute_chain(m, [0] + list(range(2, total)))
-        if split.n_modes < total:
-            split = embed(split, list(range(split.n_modes)), total)
-        a, b = compose(split, amp), sym_n_to_m(1, m)
+        split = embed(distribute_chain(m), [0, *range(2, total)], total)
+        a, b = compose(split, amp), build_cloner(SymSpec(1, m)).transform
         assert np.allclose(a.A, b.A, atol=1e-14)
         assert np.allclose(a.B, b.B, atol=1e-14)
 
 
 def test_sym_n_to_m_mode_count_and_symplectic():
     for n, m in ((1, 2), (2, 3), (3, 5), (2, 5), (4, 4)):
-        t = sym_n_to_m(n, m)
+        t = build_cloner(SymSpec(n, m)).transform
         assert t.n_modes == n + m
         assert check_symplectic(t).max_dev < 1e-12
 
 
 def test_sym_n_to_m_rejects_shrinking():
     with pytest.raises(ValueError):
-        sym_n_to_m(3, 2)
+        build_cloner(SymSpec(3, 2))
     with pytest.raises(ValueError):
-        sym_n_to_m(1, 0)
+        SymSpec(1, 0)
 
 
 def test_build_cloner_asym_wiring():

@@ -50,6 +50,13 @@ def test_clone_sym_two_to_three(capsys):
     assert doc["diagnostics"]["factorization_dev"] is None
 
 
+def test_clone_reads_a_negative_real_part_in_the_one_token_form(capsys):
+    # "--xi -1,0.5" would be read as a flag; "--xi=-1,0.5" is one token
+    code, out, _ = run(capsys, ["clone", "--asym", "--gamma", "0", "--xi=-1,0.5"])
+    assert code == 0
+    assert json.loads(out)["spec"]["xi"] == [-1.0, 0.5]
+
+
 def test_clone_trivial_machine(capsys):
     code, out, _ = run(capsys, ["clone", "--sym", "--n", "1", "--m", "1"])
     assert code == 0

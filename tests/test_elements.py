@@ -61,20 +61,6 @@ def test_beam_splitters_on_same_pair_add_angles():
     assert np.allclose(combined.A, beam_splitter(a + b).A, atol=1e-14)
 
 
-def test_beam_splitter_on_chosen_pair_in_larger_register():
-    t = beam_splitter(0.5, modes=(2, 0))
-    assert t.n_modes == 3
-    assert np.isclose(t.A[2, 2], np.cos(0.5))
-    assert np.isclose(t.A[2, 0], np.sin(0.5))
-    assert np.isclose(t.A[0, 2], -np.sin(0.5))
-    assert np.isclose(t.A[1, 1], 1.0)
-
-
-def test_beam_splitter_rejects_equal_modes():
-    with pytest.raises(ValueError):
-        beam_splitter(0.1, modes=(1, 1))
-
-
 # --- NOPA ---
 
 def test_nopa_coefficients_and_symplectic_identity():
@@ -144,15 +130,6 @@ def test_collect_chain_is_passive_and_orthogonal():
 def test_collect_chain_single_mode_is_identity():
     t = collect_chain(1)
     assert np.allclose(t.A, np.eye(1))
-
-
-def test_collect_chain_custom_wires():
-    t = collect_chain(2, modes=[3, 1])
-    state = apply_to_gaussian(
-        t, coherent_vacuum_input([0j, 0.5 + 0j, 0j, 0.5 + 0j]))
-    assert np.isclose(state.mode_amplitude(3), np.sqrt(2) * 0.5)
-    assert abs(state.mode_amplitude(1)) < 1e-12
-    assert np.isclose(state.mode_amplitude(0), 0) and np.isclose(state.mode_amplitude(2), 0)
 
 
 # --- distribute cascade ---

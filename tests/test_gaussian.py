@@ -1,11 +1,12 @@
 """Core Bogoliubov/Gaussian machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cvcloner.circuits import asym_factorized, sym_n_to_m
+from cvcloner.circuits import SymSpec, asym_factorized, build_cloner
 from cvcloner.gaussian import (
     NOPA,
     BogoliubovTransform,
@@ -196,9 +197,20 @@ def test_symplectic_check_fails_on_nan_in_either_constraint():
     [[np.inf, 0.0], [0.0, 0.5]],      # read 0.0, a silent pass
 ])
 def test_uncertainty_defect_fails_closed_on_a_non_finite_covariance(cov):
-    with np.errstate(invalid="ignore"):  # the symmetry check subtracts inf - inf
-        state = GaussianState(mean=np.zeros(2), cov=cov)
+    state = GaussianState(mean=np.zeros(2), cov=cov)
     assert uncertainty_defect(state) == math.inf
+
+
+@pytest.mark.parametrize("cov", [
+    [[np.inf, 0.0], [0.0, 0.5]],
+    [[0.5, np.inf], [np.inf, 0.5]],
+])
+def test_symmetry_check_accepts_mirrored_infs_without_a_warning(cov):
+    # the check must never form inf - inf, which warns and reads NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = GaussianState(mean=np.zeros(2), cov=cov)
+    assert np.array_equal(state.cov, cov)
 
 
 def test_transform_keeps_real_matrices_real():
@@ -235,6 +247,17 @@ def test_nopa_refuses_a_non_finite_squeeze(r):
         NOPA(r, 0, 1)
 
 
+@pytest.mark.parametrize("make_gate", [
+    lambda: Passive(((0.6, 0.8), (-0.8, 0.6)), 1, 1),
+    lambda: NOPA(0.3, 1, 1),
+    lambda: Passive(((0.6, 0.8), (-0.8, 0.6)), -1, 0),
+    lambda: NOPA(0.3, 0, -1),
+], ids=["passive-equal", "nopa-equal", "passive-negative", "nopa-negative"])
+def test_gate_refuses_a_pair_that_is_not_two_distinct_modes(make_gate):
+    with pytest.raises(ValueError, match="two distinct modes >= 0"):
+        make_gate()
+
+
 def test_passive_stores_a_block_with_zero_imaginary_parts_as_floats():
     real = Passive(((1 + 0j, np.float64(0.5)), (0, -1)), 0, 1)
     assert real.block == ((1.0, 0.5), (0.0, -1.0))
@@ -244,7 +267,7 @@ def test_passive_stores_a_block_with_zero_imaginary_parts_as_floats():
 
 
 def test_fold_is_real_unless_a_gate_is_complex():
-    for t in (sym_n_to_m(3, 5), asym_factorized(0.3)):
+    for t in (build_cloner(SymSpec(3, 5)).transform, asym_factorized(0.3)):
         assert t.A.dtype == t.B.dtype == np.float64
     gates = (Passive(((0.6, 0.8), (-0.8, 0.6)), 0, 1), NOPA(0.2, 1, 2),
              Passive(((1j, 0), (0, 1)), 0, 2))
