@@ -59,7 +59,7 @@ class CloneReport:
     fidelity: float            # 1 / (n_chaotic_state + 1)
     fidelity_formula: float    # closed form for this machine
     q_peak: float              # Q(xi) of the reduced clone state; pi*q_peak = fidelity
-    phase_covariance_defect: complex
+    phase_covariance_defect: float
     symplectic_dev: float      # the machine's, from the check that cleared its transform
 
 
@@ -67,10 +67,10 @@ def _where(names: list[str] | None, i: int) -> str:
     return f"{names[i]}: " if names else ""
 
 
-def _chaotic_photons(b_rows: NDArray[np.complex128]) -> NDArray[np.float64]:
+def _chaotic_photons(b_rows: NDArray[np.float64]) -> NDArray[np.float64]:
     """|B row|^2 of each row: the noise an output row adds when every
     non-signal input is vacuum."""
-    return np.sum(np.abs(b_rows) ** 2, axis=-1)
+    return np.sum(b_rows ** 2, axis=-1)
 
 
 def _isotropic_photons(blocks: NDArray[np.float64],
@@ -124,11 +124,11 @@ def _husimi(amps: NDArray[np.complex128], n: NDArray[np.float64],
 
 
 def _phase_covariance_defects(t: BogoliubovTransform, rows: list[int],
-                              signal_cols: list[int]) -> NDArray[np.complex128]:
+                              signal_cols: list[int]) -> NDArray[np.float64]:
     """sum_k A[row, k] B[row, k] over the non-signal columns k, per row."""
     vacuum_a = t.A[rows]
     vacuum_a[:, signal_cols] = 0.0
-    return np.einsum("ij,ij->i", vacuum_a, t.B[rows]).astype(complex)
+    return np.einsum("ij,ij->i", vacuum_a, t.B[rows])
 
 
 def chaotic_photons(t: BogoliubovTransform, mode: int | ModeLabel) -> float:
@@ -137,7 +137,7 @@ def chaotic_photons(t: BogoliubovTransform, mode: int | ModeLabel) -> float:
     With vacuum on every non-signal input, the noise an output row adds is
     the squared norm of its a-dagger coefficients.
     """
-    return float(_chaotic_photons(t.B[[mode_index(mode)]])[0])
+    return float(_chaotic_photons(t.B[[mode_index(mode, t.n_modes)]])[0])
 
 
 def chaotic_photons_from_state(state: GaussianState) -> float:
@@ -162,7 +162,7 @@ def phase_covariance_defect(
     t: BogoliubovTransform,
     clone_mode: int | ModeLabel,
     signal_modes: tuple[int | ModeLabel, ...],
-) -> complex:
+) -> float:
     """How far a clone's added noise is from phase insensitive.
 
     The noise operator on a clone row is sum_k (A_k a_k + B_k a_k^dag) over
@@ -171,8 +171,9 @@ def phase_covariance_defect(
     (phase-sensitive) noise, which would make the clone quality depend on
     the phase of the input.
     """
-    return complex(_phase_covariance_defects(
-        t, [mode_index(clone_mode)], [mode_index(m) for m in signal_modes])[0])
+    return float(_phase_covariance_defects(
+        t, [mode_index(clone_mode, t.n_modes)],
+        [mode_index(m, t.n_modes) for m in signal_modes])[0])
 
 
 def q_function(state: GaussianState, alpha: complex) -> float:

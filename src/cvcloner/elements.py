@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import NOPA, BogoliubovTransform, Passive, fold_gates, mode_index
+from .gaussian import NOPA, BogoliubovTransform, Passive, fold_gates
 
 
 def beam_splitter_gate(theta: float, p: int, q: int) -> Passive:
@@ -43,10 +43,10 @@ def nopa(r: float) -> BogoliubovTransform:
     return fold_gates((NOPA(r, 0, 1),), 2)
 
 
-def _wires(size: int, modes) -> list[int]:
+def _wires(size: int, modes: list[int] | None) -> list[int]:
     if size < 1:
         raise ValueError(f"need at least one mode, got {size}")
-    idx = list(range(size)) if modes is None else [mode_index(m) for m in modes]
+    idx = list(range(size)) if modes is None else list(modes)
     if len(idx) != size or len(set(idx)) != size:
         raise ValueError(f"need {size} distinct modes, got {idx}")
     return idx
@@ -63,7 +63,7 @@ def collect_gates(N: int) -> tuple[Passive, ...]:
     return tuple(gates)
 
 
-def distribute_gates(M: int, modes=None) -> tuple[Passive, ...]:
+def distribute_gates(M: int, modes: list[int] | None = None) -> tuple[Passive, ...]:
     """Gates of ``distribute_chain(M)``, in the order they act, on the wires
     listed in modes (0..M-1 by default; the signal enters on the first)."""
     idx = _wires(M, modes)

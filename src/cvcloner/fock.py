@@ -219,10 +219,8 @@ def _coherent_column(levels: int, xi: complex) -> np.ndarray:
 
 def _mode_rows(state: FockState, mode: int | ModeLabel) -> np.ndarray:
     """Amplitudes as a (levels, rest) matrix whose row index is one mode's photon number."""
-    m = mode_index(mode)
     space = state.space
-    if not 0 <= m < space.n_modes:
-        raise ValueError(f"mode {m} out of range for {space.n_modes} modes")
+    m = mode_index(mode, space.n_modes)
     d = space.levels
     psi = np.asarray(state.amplitudes).reshape((d,) * space.n_modes)
     return np.moveaxis(psi, m, 0).reshape(d, -1)

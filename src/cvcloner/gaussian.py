@@ -1,13 +1,14 @@
 """Linear bosonic-mode transformations and Gaussian states.
 
 A circuit element acting on n modes is stored in the Heisenberg picture as a
-pair of real or complex matrices (A, B) with
+pair of real matrices (A, B) with
 
     a_out[j] = sum_k A[j, k] a[k] + B[j, k] a[k]^dag .
 
-Preservation of the commutation relations requires
+Every element of these machines (beam splitter, NOPA) has real
+coefficients.  Preservation of the commutation relations requires
 
-    A A^dag - B B^dag = I     and     A B^T = B A^T ,
+    A A^T - B B^T = I     and     A B^T = B A^T ,
 
 which :func:`check_symplectic` measures and everything downstream relies on.
 
@@ -23,7 +24,6 @@ so the vacuum variance is 1/2 and a coherent amplitude xi has mean
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -51,24 +51,29 @@ class ModeLabel:
             raise ValueError(f"mode index must be >= 0, got {self.index}")
 
 
-def mode_index(mode: int | ModeLabel) -> int:
-    return mode.index if isinstance(mode, ModeLabel) else int(mode)
+def mode_index(mode: int | ModeLabel, n_modes: int) -> int:
+    """Position of a mode in an n_modes register, refused unless 0 <= k < n_modes."""
+    k = mode.index if isinstance(mode, ModeLabel) else int(mode)
+    if not 0 <= k < n_modes:
+        raise ValueError(f"mode {k} out of range for {n_modes} modes")
+    return k
 
 
 @dataclass(frozen=True)
 class BogoliubovTransform:
     """Heisenberg-picture linear mode map a_out = A a + B a^dag.
 
-    A and B are stored as float64 when both are real, as complex128 otherwise.
+    A and B are real and stored as float64; a complex matrix is refused.
     """
 
-    A: NDArray[np.float64] | NDArray[np.complex128]
-    B: NDArray[np.float64] | NDArray[np.complex128]
+    A: NDArray[np.float64]
+    B: NDArray[np.float64]
 
     def __post_init__(self) -> None:
         A, B = np.asarray(self.A), np.asarray(self.B)
-        dtype = complex if np.iscomplexobj(A) or np.iscomplexobj(B) else float
-        A, B = np.array(A, dtype=dtype), np.array(B, dtype=dtype)
+        if np.iscomplexobj(A) or np.iscomplexobj(B):
+            raise ValueError(f"A and B must be real, got {A.dtype} and {B.dtype}")
+        A, B = np.array(A, dtype=float), np.array(B, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if B.shape != A.shape:
@@ -83,18 +88,16 @@ class BogoliubovTransform:
     def symplectic_matrix(self) -> NDArray[np.float64]:
         """Real 2n x 2n quadrature matrix S with r_out = S r_in.
 
-        The xxpp blocks [[Re(A+B), -Im(A-B)], [Im(A+B), Re(A-B)]] are written
-        straight into the interleaved convention: x rows and columns are the
-        even indices, p the odd ones.  S Omega S^T = Omega holds exactly when
-        (A, B) satisfy the commutation constraints; that property is enforced
-        by tests rather than assumed here.
+        With real (A, B), x' = (A+B) x and p' = (A-B) p: the xxpp blocks
+        [[A+B, 0], [0, A-B]] are written straight into the interleaved
+        convention, where x rows and columns are the even indices and p the
+        odd ones.  S Omega S^T = Omega holds exactly when (A, B) satisfy the
+        commutation constraints; that property is enforced by tests rather
+        than assumed here.
         """
-        plus, minus = self.A + self.B, self.A - self.B
-        S = np.empty((2 * self.n_modes, 2 * self.n_modes))
-        S[0::2, 0::2] = plus.real
-        S[0::2, 1::2] = -minus.imag
-        S[1::2, 0::2] = plus.imag
-        S[1::2, 1::2] = minus.real
+        S = np.zeros((2 * self.n_modes, 2 * self.n_modes))
+        S[0::2, 0::2] = self.A + self.B
+        S[1::2, 1::2] = self.A - self.B
         return S
 
 
@@ -124,7 +127,7 @@ class GaussianState:
 
     def mode_amplitude(self, mode: int | ModeLabel) -> complex:
         """Coherent amplitude (x + i p)/sqrt(2) carried by one mode's mean."""
-        k = mode_index(mode)
+        k = mode_index(mode, self.n_modes)
         return complex(self.mean[2 * k] + 1j * self.mean[2 * k + 1]) / np.sqrt(2.0)
 
 
@@ -132,7 +135,7 @@ class GaussianState:
 class SymplecticCheck:
     """Deviations of the two commutation-preservation constraints."""
 
-    commutation_dev: float  # max |A A^dag - B B^dag - I|
+    commutation_dev: float  # max |A A^T - B B^T - I|
     symmetry_dev: float     # max |A B^T - B A^T|
 
     @property
@@ -159,12 +162,12 @@ class Passive:
 
         a_p' = a a_p + b a_q,    a_q' = c a_p + d a_q.
 
-    Every element this package builds has a real block.  A block is refused
-    unless it is 2x2 and finite; one whose imaginary parts are all zero is
-    stored as floats, any other as complex numbers.
+    The block is stored as floats.  It is refused unless it is 2x2, real
+    and finite; a complex entry is refused even when its imaginary part is
+    zero, since float() of a numpy complex only warns and drops that part.
     """
 
-    block: tuple[tuple[complex, complex], tuple[complex, complex]]
+    block: tuple[tuple[float, float], tuple[float, float]]
     p: int
     q: int
 
@@ -172,17 +175,21 @@ class Passive:
         _check_pair(self.p, self.q)
         try:
             (a, b), (c, d) = self.block
-            entries = [complex(a), complex(b), complex(c), complex(d)]
+            entries = (a, b, c, d)
+            real = not any(isinstance(x, (complex, np.complexfloating)) for x in entries)
+            a, b, c, d = map(float, entries) if real else entries
         except (TypeError, ValueError):
             raise ValueError(
                 f"Passive gate on ({self.p}, {self.q}) needs a 2x2 block, got {self.block!r}"
             ) from None
-        if not all(map(cmath.isfinite, entries)):
+        if not real:
+            raise ValueError(
+                f"Passive gate on ({self.p}, {self.q}) needs a real block, got {self.block!r}"
+            )
+        if not all(map(math.isfinite, (a, b, c, d))):
             raise ValueError(
                 f"Passive gate on ({self.p}, {self.q}) has a non-finite block {self.block!r}"
             )
-        real = [x.real for x in entries]
-        a, b, c, d = real if real == entries else entries
         object.__setattr__(self, "block", ((a, b), (c, d)))
 
 
@@ -226,7 +233,7 @@ def compose(second: BogoliubovTransform, first: BogoliubovTransform) -> Bogoliub
     """Transform equivalent to applying `first` and then `second`.
 
     Substituting first's input-output relations into second's gives
-    A = A2 A1 + B2 conj(B1) and B = A2 B1 + B2 conj(A1).
+    A = A2 A1 + B2 B1 and B = A2 B1 + B2 A1.
     """
     if second.n_modes != first.n_modes:
         raise ValueError(
@@ -235,8 +242,8 @@ def compose(second: BogoliubovTransform, first: BogoliubovTransform) -> Bogoliub
     A2, B2 = second.A, second.B
     A1, B1 = first.A, first.B
     return BogoliubovTransform(
-        A=A2 @ A1 + B2 @ B1.conj(),
-        B=A2 @ B1 + B2 @ A1.conj(),
+        A=A2 @ A1 + B2 @ B1,
+        B=A2 @ B1 + B2 @ A1,
     )
 
 
@@ -245,18 +252,13 @@ def fold_gates(gates: Iterable[Gate], n_modes: int) -> BogoliubovTransform:
 
     Each gate rewrites only rows p and q of (A, B), so a gate costs O(n)
     where ``compose`` of the embedded gate costs O(n^3).  The row updates are
-    compose's A = A2 A1 + B2 conj(B1), B = A2 B1 + B2 conj(A1) with the
-    gate's identity rows dropped.
-
-    The fold runs in float64 when every gate is real (a NOPA always is, a
-    Passive when its block is stored as floats) and in complex128 otherwise.
+    compose's A = A2 A1 + B2 B1, B = A2 B1 + B2 A1 with the gate's identity
+    rows dropped.  Every gate is real, so the fold runs in float64.
     """
     n = int(n_modes)
     if n < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    gates = tuple(gates)
-    real = not any(isinstance(g, Passive) and isinstance(g.block[0][0], complex) for g in gates)
-    rows = np.zeros((n, 2, n), dtype=float if real else complex)  # rows[j] = (A[j], B[j])
+    rows = np.zeros((n, 2, n))  # rows[j] = (A[j], B[j])
     rows[:, 0] = np.eye(n)
     for gate in gates:
         p, q = gate.p, gate.q
@@ -269,11 +271,10 @@ def fold_gates(gates: Iterable[Gate], n_modes: int) -> BogoliubovTransform:
             rows[p] = a * xp + b * xq
             rows[q] = c * xp + d * xq
         else:
-            # xq[::-1] is (B_q, A_q): the a^dag rows a NOPA feeds across the pair;
-            # conj() of a real array is the array itself, with no copy
+            # xq[::-1] is (B_q, A_q): the a^dag rows a NOPA feeds across the pair
             ch, sh = np.cosh(gate.r), np.sinh(gate.r)
-            rows[p] = ch * xp - sh * xq[::-1].conj()
-            rows[q] = ch * xq - sh * xp[::-1].conj()
+            rows[p] = ch * xp - sh * xq[::-1]
+            rows[q] = ch * xq - sh * xp[::-1]
     return BogoliubovTransform(A=rows[:, 0], B=rows[:, 1])
 
 
@@ -283,15 +284,13 @@ def embed(
     total: int,
 ) -> BogoliubovTransform:
     """Place `t` on the listed modes of a `total`-mode register, identity elsewhere."""
-    idx = [mode_index(m) for m in targets]
+    idx = [mode_index(m, total) for m in targets]
     if len(idx) != t.n_modes:
         raise ValueError(f"expected {t.n_modes} target modes, got {len(idx)}")
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate target modes: {idx}")
-    if any(k < 0 or k >= total for k in idx):
-        raise ValueError(f"target modes {idx} out of range for total={total}")
-    A = np.eye(total, dtype=t.A.dtype)
-    B = np.zeros((total, total), dtype=t.B.dtype)
+    A = np.eye(total)
+    B = np.zeros((total, total))
     A[np.ix_(idx, idx)] = t.A
     B[np.ix_(idx, idx)] = t.B
     return BogoliubovTransform(A=A, B=B)
@@ -301,7 +300,7 @@ def check_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
     """Measure how far (A, B) sits from a valid Bogoliubov transform."""
     A, B = t.A, t.B
     eye = np.eye(t.n_modes)
-    commutation = np.abs(A @ A.conj().T - B @ B.conj().T - eye).max()
+    commutation = np.abs(A @ A.T - B @ B.T - eye).max()
     symmetry = np.abs(A @ B.T - B @ A.T).max()
     return SymplecticCheck(commutation_dev=float(commutation), symmetry_dev=float(symmetry))
 
@@ -348,9 +347,7 @@ def apply_to_gaussian(t: BogoliubovTransform, s: GaussianState) -> GaussianState
 
 def reduce_mode(s: GaussianState, mode: int | ModeLabel) -> GaussianState:
     """Single-mode marginal (Gaussian partial trace over the other modes)."""
-    k = mode_index(mode)
-    if k >= s.n_modes:
-        raise ValueError(f"mode {k} out of range for {s.n_modes}-mode state")
+    k = mode_index(mode, s.n_modes)
     sl = slice(2 * k, 2 * k + 2)
     return GaussianState(mean=s.mean[sl].copy(), cov=s.cov[sl, sl].copy())
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,99 +86,89 @@ def _closed_form_machines() -> list[CloningMachine]:
             + [machine for machine in _machines() if isinstance(machine.spec, SymSpec)])
 
 
-def symplectic_invariants(tol: float | None = None) -> SuiteResult:
+def symplectic_invariants() -> SuiteResult:
     """Every constructed transform satisfies the Bogoliubov conditions."""
-    tol = 1e-10 if tol is None else tol
     machines = [machine for pair in _grid() for machine in pair] + list(_machines())
     worst = worst_dev(check_symplectic(machine.transform).max_dev for machine in machines)
-    return SuiteResult("symplectic_invariants", worst, tol)
+    return SuiteResult("symplectic_invariants", worst, 1e-10)
 
 
-def factorization_equivalence(tol: float | None = None) -> SuiteResult:
+def factorization_equivalence() -> SuiteResult:
     """BS/NOPA/BS assembly matches the closed-form machine elementwise."""
-    tol = 1e-9 if tol is None else tol
     devs = []
     for direct, factorized in _grid():
         d, f = direct.transform, factorized.transform
         devs += [float(np.abs(d.A - f.A).max()), float(np.abs(d.B - f.B).max())]
     u0 = abs(asym_params(0.0).u)
-    return SuiteResult("factorization_equivalence", worst_dev(devs + [u0]), tol,
+    return SuiteResult("factorization_equivalence", worst_dev(devs + [u0]), 1e-9,
                        details={"u_at_gamma_zero": u0})
 
 
-def fidelity_closed_forms(tol: float | None = None) -> SuiteResult:
+def fidelity_closed_forms() -> SuiteResult:
     """Pipeline fidelities reproduce the closed forms for every machine."""
-    tol = 1e-10 if tol is None else tol
     worst = worst_dev(abs(r.fidelity - r.fidelity_formula)
                       for machine in _closed_form_machines()
                       for r in clone_report(machine))
-    return SuiteResult("fidelity_closed_forms", worst, tol)
+    return SuiteResult("fidelity_closed_forms", worst, 1e-10)
 
 
-def chaotic_photon_forms(tol: float | None = None) -> SuiteResult:
+def chaotic_photon_forms() -> SuiteResult:
     """B-row photon counts reproduce the closed forms for every machine."""
-    tol = 1e-10 if tol is None else tol
     devs = []
     for machine in _closed_form_machines():
         forms = expected_chaotic_photons(machine.spec)
         devs += [abs(chaotic_photons(machine.transform, mode) - form)
                  for mode, form in zip(machine.clone_modes, forms, strict=True)]
-    return SuiteResult("chaotic_photon_forms", worst_dev(devs), tol)
+    return SuiteResult("chaotic_photon_forms", worst_dev(devs), 1e-10)
 
 
-def noise_product_saturation(tol: float | None = None) -> SuiteResult:
+def noise_product_saturation() -> SuiteResult:
     """The asymmetric family sits exactly on the 1/4 noise-product floor."""
-    tol = 1e-12 if tol is None else tol
     worst = worst_dev(abs(noise_product(direct.transform) - 0.25) for direct, _ in _grid())
-    return SuiteResult("noise_product_saturation", worst, tol)
+    return SuiteResult("noise_product_saturation", worst, 1e-12)
 
 
-def q_function_identity(tol: float | None = None) -> SuiteResult:
+def q_function_identity() -> SuiteResult:
     """pi * Q(xi) equals the fidelity for every clone of every machine."""
-    tol = 1e-10 if tol is None else tol
     worst = worst_dev(abs(np.pi * r.q_peak - r.fidelity)
                       for machine in _machines() for r in clone_report(machine, 0.7 - 0.2j))
-    return SuiteResult("q_function_identity", worst, tol)
+    return SuiteResult("q_function_identity", worst, 1e-10)
 
 
-def fidelity_invariance(tol: float | None = None) -> SuiteResult:
+def fidelity_invariance() -> SuiteResult:
     """Fidelity does not depend on the input amplitude."""
-    tol = 1e-10 if tol is None else tol
     devs = []
     for machine in _machines():
         arr = np.asarray([[r.fidelity for r in clone_report(machine, xi)]
                           for xi in XI_PROBES])
         devs += list(arr.max(axis=0) - arr.min(axis=0))
-    return SuiteResult("fidelity_invariance", worst_dev(devs), tol)
+    return SuiteResult("fidelity_invariance", worst_dev(devs), 1e-10)
 
 
-def phase_covariance(tol: float | None = None) -> SuiteResult:
+def phase_covariance() -> SuiteResult:
     """Added noise on every clone is phase insensitive."""
-    tol = 1e-10 if tol is None else tol
     devs = []
     for machine in _machines():
         devs += [abs(phase_covariance_defect(machine.transform, mode, machine.signal_modes))
                  for mode in machine.clone_modes]
-    return SuiteResult("phase_covariance", worst_dev(devs), tol)
+    return SuiteResult("phase_covariance", worst_dev(devs), 1e-10)
 
 
-def uncertainty_preservation(tol: float | None = None) -> SuiteResult:
+def uncertainty_preservation() -> SuiteResult:
     """Output states of every machine remain physical Gaussian states."""
-    tol = 1e-10 if tol is None else tol
     worst = worst_dev(uncertainty_defect(clone_output_state(machine, 0.8 + 0.3j))
                       for machine in _machines())
-    return SuiteResult("uncertainty_preservation", worst, tol)
+    return SuiteResult("uncertainty_preservation", worst, 1e-10)
 
 
-def unit_signal_gain(tol: float | None = None) -> SuiteResult:
+def unit_signal_gain() -> SuiteResult:
     """Every clone keeps the input amplitude exactly."""
-    tol = 1e-12 if tol is None else tol
     xi = 1.1 - 0.6j
     devs = []
     for machine in _machines():
         out = clone_output_state(machine, xi)
         devs += [abs(out.mode_amplitude(mode) - xi) for mode in machine.clone_modes]
-    return SuiteResult("unit_signal_gain", worst_dev(devs), tol)
+    return SuiteResult("unit_signal_gain", worst_dev(devs), 1e-12)
 
 
 def _oracle_dev(cutoff: int) -> float:
@@ -225,16 +215,21 @@ def oracle_agreement(tol: float | None = None, *, cutoffs: tuple[int, ...]) -> S
 
 
 def standard_suites(tol: float | None = None) -> list[SuiteResult]:
-    """The fast suites, in reporting order (everything except the oracle)."""
-    return [
-        symplectic_invariants(tol),
-        factorization_equivalence(tol),
-        fidelity_closed_forms(tol),
-        chaotic_photon_forms(tol),
-        noise_product_saturation(tol),
-        q_function_identity(tol),
-        fidelity_invariance(tol),
-        phase_covariance(tol),
-        uncertainty_preservation(tol),
-        unit_signal_gain(tol),
+    """The fast suites, in reporting order (everything except the oracle).
+
+    A given tol replaces every suite's own tolerance; no suite's deviation
+    depends on it.
+    """
+    suites = [
+        symplectic_invariants(),
+        factorization_equivalence(),
+        fidelity_closed_forms(),
+        chaotic_photon_forms(),
+        noise_product_saturation(),
+        q_function_identity(),
+        fidelity_invariance(),
+        phase_covariance(),
+        uncertainty_preservation(),
+        unit_signal_gain(),
     ]
+    return suites if tol is None else [replace(result, tolerance=tol) for result in suites]

@@ -96,8 +96,7 @@ def test_phase_covariance_defect_matches_the_column_loop():
     # the vectorised sum may round in another order, so compare to a few ulps
     rng = np.random.default_rng(7)
     n = 9
-    t = BogoliubovTransform(A=rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
-                            B=rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    t = BogoliubovTransform(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, n)))
     for row, signal in ((0, (2,)), (4, (0, 1, 5)), (8, (3,)), (2, ())):
         terms = [t.A[row, k] * t.B[row, k] for k in range(n) if k not in signal]
         scale = sum(abs(x) for x in terms)
@@ -107,8 +106,8 @@ def test_phase_covariance_defect_matches_the_column_loop():
 def test_single_mode_squeezer_has_nonzero_defect():
     r = 0.25
     squeezer = BogoliubovTransform(
-        A=np.array([[np.cosh(r)]], dtype=complex),
-        B=np.array([[np.sinh(r)]], dtype=complex),
+        A=np.array([[np.cosh(r)]]),
+        B=np.array([[np.sinh(r)]]),
     )
     d = phase_covariance_defect(squeezer, 0, ())
     assert abs(d - np.cosh(r) * np.sinh(r)) < 1e-14
@@ -117,8 +116,8 @@ def test_single_mode_squeezer_has_nonzero_defect():
 def test_squeezing_a_clone_output_breaks_phase_covariance():
     r = 0.25
     squeezer = BogoliubovTransform(
-        A=np.array([[np.cosh(r)]], dtype=complex),
-        B=np.array([[np.sinh(r)]], dtype=complex),
+        A=np.array([[np.cosh(r)]]),
+        B=np.array([[np.sinh(r)]]),
     )
     doctored = compose(embed(squeezer, [0], 3), asym_direct(0.1))
     d = phase_covariance_defect(doctored, 0, (2,))

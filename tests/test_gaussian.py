@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from cvcloner.circuits import SymSpec, asym_factorized, build_cloner
+from cvcloner.analysis import chaotic_photons, phase_covariance_defect
+from cvcloner.circuits import asym_direct
+from cvcloner.fock import FockSpace, coherent_fock, reduced_density_matrix
 from cvcloner.gaussian import (
     NOPA,
     BogoliubovTransform,
@@ -19,7 +21,6 @@ from cvcloner.gaussian import (
     coherent_vacuum_input,
     compose,
     embed,
-    fold_gates,
     identity_transform,
     reduce_mode,
     symplectic_form,
@@ -28,10 +29,9 @@ from cvcloner.gaussian import (
 
 
 def random_passive(n, rng):
-    # unitary A, zero B: always a valid transform
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, _ = np.linalg.qr(z)
-    return BogoliubovTransform(A=q, B=np.zeros((n, n), dtype=complex))
+    # orthogonal A, zero B: always a valid transform
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return BogoliubovTransform(A=q, B=np.zeros((n, n)))
 
 
 def test_symplectic_form_is_antisymmetric_and_squares_to_minus_one():
@@ -56,11 +56,9 @@ def test_identity_transform_rejects_nonpositive_mode_count():
 
 def test_transform_validation_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        BogoliubovTransform(A=np.eye(2, dtype=complex),
-                            B=np.zeros((3, 3), dtype=complex))
+        BogoliubovTransform(A=np.eye(2), B=np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        BogoliubovTransform(A=np.ones((2, 3), dtype=complex),
-                            B=np.zeros((2, 3), dtype=complex))
+        BogoliubovTransform(A=np.ones((2, 3)), B=np.zeros((2, 3)))
 
 
 def test_transform_arrays_are_read_only():
@@ -70,8 +68,7 @@ def test_transform_arrays_are_read_only():
 
 
 def test_check_symplectic_flags_broken_transform():
-    bad = BogoliubovTransform(A=1.1 * np.eye(2, dtype=complex),
-                              B=np.zeros((2, 2), dtype=complex))
+    bad = BogoliubovTransform(A=1.1 * np.eye(2), B=np.zeros((2, 2)))
     chk = check_symplectic(bad)
     assert not chk.passed
     assert chk.commutation_dev > 0.1
@@ -148,8 +145,7 @@ def test_apply_to_gaussian_transforms_moments():
 
 
 def test_apply_to_gaussian_rejects_nonsymplectic():
-    bad = BogoliubovTransform(A=2 * np.eye(1, dtype=complex),
-                              B=np.zeros((1, 1), dtype=complex))
+    bad = BogoliubovTransform(A=2 * np.eye(1), B=np.zeros((1, 1)))
     with pytest.raises(ValueError):
         apply_to_gaussian(bad, coherent_vacuum_input([0j]))
 
@@ -214,10 +210,10 @@ def test_symmetry_check_accepts_mirrored_infs_without_a_warning(cov):
 
 
 def test_transform_keeps_real_matrices_real():
-    real = BogoliubovTransform(A=np.eye(2), B=np.zeros((2, 2)))
-    assert real.A.dtype == real.B.dtype == np.float64
-    mixed = BogoliubovTransform(A=np.eye(2), B=np.zeros((2, 2), dtype=complex))
-    assert mixed.A.dtype == mixed.B.dtype == np.complex128
+    ints = BogoliubovTransform(A=np.eye(2, dtype=int), B=np.zeros((2, 2), dtype=int))
+    assert ints.A.dtype == ints.B.dtype == np.float64
+    with pytest.raises(ValueError, match="must be real"):
+        BogoliubovTransform(A=np.eye(2), B=np.zeros((2, 2), dtype=complex))
 
 
 @pytest.mark.parametrize("block", [
@@ -234,11 +230,22 @@ def test_passive_refuses_a_block_that_is_not_2x2(block):
 @pytest.mark.parametrize("block", [
     ((np.nan, 0), (0, 1)),
     ((1, 0), (0, np.inf)),
-    ((1, complex(0, np.nan)), (0, 1)),
 ])
 def test_passive_refuses_a_non_finite_block(block):
     with pytest.raises(ValueError, match=r"Passive gate on \(0, 1\) has a non-finite block"):
         Passive(block, 0, 1)
+
+
+@pytest.mark.parametrize("entry", [
+    complex(0, np.nan),
+    1 + 0j,
+    0.5j,
+    np.complex128(1),
+    np.complex64(1),
+], ids=["complex-nan", "zero-imaginary", "imaginary", "complex128", "complex64"])
+def test_passive_refuses_a_block_that_is_not_real(entry):
+    with pytest.raises(ValueError, match=r"Passive gate on \(0, 1\) needs a real block"):
+        Passive(((1, entry), (0, 1)), 0, 1)
 
 
 @pytest.mark.parametrize("r", [np.inf, -np.inf, np.nan])
@@ -258,22 +265,29 @@ def test_gate_refuses_a_pair_that_is_not_two_distinct_modes(make_gate):
         make_gate()
 
 
-def test_passive_stores_a_block_with_zero_imaginary_parts_as_floats():
-    real = Passive(((1 + 0j, np.float64(0.5)), (0, -1)), 0, 1)
-    assert real.block == ((1.0, 0.5), (0.0, -1.0))
-    assert all(type(x) is float for row in real.block for x in row)
-    lossy = Passive(((1, 0.5j), (0, -1)), 0, 1)
-    assert all(type(x) is complex for row in lossy.block for x in row)
+def test_passive_stores_its_block_as_floats():
+    gate = Passive(((1, np.float64(0.5)), (np.int64(0), -1)), 0, 1)
+    assert gate.block == ((1.0, 0.5), (0.0, -1.0))
+    assert all(type(x) is float for row in gate.block for x in row)
 
 
-def test_fold_is_real_unless_a_gate_is_complex():
-    for t in (build_cloner(SymSpec(3, 5)).transform, asym_factorized(0.3)):
-        assert t.A.dtype == t.B.dtype == np.float64
-    gates = (Passive(((0.6, 0.8), (-0.8, 0.6)), 0, 1), NOPA(0.2, 1, 2),
-             Passive(((1j, 0), (0, 1)), 0, 2))
-    t = fold_gates(gates, 3)
-    assert t.A.dtype == t.B.dtype == np.complex128
-    assert check_symplectic(t).passed
+@pytest.mark.parametrize("read, mode", [
+    (lambda k: coherent_vacuum_input([0j] * 3).mode_amplitude(k), -1),
+    (lambda k: coherent_vacuum_input([0j] * 3).mode_amplitude(k), 3),
+    (lambda k: chaotic_photons(asym_direct(0.3), k), -1),
+    (lambda k: chaotic_photons(asym_direct(0.3), k), 3),
+    (lambda k: phase_covariance_defect(asym_direct(0.3), k, (2,)), -1),
+    (lambda k: phase_covariance_defect(asym_direct(0.3), 0, (k,)), -1),
+    (lambda k: reduce_mode(coherent_vacuum_input([0j] * 3), k), -1),
+    (lambda k: embed(identity_transform(2), [0, k], 3), -1),
+    (lambda k: reduced_density_matrix(coherent_fock(FockSpace(3, 2), [0j] * 3), k), -1),
+], ids=["amplitude-negative", "amplitude-past-end", "photons-negative", "photons-past-end",
+        "defect-clone-negative", "defect-signal-negative", "reduce-negative",
+        "embed-negative", "fock-negative"])
+def test_a_mode_outside_the_register_is_refused(read, mode):
+    # a negative mode must not wrap round to the last one, as numpy indexing would
+    with pytest.raises(ValueError, match=rf"mode {mode} out of range for 3 modes"):
+        read(mode)
 
 
 @pytest.mark.parametrize("amplitudes", [[], [[1.0, 0.5j]]])

@@ -5,6 +5,10 @@ float64 cancellation in the symplectic residual past any fixed tolerance,
 which is a floating-point artifact rather than a physics statement.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,10 +117,10 @@ def test_outputs_remain_physical_states(g, xi):
 
 
 def _gate_on(n):
-    """A random complex passive block (not necessarily unitary) or NOPA on a
-    random pair; complex blocks make the NOPA's conjugations matter."""
+    """A random real passive block (not necessarily orthogonal) or NOPA on a
+    random pair."""
     pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
-    entry = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    entry = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
     passive = st.builds(lambda b, pq: Passive(((b[0], b[1]), (b[2], b[3])), *pq),
                         st.lists(entry, min_size=4, max_size=4), pair)
     squeeze = st.builds(lambda r, pq: NOPA(r, *pq),
@@ -138,7 +142,9 @@ def test_fold_equals_composing_the_embedded_gates(case):
         if isinstance(g, Passive):
             two = BogoliubovTransform(A=np.array(g.block), B=np.zeros((2, 2)))
         else:
-            two = nopa(g.r)
+            # the NOPA's closed form, independent of the fold under test
+            two = BogoliubovTransform(A=np.cosh(g.r) * np.eye(2),
+                                      B=-np.sinh(g.r) * np.array([[0.0, 1.0], [1.0, 0.0]]))
         dense = compose(embed(two, [g.p, g.q], n), dense)
     folded = fold_gates(gates, n)
     scale = max(1.0, np.abs(dense.A).max(), np.abs(dense.B).max())
@@ -147,20 +153,39 @@ def test_fold_equals_composing_the_embedded_gates(case):
 
 
 @st.composite
-def complex_pairs(draw):
+def real_pairs(draw):
     n = draw(st.integers(min_value=1, max_value=8))
-    entries = st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
-                                          allow_infinity=False),
+    entries = st.lists(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
                        min_size=n * n, max_size=n * n)
-    return (np.array(draw(entries), dtype=complex).reshape(n, n),
-            np.array(draw(entries), dtype=complex).reshape(n, n))
+    return (np.array(draw(entries)).reshape(n, n),
+            np.array(draw(entries)).reshape(n, n))
 
 
-@given(complex_pairs())
+@given(real_pairs())
 def test_symplectic_matrix_is_the_permuted_block_matrix(pair):
     A, B = pair
     n = A.shape[0]
-    blocks = np.block([[(A + B).real, -(A - B).imag], [(A + B).imag, (A - B).real]])
+    zero = np.zeros((n, n))
+    blocks = np.block([[A + B, zero], [zero, A - B]])
     perm = np.arange(2 * n).reshape(2, n).T.reshape(-1)  # xxpp -> interleaved
     expected = blocks[np.ix_(perm, perm)]
     assert np.array_equal(BogoliubovTransform(A=A, B=B).symplectic_matrix(), expected)
+
+
+def test_a_failing_property_is_reported_with_its_example(tmp_path):
+    # run under this repository's pytest settings, warnings-as-errors included,
+    # from tmp_path so that hypothesis keeps its database there
+    root = Path(__file__).resolve().parents[1]
+    case = tmp_path / "test_failing_property.py"
+    case.write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 5\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(root / "pyproject.toml"),
+         "--rootdir", str(root), "-p", "no:cacheprovider", str(case)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout

@@ -63,3 +63,11 @@ def test_suites_share_one_build_of_each_machine(monkeypatch):
     assert cold == Counter(specs) + Counter(
         asym_direct=sum(not spec.factorized for spec in asym),
         asym_factorized=sum(spec.factorized for spec in asym))
+
+
+def test_a_given_tolerance_replaces_each_suite_tolerance_and_no_deviation():
+    default = verification.standard_suites()
+    tight = verification.standard_suites(1e-30)
+    assert [r.name for r in tight] == [r.name for r in default]
+    assert [r.max_dev for r in tight] == [r.max_dev for r in default]
+    assert all(r.tolerance == 1e-30 for r in tight)
