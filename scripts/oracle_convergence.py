@@ -17,7 +17,7 @@ from cvcloner.circuits import AsymSpec
 from cvcloner.fock import (
     FockSpace,
     TruncationError,
-    apply_cloning_fock,
+    apply_cloning_fock_block,
     coherent_fock,
     fidelity_fock,
 )
@@ -29,14 +29,15 @@ AMPLITUDES = (0.0, 0.3, 0.5)
 
 def worst_deviation(cutoff: int) -> float:
     space = FockSpace(3, cutoff)
+    probes = [(gamma, xi) for gamma in GAMMAS for xi in AMPLITUDES]
+    outs = apply_cloning_fock_block([(gamma, coherent_fock(space, [0j, 0j, xi]))
+                                     for gamma, xi in probes])
     dev = 0.0
-    for gamma in GAMMAS:
+    for (gamma, xi), out in zip(probes, outs, strict=True):
         fa, fc = expected_fidelities(AsymSpec(gamma))
-        for xi in AMPLITUDES:
-            out = apply_cloning_fock(gamma, coherent_fock(space, [0j, 0j, xi]))
-            dev = worst_dev((dev,
-                             abs(fidelity_fock(out, 0, xi) - fa),
-                             abs(fidelity_fock(out, 2, xi) - fc)))
+        dev = worst_dev((dev,
+                         abs(fidelity_fock(out, 0, xi) - fa),
+                         abs(fidelity_fock(out, 2, xi) - fc)))
     return dev
 
 

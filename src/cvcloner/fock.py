@@ -16,8 +16,11 @@ Numerical core: each generator is i times a real antisymmetric matrix in the
 number basis, so every factor of C is a real orthogonal matrix.  Truncation
 therefore never breaks unitarity; it only leaks population into the top Fock
 levels, which is measured and gated rather than ignored.  C is never formed
-as a matrix: both factors act on the state vector by Krylov steps
-(``expm_multiply``) with the sparse generators.
+as a matrix: each factor acts on the state by a truncated Taylor series with
+scaling (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488), stepped with
+the sparse generator and stopped once the next two terms fall below double
+precision.  The degree and the number of scaling steps come from the
+generator's exact 1-norm, which is computed once, beside the generator.
 
 Each generator is written directly from basis-index arithmetic: the nonzeros
 of a_p^dag a_q (or a_p a_q) are sqrt(n_p + 1) sqrt(n_q) (or sqrt(n_p)
@@ -25,8 +28,9 @@ sqrt(n_q)) at indices computed from the occupations, with no per-mode
 operators lifted by Kronecker products.  The two flows of the cloner are
 built once per register and shared by every probe at that cutoff.  Because
 both factors are real, the real and imaginary parts of a state vector evolve
-separately as real vectors; a part that is all zeros is skipped, since its
-image is exactly zero.
+as real vectors; a part that is all zeros is dropped, since its image is
+exactly zero.  Several probes, each with its own gamma, evolve as one real
+block, so all their vectors cross each factor in the same sparse products.
 
 Scope: three modes (or two for squeezer sanity checks).  The N->M machines
 live in spaces of dimension (cutoff+1)^(N+M) and are out of reach here by
@@ -37,13 +41,16 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.typing import NDArray
-from scipy.sparse.linalg import expm_multiply
+# unused here, but perfbench/tracer.py wraps it under the name cvcloner.fock.expm_multiply
+from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
 from .gaussian import ModeLabel, mode_index
 
@@ -155,40 +162,134 @@ def _fixed_flow(space: FockSpace) -> sp.csr_matrix:
             + _squeeze_flow(space, (_SIGNAL, _IDLER))).tocsr()
 
 
+class _Flow(NamedTuple):
+    """A real antisymmetric generator and its exact 1-norm, which plans every propagation."""
+
+    matrix: sp.csr_matrix
+    one_norm: float
+
+
 @lru_cache(maxsize=1)
-def _cloner_flows(space: FockSpace) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _cloner_flows(space: FockSpace) -> tuple[_Flow, _Flow]:
     """The clone-idler squeeze and the gamma-independent flow, built once per register.
 
-    One slot is enough: the oracle runs every probe of a cutoff rung before
-    moving to the next, so the slot is reused within a rung and never grows.
+    A verify --oracle ladder runs each rung once, so one slot lets the probes
+    of a rung share their flows and holds no more than one rung's matrices.
     """
-    flows = (_squeeze_flow(space, (_CLONE, _IDLER)), _fixed_flow(space))
-    for flow in flows:
-        for array in (flow.data, flow.indices, flow.indptr):
+    flows = []
+    for matrix in (_squeeze_flow(space, (_CLONE, _IDLER)), _fixed_flow(space)):
+        for array in (matrix.data, matrix.indices, matrix.indptr):
             array.setflags(write=False)
-    return flows
+        flows.append(_Flow(matrix, float(abs(matrix).sum(axis=0).max())))
+    return flows[0], flows[1]
+
+
+# theta_m of the degree-m truncated Taylor series in double precision: m <= 30
+# from Higham, Functions of Matrices (SIAM, 2008), table A.3; m >= 35 from
+# Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, table 3.1.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """Degree m and scaling steps s with the fewest products m*s for a 1-norm of t*K."""
+    if norm == 0.0:
+        return 0, 1
+    best_m, best_s = 0, 0
+    for m, theta in _THETA.items():
+        s = math.ceil(norm / theta)
+        if best_m == 0 or m * s < best_m * best_s:
+            best_m, best_s = m, s
+    return best_m, best_s
+
+
+def _propagate(flow: _Flow, block: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(t_j K) applied to column j of a real (dim, k) block, all columns at once.
+
+    One plan, for the largest |t_j|, serves every column.  Each scaling step
+    adds Taylor terms until, for every column, the last two terms together
+    fall below the unit roundoff times that column's sum (the stopping test
+    of scipy's expm_multiply, applied per column).  K is traceless, so no
+    shift is needed.  The column norms are taken from a transposed copy:
+    a max over the short axis of a (dim, k) array costs more than the copy.
+    The sum's norm is taken only when the test can pass against its upper
+    bound, the last norm plus every term's since; rounding is monotone, so
+    the bound holds and every decision is the one the exact norm gives.
+    """
+    m, s = _taylor_plan(float(np.abs(times).max()) * flow.one_norm)
+    out = np.array(block, order="C")
+    magnitudes = np.empty(out.shape[::-1])
+
+    def column_norms(x: np.ndarray) -> np.ndarray:
+        return np.abs(x.T, out=magnitudes).max(axis=1)
+
+    term = out
+    for _ in range(s):
+        c1 = column_norms(term)
+        bound = c1
+        for j in range(m):
+            term = flow.matrix @ term
+            term *= times / (s * (j + 1))
+            c2 = column_norms(term)
+            out += term
+            bound = bound + c2
+            if (c1 + c2 <= _UNIT_ROUNDOFF * bound).all():
+                bound = column_norms(out)
+                if (c1 + c2 <= _UNIT_ROUNDOFF * bound).all():
+                    break
+            c1 = c2
+        term = out
+    return out
+
+
+def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[FockState]:
+    """Send several 3-mode states, each with its own gamma, through the cloner.
+
+    Both factors are real orthogonal, so the real and imaginary parts of
+    every probe are real columns of one block; a part that is all zeros is
+    dropped and stays exactly zero.  The block crosses the clone-idler
+    squeeze with chi = gamma + ln(2)/2 per column, then the gamma-independent
+    factor, without forming either matrix.
+    """
+    space = _cloner_space(probes[0][1].space)
+    parts, chis, slots = [], [], {}
+    for i, (gamma, state) in enumerate(probes):
+        if state.space != space:
+            raise ValueError(f"every probe needs the register {space}, got {state.space}")
+        chi = float(gamma) + 0.5 * math.log(2.0)
+        if not math.isfinite(chi):
+            raise ValueError(f"gamma must be finite, got {gamma}")
+        for imag, part in enumerate((state.amplitudes.real, state.amplitudes.imag)):
+            if part.any():
+                slots[i, imag] = len(parts)
+                parts.append(part)
+                chis.append(chi)
+    if parts:
+        squeeze, fixed = _cloner_flows(space)
+        block = _propagate(squeeze, np.stack(parts, axis=1), np.array(chis))
+        block = _propagate(fixed, block, np.ones(len(chis)))
+    outs = []
+    for i in range(len(probes)):
+        amps = np.zeros(space.dim, dtype=complex)
+        if (i, 0) in slots:
+            amps.real = block[:, slots[i, 0]]
+        if (i, 1) in slots:
+            amps.imag = block[:, slots[i, 1]]
+        outs.append(FockState(space=space, amplitudes=amps))
+    return outs
 
 
 def apply_cloning_fock(gamma: float, state: FockState) -> FockState:
-    """Send a 3-mode state through the cloner without forming the matrix.
-
-    Krylov evaluation of both exponential factors acting on the vector.
-    Both factors are real orthogonal, so the real and imaginary parts of the
-    amplitudes evolve separately in real arithmetic, and a part that is all
-    zeros stays exactly zero.
-    """
-    space = _cloner_space(state.space)
-    chi = float(gamma) + 0.5 * math.log(2.0)
-    squeeze, fixed = _cloner_flows(space)
-    right = chi * squeeze
-    amps = state.amplitudes
-    out = np.zeros(space.dim, dtype=complex)
-    for part, target in ((amps.real, out.real), (amps.imag, out.imag)):
-        if part.any():
-            # both generators are antisymmetric, hence traceless
-            v = expm_multiply(right, part, traceA=0.0)
-            target[:] = expm_multiply(fixed, v, traceA=0.0)
-    return FockState(space=space, amplitudes=out)
+    """Send one 3-mode state through the cloner: a block of one probe."""
+    return apply_cloning_fock_block([(gamma, state)])[0]
 
 
 def coherent_fock(space: FockSpace, amplitudes: list[complex] | tuple[complex, ...]) -> FockState:

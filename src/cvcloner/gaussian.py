@@ -115,8 +115,12 @@ class GaussianState:
             raise ValueError(f"mean must have even positive length, got {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-        # mirrored NaNs and equal infs pass; no inf - inf is ever formed
-        if not np.isclose(cov, cov.T, rtol=0.0, atol=1e-8, equal_nan=True).all():
+        # mirrored NaNs and equal infs pass: inf - inf reads NaN, which no gap
+        # exceeds, and a NaN must sit at the mirror image of a NaN
+        with np.errstate(invalid="ignore"):
+            gapped = (np.abs(cov - cov.T) > 1e-8).any()
+        nan = np.isnan(cov)
+        if gapped or not (nan == nan.T).all():
             raise ValueError("covariance matrix is not symmetric")
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "cov", _readonly(cov))
@@ -176,7 +180,10 @@ class Passive:
         try:
             (a, b), (c, d) = self.block
             entries = (a, b, c, d)
-            real = not any(isinstance(x, (complex, np.complexfloating)) for x in entries)
+            # floats and ints are real; any other entry (a numpy scalar or a 0-d
+            # array included) is judged by its dtype
+            real = not any(np.iscomplexobj(x) for x in entries
+                           if not isinstance(x, (float, int)))
             a, b, c, d = map(float, entries) if real else entries
         except (TypeError, ValueError):
             raise ValueError(

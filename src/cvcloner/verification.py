@@ -38,7 +38,13 @@ from .circuits import (
     asym_params,
     build_cloner,
 )
-from .fock import FockSpace, TruncationError, apply_cloning_fock, coherent_fock, fidelity_fock
+from .fock import (
+    FockSpace,
+    TruncationError,
+    apply_cloning_fock_block,
+    coherent_fock,
+    fidelity_fock,
+)
 from .gaussian import check_symplectic, uncertainty_defect, worst_dev
 
 GAMMA_GRID = tuple(np.linspace(-1.0, 1.0, 41))
@@ -174,13 +180,14 @@ def unit_signal_gain() -> SuiteResult:
 def _oracle_dev(cutoff: int) -> float:
     """Worst fidelity gap between the Fock oracle at one cutoff and the closed forms."""
     space = FockSpace(3, cutoff)
+    probes = [(g, xi) for g in (-0.5, 0.0, 0.5) for xi in (0.0, 0.3)]
+    outs = apply_cloning_fock_block([(g, coherent_fock(space, [0.0, 0.0, xi]))
+                                     for g, xi in probes])
     devs = []
-    for g in (-0.5, 0.0, 0.5):
+    for (g, xi), out in zip(probes, outs, strict=True):
         fa_form, fc_form = expected_fidelities(AsymSpec(g))
-        for xi in (0.0, 0.3):
-            out = apply_cloning_fock(g, coherent_fock(space, [0.0, 0.0, xi]))
-            devs += [abs(fidelity_fock(out, 0, xi) - fa_form),
-                     abs(fidelity_fock(out, 2, xi) - fc_form)]
+        devs += [abs(fidelity_fock(out, 0, xi) - fa_form),
+                 abs(fidelity_fock(out, 2, xi) - fc_form)]
     return worst_dev(devs)
 
 

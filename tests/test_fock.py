@@ -1,4 +1,4 @@
-"""Truncated Fock oracle: generators, Krylov evolution, fidelity cross-checks."""
+"""Truncated Fock oracle: generators, Taylor propagation, fidelity cross-checks."""
 
 import math
 
@@ -9,12 +9,13 @@ from scipy.sparse.linalg import expm_multiply
 
 import cvcloner.fock as fock
 from cvcloner.circuits import asym_direct
-from cvcloner.verification import oracle_agreement
+from cvcloner.verification import _oracle_dev, oracle_agreement
 from cvcloner.fock import (
     FockSpace,
     FockState,
     TruncationError,
     apply_cloning_fock,
+    apply_cloning_fock_block,
     coherent_fock,
     fidelity_fock,
     mode_expectation,
@@ -259,3 +260,113 @@ def test_fidelity_fock_refuses_a_nan_state():
     state = FockState(space, np.full(space.dim, np.nan, dtype=complex))
     with pytest.raises(TruncationError, match="top-level population nan"):
         fidelity_fock(state, 0, 0.3)
+
+
+def _chi(gamma):
+    return gamma + 0.5 * math.log(2.0)
+
+
+@pytest.mark.parametrize("gamma", [-0.5, 0.0, 0.5])
+@pytest.mark.parametrize("cutoff", range(6, 17))
+def test_propagator_matches_expm_multiply(cutoff, gamma):
+    space = FockSpace(3, cutoff)
+    amps = coherent_fock(space, [0.1 - 0.05j, 0j, 0.3 + 0.2j]).amplitudes
+    block = np.stack([amps.real, amps.imag], axis=1)
+    squeeze, fixed = fock._cloner_flows(space)
+    for flow, t in ((squeeze, _chi(gamma)), (fixed, 1.0)):
+        got = fock._propagate(flow, block, np.full(2, t)).T
+        want = expm_multiply(t * flow.matrix, amps, traceA=0.0)
+        assert np.abs(got[0] + 1j * got[1] - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
+def test_propagator_backward_undoes_forward(t):
+    space = FockSpace(3, 12)
+    block = np.stack([coherent_fock(space, [0j, 0j, 0.3 + 0j]).amplitudes.real,
+                      coherent_fock(space, [0.2 + 0j, 0j, 0.4 + 0j]).amplitudes.real], axis=1)
+    for flow in fock._cloner_flows(space):
+        there = fock._propagate(flow, block, np.full(2, t))
+        back = fock._propagate(flow, there, np.full(2, -t))
+        assert np.abs(back - block).max() <= 1e-13
+
+
+def _propagate_with_exact_norms(flow, block, times):
+    """The propagator with the sum's exact norm taken after every term, as scipy does."""
+    m, s = fock._taylor_plan(float(np.abs(times).max()) * flow.one_norm)
+    out = np.array(block, order="C")
+    term = out
+    for _ in range(s):
+        c1 = np.abs(term).max(axis=0)
+        for j in range(m):
+            term = (flow.matrix @ term) * (times / (s * (j + 1)))
+            c2 = np.abs(term).max(axis=0)
+            out = out + term
+            if (c1 + c2 <= 2.0 ** -53 * np.abs(out).max(axis=0)).all():
+                break
+            c1 = c2
+        term = out
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [6, 11, 16])
+def test_propagator_equals_the_exact_norm_loop(cutoff):
+    space = FockSpace(3, cutoff)
+    rng = np.random.default_rng(cutoff)
+    block = np.column_stack([coherent_fock(space, [0j, 0j, xi]).amplitudes.real
+                             for xi in (0.0, 0.3, 0.5)] + [rng.standard_normal(space.dim)])
+    times = np.array([0.2, -0.4, 0.9, 0.35])
+    for flow in fock._cloner_flows(space):
+        got = fock._propagate(flow, block, times)
+        assert np.array_equal(got, _propagate_with_exact_norms(flow, block, times))
+
+
+def test_a_block_equals_one_call_per_probe():
+    space = FockSpace(3, 12)
+    probes = [(g, coherent_fock(space, [0j, 0j, xi]))
+              for g in (-0.5, 0.0, 0.5) for xi in (0.0, 0.3)]
+    block = apply_cloning_fock_block(probes)
+    assert len(block) == 6
+    for (gamma, state), out in zip(probes, block, strict=True):
+        alone = apply_cloning_fock(gamma, state)
+        assert np.abs(out.amplitudes - alone.amplitudes).max() <= 1e-14
+
+
+def test_a_block_keeps_real_and_imaginary_parts_apart():
+    space = FockSpace(3, 8)
+    imaginary = FockState(space, 1j * coherent_fock(space, [0j, 0j, 0.3 + 0j]).amplitudes)
+    probes = [(0.2, imaginary),
+              (-0.4, coherent_fock(space, [0.1 - 0.05j, 0j, 0.3 + 0.2j])),
+              (0.0, coherent_fock(space, [0j, 0j, 0.3 + 0j]))]
+    block = apply_cloning_fock_block(probes)
+    assert (block[0].amplitudes.real == 0).all()
+    assert (block[2].amplitudes.imag == 0).all()
+    for (gamma, state), out in zip(probes, block, strict=True):
+        want = _dense_cloner(space.cutoff, gamma) @ state.amplitudes
+        assert np.abs(out.amplitudes - want).max() < 1e-12
+
+
+def test_a_block_refuses_mixed_registers_and_a_non_finite_gamma():
+    space = FockSpace(3, 6)
+    with pytest.raises(ValueError, match="every probe needs the register"):
+        apply_cloning_fock_block([(0.0, coherent_fock(space, [0j, 0j, 0.3])),
+                                  (0.0, coherent_fock(FockSpace(3, 7), [0j, 0j, 0.3]))])
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        apply_cloning_fock_block([(math.nan, coherent_fock(space, [0j, 0j, 0.3]))])
+
+
+# _oracle_dev at cutoffs 10..16 as computed by scipy's expm_multiply, one probe at a time
+ORACLE_DEVS_BY_EXPM_MULTIPLY = {
+    10: 0.004003547101940841,
+    11: 0.0024200401473792876,
+    12: 0.0014535234517596418,
+    13: 0.0008686468393466207,
+    14: 0.000517081683068854,
+    15: 0.00030686478395614003,
+    16: 0.00018168150597352994,
+}
+
+
+@pytest.mark.parametrize("cutoff", sorted(ORACLE_DEVS_BY_EXPM_MULTIPLY))
+def test_oracle_dev_matches_the_expm_multiply_values(cutoff):
+    assert abs(_oracle_dev(cutoff) - ORACLE_DEVS_BY_EXPM_MULTIPLY[cutoff]) <= 1e-14
+

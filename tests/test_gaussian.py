@@ -248,6 +248,40 @@ def test_passive_refuses_a_block_that_is_not_real(entry):
         Passive(((1, entry), (0, 1)), 0, 1)
 
 
+def test_passive_refuses_a_zero_dimensional_complex_array():
+    with pytest.raises(ValueError, match=r"Passive gate on \(0, 1\) needs a real block"):
+        Passive(((1, np.array(1j)), (0, 1)), 0, 1)
+
+
+def test_passive_accepts_a_zero_dimensional_real_array():
+    gate = Passive(((1, np.array(0.5)), (0, 1)), 0, 1)
+    assert gate.block == ((1.0, 0.5), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("cov, symmetric", [
+    ([[np.nan, 0.0], [0.0, np.nan]], True),        # NaNs at mirror images
+    ([[0.5, np.nan], [np.nan, 0.5]], True),
+    ([[0.5, np.inf], [np.inf, 0.5]], True),        # equal infs
+    ([[0.5, -np.inf], [-np.inf, 0.5]], True),
+    ([[0.5, 1e-8], [0.0, 0.5]], True),             # a gap at the tolerance
+    ([[0.5, np.nan], [0.0, 0.5]], False),          # a NaN with no mirror image
+    ([[0.5, np.nan], [np.inf, 0.5]], False),
+    ([[0.5, np.inf], [1.0, 0.5]], False),          # inf against a finite value
+    ([[0.5, np.inf], [-np.inf, 0.5]], False),
+    ([[0.5, 2e-8], [0.0, 0.5]], False),            # an off-diagonal gap of 2e-8
+], ids=["nan-diagonal", "nan-mirrored", "inf-mirrored", "minus-inf-mirrored", "gap-at-tol",
+        "nan-unmirrored", "nan-against-inf", "inf-against-finite", "inf-against-minus-inf",
+        "gap-2e-8"])
+def test_symmetry_check_agrees_with_isclose(cov, symmetric):
+    cov = np.array(cov)
+    assert np.isclose(cov, cov.T, rtol=0.0, atol=1e-8, equal_nan=True).all() == symmetric
+    if symmetric:
+        GaussianState(mean=np.zeros(2), cov=cov)
+    else:
+        with pytest.raises(ValueError, match="not symmetric"):
+            GaussianState(mean=np.zeros(2), cov=cov)
+
+
 @pytest.mark.parametrize("r", [np.inf, -np.inf, np.nan])
 def test_nopa_refuses_a_non_finite_squeeze(r):
     with pytest.raises(ValueError, match=r"NOPA gate on \(0, 1\) needs a finite r"):
