@@ -5,6 +5,8 @@ For each cutoff, evolves coherent inputs through the 1->2 cloner in the
 number basis and reports the worst fidelity disagreement with the closed
 forms.  The column should shrink steadily with the cutoff: that decay is the
 evidence that the two independent simulations describe the same machine.
+Each row is the deviation the ``verify --oracle`` suite reads at that cutoff
+(gamma in {-0.5, 0, 0.5}, xi in {0, 0.3}).
 
     python3 scripts/oracle_convergence.py --max-cutoff 16
 """
@@ -12,33 +14,8 @@ evidence that the two independent simulations describe the same machine.
 import argparse
 import time
 
-from cvcloner.analysis import expected_fidelities
-from cvcloner.circuits import AsymSpec
-from cvcloner.fock import (
-    FockSpace,
-    TruncationError,
-    apply_cloning_fock_block,
-    coherent_fock,
-    fidelity_fock,
-)
-from cvcloner.gaussian import worst_dev
-
-GAMMAS = (-0.5, 0.0, 0.5)
-AMPLITUDES = (0.0, 0.3, 0.5)
-
-
-def worst_deviation(cutoff: int) -> float:
-    space = FockSpace(3, cutoff)
-    probes = [(gamma, xi) for gamma in GAMMAS for xi in AMPLITUDES]
-    outs = apply_cloning_fock_block([(gamma, coherent_fock(space, [0j, 0j, xi]))
-                                     for gamma, xi in probes])
-    dev = 0.0
-    for (gamma, xi), out in zip(probes, outs, strict=True):
-        fa, fc = expected_fidelities(AsymSpec(gamma))
-        dev = worst_dev((dev,
-                         abs(fidelity_fock(out, 0, xi) - fa),
-                         abs(fidelity_fock(out, 2, xi) - fc)))
-    return dev
+from cvcloner.fock import TruncationError
+from cvcloner.verification import _oracle_dev
 
 
 def main() -> int:
@@ -52,7 +29,7 @@ def main() -> int:
     for cutoff in range(args.min_cutoff, args.max_cutoff + 1, 2):
         t0 = time.perf_counter()
         try:
-            dev = worst_deviation(cutoff)
+            dev = _oracle_dev(cutoff)
         except TruncationError:
             # the leakage gate refuses to report a fidelity at this cutoff
             print(f"{cutoff:>6}  {(cutoff + 1) ** 3:>6}  "

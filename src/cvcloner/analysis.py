@@ -18,9 +18,10 @@ S_r of the quadrature matrix S, never forming the full output state: every
 input is coherent or vacuum, with covariance I/2, so the clones' 2x2 blocks
 are the diagonal blocks of (S_r / 2) S_r^T and their means are S_r times the
 input means.  Those blocks and means, and the transform's clone rows, go
-through the same array helpers that the single-clone functions here call
-with one row, so each formula and each gate exists once.  The gates fail
-closed: a NaN variance or amplitude is refused, never passed.
+through array helpers that read every clone at once, and the single-row
+functions ``chaotic_photons`` and ``phase_covariance_defect`` call the same
+helpers with one row, so each formula and each gate exists once.  The gates
+fail closed: a NaN variance or amplitude is refused, never passed.
 """
 
 from __future__ import annotations
@@ -91,12 +92,6 @@ def _isotropic_photons(blocks: NDArray[np.float64],
     return (vxx + vpp) / 2.0 - 0.5
 
 
-def _state_photons(state: GaussianState) -> NDArray[np.float64]:
-    if state.n_modes != 1:
-        raise ValueError(f"expected a single-mode state, got {state.n_modes} modes")
-    return _isotropic_photons(state.cov[None])
-
-
 def _amplitudes(means: NDArray[np.float64]) -> NDArray[np.complex128]:
     """Coherent amplitudes (x + i p)/sqrt(2) of stacked single-mode means."""
     xp = means / np.sqrt(2.0)
@@ -106,7 +101,8 @@ def _amplitudes(means: NDArray[np.float64]) -> NDArray[np.complex128]:
 def _fidelities(amps: NDArray[np.complex128], xi: complex, n: NDArray[np.float64],
                 names: list[str] | None = None) -> NDArray[np.float64]:
     """1/(n + 1) per clone, refused (NaN included) unless each clone kept xi
-    at unit gain within GAIN_TOL."""
+    at unit gain within GAIN_TOL: these machines preserve gain by
+    construction, so a gain error is a fault, not a lower fidelity."""
     unit_gain = np.abs(amps - xi) <= GAIN_TOL * max(1.0, abs(xi))
     if not unit_gain.all():
         i = int(np.argmin(unit_gain))
@@ -140,15 +136,6 @@ def chaotic_photons(t: BogoliubovTransform, mode: int | ModeLabel) -> float:
     return float(_chaotic_photons(t.B[[mode_index(mode, t.n_modes)]])[0])
 
 
-def chaotic_photons_from_state(state: GaussianState) -> float:
-    """Added chaotic photons of a single-mode clone, read off its covariance.
-
-    Requires the noise to be phase insensitive: equal x and p variances and
-    no cross correlation, within ISOTROPY_TOL.
-    """
-    return float(_state_photons(state)[0])
-
-
 def noise_product(t: BogoliubovTransform) -> float:
     """Product of the chaotic photon numbers on the clone modes 0 and 2.
 
@@ -174,30 +161,6 @@ def phase_covariance_defect(
     return float(_phase_covariance_defects(
         t, [mode_index(clone_mode, t.n_modes)],
         [mode_index(m, t.n_modes) for m in signal_modes])[0])
-
-
-def q_function(state: GaussianState, alpha: complex) -> float:
-    """Husimi Q of a single-mode displaced thermal state at point alpha.
-
-        Q(alpha) = exp(-|alpha - xi|^2 / (n + 1)) / ((n + 1) pi)
-
-    where xi is the state's amplitude and n its chaotic photon number.
-    Raises if the covariance is not isotropic, since the closed form only
-    holds for phase-insensitive noise.
-    """
-    n = _state_photons(state)
-    return float(_husimi(_amplitudes(state.mean[None]), n, complex(alpha))[0])
-
-
-def fidelity_coherent(state: GaussianState, xi: complex) -> float:
-    """Overlap of a single-mode clone with the ideal coherent state |xi>.
-
-    Only defined when the clone kept the signal at unit gain; a mismatched
-    amplitude is an error, not a lower fidelity, because these machines are
-    supposed to be gain-preserving by construction.
-    """
-    n = _state_photons(state)
-    return float(_fidelities(_amplitudes(state.mean[None]), complex(xi), n)[0])
 
 
 def expected_chaotic_photons(spec: ClonerSpec) -> tuple[float, ...]:

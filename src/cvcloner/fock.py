@@ -32,9 +32,9 @@ as real vectors; a part that is all zeros is dropped, since its image is
 exactly zero.  Several probes, each with its own gamma, evolve as one real
 block, so all their vectors cross each factor in the same sparse products.
 
-Scope: three modes (or two for squeezer sanity checks).  The N->M machines
-live in spaces of dimension (cutoff+1)^(N+M) and are out of reach here by
-design; the Gaussian invariants cover them.
+Scope: the 3-mode register of the 1->2 cloner.  The N->M machines live in
+spaces of dimension (cutoff+1)^(N+M) and are out of reach here by design;
+the Gaussian invariants cover them.
 """
 
 from __future__ import annotations
@@ -106,13 +106,12 @@ class FockState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _pair_flow(space: FockSpace, pair: tuple[int, int], squeeze: bool) -> sp.csr_matrix:
     """Real antisymmetric K = H - H^T with H = a_p^dag a_q, or a_p a_q if `squeeze`.
+
+    exp(theta K) is a beam splitter of angle theta on the pair; with
+    `squeeze`, exp(r K) is a NOPA of gain r.
 
     The nonzeros of H come straight from basis-index arithmetic (mode 0 varies
     slowest), so no per-mode operator is lifted and multiplied.  A creation
@@ -135,31 +134,15 @@ def _pair_flow(space: FockSpace, pair: tuple[int, int], squeeze: bool) -> sp.csr
     return (half - half.T).tocsr()
 
 
-def _mix_flow(space: FockSpace, pair: tuple[int, int]) -> sp.csr_matrix:
-    """Real antisymmetric K with exp(theta K) acting as a beam splitter on `pair`."""
-    return _pair_flow(space, pair, squeeze=False)
-
-
-def _squeeze_flow(space: FockSpace, pair: tuple[int, int]) -> sp.csr_matrix:
-    """Real antisymmetric K with exp(r K) acting as a NOPA on `pair`."""
-    return _pair_flow(space, pair, squeeze=True)
-
-
 # Wiring of the 1->2 cloner in this module: mode 0 = clone a, mode 1 = idler b,
 # mode 2 = signal c.  The gamma-independent factor exp(-i(U+V)) mixes (0, 2)
 # and squeezes (2, 1); the gamma-dependent factor squeezes (0, 1).
 _CLONE, _IDLER, _SIGNAL = 0, 1, 2
 
 
-def _cloner_space(space: FockSpace) -> FockSpace:
-    if space.n_modes != 3:
-        raise ValueError(f"the cloner acts on 3 modes, got {space.n_modes}")
-    return space
-
-
 def _fixed_flow(space: FockSpace) -> sp.csr_matrix:
-    return (_mix_flow(space, (_CLONE, _SIGNAL))
-            + _squeeze_flow(space, (_SIGNAL, _IDLER))).tocsr()
+    return (_pair_flow(space, (_CLONE, _SIGNAL), squeeze=False)
+            + _pair_flow(space, (_SIGNAL, _IDLER), squeeze=True)).tocsr()
 
 
 class _Flow(NamedTuple):
@@ -177,7 +160,7 @@ def _cloner_flows(space: FockSpace) -> tuple[_Flow, _Flow]:
     of a rung share their flows and holds no more than one rung's matrices.
     """
     flows = []
-    for matrix in (_squeeze_flow(space, (_CLONE, _IDLER)), _fixed_flow(space)):
+    for matrix in (_pair_flow(space, (_CLONE, _IDLER), squeeze=True), _fixed_flow(space)):
         for array in (matrix.data, matrix.indices, matrix.indptr):
             array.setflags(write=False)
         flows.append(_Flow(matrix, float(abs(matrix).sum(axis=0).max())))
@@ -259,7 +242,9 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
     squeeze with chi = gamma + ln(2)/2 per column, then the gamma-independent
     factor, without forming either matrix.
     """
-    space = _cloner_space(probes[0][1].space)
+    space = probes[0][1].space
+    if space.n_modes != 3:
+        raise ValueError(f"the cloner acts on 3 modes, got {space.n_modes}")
     parts, chis, slots = [], [], {}
     for i, (gamma, state) in enumerate(probes):
         if state.space != space:
@@ -285,11 +270,6 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
             amps.imag = block[:, slots[i, 1]]
         outs.append(FockState(space=space, amplitudes=amps))
     return outs
-
-
-def apply_cloning_fock(gamma: float, state: FockState) -> FockState:
-    """Send one 3-mode state through the cloner: a block of one probe."""
-    return apply_cloning_fock_block([(gamma, state)])[0]
 
 
 def coherent_fock(space: FockSpace, amplitudes: list[complex] | tuple[complex, ...]) -> FockState:
@@ -331,21 +311,6 @@ def reduced_density_matrix(state: FockState, mode: int | ModeLabel) -> np.ndarra
     """Density matrix of one mode, the rest traced out."""
     psi = _mode_rows(state, mode)
     return psi @ psi.conj().T
-
-
-def photon_distribution(state: FockState, mode: int | ModeLabel) -> NDArray[np.float64]:
-    """Photon-number populations of one mode (diagonal of its density matrix)."""
-    return np.real(np.diag(reduced_density_matrix(state, mode)))
-
-
-def mode_expectation(state: FockState, mode: int | ModeLabel) -> complex:
-    """<a_mode> in the current state, for Heisenberg-picture cross-checks.
-
-    Sum over k of sqrt(k) conj(psi[k-1]) psi[k] along the mode's axis.
-    """
-    psi = _mode_rows(state, mode)
-    root_k = np.sqrt(np.arange(1, state.space.levels))
-    return complex(np.vdot(psi[:-1], root_k[:, None] * psi[1:]))
 
 
 def fidelity_fock(state: FockState, clone_mode: int | ModeLabel, xi: complex) -> float:

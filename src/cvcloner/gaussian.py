@@ -228,39 +228,14 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-def identity_transform(n_modes: int) -> BogoliubovTransform:
-    """Do-nothing transform on n_modes modes."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    n = int(n_modes)
-    return BogoliubovTransform(A=np.eye(n), B=np.zeros((n, n)))
-
-
-def compose(second: BogoliubovTransform, first: BogoliubovTransform) -> BogoliubovTransform:
-    """Transform equivalent to applying `first` and then `second`.
-
-    Substituting first's input-output relations into second's gives
-    A = A2 A1 + B2 B1 and B = A2 B1 + B2 A1.
-    """
-    if second.n_modes != first.n_modes:
-        raise ValueError(
-            f"mode count mismatch: {second.n_modes} vs {first.n_modes}"
-        )
-    A2, B2 = second.A, second.B
-    A1, B1 = first.A, first.B
-    return BogoliubovTransform(
-        A=A2 @ A1 + B2 @ B1,
-        B=A2 @ B1 + B2 @ A1,
-    )
-
-
 def fold_gates(gates: Iterable[Gate], n_modes: int) -> BogoliubovTransform:
     """Transform of an n_modes register after the gates act in order.
 
     Each gate rewrites only rows p and q of (A, B), so a gate costs O(n)
-    where ``compose`` of the embedded gate costs O(n^3).  The row updates are
-    compose's A = A2 A1 + B2 B1, B = A2 B1 + B2 A1 with the gate's identity
-    rows dropped.  Every gate is real, so the fold runs in float64.
+    where multiplying by the gate's dense n-mode transform costs O(n^3).
+    Applying (A2, B2) after (A1, B1) gives A = A2 A1 + B2 B1 and
+    B = A2 B1 + B2 A1; the row updates are those products with the gate's
+    identity rows dropped.  Every gate is real, so the fold runs in float64.
     """
     n = int(n_modes)
     if n < 1:
@@ -283,24 +258,6 @@ def fold_gates(gates: Iterable[Gate], n_modes: int) -> BogoliubovTransform:
             rows[p] = ch * xp - sh * xq[::-1]
             rows[q] = ch * xq - sh * xp[::-1]
     return BogoliubovTransform(A=rows[:, 0], B=rows[:, 1])
-
-
-def embed(
-    t: BogoliubovTransform,
-    targets: list[int | ModeLabel] | tuple[int | ModeLabel, ...],
-    total: int,
-) -> BogoliubovTransform:
-    """Place `t` on the listed modes of a `total`-mode register, identity elsewhere."""
-    idx = [mode_index(m, total) for m in targets]
-    if len(idx) != t.n_modes:
-        raise ValueError(f"expected {t.n_modes} target modes, got {len(idx)}")
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate target modes: {idx}")
-    A = np.eye(total)
-    B = np.zeros((total, total))
-    A[np.ix_(idx, idx)] = t.A
-    B[np.ix_(idx, idx)] = t.B
-    return BogoliubovTransform(A=A, B=B)
 
 
 def check_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
@@ -350,13 +307,6 @@ def apply_to_gaussian(t: BogoliubovTransform, s: GaussianState) -> GaussianState
     require_symplectic(t)
     S = t.symplectic_matrix()
     return GaussianState(mean=S @ s.mean, cov=S @ s.cov @ S.T)
-
-
-def reduce_mode(s: GaussianState, mode: int | ModeLabel) -> GaussianState:
-    """Single-mode marginal (Gaussian partial trace over the other modes)."""
-    k = mode_index(mode, s.n_modes)
-    sl = slice(2 * k, 2 * k + 2)
-    return GaussianState(mean=s.mean[sl].copy(), cov=s.cov[sl, sl].copy())
 
 
 def uncertainty_defect(s: GaussianState) -> float:

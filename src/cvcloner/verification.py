@@ -198,8 +198,10 @@ def oracle_agreement(tol: float | None = None, *, cutoffs: tuple[int, ...]) -> S
     each cutoff.  Passes when the finest cutoff agrees within tolerance and
     the deviation shrinks as the cutoff grows.  A cutoff too small for the
     evolution (a TruncationError) reads as an infinite deviation and fails
-    the suite.
+    the suite.  An empty ladder is refused: it would pass having run nothing.
     """
+    if not cutoffs:
+        raise ValueError("oracle_agreement needs at least one cutoff")
     tol = 5e-3 if tol is None else tol
     per_cutoff: dict[str, float] = {}
     for cutoff in cutoffs:
@@ -209,7 +211,7 @@ def oracle_agreement(tol: float | None = None, *, cutoffs: tuple[int, ...]) -> S
             per_cutoff[f"cutoff_{cutoff}"] = math.inf
     devs = list(per_cutoff.values())
     monotone_break = worst_dev(devs[i + 1] - devs[i] for i in range(len(devs) - 1))
-    final = devs[-1] if devs else 0.0
+    final = devs[-1]
     # a truncated rung, or a monotonicity violation, fails even if the final point fits
     if math.inf in devs:
         reported = math.inf

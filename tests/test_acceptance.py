@@ -11,12 +11,14 @@ import time
 import numpy as np
 
 from cvcloner.analysis import (
+    _amplitudes,
+    _husimi,
+    _isotropic_photons,
     chaotic_photons,
     clone_output_state,
     clone_report,
     noise_product,
     phase_covariance_defect,
-    q_function,
 )
 from cvcloner.circuits import (
     AsymSpec,
@@ -26,16 +28,18 @@ from cvcloner.circuits import (
     asym_params,
     build_cloner,
 )
-from cvcloner.elements import beam_splitter, collect_chain, distribute_chain, nopa
-from cvcloner.fock import FockSpace, apply_cloning_fock, coherent_fock, fidelity_fock
+from cvcloner.elements import beam_splitter_gate, collect_gates, distribute_gates
+from cvcloner.fock import FockSpace, apply_cloning_fock_block, coherent_fock, fidelity_fock
 from cvcloner.gaussian import (
+    NOPA,
     apply_to_gaussian,
     check_symplectic,
     coherent_vacuum_input,
-    reduce_mode,
+    fold_gates,
     uncertainty_defect,
     worst_dev,
 )
+from reference import reduce_mode
 
 GAMMA_GRID = np.linspace(-1.0, 1.0, 41)
 XI_SET = (0j, 1 + 0j, 2j, -1.5 + 0.5j, 3 - 2j)
@@ -118,7 +122,8 @@ def test_criterion_07_signal_collection():
     dev = 0.0
     xi = 0.8 - 0.6j
     for n in (2, 3, 4):
-        state = apply_to_gaussian(collect_chain(n), coherent_vacuum_input([xi] * n))
+        state = apply_to_gaussian(fold_gates(collect_gates(n), n),
+                                  coherent_vacuum_input([xi] * n))
         dev = worst_dev((dev, abs(state.mode_amplitude(0) - math.sqrt(n) * xi)))
         for k in range(1, n):
             dev = worst_dev((dev, abs(state.mode_amplitude(k))))
@@ -141,8 +146,9 @@ def test_criterion_09_q_function_identity():
         machine = build_cloner(spec)
         out = clone_output_state(machine, xi)
         for mode, r in zip(machine.clone_modes, clone_report(spec, xi), strict=True):
-            q = q_function(reduce_mode(out, mode), xi)
-            dev = worst_dev((dev, abs(math.pi * q - r.fidelity)))
+            clone = reduce_mode(out, mode)
+            q = _husimi(_amplitudes(clone.mean[None]), _isotropic_photons(clone.cov[None]), xi)
+            dev = worst_dev((dev, abs(math.pi * q[0] - r.fidelity)))
     report(9, "pi Q(xi) equals the fidelity on every clone", dev, 1e-10)
 
 
@@ -156,7 +162,7 @@ def test_criterion_10_fock_oracle_agreement():
             fa = 2 / (math.exp(2 * g) + 2)
             fc = 2 / (math.exp(-2 * g) + 2)
             for xi in (0.0, 0.3):
-                out = apply_cloning_fock(g, coherent_fock(space, [0j, 0j, xi]))
+                out = apply_cloning_fock_block([(g, coherent_fock(space, [0j, 0j, xi]))])[0]
                 dev = worst_dev((dev,
                                  abs(fidelity_fock(out, 0, xi) - fa),
                                  abs(fidelity_fock(out, 2, xi) - fc)))
@@ -171,7 +177,10 @@ def test_criterion_10_fock_oracle_agreement():
 
 def test_criterion_11_property_suite():
     dev_symp = 0.0
-    transforms = [beam_splitter(0.7), nopa(0.9), collect_chain(4), distribute_chain(5)]
+    transforms = [fold_gates((beam_splitter_gate(0.7, 0, 1),), 2),
+                  fold_gates((NOPA(0.9, 0, 1),), 2),
+                  fold_gates(collect_gates(4), 4),
+                  fold_gates(distribute_gates(5, list(range(5))), 5)]
     transforms += [asym_direct(float(g)) for g in GAMMA_GRID]
     transforms += [asym_factorized(float(g)) for g in GAMMA_GRID]
     machines = [build_cloner(spec) for spec in MACHINES]

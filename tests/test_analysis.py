@@ -9,32 +9,32 @@ import pytest
 
 from cvcloner.analysis import (
     CloneReport,
+    _amplitudes,
+    _fidelities,
+    _husimi,
+    _isotropic_photons,
     chaotic_photons,
-    chaotic_photons_from_state,
     clone_output_state,
     clone_report,
     expected_chaotic_photons,
     expected_fidelities,
-    fidelity_coherent,
     noise_product,
     phase_covariance_defect,
-    q_function,
 )
 from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, build_cloner
-from cvcloner.elements import nopa
 from cvcloner import gaussian
 from cvcloner.gaussian import (
+    NOPA,
     BogoliubovTransform,
     GaussianState,
     SymplecticCheck,
     apply_to_gaussian,
     check_symplectic,
     coherent_vacuum_input,
-    compose,
-    embed,
-    reduce_mode,
+    fold_gates,
 )
 from cvcloner.verification import GAMMA_GRID, SYM_CASES
+from reference import compose, embed, reduce_mode
 
 
 def test_chaotic_photons_closed_forms_asym():
@@ -56,7 +56,7 @@ def test_state_route_agrees_with_transform_route():
     machine = build_cloner(AsymSpec(0.45))
     out = clone_output_state(machine, 1.0 + 0.5j)
     for mode in machine.clone_modes:
-        n_state = chaotic_photons_from_state(reduce_mode(out, mode))
+        n_state = float(_isotropic_photons(reduce_mode(out, mode).cov[None])[0])
         n_rows = chaotic_photons(machine.transform, mode)
         assert abs(n_state - n_rows) < 1e-12
 
@@ -65,10 +65,8 @@ def test_chaotic_photons_from_state_rejects_anisotropic_noise():
     # a squeezed single-mode covariance is not a thermalized coherent state
     cov = np.diag([0.9, 0.5 * 0.5 / 0.9])
     squeezed = GaussianState(mean=np.zeros(2), cov=cov)
-    with pytest.raises(ValueError):
-        chaotic_photons_from_state(squeezed)
-    with pytest.raises(ValueError):
-        q_function(squeezed, 0j)
+    with pytest.raises(ValueError, match="not isotropic"):
+        _isotropic_photons(squeezed.cov[None])
 
 
 def test_noise_product_saturates_for_the_asymmetric_family():
@@ -79,7 +77,7 @@ def test_noise_product_saturates_for_the_asymmetric_family():
 def test_extra_amplifier_pushes_noise_product_above_the_floor():
     # park a fourth mode, amplify clone a against it: more noise, same signal
     base = embed(asym_direct(0.0), [0, 1, 2], 4)
-    noisier = compose(embed(nopa(0.3), [0, 3], 4), base)
+    noisier = compose(fold_gates((NOPA(0.3, 0, 3),), 4), base)
     assert noise_product(noisier) > 0.25 + 1e-3
 
 
@@ -130,23 +128,25 @@ def test_q_function_of_pure_coherent_state_peaks_at_one_over_pi():
         mean=np.array([np.sqrt(2) * xi.real, np.sqrt(2) * xi.imag]),
         cov=np.eye(2) / 2,
     )
-    assert np.isclose(q_function(state, xi), 1 / math.pi)
+    q = _husimi(_amplitudes(state.mean[None]), _isotropic_photons(state.cov[None]), xi)
+    assert np.isclose(q[0], 1 / math.pi)
 
 
 def test_q_function_width_is_set_by_the_added_noise():
     machine = build_cloner(AsymSpec(0.0))
     out = clone_output_state(machine, 0.5 + 0j)
     clone = reduce_mode(out, machine.clone_modes[0])
-    peak = q_function(clone, 0.5 + 0j)
+    amp, n = _amplitudes(clone.mean[None]), _isotropic_photons(clone.cov[None])
+    peak = _husimi(amp, n, 0.5 + 0j)[0]
     # n_ch + 1 = 3/2, so moving |alpha - xi|^2 = 3/2 drops Q by a factor e
-    away = q_function(clone, 0.5 + math.sqrt(1.5))
+    away = _husimi(amp, n, 0.5 + math.sqrt(1.5))[0]
     assert np.isclose(peak / away, math.e, rtol=1e-12)
 
 
 def test_fidelity_coherent_rejects_wrong_amplitude():
     state = GaussianState(mean=np.array([1.0, 0.0]), cov=np.eye(2))
     with pytest.raises(ValueError, match="gain"):
-        fidelity_coherent(state, 5.0 + 0j)
+        _fidelities(_amplitudes(state.mean[None]), 5.0 + 0j, _isotropic_photons(state.cov[None]))
 
 
 def test_clone_report_symmetric_point():
@@ -190,22 +190,23 @@ def test_expected_values_are_consistent_with_each_other():
 
 def _per_clone_route(machine, xi):
     """Reference readout: one reduced single-mode state per clone, read
-    through the public single-clone functions."""
+    through the array helpers one row at a time."""
     out, check = clone_output_state(machine, xi), check_symplectic(machine.transform)
     reports = []
     for mode, n_form, f_form in zip(machine.clone_modes,
                                     expected_chaotic_photons(machine.spec),
                                     expected_fidelities(machine.spec), strict=True):
         reduced = reduce_mode(out, mode)
+        n_state, amp = _isotropic_photons(reduced.cov[None]), _amplitudes(reduced.mean[None])
         reports.append(CloneReport(
             clone_mode=mode,
             signal_amplitude=complex(xi),
             n_chaotic=chaotic_photons(machine.transform, mode),
-            n_chaotic_state=chaotic_photons_from_state(reduced),
+            n_chaotic_state=float(n_state[0]),
             n_chaotic_formula=n_form,
-            fidelity=fidelity_coherent(reduced, xi),
+            fidelity=float(_fidelities(amp, complex(xi), n_state)[0]),
             fidelity_formula=f_form,
-            q_peak=q_function(reduced, xi),
+            q_peak=float(_husimi(amp, n_state, complex(xi))[0]),
             phase_covariance_defect=phase_covariance_defect(
                 machine.transform, mode, machine.signal_modes),
             symplectic_dev=check.max_dev,
@@ -244,7 +245,7 @@ def test_clone_report_refuses_a_squeezed_clone():
 def test_fidelity_refuses_a_nan_amplitude():
     state = GaussianState(mean=[math.nan, 0.0], cov=0.5 * np.eye(2))
     with pytest.raises(ValueError, match="gain"):
-        fidelity_coherent(state, 1.0)
+        _fidelities(_amplitudes(state.mean[None]), 1.0, _isotropic_photons(state.cov[None]))
 
 
 @pytest.mark.parametrize("cov", [
@@ -255,7 +256,7 @@ def test_fidelity_refuses_a_nan_amplitude():
 def test_chaotic_photons_from_state_refuses_a_nan_covariance(cov):
     state = GaussianState(mean=np.zeros(2), cov=cov)
     with pytest.raises(ValueError, match="not isotropic"):
-        chaotic_photons_from_state(state)
+        _isotropic_photons(state.cov[None])
 
 
 def test_clone_report_refuses_a_nan_amplitude():

@@ -13,8 +13,9 @@ from cvcloner.circuits import (
     asym_params,
     build_cloner,
 )
-from cvcloner.elements import distribute_chain, nopa
-from cvcloner.gaussian import check_symplectic, compose, embed
+from cvcloner.elements import distribute_gates
+from cvcloner.gaussian import NOPA, check_symplectic, fold_gates
+from reference import compose, embed
 
 GAMMAS = np.linspace(-1.5, 1.5, 31)
 
@@ -99,8 +100,9 @@ def test_sym_one_input_is_nopa_then_split():
     # dense reference: NOPA(acosh sqrt M) on (signal, idler), then the split
     for m in (1, 2, 4):
         total = m + 1
-        amp = embed(nopa(math.acosh(math.sqrt(m))), [0, 1], total)
-        split = embed(distribute_chain(m), [0, *range(2, total)], total)
+        amp = embed(fold_gates((NOPA(math.acosh(math.sqrt(m)), 0, 1),), 2), [0, 1], total)
+        split = embed(fold_gates(distribute_gates(m, list(range(m))), m),
+                      [0, *range(2, total)], total)
         a, b = compose(split, amp), build_cloner(SymSpec(1, m)).transform
         assert np.allclose(a.A, b.A, atol=1e-14)
         assert np.allclose(a.B, b.B, atol=1e-14)

@@ -71,3 +71,9 @@ def test_a_given_tolerance_replaces_each_suite_tolerance_and_no_deviation():
     assert [r.name for r in tight] == [r.name for r in default]
     assert [r.max_dev for r in tight] == [r.max_dev for r in default]
     assert all(r.tolerance == 1e-30 for r in tight)
+
+
+def test_oracle_agreement_refuses_an_empty_ladder():
+    # a ladder with no rung would read max_dev 0.0 and pass having run nothing
+    with pytest.raises(ValueError, match="at least one cutoff"):
+        verification.oracle_agreement(cutoffs=())
