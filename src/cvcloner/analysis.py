@@ -41,7 +41,6 @@ from .gaussian import (
     coherent_means,
     coherent_vacuum_input,
     mode_index,
-    require_symplectic,
 )
 
 ISOTROPY_TOL = 1e-8
@@ -53,7 +52,6 @@ class CloneReport:
     """Quality figures for one clone, numeric routes next to closed forms."""
 
     clone_mode: ModeLabel
-    signal_amplitude: complex
     n_chaotic: float           # |B row|^2 of the transform
     n_chaotic_state: float     # from the reduced output covariance
     n_chaotic_formula: float   # closed form for this machine
@@ -61,7 +59,6 @@ class CloneReport:
     fidelity_formula: float    # closed form for this machine
     q_peak: float              # Q(xi) of the reduced clone state; pi*q_peak = fidelity
     phase_covariance_defect: float
-    symplectic_dev: float      # the machine's, from the check that cleared its transform
 
 
 def _where(names: list[str] | None, i: int) -> str:
@@ -197,15 +194,14 @@ def clone_report(machine: ClonerSpec | CloningMachine,
     """Run a cloner on |xi> inputs and report every clone's quality figures.
 
     Takes a spec, or a machine already built from one so that a caller who
-    needs the machine too builds it only once.  The transform must pass
-    ``check_symplectic``, as in ``clone_output_state``.  All clones are read
-    at once from the clone rows of the quadrature matrix and of (A, B).
+    needs the machine too builds it only once.  Building a machine checked
+    its transform, so none is checked here.  All clones are read at once
+    from the clone rows of the quadrature matrix and of (A, B).
     """
     if not isinstance(machine, CloningMachine):
         machine = build_cloner(machine)
     xi = complex(xi)
     t = machine.transform
-    check = require_symplectic(t)
     n, n_clones = t.n_modes, len(machine.clone_modes)
     rows = [m.index for m in machine.clone_modes]
     names = [m.name for m in machine.clone_modes]
@@ -232,7 +228,6 @@ def clone_report(machine: ClonerSpec | CloningMachine,
     return [
         CloneReport(
             clone_mode=mode,
-            signal_amplitude=xi,
             n_chaotic=n_rows,
             n_chaotic_state=n_cov,
             n_chaotic_formula=n_form,
@@ -240,7 +235,6 @@ def clone_report(machine: ClonerSpec | CloningMachine,
             fidelity_formula=f_form,
             q_peak=q_peak,
             phase_covariance_defect=defect,
-            symplectic_dev=check.max_dev,
         )
         for mode, n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect in columns
     ]

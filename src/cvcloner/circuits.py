@@ -26,26 +26,25 @@ collected mode plus the ancilla modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .elements import beam_splitter_gate, collect_gates, distribute_gates
-from .gaussian import NOPA, BogoliubovTransform, ModeLabel, fold_gates
+from .gaussian import NOPA, BogoliubovTransform, ModeLabel, fold_gates, require_symplectic
 
-GAMMA_LIMIT = 20.0  # widest gamma asym_params and asym_direct evaluate
-# widest gamma an AsymSpec may describe: beyond it rounding can push either
-# built form past check_symplectic at DEFAULT_TOL (first at |gamma| = 6.59)
-SPEC_GAMMA_LIMIT = 6.0
+# widest gamma either asymmetric form is built for: beyond it rounding can push
+# one past check_symplectic at DEFAULT_TOL (first at |gamma| = 6.59)
+GAMMA_LIMIT = 6.0
 MODE_LIMIT = 1024  # largest register N + M a SymSpec may describe
 
 
-def _check_gamma(gamma: float, limit: float = GAMMA_LIMIT) -> float:
+def _check_gamma(gamma: float) -> float:
     gamma = float(gamma)
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    if abs(gamma) > limit:
-        raise ValueError(f"|gamma| > {limit} exceeds the supported range")
+    if abs(gamma) > GAMMA_LIMIT:
+        raise ValueError(f"|gamma| > {GAMMA_LIMIT} exceeds the supported range")
     return gamma
 
 
@@ -57,7 +56,7 @@ class AsymSpec:
     factorized: bool = False  # build from BS/NOPA/BS instead of the closed form
 
     def __post_init__(self) -> None:
-        _check_gamma(self.gamma, SPEC_GAMMA_LIMIT)
+        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -92,13 +91,20 @@ class FactorizationParams:
 
 @dataclass(frozen=True)
 class CloningMachine:
-    """A built cloner plus the mode bookkeeping needed to read out clones."""
+    """A built cloner plus the mode bookkeeping needed to read out clones.
+
+    Building one checks its transform once, by ``require_symplectic``, and
+    keeps the deviation as ``symplectic_dev``; a failing transform is refused.
+    """
 
     spec: ClonerSpec
     transform: BogoliubovTransform
     signal_modes: tuple[ModeLabel, ...]
-    idler_mode: ModeLabel
     clone_modes: tuple[ModeLabel, ...]
+    symplectic_dev: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "symplectic_dev", require_symplectic(self.transform).max_dev)
 
     @property
     def n_modes(self) -> int:
@@ -143,8 +149,8 @@ def asym_params(gamma: float) -> FactorizationParams:
         u = -arctan(sqrt(2) sinh(gamma))
 
     v is evaluated through 0.5*log(((1+s) + sqrt(1+s^2))^2 / (2 s)) with
-    s = exp(2 gamma), which is the same function but keeps precision where
-    the artanh argument rounds to 1.
+    s = exp(2 gamma), the same function without artanh's cancellation near 1:
+    at |gamma| = 6 it keeps sinh(v)^2 = cosh(2 gamma) to 4e-16, artanh to 2e-11.
     """
     g = _check_gamma(gamma)
     s = np.exp(2.0 * g)
@@ -177,7 +183,6 @@ def build_cloner(spec: ClonerSpec) -> CloningMachine:
             spec=spec,
             transform=t,
             signal_modes=(ModeLabel(2, "in"),),
-            idler_mode=ModeLabel(1, "idler"),
             clone_modes=(ModeLabel(0, "clone_1"), ModeLabel(2, "clone_2")),
         )
     if isinstance(spec, SymSpec):
@@ -196,7 +201,6 @@ def build_cloner(spec: ClonerSpec) -> CloningMachine:
             spec=spec,
             transform=fold_gates(gates, N + M),
             signal_modes=signals,
-            idler_mode=ModeLabel(N, "idler"),
             clone_modes=clones,
         )
     raise TypeError(f"unknown cloner spec: {spec!r}")

@@ -205,10 +205,9 @@ def _factorization_dev(machine: CloningMachine) -> float | None:
     return float(max(np.abs(built.A - other.A).max(), np.abs(built.B - other.B).max()))
 
 
-def _physics_violations(reports: list[CloneReport], tol: float) -> list[str]:
+def _physics_violations(symplectic_dev: float, reports: list[CloneReport], tol: float) -> list[str]:
     # every gate reads "not (dev <= tol)" so that a NaN deviation fails it
     problems = []
-    symplectic_dev = reports[0].symplectic_dev
     if not symplectic_dev <= tol:
         problems.append(f"symplectic deviation {symplectic_dev:.3e} > {tol:.3e}")
     for r in reports:
@@ -259,7 +258,7 @@ def cmd_clone(spec: ClonerSpec, xi: complex, output_format: str,
         "spec": _spec_echo(spec, xi),
         "clones": _clone_rows(reports),
         "diagnostics": {
-            "symplectic_dev": reports[0].symplectic_dev,
+            "symplectic_dev": machine.symplectic_dev,
             "factorization_dev": _factorization_dev(machine),
         },
     }
@@ -270,7 +269,7 @@ def cmd_clone(spec: ClonerSpec, xi: complex, output_format: str,
                   "fidelity", "fidelity_formula", "q_peak", "defect"]
         rows = [[c[k] for k in header] for c in document["clones"]]
         _emit(_csv_table(header, rows), output_path)
-    problems = _physics_violations(reports, tolerance)
+    problems = _physics_violations(machine.symplectic_dev, reports, tolerance)
     for p in problems:
         print(f"invariant violation: {p}", file=sys.stderr)
     return 1 if problems else 0
@@ -303,8 +302,10 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
     rows: list[list[object]] = []
     problems: list[str] = []
     for where, spec in points:
-        reports = clone_report(spec, xi)
-        problems += [f"{where}: {p}" for p in _physics_violations(reports, tolerance)]
+        machine = build_cloner(spec)
+        reports = clone_report(machine, xi)
+        violations = _physics_violations(machine.symplectic_dev, reports, tolerance)
+        problems += [f"{where}: {p}" for p in violations]
         rows.append(_sweep_row(spec, reports))
     if output_format == "json":
         document = {

@@ -29,7 +29,6 @@ from cvcloner.gaussian import (
     GaussianState,
     SymplecticCheck,
     apply_to_gaussian,
-    check_symplectic,
     coherent_vacuum_input,
     fold_gates,
 )
@@ -191,7 +190,7 @@ def test_expected_values_are_consistent_with_each_other():
 def _per_clone_route(machine, xi):
     """Reference readout: one reduced single-mode state per clone, read
     through the array helpers one row at a time."""
-    out, check = clone_output_state(machine, xi), check_symplectic(machine.transform)
+    out = clone_output_state(machine, xi)
     reports = []
     for mode, n_form, f_form in zip(machine.clone_modes,
                                     expected_chaotic_photons(machine.spec),
@@ -200,7 +199,6 @@ def _per_clone_route(machine, xi):
         n_state, amp = _isotropic_photons(reduced.cov[None]), _amplitudes(reduced.mean[None])
         reports.append(CloneReport(
             clone_mode=mode,
-            signal_amplitude=complex(xi),
             n_chaotic=chaotic_photons(machine.transform, mode),
             n_chaotic_state=float(n_state[0]),
             n_chaotic_formula=n_form,
@@ -209,7 +207,6 @@ def _per_clone_route(machine, xi):
             q_peak=float(_husimi(amp, n_state, complex(xi))[0]),
             phase_covariance_defect=phase_covariance_defect(
                 machine.transform, mode, machine.signal_modes),
-            symplectic_dev=check.max_dev,
         ))
     return reports
 
@@ -282,19 +279,22 @@ def test_clone_report_reads_the_clone_rows_without_the_output_state(monkeypatch,
             return fn(*args, **kwargs)
         _patch_everywhere(monkeypatch, fn, counting)
     clone_report(machine, 0.4 - 0.9j)
-    assert calls == {"apply_to_gaussian": 0, "coherent_vacuum_input": 0, "check_symplectic": 1}
+    # the machine's transform was checked when it was built
+    assert calls == {"apply_to_gaussian": 0, "coherent_vacuum_input": 0, "check_symplectic": 0}
 
 
 def test_clone_report_refuses_a_non_symplectic_transform_as_the_state_route_does():
+    # no machine, and so no clone report, holds a transform that fails the
+    # check: it is refused when the machine is built, as the state route refuses it
     machine = build_cloner(SymSpec(2, 3))
     t = machine.transform
-    broken = replace(machine, transform=BogoliubovTransform(A=1.01 * t.A, B=t.B))
+    broken = BogoliubovTransform(A=1.01 * t.A, B=t.B)
     with pytest.raises(ValueError) as state_route:
-        apply_to_gaussian(broken.transform, coherent_vacuum_input(broken.input_amplitudes(1.0)))
-    with pytest.raises(ValueError) as rows_route:
-        clone_report(broken, 1.0)
-    assert str(rows_route.value) == str(state_route.value)
-    assert str(rows_route.value).startswith("transform is not symplectic")
+        apply_to_gaussian(broken, coherent_vacuum_input(machine.input_amplitudes(1.0)))
+    with pytest.raises(ValueError) as built:
+        replace(machine, transform=broken)
+    assert str(built.value) == str(state_route.value)
+    assert str(built.value).startswith("transform is not symplectic")
 
 
 def test_state_route_tracks_the_a_row_that_the_b_route_ignores(monkeypatch):

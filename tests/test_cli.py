@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cvcloner import circuits, cli, gaussian
 from cvcloner.analysis import clone_report
-from cvcloner.circuits import AsymSpec
+from cvcloner.circuits import AsymSpec, build_cloner
 from cvcloner.cli import main
 
 
@@ -266,10 +266,14 @@ def test_non_finite_figure_fails_instead_of_printing_nan(monkeypatch, capsys):
 @pytest.mark.parametrize("field", ["fidelity", "q_peak", "symplectic_dev",
                                    "phase_covariance_defect"])
 def test_nan_figures_are_violations(field):
-    reports = clone_report(AsymSpec(0.2))
-    assert cli._physics_violations(reports, 1e-10) == []
-    poisoned = [replace(reports[0], **{field: math.nan})] + reports[1:]
-    assert cli._physics_violations(poisoned, 1e-10)
+    machine = build_cloner(AsymSpec(0.2))
+    reports = clone_report(machine)
+    assert cli._physics_violations(machine.symplectic_dev, reports, 1e-10) == []
+    if field == "symplectic_dev":  # the machine's figure, not a clone's
+        assert cli._physics_violations(math.nan, reports, 1e-10)
+    else:
+        poisoned = [replace(reports[0], **{field: math.nan})] + reports[1:]
+        assert cli._physics_violations(machine.symplectic_dev, poisoned, 1e-10)
 
 
 def test_verify_reports_a_truncated_oracle_as_failed(capsys):
@@ -305,6 +309,17 @@ def test_each_machine_is_built_and_checked_once(monkeypatch, capsys):
         code, _, _ = run(capsys, argv)
         assert code == 0
         assert calls == {"build": machines, "check": machines}, argv
+
+
+def test_a_warm_verify_checks_only_the_full_state_routes(monkeypatch, capsys):
+    # the suites read each cached machine's symplectic_dev; only the two
+    # full-state suites check again, in apply_to_gaussian, once per machine
+    assert cli.cmd_verify(None, None) == 0  # fills the machine caches
+    calls = {"check": 0}
+    _count_calls(monkeypatch, gaussian.check_symplectic, calls, "check")
+    assert cli.cmd_verify(None, None) == 0
+    capsys.readouterr()
+    assert calls == {"check": 2 * 16}
 
 
 @pytest.mark.parametrize("factorized", [False, True])

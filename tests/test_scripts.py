@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end."""
 
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +15,12 @@ def test_oracle_convergence_script_runs():
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "oracle_convergence.py"),
-         "--min-cutoff", "6", "--max-cutoff", "8"],
+         "--min-cutoff", "8", "--max-cutoff", "10"],
         env=env, capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[1:]
-    assert [row.split()[0] for row in rows] == ["6", "8"]
+    rows = [row.split() for row in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["8", "10"]
+    # cutoff 8 is refused at the leakage gate; cutoff 10 reaches the number path
+    assert rows[0][2] == "refused"
+    dev = float(rows[1][2])
+    assert math.isfinite(dev) and dev <= 5e-3
