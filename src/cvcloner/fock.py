@@ -25,16 +25,26 @@ generator's exact 1-norm, which is computed once, beside the generator.
 Each generator is written directly from basis-index arithmetic: the nonzeros
 of a_p^dag a_q (or a_p a_q) are sqrt(n_p + 1) sqrt(n_q) (or sqrt(n_p)
 sqrt(n_q)) at indices computed from the occupations, with no per-mode
-operators lifted by Kronecker products.  The two flows of the cloner are
-built once per register and shared by every probe at that cutoff.  Because
-both factors are real, the real and imaginary parts of a state vector evolve
-as real vectors; a part that is all zeros is dropped, since its image is
-exactly zero.  Several probes, each with its own gamma, evolve as one real
-block, so all their vectors cross each factor in the same sparse products.
+operators lifted by Kronecker products.  Because both factors are real, the
+real and imaginary parts of a state vector evolve as real vectors; a part
+that is all zeros is dropped, since its image is exactly zero.
 
-Scope: the 3-mode register of the 1->2 cloner.  The N->M machines live in
-spaces of dimension (cutoff+1)^(N+M) and are out of reach here by design;
-the Gaussian invariants cover them.
+Both flows conserve the charge Q = n_clone + n_signal - n_idler: a beam
+splitter keeps the photon sum of its pair and a NOPA the photon difference.
+So a vector evolves only on the box states of the Q sectors it occupies.
+The vectors that occupy the same sectors form one real block, and the flows
+are built for that block on those states alone, with their own 1-norms;
+every nonzero is checked to conserve Q as they are built.  The oracle's
+probes |0, 0, xi> occupy Q = 0 (xi = 0) or Q in [0, c] (xi != 0): at cutoff
+16 that is 153 or 3281 of the 4913 box states.  A vector that occupies every
+sector, such as a coherent state on all three modes, evolves over the whole
+box.
+
+Scope: the 3-mode register of the 1->2 cloner.  The sectors shrink what is
+evolved, not the register: the whole (cutoff+1)^3 box must still fit
+DIMENSION_BUDGET.  The N->M machines live in spaces of dimension
+(cutoff+1)^(N+M) and are out of reach here by design; the Gaussian
+invariants cover them.
 """
 
 from __future__ import annotations
@@ -42,8 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -91,58 +100,77 @@ class FockSpace:
 
 @dataclass(frozen=True)
 class FockState:
-    """State vector over the truncated number basis (mode 0 varies slowest)."""
+    """State vector over the truncated number basis (mode 0 varies slowest).
+
+    The amplitudes are converted to one read-only complex copy, so no caller
+    can change the state afterwards.  `copy=False` is for a complex vector
+    that nothing else holds, such as one this module has just built: it is
+    frozen in place instead of copied.
+    """
 
     space: FockSpace
     amplitudes: NDArray[np.complex128]
+    copy: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+    def __post_init__(self, copy: bool) -> None:
+        if copy:
+            amps = np.array(self.amplitudes, dtype=complex)
+        else:
+            amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.space.dim,):
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.space.dim},)"
             )
-        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
 
-def _pair_flow(space: FockSpace, pair: tuple[int, int], squeeze: bool) -> sp.csr_matrix:
-    """Real antisymmetric K = H - H^T with H = a_p^dag a_q, or a_p a_q if `squeeze`.
+def _occupation(space: FockSpace, index: np.ndarray, mode: int) -> np.ndarray:
+    """Photon number of `mode` in the box states at `index` (mode 0 varies slowest)."""
+    return (index // space.levels ** (space.n_modes - 1 - mode)) % space.levels
 
-    exp(theta K) is a beam splitter of angle theta on the pair; with
-    `squeeze`, exp(r K) is a NOPA of gain r.
 
-    The nonzeros of H come straight from basis-index arithmetic (mode 0 varies
-    slowest), so no per-mode operator is lifted and multiplied.  A creation
-    operator on a mode already at the cutoff leaves the register, so those
-    columns of H carry nothing.
+def _pair_nonzeros(space: FockSpace, pair: tuple[int, int], squeeze: bool,
+                   cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzeros of H in the box columns `cols`.
+
+    H = a_p^dag a_q, or a_p a_q if `squeeze`.  With K = H - H^T, exp(theta K)
+    is a beam splitter of angle theta on the pair; with `squeeze`, exp(r K) is
+    a NOPA of gain r.
+
+    The nonzeros come straight from basis-index arithmetic, so no per-mode
+    operator is lifted and multiplied.  A creation operator on a mode already
+    at the cutoff leaves the register, so those columns of H carry nothing.
     """
-    levels, dim = space.levels, space.dim
-    stride_p, stride_q = (levels ** (space.n_modes - 1 - m) for m in pair)
-    col = np.arange(dim)
-    n_p, n_q = (col // stride_p) % levels, (col // stride_q) % levels
+    stride_p, stride_q = (space.levels ** (space.n_modes - 1 - m) for m in pair)
+    n_p, n_q = (_occupation(space, cols, m) for m in pair)
     if squeeze:
         keep = (n_p >= 1) & (n_q >= 1)
         shift, factor = -stride_p - stride_q, np.sqrt(n_p)
     else:
-        keep = (n_p < levels - 1) & (n_q >= 1)
+        keep = (n_p < space.levels - 1) & (n_q >= 1)
         shift, factor = stride_p - stride_q, np.sqrt(n_p + 1)
-    col = col[keep]
-    values = factor[keep] * np.sqrt(n_q[keep])
-    half = sp.csr_matrix((values, (col + shift, col)), shape=(dim, dim))
-    return (half - half.T).tocsr()
+    cols = cols[keep]
+    return cols + shift, cols, factor[keep] * np.sqrt(n_q[keep])
 
 
 # Wiring of the 1->2 cloner in this module: mode 0 = clone a, mode 1 = idler b,
-# mode 2 = signal c.  The gamma-independent factor exp(-i(U+V)) mixes (0, 2)
-# and squeezes (2, 1); the gamma-dependent factor squeezes (0, 1).
+# mode 2 = signal c.  The gamma-dependent flow squeezes (0, 1); the
+# gamma-independent flow, the generator of exp(-i(U+V)), mixes (0, 2) and
+# squeezes (2, 1).  Each flow is a sum of (pair, squeeze) terms.
 _CLONE, _IDLER, _SIGNAL = 0, 1, 2
+_SQUEEZE_TERMS = (((_CLONE, _IDLER), True),)
+_FIXED_TERMS = (((_CLONE, _SIGNAL), False), ((_SIGNAL, _IDLER), True))
 
 
-def _fixed_flow(space: FockSpace) -> sp.csr_matrix:
-    return (_pair_flow(space, (_CLONE, _SIGNAL), squeeze=False)
-            + _pair_flow(space, (_SIGNAL, _IDLER), squeeze=True)).tocsr()
+def _charge(space: FockSpace, index: np.ndarray) -> np.ndarray:
+    """Q = n_clone + n_signal - n_idler of the box states at `index`.
+
+    A beam splitter conserves the photon sum of its pair and a NOPA the photon
+    difference of its pair, so both flows of the cloner conserve Q.
+    """
+    return (_occupation(space, index, _CLONE) + _occupation(space, index, _SIGNAL)
+            - _occupation(space, index, _IDLER))
 
 
 class _Flow(NamedTuple):
@@ -152,19 +180,35 @@ class _Flow(NamedTuple):
     one_norm: float
 
 
-@lru_cache(maxsize=1)
-def _cloner_flows(space: FockSpace) -> tuple[_Flow, _Flow]:
-    """The clone-idler squeeze and the gamma-independent flow, built once per register.
+def _flow(space: FockSpace, terms: Sequence[tuple[tuple[int, int], bool]],
+          basis: np.ndarray) -> _Flow:
+    """The sum over `terms` of K = H - H^T on the span of `basis`, with its 1-norm.
 
-    A verify --oracle ladder runs each rung once, so one slot lets the probes
-    of a rung share their flows and holds no more than one rung's matrices.
+    `basis` holds the sorted box indices of a union of charge sectors.  Every
+    nonzero of H must join two states of equal charge, so that K maps the
+    span into itself; a term that breaks the law is refused, since its
+    amplitude would otherwise leave the span unseen.  No box-sized matrix is
+    formed.
     """
-    flows = []
-    for matrix in (_pair_flow(space, (_CLONE, _IDLER), squeeze=True), _fixed_flow(space)):
-        for array in (matrix.data, matrix.indices, matrix.indptr):
-            array.setflags(write=False)
-        flows.append(_Flow(matrix, float(abs(matrix).sum(axis=0).max())))
-    return flows[0], flows[1]
+    rows, cols, values = (np.concatenate(parts) for parts in zip(
+        *(_pair_nonzeros(space, pair, squeeze, basis) for pair, squeeze in terms)))
+    if (_charge(space, rows) != _charge(space, cols)).any():
+        raise ValueError(f"the flow {terms} does not conserve Q = n_clone + n_signal - n_idler")
+    size = basis.size
+    half = sp.csr_matrix((values, (np.searchsorted(basis, rows), np.searchsorted(basis, cols))),
+                         shape=(size, size))
+    matrix = (half - half.T).tocsr()
+    return _Flow(matrix, float(abs(matrix).sum(axis=0).max()))
+
+
+def _cloner_flows(space: FockSpace, basis: np.ndarray) -> tuple[_Flow, _Flow]:
+    """The clone-idler squeeze and the gamma-independent flow on the span of `basis`.
+
+    Each block of probes builds its own pair, over the charge sectors it
+    occupies; a verify --oracle ladder runs each rung once, so nothing is
+    kept between calls.
+    """
+    return _flow(space, _SQUEEZE_TERMS, basis), _flow(space, _FIXED_TERMS, basis)
 
 
 # theta_m of the degree-m truncated Taylor series in double precision: m <= 30
@@ -194,10 +238,12 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     return best_m, best_s
 
 
-def _propagate(flow: _Flow, block: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _propagate(flow: _Flow, block: np.ndarray, times: np.ndarray | float) -> np.ndarray:
     """exp(t_j K) applied to column j of a real (dim, k) block, all columns at once.
 
-    One plan, for the largest |t_j|, serves every column.  Each scaling step
+    `times` holds one t_j per column, or one scalar t for all of them, which
+    steps with a scalar multiply instead of a broadcast one.  One plan, for
+    the largest |t_j|, serves every column.  Each scaling step
     adds Taylor terms until, for every column, the last two terms together
     fall below the unit roundoff times that column's sum (the stopping test
     of scipy's expm_multiply, applied per column).  K is traceless, so no
@@ -237,15 +283,20 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
     """Send several 3-mode states, each with its own gamma, through the cloner.
 
     Both factors are real orthogonal, so the real and imaginary parts of
-    every probe are real columns of one block; a part that is all zeros is
-    dropped and stays exactly zero.  The block crosses the clone-idler
-    squeeze with chi = gamma + ln(2)/2 per column, then the gamma-independent
-    factor, without forming either matrix.
+    every probe are real columns; a part that is all zeros is dropped and
+    stays exactly zero.  Both factors conserve the charge Q (see `_charge`),
+    so a column evolves only on the box states of the Q sectors it occupies.
+    Columns that occupy the same sectors form one block, which crosses the
+    clone-idler squeeze with chi = gamma + ln(2)/2 per column, then the
+    gamma-independent factor, over flows built on those sectors alone.  A
+    column that occupies every sector evolves over the whole box.
     """
     space = probes[0][1].space
     if space.n_modes != 3:
         raise ValueError(f"the cloner acts on 3 modes, got {space.n_modes}")
-    parts, chis, slots = [], [], {}
+    charge = _charge(space, np.arange(space.dim))
+    # occupied sectors -> the (probe, imag, chi, part) of each column that occupies them
+    groups: dict[tuple[int, ...], list[tuple[int, int, float, np.ndarray]]] = {}
     for i, (gamma, state) in enumerate(probes):
         if state.space != space:
             raise ValueError(f"every probe needs the register {space}, got {state.space}")
@@ -254,22 +305,19 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
             raise ValueError(f"gamma must be finite, got {gamma}")
         for imag, part in enumerate((state.amplitudes.real, state.amplitudes.imag)):
             if part.any():
-                slots[i, imag] = len(parts)
-                parts.append(part)
-                chis.append(chi)
-    if parts:
-        squeeze, fixed = _cloner_flows(space)
-        block = _propagate(squeeze, np.stack(parts, axis=1), np.array(chis))
-        block = _propagate(fixed, block, np.ones(len(chis)))
-    outs = []
-    for i in range(len(probes)):
-        amps = np.zeros(space.dim, dtype=complex)
-        if (i, 0) in slots:
-            amps.real = block[:, slots[i, 0]]
-        if (i, 1) in slots:
-            amps.imag = block[:, slots[i, 1]]
-        outs.append(FockState(space=space, amplitudes=amps))
-    return outs
+                sectors = tuple(np.unique(charge[part != 0]).tolist())
+                groups.setdefault(sectors, []).append((i, imag, chi, part))
+    amps = [np.zeros(space.dim, dtype=complex) for _ in probes]
+    for sectors, columns in groups.items():
+        basis = np.flatnonzero(np.isin(charge, sectors))
+        squeeze, fixed = _cloner_flows(space, basis)
+        block = np.stack([part[basis] for *_, part in columns], axis=1)
+        block = _propagate(squeeze, block, np.array([chi for _, _, chi, _ in columns]))
+        block = _propagate(fixed, block, 1.0)
+        for (i, imag, _, _), column in zip(columns, block.T, strict=True):
+            out = amps[i].imag if imag else amps[i].real
+            out[basis] = column
+    return [FockState(space, vec, copy=False) for vec in amps]
 
 
 def coherent_fock(space: FockSpace, amplitudes: list[complex] | tuple[complex, ...]) -> FockState:
@@ -286,7 +334,7 @@ def coherent_fock(space: FockSpace, amplitudes: list[complex] | tuple[complex, .
     vec = np.ones(1, dtype=complex)
     for xi in amplitudes:
         vec = np.kron(vec, _coherent_column(space.levels, complex(xi)))
-    return FockState(space=space, amplitudes=vec)
+    return FockState(space, vec, copy=False)
 
 
 def _coherent_column(levels: int, xi: complex) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Truncated Fock oracle: generators, Taylor propagation, fidelity cross-checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -32,11 +34,18 @@ def test_space_enforces_budget_and_cutoff():
     assert FockSpace(3, 14).dim == 15 ** 3
 
 
+def _box_flow(space, pair, squeeze):
+    """K = H - H^T of one pair over the whole box, assembled from fock's nonzeros of H."""
+    rows, cols, values = fock._pair_nonzeros(space, pair, squeeze, np.arange(space.dim))
+    half = sp.csr_matrix((values, (rows, cols)), shape=(space.dim, space.dim))
+    return (half - half.T).tocsr()
+
+
 def test_mix_flow_single_photon_element():
     # basis |n0 n1>, index 2*n0 + n1 at cutoff 1; the Hermitian generator is
     # G = i K, so <10| G |01> = i reads <10| K |01> = 1
     space = FockSpace(2, 1)
-    k = fock._pair_flow(space, (0, 1), squeeze=False).toarray()
+    k = _box_flow(space, (0, 1), squeeze=False).toarray()
     assert k[2, 1] == 1
     assert k[1, 2] == -1
 
@@ -44,7 +53,7 @@ def test_mix_flow_single_photon_element():
 def test_squeeze_flow_acts_on_vacuum_as_pair_creation():
     # G = i K with G |00> = -i |11>, so K |00> = -|11>
     space = FockSpace(2, 1)
-    column = fock._pair_flow(space, (0, 1), squeeze=True).toarray()[:, 0]
+    column = _box_flow(space, (0, 1), squeeze=True).toarray()[:, 0]
     expected = np.zeros(4)
     expected[3] = -1.0
     assert np.allclose(column, expected)
@@ -54,7 +63,7 @@ def test_generator_exponentials_reproduce_gaussian_elements():
     # a beam splitter angle transfers |1,0> -> cos(th)|1,0> - sin(th)|0,1>
     space = FockSpace(2, 3)
     th = 0.6
-    u = expm(th * fock._pair_flow(space, (0, 1), squeeze=False).toarray())
+    u = expm(th * _box_flow(space, (0, 1), squeeze=False).toarray())
     one_zero = np.zeros(space.dim)
     one_zero[1 * 4] = 1.0
     out = u @ one_zero
@@ -100,7 +109,7 @@ def test_two_mode_squeezed_vacuum_thermal_overlap():
     r = 0.4
     vac = np.zeros(space.dim, dtype=complex)
     vac[0] = 1.0
-    flow = fock._pair_flow(space, (0, 1), squeeze=True)
+    flow = _box_flow(space, (0, 1), squeeze=True)
     state = FockState(space, expm_multiply(r * flow, vac))
     got = fidelity_fock(state, 0, 0j)
     assert np.isclose(got, 1 / math.cosh(r) ** 2, atol=1e-10)
@@ -184,27 +193,34 @@ def test_flows_equal_the_kron_built_operators(n_modes, cutoff):
             ap, aq = ladders[p], ladders[q]
             mix = ap.T @ aq - aq.T @ ap
             squeeze = ap @ aq - ap.T @ aq.T
-            assert (fock._pair_flow(space, (p, q), squeeze=False).toarray() == mix).all()
-            assert (fock._pair_flow(space, (p, q), squeeze=True).toarray() == squeeze).all()
+            assert (_box_flow(space, (p, q), squeeze=False).toarray() == mix).all()
+            assert (_box_flow(space, (p, q), squeeze=True).toarray() == squeeze).all()
+
+
+def _sector_size(cutoff, sectors):
+    """Box states of a 3-mode register (clone, idler, signal) whose charge lies in `sectors`."""
+    n = np.arange(cutoff + 1)
+    charge = n[:, None, None] - n[None, :, None] + n[None, None, :]
+    return int(np.isin(charge, sectors).sum())
 
 
 def test_oracle_builds_one_set_of_flows_per_rung(monkeypatch):
     calls = []
-    real = fock._pair_flow
+    real = fock._pair_nonzeros
 
-    def counting(space, pair, squeeze):
-        calls.append(space.cutoff)
-        return real(space, pair, squeeze)
+    def counting(space, pair, squeeze, cols):
+        calls.append((space.cutoff, cols.size))
+        return real(space, pair, squeeze, cols)
 
-    fock._cloner_flows.cache_clear()
-    monkeypatch.setattr(fock, "_pair_flow", counting)
-    try:
-        result = oracle_agreement(cutoffs=(10, 12))
-    finally:
-        fock._cloner_flows.cache_clear()
+    monkeypatch.setattr(fock, "_pair_nonzeros", counting)
+    result = oracle_agreement(cutoffs=(10, 12))
     assert result.passed
-    # three generators (clone-idler squeeze, mix, signal-idler squeeze) per rung
-    assert calls == [10] * 3 + [12] * 3
+    # per rung, three generators (clone-idler squeeze, mix, signal-idler squeeze)
+    # for each group: the vacuum probes on Q = 0, the xi = 0.3 probes on Q in [0, c]
+    want = []
+    for c in (10, 12):
+        want += [(c, _sector_size(c, [0]))] * 3 + [(c, _sector_size(c, range(c + 1)))] * 3
+    assert calls == want
 
 
 def test_real_input_evolves_to_exactly_real_amplitudes():
@@ -270,7 +286,7 @@ def test_propagator_matches_expm_multiply(cutoff, gamma):
     space = FockSpace(3, cutoff)
     amps = coherent_fock(space, [0.1 - 0.05j, 0j, 0.3 + 0.2j]).amplitudes
     block = np.stack([amps.real, amps.imag], axis=1)
-    squeeze, fixed = fock._cloner_flows(space)
+    squeeze, fixed = fock._cloner_flows(space, np.arange(space.dim))
     for flow, t in ((squeeze, _chi(gamma)), (fixed, 1.0)):
         got = fock._propagate(flow, block, np.full(2, t)).T
         want = expm_multiply(t * flow.matrix, amps, traceA=0.0)
@@ -282,7 +298,7 @@ def test_propagator_backward_undoes_forward(t):
     space = FockSpace(3, 12)
     block = np.stack([coherent_fock(space, [0j, 0j, 0.3 + 0j]).amplitudes.real,
                       coherent_fock(space, [0.2 + 0j, 0j, 0.4 + 0j]).amplitudes.real], axis=1)
-    for flow in fock._cloner_flows(space):
+    for flow in fock._cloner_flows(space, np.arange(space.dim)):
         there = fock._propagate(flow, block, np.full(2, t))
         back = fock._propagate(flow, there, np.full(2, -t))
         assert np.abs(back - block).max() <= 1e-13
@@ -313,7 +329,7 @@ def test_propagator_equals_the_exact_norm_loop(cutoff):
     block = np.column_stack([coherent_fock(space, [0j, 0j, xi]).amplitudes.real
                              for xi in (0.0, 0.3, 0.5)] + [rng.standard_normal(space.dim)])
     times = np.array([0.2, -0.4, 0.9, 0.35])
-    for flow in fock._cloner_flows(space):
+    for flow in fock._cloner_flows(space, np.arange(space.dim)):
         got = fock._propagate(flow, block, times)
         assert np.array_equal(got, _propagate_with_exact_norms(flow, block, times))
 
@@ -352,6 +368,133 @@ def test_a_block_refuses_mixed_registers_and_a_non_finite_gamma():
         apply_cloning_fock_block([(math.nan, coherent_fock(space, [0j, 0j, 0.3]))])
     with pytest.raises(ValueError, match="the cloner acts on 3 modes, got 2"):
         apply_cloning_fock_block([(0.0, coherent_fock(FockSpace(2, 6), [0j, 0.3]))])
+
+
+@pytest.mark.parametrize("cutoff", range(1, 7))
+def test_box_flows_equal_the_kron_built_generators(cutoff):
+    space = FockSpace(3, cutoff)
+    a, b, c = _kron_ladders(3, cutoff)  # clone, idler, signal
+    squeeze, fixed = fock._cloner_flows(space, np.arange(space.dim))
+    assert (squeeze.matrix.toarray() == a @ b - a.T @ b.T).all()
+    assert (fixed.matrix.toarray() == (a.T @ c - c.T @ a) + (c @ b - c.T @ b.T)).all()
+    for flow in (squeeze, fixed):
+        assert flow.one_norm == np.abs(flow.matrix.toarray()).sum(axis=0).max()
+
+
+@pytest.mark.parametrize("cutoff", [1, 5, 10, 16, 20])
+def test_both_flows_conserve_the_charge(cutoff):
+    space = FockSpace(3, cutoff)
+    clone, idler, signal = np.unravel_index(np.arange(space.dim), (cutoff + 1,) * 3)
+    charge = clone + signal - idler
+    assert (fock._charge(space, np.arange(space.dim)) == charge).all()
+    for flow in fock._cloner_flows(space, np.arange(space.dim)):
+        nonzeros = flow.matrix.tocoo()
+        assert nonzeros.nnz > 0
+        assert (charge[nonzeros.row] == charge[nonzeros.col]).all()
+
+
+def test_sector_norms_of_the_oracle_register():
+    # the xi = 0.3 probes occupy Q in [0, c], whose flows have the box's norms;
+    # the vacuum occupies Q = 0, whose fixed flow is smaller
+    space = FockSpace(3, 16)
+    charge = fock._charge(space, np.arange(space.dim))
+    box = fock._cloner_flows(space, np.arange(space.dim))
+    signal = fock._cloner_flows(space, np.flatnonzero((charge >= 0) & (charge <= 16)))
+    vacuum = fock._cloner_flows(space, np.flatnonzero(charge == 0))
+    assert [f.one_norm for f in signal] == [f.one_norm for f in box]
+    assert [round(f.one_norm, 1) for f in box] == [31.0, 62.0]
+    assert [round(f.one_norm, 1) for f in vacuum] == [31.0, 41.0]
+    assert [f.matrix.shape[0] for f in (box[0], signal[0], vacuum[0])] == [4913, 3281, 153]
+
+
+@pytest.mark.parametrize("amplitudes", [[0j, 0j, 0j], [0j, 0j, 0.3 + 0j],
+                                        [0.1 - 0.05j, 0.2j, 0.3 + 0.2j]])
+def test_a_flow_that_breaks_the_charge_is_refused(monkeypatch, amplitudes):
+    # the clone-idler pair built as a mix moves a photon from the idler to the
+    # clone, so Q changes by 2; even a probe on the whole box is refused
+    monkeypatch.setattr(fock, "_SQUEEZE_TERMS", (((fock._CLONE, fock._IDLER), False),))
+    space = FockSpace(3, 8)
+    with pytest.raises(ValueError, match="does not conserve Q"):
+        apply_cloning_fock_block([(0.2, coherent_fock(space, amplitudes))])
+
+
+def _reference_probes(space):
+    random = np.random.default_rng(space.cutoff).standard_normal(space.dim)
+    return {
+        "vacuum": coherent_fock(space, [0j, 0j, 0j]),
+        "signal": coherent_fock(space, [0j, 0j, 0.3 + 0j]),
+        "complex on three modes": coherent_fock(space, [0.1 - 0.05j, 0.2j, 0.3 + 0.2j]),
+        "random real": FockState(space, random / np.linalg.norm(random)),
+    }
+
+
+def _box_reference(gamma, state):
+    """One probe evolved over the whole box, its two parts as one block."""
+    space = state.space
+    squeeze, fixed = fock._cloner_flows(space, np.arange(space.dim))
+    block = np.stack([state.amplitudes.real, state.amplitudes.imag], axis=1)
+    block = fock._propagate(squeeze, block, np.full(2, _chi(gamma)))
+    block = fock._propagate(fixed, block, np.ones(2))
+    return block[:, 0] + 1j * block[:, 1]
+
+
+@pytest.mark.parametrize("name", ["vacuum", "signal", "complex on three modes", "random real"])
+@pytest.mark.parametrize("cutoff", [6, 11, 16])
+def test_a_probe_on_its_sectors_equals_the_box_propagation(cutoff, name):
+    space = FockSpace(3, cutoff)
+    state = _reference_probes(space)[name]
+    occupied = np.isin(fock._charge(space, np.arange(space.dim)),
+                       fock._charge(space, np.flatnonzero(state.amplitudes)))
+    for gamma in (-0.5, 0.0, 0.5):
+        got = apply_cloning_fock_block([(gamma, state)])[0].amplitudes
+        assert np.abs(got - _box_reference(gamma, state)).max() <= 1e-14
+        assert (got[~occupied] == 0).all()
+
+
+@pytest.mark.parametrize("cutoff", [6, 11, 16])
+def test_a_mixed_block_equals_the_box_propagation(cutoff):
+    space = FockSpace(3, cutoff)
+    probes = list(zip((-0.5, 0.0, 0.5, 0.2), _reference_probes(space).values(), strict=True))
+    probes += [(0.5, state) for _, state in probes]
+    outs = apply_cloning_fock_block(probes)
+    for (gamma, state), out in zip(probes, outs, strict=True):
+        assert np.abs(out.amplitudes - _box_reference(gamma, state)).max() <= 1e-14
+
+
+def test_a_scalar_time_steps_as_a_vector_of_it():
+    space = FockSpace(3, 10)
+    block = np.stack([coherent_fock(space, [0j, 0j, xi]).amplitudes.real for xi in (0.0, 0.3)],
+                     axis=1)
+    for flow in fock._cloner_flows(space, np.arange(space.dim)):
+        assert np.array_equal(fock._propagate(flow, block, 1.0),
+                              fock._propagate(flow, block, np.ones(2)))
+
+
+def test_a_state_keeps_its_own_copy_of_the_callers_array():
+    space = FockSpace(2, 3)
+    vec = np.zeros(space.dim, dtype=complex)
+    vec[0] = 1.0
+    state = FockState(space, vec)
+    vec[:] = 0.5
+    assert state.amplitudes[0] == 1.0
+    assert (state.amplitudes[1:] == 0).all()
+    assert not state.amplitudes.flags.writeable
+
+
+def test_a_vector_fock_builds_is_frozen_in_place_not_copied():
+    space = FockSpace(3, 4)
+    vec = np.ones(space.dim, dtype=complex)
+    assert FockState(space, vec, copy=False).amplitudes is vec
+    assert not vec.flags.writeable
+    # coherent_fock allocates its vector once: the peak holds one, not two
+    space = FockSpace(3, 40)
+    tracemalloc.start()
+    try:
+        coherent_fock(space, [0j, 0j, 0.3 + 0j])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * space.dim * np.dtype(complex).itemsize
 
 
 # _oracle_dev at cutoffs 10..16 as computed by scipy's expm_multiply, one probe at a time
