@@ -18,10 +18,11 @@ S_r of the quadrature matrix S, never forming the full output state: every
 input is coherent or vacuum, with covariance I/2, so the clones' 2x2 blocks
 are the diagonal blocks of (S_r / 2) S_r^T and their means are S_r times the
 input means.  Those blocks and means, and the transform's clone rows, go
-through array helpers that read every clone at once, and the single-row
-functions ``chaotic_photons`` and ``phase_covariance_defect`` call the same
-helpers with one row, so each formula and each gate exists once.  The gates
-fail closed: a NaN variance or amplitude is refused, never passed.
+through array helpers that read every clone at once, so each formula and
+each gate exists once, and a ``CloneReport`` carries every figure a caller
+reads: there is no single-row reader beside it.  The gates fail closed: a
+NaN variance or amplitude is refused, never passed, and the refusal names
+the clone.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ from .gaussian import (
     BogoliubovTransform,
     GaussianState,
     ModeLabel,
-    apply_to_gaussian,
     coherent_means,
     coherent_vacuum_input,
-    mode_index,
 )
 
 ISOTROPY_TOL = 1e-8
@@ -61,18 +60,13 @@ class CloneReport:
     phase_covariance_defect: float
 
 
-def _where(names: list[str] | None, i: int) -> str:
-    return f"{names[i]}: " if names else ""
-
-
 def _chaotic_photons(b_rows: NDArray[np.float64]) -> NDArray[np.float64]:
     """|B row|^2 of each row: the noise an output row adds when every
     non-signal input is vacuum."""
     return np.sum(b_rows ** 2, axis=-1)
 
 
-def _isotropic_photons(blocks: NDArray[np.float64],
-                       names: list[str] | None = None) -> NDArray[np.float64]:
+def _isotropic_photons(blocks: NDArray[np.float64], names: list[str]) -> NDArray[np.float64]:
     """Chaotic photons (var(x) + var(p))/2 - 1/2 of stacked 2x2 covariances.
 
     Fails closed, NaN included, unless each block has equal x and p variances
@@ -83,7 +77,7 @@ def _isotropic_photons(blocks: NDArray[np.float64],
     if not isotropic.all():
         i = int(np.argmin(isotropic))
         raise ValueError(
-            f"{_where(names, i)}covariance is not isotropic: "
+            f"{names[i]}: covariance is not isotropic: "
             f"var(x)={vxx[i]}, var(p)={vpp[i]}, cov(x,p)={vxp[i]}"
         )
     return (vxx + vpp) / 2.0 - 0.5
@@ -96,7 +90,7 @@ def _amplitudes(means: NDArray[np.float64]) -> NDArray[np.complex128]:
 
 
 def _fidelities(amps: NDArray[np.complex128], xi: complex, n: NDArray[np.float64],
-                names: list[str] | None = None) -> NDArray[np.float64]:
+                names: list[str]) -> NDArray[np.float64]:
     """1/(n + 1) per clone, refused (NaN included) unless each clone kept xi
     at unit gain within GAIN_TOL: these machines preserve gain by
     construction, so a gain error is a fault, not a lower fidelity."""
@@ -104,7 +98,7 @@ def _fidelities(amps: NDArray[np.complex128], xi: complex, n: NDArray[np.float64
     if not unit_gain.all():
         i = int(np.argmin(unit_gain))
         raise ValueError(
-            f"{_where(names, i)}clone amplitude {complex(amps[i])} does not match "
+            f"{names[i]}: clone amplitude {complex(amps[i])} does not match "
             f"the target {xi}: non-unit gain"
         )
     return 1.0 / (n + 1.0)
@@ -118,46 +112,15 @@ def _husimi(amps: NDArray[np.complex128], n: NDArray[np.float64],
 
 def _phase_covariance_defects(t: BogoliubovTransform, rows: list[int],
                               signal_cols: list[int]) -> NDArray[np.float64]:
-    """sum_k A[row, k] B[row, k] over the non-signal columns k, per row."""
+    """sum_k A[row, k] B[row, k] over the non-signal columns k, per row.
+
+    That sum is the <(delta a)^2> moment of the noise a row adds from its
+    vacuum inputs; any nonzero value means squeezed (phase-sensitive) noise,
+    which would make the clone quality depend on the phase of the input.
+    """
     vacuum_a = t.A[rows]
     vacuum_a[:, signal_cols] = 0.0
     return np.einsum("ij,ij->i", vacuum_a, t.B[rows])
-
-
-def chaotic_photons(t: BogoliubovTransform, mode: int | ModeLabel) -> float:
-    """Added chaotic photons on an output mode, read off the transform.
-
-    With vacuum on every non-signal input, the noise an output row adds is
-    the squared norm of its a-dagger coefficients.
-    """
-    return float(_chaotic_photons(t.B[[mode_index(mode, t.n_modes)]])[0])
-
-
-def noise_product(t: BogoliubovTransform) -> float:
-    """Product of the chaotic photon numbers on the clone modes 0 and 2.
-
-    For the asymmetric 1->2 machine this sits exactly at the 1/4 floor set
-    by the no-cloning bound, for every noise split gamma.
-    """
-    return chaotic_photons(t, 0) * chaotic_photons(t, 2)
-
-
-def phase_covariance_defect(
-    t: BogoliubovTransform,
-    clone_mode: int | ModeLabel,
-    signal_modes: tuple[int | ModeLabel, ...],
-) -> float:
-    """How far a clone's added noise is from phase insensitive.
-
-    The noise operator on a clone row is sum_k (A_k a_k + B_k a_k^dag) over
-    the vacuum inputs k, excluding the signal modes.  Its <(delta a)^2>
-    moment is sum_k A_k B_k; any nonzero value means squeezed
-    (phase-sensitive) noise, which would make the clone quality depend on
-    the phase of the input.
-    """
-    return float(_phase_covariance_defects(
-        t, [mode_index(clone_mode, t.n_modes)],
-        [mode_index(m, t.n_modes) for m in signal_modes])[0])
 
 
 def expected_chaotic_photons(spec: ClonerSpec) -> tuple[float, ...]:
@@ -184,9 +147,14 @@ def expected_fidelities(spec: ClonerSpec) -> tuple[float, ...]:
 
 
 def clone_output_state(machine: CloningMachine, xi: complex) -> GaussianState:
-    """Full multimode Gaussian state leaving the machine for input amplitude xi."""
+    """Full multimode Gaussian state leaving the machine for input amplitude xi.
+
+    mean -> S mean and cov -> S cov S^T, with no check: the machine's
+    transform was checked when the machine was built.
+    """
     state_in = coherent_vacuum_input(machine.input_amplitudes(xi))
-    return apply_to_gaussian(machine.transform, state_in)
+    S = machine.transform.symplectic_matrix()
+    return GaussianState(mean=S @ state_in.mean, cov=S @ state_in.cov @ S.T)
 
 
 def clone_report(machine: ClonerSpec | CloningMachine,

@@ -26,6 +26,8 @@ collected mode plus the ancilla modes.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +42,10 @@ MODE_LIMIT = 1024  # largest register N + M a SymSpec may describe
 
 
 def _check_gamma(gamma: float) -> float:
+    # float() would take a string, and would only warn as it dropped the
+    # imaginary part of a numpy complex
+    if not isinstance(gamma, numbers.Real):
+        raise ValueError(f"gamma must be a real number, got {gamma!r}")
     gamma = float(gamma)
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
@@ -56,7 +62,7 @@ class AsymSpec:
     factorized: bool = False  # build from BS/NOPA/BS instead of the closed form
 
     def __post_init__(self) -> None:
-        _check_gamma(self.gamma)
+        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,11 @@ class SymSpec:
     m: int
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+            object.__setattr__(self, "m", operator.index(self.m))
+        except TypeError:
+            raise ValueError(f"n and m must be integers, got n={self.n!r}, m={self.m!r}") from None
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.m < self.n:

@@ -289,8 +289,11 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
     Columns that occupy the same sectors form one block, which crosses the
     clone-idler squeeze with chi = gamma + ln(2)/2 per column, then the
     gamma-independent factor, over flows built on those sectors alone.  A
-    column that occupies every sector evolves over the whole box.
+    column that occupies every sector evolves over the whole box.  An empty
+    list of probes is refused.
     """
+    if not probes:
+        raise ValueError("apply_cloning_fock_block needs at least one probe")
     space = probes[0][1].space
     if space.n_modes != 3:
         raise ValueError(f"the cloner acts on 3 modes, got {space.n_modes}")
@@ -325,15 +328,19 @@ def coherent_fock(space: FockSpace, amplitudes: list[complex] | tuple[complex, .
 
     Per-mode coefficients are exp(-|xi|^2/2) xi^n / sqrt(n!) with the tail
     above the cutoff simply dropped; the missing norm is the caller's
-    truncation-error budget and is checked where it matters.
+    truncation-error budget and is checked where it matters.  A non-finite
+    amplitude is refused.
     """
     if len(amplitudes) != space.n_modes:
         raise ValueError(
             f"got {len(amplitudes)} amplitudes for {space.n_modes} modes"
         )
+    amps = [complex(xi) for xi in amplitudes]
+    if not all(map(cmath.isfinite, amps)):
+        raise ValueError(f"coherent amplitudes must be finite, got {amplitudes!r}")
     vec = np.ones(1, dtype=complex)
-    for xi in amplitudes:
-        vec = np.kron(vec, _coherent_column(space.levels, complex(xi)))
+    for xi in amps:
+        vec = np.kron(vec, _coherent_column(space.levels, xi))
     return FockState(space, vec, copy=False)
 
 

@@ -25,6 +25,7 @@ so the vacuum variance is 1/2 and a coherent amplitude xi has mean
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -203,7 +204,10 @@ class Passive:
 @dataclass(frozen=True)
 class NOPA:
     """Two-mode squeezer on the pair (p, q): a_p' = cosh r a_p - sinh r a_q^dag,
-    and the same with p and q swapped."""
+    and the same with p and q swapped.
+
+    r is stored as a float; anything but a finite real number is refused.
+    """
 
     r: float
     p: int
@@ -211,8 +215,11 @@ class NOPA:
 
     def __post_init__(self) -> None:
         _check_pair(self.p, self.q)
+        if not isinstance(self.r, numbers.Real):
+            raise ValueError(f"NOPA gate on ({self.p}, {self.q}) needs a real r, got {self.r!r}")
         if not math.isfinite(self.r):
             raise ValueError(f"NOPA gate on ({self.p}, {self.q}) needs a finite r, got {self.r}")
+        object.__setattr__(self, "r", float(self.r))
 
 
 Gate = Passive | NOPA
@@ -295,18 +302,6 @@ def coherent_vacuum_input(amplitudes: list[complex] | tuple[complex, ...]) -> Ga
     """Product of coherent states (vacuum where the amplitude is zero)."""
     mean = coherent_means(amplitudes)
     return GaussianState(mean=mean, cov=0.5 * np.eye(mean.size))
-
-
-def apply_to_gaussian(t: BogoliubovTransform, s: GaussianState) -> GaussianState:
-    """Evolve a Gaussian state: mean -> S mean, cov -> S cov S^T.
-
-    Refuses a transform that fails ``check_symplectic``.
-    """
-    if t.n_modes != s.n_modes:
-        raise ValueError(f"mode count mismatch: transform {t.n_modes}, state {s.n_modes}")
-    require_symplectic(t)
-    S = t.symplectic_matrix()
-    return GaussianState(mean=S @ s.mean, cov=S @ s.cov @ S.T)
 
 
 def uncertainty_defect(s: GaussianState) -> float:

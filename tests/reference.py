@@ -3,12 +3,22 @@
 The package builds every transform by ``fold_gates`` and reads every clone
 from the clone rows of S; these are the dense and single-mode routes that
 those results are checked against, kept here because only tests need them.
+The one-row readers take a bare transform, where the package reads a built
+machine's clones through ``clone_report``; they call the same array helpers
+with one row.
 """
 
 import numpy as np
 
+from cvcloner.analysis import _chaotic_photons, _phase_covariance_defects
 from cvcloner.fock import FockState, _mode_rows
-from cvcloner.gaussian import BogoliubovTransform, GaussianState, ModeLabel, mode_index
+from cvcloner.gaussian import (
+    BogoliubovTransform,
+    GaussianState,
+    ModeLabel,
+    mode_index,
+    require_symplectic,
+)
 
 
 def compose(second: BogoliubovTransform, first: BogoliubovTransform) -> BogoliubovTransform:
@@ -61,3 +71,34 @@ def mode_expectation(state: FockState, mode: int | ModeLabel) -> complex:
     psi = _mode_rows(state, mode)
     root_k = np.sqrt(np.arange(1, state.space.levels))
     return complex(np.vdot(psi[:-1], root_k[:, None] * psi[1:]))
+
+
+def apply_to_gaussian(t: BogoliubovTransform, s: GaussianState) -> GaussianState:
+    """Evolve a Gaussian state: mean -> S mean, cov -> S cov S^T.
+
+    Refuses a transform that fails ``check_symplectic``.
+    """
+    if t.n_modes != s.n_modes:
+        raise ValueError(f"mode count mismatch: transform {t.n_modes}, state {s.n_modes}")
+    require_symplectic(t)
+    S = t.symplectic_matrix()
+    return GaussianState(mean=S @ s.mean, cov=S @ s.cov @ S.T)
+
+
+def chaotic_photons(t: BogoliubovTransform, mode: int | ModeLabel) -> float:
+    """Added chaotic photons on an output mode: the squared norm of its B row."""
+    return float(_chaotic_photons(t.B[[mode_index(mode, t.n_modes)]])[0])
+
+
+def noise_product(t: BogoliubovTransform) -> float:
+    """Product of the chaotic photon numbers on the 1->2 clone modes 0 and 2."""
+    return chaotic_photons(t, 0) * chaotic_photons(t, 2)
+
+
+def phase_covariance_defect(t: BogoliubovTransform, clone_mode: int | ModeLabel,
+                            signal_modes: tuple[int | ModeLabel, ...]) -> float:
+    """sum_k A_k B_k of a clone row over its non-signal inputs k: 0 when the
+    noise the row adds is phase insensitive."""
+    return float(_phase_covariance_defects(
+        t, [mode_index(clone_mode, t.n_modes)],
+        [mode_index(m, t.n_modes) for m in signal_modes])[0])

@@ -14,11 +14,8 @@ from cvcloner.analysis import (
     _amplitudes,
     _husimi,
     _isotropic_photons,
-    chaotic_photons,
     clone_output_state,
     clone_report,
-    noise_product,
-    phase_covariance_defect,
 )
 from cvcloner.circuits import (
     AsymSpec,
@@ -32,14 +29,13 @@ from cvcloner.elements import beam_splitter_gate, collect_gates, distribute_gate
 from cvcloner.fock import FockSpace, apply_cloning_fock_block, coherent_fock, fidelity_fock
 from cvcloner.gaussian import (
     NOPA,
-    apply_to_gaussian,
     check_symplectic,
     coherent_vacuum_input,
     fold_gates,
     uncertainty_defect,
     worst_dev,
 )
-from reference import reduce_mode
+from reference import apply_to_gaussian, reduce_mode
 
 GAMMA_GRID = np.linspace(-1.0, 1.0, 41)
 XI_SET = (0j, 1 + 0j, 2j, -1.5 + 0.5j, 3 - 2j)
@@ -81,11 +77,11 @@ def test_criterion_03_chaotic_photons_and_noise_product():
     dev_n = 0.0
     dev_prod = 0.0
     for g in GAMMA_GRID:
-        t = asym_direct(float(g))
+        ra, rc = clone_report(AsymSpec(float(g)))
         dev_n = worst_dev((dev_n,
-                           abs(chaotic_photons(t, 0) - math.exp(2 * g) / 2),
-                           abs(chaotic_photons(t, 2) - math.exp(-2 * g) / 2)))
-        dev_prod = worst_dev((dev_prod, abs(noise_product(t) - 0.25)))
+                           abs(ra.n_chaotic - math.exp(2 * g) / 2),
+                           abs(rc.n_chaotic - math.exp(-2 * g) / 2)))
+        dev_prod = worst_dev((dev_prod, abs(ra.n_chaotic * rc.n_chaotic - 0.25)))
     report(3, "chaotic photon curves", dev_n, 1e-10)
     report(3, "noise product pinned at 1/4", dev_prod, 1e-12)
 
@@ -110,11 +106,9 @@ def test_criterion_05_one_to_m_fidelity():
 def test_criterion_06_n_to_m_fidelity_and_noise():
     dev = 0.0
     for n, m in ((1, 2), (2, 3), (3, 5), (2, 5), (4, 4)):
-        machine = build_cloner(SymSpec(n, m))
         for r in clone_report(SymSpec(n, m)):
-            dev = worst_dev((dev, abs(r.fidelity - (m * n) / (m * n + m - n))))
-        for mode in machine.clone_modes:
-            dev = worst_dev((dev, abs(chaotic_photons(machine.transform, mode) - (m - n) / (m * n))))
+            dev = worst_dev((dev, abs(r.fidelity - (m * n) / (m * n + m - n)),
+                             abs(r.n_chaotic - (m - n) / (m * n))))
     report(6, "N->M fidelity and added noise hit the optimal forms", dev, 1e-10)
 
 
@@ -147,7 +141,8 @@ def test_criterion_09_q_function_identity():
         out = clone_output_state(machine, xi)
         for mode, r in zip(machine.clone_modes, clone_report(spec, xi), strict=True):
             clone = reduce_mode(out, mode)
-            q = _husimi(_amplitudes(clone.mean[None]), _isotropic_photons(clone.cov[None]), xi)
+            n = _isotropic_photons(clone.cov[None], [mode.name])
+            q = _husimi(_amplitudes(clone.mean[None]), n, xi)
             dev = worst_dev((dev, abs(math.pi * q[0] - r.fidelity)))
     report(9, "pi Q(xi) equals the fidelity on every clone", dev, 1e-10)
 
@@ -194,8 +189,7 @@ def test_criterion_11_property_suite():
     for machine in machines:
         out = clone_output_state(machine, 0.9 + 0.2j)
         dev_unc = worst_dev((dev_unc, uncertainty_defect(out)))
-        for mode in machine.clone_modes:
-            d = phase_covariance_defect(machine.transform, mode, machine.signal_modes)
-            dev_defect = worst_dev((dev_defect, abs(d)))
+        for r in clone_report(machine, 0.9 + 0.2j):
+            dev_defect = worst_dev((dev_defect, abs(r.phase_covariance_defect)))
     report(11, "phase-covariance defect vanishes on every clone", dev_defect, 1e-10)
     report(11, "uncertainty relations preserved by every application", dev_unc, 1e-10)

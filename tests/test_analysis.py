@@ -13,27 +13,33 @@ from cvcloner.analysis import (
     _fidelities,
     _husimi,
     _isotropic_photons,
-    chaotic_photons,
     clone_output_state,
     clone_report,
     expected_chaotic_photons,
     expected_fidelities,
-    noise_product,
-    phase_covariance_defect,
 )
 from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, build_cloner
-from cvcloner import gaussian
+from cvcloner import analysis, gaussian
 from cvcloner.gaussian import (
     NOPA,
     BogoliubovTransform,
     GaussianState,
     SymplecticCheck,
-    apply_to_gaussian,
     coherent_vacuum_input,
     fold_gates,
 )
 from cvcloner.verification import GAMMA_GRID, SYM_CASES
-from reference import compose, embed, reduce_mode
+from reference import (
+    apply_to_gaussian,
+    chaotic_photons,
+    compose,
+    embed,
+    noise_product,
+    phase_covariance_defect,
+    reduce_mode,
+)
+
+ONE = ["clone"]  # the name a one-clone readout gives its clone in a refusal
 
 
 def test_chaotic_photons_closed_forms_asym():
@@ -45,17 +51,15 @@ def test_chaotic_photons_closed_forms_asym():
 
 def test_chaotic_photons_closed_forms_sym():
     for n, m in ((1, 2), (2, 3), (3, 5), (2, 5), (4, 4)):
-        machine = build_cloner(SymSpec(n, m))
-        for mode in machine.clone_modes:
-            assert np.isclose(chaotic_photons(machine.transform, mode),
-                              (m - n) / (m * n), atol=1e-13)
+        for r in clone_report(SymSpec(n, m)):
+            assert np.isclose(r.n_chaotic, (m - n) / (m * n), atol=1e-13)
 
 
 def test_state_route_agrees_with_transform_route():
     machine = build_cloner(AsymSpec(0.45))
     out = clone_output_state(machine, 1.0 + 0.5j)
     for mode in machine.clone_modes:
-        n_state = float(_isotropic_photons(reduce_mode(out, mode).cov[None])[0])
+        n_state = float(_isotropic_photons(reduce_mode(out, mode).cov[None], ONE)[0])
         n_rows = chaotic_photons(machine.transform, mode)
         assert abs(n_state - n_rows) < 1e-12
 
@@ -65,7 +69,7 @@ def test_chaotic_photons_from_state_rejects_anisotropic_noise():
     cov = np.diag([0.9, 0.5 * 0.5 / 0.9])
     squeezed = GaussianState(mean=np.zeros(2), cov=cov)
     with pytest.raises(ValueError, match="not isotropic"):
-        _isotropic_photons(squeezed.cov[None])
+        _isotropic_photons(squeezed.cov[None], ONE)
 
 
 def test_noise_product_saturates_for_the_asymmetric_family():
@@ -82,10 +86,8 @@ def test_extra_amplifier_pushes_noise_product_above_the_floor():
 
 def test_phase_covariance_defect_vanishes_for_all_machines():
     for spec in (AsymSpec(-0.7), AsymSpec(0.3), SymSpec(2, 3), SymSpec(3, 5)):
-        machine = build_cloner(spec)
-        for mode in machine.clone_modes:
-            d = phase_covariance_defect(machine.transform, mode, machine.signal_modes)
-            assert abs(d) < 1e-12
+        for r in clone_report(spec):
+            assert abs(r.phase_covariance_defect) < 1e-12
 
 
 def test_phase_covariance_defect_matches_the_column_loop():
@@ -127,7 +129,7 @@ def test_q_function_of_pure_coherent_state_peaks_at_one_over_pi():
         mean=np.array([np.sqrt(2) * xi.real, np.sqrt(2) * xi.imag]),
         cov=np.eye(2) / 2,
     )
-    q = _husimi(_amplitudes(state.mean[None]), _isotropic_photons(state.cov[None]), xi)
+    q = _husimi(_amplitudes(state.mean[None]), _isotropic_photons(state.cov[None], ONE), xi)
     assert np.isclose(q[0], 1 / math.pi)
 
 
@@ -135,7 +137,7 @@ def test_q_function_width_is_set_by_the_added_noise():
     machine = build_cloner(AsymSpec(0.0))
     out = clone_output_state(machine, 0.5 + 0j)
     clone = reduce_mode(out, machine.clone_modes[0])
-    amp, n = _amplitudes(clone.mean[None]), _isotropic_photons(clone.cov[None])
+    amp, n = _amplitudes(clone.mean[None]), _isotropic_photons(clone.cov[None], ONE)
     peak = _husimi(amp, n, 0.5 + 0j)[0]
     # n_ch + 1 = 3/2, so moving |alpha - xi|^2 = 3/2 drops Q by a factor e
     away = _husimi(amp, n, 0.5 + math.sqrt(1.5))[0]
@@ -145,7 +147,8 @@ def test_q_function_width_is_set_by_the_added_noise():
 def test_fidelity_coherent_rejects_wrong_amplitude():
     state = GaussianState(mean=np.array([1.0, 0.0]), cov=np.eye(2))
     with pytest.raises(ValueError, match="gain"):
-        _fidelities(_amplitudes(state.mean[None]), 5.0 + 0j, _isotropic_photons(state.cov[None]))
+        _fidelities(_amplitudes(state.mean[None]), 5.0 + 0j,
+                    _isotropic_photons(state.cov[None], ONE), ONE)
 
 
 def test_clone_report_symmetric_point():
@@ -195,14 +198,14 @@ def _per_clone_route(machine, xi):
     for mode, n_form, f_form in zip(machine.clone_modes,
                                     expected_chaotic_photons(machine.spec),
                                     expected_fidelities(machine.spec), strict=True):
-        reduced = reduce_mode(out, mode)
-        n_state, amp = _isotropic_photons(reduced.cov[None]), _amplitudes(reduced.mean[None])
+        reduced, name = reduce_mode(out, mode), [mode.name]
+        n_state, amp = _isotropic_photons(reduced.cov[None], name), _amplitudes(reduced.mean[None])
         reports.append(CloneReport(
             clone_mode=mode,
             n_chaotic=chaotic_photons(machine.transform, mode),
             n_chaotic_state=float(n_state[0]),
             n_chaotic_formula=n_form,
-            fidelity=float(_fidelities(amp, complex(xi), n_state)[0]),
+            fidelity=float(_fidelities(amp, complex(xi), n_state, name)[0]),
             fidelity_formula=f_form,
             q_peak=float(_husimi(amp, n_state, complex(xi))[0]),
             phase_covariance_defect=phase_covariance_defect(
@@ -242,7 +245,8 @@ def test_clone_report_refuses_a_squeezed_clone():
 def test_fidelity_refuses_a_nan_amplitude():
     state = GaussianState(mean=[math.nan, 0.0], cov=0.5 * np.eye(2))
     with pytest.raises(ValueError, match="gain"):
-        _fidelities(_amplitudes(state.mean[None]), 1.0, _isotropic_photons(state.cov[None]))
+        _fidelities(_amplitudes(state.mean[None]), 1.0,
+                    _isotropic_photons(state.cov[None], ONE), ONE)
 
 
 @pytest.mark.parametrize("cov", [
@@ -253,7 +257,7 @@ def test_fidelity_refuses_a_nan_amplitude():
 def test_chaotic_photons_from_state_refuses_a_nan_covariance(cov):
     state = GaussianState(mean=np.zeros(2), cov=cov)
     with pytest.raises(ValueError, match="not isotropic"):
-        _isotropic_photons(state.cov[None])
+        _isotropic_photons(state.cov[None], ONE)
 
 
 def test_clone_report_refuses_a_nan_amplitude():
@@ -271,8 +275,8 @@ def _patch_everywhere(monkeypatch, fn, replacement):
 @pytest.mark.parametrize("spec", [SymSpec(3, 7), AsymSpec(0.4), AsymSpec(-0.2, factorized=True)])
 def test_clone_report_reads_the_clone_rows_without_the_output_state(monkeypatch, spec):
     machine = build_cloner(spec)
-    calls = {"apply_to_gaussian": 0, "coherent_vacuum_input": 0, "check_symplectic": 0}
-    for fn in (gaussian.apply_to_gaussian, gaussian.coherent_vacuum_input,
+    calls = {"clone_output_state": 0, "coherent_vacuum_input": 0, "check_symplectic": 0}
+    for fn in (analysis.clone_output_state, gaussian.coherent_vacuum_input,
                gaussian.check_symplectic):
         def counting(*args, fn=fn, **kwargs):
             calls[fn.__name__] += 1
@@ -280,7 +284,7 @@ def test_clone_report_reads_the_clone_rows_without_the_output_state(monkeypatch,
         _patch_everywhere(monkeypatch, fn, counting)
     clone_report(machine, 0.4 - 0.9j)
     # the machine's transform was checked when it was built
-    assert calls == {"apply_to_gaussian": 0, "coherent_vacuum_input": 0, "check_symplectic": 0}
+    assert calls == {"clone_output_state": 0, "coherent_vacuum_input": 0, "check_symplectic": 0}
 
 
 def test_clone_report_refuses_a_non_symplectic_transform_as_the_state_route_does():

@@ -100,6 +100,32 @@ def test_sym_spec_validation():
     SymSpec(2, 2)  # boundary is allowed
 
 
+@pytest.mark.parametrize("gamma", [np.complex128(0.3 + 0.1j), 0.3 + 0j, "0.3"],
+                         ids=["numpy-complex", "python-complex", "string"])
+def test_asym_spec_refuses_a_gamma_that_is_not_real(gamma):
+    with pytest.raises(ValueError, match="gamma must be a real number"):
+        AsymSpec(gamma)
+
+
+def test_asym_spec_keeps_the_float_it_checked():
+    for gamma in (1, np.float32(0.25), np.float64(-0.5)):
+        spec = AsymSpec(gamma)
+        assert type(spec.gamma) is float and spec.gamma == float(gamma)
+
+
+@pytest.mark.parametrize("n, m", [(2.5, 5), (2, 5.0), (2.0, 5), ("2", 5)])
+def test_sym_spec_refuses_counts_that_are_not_integers(n, m):
+    with pytest.raises(ValueError, match="n and m must be integers"):
+        SymSpec(n, m)
+
+
+def test_sym_spec_takes_numpy_integers_as_ints():
+    spec = SymSpec(np.int64(2), np.int32(5))
+    assert (type(spec.n), type(spec.m)) == (int, int)
+    assert spec == SymSpec(2, 5)
+    assert np.array_equal(build_cloner(spec).transform.A, build_cloner(SymSpec(2, 5)).transform.A)
+
+
 def test_sym_one_input_is_nopa_then_split():
     # dense reference: NOPA(acosh sqrt M) on (signal, idler), then the split
     for m in (1, 2, 4):

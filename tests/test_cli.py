@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from cvcloner import circuits, cli, gaussian
+from cvcloner import analysis, circuits, cli, gaussian, verification
 from cvcloner.analysis import clone_report
 from cvcloner.circuits import AsymSpec, build_cloner
 from cvcloner.cli import main
@@ -312,14 +312,30 @@ def test_each_machine_is_built_and_checked_once(monkeypatch, capsys):
 
 
 def test_a_warm_verify_checks_only_the_full_state_routes(monkeypatch, capsys):
-    # the suites read each cached machine's symplectic_dev; only the two
-    # full-state suites check again, in apply_to_gaussian, once per machine
+    # the suites read each cached machine's symplectic_dev, and the full-state
+    # suites evolve the built machines' transforms: nothing checks again
     assert cli.cmd_verify(None, None) == 0  # fills the machine caches
     calls = {"check": 0}
     _count_calls(monkeypatch, gaussian.check_symplectic, calls, "check")
     assert cli.cmd_verify(None, None) == 0
     capsys.readouterr()
-    assert calls == {"check": 2 * 16}
+    assert calls == {"check": 0}
+
+
+def test_a_cold_verify_checks_each_machine_once_and_reads_its_clones_once(monkeypatch, capsys):
+    # 90 distinct specs: the direct and factorized machine at each of the 41
+    # grid points, and the 8 shared machines that are not on the grid
+    caches = (verification._build, verification._machines, verification._grid)
+    for cache in caches:
+        cache.cache_clear()
+    calls = {"check": 0, "report": 0}
+    _count_calls(monkeypatch, gaussian.check_symplectic, calls, "check")
+    _count_calls(monkeypatch, analysis.clone_report, calls, "report")
+    assert cli.cmd_verify(None, None) == 0
+    capsys.readouterr()
+    assert calls["check"] == 90
+    # 47 reports at xi = 1, 16 at the Q probe, 16 x 5 for fidelity_invariance
+    assert calls["report"] <= 143
 
 
 @pytest.mark.parametrize("factorized", [False, True])

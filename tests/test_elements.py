@@ -11,11 +11,11 @@ import pytest
 from cvcloner.elements import beam_splitter_gate, collect_gates, distribute_gates
 from cvcloner.gaussian import (
     NOPA,
-    apply_to_gaussian,
     check_symplectic,
     coherent_vacuum_input,
     fold_gates,
 )
+from reference import apply_to_gaussian
 
 
 

@@ -268,6 +268,17 @@ def test_fidelity_fock_refuses_a_non_finite_target(xi):
         fidelity_fock(state, 0, xi)
 
 
+@pytest.mark.parametrize("xi", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_coherent_fock_refuses_a_non_finite_amplitude(xi):
+    with pytest.raises(ValueError, match="coherent amplitudes must be finite"):
+        coherent_fock(FockSpace(2, 6), [0.3, xi])
+
+
+def test_a_block_refuses_an_empty_list_of_probes():
+    with pytest.raises(ValueError, match="at least one probe"):
+        apply_cloning_fock_block([])
+
+
 def test_fidelity_fock_refuses_a_nan_state():
     # a NaN population must trip the leakage gate, not slip past it
     space = FockSpace(2, 6)

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from cvcloner.analysis import chaotic_photons, phase_covariance_defect
 from cvcloner.circuits import asym_direct
 from cvcloner.fock import FockSpace, coherent_fock, reduced_density_matrix
 from cvcloner.gaussian import (
@@ -16,14 +15,20 @@ from cvcloner.gaussian import (
     ModeLabel,
     Passive,
     SymplecticCheck,
-    apply_to_gaussian,
     check_symplectic,
     coherent_vacuum_input,
     fold_gates,
     symplectic_form,
     uncertainty_defect,
 )
-from reference import compose, embed, reduce_mode
+from reference import (
+    apply_to_gaussian,
+    chaotic_photons,
+    compose,
+    embed,
+    phase_covariance_defect,
+    reduce_mode,
+)
 
 
 def random_passive(n, rng):
@@ -287,6 +292,21 @@ def test_symmetry_check_agrees_with_isclose(cov, symmetric):
 def test_nopa_refuses_a_non_finite_squeeze(r):
     with pytest.raises(ValueError, match=r"NOPA gate on \(0, 1\) needs a finite r"):
         NOPA(r, 0, 1)
+
+
+@pytest.mark.parametrize("r", [np.complex128(0.3 + 0.2j), 0.3 + 0j, np.complex64(0.3), "0.3"],
+                         ids=["numpy-complex", "python-complex", "complex-zero-imag", "string"])
+def test_nopa_refuses_a_non_real_squeeze(r):
+    # the stem Passive uses for a non-real block
+    with pytest.raises(ValueError, match=r"NOPA gate on \(0, 1\) needs a real r"):
+        NOPA(r, 0, 1)
+
+
+def test_nopa_stores_r_as_a_float_and_folds_in_float64():
+    gate = NOPA(np.float32(0.3), 0, 1)
+    assert type(gate.r) is float and gate.r == float(np.float32(0.3))
+    assert fold_gates((gate,), 2).A[0, 0] == math.cosh(gate.r)
+    assert type(NOPA(1, 0, 1).r) is float
 
 
 @pytest.mark.parametrize("make_gate", [

@@ -3,11 +3,26 @@
 import math
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from cvcloner import circuits, verification
+from cvcloner.analysis import clone_report
 from cvcloner.circuits import AsymSpec
+
+
+def _on_grid():
+    return [clone_report(direct) for direct, _ in verification._grid()]
+
+
+def _at_probe():
+    return [clone_report(m, verification.Q_PROBE) for m in verification._machines()]
+
+
+# figure -> (the report field that carries it, the reports its suite reads)
+REPORT_FIGURES = {"noise_product": ("n_chaotic", _on_grid),
+                  "phase_covariance_defect": ("phase_covariance_defect", _at_probe)}
 
 
 @pytest.mark.parametrize("suite, figure", [
@@ -16,9 +31,17 @@ from cvcloner.circuits import AsymSpec
     (verification.phase_covariance, "phase_covariance_defect"),
 ])
 def test_a_nan_deviation_fails_the_suite(monkeypatch, suite, figure):
-    assert suite().passed
-    monkeypatch.setattr(verification, figure, lambda *args, **kwargs: math.nan)
-    result = suite()
+    if figure in REPORT_FIGURES:
+        # the suite reads its reports: hand it one clone's figure as NaN
+        field, reports_for = REPORT_FIGURES[figure]
+        reports = reports_for()
+        assert suite(reports).passed
+        first, *rest = reports
+        result = suite([[replace(first[0], **{field: math.nan}), *first[1:]], *rest])
+    else:
+        assert suite().passed
+        monkeypatch.setattr(verification, figure, lambda *args, **kwargs: math.nan)
+        result = suite()
     assert not result.passed
     assert result.max_dev == math.inf
 
