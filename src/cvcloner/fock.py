@@ -40,6 +40,14 @@ probes |0, 0, xi> occupy Q = 0 (xi = 0) or Q in [0, c] (xi != 0): at cutoff
 sector, such as a coherent state on all three modes, evolves over the whole
 box.
 
+scipy is imported in `_flow` alone, when the oracle builds a generator
+(`scipy.sparse.csr_matrix`).  So importing this module loads no scipy, and
+neither does any path that never runs the oracle (`clone`, `sweep`, plain
+`verify`).  Nothing here calls scipy's `expm_multiply`, but the benchmark's
+tracer looks it up as `cvcloner.fock.expm_multiply`; the module's
+`__getattr__` imports it only when asked for, so the name costs nothing at
+import.
+
 Scope: the 3-mode register of the 1->2 cloner.  The sectors shrink what is
 evolved, not the register: the whole (cutoff+1)^3 box must still fit
 DIMENSION_BUDGET.  The N->M machines live in spaces of dimension
@@ -53,19 +61,29 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.typing import NDArray
-# unused here, but perfbench/tracer.py wraps it under the name cvcloner.fock.expm_multiply
-from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
 from .gaussian import ModeLabel, mode_index
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DIMENSION_BUDGET = 200_000
 LEAKAGE_TOL = 1e-2
 COHERENT_NORM_TOL = 1e-6
+
+
+def __getattr__(name: str):
+    # perfbench/tracer.py looks up `expm_multiply` here (its EXTRA) with no
+    # default, so the name resolves on demand; the bridge goes when ROADMAP
+    # item 3 drops tracer.EXTRA
+    if name == "expm_multiply":
+        from scipy.sparse.linalg import expm_multiply
+        return expm_multiply
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TruncationError(RuntimeError):
@@ -190,13 +208,15 @@ def _flow(space: FockSpace, terms: Sequence[tuple[tuple[int, int], bool]],
     amplitude would otherwise leave the span unseen.  No box-sized matrix is
     formed.
     """
+    from scipy.sparse import csr_matrix  # the package's one scipy import; see the module docstring
+
     rows, cols, values = (np.concatenate(parts) for parts in zip(
         *(_pair_nonzeros(space, pair, squeeze, basis) for pair, squeeze in terms)))
     if (_charge(space, rows) != _charge(space, cols)).any():
         raise ValueError(f"the flow {terms} does not conserve Q = n_clone + n_signal - n_idler")
     size = basis.size
-    half = sp.csr_matrix((values, (np.searchsorted(basis, rows), np.searchsorted(basis, cols))),
-                         shape=(size, size))
+    half = csr_matrix((values, (np.searchsorted(basis, rows), np.searchsorted(basis, cols))),
+                      shape=(size, size))
     matrix = (half - half.T).tocsr()
     return _Flow(matrix, float(abs(matrix).sum(axis=0).max()))
 

@@ -168,8 +168,11 @@ class Passive:
         a_p' = a a_p + b a_q,    a_q' = c a_p + d a_q.
 
     The block is stored as floats.  It is refused unless it is 2x2, real
-    and finite; a complex entry is refused even when its imaginary part is
-    zero, since float() of a numpy complex only warns and drops that part.
+    and finite.  Each entry must be a real number: a Python or numpy real
+    scalar, or a real 0-d array.  A complex entry is refused even when its
+    imaginary part is zero, since float() of a numpy complex only warns and
+    drops that part, and so is a string or bytes entry, which float() would
+    parse.  An entry that is no number at all reads as a malformed block.
     """
 
     block: tuple[tuple[float, float], tuple[float, float]]
@@ -181,11 +184,11 @@ class Passive:
         try:
             (a, b), (c, d) = self.block
             entries = (a, b, c, d)
-            # floats and ints are real; any other entry (a numpy scalar or a 0-d
-            # array included) is judged by its dtype
-            real = not any(np.iscomplexobj(x) for x in entries
-                           if not isinstance(x, (float, int)))
-            a, b, c, d = map(float, entries) if real else entries
+            # floats and ints are real; any other entry is judged by its type
+            real = all(isinstance(x, (float, int)) or _is_real_number(x) for x in entries)
+            # np.complex128 parses any number, complex or a numeric string alike,
+            # and raises on anything else
+            a, b, c, d = map(float if real else np.complex128, entries)
         except (TypeError, ValueError):
             raise ValueError(
                 f"Passive gate on ({self.p}, {self.q}) needs a 2x2 block, got {self.block!r}"
@@ -223,6 +226,13 @@ class NOPA:
 
 
 Gate = Passive | NOPA
+
+
+def _is_real_number(x: object) -> bool:
+    """True for a numbers.Real (numpy's real scalars included) or a 0-d
+    numpy array of bool, integer or float dtype."""
+    return isinstance(x, numbers.Real) or (
+        isinstance(x, np.ndarray) and x.ndim == 0 and x.dtype.kind in "biuf")
 
 
 def _check_pair(p: int, q: int) -> None:

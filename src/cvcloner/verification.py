@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -131,12 +131,18 @@ def q_function_identity(reports: Reports) -> SuiteResult:
     return SuiteResult("q_function_identity", worst, 1e-10)
 
 
-def fidelity_invariance() -> SuiteResult:
-    """Fidelity does not depend on the input amplitude."""
+def fidelity_invariance(at_one: Mapping[ClonerSpec, list[CloneReport]]) -> SuiteResult:
+    """Fidelity does not depend on the input amplitude.
+
+    Reads every shared machine at each XI_PROBES amplitude; a machine whose
+    report at xi = 1 is in `at_one` (keyed by spec) is not read there again.
+    """
     devs = []
     for machine in _machines():
-        arr = np.asarray([[r.fidelity for r in clone_report(machine, xi)]
-                          for xi in XI_PROBES])
+        known = at_one.get(machine.spec)
+        reads = [known if xi == 1 and known is not None else clone_report(machine, xi)
+                 for xi in XI_PROBES]
+        arr = np.asarray([[r.fidelity for r in reports] for reports in reads])
         devs += list(arr.max(axis=0) - arr.min(axis=0))
     return SuiteResult("fidelity_invariance", worst_dev(devs), 1e-10)
 
@@ -217,20 +223,21 @@ def standard_suites(tol: float | None = None) -> list[SuiteResult]:
     depends on it.  The closed-form suites share the reports at xi = 1 of
     the direct machine at each GAMMA_GRID point and of the SYM_CASES
     machines; the Q and phase suites share those of every shared machine at
-    Q_PROBE.
+    Q_PROBE.  fidelity_invariance reuses the reports at xi = 1 too, so each
+    (machine, xi) pair is read once.
     """
-    on_grid = [clone_report(direct) for direct, _ in _grid()]
-    at_one = on_grid + [clone_report(machine) for machine in _machines()
-                        if isinstance(machine.spec, SymSpec)]
+    grid = [direct for direct, _ in _grid()]
+    sym = [machine for machine in _machines() if isinstance(machine.spec, SymSpec)]
+    at_one = {machine.spec: clone_report(machine) for machine in grid + sym}
     at_probe = [clone_report(machine, Q_PROBE) for machine in _machines()]
     suites = [
         symplectic_invariants(),
         factorization_equivalence(),
-        fidelity_closed_forms(at_one),
-        chaotic_photon_forms(at_one),
-        noise_product_saturation(on_grid),
+        fidelity_closed_forms(list(at_one.values())),
+        chaotic_photon_forms(list(at_one.values())),
+        noise_product_saturation([at_one[direct.spec] for direct in grid]),
         q_function_identity(at_probe),
-        fidelity_invariance(),
+        fidelity_invariance(at_one),
         phase_covariance(at_probe),
         uncertainty_preservation(),
         unit_signal_gain(),

@@ -248,8 +248,11 @@ def test_passive_refuses_a_non_finite_block(block):
     0.5j,
     np.complex128(1),
     np.complex64(1),
-], ids=["complex-nan", "zero-imaginary", "imaginary", "complex128", "complex64"])
+    "0.8",
+    b"0.8",
+], ids=["complex-nan", "zero-imaginary", "imaginary", "complex128", "complex64", "str", "bytes"])
 def test_passive_refuses_a_block_that_is_not_real(entry):
+    # a str or bytes entry parses under float(), but it is not a real number
     with pytest.raises(ValueError, match=r"Passive gate on \(0, 1\) needs a real block"):
         Passive(((1, entry), (0, 1)), 0, 1)
 
