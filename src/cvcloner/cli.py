@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -228,9 +229,45 @@ def _physics_violations(symplectic_dev: float, reports: list[CloneReport], tol: 
     return problems
 
 
+# indent=None lets json run its C encoder; this item separator puts each key
+# of a row in a top-level list on its own line, at the depth indent=2 gives it
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                                separators=(",\n      ", ": "))
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat_rows(value: object) -> bool:
+    """True for a non-empty list of non-empty dicts that hold only scalars.
+
+    Types are matched exactly, so that the test runs at C speed; a subclass
+    of a scalar type only sends the list down the general path.
+    """
+    return (type(value) is list and set(map(type, value)) == {dict} and all(value)
+            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, value)))))
+
+
 def _json(document: dict) -> str:
-    # allow_nan=False: a non-finite figure is an error, never a bare NaN token
-    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The bytes of json.dumps(document, sort_keys=True, indent=2,
+    allow_nan=False) plus a newline, for a non-empty dict with string keys.
+
+    A list of flat rows (the clones, the sweep rows) is encoded in one C
+    encoder call and re-indented by rewriting its row boundaries.  That is
+    exact because a JSON string never holds a raw newline, so every newline
+    the encoder writes is a separator.  allow_nan=False: a non-finite figure
+    is an error, never a bare NaN token.
+    """
+    parts = []
+    for key in sorted(document):
+        value = document[key]
+        if _flat_rows(value):
+            rows = _ROW_ENCODER.encode(value)[2:-2]  # strip "[{" and "}]"
+            text = ("[\n    {\n      " + rows.replace("},\n      {", "\n    },\n    {\n      ")
+                    + "\n    }\n  ]")
+        else:
+            text = json.dumps(value, sort_keys=True, indent=2,
+                              allow_nan=False).replace("\n", "\n  ")
+        parts.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def _emit(text: str, output_path: str | None) -> None:

@@ -253,16 +253,33 @@ def fold_gates(gates: Iterable[Gate], n_modes: int) -> BogoliubovTransform:
     Applying (A2, B2) after (A1, B1) gives A = A2 A1 + B2 B1 and
     B = A2 B1 + B2 A1; the row updates are those products with the gate's
     identity rows dropped.  Every gate is real, so the fold runs in float64.
+
+    A passive gate whose second wire q no earlier gate touched reads no
+    partner row: row q is still e_q and column q is zero in every other
+    row, so the gate writes row q as c times row p, scales row p by a, and
+    sets A[p, q] = b and A[q, q] = d, all in place.  The collect and
+    distribute splitters and the asymmetric machine's first beam splitter
+    are such gates.  The values equal the two-row update's; only the sign
+    of a zero entry can differ.
     """
     n = int(n_modes)
     if n < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     rows = np.zeros((n, 2, n))  # rows[j] = (A[j], B[j])
     rows[:, 0] = np.eye(n)
+    untouched = [True] * n
     for gate in gates:
         p, q = gate.p, gate.q
         if p >= n or q >= n:
             raise ValueError(f"gate modes ({p}, {q}) out of range for {n} modes")
+        fresh, untouched[p], untouched[q] = untouched[q], False, False
+        if fresh and isinstance(gate, Passive):
+            (a, b), (c, d) = gate.block
+            np.multiply(rows[p], c, out=rows[q])
+            rows[q, 0, q] = d
+            rows[p] *= a
+            rows[p, 0, q] = b
+            continue
         # row q is read in full before it is written, so only row p is copied
         xp, xq = rows[p].copy(), rows[q]
         if isinstance(gate, Passive):

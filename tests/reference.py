@@ -1,8 +1,9 @@
 """Independent references the tests compare the package against.
 
 The package builds every transform by ``fold_gates`` and reads every clone
-from the clone rows of S; these are the dense and single-mode routes that
-those results are checked against, kept here because only tests need them.
+from the clone rows of S; these are the dense, two-row and single-mode routes
+that those results are checked against, kept here because only tests need
+them.
 The one-row readers take a bare transform, where the package reads a built
 machine's clones through ``clone_report``; they call the same array helpers
 with one row.
@@ -16,6 +17,7 @@ from cvcloner.gaussian import (
     BogoliubovTransform,
     GaussianState,
     ModeLabel,
+    Passive,
     mode_index,
     require_symplectic,
 )
@@ -55,6 +57,26 @@ def embed(
     A[np.ix_(idx, idx)] = t.A
     B[np.ix_(idx, idx)] = t.B
     return BogoliubovTransform(A=A, B=B)
+
+
+def fold_two_rows(gates, n_modes: int) -> BogoliubovTransform:
+    """``fold_gates`` with every gate read as a two-row update: rows p and q
+    of (A, B) are both read, whether or not a wire is still untouched."""
+    rows = np.zeros((n_modes, 2, n_modes))  # rows[j] = (A[j], B[j])
+    rows[:, 0] = np.eye(n_modes)
+    for gate in gates:
+        p, q = gate.p, gate.q
+        xp, xq = rows[p].copy(), rows[q].copy()
+        if isinstance(gate, Passive):
+            (a, b), (c, d) = gate.block
+            rows[p] = a * xp + b * xq
+            rows[q] = c * xp + d * xq
+        else:
+            # xq[::-1] is (B_q, A_q): the a^dag rows a NOPA feeds across the pair
+            ch, sh = np.cosh(gate.r), np.sinh(gate.r)
+            rows[p] = ch * xp - sh * xq[::-1]
+            rows[q] = ch * xq - sh * xp[::-1]
+    return BogoliubovTransform(A=rows[:, 0], B=rows[:, 1])
 
 
 def reduce_mode(s: GaussianState, mode: int | ModeLabel) -> GaussianState:

@@ -81,6 +81,50 @@ def test_clone_json_is_deterministic(capsys):
     assert first == second
 
 
+def _indent_2(document):
+    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["clone", "--asym", "--gamma", "0.3"],
+    ["clone", "--sym", "--n", "1", "--m", "1"],
+    ["clone", "--sym", "--n", "16", "--m", "128"],
+    ["sweep", "--asym", "--gamma-range", "-1", "1", "41"],
+    ["sweep", "--sym", "--n", "2", "--m-range", "2", "9"],
+], ids=["clone-asym", "clone-sym-1-1", "clone-sym-16-128", "sweep-asym", "sweep-sym"])
+def test_json_writes_the_indent_2_bytes_of_a_report(monkeypatch, capsys, argv):
+    documents, real = [], cli._json
+
+    def recording(document):
+        documents.append(document)
+        return real(document)
+
+    monkeypatch.setattr(cli, "_json", recording)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    (document,) = documents
+    assert out == _indent_2(document)
+    # the table takes the C-encoder row path, not the general one
+    assert cli._flat_rows(document["clones" if argv[0] == "clone" else "rows"])
+
+
+# a quote, a backslash, a newline, a row boundary as _json writes it, non-ASCII
+_AWKWARD = 'q" b\\ nl\n },\n      { \u00e9 \u2603 \U0001f600'
+_ODD_ROW = {"s": _AWKWARD, _AWKWARD: 1, "none": None, "yes": True, "no": False,
+            "int": -7, "tiny": 5e-324, "big": 1e16, "zero": -0.0}
+
+
+@pytest.mark.parametrize("document", [
+    {"rows": [_ODD_ROW]},
+    {"rows": [_ODD_ROW, {"a": 0.1}, _ODD_ROW], _AWKWARD: _AWKWARD, "n": None},
+    {"empty": [], "empty_rows": [{}], "mixed": [{"a": 1}, 2], "scalars": [5e-324, 1e16, -0.0]},
+    {"nested": [{"a": [1, {"b": _AWKWARD}]}, {"a": []}], "deep": [{"a": {"b": None}}],
+     "spec": {"z": [True, False], "a": -0.0}},
+], ids=["one-row", "rows-and-scalars", "lists-off-the-row-path", "nested-rows"])
+def test_json_writes_the_indent_2_bytes_of_odd_documents(document):
+    assert cli._json(document) == _indent_2(document)
+
+
 def test_clone_factorized_flag(capsys):
     code, out, _ = run(capsys, ["clone", "--asym", "--gamma", "0.8",
                                 "--factorized"])
@@ -252,15 +296,20 @@ def test_bad_input_is_a_usage_error(monkeypatch, capsys, tmp_path, argv, env):
 
 def test_non_finite_figure_fails_instead_of_printing_nan(monkeypatch, capsys):
     real = cli.clone_report
+    # one non-finite field per run: q_peak is in the clone table, fidelity in
+    # both sweep tables
+    for argv, field in ((["clone", "--asym", "--gamma", "0.1"], "q_peak"),
+                        (["clone", "--sym", "--n", "2", "--m", "5"], "q_peak"),
+                        (["sweep", "--asym", "--gamma-range", "-1", "1", "5"], "fidelity"),
+                        (["sweep", "--sym", "--n", "2", "--m-range", "2", "5"], "fidelity")):
+        def poisoned(spec, xi, field=field):
+            return [replace(r, **{field: math.nan}) for r in real(spec, xi)]
 
-    def poisoned(spec, xi):
-        return [replace(r, q_peak=math.nan) for r in real(spec, xi)]
-
-    monkeypatch.setattr(cli, "clone_report", poisoned)
-    code, out, err = run(capsys, ["clone", "--asym", "--gamma", "0.1"])
-    assert code == 1
-    assert "NaN" not in out
-    assert "error" in err
+        monkeypatch.setattr(cli, "clone_report", poisoned)
+        code, out, err = run(capsys, argv)
+        assert code == 1, argv
+        assert "NaN" not in out, argv
+        assert "error" in err, argv
 
 
 @pytest.mark.parametrize("field", ["fidelity", "q_peak", "symplectic_dev",

@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvcloner import circuits
 from cvcloner.analysis import clone_output_state, clone_report
 from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, asym_factorized, build_cloner
 from cvcloner.elements import beam_splitter_gate
@@ -25,7 +26,8 @@ from cvcloner.gaussian import (
     fold_gates,
     uncertainty_defect,
 )
-from reference import apply_to_gaussian, compose, embed
+from cvcloner.verification import GAMMA_GRID, SYM_CASES
+from reference import apply_to_gaussian, compose, embed, fold_two_rows
 
 gammas = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -144,6 +146,37 @@ def test_fold_equals_composing_the_embedded_gates(case):
     scale = max(1.0, np.abs(dense.A).max(), np.abs(dense.B).max())
     assert np.abs(folded.A - dense.A).max() <= 1e-12 * scale
     assert np.abs(folded.B - dense.B).max() <= 1e-12 * scale
+
+
+def _assert_fold_equals_the_two_row_fold(gates, n):
+    # np.array_equal ignores the sign of a zero, the one thing the
+    # untouched-wire update may change
+    folded, two_row = fold_gates(gates, n), fold_two_rows(gates, n)
+    assert np.array_equal(folded.A, two_row.A)
+    assert np.array_equal(folded.B, two_row.B)
+
+
+@given(registers_and_gates())
+def test_fold_equals_the_two_row_fold(case):
+    n, gates = case
+    _assert_fold_equals_the_two_row_fold(gates, n)
+
+
+def test_machine_folds_equal_the_two_row_fold(monkeypatch):
+    folds = []
+
+    def recording(gates, n):
+        folds.append((tuple(gates), n))
+        return fold_gates(gates, n)
+
+    monkeypatch.setattr(circuits, "fold_gates", recording)
+    specs = ([SymSpec(n, m) for n, m in SYM_CASES] + [SymSpec(16, 128)]
+             + [AsymSpec(float(g), factorized=True) for g in GAMMA_GRID])
+    for spec in specs:
+        build_cloner(spec)
+    assert len(folds) == len(specs)
+    for gates, n in folds:
+        _assert_fold_equals_the_two_row_fold(gates, n)
 
 
 @st.composite
