@@ -14,15 +14,18 @@ from either n_ch route, and the Q-function peak), so agreement between them
 is a real consistency check rather than one formula printed twice.
 
 ``clone_report`` reads every clone of a machine at once from the clone rows
-S_r of the quadrature matrix S, never forming the full output state: every
-input is coherent or vacuum, with covariance I/2, so the clones' 2x2 blocks
-are the diagonal blocks of (S_r / 2) S_r^T and their means are S_r times the
-input means.  Those blocks and means, and the transform's clone rows, go
-through array helpers that read every clone at once, so each formula and
+of the two quadrature maps X = A + B (on x) and P = A - B (on p), never
+forming the quadrature matrix S or the full output state.  Every input is
+coherent or vacuum, with covariance I/2, and a real transform keeps x and p
+apart, so clone j's 2x2 block is diag(|X_j|^2 / 2, |P_j|^2 / 2), with a
+cross term of exactly zero, and its means are X_j and P_j times the input
+x and p means.  Those variances and means, and the clone rows of (A, B),
+go through array helpers that read every clone at once, so each formula and
 each gate exists once, and a ``CloneReport`` carries every figure a caller
 reads: there is no single-row reader beside it.  The gates fail closed: a
 NaN variance or amplitude is refused, never passed, and the refusal names
-the clone.
+the clone.  ``clone_output_state`` is the independent full-state route,
+S (I/2) S^T, for the suites that need every mode.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from numpy.typing import NDArray
 
 from .circuits import AsymSpec, ClonerSpec, CloningMachine, SymSpec, build_cloner
 from .gaussian import (
-    BogoliubovTransform,
     GaussianState,
     ModeLabel,
     coherent_means,
@@ -52,7 +54,7 @@ class CloneReport:
 
     clone_mode: ModeLabel
     n_chaotic: float           # |B row|^2 of the transform
-    n_chaotic_state: float     # from the reduced output covariance
+    n_chaotic_state: float     # from the clone's output covariance
     n_chaotic_formula: float   # closed form for this machine
     fidelity: float            # 1 / (n_chaotic_state + 1)
     fidelity_formula: float    # closed form for this machine
@@ -72,21 +74,28 @@ def _isotropic_photons(blocks: NDArray[np.float64], names: list[str]) -> NDArray
     Fails closed, NaN included, unless each block has equal x and p variances
     and no cross correlation within ISOTROPY_TOL.
     """
-    vxx, vxp, vpp = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
+    return _photons(blocks[:, 0, 0], blocks[:, 1, 1], names, blocks[:, 0, 1])
+
+
+def _photons(vxx: NDArray[np.float64], vpp: NDArray[np.float64], names: list[str],
+             vxp: NDArray[np.float64] | float = 0.0) -> NDArray[np.float64]:
+    """``_isotropic_photons`` on the variances and cross terms themselves; a
+    real transform's clones have no cross term, so it defaults to 0."""
     isotropic = (np.abs(vxx - vpp) <= ISOTROPY_TOL) & (np.abs(vxp) <= ISOTROPY_TOL)
     if not isotropic.all():
         i = int(np.argmin(isotropic))
         raise ValueError(
             f"{names[i]}: covariance is not isotropic: "
-            f"var(x)={vxx[i]}, var(p)={vpp[i]}, cov(x,p)={vxp[i]}"
+            f"var(x)={vxx[i]}, var(p)={vpp[i]}, cov(x,p)={np.broadcast_to(vxp, vxx.shape)[i]}"
         )
     return (vxx + vpp) / 2.0 - 0.5
 
 
-def _amplitudes(means: NDArray[np.float64]) -> NDArray[np.complex128]:
-    """Coherent amplitudes (x + i p)/sqrt(2) of stacked single-mode means."""
-    xp = means / np.sqrt(2.0)
-    return xp[:, 0] + 1j * xp[:, 1]
+def _amplitudes(x_means: NDArray[np.float64],
+                p_means: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """Coherent amplitudes (x + i p)/sqrt(2) of single-mode quadrature means."""
+    root2 = math.sqrt(2.0)
+    return x_means / root2 + 1j * (p_means / root2)
 
 
 def _fidelities(amps: NDArray[np.complex128], xi: complex, n: NDArray[np.float64],
@@ -110,17 +119,18 @@ def _husimi(amps: NDArray[np.complex128], n: NDArray[np.float64],
     return np.exp(-np.abs(alpha - amps) ** 2 / (n + 1.0)) / ((n + 1.0) * math.pi)
 
 
-def _phase_covariance_defects(t: BogoliubovTransform, rows: list[int],
+def _phase_covariance_defects(a_rows: NDArray[np.float64], b_rows: NDArray[np.float64],
                               signal_cols: list[int]) -> NDArray[np.float64]:
     """sum_k A[row, k] B[row, k] over the non-signal columns k, per row.
 
     That sum is the <(delta a)^2> moment of the noise a row adds from its
     vacuum inputs; any nonzero value means squeezed (phase-sensitive) noise,
     which would make the clone quality depend on the phase of the input.
+    The rows are gathered copies: the signal columns of a_rows are zeroed in
+    place.
     """
-    vacuum_a = t.A[rows]
-    vacuum_a[:, signal_cols] = 0.0
-    return np.einsum("ij,ij->i", vacuum_a, t.B[rows])
+    a_rows[:, signal_cols] = 0.0
+    return np.einsum("ij,ij->i", a_rows, b_rows)
 
 
 def expected_chaotic_photons(spec: ClonerSpec) -> tuple[float, ...]:
@@ -164,33 +174,34 @@ def clone_report(machine: ClonerSpec | CloningMachine,
     Takes a spec, or a machine already built from one so that a caller who
     needs the machine too builds it only once.  Building a machine checked
     its transform, so none is checked here.  All clones are read at once
-    from the clone rows of the quadrature matrix and of (A, B).
+    from the clone rows of (A, B) and of X = A + B and P = A - B: clone j's
+    variances are |X_j|^2/2 and |P_j|^2/2, and its means X_j x_in and P_j p_in.
     """
     if not isinstance(machine, CloningMachine):
         machine = build_cloner(machine)
     xi = complex(xi)
     t = machine.transform
-    n, n_clones = t.n_modes, len(machine.clone_modes)
     rows = [m.index for m in machine.clone_modes]
     names = [m.name for m in machine.clone_modes]
-    s_rows = t.symplectic_matrix().reshape(n, 2, 2 * n)[rows].reshape(2 * n_clones, 2 * n)
-    # one product over all clone rows: the diagonal 2x2 blocks of
-    # S_r (I/2) S_r^T, rounded exactly as the full S (I/2) S^T rounds them
-    cov = (0.5 * s_rows) @ s_rows.T
-    clones = np.arange(n_clones)
-    blocks = cov.reshape(n_clones, 2, n_clones, 2)[clones, :, clones, :]
-    means = s_rows @ coherent_means(machine.input_amplitudes(xi))
-    amps = _amplitudes(means.reshape(n_clones, 2))
-    n_state = _isotropic_photons(blocks, names)
+    a, b = t.A[rows], t.B[rows]
+    b_photons = _chaotic_photons(b)  # its b**2 is freed before X's buffer exists
+    means = coherent_means(machine.input_amplitudes(xi))
+    # one buffer holds the clone rows of X, then those of P
+    quad = np.add(a, b)
+    var_x, mean_x = 0.5 * np.einsum("ij,ij->i", quad, quad), quad @ means[0::2]
+    np.subtract(a, b, out=quad)
+    var_p, mean_p = 0.5 * np.einsum("ij,ij->i", quad, quad), quad @ means[1::2]
+    amps = _amplitudes(mean_x, mean_p)
+    n_state = _photons(var_x, var_p, names)
     columns = zip(
         machine.clone_modes,
-        _chaotic_photons(t.B[rows]).tolist(),
+        b_photons.tolist(),
         n_state.tolist(),
         expected_chaotic_photons(machine.spec),
         _fidelities(amps, xi, n_state, names).tolist(),
         expected_fidelities(machine.spec),
         _husimi(amps, n_state, xi).tolist(),
-        _phase_covariance_defects(t, rows, [m.index for m in machine.signal_modes]).tolist(),
+        _phase_covariance_defects(a, b, [m.index for m in machine.signal_modes]).tolist(),
         strict=True,
     )
     return [

@@ -19,6 +19,8 @@ them to ``fold_gates``, which builds every machine's transform.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .gaussian import Passive
@@ -45,8 +47,8 @@ def collect_gates(N: int) -> tuple[Passive, ...]:
         raise ValueError(f"need at least one mode, got {N}")
     gates = []
     for j in range(1, N):
-        keep = np.sqrt(j / (j + 1.0))
-        leak = np.sqrt(1.0 / (j + 1.0))
+        keep = math.sqrt(j / (j + 1.0))
+        leak = math.sqrt(1.0 / (j + 1.0))
         gates.append(Passive(((keep, leak), (leak, -keep)), 0, j))
     return tuple(gates)
 
@@ -68,7 +70,7 @@ def distribute_gates(M: int, modes: list[int]) -> tuple[Passive, ...]:
         raise ValueError(f"need {M} distinct modes, got {modes}")
     gates = []
     for j in range(1, M):
-        tap = np.sqrt(1.0 / (M - j + 1.0))
-        keep = np.sqrt((M - j) / (M - j + 1.0))
+        tap = math.sqrt(1.0 / (M - j + 1.0))
+        keep = math.sqrt((M - j) / (M - j + 1.0))
         gates.append(Passive(((keep, -tap), (tap, keep)), modes[0], modes[j]))
     return tuple(gates)

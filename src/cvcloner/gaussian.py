@@ -10,7 +10,12 @@ coefficients.  Preservation of the commutation relations requires
 
     A A^T - B B^T = I     and     A B^T = B A^T ,
 
-which :func:`check_symplectic` measures and everything downstream relies on.
+which everything downstream relies on.  With real (A, B) the quadratures
+transform apart: x' = X x and p' = P p with X = A + B and P = A - B, and
+both conditions together read X P^T = I, which :func:`check_symplectic`
+measures with one product.  The clone readout works from the clone rows of
+X and P as well; only the full output state forms the interleaved 2n x 2n
+quadrature matrix S.
 
 Quadrature conventions (hbar = 1):
 
@@ -94,7 +99,9 @@ class BogoliubovTransform:
         convention, where x rows and columns are the even indices and p the
         odd ones.  S Omega S^T = Omega holds exactly when (A, B) satisfy the
         commutation constraints; that property is enforced by tests rather
-        than assumed here.
+        than assumed here.  Only the full output state,
+        ``analysis.clone_output_state``, forms S: the check and the clone
+        readout work from A + B and A - B directly.
         """
         S = np.zeros((2 * self.n_modes, 2 * self.n_modes))
         S[0::2, 0::2] = self.A + self.B
@@ -183,12 +190,16 @@ class Passive:
         _check_pair(self.p, self.q)
         try:
             (a, b), (c, d) = self.block
-            entries = (a, b, c, d)
-            # floats and ints are real; any other entry is judged by its type
-            real = all(isinstance(x, (float, int)) or _is_real_number(x) for x in entries)
-            # np.complex128 parses any number, complex or a numeric string alike,
-            # and raises on anything else
-            a, b, c, d = map(float if real else np.complex128, entries)
+            # four Python floats, as the package's own gate lists carry, are kept as
+            # they are; other floats and ints are real, and any other entry is
+            # judged by its type
+            real = exact = type(a) is type(b) is type(c) is type(d) is float
+            if not exact:
+                entries = (a, b, c, d)
+                real = all(isinstance(x, (float, int)) or _is_real_number(x) for x in entries)
+                # np.complex128 parses any number, complex or a numeric string
+                # alike, and raises on anything else
+                a, b, c, d = map(float if real else np.complex128, entries)
         except (TypeError, ValueError):
             raise ValueError(
                 f"Passive gate on ({self.p}, {self.q}) needs a 2x2 block, got {self.block!r}"
@@ -295,11 +306,23 @@ def fold_gates(gates: Iterable[Gate], n_modes: int) -> BogoliubovTransform:
 
 
 def check_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
-    """Measure how far (A, B) sits from a valid Bogoliubov transform."""
-    A, B = t.A, t.B
-    eye = np.eye(t.n_modes)
-    commutation = np.abs(A @ A.T - B @ B.T - eye).max()
-    symmetry = np.abs(A @ B.T - B @ A.T).max()
+    """Measure how far (A, B) sits from a valid Bogoliubov transform.
+
+    With real (A, B) the quadrature maps are X = A + B on x and P = A - B on
+    p, and G = X P^T has symmetric part A A^T - B B^T and antisymmetric part
+    B A^T - A B^T.  So one n x n product gives both constraints:
+    commutation_dev = max|(G + G^T)/2 - I| and symmetry_dev = max|(G - G^T)/2|.
+    A NaN or infinite entry of A or B reaches G and reads as a NaN or inf
+    deviation, which ``SymplecticCheck.max_dev`` counts as inf.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf reads NaN, which fails
+        X, P = t.A + t.B, t.A - t.B
+        G = X @ P.T
+        # X and P are spent, so their buffers take G + G^T - 2I and G - G^T
+        sym, antisym = np.add(G, G.T, out=X), np.subtract(G, G.T, out=P)
+        sym.ravel()[::t.n_modes + 1] -= 2.0
+        commutation = 0.5 * np.abs(sym, out=sym).max()
+        symmetry = 0.5 * np.abs(antisym, out=antisym).max()
     return SymplecticCheck(commutation_dev=float(commutation), symmetry_dev=float(symmetry))
 
 

@@ -1,7 +1,8 @@
 """Independent references the tests compare the package against.
 
-The package builds every transform by ``fold_gates`` and reads every clone
-from the clone rows of S; these are the dense, two-row and single-mode routes
+The package builds every transform by ``fold_gates``, checks it with one
+product X P^T and reads every clone from the clone rows of X = A + B and
+P = A - B; these are the dense, two-row, four-product and single-mode routes
 that those results are checked against, kept here because only tests need
 them.
 The one-row readers take a bare transform, where the package reads a built
@@ -18,6 +19,7 @@ from cvcloner.gaussian import (
     GaussianState,
     ModeLabel,
     Passive,
+    SymplecticCheck,
     mode_index,
     require_symplectic,
 )
@@ -79,6 +81,15 @@ def fold_two_rows(gates, n_modes: int) -> BogoliubovTransform:
     return BogoliubovTransform(A=rows[:, 0], B=rows[:, 1])
 
 
+def check_symplectic_four_products(t: BogoliubovTransform) -> SymplecticCheck:
+    """The two Bogoliubov conditions as written, from four n x n products:
+    max|A A^T - B B^T - I| and max|A B^T - B A^T|."""
+    A, B = t.A, t.B
+    commutation = np.abs(A @ A.T - B @ B.T - np.eye(t.n_modes)).max()
+    symmetry = np.abs(A @ B.T - B @ A.T).max()
+    return SymplecticCheck(commutation_dev=float(commutation), symmetry_dev=float(symmetry))
+
+
 def reduce_mode(s: GaussianState, mode: int | ModeLabel) -> GaussianState:
     """Single-mode marginal: the mode's two means and its 2x2 covariance block."""
     k = 2 * mode_index(mode, s.n_modes)
@@ -121,6 +132,6 @@ def phase_covariance_defect(t: BogoliubovTransform, clone_mode: int | ModeLabel,
                             signal_modes: tuple[int | ModeLabel, ...]) -> float:
     """sum_k A_k B_k of a clone row over its non-signal inputs k: 0 when the
     noise the row adds is phase insensitive."""
+    row = [mode_index(clone_mode, t.n_modes)]
     return float(_phase_covariance_defects(
-        t, [mode_index(clone_mode, t.n_modes)],
-        [mode_index(m, t.n_modes) for m in signal_modes])[0])
+        t.A[row], t.B[row], [mode_index(m, t.n_modes) for m in signal_modes])[0])

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from cvcloner.gaussian import (
     BogoliubovTransform,
     GaussianState,
     SymplecticCheck,
+    coherent_means,
     coherent_vacuum_input,
     fold_gates,
 )
@@ -129,7 +131,8 @@ def test_q_function_of_pure_coherent_state_peaks_at_one_over_pi():
         mean=np.array([np.sqrt(2) * xi.real, np.sqrt(2) * xi.imag]),
         cov=np.eye(2) / 2,
     )
-    q = _husimi(_amplitudes(state.mean[None]), _isotropic_photons(state.cov[None], ONE), xi)
+    q = _husimi(_amplitudes(state.mean[0::2], state.mean[1::2]),
+                _isotropic_photons(state.cov[None], ONE), xi)
     assert np.isclose(q[0], 1 / math.pi)
 
 
@@ -137,7 +140,8 @@ def test_q_function_width_is_set_by_the_added_noise():
     machine = build_cloner(AsymSpec(0.0))
     out = clone_output_state(machine, 0.5 + 0j)
     clone = reduce_mode(out, machine.clone_modes[0])
-    amp, n = _amplitudes(clone.mean[None]), _isotropic_photons(clone.cov[None], ONE)
+    amp = _amplitudes(clone.mean[0::2], clone.mean[1::2])
+    n = _isotropic_photons(clone.cov[None], ONE)
     peak = _husimi(amp, n, 0.5 + 0j)[0]
     # n_ch + 1 = 3/2, so moving |alpha - xi|^2 = 3/2 drops Q by a factor e
     away = _husimi(amp, n, 0.5 + math.sqrt(1.5))[0]
@@ -147,7 +151,7 @@ def test_q_function_width_is_set_by_the_added_noise():
 def test_fidelity_coherent_rejects_wrong_amplitude():
     state = GaussianState(mean=np.array([1.0, 0.0]), cov=np.eye(2))
     with pytest.raises(ValueError, match="gain"):
-        _fidelities(_amplitudes(state.mean[None]), 5.0 + 0j,
+        _fidelities(_amplitudes(state.mean[0::2], state.mean[1::2]), 5.0 + 0j,
                     _isotropic_photons(state.cov[None], ONE), ONE)
 
 
@@ -191,39 +195,97 @@ def test_expected_values_are_consistent_with_each_other():
 
 
 def _per_clone_route(machine, xi):
-    """Reference readout: one reduced single-mode state per clone, read
-    through the array helpers one row at a time."""
-    out = clone_output_state(machine, xi)
+    """Reference readout: each clone's rows X_j = A_j + B_j and P_j = A_j - B_j
+    gathered on their own and read through the array helpers one row at a time."""
+    t = machine.transform
+    means = coherent_means(machine.input_amplitudes(xi))
     reports = []
     for mode, n_form, f_form in zip(machine.clone_modes,
                                     expected_chaotic_photons(machine.spec),
                                     expected_fidelities(machine.spec), strict=True):
-        reduced, name = reduce_mode(out, mode), [mode.name]
-        n_state, amp = _isotropic_photons(reduced.cov[None], name), _amplitudes(reduced.mean[None])
+        row, name = [mode.index], [mode.name]
+        x_row, p_row = t.A[row] + t.B[row], t.A[row] - t.B[row]
+        block = np.zeros((1, 2, 2))
+        block[0, 0, 0] = 0.5 * np.einsum("ij,ij->i", x_row, x_row)[0]
+        block[0, 1, 1] = 0.5 * np.einsum("ij,ij->i", p_row, p_row)[0]
+        n_state = _isotropic_photons(block, name)
+        amp = _amplitudes(x_row @ means[0::2], p_row @ means[1::2])
         reports.append(CloneReport(
             clone_mode=mode,
-            n_chaotic=chaotic_photons(machine.transform, mode),
+            n_chaotic=chaotic_photons(t, mode),
             n_chaotic_state=float(n_state[0]),
             n_chaotic_formula=n_form,
             fidelity=float(_fidelities(amp, complex(xi), n_state, name)[0]),
             fidelity_formula=f_form,
             q_peak=float(_husimi(amp, n_state, complex(xi))[0]),
-            phase_covariance_defect=phase_covariance_defect(
-                machine.transform, mode, machine.signal_modes),
+            phase_covariance_defect=phase_covariance_defect(t, mode, machine.signal_modes),
         ))
+    return reports
+
+
+def _full_state_route(machine, xi):
+    """Independent readout: the reduced single-mode states of the full output
+    state S (I/2) S^T, each clone's covariance block as it stands."""
+    out = clone_output_state(machine, xi)
+    reports = []
+    for mode in machine.clone_modes:
+        reduced, name = reduce_mode(out, mode), [mode.name]
+        n_state = _isotropic_photons(reduced.cov[None], name)
+        amp = _amplitudes(reduced.mean[0::2], reduced.mean[1::2])
+        reports.append((reduced.cov, float(n_state[0]),
+                        float(_fidelities(amp, complex(xi), n_state, name)[0]),
+                        float(_husimi(amp, n_state, complex(xi))[0])))
     return reports
 
 
 READOUT_SPECS = ([SymSpec(n, m) for n, m in SYM_CASES] + [SymSpec(16, 128)]
                  + [AsymSpec(float(g), factorized=f) for f in (False, True) for g in GAMMA_GRID])
+LARGE_SPECS = [SymSpec(16, 1008), SymSpec(1, 1023)]
+READOUT_XI = [0j, 0.7 - 0.2j, 3 - 2j]
+EPS = np.finfo(float).eps
 
 
-@pytest.mark.parametrize("xi", [0j, 0.7 - 0.2j, 3 - 2j])
+@pytest.mark.parametrize("xi", READOUT_XI)
 def test_clone_report_equals_the_per_clone_route(xi):
-    # exact equality: the array readout must gather the same blocks and rows
-    for spec in READOUT_SPECS:
+    # exact equality: the array readout must gather the same rows and means
+    for spec in READOUT_SPECS + LARGE_SPECS:
         machine = build_cloner(spec)
         assert clone_report(machine, xi) == _per_clone_route(machine, xi), spec
+
+
+@pytest.mark.parametrize("xi", READOUT_XI)
+def test_clone_report_agrees_with_the_full_state_route(xi):
+    # the row norms |X_j|^2/2 and |P_j|^2/2 round differently from the diagonal
+    # of the full product S (I/2) S^T, so the figures read from the covariance
+    # agree to a few ulp (measured worst: 2.0 eps (n + 1) for n_chaotic_state,
+    # 2.1 and 2.5 ulp for fidelity and q_peak); everything else is equal, and
+    # the full state's cross term is exactly the zero the readout assumes
+    specs = READOUT_SPECS + (LARGE_SPECS if xi == READOUT_XI[-1] else [])
+    for spec in specs:
+        machine = build_cloner(spec)
+        reference = _per_clone_route(machine, xi)
+        for report, ref, (cov, n_state, fidelity, q_peak) in zip(
+                clone_report(machine, xi), reference, _full_state_route(machine, xi),
+                strict=True):
+            assert replace(report, n_chaotic_state=0.0, fidelity=0.0, q_peak=0.0) == replace(
+                ref, n_chaotic_state=0.0, fidelity=0.0, q_peak=0.0), spec
+            assert cov[0, 1] == cov[1, 0] == 0.0, spec
+            assert abs(report.n_chaotic_state - n_state) <= 4 * EPS * (n_state + 1), spec
+            assert abs(report.fidelity - fidelity) <= 4 * EPS * fidelity, spec
+            assert abs(report.q_peak - q_peak) <= 4 * EPS * q_peak, spec
+
+
+def test_the_readout_holds_no_full_size_array():
+    # at 16->1008 the clone rows of A, B and X (then P) are 8.3 MB each; a
+    # readout through S, its clone rows S_r and (S_r/2) S_r^T peaks at 98.6 MB
+    machine = build_cloner(SymSpec(16, 1008))
+    tracemalloc.start()
+    try:
+        clone_report(machine, 0.7 - 0.2j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_clone_report_refuses_a_squeezed_clone():
@@ -245,7 +307,7 @@ def test_clone_report_refuses_a_squeezed_clone():
 def test_fidelity_refuses_a_nan_amplitude():
     state = GaussianState(mean=[math.nan, 0.0], cov=0.5 * np.eye(2))
     with pytest.raises(ValueError, match="gain"):
-        _fidelities(_amplitudes(state.mean[None]), 1.0,
+        _fidelities(_amplitudes(state.mean[0::2], state.mean[1::2]), 1.0,
                     _isotropic_photons(state.cov[None], ONE), ONE)
 
 

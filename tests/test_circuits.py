@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cvcloner import circuits
 from cvcloner.circuits import (
     AsymSpec,
     SymSpec,
@@ -14,7 +15,7 @@ from cvcloner.circuits import (
     build_cloner,
 )
 from cvcloner.elements import distribute_gates
-from cvcloner.gaussian import NOPA, check_symplectic, fold_gates
+from cvcloner.gaussian import DEFAULT_TOL, NOPA, check_symplectic, fold_gates
 from reference import compose, embed
 
 GAMMAS = np.linspace(-1.5, 1.5, 31)
@@ -90,6 +91,21 @@ def test_gamma_domain_is_enforced():
         AsymSpec(float("nan"))
     with pytest.raises(ValueError):
         AsymSpec(25.0)
+
+
+def test_gamma_limit_sits_below_the_first_failing_check(monkeypatch):
+    # GAMMA_LIMIT's comment: rounding first pushes an asymmetric machine past
+    # check_symplectic at |gamma| = 6.59 on a 0.01 grid, and at |gamma| <= 6
+    # the worst deviation (3.2e-11) stays well inside DEFAULT_TOL
+    monkeypatch.setattr(circuits, "GAMMA_LIMIT", 7.0)
+
+    def worst(g):
+        return max(check_symplectic(build(s * g)).max_dev
+                   for build in (asym_direct, asym_factorized) for s in (1.0, -1.0))
+
+    assert max(worst(k / 100) for k in range(601)) <= DEFAULT_TOL / 2
+    first = next(k / 100 for k in range(601, 701) if worst(k / 100) > DEFAULT_TOL)
+    assert first == 6.59
 
 
 def test_sym_spec_validation():

@@ -371,6 +371,38 @@ def test_a_warm_verify_checks_only_the_full_state_routes(monkeypatch, capsys):
     assert calls == {"check": 0}
 
 
+@pytest.mark.parametrize("argv", [
+    ["clone", "--sym", "--n", "16", "--m", "128"],
+    ["clone", "--asym", "--gamma", "0.3"],
+    ["clone", "--asym", "--gamma", "-0.4", "--factorized"],
+    ["sweep", "--asym", "--gamma-range", "-1", "1", "5"],
+    ["sweep", "--sym", "--n", "2", "--m-range", "2", "6"],
+], ids=["clone-sym", "clone-asym", "clone-asym-factorized", "sweep-asym", "sweep-sym"])
+def test_clone_and_sweep_never_form_the_quadrature_matrix(monkeypatch, capsys, argv):
+    def refuse(self):
+        raise AssertionError("symplectic_matrix called")
+
+    monkeypatch.setattr(gaussian.BogoliubovTransform, "symplectic_matrix", refuse)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out
+
+
+def test_a_warm_verify_forms_the_quadrature_matrix_only_for_the_full_state(monkeypatch, capsys):
+    assert cli.cmd_verify(None, None) == 0  # fills the machine caches
+    callers = []
+    symplectic_matrix = gaussian.BogoliubovTransform.symplectic_matrix
+
+    def recording(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return symplectic_matrix(self)
+
+    monkeypatch.setattr(gaussian.BogoliubovTransform, "symplectic_matrix", recording)
+    assert cli.cmd_verify(None, None) == 0
+    capsys.readouterr()
+    # uncertainty_preservation and unit_signal_gain, one full state per machine
+    assert callers == ["clone_output_state"] * 32
+
+
 def test_a_cold_verify_checks_each_machine_once_and_reads_its_clones_once(monkeypatch, capsys):
     # 90 distinct specs: the direct and factorized machine at each of the 41
     # grid points, and the 8 shared machines that are not on the grid

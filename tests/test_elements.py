@@ -11,10 +11,12 @@ import pytest
 from cvcloner.elements import beam_splitter_gate, collect_gates, distribute_gates
 from cvcloner.gaussian import (
     NOPA,
+    Passive,
     check_symplectic,
     coherent_vacuum_input,
     fold_gates,
 )
+from cvcloner.verification import SYM_CASES
 from reference import apply_to_gaussian
 
 
@@ -172,3 +174,22 @@ def test_chains_reject_bad_sizes():
     for wires in ([0, 2, 2], [0, 1], [0, 1, 2, 3]):
         with pytest.raises(ValueError, match="need 3 distinct modes"):
             distribute_gates(3, wires)
+
+
+@pytest.mark.parametrize("n, m", [*SYM_CASES, (16, 128)])
+def test_cascades_take_the_square_roots_numpy_takes(n, m):
+    # math.sqrt and np.sqrt are both correctly rounded, so the gates are equal;
+    # math.sqrt's Python floats take Passive's short path
+    wires = [0, *range(n + 1, n + m)]
+    collect = tuple(
+        Passive(((np.sqrt(j / (j + 1.0)), np.sqrt(1.0 / (j + 1.0))),
+                 (np.sqrt(1.0 / (j + 1.0)), -np.sqrt(j / (j + 1.0)))), 0, j)
+        for j in range(1, n))
+    distribute = tuple(
+        Passive(((np.sqrt((m - j) / (m - j + 1.0)), -np.sqrt(1.0 / (m - j + 1.0))),
+                 (np.sqrt(1.0 / (m - j + 1.0)), np.sqrt((m - j) / (m - j + 1.0)))),
+                wires[0], wires[j])
+        for j in range(1, m))
+    gates = collect_gates(n) + distribute_gates(m, wires)
+    assert gates == collect + distribute
+    assert all(type(x) is float for gate in gates for row in gate.block for x in row)

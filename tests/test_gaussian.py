@@ -2,11 +2,12 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cvcloner.circuits import asym_direct
+from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, build_cloner
 from cvcloner.fock import FockSpace, coherent_fock, reduced_density_matrix
 from cvcloner.gaussian import (
     NOPA,
@@ -24,6 +25,7 @@ from cvcloner.gaussian import (
 from reference import (
     apply_to_gaussian,
     chaotic_photons,
+    check_symplectic_four_products,
     compose,
     embed,
     phase_covariance_defect,
@@ -75,6 +77,39 @@ def test_check_symplectic_flags_broken_transform():
     chk = check_symplectic(bad)
     assert not chk.passed
     assert chk.commutation_dev > 0.1
+
+
+# every asym gamma of a 0.05 grid in both forms, N -> M for N <= 11 and M < 40,
+# and the three largest machines the tests build: 859 machines
+CHECKED_SPECS = ([AsymSpec(float(g), factorized=f)
+                  for f in (False, True) for g in np.linspace(-6.0, 6.0, 241)]
+                 + [SymSpec(n, m) for n in range(1, 12) for m in range(n, 40)]
+                 + [SymSpec(16, 256), SymSpec(16, 1008), SymSpec(1, 1023)])
+
+
+def test_one_product_check_agrees_with_the_four_product_check():
+    # the symmetric and antisymmetric parts of X P^T are A A^T - B B^T and
+    # B A^T - A B^T; they round differently (measured worst gap 6.2e-12)
+    assert len(CHECKED_SPECS) == 859
+    for spec in CHECKED_SPECS:
+        t = build_cloner(spec).transform
+        one, four = check_symplectic(t), check_symplectic_four_products(t)
+        assert abs(one.commutation_dev - four.commutation_dev) <= 1e-11, spec
+        assert abs(one.symmetry_dev - four.symmetry_dev) <= 1e-11, spec
+
+
+@pytest.mark.parametrize("block", ["A", "B"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_fails_the_check_and_is_refused(block, value):
+    machine = build_cloner(SymSpec(2, 3))
+    arrays = {"A": machine.transform.A.copy(), "B": machine.transform.B.copy()}
+    arrays[block][1, 3] = value
+    broken = BogoliubovTransform(**arrays)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_symplectic(broken).max_dev == math.inf
+        with pytest.raises(ValueError, match="transform is not symplectic"):
+            replace(machine, transform=broken)
 
 
 def test_symplectic_matrix_satisfies_symplectic_condition():
@@ -321,6 +356,13 @@ def test_nopa_stores_r_as_a_float_and_folds_in_float64():
 def test_gate_refuses_a_pair_that_is_not_two_distinct_modes(make_gate):
     with pytest.raises(ValueError, match="two distinct modes >= 0"):
         make_gate()
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_passive_refuses_four_floats_that_are_not_all_finite(entry):
+    # four Python floats skip the realness checks, never the finiteness one
+    with pytest.raises(ValueError, match=r"Passive gate on \(0, 1\) has a non-finite block"):
+        Passive(((0.6, 0.8), (entry, -0.6)), 0, 1)
 
 
 def test_passive_stores_its_block_as_floats():

@@ -18,6 +18,7 @@ from cvcloner.analysis import clone_output_state, clone_report
 from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, asym_factorized, build_cloner
 from cvcloner.elements import beam_splitter_gate
 from cvcloner.gaussian import (
+    DEFAULT_TOL,
     NOPA,
     BogoliubovTransform,
     Passive,
@@ -27,7 +28,13 @@ from cvcloner.gaussian import (
     uncertainty_defect,
 )
 from cvcloner.verification import GAMMA_GRID, SYM_CASES
-from reference import apply_to_gaussian, compose, embed, fold_two_rows
+from reference import (
+    apply_to_gaussian,
+    check_symplectic_four_products,
+    compose,
+    embed,
+    fold_two_rows,
+)
 
 gammas = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -177,6 +184,27 @@ def test_machine_folds_equal_the_two_row_fold(monkeypatch):
     assert len(folds) == len(specs)
     for gates, n in folds:
         _assert_fold_equals_the_two_row_fold(gates, n)
+
+
+PERTURBED_SPECS = ([SymSpec(n, m) for n, m in SYM_CASES if m > n]
+                   + [AsymSpec(g, factorized=f)
+                      for f in (False, True) for g in (-6.0, 0.0, 0.5, 6.0)])
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(PERTURBED_SPECS), st.sampled_from("AB"), st.data(),
+       st.floats(min_value=1e-8, max_value=1e-2), st.sampled_from([1.0, -1.0]))
+def test_both_checks_fail_a_perturbed_entry(spec, block, data, delta, sign):
+    # every input of these machines reaches two outputs or more through A or B,
+    # so moving one entry by delta moves X P^T by delta times an O(1) entry
+    machine = build_cloner(spec)
+    n = machine.n_modes
+    i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    arrays = {"A": machine.transform.A.copy(), "B": machine.transform.B.copy()}
+    arrays[block][i, k] += sign * delta
+    perturbed = BogoliubovTransform(**arrays)
+    assert check_symplectic(perturbed).max_dev > DEFAULT_TOL
+    assert check_symplectic_four_products(perturbed).max_dev > DEFAULT_TOL
 
 
 @st.composite
