@@ -13,36 +13,38 @@ the transform, and the reduced output covariance) and F by three (1/(n+1)
 from either n_ch route, and the Q-function peak), so agreement between them
 is a real consistency check rather than one formula printed twice.
 
-``clone_report`` reads every clone of a machine at once from the clone rows
-of the two quadrature maps X = A + B (on x) and P = A - B (on p), never
-forming the quadrature matrix S or the full output state.  Every input is
-coherent or vacuum, with covariance I/2, and a real transform keeps x and p
-apart, so clone j's 2x2 block is diag(|X_j|^2 / 2, |P_j|^2 / 2), with a
-cross term of exactly zero, and its means are X_j and P_j times the input
-x and p means.  Those variances and means, and the clone rows of (A, B),
-go through array helpers that read every clone at once, so each formula and
-each gate exists once, and a ``CloneReport`` carries every figure a caller
-reads: there is no single-row reader beside it.  The gates fail closed: a
-NaN variance or amplitude is refused, never passed, and the refusal names
-the clone.  ``clone_output_state`` is the independent full-state route,
+``clone_reports`` reads every clone of a list of built machines from the
+clone rows of the two quadrature maps X = A + B (on x) and P = A - B (on
+p), never forming the quadrature matrix S or the full output state.  Every
+input is coherent or vacuum, with covariance I/2, and a real transform keeps
+x and p apart, so clone j's 2x2 block is diag(|X_j|^2 / 2, |P_j|^2 / 2),
+with a cross term of exactly zero, and its means are X_j and P_j times the
+input x and p means.  Consecutive machines that share a layout (register
+size, clone and signal modes) are read as one (k, M, n) stack of their
+clone rows of (A, B): those variances and means go through array helpers
+that take any leading axes, so each formula and each gate runs once per
+stack, not once per machine, and each machine in a stack reads bit for bit what it reads
+alone.  ``clone_report`` is ``clone_reports`` on one machine, and a
+``CloneReport`` carries every figure a caller reads: there is no
+single-row reader beside it.  The gates fail closed: a NaN variance or
+amplitude is refused, never passed, and the refusal names the clone, and
+the first refused machine of a list is the one a loop over it would meet
+first.  ``clone_output_state`` is the independent full-state route,
 S (I/2) S^T, for the suites that need every mode.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .circuits import AsymSpec, ClonerSpec, CloningMachine, SymSpec, build_cloner
-from .gaussian import (
-    GaussianState,
-    ModeLabel,
-    coherent_means,
-    coherent_vacuum_input,
-)
+from .gaussian import GaussianState, ModeLabel, coherent_means
 
 ISOTROPY_TOL = 1e-8
 GAIN_TOL = 1e-8
@@ -68,24 +70,20 @@ def _chaotic_photons(b_rows: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.sum(b_rows ** 2, axis=-1)
 
 
-def _isotropic_photons(blocks: NDArray[np.float64], names: list[str]) -> NDArray[np.float64]:
-    """Chaotic photons (var(x) + var(p))/2 - 1/2 of stacked 2x2 covariances.
-
-    Fails closed, NaN included, unless each block has equal x and p variances
-    and no cross correlation within ISOTROPY_TOL.
-    """
-    return _photons(blocks[:, 0, 0], blocks[:, 1, 1], names, blocks[:, 0, 1])
-
-
 def _photons(vxx: NDArray[np.float64], vpp: NDArray[np.float64], names: list[str],
              vxp: NDArray[np.float64] | float = 0.0) -> NDArray[np.float64]:
-    """``_isotropic_photons`` on the variances and cross terms themselves; a
-    real transform's clones have no cross term, so it defaults to 0."""
+    """Chaotic photons (var(x) + var(p))/2 - 1/2 per clone, over any leading
+    axes, with clone j's name at names[j] along the last axis.
+
+    Fails closed, NaN included, unless each clone has equal x and p variances
+    and no cross term within ISOTROPY_TOL; a real transform's clones have no
+    cross term, so it defaults to 0.
+    """
     isotropic = (np.abs(vxx - vpp) <= ISOTROPY_TOL) & (np.abs(vxp) <= ISOTROPY_TOL)
     if not isotropic.all():
-        i = int(np.argmin(isotropic))
+        i = np.unravel_index(np.argmin(isotropic), isotropic.shape)
         raise ValueError(
-            f"{names[i]}: covariance is not isotropic: "
+            f"{names[i[-1]]}: covariance is not isotropic: "
             f"var(x)={vxx[i]}, var(p)={vpp[i]}, cov(x,p)={np.broadcast_to(vxp, vxx.shape)[i]}"
         )
     return (vxx + vpp) / 2.0 - 0.5
@@ -102,12 +100,13 @@ def _fidelities(amps: NDArray[np.complex128], xi: complex, n: NDArray[np.float64
                 names: list[str]) -> NDArray[np.float64]:
     """1/(n + 1) per clone, refused (NaN included) unless each clone kept xi
     at unit gain within GAIN_TOL: these machines preserve gain by
-    construction, so a gain error is a fault, not a lower fidelity."""
+    construction, so a gain error is a fault, not a lower fidelity.  Leading
+    axes and names as in ``_photons``."""
     unit_gain = np.abs(amps - xi) <= GAIN_TOL * max(1.0, abs(xi))
     if not unit_gain.all():
-        i = int(np.argmin(unit_gain))
+        i = np.unravel_index(np.argmin(unit_gain), unit_gain.shape)
         raise ValueError(
-            f"{names[i]}: clone amplitude {complex(amps[i])} does not match "
+            f"{names[i[-1]]}: clone amplitude {complex(amps[i])} does not match "
             f"the target {xi}: non-unit gain"
         )
     return 1.0 / (n + 1.0)
@@ -121,7 +120,8 @@ def _husimi(amps: NDArray[np.complex128], n: NDArray[np.float64],
 
 def _phase_covariance_defects(a_rows: NDArray[np.float64], b_rows: NDArray[np.float64],
                               signal_cols: list[int]) -> NDArray[np.float64]:
-    """sum_k A[row, k] B[row, k] over the non-signal columns k, per row.
+    """sum_k A[row, k] B[row, k] over the non-signal columns k, per row, over
+    any leading axes.
 
     That sum is the <(delta a)^2> moment of the noise a row adds from its
     vacuum inputs; any nonzero value means squeezed (phase-sensitive) noise,
@@ -129,8 +129,8 @@ def _phase_covariance_defects(a_rows: NDArray[np.float64], b_rows: NDArray[np.fl
     The rows are gathered copies: the signal columns of a_rows are zeroed in
     place.
     """
-    a_rows[:, signal_cols] = 0.0
-    return np.einsum("ij,ij->i", a_rows, b_rows)
+    a_rows[..., signal_cols] = 0.0
+    return np.einsum("...j,...j->...", a_rows, b_rows)
 
 
 def expected_chaotic_photons(spec: ClonerSpec) -> tuple[float, ...]:
@@ -159,12 +159,93 @@ def expected_fidelities(spec: ClonerSpec) -> tuple[float, ...]:
 def clone_output_state(machine: CloningMachine, xi: complex) -> GaussianState:
     """Full multimode Gaussian state leaving the machine for input amplitude xi.
 
-    mean -> S mean and cov -> S cov S^T, with no check: the machine's
-    transform was checked when the machine was built.
+    mean -> S mean and cov -> S (I/2) S^T = (S/2) S^T, one gemm, with no
+    check: the machine's transform was checked when the machine was built.
+    (S/2) S^T is bit for bit the two-product S (I/2) S^T; 0.5 (S S^T) is
+    not, since numpy hands S S^T to a symmetric rank-k update.
     """
-    state_in = coherent_vacuum_input(machine.input_amplitudes(xi))
+    mean = coherent_means(machine.input_amplitudes(xi))
     S = machine.transform.symplectic_matrix()
-    return GaussianState(mean=S @ state_in.mean, cov=S @ state_in.cov @ S.T)
+    return GaussianState(mean=S @ mean, cov=(0.5 * S) @ S.T)
+
+
+class ReadoutRefused(ValueError):
+    """A clone readout refused by a gate; ``position`` is the place of the
+    refused machine in the list that ``clone_reports`` was given."""
+
+    def __init__(self, message: str, position: int) -> None:
+        super().__init__(message)
+        self.position = position
+
+
+def _read_stack(machines: list[CloningMachine], xi: complex) -> list[list[CloneReport]]:
+    """Reports for machines that share one layout (register size, clone and
+    signal modes), read as one (k, M, n) stack of their clone rows."""
+    first = machines[0]
+    rows = np.array([m.index for m in first.clone_modes])
+    names = [m.name for m in first.clone_modes]
+    a = np.empty((len(machines), rows.size, first.n_modes))
+    b = np.empty_like(a)
+    for k, machine in enumerate(machines):  # one gathered temporary at a time
+        a[k] = machine.transform.A[rows]
+        b[k] = machine.transform.B[rows]
+    b_photons = _chaotic_photons(b)  # its b**2 is freed before X's buffer exists
+    means = coherent_means(first.input_amplitudes(xi))
+    # one buffer holds the clone rows of X, then those of P
+    quad = np.add(a, b)
+    var_x, mean_x = 0.5 * np.einsum("...j,...j->...", quad, quad), quad @ means[0::2]
+    np.subtract(a, b, out=quad)
+    var_p, mean_p = 0.5 * np.einsum("...j,...j->...", quad, quad), quad @ means[1::2]
+    amps = _amplitudes(mean_x, mean_p)
+    n_state = _photons(var_x, var_p, names)
+    per_machine = zip(
+        machines,
+        b_photons.tolist(),
+        n_state.tolist(),
+        _fidelities(amps, xi, n_state, names).tolist(),
+        _husimi(amps, n_state, xi).tolist(),
+        _phase_covariance_defects(a, b, [m.index for m in first.signal_modes]).tolist(),
+        strict=True,
+    )
+    # each zip yields a clone's figures in CloneReport's field order
+    return [
+        [CloneReport(*fields) for fields in zip(
+            first.clone_modes, n_rows, n_cov, expected_chaotic_photons(machine.spec),
+            fidelity, expected_fidelities(machine.spec), q_peak, defect, strict=True)]
+        for machine, n_rows, n_cov, fidelity, q_peak, defect in per_machine
+    ]
+
+
+def _layout(machine: CloningMachine) -> tuple:
+    return machine.n_modes, machine.clone_modes, machine.signal_modes
+
+
+def clone_reports(machines: Iterable[CloningMachine],
+                  xi: complex = 1.0 + 0.0j) -> list[list[CloneReport]]:
+    """Every clone's quality figures for each of some built machines, in order.
+
+    Each run of consecutive machines that share a layout (register size,
+    clone and signal modes) is read as one stack: their clone rows of A and
+    B are gathered, never their whole transforms, and each formula and gate
+    runs once over the stack.  A refusal is what reading the machines one at
+    a time would raise first: the first refused machine, and its first
+    refused clone, raised as ``ReadoutRefused`` with that machine's position.
+    """
+    xi = complex(xi)
+    reports: list[list[CloneReport]] = []
+    for _, run in groupby(machines, key=_layout):
+        stack = list(run)
+        try:
+            reports += _read_stack(stack, xi)
+        except ValueError:
+            # each gate runs over the whole stack in turn, so a later
+            # machine's refusal can come first: read the stack in order
+            for machine in stack:
+                try:
+                    reports += _read_stack([machine], xi)
+                except ValueError as exc:
+                    raise ReadoutRefused(str(exc), len(reports)) from None
+    return reports
 
 
 def clone_report(machine: ClonerSpec | CloningMachine,
@@ -173,47 +254,11 @@ def clone_report(machine: ClonerSpec | CloningMachine,
 
     Takes a spec, or a machine already built from one so that a caller who
     needs the machine too builds it only once.  Building a machine checked
-    its transform, so none is checked here.  All clones are read at once
-    from the clone rows of (A, B) and of X = A + B and P = A - B: clone j's
-    variances are |X_j|^2/2 and |P_j|^2/2, and its means X_j x_in and P_j p_in.
+    its transform, so none is checked here.  The machine is read by
+    ``clone_reports`` as a stack of one: all clones at once from the clone
+    rows of (A, B) and of X = A + B and P = A - B, clone j's variances being
+    |X_j|^2/2 and |P_j|^2/2 and its means X_j x_in and P_j p_in.
     """
     if not isinstance(machine, CloningMachine):
         machine = build_cloner(machine)
-    xi = complex(xi)
-    t = machine.transform
-    rows = [m.index for m in machine.clone_modes]
-    names = [m.name for m in machine.clone_modes]
-    a, b = t.A[rows], t.B[rows]
-    b_photons = _chaotic_photons(b)  # its b**2 is freed before X's buffer exists
-    means = coherent_means(machine.input_amplitudes(xi))
-    # one buffer holds the clone rows of X, then those of P
-    quad = np.add(a, b)
-    var_x, mean_x = 0.5 * np.einsum("ij,ij->i", quad, quad), quad @ means[0::2]
-    np.subtract(a, b, out=quad)
-    var_p, mean_p = 0.5 * np.einsum("ij,ij->i", quad, quad), quad @ means[1::2]
-    amps = _amplitudes(mean_x, mean_p)
-    n_state = _photons(var_x, var_p, names)
-    columns = zip(
-        machine.clone_modes,
-        b_photons.tolist(),
-        n_state.tolist(),
-        expected_chaotic_photons(machine.spec),
-        _fidelities(amps, xi, n_state, names).tolist(),
-        expected_fidelities(machine.spec),
-        _husimi(amps, n_state, xi).tolist(),
-        _phase_covariance_defects(a, b, [m.index for m in machine.signal_modes]).tolist(),
-        strict=True,
-    )
-    return [
-        CloneReport(
-            clone_mode=mode,
-            n_chaotic=n_rows,
-            n_chaotic_state=n_cov,
-            n_chaotic_formula=n_form,
-            fidelity=fidelity,
-            fidelity_formula=f_form,
-            q_peak=q_peak,
-            phase_covariance_defect=defect,
-        )
-        for mode, n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect in columns
-    ]
+    return clone_reports([machine], xi)[0]

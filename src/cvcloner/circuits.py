@@ -5,10 +5,10 @@ Three constructions:
 * ``asym_direct(gamma)`` -- the asymmetric 1->2 cloner as a closed-form
   3-mode matrix (mode order: clone a, ancilla b, signal c).  gamma tunes the
   noise split between the two clones; gamma = 0 is the symmetric machine.
-* ``asym_factorized(gamma)`` -- the same machine assembled from hardware:
-  beam splitter BS1(u) on (a, c), a NOPA(v) on (c, b), beam splitter
-  BS2(w) on (a, c), with the three angles given by ``asym_params``.  It is a
-  Mach-Zehnder interferometer with an amplifier in one arm.
+* ``asym_factorized(asym_params(gamma))`` -- the same machine assembled
+  from hardware: beam splitter BS1(u) on (a, c), a NOPA(v) on (c, b), beam
+  splitter BS2(w) on (a, c), with the three angles given by ``asym_params``.
+  It is a Mach-Zehnder interferometer with an amplifier in one arm.
 * the symmetric N->M machine, built by ``build_cloner(SymSpec(N, M))``:
   collect N identical inputs into one mode, amplify by sqrt(M/N) in a
   single NOPA, and split the result evenly over M output modes (N = 1 is
@@ -106,12 +106,15 @@ class CloningMachine:
 
     Building one checks its transform once, by ``require_symplectic``, and
     keeps the deviation as ``symplectic_dev``; a failing transform is refused.
+    An asymmetric machine keeps its BS1 / NOPA / BS2 angles, whichever form
+    built it; a symmetric one has none.
     """
 
     spec: ClonerSpec
     transform: BogoliubovTransform
     signal_modes: tuple[ModeLabel, ...]
     clone_modes: tuple[ModeLabel, ...]
+    angles: FactorizationParams | None = None
     symplectic_dev: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -172,13 +175,13 @@ def asym_params(gamma: float) -> FactorizationParams:
     return FactorizationParams(u=u, v=v, w=w)
 
 
-def asym_factorized(gamma: float) -> BogoliubovTransform:
+def asym_factorized(p: FactorizationParams) -> BogoliubovTransform:
     """Asymmetric 1->2 cloner assembled from two beam splitters and one NOPA.
 
     Physical order: BS1(u) mixes (a, c), the NOPA(v) squeezes (c, b), BS2(w)
-    recombines (a, c).  Equals ``asym_direct(gamma)`` elementwise.
+    recombines (a, c).  With p = ``asym_params(gamma)`` it equals
+    ``asym_direct(gamma)`` elementwise.
     """
-    p = asym_params(gamma)
     return fold_gates((
         beam_splitter_gate(p.u, 0, 2),   # BS1 on (a, c)
         NOPA(p.v, 2, 1),                 # amplifier on (c, b)
@@ -189,12 +192,14 @@ def asym_factorized(gamma: float) -> BogoliubovTransform:
 def build_cloner(spec: ClonerSpec) -> CloningMachine:
     """Build the machine a spec describes, with labeled signal/clone modes."""
     if isinstance(spec, AsymSpec):
-        t = asym_factorized(spec.gamma) if spec.factorized else asym_direct(spec.gamma)
+        angles = asym_params(spec.gamma)
+        t = asym_factorized(angles) if spec.factorized else asym_direct(spec.gamma)
         return CloningMachine(
             spec=spec,
             transform=t,
             signal_modes=(ModeLabel(2, "in"),),
             clone_modes=(ModeLabel(0, "clone_1"), ModeLabel(2, "clone_2")),
+            angles=angles,
         )
     if isinstance(spec, SymSpec):
         # collect the N copies on mode 0, amplify it by sqrt(M/N) against the

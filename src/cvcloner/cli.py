@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .analysis import CloneReport, clone_report
+from .analysis import CloneReport, ReadoutRefused, clone_report, clone_reports
 from .circuits import (
     AsymSpec,
     ClonerSpec,
@@ -36,7 +36,6 @@ from .circuits import (
     SymSpec,
     asym_direct,
     asym_factorized,
-    asym_params,
     build_cloner,
 )
 from .fock import FockSpace, TruncationError
@@ -45,6 +44,9 @@ from .verification import oracle_agreement, standard_suites
 
 SCHEMA_VERSION = 1
 SWEEP_STEPS_LIMIT = 10_000
+# the most asym sweep points read as one stack, so that the machines held at
+# once stay few whatever the step count
+SWEEP_STACK_LIMIT = 256
 # largest |xi|: near 1e12 rounding in the output mean alone breaks pi*Q(xi) = F
 XI_LIMIT = 1e6
 # the flags each machine family owns: the other family's are refused, and
@@ -202,7 +204,7 @@ def _factorization_dev(machine: CloningMachine) -> float | None:
     if not isinstance(spec, AsymSpec):
         return None
     built = machine.transform
-    other = asym_direct(spec.gamma) if spec.factorized else asym_factorized(spec.gamma)
+    other = asym_direct(spec.gamma) if spec.factorized else asym_factorized(machine.angles)
     return float(max(np.abs(built.A - other.A).max(), np.abs(built.B - other.B).max()))
 
 
@@ -312,19 +314,28 @@ def cmd_clone(spec: ClonerSpec, xi: complex, output_format: str,
     return 1 if problems else 0
 
 
-def _sweep_row(spec: ClonerSpec, reports: list[CloneReport]) -> list[object]:
+def _sweep_row(machine: CloningMachine, reports: list[CloneReport]) -> list[object]:
+    spec = machine.spec
     if isinstance(spec, SymSpec):
         return [spec.n, spec.m, reports[0].n_chaotic, reports[0].fidelity]
-    params = asym_params(spec.gamma)
+    angles = machine.angles
     r1, r2 = reports
-    return [spec.gamma, params.u, params.v, params.w, r1.n_chaotic, r2.n_chaotic,
+    return [spec.gamma, angles.u, angles.v, angles.w, r1.n_chaotic, r2.n_chaotic,
             r1.fidelity, r2.fidelity, r1.n_chaotic * r2.n_chaotic]
 
 
 def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | None,
               tolerance: float, *, factorized: bool = False, n: int | None = None) -> int:
     """Sweep gamma over grid = (START, STOP, STEPS), in the factorized form if
-    asked, or, given n input copies, M over the inclusive grid = (START, STOP)."""
+    asked, or, given n input copies, M over the inclusive grid = (START, STOP).
+
+    Each point's machine is built and checked on its own, then read by
+    ``clone_reports``: an asym sweep's points share one layout and are read
+    as stacks of up to SWEEP_STACK_LIMIT, while every sym point is a layout
+    of its own, read and dropped before the next is built.  A refusal at build or readout names
+    its point, as a violation does, and is the one a loop over the points
+    would meet first.
+    """
     if n is None:
         header = ["gamma", "u", "v", "w", "n_chaotic_1", "n_chaotic_2",
                   "fidelity_1", "fidelity_2", "noise_product"]
@@ -338,12 +349,27 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
     echo["xi"] = [xi.real, xi.imag]
     rows: list[list[object]] = []
     problems: list[str] = []
-    for where, spec in points:
-        machine = build_cloner(spec)
-        reports = clone_report(machine, xi)
-        violations = _physics_violations(machine.symplectic_dev, reports, tolerance)
-        problems += [f"{where}: {p}" for p in violations]
-        rows.append(_sweep_row(spec, reports))
+
+    def read(batch: list[tuple[str, CloningMachine]]) -> None:
+        try:
+            reads = clone_reports([machine for _, machine in batch], xi)
+        except ReadoutRefused as exc:
+            raise ValueError(f"{batch[exc.position][0]}: {exc}") from None
+        for (where, machine), reports in zip(batch, reads, strict=True):
+            violations = _physics_violations(machine.symplectic_dev, reports, tolerance)
+            problems.extend(f"{where}: {p}" for p in violations)
+            rows.append(_sweep_row(machine, reports))
+
+    batch_size = SWEEP_STACK_LIMIT if n is None else 1
+    for start in range(0, len(points), batch_size):
+        batch = []
+        for where, spec in points[start:start + batch_size]:
+            try:
+                batch.append((where, build_cloner(spec)))
+            except ValueError as exc:
+                read(batch)  # an earlier point's refusal comes first
+                raise ValueError(f"{where}: {exc}") from None
+        read(batch)
     if output_format == "json":
         document = {
             "schema_version": SCHEMA_VERSION,

@@ -348,12 +348,6 @@ def coherent_means(amplitudes: list[complex] | tuple[complex, ...]) -> NDArray[n
     return mean
 
 
-def coherent_vacuum_input(amplitudes: list[complex] | tuple[complex, ...]) -> GaussianState:
-    """Product of coherent states (vacuum where the amplitude is zero)."""
-    mean = coherent_means(amplitudes)
-    return GaussianState(mean=mean, cov=0.5 * np.eye(mean.size))
-
-
 def uncertainty_defect(s: GaussianState) -> float:
     """How far cov + (i/2) Omega is from positive semidefinite (0 if valid).
 

@@ -6,13 +6,26 @@ P = A - B; these are the dense, two-row, four-product and single-mode routes
 that those results are checked against, kept here because only tests need
 them.
 The one-row readers take a bare transform, where the package reads a built
-machine's clones through ``clone_report``; they call the same array helpers
-with one row.
+machine's clones through ``clone_reports``; they call the same array helpers
+with one row.  ``row_norm_report`` reads one machine's clones with those
+helpers, gathering that machine's clone rows alone, as the package read them
+before it read a stack of machines at once.
 """
 
 import numpy as np
 
-from cvcloner.analysis import _chaotic_photons, _phase_covariance_defects
+from cvcloner.analysis import (
+    CloneReport,
+    _amplitudes,
+    _chaotic_photons,
+    _fidelities,
+    _husimi,
+    _phase_covariance_defects,
+    _photons,
+    expected_chaotic_photons,
+    expected_fidelities,
+)
+from cvcloner.circuits import CloningMachine
 from cvcloner.fock import FockState, _mode_rows
 from cvcloner.gaussian import (
     BogoliubovTransform,
@@ -20,6 +33,7 @@ from cvcloner.gaussian import (
     ModeLabel,
     Passive,
     SymplecticCheck,
+    coherent_means,
     mode_index,
     require_symplectic,
 )
@@ -135,3 +149,58 @@ def phase_covariance_defect(t: BogoliubovTransform, clone_mode: int | ModeLabel,
     row = [mode_index(clone_mode, t.n_modes)]
     return float(_phase_covariance_defects(
         t.A[row], t.B[row], [mode_index(m, t.n_modes) for m in signal_modes])[0])
+
+
+def coherent_vacuum_input(amplitudes: list[complex] | tuple[complex, ...]) -> GaussianState:
+    """Product of coherent states (vacuum where the amplitude is zero)."""
+    mean = coherent_means(amplitudes)
+    return GaussianState(mean=mean, cov=0.5 * np.eye(mean.size))
+
+
+def _isotropic_photons(blocks: np.ndarray, names: list[str]) -> np.ndarray:
+    """Chaotic photons (var(x) + var(p))/2 - 1/2 of stacked 2x2 covariances,
+    refused by the package's isotropy gate unless each block is isotropic."""
+    return _photons(blocks[:, 0, 0], blocks[:, 1, 1], names, blocks[:, 0, 1])
+
+
+def row_norm_report(machine: CloningMachine, xi: complex = 1.0 + 0.0j) -> list[CloneReport]:
+    """One machine's clones read from its own clone rows of (A, B), X = A + B
+    and P = A - B: clone j's variances |X_j|^2/2 and |P_j|^2/2, its means
+    X_j x_in and P_j p_in."""
+    xi = complex(xi)
+    t = machine.transform
+    rows = [m.index for m in machine.clone_modes]
+    names = [m.name for m in machine.clone_modes]
+    a, b = t.A[rows], t.B[rows]
+    b_photons = _chaotic_photons(b)
+    means = coherent_means(machine.input_amplitudes(xi))
+    quad = np.add(a, b)
+    var_x, mean_x = 0.5 * np.einsum("ij,ij->i", quad, quad), quad @ means[0::2]
+    np.subtract(a, b, out=quad)
+    var_p, mean_p = 0.5 * np.einsum("ij,ij->i", quad, quad), quad @ means[1::2]
+    amps = _amplitudes(mean_x, mean_p)
+    n_state = _photons(var_x, var_p, names)
+    columns = zip(
+        machine.clone_modes,
+        b_photons.tolist(),
+        n_state.tolist(),
+        expected_chaotic_photons(machine.spec),
+        _fidelities(amps, xi, n_state, names).tolist(),
+        expected_fidelities(machine.spec),
+        _husimi(amps, n_state, xi).tolist(),
+        _phase_covariance_defects(a, b, [m.index for m in machine.signal_modes]).tolist(),
+        strict=True,
+    )
+    return [
+        CloneReport(
+            clone_mode=mode,
+            n_chaotic=n_rows,
+            n_chaotic_state=n_cov,
+            n_chaotic_formula=n_form,
+            fidelity=fidelity,
+            fidelity_formula=f_form,
+            q_peak=q_peak,
+            phase_covariance_defect=defect,
+        )
+        for mode, n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect in columns
+    ]

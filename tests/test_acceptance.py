@@ -13,7 +13,6 @@ import numpy as np
 from cvcloner.analysis import (
     _amplitudes,
     _husimi,
-    _isotropic_photons,
     clone_output_state,
     clone_report,
 )
@@ -30,12 +29,11 @@ from cvcloner.fock import FockSpace, apply_cloning_fock_block, coherent_fock, fi
 from cvcloner.gaussian import (
     NOPA,
     check_symplectic,
-    coherent_vacuum_input,
     fold_gates,
     uncertainty_defect,
     worst_dev,
 )
-from reference import apply_to_gaussian, reduce_mode
+from reference import _isotropic_photons, apply_to_gaussian, coherent_vacuum_input, reduce_mode
 
 GAMMA_GRID = np.linspace(-1.0, 1.0, 41)
 XI_SET = (0j, 1 + 0j, 2j, -1.5 + 0.5j, 3 - 2j)
@@ -89,7 +87,7 @@ def test_criterion_03_chaotic_photons_and_noise_product():
 def test_criterion_04_factorization_equivalence():
     dev = 0.0
     for g in GAMMA_GRID:
-        d, f = asym_direct(float(g)), asym_factorized(float(g))
+        d, f = asym_direct(float(g)), asym_factorized(asym_params(float(g)))
         dev = worst_dev((dev, float(np.abs(d.A - f.A).max()), float(np.abs(d.B - f.B).max())))
     dev = worst_dev((dev, abs(asym_params(0.0).u)))
     report(4, "BS/NOPA/BS factorization equals the closed form, u(0)=0", dev, 1e-9)
@@ -177,7 +175,7 @@ def test_criterion_11_property_suite():
                   fold_gates(collect_gates(4), 4),
                   fold_gates(distribute_gates(5, list(range(5))), 5)]
     transforms += [asym_direct(float(g)) for g in GAMMA_GRID]
-    transforms += [asym_factorized(float(g)) for g in GAMMA_GRID]
+    transforms += [asym_factorized(asym_params(float(g))) for g in GAMMA_GRID]
     machines = [build_cloner(spec) for spec in MACHINES]
     transforms += [m.transform for m in machines]
     for t in transforms:

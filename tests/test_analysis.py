@@ -1,6 +1,7 @@
 """Figures of merit: chaotic photons, fidelity, Q function, noise products."""
 
 import math
+import random
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -10,35 +11,39 @@ import pytest
 
 from cvcloner.analysis import (
     CloneReport,
+    ReadoutRefused,
     _amplitudes,
     _fidelities,
     _husimi,
-    _isotropic_photons,
     clone_output_state,
     clone_report,
+    clone_reports,
     expected_chaotic_photons,
     expected_fidelities,
 )
 from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, build_cloner
 from cvcloner import analysis, gaussian
+from cvcloner.elements import beam_splitter_gate
 from cvcloner.gaussian import (
     NOPA,
     BogoliubovTransform,
     GaussianState,
     SymplecticCheck,
     coherent_means,
-    coherent_vacuum_input,
     fold_gates,
 )
 from cvcloner.verification import GAMMA_GRID, SYM_CASES
 from reference import (
+    _isotropic_photons,
     apply_to_gaussian,
     chaotic_photons,
+    coherent_vacuum_input,
     compose,
     embed,
     noise_product,
     phase_covariance_defect,
     reduce_mode,
+    row_norm_report,
 )
 
 ONE = ["clone"]  # the name a one-clone readout gives its clone in a refusal
@@ -337,16 +342,15 @@ def _patch_everywhere(monkeypatch, fn, replacement):
 @pytest.mark.parametrize("spec", [SymSpec(3, 7), AsymSpec(0.4), AsymSpec(-0.2, factorized=True)])
 def test_clone_report_reads_the_clone_rows_without_the_output_state(monkeypatch, spec):
     machine = build_cloner(spec)
-    calls = {"clone_output_state": 0, "coherent_vacuum_input": 0, "check_symplectic": 0}
-    for fn in (analysis.clone_output_state, gaussian.coherent_vacuum_input,
-               gaussian.check_symplectic):
+    calls = {"clone_output_state": 0, "check_symplectic": 0}
+    for fn in (analysis.clone_output_state, gaussian.check_symplectic):
         def counting(*args, fn=fn, **kwargs):
             calls[fn.__name__] += 1
             return fn(*args, **kwargs)
         _patch_everywhere(monkeypatch, fn, counting)
     clone_report(machine, 0.4 - 0.9j)
     # the machine's transform was checked when it was built
-    assert calls == {"clone_output_state": 0, "coherent_vacuum_input": 0, "check_symplectic": 0}
+    assert calls == {"clone_output_state": 0, "check_symplectic": 0}
 
 
 def test_clone_report_refuses_a_non_symplectic_transform_as_the_state_route_does():
@@ -383,3 +387,98 @@ def test_state_route_tracks_the_a_row_that_the_b_route_ignores(monkeypatch):
     assert moved.n_chaotic_state - base.n_chaotic_state == pytest.approx(expected, rel=1e-9)
     others = zip(clone_report(machine, 0j)[1:], clone_report(scaled, 0j)[1:], strict=True)
     assert all(a.n_chaotic_state == b.n_chaotic_state for a, b in others)
+
+
+STACK_XI = [1 + 0j, 0.7 - 0.2j, 3 - 2j]
+
+
+@pytest.mark.parametrize("xi", STACK_XI)
+def test_clone_reports_equal_the_per_machine_reader(xi):
+    # exact equality: a stack is read row by row with the formulas that read
+    # each machine alone, and its reports come back in input order
+    direct = [build_cloner(AsymSpec(float(g))) for g in GAMMA_GRID]
+    factorized = [build_cloner(AsymSpec(float(g), factorized=True)) for g in GAMMA_GRID]
+    sym = [build_cloner(SymSpec(n, m)) for n, m in SYM_CASES]
+    big = build_cloner(SymSpec(16, 128))
+    others = sym + [big]
+    mixed = [machine for k in range(14)
+             for machine in (direct[3 * k % 41], others[k % len(others)], factorized[k])]
+    duplicates = [big, direct[5], big, sym[2], direct[5], sym[2], big]
+    for machines in (direct, factorized, mixed, duplicates, [big], [factorized[7]]):
+        assert clone_reports(machines, xi) == [row_norm_report(m, xi) for m in machines]
+
+
+def _unchecked(machine, transform):
+    """The machine with another transform put in past the build's check: the
+    check refuses a NaN transform, so only this way does one reach the readout."""
+    doctored = replace(machine)
+    object.__setattr__(doctored, "transform", transform)
+    return doctored
+
+
+def _faulty(machine, fault):
+    """The machine with one clone broken: a pi beam splitter on the first or
+    last clone's wire and wire 1, never a clone's, negates that clone (the
+    machine stays symplectic, the gain is -1); a one-mode squeezer makes the
+    first clone anisotropic; a NaN poisons the last clone's row of A."""
+    t, n = machine.transform, machine.n_modes
+    first, last = machine.clone_modes[0].index, machine.clone_modes[-1].index
+    if fault in ("gain_first", "gain_last"):
+        wire = first if fault == "gain_first" else last
+        pi = fold_gates((beam_splitter_gate(math.pi, wire, 1),), n)
+        return replace(machine, transform=compose(pi, t))
+    if fault == "squeezed_first":
+        A, B = np.eye(n), np.zeros((n, n))
+        A[first, first], B[first, first] = np.cosh(0.25), -np.sinh(0.25)
+        return replace(machine, transform=compose(BogoliubovTransform(A=A, B=B), t))
+    A = t.A.copy()
+    A[last, 1] = math.nan
+    return _unchecked(machine, BogoliubovTransform(A=A, B=t.B))
+
+
+def _first_refusal(machines, xi):
+    """What reading the machines one at a time raises first, and where."""
+    for position, machine in enumerate(machines):
+        try:
+            row_norm_report(machine, xi)
+        except ValueError as exc:
+            return position, str(exc)
+    return None
+
+
+def test_a_refusal_in_a_stack_is_the_first_one_a_loop_would_raise():
+    asym = [build_cloner(AsymSpec(g)) for g in (-0.6, 0.1, 0.4, 0.9)]
+    sym = [build_cloner(SymSpec(n, m)) for n, m in ((2, 3), (3, 5), (2, 3))]
+    xi = 0.7 - 0.2j
+    crafted = [
+        # a gain fault before an anisotropic clone of the same layout
+        [asym[0], _faulty(asym[1], "gain_first"), _faulty(asym[2], "squeezed_first")],
+        # a later layout's fault before an earlier layout's
+        [asym[0], sym[0], _faulty(sym[2], "gain_last"), _faulty(asym[1], "gain_first")],
+        # one machine with a gain fault on clone 1 and a NaN on clone 2
+        [sym[1], _faulty(_faulty(asym[3], "gain_first"), "nan_last")],
+    ]
+    pool = asym + sym + [_faulty(asym[k], fault) for k, fault in enumerate(
+        ("gain_first", "gain_last", "squeezed_first", "nan_last"))]
+    pool += [_faulty(sym[1], "squeezed_first"), _faulty(sym[0], "gain_last")]
+    shuffled = [random.Random(seed).sample(pool, len(pool)) for seed in range(12)]
+    for machines in crafted + shuffled:
+        position, message = _first_refusal(machines, xi)
+        with pytest.raises(ReadoutRefused) as err:
+            clone_reports(machines, xi)
+        assert (err.value.position, str(err.value)) == (position, message)
+    assert [_first_refusal(m, xi)[0] for m in crafted] == [1, 2, 1]
+    assert "non-unit gain" in _first_refusal(crafted[0], xi)[1]
+    assert _first_refusal(crafted[2], xi)[1].startswith("clone_2: covariance is not isotropic")
+
+
+def test_clone_output_state_is_the_reference_evolution_bit_for_bit():
+    # S (I/2) S^T formed as (S/2) S^T in one gemm: S (I/2) is S/2 exactly
+    for spec in READOUT_SPECS:
+        machine = build_cloner(spec)
+        for xi in (0j, 0.7 - 0.2j):
+            out = clone_output_state(machine, xi)
+            ref = apply_to_gaussian(machine.transform,
+                                    coherent_vacuum_input(machine.input_amplitudes(xi)))
+            assert np.array_equal(out.mean, ref.mean), spec
+            assert np.array_equal(out.cov, ref.cov), spec

@@ -73,7 +73,7 @@ def test_asym_params_stable_at_large_gamma():
 
 def test_factorized_equals_direct_elementwise():
     for g in GAMMAS:
-        d, f = asym_direct(g), asym_factorized(g)
+        d, f = asym_direct(g), asym_factorized(asym_params(g))
         assert np.abs(d.A - f.A).max() < 1e-12
         assert np.abs(d.B - f.B).max() < 1e-12
 
@@ -99,9 +99,12 @@ def test_gamma_limit_sits_below_the_first_failing_check(monkeypatch):
     # the worst deviation (3.2e-11) stays well inside DEFAULT_TOL
     monkeypatch.setattr(circuits, "GAMMA_LIMIT", 7.0)
 
+    def factorized(g):
+        return asym_factorized(asym_params(g))
+
     def worst(g):
         return max(check_symplectic(build(s * g)).max_dev
-                   for build in (asym_direct, asym_factorized) for s in (1.0, -1.0))
+                   for build in (asym_direct, factorized) for s in (1.0, -1.0))
 
     assert max(worst(k / 100) for k in range(601)) <= DEFAULT_TOL / 2
     first = next(k / 100 for k in range(601, 701) if worst(k / 100) > DEFAULT_TOL)

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,9 @@ from cvcloner import analysis, circuits, cli, gaussian, verification
 from cvcloner.analysis import clone_report
 from cvcloner.circuits import AsymSpec, build_cloner
 from cvcloner.cli import main
+from cvcloner.elements import beam_splitter_gate
+from cvcloner.gaussian import BogoliubovTransform, fold_gates
+from reference import compose
 
 
 def run(capsys, argv):
@@ -295,17 +299,20 @@ def test_bad_input_is_a_usage_error(monkeypatch, capsys, tmp_path, argv, env):
 
 
 def test_non_finite_figure_fails_instead_of_printing_nan(monkeypatch, capsys):
-    real = cli.clone_report
+    real = analysis.clone_reports
     # one non-finite field per run: q_peak is in the clone table, fidelity in
-    # both sweep tables
+    # both sweep tables; clone reads its machine through clone_report, a stack
+    # of one, and sweep reads all its points in one clone_reports call
     for argv, field in ((["clone", "--asym", "--gamma", "0.1"], "q_peak"),
                         (["clone", "--sym", "--n", "2", "--m", "5"], "q_peak"),
                         (["sweep", "--asym", "--gamma-range", "-1", "1", "5"], "fidelity"),
                         (["sweep", "--sym", "--n", "2", "--m-range", "2", "5"], "fidelity")):
-        def poisoned(spec, xi, field=field):
-            return [replace(r, **{field: math.nan}) for r in real(spec, xi)]
+        def poisoned(machines, xi, field=field):
+            return [[replace(r, **{field: math.nan}) for r in reports]
+                    for reports in real(machines, xi)]
 
-        monkeypatch.setattr(cli, "clone_report", poisoned)
+        for module in (analysis, cli):
+            monkeypatch.setattr(module, "clone_reports", poisoned)
         code, out, err = run(capsys, argv)
         assert code == 1, argv
         assert "NaN" not in out, argv
@@ -430,6 +437,99 @@ def test_clone_asym_builds_each_form_once(monkeypatch, capsys, factorized):
     assert code == 0
     assert json.loads(out)["diagnostics"]["factorization_dev"] < 1e-12
     assert calls == {"direct": 1, "factorized": 1}
+
+
+@pytest.mark.parametrize("factorized", [False, True])
+def test_a_sweep_takes_each_points_angles_once(monkeypatch, capsys, factorized):
+    # the factorized build folds the angles it took, and the table prints them
+    calls = {"angles": 0}
+    _count_calls(monkeypatch, circuits.asym_params, calls, "angles")
+    argv = ["sweep", "--asym", "--gamma-range", "-1", "1", "41"]
+    code, _, _ = run(capsys, argv + (["--factorized"] if factorized else []))
+    assert code == 0
+    assert calls == {"angles": 41}
+
+
+ASYM_5 = ["sweep", "--asym", "--gamma-range", "-1", "1", "5", "--xi=0.3,-1.2"]
+SYM_5 = ["sweep", "--sym", "--n", "1", "--m-range", "2", "6", "--xi=0.3,-1.2"]
+
+
+def _broken(machine, fault):
+    """gain: a pi beam splitter on clone 1's wire and wire 1 keeps the machine
+    symplectic and negates clone 1, which the readout refuses; check: a
+    scaled A, refused when the machine is built."""
+    t = machine.transform
+    if fault == "check":
+        return replace(machine, transform=BogoliubovTransform(A=1.01 * t.A, B=t.B))
+    pi = fold_gates((beam_splitter_gate(math.pi, 0, 1),), machine.n_modes)
+    return replace(machine, transform=compose(pi, t))
+
+
+@pytest.mark.parametrize("kinds", [("gain",), ("check",), ("gain", "gain"), ("check", "check"),
+                                   ("gain", "check"), ("check", "gain")])
+@pytest.mark.parametrize("argv, one, two", [(ASYM_5, [0.0], [-0.5, 0.5]), (SYM_5, [4], [3, 5])])
+def test_a_refused_sweep_point_names_its_grid_point(monkeypatch, capsys, argv, one, two, kinds):
+    # the first broken point is named, whether it fails at the readout or
+    # at the build, and whatever the later one does
+    faults = dict(zip(one if len(kinds) == 1 else two, kinds, strict=True))
+    real = cli.build_cloner
+
+    def point(spec):
+        return spec.gamma if isinstance(spec, AsymSpec) else spec.m
+
+    monkeypatch.setattr(cli, "build_cloner", lambda spec: (
+        _broken(real(spec), faults[point(spec)]) if point(spec) in faults else real(spec)))
+    value = min(faults)
+    spec = AsymSpec(float(value)) if argv is ASYM_5 else circuits.SymSpec(1, value)
+    with pytest.raises(ValueError) as refusal:
+        clone_report(_broken(real(spec), faults[value]), complex(0.3, -1.2))
+    expected = "non-unit gain" if faults[value] == "gain" else "not symplectic"
+    assert expected in str(refusal.value)
+    named = f"gamma={float(value)}" if argv is ASYM_5 else f"m={value}"
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {named}: {refusal.value}\n")
+    # clone prints the same refusal and no grid point
+    flags = [f"--gamma={float(value)}"] if argv is ASYM_5 else ["--n", "1", "--m", str(value)]
+    code, out, err = run(capsys, ["clone", argv[1], *flags, argv[-1]])
+    assert (code, out, err) == (1, "", f"error: {refusal.value}\n")
+
+
+@pytest.mark.parametrize("argv, stacks", [
+    (["sweep", "--asym", "--gamma-range", "-1", "1", "41"], [16, 16, 9]),
+    (["sweep", "--asym", "--gamma-range", "-1", "1", "7", "--factorized"], [7]),
+    (["sweep", "--sym", "--n", "2", "--m-range", "2", "5"], [1, 1, 1, 1]),
+])
+def test_a_sweep_reads_its_points_as_bounded_stacks(monkeypatch, capsys, argv, stacks):
+    # asym points share a layout and are read up to the stack limit at a
+    # time; every sym point is a layout of its own
+    monkeypatch.setattr(cli, "SWEEP_STACK_LIMIT", 16)
+    real, sizes = cli.clone_reports, []
+
+    def sized(machines, xi):
+        sizes.append(len(machines))
+        return real(machines, xi)
+
+    monkeypatch.setattr(cli, "clone_reports", sized)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and sizes == stacks
+    monkeypatch.setattr(cli, "SWEEP_STACK_LIMIT", 256)
+    assert run(capsys, argv) == (0, out, "")
+
+
+def test_a_sym_sweep_holds_one_machine_at_a_time(capsys):
+    # each sym point is read and dropped before the next is built: holding
+    # all 41 machines for one read at the end peaks near the sum of their
+    # transforms, about seven times what one 1->80 clone takes
+    def traced_peak(argv):
+        tracemalloc.start()
+        try:
+            assert run(capsys, argv)[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = traced_peak(["clone", "--sym", "--n", "1", "--m", "80"])
+    assert traced_peak(["sweep", "--sym", "--n", "1", "--m-range", "40", "80"]) < 1.5 * one
 
 
 def _outcome(capsys, argv):

@@ -13,11 +13,10 @@ from cvcloner.gaussian import (
     NOPA,
     Passive,
     check_symplectic,
-    coherent_vacuum_input,
     fold_gates,
 )
 from cvcloner.verification import SYM_CASES
-from reference import apply_to_gaussian
+from reference import apply_to_gaussian, coherent_vacuum_input
 
 
 

@@ -17,7 +17,6 @@ from cvcloner.gaussian import (
     Passive,
     SymplecticCheck,
     check_symplectic,
-    coherent_vacuum_input,
     fold_gates,
     symplectic_form,
     uncertainty_defect,
@@ -26,6 +25,7 @@ from reference import (
     apply_to_gaussian,
     chaotic_photons,
     check_symplectic_four_products,
+    coherent_vacuum_input,
     compose,
     embed,
     phase_covariance_defect,
