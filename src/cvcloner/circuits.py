@@ -15,8 +15,13 @@ Three constructions:
   the 1->M machine).
 
 The factorized and symmetric machines are ordered lists of two-mode gates,
-folded into (A, B) by ``fold_gates``; ``build_cloner`` lays out the
-symmetric machine's wires and gates in one place.
+folded into (A, B) by ``gaussian.fold_stack``; ``build_cloners`` lays out
+every machine's wires and gates in one place.  It builds each run of
+consecutive specs of one form (a sweep's asymmetric machines, in one form)
+as one stack: the closed form's entries over an array of gammas, or one
+fold of the gate list with arrays of angles, and one batched check.  Each
+machine is still a ``CloningMachine`` that requires its transform's check;
+``build_cloner(spec)`` is ``build_cloners([spec])[0]``.
 
 Mode ordering for the symmetric machines: N signal modes, then the NOPA
 idler, then the M-1 distribution ancillas.  The M clones come out on the
@@ -28,12 +33,23 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .elements import beam_splitter_gate, collect_gates, distribute_gates
-from .gaussian import NOPA, BogoliubovTransform, ModeLabel, fold_gates, require_symplectic
+from .elements import beam_splitter_block, collect_gates, distribute_gates
+from .gaussian import (
+    NOPA,
+    BogoliubovTransform,
+    ModeLabel,
+    checked_transforms,
+    fold_gates,
+    fold_stack,
+    require_symplectic,
+)
 
 # widest gamma either asymmetric form is built for: beyond it rounding can push
 # one past check_symplectic at DEFAULT_TOL (first at |gamma| = 6.59)
@@ -104,8 +120,10 @@ class FactorizationParams:
 class CloningMachine:
     """A built cloner plus the mode bookkeeping needed to read out clones.
 
-    Building one checks its transform once, by ``require_symplectic``, and
-    keeps the deviation as ``symplectic_dev``; a failing transform is refused.
+    Building one requires its transform's check, by ``require_symplectic``,
+    and keeps the deviation as ``symplectic_dev``; a failing transform is
+    refused.  A transform from ``checked_transforms`` carries the check its
+    stack ran; any other is checked here, once.
     An asymmetric machine keeps its BS1 / NOPA / BS2 angles, whichever form
     built it; a symmetric one has none.
     """
@@ -132,6 +150,23 @@ class CloningMachine:
         return amps
 
 
+def _asym_direct_rows(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``fold_stack`` rows of the closed-form machine at each gamma of an
+    array, shape (3, 2, 3, *gamma.shape): ``asym_direct``'s entries,
+    evaluated over the array."""
+    ep = np.exp(gamma) / np.sqrt(2.0)
+    em = np.exp(-gamma) / np.sqrt(2.0)
+    rows = np.zeros((3, 2, 3, *gamma.shape))
+    A, B = rows[:, 0], rows[:, 1]
+    A[0, 0], A[0, 2] = ep, 1.0
+    A[1, 1] = np.sqrt(2.0) * np.cosh(gamma)
+    A[2, 0], A[2, 2] = -em, 1.0
+    B[0, 1] = -ep
+    B[1, 0], B[1, 2] = -np.sqrt(2.0) * np.sinh(gamma), -1.0
+    B[2, 1] = -em
+    return rows
+
+
 def asym_direct(gamma: float) -> BogoliubovTransform:
     """Asymmetric 1->2 cloner as an explicit 3-mode matrix (modes a, b, c).
 
@@ -139,20 +174,8 @@ def asym_direct(gamma: float) -> BogoliubovTransform:
     noise lands on clone a as exp(2 gamma)/2 chaotic photons and on clone c
     as exp(-2 gamma)/2, so the noise product stays at the 1/4 floor.
     """
-    g = _check_gamma(gamma)
-    ep = np.exp(g) / np.sqrt(2.0)
-    em = np.exp(-g) / np.sqrt(2.0)
-    A = np.array([
-        [ep, 0.0, 1.0],
-        [0.0, np.sqrt(2.0) * np.cosh(g), 0.0],
-        [-em, 0.0, 1.0],
-    ])
-    B = np.array([
-        [0.0, -ep, 0.0],
-        [-np.sqrt(2.0) * np.sinh(g), 0.0, -1.0],
-        [0.0, -em, 0.0],
-    ])
-    return BogoliubovTransform(A=A, B=B)
+    rows = _asym_direct_rows(np.array(_check_gamma(gamma)))
+    return BogoliubovTransform(A=rows[:, 0], B=rows[:, 1])
 
 
 def asym_params(gamma: float) -> FactorizationParams:
@@ -165,6 +188,9 @@ def asym_params(gamma: float) -> FactorizationParams:
     v is evaluated through 0.5*log(((1+s) + sqrt(1+s^2))^2 / (2 s)) with
     s = exp(2 gamma), the same function without artanh's cancellation near 1:
     at |gamma| = 6 it keeps sinh(v)^2 = cosh(2 gamma) to 4e-16, artanh to 2e-11.
+    It takes one gamma at a time: numpy's atan, sinh and log differ from
+    math's in the last bit for some gammas, which would move the angles a
+    sweep prints.
     """
     g = _check_gamma(gamma)
     s = np.exp(2.0 * g)
@@ -175,6 +201,14 @@ def asym_params(gamma: float) -> FactorizationParams:
     return FactorizationParams(u=u, v=v, w=w)
 
 
+def _asym_gates(u, v, w) -> tuple:
+    """BS1(u) on (a, c), the NOPA(v) on (c, b) and BS2(w) on (a, c), as
+    ``fold_stack`` tuples; each angle is a float or an array of angles."""
+    return ((beam_splitter_block(u), 0, 2),   # BS1 on (a, c)
+            (v, 2, 1),                        # amplifier on (c, b)
+            (beam_splitter_block(w), 0, 2))   # BS2 on (a, c)
+
+
 def asym_factorized(p: FactorizationParams) -> BogoliubovTransform:
     """Asymmetric 1->2 cloner assembled from two beam splitters and one NOPA.
 
@@ -182,41 +216,88 @@ def asym_factorized(p: FactorizationParams) -> BogoliubovTransform:
     recombines (a, c).  With p = ``asym_params(gamma)`` it equals
     ``asym_direct(gamma)`` elementwise.
     """
-    return fold_gates((
-        beam_splitter_gate(p.u, 0, 2),   # BS1 on (a, c)
-        NOPA(p.v, 2, 1),                 # amplifier on (c, b)
-        beam_splitter_gate(p.w, 0, 2),   # BS2 on (a, c)
-    ), 3)
+    return fold_gates(_asym_gates(p.u, p.v, p.w), 3)
 
 
-def build_cloner(spec: ClonerSpec) -> CloningMachine:
-    """Build the machine a spec describes, with labeled signal/clone modes."""
-    if isinstance(spec, AsymSpec):
-        angles = asym_params(spec.gamma)
-        t = asym_factorized(angles) if spec.factorized else asym_direct(spec.gamma)
-        return CloningMachine(
-            spec=spec,
-            transform=t,
-            signal_modes=(ModeLabel(2, "in"),),
-            clone_modes=(ModeLabel(0, "clone_1"), ModeLabel(2, "clone_2")),
-            angles=angles,
-        )
-    if isinstance(spec, SymSpec):
+class BuildRefused(ValueError):
+    """A machine refused at build; ``position`` is the place of its spec in
+    the list that ``build_cloners`` was given."""
+
+    def __init__(self, message: str, position: int) -> None:
+        super().__init__(message)
+        self.position = position
+
+
+_ASYM_SIGNALS = (ModeLabel(2, "in"),)
+_ASYM_CLONES = (ModeLabel(0, "clone_1"), ModeLabel(2, "clone_2"))
+
+
+def _form(spec: ClonerSpec) -> object:
+    # specs of one form build as one stack: asymmetric machines built the
+    # same way, or copies of one symmetric machine
+    return ("asym", spec.factorized) if isinstance(spec, AsymSpec) else spec
+
+
+def _build_stack(specs: list[ClonerSpec], start: int) -> list[CloningMachine]:
+    """Machines for consecutive specs of one form, built as one stack of
+    rows and checked by one batched product; the spec at specs[j] is
+    refused as position start + j."""
+    first, k = specs[0], len(specs)
+    # one machine folds with no register axis, which the fold indexes faster
+    stack = (k,) if k > 1 else ()
+    if isinstance(first, AsymSpec):
+        angles: list[FactorizationParams | None] = [asym_params(s.gamma) for s in specs]
+        if first.factorized:
+            u, v, w = np.array([(p.u, p.v, p.w) for p in angles]).T.reshape(3, *stack)
+            rows = fold_stack(_asym_gates(u, v, w), 3, stack)
+        else:
+            rows = _asym_direct_rows(np.array([s.gamma for s in specs]).reshape(stack))
+        signals, clones = _ASYM_SIGNALS, _ASYM_CLONES
+    elif isinstance(first, SymSpec):
         # collect the N copies on mode 0, amplify it by sqrt(M/N) against the
         # idler (mode N), and split it over mode 0 plus the M-1 ancillas
-        N, M = spec.n, spec.m
+        N, M = first.n, first.m
         clone_wires = [0, *range(N + 1, N + M)]
         gates = (
             collect_gates(N)
             + (NOPA(math.acosh(math.sqrt(M / N)), 0, N),)
             + distribute_gates(M, clone_wires)
         )
-        signals = tuple(ModeLabel(k, f"in_{k + 1}") for k in range(N))
+        rows = fold_stack(gates, N + M, stack)
+        angles = [None] * k
+        signals = tuple(ModeLabel(j, f"in_{j + 1}") for j in range(N))
         clones = tuple(ModeLabel(w, f"clone_{j + 1}") for j, w in enumerate(clone_wires))
-        return CloningMachine(
-            spec=spec,
-            transform=fold_gates(gates, N + M),
-            signal_modes=signals,
-            clone_modes=clones,
-        )
-    raise TypeError(f"unknown cloner spec: {spec!r}")
+    else:
+        raise TypeError(f"unknown cloner spec: {first!r}")
+    machines = []
+    for j, (spec, transform, p) in enumerate(zip(specs, checked_transforms(rows), angles,
+                                                 strict=True)):
+        try:
+            machines.append(CloningMachine(spec=spec, transform=transform, signal_modes=signals,
+                                           clone_modes=clones, angles=p))
+        except ValueError as exc:
+            raise BuildRefused(str(exc), start + j) from None
+    return machines
+
+
+def build_cloners(specs: Iterable[ClonerSpec]) -> list[CloningMachine]:
+    """Build the machines some specs describe, in order, with labeled
+    signal/clone modes.
+
+    Each run of consecutive specs of one form (asymmetric in one form, or
+    copies of one symmetric machine) is built as one stack of k registers,
+    by ``fold_stack`` or, for the closed form, over an array of gammas, and
+    checked by one batched product in ``checked_transforms``.
+    Every machine is still a ``CloningMachine`` that requires its own
+    check.  A refusal is the first one a loop over the specs would meet,
+    raised as ``BuildRefused`` with the position of its spec.
+    """
+    machines: list[CloningMachine] = []
+    for _, run in groupby(specs, key=_form):
+        machines += _build_stack(list(run), len(machines))
+    return machines
+
+
+def build_cloner(spec: ClonerSpec) -> CloningMachine:
+    """Build the machine a spec describes: ``build_cloners`` on one spec."""
+    return build_cloners([spec])[0]

@@ -31,12 +31,14 @@ import numpy as np
 from .analysis import CloneReport, ReadoutRefused, clone_report, clone_reports
 from .circuits import (
     AsymSpec,
+    BuildRefused,
     ClonerSpec,
     CloningMachine,
     SymSpec,
     asym_direct,
     asym_factorized,
     build_cloner,
+    build_cloners,
 )
 from .fock import FockSpace, TruncationError
 from .gaussian import DEFAULT_TOL
@@ -44,8 +46,8 @@ from .verification import oracle_agreement, standard_suites
 
 SCHEMA_VERSION = 1
 SWEEP_STEPS_LIMIT = 10_000
-# the most asym sweep points read as one stack, so that the machines held at
-# once stay few whatever the step count
+# the most asym sweep points built and read as one stack, so that the
+# machines held at once stay few whatever the step count
 SWEEP_STACK_LIMIT = 256
 # largest |xi|: near 1e12 rounding in the output mean alone breaks pi*Q(xi) = F
 XI_LIMIT = 1e6
@@ -329,12 +331,13 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
     """Sweep gamma over grid = (START, STOP, STEPS), in the factorized form if
     asked, or, given n input copies, M over the inclusive grid = (START, STOP).
 
-    Each point's machine is built and checked on its own, then read by
-    ``clone_reports``: an asym sweep's points share one layout and are read
-    as stacks of up to SWEEP_STACK_LIMIT, while every sym point is a layout
-    of its own, read and dropped before the next is built.  A refusal at build or readout names
-    its point, as a violation does, and is the one a loop over the points
-    would meet first.
+    An asym sweep's points share one form and one layout: each chunk of up
+    to SWEEP_STACK_LIMIT of them is built and checked as one stack by one
+    ``build_cloners`` call and read by one ``clone_reports`` call.  Every
+    sym point is a layout of its own, built, read and dropped before the
+    next is built.  A refusal at build or readout names its point, as a
+    violation does, and is the one a loop over the points would meet
+    first: the points before a refused build are read before it is named.
     """
     if n is None:
         header = ["gamma", "u", "v", "w", "n_chaotic_1", "n_chaotic_2",
@@ -350,26 +353,26 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
     rows: list[list[object]] = []
     problems: list[str] = []
 
-    def read(batch: list[tuple[str, CloningMachine]]) -> None:
+    def read(names: tuple[str, ...], machines: list[CloningMachine]) -> None:
         try:
-            reads = clone_reports([machine for _, machine in batch], xi)
+            reads = clone_reports(machines, xi)
         except ReadoutRefused as exc:
-            raise ValueError(f"{batch[exc.position][0]}: {exc}") from None
-        for (where, machine), reports in zip(batch, reads, strict=True):
+            raise ValueError(f"{names[exc.position]}: {exc}") from None
+        for where, machine, reports in zip(names, machines, reads, strict=True):
             violations = _physics_violations(machine.symplectic_dev, reports, tolerance)
             problems.extend(f"{where}: {p}" for p in violations)
             rows.append(_sweep_row(machine, reports))
 
     batch_size = SWEEP_STACK_LIMIT if n is None else 1
     for start in range(0, len(points), batch_size):
-        batch = []
-        for where, spec in points[start:start + batch_size]:
-            try:
-                batch.append((where, build_cloner(spec)))
-            except ValueError as exc:
-                read(batch)  # an earlier point's refusal comes first
-                raise ValueError(f"{where}: {exc}") from None
-        read(batch)
+        names, specs = zip(*points[start:start + batch_size], strict=True)
+        try:
+            machines = build_cloners(specs)
+        except BuildRefused as exc:
+            j = exc.position
+            read(names[:j], build_cloners(specs[:j]))  # an earlier point's refusal comes first
+            raise ValueError(f"{names[j]}: {exc}") from None
+        read(names, machines)
     if output_format == "json":
         document = {
             "schema_version": SCHEMA_VERSION,

@@ -13,8 +13,8 @@ All elements are real-coefficient two-mode gates:
   inputs into one mode and split one mode evenly over M outputs.
 
 Each cascade is an ordered list of gates, mirroring the table-top layout;
-``circuits.build_cloner`` splices the lists into the N->M machine and hands
-them to ``fold_gates``, which builds every machine's transform.
+``circuits.build_cloners`` splices the lists into the N->M machine and hands
+them to ``fold_stack``, which builds every machine's transform.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ import numpy as np
 from .gaussian import Passive
 
 
-def beam_splitter_gate(theta: float, p: int, q: int) -> Passive:
-    """Beam splitter of mixing angle theta on the ordered pair (p, q)."""
+def beam_splitter_block(theta: float | np.ndarray) -> tuple:
+    """The block ((cos theta, sin theta), (-sin theta, cos theta)) of a beam
+    splitter, for an angle or, entry by entry, an array of angles."""
     c, s = np.cos(theta), np.sin(theta)
-    return Passive(((c, s), (-s, c)), p, q)
+    return (c, s), (-s, c)
 
 
 def collect_gates(N: int) -> tuple[Passive, ...]:

@@ -13,9 +13,10 @@ coefficients.  Preservation of the commutation relations requires
 which everything downstream relies on.  With real (A, B) the quadratures
 transform apart: x' = X x and p' = P p with X = A + B and P = A - B, and
 both conditions together read X P^T = I, which :func:`check_symplectic`
-measures with one product.  The clone readout works from the clone rows of
-X and P as well; only the full output state forms the interleaved 2n x 2n
-quadrature matrix S.
+measures with one product, and :func:`checked_transforms` with one batched
+product over a stack of transforms built at once.  The clone readout works
+from the clone rows of X and P as well; only the full output state forms
+the interleaved 2n x 2n quadrature matrix S.
 
 Quadrature conventions (hbar = 1):
 
@@ -45,6 +46,18 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _frozen(arr: object) -> bool:
+    """True for a float64 ndarray that is read-only, as is every array it
+    views, down to the one that owns its data: no caller can write to it."""
+    if type(arr) is not np.ndarray or arr.dtype != np.float64:
+        return False
+    while type(arr) is np.ndarray and not arr.flags.writeable:
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return False
+
+
 @dataclass(frozen=True)
 class ModeLabel:
     """A mode position with an optional human-readable tag."""
@@ -69,23 +82,32 @@ def mode_index(mode: int | ModeLabel, n_modes: int) -> int:
 class BogoliubovTransform:
     """Heisenberg-picture linear mode map a_out = A a + B a^dag.
 
-    A and B are real and stored as float64; a complex matrix is refused.
+    A and B are real and stored as float64, read-only; a complex matrix is
+    refused.  An array that a caller could still write to is copied.  One
+    that no one can write through, read-only down to the array that owns
+    its data (a fold's rows, a slice of a stack that ``checked_transforms``
+    froze), is kept as it is.  A transform that ``checked_transforms`` made
+    also keeps its ``SymplecticCheck``, which ``require_symplectic`` reads;
+    every other transform, one made by ``dataclasses.replace`` included, is
+    checked when it is required.
     """
 
     A: NDArray[np.float64]
     B: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        A, B = np.asarray(self.A), np.asarray(self.B)
-        if np.iscomplexobj(A) or np.iscomplexobj(B):
-            raise ValueError(f"A and B must be real, got {A.dtype} and {B.dtype}")
-        A, B = np.array(A, dtype=float), np.array(B, dtype=float)
+        A, B = self.A, self.B
+        if not (_frozen(A) and _frozen(B)):
+            A, B = np.asarray(A), np.asarray(B)
+            if np.iscomplexobj(A) or np.iscomplexobj(B):
+                raise ValueError(f"A and B must be real, got {A.dtype} and {B.dtype}")
+            A, B = _readonly(np.array(A, dtype=float)), _readonly(np.array(B, dtype=float))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if B.shape != A.shape:
             raise ValueError(f"A and B shapes differ: {A.shape} vs {B.shape}")
-        object.__setattr__(self, "A", _readonly(A))
-        object.__setattr__(self, "B", _readonly(B))
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
 
     @property
     def n_modes(self) -> int:
@@ -256,14 +278,27 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-def fold_gates(gates: Iterable[Gate], n_modes: int) -> BogoliubovTransform:
-    """Transform of an n_modes register after the gates act in order.
+def fold_stack(gates: Iterable[Gate | tuple], n_modes: int,
+               stack: tuple[int, ...] = ()) -> NDArray[np.float64]:
+    """Rows of a stack of n_modes registers after the gates act in order,
+    in an array of shape (n, 2, n, *stack): rows[j, 0] = A[j] and
+    rows[j, 1] = B[j], register by register along the stack axes.
+
+    stack is () for one register, with no register axis, or (k,) for k.
+    A gate is a Passive or a NOPA, acting alike on every register, or the
+    same gate written as a tuple, (block, p, q) with block ((a, b), (c, d))
+    or (r, p, q), whose coefficients may each be an array of the stack's
+    shape, one value per register.  ``fold_gates`` folds one register; the
+    asymmetric machines of a sweep fold as one stack, with arrays of
+    angles.  The register axis comes last, so that such an array
+    broadcasts as it is and row j of every register is one block.
 
     Each gate rewrites only rows p and q of (A, B), so a gate costs O(n)
     where multiplying by the gate's dense n-mode transform costs O(n^3).
     Applying (A2, B2) after (A1, B1) gives A = A2 A1 + B2 B1 and
     B = A2 B1 + B2 A1; the row updates are those products with the gate's
-    identity rows dropped.  Every gate is real, so the fold runs in float64.
+    identity rows dropped.  Every gate is real, so the fold runs in float64,
+    and each register of a stack reads bit for bit what it reads alone.
 
     A passive gate whose second wire q no earlier gate touched reads no
     partner row: row q is still e_q and column q is zero in every other
@@ -276,33 +311,69 @@ def fold_gates(gates: Iterable[Gate], n_modes: int) -> BogoliubovTransform:
     n = int(n_modes)
     if n < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    rows = np.zeros((n, 2, n))  # rows[j] = (A[j], B[j])
-    rows[:, 0] = np.eye(n)
+    rows = np.zeros((n, 2, n, *stack))
+    diagonal = np.arange(n)
+    rows[diagonal, 0, diagonal] = 1.0
+    wire = list(rows)  # wire[j] is rows[j], without indexing rows again per gate
     untouched = [True] * n
     for gate in gates:
-        p, q = gate.p, gate.q
+        if isinstance(gate, tuple):
+            coef, p, q = gate
+        else:
+            coef, p, q = (gate.block if isinstance(gate, Passive) else gate.r), gate.p, gate.q
         if p >= n or q >= n:
             raise ValueError(f"gate modes ({p}, {q}) out of range for {n} modes")
+        passive = isinstance(coef, tuple)
         fresh, untouched[p], untouched[q] = untouched[q], False, False
-        if fresh and isinstance(gate, Passive):
-            (a, b), (c, d) = gate.block
-            np.multiply(rows[p], c, out=rows[q])
-            rows[q, 0, q] = d
-            rows[p] *= a
-            rows[p, 0, q] = b
+        xp, xq = wire[p], wire[q]
+        if fresh and passive:
+            (a, b), (c, d) = coef
+            np.multiply(xp, c, out=xq)
+            xq[0, q] = d
+            xp *= a
+            xp[0, q] = b
             continue
         # row q is read in full before it is written, so only row p is copied
-        xp, xq = rows[p].copy(), rows[q]
-        if isinstance(gate, Passive):
-            (a, b), (c, d) = gate.block
+        xp = xp.copy()
+        if passive:
+            (a, b), (c, d) = coef
             rows[p] = a * xp + b * xq
             rows[q] = c * xp + d * xq
         else:
             # xq[::-1] is (B_q, A_q): the a^dag rows a NOPA feeds across the pair
-            ch, sh = np.cosh(gate.r), np.sinh(gate.r)
+            ch, sh = np.cosh(coef), np.sinh(coef)
             rows[p] = ch * xp - sh * xq[::-1]
             rows[q] = ch * xq - sh * xp[::-1]
+    return rows
+
+
+def fold_gates(gates: Iterable[Gate | tuple], n_modes: int) -> BogoliubovTransform:
+    """Transform of an n_modes register after the gates act in order, by
+    ``fold_stack``, unchecked.  The transform keeps the fold's rows, made
+    read-only, without a copy."""
+    rows = _readonly(fold_stack(gates, n_modes))
     return BogoliubovTransform(A=rows[:, 0], B=rows[:, 1])
+
+
+def _deviations(A: NDArray[np.float64],
+                B: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """commutation_dev and symmetry_dev of one transform's (A, B), or of
+    each transform of a (k, n, n) stack of them, as arrays of 1 or k: the
+    one check body, behind both ``check_symplectic`` and
+    ``checked_transforms``."""
+    with np.errstate(invalid="ignore"):  # inf - inf reads NaN, which fails
+        # C order: each X P^T is then one gemm, and each diagonal one stride
+        X, P = np.add(A, B, order="C"), np.subtract(A, B, order="C")
+        G = X @ P.swapaxes(-1, -2)
+        # X and P are spent, so their buffers take G + G^T - 2I and G - G^T
+        Gt = G.swapaxes(-1, -2)
+        sym, antisym = np.add(G, Gt, out=X), np.subtract(G, Gt, out=P)
+        n = sym.shape[-1]
+        sym, antisym = sym.reshape(-1, n * n), antisym.reshape(-1, n * n)
+        sym[:, ::n + 1] -= 2.0
+        commutation = 0.5 * np.abs(sym, out=sym).max(axis=1)
+        symmetry = 0.5 * np.abs(antisym, out=antisym).max(axis=1)
+    return commutation, symmetry
 
 
 def check_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
@@ -313,22 +384,47 @@ def check_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
     B A^T - A B^T.  So one n x n product gives both constraints:
     commutation_dev = max|(G + G^T)/2 - I| and symmetry_dev = max|(G - G^T)/2|.
     A NaN or infinite entry of A or B reaches G and reads as a NaN or inf
-    deviation, which ``SymplecticCheck.max_dev`` counts as inf.
+    deviation, which ``SymplecticCheck.max_dev`` counts as inf.  The body
+    that runs it checks a stack in ``checked_transforms``.
     """
-    with np.errstate(invalid="ignore"):  # inf - inf reads NaN, which fails
-        X, P = t.A + t.B, t.A - t.B
-        G = X @ P.T
-        # X and P are spent, so their buffers take G + G^T - 2I and G - G^T
-        sym, antisym = np.add(G, G.T, out=X), np.subtract(G, G.T, out=P)
-        sym.ravel()[::t.n_modes + 1] -= 2.0
-        commutation = 0.5 * np.abs(sym, out=sym).max()
-        symmetry = 0.5 * np.abs(antisym, out=antisym).max()
-    return SymplecticCheck(commutation_dev=float(commutation), symmetry_dev=float(symmetry))
+    commutation, symmetry = _deviations(t.A, t.B)
+    return SymplecticCheck(commutation_dev=float(commutation[0]),
+                           symmetry_dev=float(symmetry[0]))
+
+
+def checked_transforms(rows: NDArray[np.float64]) -> list[BogoliubovTransform]:
+    """The transforms of a stack of rows, as ``fold_stack`` returns it (one
+    for no register axis, k for (k,)), checked by one batched product
+    X P^T over the stack.
+
+    The stack is laid out register by register and made read-only, so each
+    transform keeps its own slice of it without a copy, together with its
+    ``SymplecticCheck``, which ``require_symplectic`` reads there.  A
+    failing transform is returned too: it is refused where it is required.
+    """
+    n = rows.shape[0]
+    # (k, n, 2, n): a copy unless k is 1, so rows is made read-only as well
+    stack = _readonly(np.ascontiguousarray(
+        _readonly(rows).reshape(n, 2, n, -1).transpose(3, 0, 1, 2)))
+    A, B = stack[:, :, 0], stack[:, :, 1]
+    commutation, symmetry = _deviations(A, B)
+    transforms = []
+    for a, b, c, s in zip(A, B, commutation.tolist(), symmetry.tolist(), strict=True):
+        t = BogoliubovTransform(A=a, B=b)
+        object.__setattr__(t, "_symplectic_check",
+                           SymplecticCheck(commutation_dev=c, symmetry_dev=s))
+        transforms.append(t)
+    return transforms
 
 
 def require_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
-    """``check_symplectic`` at DEFAULT_TOL, raising ValueError unless it passes."""
-    diag = check_symplectic(t)
+    """The transform's ``SymplecticCheck`` at DEFAULT_TOL, raising ValueError
+    unless it passes: the one ``checked_transforms`` left on it while its
+    arrays are still read-only (a deep copy's are not), or else
+    ``check_symplectic``."""
+    diag = getattr(t, "_symplectic_check", None)
+    if diag is None or not (_frozen(t.A) and _frozen(t.B)):
+        diag = check_symplectic(t)
     if not diag.passed:
         raise ValueError(
             f"transform is not symplectic within tol={DEFAULT_TOL}: "

@@ -1,16 +1,22 @@
 """Independent references the tests compare the package against.
 
-The package builds every transform by ``fold_gates``, checks it with one
-product X P^T and reads every clone from the clone rows of X = A + B and
-P = A - B; these are the dense, two-row, four-product and single-mode routes
-that those results are checked against, kept here because only tests need
-them.
+The package builds every transform by ``fold_stack``, checks it with one
+product X P^T (one batched product over a stack) and reads every clone
+from the clone rows of X = A + B and P = A - B; these are the dense,
+two-row, four-product and single-mode routes that those results are
+checked against, kept here because only tests need them.
+``build_per_point`` builds one machine as the package built every machine
+before it built a run of them as one stack: each transform folded (here by
+the two-row fold) or written out, and checked by one product, on its own.
 The one-row readers take a bare transform, where the package reads a built
 machine's clones through ``clone_reports``; they call the same array helpers
 with one row.  ``row_norm_report`` reads one machine's clones with those
 helpers, gathering that machine's clone rows alone, as the package read them
 before it read a stack of machines at once.
 """
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +31,18 @@ from cvcloner.analysis import (
     expected_chaotic_photons,
     expected_fidelities,
 )
-from cvcloner.circuits import CloningMachine
+from cvcloner.circuits import (
+    AsymSpec,
+    ClonerSpec,
+    CloningMachine,
+    FactorizationParams,
+    SymSpec,
+    asym_params,
+)
+from cvcloner.elements import beam_splitter_block, collect_gates, distribute_gates
 from cvcloner.fock import FockState, _mode_rows
 from cvcloner.gaussian import (
+    NOPA,
     BogoliubovTransform,
     GaussianState,
     ModeLabel,
@@ -37,6 +52,78 @@ from cvcloner.gaussian import (
     mode_index,
     require_symplectic,
 )
+
+
+def beam_splitter_gate(theta: float, p: int, q: int) -> Passive:
+    """Beam splitter of mixing angle theta on the ordered pair (p, q), as a gate."""
+    return Passive(beam_splitter_block(theta), p, q)
+
+
+def check_one_transform(t: BogoliubovTransform) -> SymplecticCheck:
+    """``check_symplectic`` on one transform, with no stack axis: the one
+    product G = X P^T, then max|(G + G^T)/2 - I| and max|(G - G^T)/2|."""
+    with np.errstate(invalid="ignore"):
+        X, P = t.A + t.B, t.A - t.B
+        G = X @ P.T
+        sym, antisym = G + G.T, G - G.T
+        sym[np.diag_indices(t.n_modes)] -= 2.0
+        commutation = 0.5 * np.abs(sym).max()
+        symmetry = 0.5 * np.abs(antisym).max()
+    return SymplecticCheck(commutation_dev=float(commutation), symmetry_dev=float(symmetry))
+
+
+def asym_direct_one(gamma: float) -> BogoliubovTransform:
+    """The closed-form asymmetric 1->2 machine at one gamma, written out."""
+    ep = np.exp(gamma) / np.sqrt(2.0)
+    em = np.exp(-gamma) / np.sqrt(2.0)
+    A = np.array([
+        [ep, 0.0, 1.0],
+        [0.0, np.sqrt(2.0) * np.cosh(gamma), 0.0],
+        [-em, 0.0, 1.0],
+    ])
+    B = np.array([
+        [0.0, -ep, 0.0],
+        [-np.sqrt(2.0) * np.sinh(gamma), 0.0, -1.0],
+        [0.0, -em, 0.0],
+    ])
+    return BogoliubovTransform(A=A, B=B)
+
+
+class PointMachine(NamedTuple):
+    """A machine built on its own, with the figures a CloningMachine keeps."""
+
+    spec: ClonerSpec
+    transform: BogoliubovTransform
+    symplectic_dev: float
+    angles: FactorizationParams | None
+    signal_modes: tuple[ModeLabel, ...]
+    clone_modes: tuple[ModeLabel, ...]
+
+
+def build_per_point(spec: ClonerSpec) -> PointMachine:
+    """One machine, folded or written out and checked on its own; it refuses
+    nothing, so that a failing transform's deviation can be read."""
+    if isinstance(spec, AsymSpec):
+        angles = asym_params(spec.gamma)
+        if spec.factorized:
+            t = fold_two_rows((beam_splitter_gate(angles.u, 0, 2), NOPA(angles.v, 2, 1),
+                               beam_splitter_gate(angles.w, 0, 2)), 3)
+        else:
+            t = asym_direct_one(spec.gamma)
+        signals = (ModeLabel(2, "in"),)
+        clones = (ModeLabel(0, "clone_1"), ModeLabel(2, "clone_2"))
+    elif isinstance(spec, SymSpec):
+        angles = None
+        N, M = spec.n, spec.m
+        clone_wires = [0, *range(N + 1, N + M)]
+        gates = (collect_gates(N) + (NOPA(math.acosh(math.sqrt(M / N)), 0, N),)
+                 + distribute_gates(M, clone_wires))
+        t = fold_two_rows(gates, N + M)
+        signals = tuple(ModeLabel(k, f"in_{k + 1}") for k in range(N))
+        clones = tuple(ModeLabel(w, f"clone_{j + 1}") for j, w in enumerate(clone_wires))
+    else:
+        raise TypeError(f"unknown cloner spec: {spec!r}")
+    return PointMachine(spec, t, check_one_transform(t).max_dev, angles, signals, clones)
 
 
 def compose(second: BogoliubovTransform, first: BogoliubovTransform) -> BogoliubovTransform:

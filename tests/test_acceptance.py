@@ -24,7 +24,7 @@ from cvcloner.circuits import (
     asym_params,
     build_cloner,
 )
-from cvcloner.elements import beam_splitter_gate, collect_gates, distribute_gates
+from cvcloner.elements import collect_gates, distribute_gates
 from cvcloner.fock import FockSpace, apply_cloning_fock_block, coherent_fock, fidelity_fock
 from cvcloner.gaussian import (
     NOPA,
@@ -33,7 +33,13 @@ from cvcloner.gaussian import (
     uncertainty_defect,
     worst_dev,
 )
-from reference import _isotropic_photons, apply_to_gaussian, coherent_vacuum_input, reduce_mode
+from reference import (
+    _isotropic_photons,
+    apply_to_gaussian,
+    beam_splitter_gate,
+    coherent_vacuum_input,
+    reduce_mode,
+)
 
 GAMMA_GRID = np.linspace(-1.0, 1.0, 41)
 XI_SET = (0j, 1 + 0j, 2j, -1.5 + 0.5j, 3 - 2j)

@@ -23,7 +23,6 @@ from cvcloner.analysis import (
 )
 from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, build_cloner
 from cvcloner import analysis, gaussian
-from cvcloner.elements import beam_splitter_gate
 from cvcloner.gaussian import (
     NOPA,
     BogoliubovTransform,
@@ -36,6 +35,7 @@ from cvcloner.verification import GAMMA_GRID, SYM_CASES
 from reference import (
     _isotropic_photons,
     apply_to_gaussian,
+    beam_splitter_gate,
     chaotic_photons,
     coherent_vacuum_input,
     compose,

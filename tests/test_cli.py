@@ -10,17 +10,17 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cvcloner import analysis, circuits, cli, gaussian, verification
 from cvcloner.analysis import clone_report
-from cvcloner.circuits import AsymSpec, build_cloner
+from cvcloner.circuits import AsymSpec, SymSpec, build_cloner
 from cvcloner.cli import main
-from cvcloner.elements import beam_splitter_gate
 from cvcloner.gaussian import BogoliubovTransform, fold_gates
-from reference import compose
+from reference import beam_splitter_gate, build_per_point, compose
 
 
 def run(capsys, argv):
@@ -340,10 +340,11 @@ def test_verify_reports_a_truncated_oracle_as_failed(capsys):
     assert "10/11 suites passed" in out
 
 
-def _count_calls(monkeypatch, fn, calls, key):
-    """Route every cvcloner module's binding of fn through a counter."""
+def _count_calls(monkeypatch, fn, calls, key, covered=lambda *args: 1):
+    """Route every cvcloner module's binding of fn through a counter that
+    adds what each call covers: 1 by default, else covered(*args)."""
     def counting(*args, **kwargs):
-        calls[key] += 1
+        calls[key] += covered(*args)
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -351,31 +352,39 @@ def _count_calls(monkeypatch, fn, calls, key):
             monkeypatch.setattr(module, fn.__name__, counting)
 
 
+def _count_machines(monkeypatch, calls):
+    """calls["build"] lists the specs every build_cloners call covers, and
+    calls["check"] counts the transforms every run of the one check body
+    covers, whether a machine is built alone or in a stack."""
+    _count_calls(monkeypatch, circuits.build_cloners, calls, "build", lambda specs: list(specs))
+    _count_calls(monkeypatch, gaussian._deviations, calls, "check", lambda A, B: len(A))
+
+
 def test_each_machine_is_built_and_checked_once(monkeypatch, capsys):
-    calls = {"build": 0, "check": 0}
-    _count_calls(monkeypatch, circuits.build_cloner, calls, "build")
-    _count_calls(monkeypatch, gaussian.check_symplectic, calls, "check")
-    for argv, machines in (
-        (["clone", "--sym", "--n", "2", "--m", "5"], 1),
-        (["clone", "--asym", "--gamma", "0.3", "--factorized"], 1),
-        (["sweep", "--sym", "--n", "1", "--m-range", "2", "4"], 3),
-        (["sweep", "--asym", "--gamma-range", "-1", "1", "5"], 5),
+    calls = {"build": [], "check": 0}
+    _count_machines(monkeypatch, calls)
+    for argv, specs in (
+        (["clone", "--sym", "--n", "2", "--m", "5"], [SymSpec(2, 5)]),
+        (["clone", "--asym", "--gamma", "0.3", "--factorized"], [AsymSpec(0.3, factorized=True)]),
+        (["sweep", "--sym", "--n", "1", "--m-range", "2", "4"], [SymSpec(1, m) for m in (2, 3, 4)]),
+        (["sweep", "--asym", "--gamma-range", "-1", "1", "5"],
+         [AsymSpec(g) for g in (-1.0, -0.5, 0.0, 0.5, 1.0)]),
     ):
-        calls.update(build=0, check=0)
+        calls.update(build=[], check=0)
         code, _, _ = run(capsys, argv)
         assert code == 0
-        assert calls == {"build": machines, "check": machines}, argv
+        assert calls == {"build": specs, "check": len(specs)}, argv
 
 
 def test_a_warm_verify_checks_only_the_full_state_routes(monkeypatch, capsys):
     # the suites read each cached machine's symplectic_dev, and the full-state
     # suites evolve the built machines' transforms: nothing checks again
     assert cli.cmd_verify(None, None) == 0  # fills the machine caches
-    calls = {"check": 0}
-    _count_calls(monkeypatch, gaussian.check_symplectic, calls, "check")
+    calls = {"build": [], "check": 0}
+    _count_machines(monkeypatch, calls)
     assert cli.cmd_verify(None, None) == 0
     capsys.readouterr()
-    assert calls == {"check": 0}
+    assert calls == {"build": [], "check": 0}
 
 
 @pytest.mark.parametrize("argv", [
@@ -416,11 +425,12 @@ def test_a_cold_verify_checks_each_machine_once_and_reads_its_clones_once(monkey
     caches = (verification._build, verification._machines, verification._grid)
     for cache in caches:
         cache.cache_clear()
-    calls = {"check": 0, "report": 0}
-    _count_calls(monkeypatch, gaussian.check_symplectic, calls, "check")
+    calls = {"build": [], "check": 0, "report": 0}
+    _count_machines(monkeypatch, calls)
     _count_calls(monkeypatch, analysis.clone_report, calls, "report")
     assert cli.cmd_verify(None, None) == 0
     capsys.readouterr()
+    assert len(calls["build"]) == len(set(calls["build"])) == 90
     assert calls["check"] == 90
     # 47 reports at xi = 1, 16 at the Q probe, and 16 x 5 for fidelity_invariance
     # less the 10 machines (6 symmetric, 4 direct on the grid) read at xi = 1 already
@@ -429,9 +439,10 @@ def test_a_cold_verify_checks_each_machine_once_and_reads_its_clones_once(monkey
 
 @pytest.mark.parametrize("factorized", [False, True])
 def test_clone_asym_builds_each_form_once(monkeypatch, capsys, factorized):
+    # once by the build, and the other form once for factorization_dev
     calls = {"direct": 0, "factorized": 0}
-    _count_calls(monkeypatch, circuits.asym_direct, calls, "direct")
-    _count_calls(monkeypatch, circuits.asym_factorized, calls, "factorized")
+    _count_calls(monkeypatch, circuits._asym_direct_rows, calls, "direct")
+    _count_calls(monkeypatch, circuits._asym_gates, calls, "factorized")
     argv = ["clone", "--asym", "--gamma", "0.3"] + (["--factorized"] if factorized else [])
     code, out, _ = run(capsys, argv)
     assert code == 0
@@ -472,19 +483,44 @@ def test_a_refused_sweep_point_names_its_grid_point(monkeypatch, capsys, argv, o
     # the first broken point is named, whether it fails at the readout or
     # at the build, and whatever the later one does
     faults = dict(zip(one if len(kinds) == 1 else two, kinds, strict=True))
-    real = cli.build_cloner
-
-    def point(spec):
-        return spec.gamma if isinstance(spec, AsymSpec) else spec.m
-
-    monkeypatch.setattr(cli, "build_cloner", lambda spec: (
-        _broken(real(spec), faults[point(spec)]) if point(spec) in faults else real(spec)))
     value = min(faults)
     spec = AsymSpec(float(value)) if argv is ASYM_5 else circuits.SymSpec(1, value)
     with pytest.raises(ValueError) as refusal:
-        clone_report(_broken(real(spec), faults[value]), complex(0.3, -1.2))
+        clone_report(_broken(build_cloner(spec), faults[value]), complex(0.3, -1.2))
     expected = "non-unit gain" if faults[value] == "gain" else "not symplectic"
     assert expected in str(refusal.value)
+
+    # a check fault scales A in its register of the stack that build_cloners
+    # checks, so that the stacked check refuses it; a gain fault replaces
+    # the built machine
+    def point(spec):
+        return spec.gamma if isinstance(spec, AsymSpec) else spec.m
+
+    real_rows, real_fold, real_build = circuits._asym_direct_rows, circuits.fold_stack, cli.build_cloners
+
+    def direct_rows(gamma):  # the asym points, in the closed form
+        rows = real_rows(gamma)
+        for i, g in enumerate(gamma.reshape(-1).tolist()):
+            if faults.get(g) == "check":
+                rows.reshape(3, 2, 3, -1)[:, 0, :, i] *= 1.01
+        return rows
+
+    def fold(gates, n_modes, stack=()):  # a sym point m has 1 + m modes
+        rows = real_fold(gates, n_modes, stack)
+        if faults.get(n_modes - 1) == "check":
+            rows[:, 0] *= 1.01
+        return rows
+
+    def build(specs):
+        return [_broken(machine, "gain") if faults.get(point(machine.spec)) == "gain" else machine
+                for machine in real_build(specs)]
+
+    if argv is ASYM_5:
+        monkeypatch.setattr(circuits, "_asym_direct_rows", direct_rows)
+    else:
+        monkeypatch.setattr(circuits, "fold_stack", fold)
+    monkeypatch.setattr(cli, "build_cloners", build)
+    monkeypatch.setattr(cli, "build_cloner", lambda spec: build([spec])[0])
     named = f"gamma={float(value)}" if argv is ASYM_5 else f"m={value}"
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (1, "", f"error: {named}: {refusal.value}\n")
@@ -492,6 +528,25 @@ def test_a_refused_sweep_point_names_its_grid_point(monkeypatch, capsys, argv, o
     flags = [f"--gamma={float(value)}"] if argv is ASYM_5 else ["--n", "1", "--m", str(value)]
     code, out, err = run(capsys, ["clone", argv[1], *flags, argv[-1]])
     assert (code, out, err) == (1, "", f"error: {refusal.value}\n")
+
+
+def test_a_sweep_names_the_first_point_its_stacked_check_refuses(monkeypatch, capsys):
+    # past GAMMA_LIMIT rounding fails the check for real (first at
+    # |gamma| = 6.59); the points before the refused one are read first
+    monkeypatch.setattr(circuits, "GAMMA_LIMIT", 7.0)
+    gammas = np.linspace(6.0, 7.0, 11)
+    devs = [build_per_point(AsymSpec(float(g))).symplectic_dev for g in gammas]
+    j = next(i for i, dev in enumerate(devs) if dev > gaussian.DEFAULT_TOL)
+    assert 0 < j < len(gammas) - 1
+    with pytest.raises(ValueError) as refusal:
+        build_cloner(AsymSpec(float(gammas[j])))
+    reads = []
+    real = cli.clone_reports
+    monkeypatch.setattr(cli, "clone_reports", lambda machines, xi: reads.append(
+        [m.spec.gamma for m in machines]) or real(machines, xi))
+    code, out, err = run(capsys, ["sweep", "--asym", "--gamma-range", "6", "7", "11"])
+    assert (code, out, err) == (1, "", f"error: gamma={gammas[j]}: {refusal.value}\n")
+    assert reads == [gammas[:j].tolist()]
 
 
 @pytest.mark.parametrize("argv, stacks", [

@@ -8,7 +8,7 @@ right here, independently of the matrix code under test.
 import numpy as np
 import pytest
 
-from cvcloner.elements import beam_splitter_gate, collect_gates, distribute_gates
+from cvcloner.elements import collect_gates, distribute_gates
 from cvcloner.gaussian import (
     NOPA,
     Passive,
@@ -16,7 +16,7 @@ from cvcloner.gaussian import (
     fold_gates,
 )
 from cvcloner.verification import SYM_CASES
-from reference import apply_to_gaussian, coherent_vacuum_input
+from reference import apply_to_gaussian, beam_splitter_gate, coherent_vacuum_input
 
 
 

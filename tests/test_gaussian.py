@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, build_cloner
+from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, build_cloner, build_cloners
 from cvcloner.fock import FockSpace, coherent_fock, reduced_density_matrix
 from cvcloner.gaussian import (
     NOPA,
@@ -70,6 +70,27 @@ def test_transform_arrays_are_read_only():
     t = fold_gates((), 2)
     with pytest.raises(ValueError):
         t.A[0, 0] = 5.0
+
+
+def test_a_transform_copies_an_array_its_caller_can_still_write():
+    A, B = np.eye(3), np.zeros((3, 3))
+    frozen_view = np.eye(3)[:, :]  # read-only, but its base is not
+    frozen_view.flags.writeable = False
+    for t in (BogoliubovTransform(A=A, B=B), BogoliubovTransform(A=frozen_view, B=B)):
+        A[0, 0], B[0, 1] = 5.0, 7.0
+        frozen_view.base[0, 0] = 5.0
+        assert np.array_equal(t.A, np.eye(3)) and np.array_equal(t.B, np.zeros((3, 3)))
+        A[0, 0], B[0, 1], frozen_view.base[0, 0] = 1.0, 0.0, 1.0
+
+
+def test_a_transform_keeps_the_rows_a_builder_froze_without_a_copy():
+    # a fold's rows, and each machine's slice of a stack built at once
+    t = fold_gates((NOPA(0.3, 0, 1),), 2)
+    assert t.A.base is t.B.base is not None
+    machines = build_cloners([AsymSpec(g) for g in (-0.5, 0.0, 0.5)])
+    stack = machines[0].transform.A.base
+    assert stack is not None and not stack.flags.writeable
+    assert all(m.transform.A.base is m.transform.B.base is stack for m in machines)
 
 
 def test_check_symplectic_flags_broken_transform():

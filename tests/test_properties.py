@@ -22,8 +22,8 @@ from cvcloner.circuits import (
     asym_factorized,
     asym_params,
     build_cloner,
+    build_cloners,
 )
-from cvcloner.elements import beam_splitter_gate
 from cvcloner.gaussian import (
     DEFAULT_TOL,
     NOPA,
@@ -31,11 +31,13 @@ from cvcloner.gaussian import (
     Passive,
     check_symplectic,
     fold_gates,
+    fold_stack,
     uncertainty_defect,
 )
 from cvcloner.verification import GAMMA_GRID, SYM_CASES
 from reference import (
     apply_to_gaussian,
+    beam_splitter_gate,
     check_symplectic_four_products,
     coherent_vacuum_input,
     compose,
@@ -176,21 +178,50 @@ def test_fold_equals_the_two_row_fold(case):
     _assert_fold_equals_the_two_row_fold(gates, n)
 
 
+def _register_gates(gates, i):
+    """The gates register i of a stack folded: a tuple gate's coefficients
+    read at i where they are arrays, as a Passive or a NOPA."""
+    def at(x):
+        return float(x[i]) if isinstance(x, np.ndarray) else x
+
+    out = []
+    for gate in gates:
+        if not isinstance(gate, tuple):
+            out.append(gate)
+            continue
+        coef, p, q = gate
+        if isinstance(coef, tuple):
+            (a, b), (c, d) = coef
+            out.append(Passive(((at(a), at(b)), (at(c), at(d))), p, q))
+        else:
+            out.append(NOPA(at(coef), p, q))
+    return out
+
+
 def test_machine_folds_equal_the_two_row_fold(monkeypatch):
+    # every register of every fold a build makes, alone or in a stack
     folds = []
 
-    def recording(gates, n):
-        folds.append((tuple(gates), n))
-        return fold_gates(gates, n)
+    def recording(gates, n, stack=()):
+        gates = tuple(gates)
+        rows = fold_stack(gates, n, stack)
+        folds.append((gates, n, rows.reshape(n, 2, n, -1)))
+        return rows
 
-    monkeypatch.setattr(circuits, "fold_gates", recording)
+    monkeypatch.setattr(circuits, "fold_stack", recording)
     specs = ([SymSpec(n, m) for n, m in SYM_CASES] + [SymSpec(16, 128)]
              + [AsymSpec(float(g), factorized=True) for g in GAMMA_GRID])
     for spec in specs:
         build_cloner(spec)
-    assert len(folds) == len(specs)
-    for gates, n in folds:
-        _assert_fold_equals_the_two_row_fold(gates, n)
+    build_cloners(specs[-len(GAMMA_GRID):])
+    assert [rows.shape[-1] for _, _, rows in folds] == [1] * len(specs) + [len(GAMMA_GRID)]
+    for gates, n, rows in folds:
+        for i in range(rows.shape[-1]):
+            # np.array_equal ignores the sign of a zero, the one thing the
+            # untouched-wire update may change
+            two_row = fold_two_rows(_register_gates(gates, i), n)
+            assert np.array_equal(rows[:, 0, :, i], two_row.A)
+            assert np.array_equal(rows[:, 1, :, i], two_row.B)
 
 
 PERTURBED_SPECS = ([SymSpec(n, m) for n, m in SYM_CASES if m > n]

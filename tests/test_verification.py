@@ -55,8 +55,9 @@ def test_suites_share_one_build_of_each_machine(monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(verification, "build_cloner", counting)
-    # every cvcloner binding of either asymmetric form, so no suite builds one aside
-    for fn in (circuits.asym_direct, circuits.asym_factorized):
+    # every cvcloner binding of either asymmetric form's maker, stacked or
+    # not, so no suite builds one aside
+    for fn in (circuits._asym_direct_rows, circuits._asym_gates):
         def counting_form(*args, fn=fn):
             built[fn.__name__] += 1
             return fn(*args)
@@ -84,8 +85,8 @@ def test_suites_share_one_build_of_each_machine(monkeypatch):
     assert len(shared) == 16 and len(grid) == 41 and len(specs) == 90
     asym = [spec for spec in specs if isinstance(spec, AsymSpec)]
     assert cold == Counter(specs) + Counter(
-        asym_direct=sum(not spec.factorized for spec in asym),
-        asym_factorized=sum(spec.factorized for spec in asym))
+        _asym_direct_rows=sum(not spec.factorized for spec in asym),
+        _asym_gates=sum(spec.factorized for spec in asym))
 
 
 def test_a_given_tolerance_replaces_each_suite_tolerance_and_no_deviation():
