@@ -19,18 +19,17 @@ p), never forming the quadrature matrix S or the full output state.  Every
 input is coherent or vacuum, with covariance I/2, and a real transform keeps
 x and p apart, so clone j's 2x2 block is diag(|X_j|^2 / 2, |P_j|^2 / 2),
 with a cross term of exactly zero, and its means are X_j and P_j times the
-input x and p means.  Consecutive machines that share a layout (register
-size, clone and signal modes) are read as one (k, M, n) stack of their
-clone rows of (A, B): those variances and means go through array helpers
-that take any leading axes, so each formula and each gate runs once per
-stack, not once per machine, and each machine in a stack reads bit for bit what it reads
-alone.  ``clone_report`` is ``clone_reports`` on one machine, and a
+input x and p means.  The machines share one layout (register size, clone
+and signal modes) and are read as one (k, M, n) stack of their clone rows
+of (A, B): those variances and means go through array helpers that take
+any leading axes, so each formula and each gate runs once per stack, not
+once per machine, and each machine in a stack reads bit for bit what it
+reads alone.  ``clone_report`` is ``clone_reports`` on one machine, and a
 ``CloneReport`` carries every figure a caller reads: there is no
 single-row reader beside it.  The gates fail closed: a NaN variance or
-amplitude is refused, never passed, and the refusal names the clone, and
-the first refused machine of a list is the one a loop over it would meet
-first.  ``clone_output_state`` is the independent full-state route,
-S (I/2) S^T, for the suites that need every mode.
+amplitude is refused, never passed, and the refusal names the clone.
+``clone_output_state`` is the independent full-state route, S (I/2) S^T,
+for the suites that need every mode.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 from numpy.typing import NDArray
@@ -169,19 +167,28 @@ def clone_output_state(machine: CloningMachine, xi: complex) -> GaussianState:
     return GaussianState(mean=S @ mean, cov=(0.5 * S) @ S.T)
 
 
-class ReadoutRefused(ValueError):
-    """A clone readout refused by a gate; ``position`` is the place of the
-    refused machine in the list that ``clone_reports`` was given."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(message)
-        self.position = position
+def _layout(machine: CloningMachine) -> tuple:
+    return machine.n_modes, machine.clone_modes, machine.signal_modes
 
 
-def _read_stack(machines: list[CloningMachine], xi: complex) -> list[list[CloneReport]]:
-    """Reports for machines that share one layout (register size, clone and
-    signal modes), read as one (k, M, n) stack of their clone rows."""
+def clone_reports(machines: Iterable[CloningMachine],
+                  xi: complex = 1.0 + 0.0j) -> list[list[CloneReport]]:
+    """Every clone's quality figures for each of some built machines of one
+    layout (register size, clone and signal modes), in order.
+
+    The machines are read as one stack: their clone rows of A and B are
+    gathered, never their whole transforms, and each formula and gate runs
+    once over the stack.  A list that mixes layouts is refused.
+    """
+    machines = list(machines)
+    if not machines:
+        return []
     first = machines[0]
+    layout = _layout(first)
+    if any(_layout(m) != layout for m in machines):
+        raise ValueError("clone_reports takes machines of one layout: "
+                         "one register size, clone modes and signal modes")
+    xi = complex(xi)
     rows = np.array([m.index for m in first.clone_modes])
     names = [m.name for m in first.clone_modes]
     a = np.empty((len(machines), rows.size, first.n_modes))
@@ -214,38 +221,6 @@ def _read_stack(machines: list[CloningMachine], xi: complex) -> list[list[CloneR
             fidelity, expected_fidelities(machine.spec), q_peak, defect, strict=True)]
         for machine, n_rows, n_cov, fidelity, q_peak, defect in per_machine
     ]
-
-
-def _layout(machine: CloningMachine) -> tuple:
-    return machine.n_modes, machine.clone_modes, machine.signal_modes
-
-
-def clone_reports(machines: Iterable[CloningMachine],
-                  xi: complex = 1.0 + 0.0j) -> list[list[CloneReport]]:
-    """Every clone's quality figures for each of some built machines, in order.
-
-    Each run of consecutive machines that share a layout (register size,
-    clone and signal modes) is read as one stack: their clone rows of A and
-    B are gathered, never their whole transforms, and each formula and gate
-    runs once over the stack.  A refusal is what reading the machines one at
-    a time would raise first: the first refused machine, and its first
-    refused clone, raised as ``ReadoutRefused`` with that machine's position.
-    """
-    xi = complex(xi)
-    reports: list[list[CloneReport]] = []
-    for _, run in groupby(machines, key=_layout):
-        stack = list(run)
-        try:
-            reports += _read_stack(stack, xi)
-        except ValueError:
-            # each gate runs over the whole stack in turn, so a later
-            # machine's refusal can come first: read the stack in order
-            for machine in stack:
-                try:
-                    reports += _read_stack([machine], xi)
-                except ValueError as exc:
-                    raise ReadoutRefused(str(exc), len(reports)) from None
-    return reports
 
 
 def clone_report(machine: ClonerSpec | CloningMachine,

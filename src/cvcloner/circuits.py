@@ -16,11 +16,11 @@ Three constructions:
 
 The factorized and symmetric machines are ordered lists of two-mode gates,
 folded into (A, B) by ``gaussian.fold_stack``; ``build_cloners`` lays out
-every machine's wires and gates in one place.  It builds each run of
-consecutive specs of one form (a sweep's asymmetric machines, in one form)
-as one stack: the closed form's entries over an array of gammas, or one
-fold of the gate list with arrays of angles, and one batched check.  Each
-machine is still a ``CloningMachine`` that requires its transform's check;
+every machine's wires and gates in one place.  It builds specs of one form
+(a sweep's asymmetric machines, in one form) as one stack: the closed
+form's entries over an array of gammas, or one fold of the gate list with
+arrays of angles, and one batched check.  Each machine is still a
+``CloningMachine`` that requires its transform's check;
 ``build_cloner(spec)`` is ``build_cloners([spec])[0]``.
 
 Mode ordering for the symmetric machines: N signal modes, then the NOPA
@@ -35,7 +35,6 @@ import numbers
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 from numpy.typing import NDArray
@@ -109,7 +108,7 @@ ClonerSpec = AsymSpec | SymSpec
 
 @dataclass(frozen=True)
 class FactorizationParams:
-    """Angles of the BS1 / NOPA / BS2 decomposition of the asymmetric cloner."""
+    """Angles of the BS1 / NOPA / BS2 factorization of the asymmetric cloner."""
 
     u: float  # first beam splitter, in [-pi/2, pi/2]
     v: float  # NOPA squeeze parameter, >= 0
@@ -219,15 +218,6 @@ def asym_factorized(p: FactorizationParams) -> BogoliubovTransform:
     return fold_gates(_asym_gates(p.u, p.v, p.w), 3)
 
 
-class BuildRefused(ValueError):
-    """A machine refused at build; ``position`` is the place of its spec in
-    the list that ``build_cloners`` was given."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(message)
-        self.position = position
-
-
 _ASYM_SIGNALS = (ModeLabel(2, "in"),)
 _ASYM_CLONES = (ModeLabel(0, "clone_1"), ModeLabel(2, "clone_2"))
 
@@ -238,11 +228,25 @@ def _form(spec: ClonerSpec) -> object:
     return ("asym", spec.factorized) if isinstance(spec, AsymSpec) else spec
 
 
-def _build_stack(specs: list[ClonerSpec], start: int) -> list[CloningMachine]:
-    """Machines for consecutive specs of one form, built as one stack of
-    rows and checked by one batched product; the spec at specs[j] is
-    refused as position start + j."""
+def build_cloners(specs: Iterable[ClonerSpec]) -> list[CloningMachine]:
+    """Build the machines some specs of one form describe, in order, with
+    labeled signal/clone modes.
+
+    The specs are asymmetric in one form, or copies of one symmetric
+    machine; a list that mixes forms is refused.  They are built as one
+    stack of k registers, by ``fold_stack`` or, for the closed form, over an
+    array of gammas, and checked by one batched product in
+    ``checked_transforms``.  Every machine is still a ``CloningMachine``
+    that requires its own check, so a refusal is the first failing spec's.
+    """
+    specs = list(specs)
+    if not specs:
+        return []
     first, k = specs[0], len(specs)
+    form = _form(first)
+    if any(_form(s) != form for s in specs):
+        raise ValueError("build_cloners takes specs of one form: asymmetric machines "
+                         "in one form, or copies of one symmetric machine")
     # one machine folds with no register axis, which the fold indexes faster
     stack = (k,) if k > 1 else ()
     if isinstance(first, AsymSpec):
@@ -269,33 +273,9 @@ def _build_stack(specs: list[ClonerSpec], start: int) -> list[CloningMachine]:
         clones = tuple(ModeLabel(w, f"clone_{j + 1}") for j, w in enumerate(clone_wires))
     else:
         raise TypeError(f"unknown cloner spec: {first!r}")
-    machines = []
-    for j, (spec, transform, p) in enumerate(zip(specs, checked_transforms(rows), angles,
-                                                 strict=True)):
-        try:
-            machines.append(CloningMachine(spec=spec, transform=transform, signal_modes=signals,
-                                           clone_modes=clones, angles=p))
-        except ValueError as exc:
-            raise BuildRefused(str(exc), start + j) from None
-    return machines
-
-
-def build_cloners(specs: Iterable[ClonerSpec]) -> list[CloningMachine]:
-    """Build the machines some specs describe, in order, with labeled
-    signal/clone modes.
-
-    Each run of consecutive specs of one form (asymmetric in one form, or
-    copies of one symmetric machine) is built as one stack of k registers,
-    by ``fold_stack`` or, for the closed form, over an array of gammas, and
-    checked by one batched product in ``checked_transforms``.
-    Every machine is still a ``CloningMachine`` that requires its own
-    check.  A refusal is the first one a loop over the specs would meet,
-    raised as ``BuildRefused`` with the position of its spec.
-    """
-    machines: list[CloningMachine] = []
-    for _, run in groupby(specs, key=_form):
-        machines += _build_stack(list(run), len(machines))
-    return machines
+    return [CloningMachine(spec=spec, transform=transform, signal_modes=signals,
+                           clone_modes=clones, angles=p)
+            for spec, transform, p in zip(specs, checked_transforms(rows), angles, strict=True)]
 
 
 def build_cloner(spec: ClonerSpec) -> CloningMachine:

@@ -28,10 +28,9 @@ from itertools import chain
 
 import numpy as np
 
-from .analysis import CloneReport, ReadoutRefused, clone_report, clone_reports
+from .analysis import CloneReport, clone_report, clone_reports
 from .circuits import (
     AsymSpec,
-    BuildRefused,
     ClonerSpec,
     CloningMachine,
     SymSpec,
@@ -335,9 +334,9 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
     to SWEEP_STACK_LIMIT of them is built and checked as one stack by one
     ``build_cloners`` call and read by one ``clone_reports`` call.  Every
     sym point is a layout of its own, built, read and dropped before the
-    next is built.  A refusal at build or readout names its point, as a
-    violation does, and is the one a loop over the points would meet
-    first: the points before a refused build are read before it is named.
+    next is built.  A refused chunk is run again one point at a time, so
+    that the refusal named, with its point, is the first one a loop over
+    the points would meet.
     """
     if n is None:
         header = ["gamma", "u", "v", "w", "n_chaotic_1", "n_chaotic_2",
@@ -352,27 +351,25 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
     echo["xi"] = [xi.real, xi.imag]
     rows: list[list[object]] = []
     problems: list[str] = []
-
-    def read(names: tuple[str, ...], machines: list[CloningMachine]) -> None:
+    batch_size = SWEEP_STACK_LIMIT if n is None else 1
+    for start in range(0, len(points), batch_size):
+        chunk = points[start:start + batch_size]
         try:
+            machines = build_cloners([spec for _, spec in chunk])
             reads = clone_reports(machines, xi)
-        except ReadoutRefused as exc:
-            raise ValueError(f"{names[exc.position]}: {exc}") from None
-        for where, machine, reports in zip(names, machines, reads, strict=True):
+        except ValueError:
+            # a stack runs each gate over all its points in turn, so a later
+            # point's refusal can come first
+            for where, spec in chunk:
+                try:
+                    clone_report(build_cloner(spec), xi)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+            raise
+        for (where, _), machine, reports in zip(chunk, machines, reads, strict=True):
             violations = _physics_violations(machine.symplectic_dev, reports, tolerance)
             problems.extend(f"{where}: {p}" for p in violations)
             rows.append(_sweep_row(machine, reports))
-
-    batch_size = SWEEP_STACK_LIMIT if n is None else 1
-    for start in range(0, len(points), batch_size):
-        names, specs = zip(*points[start:start + batch_size], strict=True)
-        try:
-            machines = build_cloners(specs)
-        except BuildRefused as exc:
-            j = exc.position
-            read(names[:j], build_cloners(specs[:j]))  # an earlier point's refusal comes first
-            raise ValueError(f"{names[j]}: {exc}") from None
-        read(names, machines)
     if output_format == "json":
         document = {
             "schema_version": SCHEMA_VERSION,
@@ -461,21 +458,23 @@ def main(argv: list[str] | None = None) -> int:
                 FockSpace(3, cutoff)  # the oracle's 1->2 register at its finest rung
             except ValueError as exc:
                 parser.error(f"--cutoff: {exc}")
-        return cmd_verify(override, cutoff if args.oracle else None)
-
-    _check_family_flags(parser, args)
-    if args.command == "sweep":
-        run = _sweep_from_args(parser, args)
+        run = functools.partial(cmd_verify, override, cutoff if args.oracle else None)
     else:
-        run = functools.partial(cmd_clone, _spec_from_args(parser, args))
+        _check_family_flags(parser, args)
+        if args.command == "sweep":
+            run = _sweep_from_args(parser, args)
+        else:
+            run = functools.partial(cmd_clone, _spec_from_args(parser, args))
+        run = functools.partial(run, args.xi, args.output_format, args.output,
+                                override if override is not None else DEFAULT_TOL)
     try:
-        return run(args.xi, args.output_format, args.output,
-                   override if override is not None else DEFAULT_TOL)
+        return run()
     except (ValueError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        if args.output is None:
+        # verify declares no --output
+        if getattr(args, "output", None) is None:
             raise
         parser.error(f"--output: {exc}")
 

@@ -60,7 +60,7 @@ def _frozen(arr: object) -> bool:
 
 @dataclass(frozen=True)
 class ModeLabel:
-    """A mode position with an optional human-readable tag."""
+    """A mode index with an optional human-readable tag."""
 
     index: int
     name: str = ""

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cvcloner import circuits
 from cvcloner.circuits import (
     AsymSpec,
-    BuildRefused,
     SymSpec,
     asym_direct,
     asym_factorized,
@@ -221,8 +220,9 @@ def test_build_cloner_sym_wiring():
 
 
 def _assert_built_one_by_one(specs):
-    """build_cloners(specs) holds, machine by machine, what each spec built
-    on its own, folded or written out and checked alone, holds."""
+    """build_cloners(specs), for specs of one form, holds, machine by
+    machine, what each spec built on its own, folded or written out and
+    checked alone, holds."""
     machines = build_cloners(specs)
     assert [m.spec for m in machines] == list(specs)
     for machine in machines:
@@ -233,6 +233,16 @@ def _assert_built_one_by_one(specs):
         assert machine.angles == alone.angles
         assert machine.signal_modes == alone.signal_modes
         assert machine.clone_modes == alone.clone_modes
+
+
+def _assert_each_form_built_one_by_one(specs):
+    """_assert_built_one_by_one on each form's specs, in their order."""
+    forms = {}
+    for spec in specs:
+        forms.setdefault(circuits._form(spec), []).append(spec)
+    assert len(forms) > 1
+    for same_form in forms.values():
+        _assert_built_one_by_one(same_form)
 
 
 @pytest.mark.parametrize("factorized", [False, True], ids=["direct", "factorized"])
@@ -249,12 +259,13 @@ MIXED_SPECS = [AsymSpec(-0.7), SymSpec(1, 2), AsymSpec(0.3, factorized=True),
 
 
 def test_interleaved_specs_build_as_one_by_one():
-    _assert_built_one_by_one(MIXED_SPECS)
+    _assert_each_form_built_one_by_one(MIXED_SPECS)
 
 
 def test_duplicate_specs_build_as_one_by_one():
-    _assert_built_one_by_one([AsymSpec(0.2)] * 3 + [SymSpec(3, 5)] * 2 + [SymSpec(16, 128)] * 2
-                             + [AsymSpec(0.2, factorized=True)] * 2 + [AsymSpec(0.2)])
+    _assert_each_form_built_one_by_one(
+        [AsymSpec(0.2)] * 3 + [SymSpec(3, 5)] * 2 + [SymSpec(16, 128)] * 2
+        + [AsymSpec(0.2, factorized=True)] * 2 + [AsymSpec(0.2)])
 
 
 @pytest.mark.parametrize("spec", MIXED_SPECS, ids=str)
@@ -267,7 +278,21 @@ def test_a_list_of_one_builds_as_one_by_one(spec):
 @given(st.lists(st.tuples(st.floats(min_value=-6.0, max_value=6.0), st.booleans()),
                 min_size=1, max_size=40))
 def test_random_gamma_lists_of_mixed_forms_build_as_one_by_one(points):
-    _assert_built_one_by_one([AsymSpec(g, factorized=f) for g, f in points])
+    for factorized in (False, True):
+        _assert_built_one_by_one([AsymSpec(g, factorized=f) for g, f in points
+                                  if f is factorized])
+
+
+@pytest.mark.parametrize("specs", [
+    [AsymSpec(0.2), AsymSpec(0.2, factorized=True)],
+    [AsymSpec(0.2), SymSpec(1, 2)],
+    [SymSpec(1, 2), SymSpec(1, 2), SymSpec(1, 3)],
+], ids=["two-asym-forms", "asym-and-sym", "two-sym-machines"])
+def test_a_list_of_mixed_forms_is_refused(specs):
+    # one stack has one form: the list is not built in its first spec's form
+    with pytest.raises(ValueError, match="specs of one form"):
+        build_cloners(specs)
+    assert build_cloners([]) == []
 
 
 def test_a_machine_built_in_a_stack_refuses_a_replaced_transform():
@@ -289,7 +314,7 @@ def test_a_machine_built_in_a_stack_refuses_a_replaced_transform():
 @pytest.mark.parametrize("factorized", [False, True], ids=["direct", "factorized"])
 def test_a_stack_refuses_the_first_spec_a_loop_would_refuse(monkeypatch, factorized):
     # past GAMMA_LIMIT rounding fails the check for real, at some points
-    # and not at others; the stack names the first, at its place in the list
+    # and not at others; the stack raises the first one's refusal
     monkeypatch.setattr(circuits, "GAMMA_LIMIT", 7.0)
     specs = [AsymSpec(float(g), factorized=factorized) for g in np.linspace(6.0, 7.0, 21)]
     alone = [build_per_point(spec) for spec in specs]
@@ -297,7 +322,6 @@ def test_a_stack_refuses_the_first_spec_a_loop_would_refuse(monkeypatch, factori
     assert 0 < failing[0] < failing[-1]
     with pytest.raises(ValueError) as first:
         require_symplectic(alone[failing[0]].transform)
-    with pytest.raises(BuildRefused) as refused:
-        build_cloners([SymSpec(1, 2), *specs])
-    assert refused.value.position == 1 + failing[0]
+    with pytest.raises(ValueError) as refused:
+        build_cloners(specs)
     assert str(refused.value) == str(first.value)

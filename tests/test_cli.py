@@ -16,10 +16,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cvcloner import analysis, circuits, cli, gaussian, verification
-from cvcloner.analysis import clone_report
+from cvcloner.analysis import clone_report, clone_reports
 from cvcloner.circuits import AsymSpec, SymSpec, build_cloner
 from cvcloner.cli import main
-from cvcloner.gaussian import BogoliubovTransform, fold_gates
+from cvcloner.gaussian import BogoliubovTransform, Passive, fold_gates
 from reference import beam_splitter_gate, build_per_point, compose
 
 
@@ -541,12 +541,115 @@ def test_a_sweep_names_the_first_point_its_stacked_check_refuses(monkeypatch, ca
     with pytest.raises(ValueError) as refusal:
         build_cloner(AsymSpec(float(gammas[j])))
     reads = []
-    real = cli.clone_reports
+    real_stack, real_one = cli.clone_reports, cli.clone_report
     monkeypatch.setattr(cli, "clone_reports", lambda machines, xi: reads.append(
-        [m.spec.gamma for m in machines]) or real(machines, xi))
+        [m.spec.gamma for m in machines]) or real_stack(machines, xi))
+    monkeypatch.setattr(cli, "clone_report", lambda machine, xi: reads.append(
+        [machine.spec.gamma]) or real_one(machine, xi))
     code, out, err = run(capsys, ["sweep", "--asym", "--gamma-range", "6", "7", "11"])
     assert (code, out, err) == (1, "", f"error: gamma={gammas[j]}: {refusal.value}\n")
-    assert reads == [gammas[:j].tolist()]
+    # the refused stack is read by no one; each point before j is read once, alone
+    assert reads == [[g] for g in gammas[:j].tolist()]
+
+
+def _squeezed(machine):
+    """A one-mode squeezer on clone 1's wire after the machine keeps it
+    symplectic and makes clone 1 anisotropic, which the readout refuses."""
+    n = machine.n_modes
+    A, B = np.eye(n), np.zeros((n, n))
+    A[0, 0], B[0, 0] = np.cosh(0.25), -np.sinh(0.25)
+    return replace(machine, transform=compose(BogoliubovTransform(A=A, B=B), machine.transform))
+
+
+def _fault_builds(monkeypatch, faults):
+    """cli builds the asym point at gamma g with faults[g] applied, if any,
+    whether it builds a stack or one point."""
+    real = cli.build_cloners
+
+    def build(specs):
+        return [faults.get(m.spec.gamma, lambda m: m)(m) for m in real(specs)]
+
+    monkeypatch.setattr(cli, "build_cloners", build)
+    monkeypatch.setattr(cli, "build_cloner", lambda spec: build([spec])[0])
+
+
+def test_a_sweep_names_a_gain_fault_before_a_later_anisotropic_clone(monkeypatch, capsys):
+    # the stacked readout runs the isotropy gate over the whole stack before
+    # the gain gate, so the stack alone would raise the later point's refusal
+    xi = complex(0.3, -1.2)
+    gammas = np.linspace(-1.0, 1.0, 5).tolist()
+    faults = {-0.5: lambda m: _broken(m, "gain"), 0.5: _squeezed}
+    stack = [faults.get(g, lambda m: m)(build_cloner(AsymSpec(g))) for g in gammas]
+    with pytest.raises(ValueError, match="not isotropic"):
+        clone_reports(stack, xi)
+    with pytest.raises(ValueError, match="non-unit gain") as first:
+        clone_report(stack[1], xi)
+    _fault_builds(monkeypatch, faults)
+    code, out, err = run(capsys, ASYM_5)
+    assert (code, out, err) == (1, "", f"error: gamma=-0.5: {first.value}\n")
+
+
+def test_a_refusal_in_a_later_chunk_names_its_point(monkeypatch, capsys):
+    # 9 points in chunks of 4, 4 and 1: the first chunk is read, the second
+    # is refused at its second point, before its third point's refusal
+    monkeypatch.setattr(cli, "SWEEP_STACK_LIMIT", 4)
+    xi = complex(0.3, -1.2)
+    with pytest.raises(ValueError, match="non-unit gain") as first:
+        clone_report(_broken(build_cloner(AsymSpec(0.25)), "gain"), xi)
+    _fault_builds(monkeypatch, {0.25: lambda m: _broken(m, "gain"), 0.5: _squeezed})
+    sizes = []
+    real = cli.clone_reports
+    monkeypatch.setattr(cli, "clone_reports", lambda machines, xi: sizes.append(
+        len(machines)) or real(machines, xi))
+    code, out, err = run(capsys, ["sweep", "--asym", "--gamma-range", "-1", "1", "9",
+                                  "--xi=0.3,-1.2"])
+    assert (code, out, err) == (1, "", f"error: gamma=0.25: {first.value}\n")
+    assert sizes == [4, 4]
+
+
+def test_a_stack_refusal_that_no_point_repeats_is_still_an_error(monkeypatch, capsys):
+    # fails closed: when no point read alone is refused, the stack's own
+    # refusal is the error, with no point named
+    def refuse(machines, xi):
+        raise ValueError("refused as a stack")
+
+    monkeypatch.setattr(cli, "clone_reports", refuse)
+    assert run(capsys, ASYM_5) == (1, "", "error: refused as a stack\n")
+
+
+def test_verify_prints_a_refused_readout_as_an_error(monkeypatch, capsys):
+    # negating row q of the last split makes the last clone of every
+    # symmetric machine come out at gain -1: still symplectic, refused when
+    # the suites read it
+    real = circuits.distribute_gates
+
+    def negated(M, modes):
+        *gates, last = real(M, modes)
+        (a, b), (c, d) = last.block
+        return (*gates, Passive(((a, b), (-c, -d)), last.p, last.q))
+
+    caches = (verification._build, verification._machines, verification._grid)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(circuits, "distribute_gates", negated)
+    try:
+        code, out, err = run(capsys, ["verify"])
+    finally:
+        for cache in caches:  # no broken machine outlives the test
+            cache.cache_clear()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: clone_") and err.endswith(": non-unit gain\n")
+    assert err.count("\n") == 1
+
+
+def test_verify_passes_an_os_error_on_without_reading_output(monkeypatch):
+    # verify declares no --output, so its OSError is not an --output usage error
+    def fail(*args):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    with pytest.raises(OSError, match="no space left"):
+        main(["verify"])
 
 
 @pytest.mark.parametrize("argv, stacks", [
