@@ -16,11 +16,10 @@ Numerical core: each generator is i times a real antisymmetric matrix in the
 number basis, so every factor of C is a real orthogonal matrix.  Truncation
 therefore never breaks unitarity; it only leaks population into the top Fock
 levels, which is measured and gated rather than ignored.  C is never formed
-as a matrix: each factor acts on the state by a truncated Taylor series with
-scaling (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488), stepped with
-the sparse generator and stopped once the next two terms fall below double
-precision.  The degree and the number of scaling steps come from the
-generator's exact 1-norm, which is computed once, beside the generator.
+as a matrix: each factor acts on the state by a Chebyshev series in the
+sparse generator (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967), whose
+Bessel coefficients and length are fixed before the first product, from the
+generator's exact 1-norm, computed once beside the generator.
 
 Each generator is written directly from basis-index arithmetic: the nonzeros
 of a_p^dag a_q (or a_p a_q) are sqrt(n_p + 1) sqrt(n_q) (or sqrt(n_p)
@@ -79,7 +78,7 @@ COHERENT_NORM_TOL = 1e-6
 def __getattr__(name: str):
     # perfbench/tracer.py looks up `expm_multiply` here (its EXTRA) with no
     # default, so the name resolves on demand; the bridge goes when ROADMAP
-    # item 3 drops tracer.EXTRA
+    # item 8 drops tracer.EXTRA
     if name == "expm_multiply":
         from scipy.sparse.linalg import expm_multiply
         return expm_multiply
@@ -192,7 +191,7 @@ def _charge(space: FockSpace, index: np.ndarray) -> np.ndarray:
 
 
 class _Flow(NamedTuple):
-    """A real antisymmetric generator and its exact 1-norm, which plans every propagation."""
+    """A real antisymmetric generator and its exact 1-norm, which bounds its spectrum."""
 
     matrix: sp.csr_matrix
     one_norm: float
@@ -231,71 +230,70 @@ def _cloner_flows(space: FockSpace, basis: np.ndarray) -> tuple[_Flow, _Flow]:
     return _flow(space, _SQUEEZE_TERMS, basis), _flow(space, _FIXED_TERMS, basis)
 
 
-# theta_m of the degree-m truncated Taylor series in double precision: m <= 30
-# from Higham, Functions of Matrices (SIAM, 2008), table A.3; m >= 35 from
-# Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488, table 3.1.
-_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _taylor_plan(norm: float) -> tuple[int, int]:
-    """Degree m and scaling steps s with the fewest products m*s for a 1-norm of t*K."""
-    if norm == 0.0:
-        return 0, 1
-    best_m, best_s = 0, 0
-    for m, theta in _THETA.items():
-        s = math.ceil(norm / theta)
-        if best_m == 0 or m * s < best_m * best_s:
-            best_m, best_s = m, s
-    return best_m, best_s
+def _bessel_coefficients(rho: float) -> list[float]:
+    """J_0(rho), ..., J_n(rho) for rho >= 0, cut at the first n with 2 sum_{k>n} |J_k(rho)| <= u/2.
+
+    Miller's backward recurrence J_{k-1} = (2k/rho) J_k - J_{k+1}, from past the order where
+    (rho/2)^k / k!, a bound on |J_k|, is below 1e-40, scaled down near overflow and normalized
+    by J_0 + 2 sum_k J_2k = 1 (DLMF 3.6, 10.12.4).  Up to rho = u/2, J_0 rounds to 1.
+    """
+    if rho <= _UNIT_ROUNDOFF / 2:
+        return [1.0]
+    start, log_bound = 0, 0.0
+    while start < rho or log_bound > -92.0:  # e^-92 is about 1e-40
+        start += 1
+        log_bound += math.log(rho / (2 * start))
+    j = [0.0] * (start + 2)
+    j[start] = 1.0
+    for k in range(start, 0, -1):
+        j[k - 1] = 2 * k / rho * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1:] = [v * 1e-250 for v in j[k - 1:]]
+    norm = j[0] + 2 * math.fsum(j[2::2])
+    j = [v / norm for v in j]
+    n, tail = start, 0.0
+    while tail + 2 * abs(j[n]) <= _UNIT_ROUNDOFF / 2:
+        tail += 2 * abs(j[n])
+        n -= 1
+    return j[:n + 1]
 
 
 def _propagate(flow: _Flow, block: np.ndarray, times: np.ndarray | float) -> np.ndarray:
     """exp(t_j K) applied to column j of a real (dim, k) block, all columns at once.
 
-    `times` holds one t_j per column, or one scalar t for all of them, which
-    steps with a scalar multiply instead of a broadcast one.  One plan, for
-    the largest |t_j|, serves every column.  Each scaling step
-    adds Taylor terms until, for every column, the last two terms together
-    fall below the unit roundoff times that column's sum (the stopping test
-    of scipy's expm_multiply, applied per column).  K is traceless, so no
-    shift is needed.  The column norms are taken from a transposed copy:
-    a max over the short axis of a (dim, k) array costs more than the copy.
-    The sum's norm is taken only when the test can pass against its upper
-    bound, the last norm plus every term's since; rounding is monotone, so
-    the bound holds and every decision is the one the exact norm gives.
+    A Chebyshev series (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967).
+    K is real antisymmetric with spectrum in +-i ||K||_2 <= +-i `flow.one_norm`,
+    so with A = K / ||K||_1, w_0 = v, w_1 = A v and w_{k+1} = 2 A w_k + w_{k-1},
+    each w_k is real with ||w_k||_2 <= ||v||_2, and exp(tK) v =
+    J_0(rho) w_0 + 2 sum_k J_k(rho) w_k, rho = t ||K||_1: the series is cut
+    before its first product where the largest |rho|'s dropped tail is <= u/2.
+    The columns share one recurrence; column j's time enters only its
+    coefficients, a negative one by J_k(-rho) = (-1)^k J_k(rho).  A scalar
+    `times` gives scalar coefficients; per-column ones multiply each term as
+    a diagonal matrix, cheaper than a broadcast over the short axis.
     """
-    m, s = _taylor_plan(float(np.abs(times).max()) * flow.one_norm)
-    out = np.array(block, order="C")
-    magnitudes = np.empty(out.shape[::-1])
-
-    def column_norms(x: np.ndarray) -> np.ndarray:
-        return np.abs(x.T, out=magnitudes).max(axis=1)
-
-    term = out
-    for _ in range(s):
-        c1 = column_norms(term)
-        bound = c1
-        for j in range(m):
-            term = flow.matrix @ term
-            term *= times / (s * (j + 1))
-            c2 = column_norms(term)
-            out += term
-            bound = bound + c2
-            if (c1 + c2 <= _UNIT_ROUNDOFF * bound).all():
-                bound = column_norms(out)
-                if (c1 + c2 <= _UNIT_ROUNDOFF * bound).all():
-                    break
-            c1 = c2
-        term = out
+    ts = np.atleast_1d(np.asarray(times, dtype=float)).tolist()
+    series = {abs(t): _bessel_coefficients(abs(t) * flow.one_norm) for t in ts}
+    coeffs = np.zeros((max(map(len, series.values())), len(ts)))
+    for col, t in enumerate(ts):
+        coeffs[:len(series[abs(t)]), col] = series[abs(t)]
+    coeffs[1:] *= 2.0
+    coeffs[1::2] *= np.sign(ts)
+    term = np.multiply if np.ndim(times) == 0 else np.matmul
+    coeffs = coeffs[:, 0] if term is np.multiply else coeffs[:, :, None] * np.eye(len(ts))
+    out = term(block, coeffs[0])
+    if len(coeffs) > 1:
+        double = flow.matrix * (2.0 / flow.one_norm)  # 2A
+        prev, cur = block, 0.5 * (double @ block)
+        out += term(cur, coeffs[1])
+        for c in coeffs[2:]:
+            nxt = double @ cur
+            nxt += prev
+            out += term(nxt, c)
+            prev, cur = cur, nxt
     return out
 
 

@@ -204,6 +204,27 @@ def test_verify_oracle_small_cutoff(capsys):
     assert "oracle_agreement" in out
 
 
+# the oracle_agreement line of `verify --oracle --cutoff c`, byte for byte: a
+# change of propagator may change how the fidelities round, never what prints
+ORACLE_LINES = {
+    5: ("max_dev=inf  tol=5.0e-03  FAIL  [cutoff_5=inf, monotone_break=0.000e+00]", 1),
+    10: ("max_dev=4.004e-03  tol=5.0e-03  PASS  [cutoff_10=4.004e-03, "
+         "monotone_break=0.000e+00]", 0),
+    13: ("max_dev=8.686e-04  tol=5.0e-03  PASS  [cutoff_11=2.420e-03, cutoff_13=8.686e-04, "
+         "monotone_break=0.000e+00]", 0),
+    16: ("max_dev=1.817e-04  tol=5.0e-03  PASS  [cutoff_12=1.454e-03, cutoff_14=5.171e-04, "
+         "cutoff_16=1.817e-04, monotone_break=0.000e+00]", 0),
+}
+
+
+@pytest.mark.parametrize("cutoff", sorted(ORACLE_LINES))
+def test_verify_oracle_prints_the_same_agreement_line(capsys, cutoff):
+    code, out, _ = run(capsys, ["verify", "--oracle", "--cutoff", str(cutoff)])
+    line, want_code = ORACLE_LINES[cutoff]
+    assert code == want_code
+    assert f"oracle_agreement           {line}" in out.splitlines()
+
+
 def test_usage_errors_exit_two(capsys):
     for argv in (
         ["clone", "--asym"],                      # missing --gamma

@@ -1,5 +1,6 @@
-"""Truncated Fock oracle: generators, Taylor propagation, fidelity cross-checks."""
+"""Truncated Fock oracle: generators, Chebyshev propagation, fidelity cross-checks."""
 
+import decimal
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.special import jv
 from scipy.sparse.linalg import expm_multiply
 
 import cvcloner.fock as fock
@@ -315,34 +317,80 @@ def test_propagator_backward_undoes_forward(t):
         assert np.abs(back - block).max() <= 1e-13
 
 
-def _propagate_with_exact_norms(flow, block, times):
-    """The propagator with the sum's exact norm taken after every term, as scipy does."""
-    m, s = fock._taylor_plan(float(np.abs(times).max()) * flow.one_norm)
-    out = np.array(block, order="C")
-    term = out
-    for _ in range(s):
-        c1 = np.abs(term).max(axis=0)
-        for j in range(m):
-            term = (flow.matrix @ term) * (times / (s * (j + 1)))
-            c2 = np.abs(term).max(axis=0)
-            out = out + term
-            if (c1 + c2 <= 2.0 ** -53 * np.abs(out).max(axis=0)).all():
-                break
-            c1 = c2
-        term = out
-    return out
+def _bessel_j(k, x):
+    """J_k(x) from its power series in decimal arithmetic, with digits to spare for the cancellation."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40 + int(x)
+        half = decimal.Decimal(x) / 2
+        term = half ** k / math.factorial(k)
+        total, m = term, 0
+        while m < x or abs(term) > decimal.Decimal(10) ** -40:
+            m += 1
+            term *= -half * half / (m * (m + k))
+            total += term
+        return float(total)
+
+
+BESSEL_RHOS = [1e-3, 4.7, 26.0, 41.0, 62.0, 160.0]
+
+
+@pytest.mark.parametrize("rho", BESSEL_RHOS)
+def test_bessel_coefficients_are_exact_and_cut_below_the_unit_roundoff(rho):
+    got = np.array(fock._bessel_coefficients(rho))
+    exact = np.array([_bessel_j(k, rho) for k in range(got.size + 40)])
+    assert np.abs(got - exact[:got.size]).max() <= 2.0 ** -51
+    assert 2 * np.abs(exact[got.size:]).sum() < 2.0 ** -53
+    # the cut is the first that meets the bound: one term fewer would not
+    assert 2 * np.abs(exact[got.size - 1:]).sum() > 2.0 ** -54
+
+
+@pytest.mark.parametrize("rho", BESSEL_RHOS[:-1])
+def test_bessel_coefficients_match_scipy(rho):
+    # at rho = 160 scipy's jv is itself off by 3.3e-15 from the exact series,
+    # so that point is checked against the exact series alone
+    got = np.array(fock._bessel_coefficients(rho))
+    assert np.abs(got - jv(np.arange(got.size), rho)).max() <= 1e-15
+
+
+def test_bessel_coefficients_of_a_negligible_rho_are_the_identity():
+    assert fock._bessel_coefficients(0.0) == [1.0]
+    assert fock._bessel_coefficients(2.0 ** -54) == [1.0]
+    assert len(fock._bessel_coefficients(2.0 ** -52)) == 2
+
+
+def test_bessel_coefficients_of_a_large_rho_stay_finite():
+    # unscaled, the backward run from past order 12000 would overflow before J_0
+    got = np.array(fock._bessel_coefficients(12000.0))
+    assert np.isfinite(got).all()
+    assert abs(got[0] ** 2 + 2 * (got[1:] ** 2).sum() - 1) <= 1e-13
+    assert np.abs(got - jv(np.arange(got.size), 12000.0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("cutoff", range(1, 7))
+def test_the_one_norm_bounds_the_spectrum_of_each_flow(cutoff):
+    # the Chebyshev series needs the eigenvalues of K / one_norm in [-i, i]
+    space = FockSpace(3, cutoff)
+    charge = fock._charge(space, np.arange(space.dim))
+    for basis in (np.arange(space.dim), np.flatnonzero(charge == 0)):
+        for flow in fock._cloner_flows(space, basis):
+            eigenvalues = np.linalg.eigvals(flow.matrix.toarray())
+            assert np.abs(eigenvalues.real).max() <= 1e-12
+            assert np.abs(eigenvalues).max() <= flow.one_norm
 
 
 @pytest.mark.parametrize("cutoff", [6, 11, 16])
-def test_propagator_equals_the_exact_norm_loop(cutoff):
+def test_mixed_sign_times_equal_one_call_per_column(cutoff):
     space = FockSpace(3, cutoff)
     rng = np.random.default_rng(cutoff)
     block = np.column_stack([coherent_fock(space, [0j, 0j, xi]).amplitudes.real
                              for xi in (0.0, 0.3, 0.5)] + [rng.standard_normal(space.dim)])
-    times = np.array([0.2, -0.4, 0.9, 0.35])
+    block /= np.linalg.norm(block, axis=0)
+    times = np.array([0.2, -0.4, 0.9, -0.35])
     for flow in fock._cloner_flows(space, np.arange(space.dim)):
         got = fock._propagate(flow, block, times)
-        assert np.array_equal(got, _propagate_with_exact_norms(flow, block, times))
+        for j, t in enumerate(times):
+            alone = fock._propagate(flow, block[:, [j]], times[[j]])
+            assert np.abs(got[:, [j]] - alone).max() <= 1e-15
 
 
 def test_a_block_equals_one_call_per_probe():
