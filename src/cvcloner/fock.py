@@ -57,6 +57,7 @@ invariants cover them.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
@@ -65,6 +66,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
+from .circuits import AsymSpec
 from .gaussian import ModeLabel, mode_index
 
 if TYPE_CHECKING:
@@ -233,15 +235,18 @@ def _cloner_flows(space: FockSpace, basis: np.ndarray) -> tuple[_Flow, _Flow]:
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _bessel_coefficients(rho: float) -> list[float]:
+@functools.lru_cache(maxsize=128)
+def _bessel_coefficients(rho: float) -> tuple[float, ...]:
     """J_0(rho), ..., J_n(rho) for rho >= 0, cut at the first n with 2 sum_{k>n} |J_k(rho)| <= u/2.
 
     Miller's backward recurrence J_{k-1} = (2k/rho) J_k - J_{k+1}, from past the order where
     (rho/2)^k / k!, a bound on |J_k|, is below 1e-40, scaled down near overflow and normalized
     by J_0 + 2 sum_k J_2k = 1 (DLMF 3.6, 10.12.4).  Up to rho = u/2, J_0 rounds to 1.
+    Memoized: both groups' squeeze flows of a rung share one norm, and a ladder
+    run again reads the same rho.
     """
     if rho <= _UNIT_ROUNDOFF / 2:
-        return [1.0]
+        return (1.0,)
     start, log_bound = 0, 0.0
     while start < rho or log_bound > -92.0:  # e^-92 is about 1e-40
         start += 1
@@ -258,7 +263,7 @@ def _bessel_coefficients(rho: float) -> list[float]:
     while tail + 2 * abs(j[n]) <= _UNIT_ROUNDOFF / 2:
         tail += 2 * abs(j[n])
         n -= 1
-    return j[:n + 1]
+    return tuple(j[:n + 1])
 
 
 def _propagate(flow: _Flow, block: np.ndarray, times: np.ndarray | float) -> np.ndarray:
@@ -308,7 +313,8 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
     clone-idler squeeze with chi = gamma + ln(2)/2 per column, then the
     gamma-independent factor, over flows built on those sectors alone.  A
     column that occupies every sector evolves over the whole box.  An empty
-    list of probes is refused.
+    list of probes is refused, and so is a gamma that ``AsymSpec`` refuses:
+    one that is not real and finite or has |gamma| > ``circuits.GAMMA_LIMIT``.
     """
     if not probes:
         raise ValueError("apply_cloning_fock_block needs at least one probe")
@@ -321,9 +327,7 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
     for i, (gamma, state) in enumerate(probes):
         if state.space != space:
             raise ValueError(f"every probe needs the register {space}, got {state.space}")
-        chi = float(gamma) + 0.5 * math.log(2.0)
-        if not math.isfinite(chi):
-            raise ValueError(f"gamma must be finite, got {gamma}")
+        chi = AsymSpec(gamma).gamma + 0.5 * math.log(2.0)
         for imag, part in enumerate((state.amplitudes.real, state.amplitudes.imag)):
             if part.any():
                 sectors = tuple(np.unique(charge[part != 0]).tolist())

@@ -3,13 +3,18 @@
 Each suite exercises one falsifiable claim about the machines (closed-form
 fidelities, noise-product saturation, factorization equivalence, and so on),
 measures the worst deviation it can find, and compares that against a
-tolerance.  The suites are plain functions returning SuiteResult so they can
-run under pytest, from the CLI, or interactively with identical semantics.
-Every machine the suites read, the (direct, factorized) pair at each
-GAMMA_GRID point included, is built and checked once per process and shared;
-no suite checks a machine again.  ``standard_suites`` reads each machine's
-clones once per amplitude, by ``clone_report``, and hands the same reports
-to every suite that reads those figures.
+tolerance.  The suites are plain functions of the machines or reports they
+read, returning SuiteResult, so they run under pytest, from the CLI, or
+interactively with identical semantics.
+
+Every machine the suites read is built and checked once per process, in one
+cache, ``_shared``: each asymmetric form as one ``build_cloners`` stack over
+GAMMA_GRID and the shared gammas off it, each SYM_CASES machine alone.
+``standard_suites`` is the one place that chooses what each suite reads.
+It reads the shared machines at each amplitude by ``clone_reports``, the
+asymmetric ones as one stack and each symmetric one alone, and the direct
+grid machines at xi = 1 as one stack, and hands the same reports to every
+suite that reads those figures.
 
 The oracle_agreement suite is the expensive one (truncated Fock evolution);
 it is opt-in from the CLI and covers only the 1->2 machine, which is the
@@ -20,20 +25,13 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import CloneReport, clone_output_state, clone_report, expected_fidelities
-from .circuits import (
-    AsymSpec,
-    ClonerSpec,
-    CloningMachine,
-    SymSpec,
-    asym_params,
-    build_cloner,
-)
+from .analysis import CloneReport, clone_output_state, clone_reports, expected_fidelities
+from .circuits import AsymSpec, CloningMachine, SymSpec, asym_params, build_cloner, build_cloners
 from .fock import (
     FockSpace,
     TruncationError,
@@ -48,6 +46,8 @@ SYM_CASES = ((1, 2), (2, 3), (3, 5), (2, 5), (4, 4), (1, 5))
 XI_PROBES = (0j, 1 + 0j, 2j, -1.5 + 0.5j, 3 - 2j)
 Q_PROBE = 0.7 - 0.2j  # the amplitude the shared machines' Q and phase suites read
 
+Machines = Sequence[CloningMachine]
+Pairs = Sequence[tuple[CloningMachine, CloningMachine]]  # (direct, factorized)
 Reports = Sequence[list[CloneReport]]  # one clone_report per machine
 
 
@@ -64,38 +64,38 @@ class SuiteResult:
 
 
 @functools.cache
-def _build(spec: ClonerSpec) -> CloningMachine:
-    # sharing is safe: a machine is frozen and its transform's arrays are read-only
-    return build_cloner(spec)
+def _shared() -> tuple[Pairs, Machines, Machines]:
+    """(grid, asym, sym): the (direct, factorized) machine at each GAMMA_GRID
+    point, both forms at each shared gamma, and the SYM_CASES machines.
+
+    Each asymmetric form is one stack over the grid and the shared gammas
+    not on it, so a shared machine on the grid is the grid's own.  Sharing
+    is safe: a machine is frozen and its transform's arrays are read-only.
+    """
+    shared = (-1.0, -0.5, 0.0, 0.3, 1.0)
+    gammas = [*GAMMA_GRID, *(g for g in shared if g not in GAMMA_GRID)]
+    built = {machine.spec: machine for f in (False, True)
+             for machine in build_cloners([AsymSpec(g, factorized=f) for g in gammas])}
+    grid = tuple((built[AsymSpec(g)], built[AsymSpec(g, factorized=True)]) for g in GAMMA_GRID)
+    asym = tuple(built[AsymSpec(g, factorized=f)] for g in shared for f in (False, True))
+    return grid, asym, tuple(build_cloner(SymSpec(n, m)) for n, m in SYM_CASES)
 
 
-@functools.cache
-def _machines() -> tuple[CloningMachine, ...]:
-    """The machines the per-machine suites share; the symmetric ones are SYM_CASES, in order."""
-    specs = [AsymSpec(g, factorized=f) for g in (-1.0, -0.5, 0.0, 0.3, 1.0)
-             for f in (False, True)]
-    specs += [SymSpec(n, m) for n, m in SYM_CASES]
-    return tuple(map(_build, specs))
+def _read(asym: Machines, sym: Machines, xi: complex) -> list[list[CloneReport]]:
+    """Each shared machine's reports at xi, the asymmetric ones read as one stack."""
+    return clone_reports(asym, xi) + [clone_reports([machine], xi)[0] for machine in sym]
 
 
-@functools.cache
-def _grid() -> tuple[tuple[CloningMachine, CloningMachine], ...]:
-    """The (direct, factorized) machine at each GAMMA_GRID point."""
-    return tuple((_build(AsymSpec(float(g))), _build(AsymSpec(float(g), factorized=True)))
-                 for g in GAMMA_GRID)
-
-
-def symplectic_invariants() -> SuiteResult:
+def symplectic_invariants(machines: Machines) -> SuiteResult:
     """Every constructed transform satisfies the Bogoliubov conditions."""
-    machines = [machine for pair in _grid() for machine in pair] + list(_machines())
     worst = worst_dev(machine.symplectic_dev for machine in machines)
     return SuiteResult("symplectic_invariants", worst, 1e-10)
 
 
-def factorization_equivalence() -> SuiteResult:
+def factorization_equivalence(grid: Pairs) -> SuiteResult:
     """BS/NOPA/BS assembly matches the closed-form machine elementwise."""
     devs = []
-    for direct, factorized in _grid():
+    for direct, factorized in grid:
         d, f = direct.transform, factorized.transform
         devs += [float(np.abs(d.A - f.A).max()), float(np.abs(d.B - f.B).max())]
     u0 = abs(asym_params(0.0).u)
@@ -131,17 +131,13 @@ def q_function_identity(reports: Reports) -> SuiteResult:
     return SuiteResult("q_function_identity", worst, 1e-10)
 
 
-def fidelity_invariance(at_one: Mapping[ClonerSpec, list[CloneReport]]) -> SuiteResult:
+def fidelity_invariance(per_xi: Sequence[Reports]) -> SuiteResult:
     """Fidelity does not depend on the input amplitude.
 
-    Reads every shared machine at each XI_PROBES amplitude; a machine whose
-    report at xi = 1 is in `at_one` (keyed by spec) is not read there again.
+    Reads, at each XI_PROBES amplitude, one report per machine in one order.
     """
     devs = []
-    for machine in _machines():
-        known = at_one.get(machine.spec)
-        reads = [known if xi == 1 and known is not None else clone_report(machine, xi)
-                 for xi in XI_PROBES]
+    for reads in zip(*per_xi, strict=True):  # one machine at every amplitude
         arr = np.asarray([[r.fidelity for r in reports] for reports in reads])
         devs += list(arr.max(axis=0) - arr.min(axis=0))
     return SuiteResult("fidelity_invariance", worst_dev(devs), 1e-10)
@@ -153,18 +149,18 @@ def phase_covariance(reports: Reports) -> SuiteResult:
     return SuiteResult("phase_covariance", worst, 1e-10)
 
 
-def uncertainty_preservation() -> SuiteResult:
+def uncertainty_preservation(machines: Machines) -> SuiteResult:
     """Output states of every machine remain physical Gaussian states."""
     worst = worst_dev(uncertainty_defect(clone_output_state(machine, 0.8 + 0.3j))
-                      for machine in _machines())
+                      for machine in machines)
     return SuiteResult("uncertainty_preservation", worst, 1e-10)
 
 
-def unit_signal_gain() -> SuiteResult:
+def unit_signal_gain(machines: Machines) -> SuiteResult:
     """Every clone keeps the input amplitude exactly."""
     xi = 1.1 - 0.6j
     devs = []
-    for machine in _machines():
+    for machine in machines:
         out = clone_output_state(machine, xi)
         devs += [abs(out.mode_amplitude(mode) - xi) for mode in machine.clone_modes]
     return SuiteResult("unit_signal_gain", worst_dev(devs), 1e-12)
@@ -221,25 +217,27 @@ def standard_suites(tol: float | None = None) -> list[SuiteResult]:
 
     A given tol replaces every suite's own tolerance; no suite's deviation
     depends on it.  The closed-form suites share the reports at xi = 1 of
-    the direct machine at each GAMMA_GRID point and of the SYM_CASES
-    machines; the Q and phase suites share those of every shared machine at
-    Q_PROBE.  fidelity_invariance reuses the reports at xi = 1 too, so each
-    (machine, xi) pair is read once.
+    the direct machine at each GAMMA_GRID point, read as one stack, and of
+    the SYM_CASES machines; fidelity_invariance reads every shared machine
+    at each XI_PROBES amplitude, 1 included, and the Q and phase suites
+    read them at Q_PROBE.
     """
-    grid = [direct for direct, _ in _grid()]
-    sym = [machine for machine in _machines() if isinstance(machine.spec, SymSpec)]
-    at_one = {machine.spec: clone_report(machine) for machine in grid + sym}
-    at_probe = [clone_report(machine, Q_PROBE) for machine in _machines()]
+    grid, asym, sym = _shared()
+    shared = asym + sym
+    per_xi = [_read(asym, sym, xi) for xi in XI_PROBES]
+    at_probe = _read(asym, sym, Q_PROBE)
+    on_grid = clone_reports([direct for direct, _ in grid])
+    at_one = on_grid + per_xi[XI_PROBES.index(1)][len(asym):]
     suites = [
-        symplectic_invariants(),
-        factorization_equivalence(),
-        fidelity_closed_forms(list(at_one.values())),
-        chaotic_photon_forms(list(at_one.values())),
-        noise_product_saturation([at_one[direct.spec] for direct in grid]),
+        symplectic_invariants([machine for pair in grid for machine in pair] + list(shared)),
+        factorization_equivalence(grid),
+        fidelity_closed_forms(at_one),
+        chaotic_photon_forms(at_one),
+        noise_product_saturation(on_grid),
         q_function_identity(at_probe),
-        fidelity_invariance(at_one),
+        fidelity_invariance(per_xi),
         phase_covariance(at_probe),
-        uncertainty_preservation(),
-        unit_signal_gain(),
+        uncertainty_preservation(shared),
+        unit_signal_gain(shared),
     ]
     return suites if tol is None else [replace(result, tolerance=tol) for result in suites]

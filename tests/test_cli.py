@@ -7,6 +7,7 @@ import math
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -225,6 +226,28 @@ def test_verify_oracle_prints_the_same_agreement_line(capsys, cutoff):
     assert f"oracle_agreement           {line}" in out.splitlines()
 
 
+# the ten fast-suite lines and the summary of plain `verify`, byte for byte: a
+# change in how the suites build or read their machines never changes them
+VERIFY_LINES = (
+    "symplectic_invariants      max_dev=1.110e-15  tol=1.0e-10  PASS",
+    "factorization_equivalence  max_dev=4.441e-16  tol=1.0e-09  PASS  "
+    "[u_at_gamma_zero=0.000e+00]",
+    "fidelity_closed_forms      max_dev=2.220e-16  tol=1.0e-10  PASS",
+    "chaotic_photon_forms       max_dev=1.332e-15  tol=1.0e-10  PASS",
+    "noise_product_saturation   max_dev=1.665e-16  tol=1.0e-12  PASS",
+    "q_function_identity        max_dev=1.110e-16  tol=1.0e-10  PASS",
+    "fidelity_invariance        max_dev=0.000e+00  tol=1.0e-10  PASS",
+    "phase_covariance           max_dev=0.000e+00  tol=1.0e-10  PASS",
+    "uncertainty_preservation   max_dev=2.000e-15  tol=1.0e-10  PASS",
+    "unit_signal_gain           max_dev=4.578e-16  tol=1.0e-12  PASS",
+    "10/10 suites passed",
+)
+
+
+def test_verify_prints_the_same_suite_lines(capsys):
+    assert run(capsys, ["verify"]) == (0, "".join(f"{line}\n" for line in VERIFY_LINES), "")
+
+
 def test_usage_errors_exit_two(capsys):
     for argv in (
         ["clone", "--asym"],                      # missing --gamma
@@ -440,22 +463,23 @@ def test_a_warm_verify_forms_the_quadrature_matrix_only_for_the_full_state(monke
     assert callers == ["clone_output_state"] * 32
 
 
-def test_a_cold_verify_checks_each_machine_once_and_reads_its_clones_once(monkeypatch, capsys):
+def test_a_cold_verify_checks_each_machine_once_and_reads_them_in_43_passes(monkeypatch, capsys):
     # 90 distinct specs: the direct and factorized machine at each of the 41
     # grid points, and the 8 shared machines that are not on the grid
-    caches = (verification._build, verification._machines, verification._grid)
-    for cache in caches:
-        cache.cache_clear()
-    calls = {"build": [], "check": 0, "report": 0}
+    verification._shared.cache_clear()
+    calls = {"build": [], "check": 0, "read": Counter()}
     _count_machines(monkeypatch, calls)
-    _count_calls(monkeypatch, analysis.clone_report, calls, "report")
+    _count_calls(monkeypatch, analysis.clone_reports, calls, "read",
+                 lambda machines, *xi: Counter(passes=1, machines=len(machines)))
     assert cli.cmd_verify(None, None) == 0
     capsys.readouterr()
     assert len(calls["build"]) == len(set(calls["build"])) == 90
     assert calls["check"] == 90
-    # 47 reports at xi = 1, 16 at the Q probe, and 16 x 5 for fidelity_invariance
-    # less the 10 machines (6 symmetric, 4 direct on the grid) read at xi = 1 already
-    assert calls["report"] == 133
+    # at each of the 5 XI_PROBES and the Q probe, one stack of the 10 shared
+    # asymmetric machines and each of the 6 symmetric ones alone; then one
+    # stack of the 41 direct grid machines at xi = 1, which holds the 4
+    # shared direct machines on the grid a second time
+    assert calls["read"] == Counter(passes=6 * (1 + 6) + 1, machines=6 * 16 + 41)
 
 
 @pytest.mark.parametrize("factorized", [False, True])
@@ -649,15 +673,12 @@ def test_verify_prints_a_refused_readout_as_an_error(monkeypatch, capsys):
         (a, b), (c, d) = last.block
         return (*gates, Passive(((a, b), (-c, -d)), last.p, last.q))
 
-    caches = (verification._build, verification._machines, verification._grid)
-    for cache in caches:
-        cache.cache_clear()
+    verification._shared.cache_clear()
     monkeypatch.setattr(circuits, "distribute_gates", negated)
     try:
         code, out, err = run(capsys, ["verify"])
     finally:
-        for cache in caches:  # no broken machine outlives the test
-            cache.cache_clear()
+        verification._shared.cache_clear()  # no broken machine outlives the test
     assert (code, out) == (1, "")
     assert err.startswith("error: clone_") and err.endswith(": non-unit gain\n")
     assert err.count("\n") == 1

@@ -12,7 +12,7 @@ from scipy.special import jv
 from scipy.sparse.linalg import expm_multiply
 
 import cvcloner.fock as fock
-from cvcloner.circuits import asym_direct
+from cvcloner.circuits import AsymSpec, asym_direct
 from cvcloner.verification import _oracle_dev, oracle_agreement
 from cvcloner.fock import (
     FockSpace,
@@ -353,8 +353,8 @@ def test_bessel_coefficients_match_scipy(rho):
 
 
 def test_bessel_coefficients_of_a_negligible_rho_are_the_identity():
-    assert fock._bessel_coefficients(0.0) == [1.0]
-    assert fock._bessel_coefficients(2.0 ** -54) == [1.0]
+    assert fock._bessel_coefficients(0.0) == (1.0,)
+    assert fock._bessel_coefficients(2.0 ** -54) == (1.0,)
     assert len(fock._bessel_coefficients(2.0 ** -52)) == 2
 
 
@@ -427,6 +427,24 @@ def test_a_block_refuses_mixed_registers_and_a_non_finite_gamma():
         apply_cloning_fock_block([(math.nan, coherent_fock(space, [0j, 0j, 0.3]))])
     with pytest.raises(ValueError, match="the cloner acts on 3 modes, got 2"):
         apply_cloning_fock_block([(0.0, coherent_fock(FockSpace(2, 6), [0j, 0.3]))])
+
+
+@pytest.mark.parametrize("gamma", [6.5, -6.5, 1000.0])
+def test_a_block_refuses_a_gamma_every_gaussian_path_refuses(gamma):
+    # past GAMMA_LIMIT the truncated box would still return a figure
+    state = coherent_fock(FockSpace(3, 4), [0j, 0j, 0.3])
+    with pytest.raises(ValueError, match=r"\|gamma\| > 6\.0 exceeds the supported range") as err:
+        apply_cloning_fock_block([(0.0, state), (gamma, state)])
+    with pytest.raises(ValueError) as spec_err:
+        AsymSpec(gamma)
+    assert str(err.value) == str(spec_err.value)
+
+
+@pytest.mark.parametrize("gamma", [6.0, -6.0])
+def test_a_block_takes_a_gamma_at_the_limit(gamma):
+    state = coherent_fock(FockSpace(3, 4), [0j, 0j, 0.3])
+    (out,) = apply_cloning_fock_block([(gamma, state)])
+    assert np.isfinite(out.amplitudes).all()
 
 
 @pytest.mark.parametrize("cutoff", range(1, 7))

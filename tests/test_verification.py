@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cvcloner import circuits, verification
@@ -12,12 +13,18 @@ from cvcloner.analysis import clone_report
 from cvcloner.circuits import AsymSpec
 
 
+def _machines():
+    _, asym, sym = verification._shared()
+    return asym + sym
+
+
 def _on_grid():
-    return [clone_report(direct) for direct, _ in verification._grid()]
+    grid, _, _ = verification._shared()
+    return [clone_report(direct) for direct, _ in grid]
 
 
 def _at_probe():
-    return [clone_report(m, verification.Q_PROBE) for m in verification._machines()]
+    return [clone_report(m, verification.Q_PROBE) for m in _machines()]
 
 
 # figure -> (the report field that carries it, the reports its suite reads)
@@ -39,45 +46,41 @@ def test_a_nan_deviation_fails_the_suite(monkeypatch, suite, figure):
         first, *rest = reports
         result = suite([[replace(first[0], **{field: math.nan}), *first[1:]], *rest])
     else:
-        assert suite().passed
+        machines = _machines()
+        assert suite(machines).passed
         monkeypatch.setattr(verification, figure, lambda *args, **kwargs: math.nan)
-        result = suite()
+        result = suite(machines)
     assert not result.passed
     assert result.max_dev == math.inf
 
 
 def test_suites_share_one_build_of_each_machine(monkeypatch):
     built = Counter()
-    real = verification.build_cloner
-
-    def counting(spec):
-        built[spec] += 1
-        return real(spec)
-
-    monkeypatch.setattr(verification, "build_cloner", counting)
-    # every cvcloner binding of either asymmetric form's maker, stacked or
-    # not, so no suite builds one aside
-    for fn in (circuits._asym_direct_rows, circuits._asym_gates):
-        def counting_form(*args, fn=fn):
-            built[fn.__name__] += 1
+    # every cvcloner binding of the stacked builder, counting each spec a
+    # call covers, and of either asymmetric form's maker, counting each
+    # register it covers, so no suite builds one aside
+    covers = {circuits.build_cloners: Counter,
+              circuits._asym_direct_rows: lambda gamma: Counter(_asym_direct_rows=np.size(gamma)),
+              circuits._asym_gates: lambda u, v, w: Counter(_asym_gates=np.size(u))}
+    for fn, covered in covers.items():
+        def counting(*args, fn=fn, covered=covered):
+            built.update(covered(*args))
             return fn(*args)
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "cvcloner" and getattr(module, fn.__name__, None) is fn:
-                monkeypatch.setattr(module, fn.__name__, counting_form)
-    caches = (verification._build, verification._machines, verification._grid)
-    for cache in caches:
-        cache.cache_clear()
+                monkeypatch.setattr(module, fn.__name__, counting)
+    verification._shared.cache_clear()
     try:
         first = verification.standard_suites()
         cold = built.copy()
         built.clear()
         assert verification.standard_suites() == first
-        shared = [machine.spec for machine in verification._machines()]
-        grid = [(d.spec, f.spec) for d, f in verification._grid()]
+        grid, asym, sym = verification._shared()
+        shared = [machine.spec for machine in asym + sym]
+        grid = [(d.spec, f.spec) for d, f in grid]
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        verification._shared.cache_clear()
     assert built == Counter()
     assert grid == [(AsymSpec(float(g)), AsymSpec(float(g), factorized=True))
                     for g in verification.GAMMA_GRID]
