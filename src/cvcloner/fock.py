@@ -16,10 +16,14 @@ Numerical core: each generator is i times a real antisymmetric matrix in the
 number basis, so every factor of C is a real orthogonal matrix.  Truncation
 therefore never breaks unitarity; it only leaks population into the top Fock
 levels, which is measured and gated rather than ignored.  C is never formed
-as a matrix: each factor acts on the state by a Chebyshev series in the
-sparse generator (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967), whose
-Bessel coefficients and length are fixed before the first product, from the
-generator's exact 1-norm, computed once beside the generator.
+as a matrix.  The clone-idler squeeze conserves n_clone - n_idler, so it
+splits the (clone, idler) register into 2c+1 tridiagonal chains of at most
+c+1 states, and it acts exactly, through one batched eigendecomposition of
+the chains per call, whatever chi is (`_squeeze`).  The gamma-independent
+factor acts by a Chebyshev series in its sparse generator (Tal-Ezer &
+Kosloff, J. Chem. Phys. 81 (1984) 3967), whose Bessel coefficients and
+length are fixed before the first product, from the generator's exact
+1-norm, computed once beside the generator.
 
 Each generator is written directly from basis-index arithmetic: the nonzeros
 of a_p^dag a_q (or a_p a_q) are sqrt(n_p + 1) sqrt(n_q) (or sqrt(n_p)
@@ -28,30 +32,34 @@ operators lifted by Kronecker products.  Because both factors are real, the
 real and imaginary parts of a state vector evolve as real vectors; a part
 that is all zeros is dropped, since its image is exactly zero.
 
-Both flows conserve the charge Q = n_clone + n_signal - n_idler: a beam
+Both factors conserve the charge Q = n_clone + n_signal - n_idler: a beam
 splitter keeps the photon sum of its pair and a NOPA the photon difference.
-So a vector evolves only on the box states of the Q sectors it occupies.
-The vectors that occupy the same sectors form one real block, and the flows
-are built for that block on those states alone, with their own 1-norms;
-every nonzero is checked to conserve Q as they are built.  The oracle's
-probes |0, 0, xi> occupy Q = 0 (xi = 0) or Q in [0, c] (xi != 0): at cutoff
-16 that is 153 or 3281 of the 4913 box states.  A vector that occupies every
-sector, such as a coherent state on all three modes, evolves over the whole
-box.
+The squeeze acts on whole box vectors, and a zero (chain, n_signal) slice,
+an unoccupied sector, stays exactly zero.  For the gamma-independent factor
+a vector needs only the box states of the Q sectors it occupies.  The
+vectors that occupy the same sectors form a group, whose flow is built on
+those states alone, and every nonzero is checked to conserve Q as it is
+built.  The groups' flows are stacked as one block diagonal, whose 1-norm is
+the largest of theirs, and one recurrence carries every group.  The
+oracle's probes |0, 0, xi> occupy Q = 0 (xi = 0) or Q in [0, c] (xi != 0):
+at cutoff 16 that is 153 and 3281 of the 4913 box states, so the recurrence
+runs over 3434 rows.  A vector that occupies every sector, such as a
+coherent state on all three modes, evolves over the whole box.
 
 scipy is imported in `_flow` alone, when the oracle builds a generator
-(`scipy.sparse.csr_matrix`).  So importing this module loads no scipy, and
-neither does any path that never runs the oracle (`clone`, `sweep`, plain
-`verify`).  Nothing here calls scipy's `expm_multiply`, but the benchmark's
-tracer looks it up as `cvcloner.fock.expm_multiply`; the module's
-`__getattr__` imports it only when asked for, so the name costs nothing at
-import.
+(`scipy.sparse.csr_matrix`); the chains need only `numpy.linalg.eigh`.  So
+importing this module loads no scipy, and neither does any path that never
+runs the oracle (`clone`, `sweep`, plain `verify`).  Nothing here calls
+scipy's `expm_multiply`, but the benchmark's tracer looks it up as
+`cvcloner.fock.expm_multiply`; the module's `__getattr__` imports it only
+when asked for, so the name costs nothing at import.
 
-Scope: the 3-mode register of the 1->2 cloner.  The sectors shrink what is
-evolved, not the register: the whole (cutoff+1)^3 box must still fit
-DIMENSION_BUDGET.  The N->M machines live in spaces of dimension
-(cutoff+1)^(N+M) and are out of reach here by design; the Gaussian
-invariants cover them.
+Scope: the 3-mode register of the 1->2 cloner, with the clone and idler as
+its two slowest modes, which the chains' reshape of a box vector needs.  The
+sectors shrink what the series evolves, not the register: the squeeze runs
+over the whole box, which must fit DIMENSION_BUDGET.  The N->M machines
+live in spaces of dimension (cutoff+1)^(N+M) and are out of reach here by
+design; the Gaussian invariants cover them.
 """
 
 from __future__ import annotations
@@ -174,11 +182,10 @@ def _pair_nonzeros(space: FockSpace, pair: tuple[int, int], squeeze: bool,
 
 
 # Wiring of the 1->2 cloner in this module: mode 0 = clone a, mode 1 = idler b,
-# mode 2 = signal c.  The gamma-dependent flow squeezes (0, 1); the
-# gamma-independent flow, the generator of exp(-i(U+V)), mixes (0, 2) and
-# squeezes (2, 1).  Each flow is a sum of (pair, squeeze) terms.
+# mode 2 = signal c.  The gamma-dependent factor squeezes (0, 1) and is applied
+# exactly on its chains (`_squeeze`).  The gamma-independent flow, the generator
+# of exp(-i(U+V)), mixes (0, 2) and squeezes (2, 1): a sum of (pair, squeeze) terms.
 _CLONE, _IDLER, _SIGNAL = 0, 1, 2
-_SQUEEZE_TERMS = (((_CLONE, _IDLER), True),)
 _FIXED_TERMS = (((_CLONE, _SIGNAL), False), ((_SIGNAL, _IDLER), True))
 
 
@@ -186,7 +193,7 @@ def _charge(space: FockSpace, index: np.ndarray) -> np.ndarray:
     """Q = n_clone + n_signal - n_idler of the box states at `index`.
 
     A beam splitter conserves the photon sum of its pair and a NOPA the photon
-    difference of its pair, so both flows of the cloner conserve Q.
+    difference of its pair, so both factors of the cloner conserve Q.
     """
     return (_occupation(space, index, _CLONE) + _occupation(space, index, _SIGNAL)
             - _occupation(space, index, _IDLER))
@@ -200,36 +207,89 @@ class _Flow(NamedTuple):
 
 
 def _flow(space: FockSpace, terms: Sequence[tuple[tuple[int, int], bool]],
-          basis: np.ndarray) -> _Flow:
-    """The sum over `terms` of K = H - H^T on the span of `basis`, with its 1-norm.
+          *bases: np.ndarray) -> _Flow:
+    """The sum over `terms` of K = H - H^T on the span of each basis, as one block diagonal.
 
-    `basis` holds the sorted box indices of a union of charge sectors.  Every
-    nonzero of H must join two states of equal charge, so that K maps the
-    span into itself; a term that breaks the law is refused, since its
-    amplitude would otherwise leave the span unseen.  No box-sized matrix is
-    formed.
+    Each basis holds the sorted box indices of a union of charge sectors, and
+    its states take the rows after those of the bases before it, so the
+    1-norm is the largest of the blocks' 1-norms.  Every nonzero of H must
+    join two states of equal charge, so that K maps each span into itself; a
+    term that breaks the law is refused, since its amplitude would otherwise
+    leave the span unseen.  No box-sized matrix is formed.
     """
     from scipy.sparse import csr_matrix  # the package's one scipy import; see the module docstring
 
-    rows, cols, values = (np.concatenate(parts) for parts in zip(
-        *(_pair_nonzeros(space, pair, squeeze, basis) for pair, squeeze in terms)))
-    if (_charge(space, rows) != _charge(space, cols)).any():
-        raise ValueError(f"the flow {terms} does not conserve Q = n_clone + n_signal - n_idler")
-    size = basis.size
-    half = csr_matrix((values, (np.searchsorted(basis, rows), np.searchsorted(basis, cols))),
-                      shape=(size, size))
+    blocks, offset = [], 0
+    for basis in bases:
+        rows, cols, values = (np.concatenate(parts) for parts in zip(
+            *(_pair_nonzeros(space, pair, squeeze, basis) for pair, squeeze in terms)))
+        if (_charge(space, rows) != _charge(space, cols)).any():
+            raise ValueError(
+                f"the flow {terms} does not conserve Q = n_clone + n_signal - n_idler")
+        blocks.append((values, offset + np.searchsorted(basis, rows),
+                       offset + np.searchsorted(basis, cols)))
+        offset += basis.size
+    values, rows, cols = (np.concatenate(parts) for parts in zip(*blocks))
+    half = csr_matrix((values, (rows, cols)), shape=(offset, offset))
     matrix = (half - half.T).tocsr()
     return _Flow(matrix, float(abs(matrix).sum(axis=0).max()))
 
 
-def _cloner_flows(space: FockSpace, basis: np.ndarray) -> tuple[_Flow, _Flow]:
-    """The clone-idler squeeze and the gamma-independent flow on the span of `basis`.
+def _cloner_flows(space: FockSpace, *bases: np.ndarray) -> _Flow:
+    """The gamma-independent flow on the span of each basis, as one block diagonal.
 
-    Each block of probes builds its own pair, over the charge sectors it
-    occupies; a verify --oracle ladder runs each rung once, so nothing is
-    kept between calls.
+    A rung builds it once, with one basis per group of probes, so that one
+    recurrence carries every group; nothing is kept between calls.  The
+    clone-idler squeeze has no flow: `_squeeze` applies it exactly.
     """
-    return _flow(space, _SQUEEZE_TERMS, basis), _flow(space, _FIXED_TERMS, basis)
+    return _flow(space, _FIXED_TERMS, *bases)
+
+
+def _squeeze(space: FockSpace, block: np.ndarray, chis: Sequence[float]) -> np.ndarray:
+    """exp(chi_j K) of the clone-idler squeeze applied to column j of a real (dim, k) block.
+
+    H = a_clone a_idler conserves d = n_clone - n_idler, so K = H - H^T splits
+    the (clone, idler) register into 2c+1 chains, (n_clone, n_idler) =
+    (max(d, 0) + j, max(-d, 0) + j) for j = 0..c-|d|, on which K is real
+    tridiagonal with K[j-1, j] = -K[j, j-1] = h_j = sqrt(j (|d| + j)).  With
+    D = diag(i^j), D^-1 K D = iJ for the real symmetric tridiagonal J with the
+    same h_j, so if J = W diag(lambda) W^T and V = DW, then
+    exp(chi K) = I + Re(V diag(e^(i chi lambda) - 1) V^H).  Every chain is
+    padded to c+1 states; a padded state is isolated, with lambda = 0, and
+    reads a row of zeros.  Chains d and -d share J, so one batched eigh of
+    c+1 matrices, computed here, serves every chain and every chi, at a cost
+    that does not grow with chi.
+
+    The block is read as a ((c+1)^2, (c+1) k) matrix, rows (n_clone, n_idler)
+    and columns (n_signal, column), which needs the clone and idler to be the
+    two slowest modes; each distinct chi acts once, on its own columns.  A chi
+    of 0 is exactly the identity, and a (d, n_signal) slice that is zero (an
+    unoccupied sector Q = d + n_signal) stays exactly zero.
+    """
+    levels = space.levels
+    j = np.arange(levels)
+    d = np.arange(-space.cutoff, levels)[:, None]
+    on_chain = j < levels - np.abs(d)
+    rows = np.where(on_chain, (j + np.maximum(d, 0)) * levels + j + np.maximum(-d, 0),
+                    levels ** 2)
+    gap = j[:, None]  # |d|, one padded J per value
+    hops = np.where(j[1:] < levels - gap, np.sqrt(j[1:] * (gap + j[1:])), 0.0)
+    jacobi = np.zeros((levels, levels, levels))
+    jacobi[:, j[1:], j[:-1]] = jacobi[:, j[:-1], j[1:]] = hops
+    lam, w = np.linalg.eigh(jacobi)
+    v = np.array([1, 1j, -1, -1j])[j % 4, None] * w  # DW, with i^j exact
+    vh = v.conj().swapaxes(1, 2)
+    chis = np.asarray(chis, dtype=float)
+    out = np.empty_like(block)
+    for chi in np.unique(chis):
+        cols = np.flatnonzero(chis == chi)
+        part = block[:, cols].reshape(levels ** 2, -1)
+        chains = np.vstack([part, np.zeros((1, part.shape[1]))])[rows]
+        step = ((v * np.expm1(1j * chi * lam)[:, None, :]) @ vh).real  # exp(chi K) - I per |d|
+        chains += step[np.abs(d[:, 0])] @ chains
+        part[rows[on_chain]] = chains[on_chain]
+        out[:, cols] = part.reshape(space.dim, -1)
+    return out
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -242,8 +302,7 @@ def _bessel_coefficients(rho: float) -> tuple[float, ...]:
     Miller's backward recurrence J_{k-1} = (2k/rho) J_k - J_{k+1}, from past the order where
     (rho/2)^k / k!, a bound on |J_k|, is below 1e-40, scaled down near overflow and normalized
     by J_0 + 2 sum_k J_2k = 1 (DLMF 3.6, 10.12.4).  Up to rho = u/2, J_0 rounds to 1.
-    Memoized: both groups' squeeze flows of a rung share one norm, and a ladder
-    run again reads the same rho.
+    Memoized: a ladder run again reads the same rho.
     """
     if rho <= _UNIT_ROUNDOFF / 2:
         return (1.0,)
@@ -266,38 +325,28 @@ def _bessel_coefficients(rho: float) -> tuple[float, ...]:
     return tuple(j[:n + 1])
 
 
-def _propagate(flow: _Flow, block: np.ndarray, times: np.ndarray | float) -> np.ndarray:
-    """exp(t_j K) applied to column j of a real (dim, k) block, all columns at once.
+def _propagate(flow: _Flow, block: np.ndarray) -> np.ndarray:
+    """exp(K) applied to every column of a real (dim, k) block at once.
 
     A Chebyshev series (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967).
     K is real antisymmetric with spectrum in +-i ||K||_2 <= +-i `flow.one_norm`,
     so with A = K / ||K||_1, w_0 = v, w_1 = A v and w_{k+1} = 2 A w_k + w_{k-1},
-    each w_k is real with ||w_k||_2 <= ||v||_2, and exp(tK) v =
-    J_0(rho) w_0 + 2 sum_k J_k(rho) w_k, rho = t ||K||_1: the series is cut
-    before its first product where the largest |rho|'s dropped tail is <= u/2.
-    The columns share one recurrence; column j's time enters only its
-    coefficients, a negative one by J_k(-rho) = (-1)^k J_k(rho).  A scalar
-    `times` gives scalar coefficients; per-column ones multiply each term as
-    a diagonal matrix, cheaper than a broadcast over the short axis.
+    each w_k is real with ||w_k||_2 <= ||v||_2, and exp(K) v =
+    J_0(rho) w_0 + 2 sum_k J_k(rho) w_k, rho = ||K||_1: the series is cut
+    before its first product where the dropped tail is <= u/2.  The columns
+    share the recurrence and its scalar coefficients.  exp(tK) is the flow
+    of tK, whose 1-norm is |t| ||K||_1.
     """
-    ts = np.atleast_1d(np.asarray(times, dtype=float)).tolist()
-    series = {abs(t): _bessel_coefficients(abs(t) * flow.one_norm) for t in ts}
-    coeffs = np.zeros((max(map(len, series.values())), len(ts)))
-    for col, t in enumerate(ts):
-        coeffs[:len(series[abs(t)]), col] = series[abs(t)]
-    coeffs[1:] *= 2.0
-    coeffs[1::2] *= np.sign(ts)
-    term = np.multiply if np.ndim(times) == 0 else np.matmul
-    coeffs = coeffs[:, 0] if term is np.multiply else coeffs[:, :, None] * np.eye(len(ts))
-    out = term(block, coeffs[0])
+    coeffs = _bessel_coefficients(flow.one_norm)
+    out = coeffs[0] * block
     if len(coeffs) > 1:
         double = flow.matrix * (2.0 / flow.one_norm)  # 2A
         prev, cur = block, 0.5 * (double @ block)
-        out += term(cur, coeffs[1])
+        out += (2.0 * coeffs[1]) * cur
         for c in coeffs[2:]:
             nxt = double @ cur
             nxt += prev
-            out += term(nxt, c)
+            out += (2.0 * c) * nxt
             prev, cur = cur, nxt
     return out
 
@@ -307,14 +356,17 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
 
     Both factors are real orthogonal, so the real and imaginary parts of
     every probe are real columns; a part that is all zeros is dropped and
-    stays exactly zero.  Both factors conserve the charge Q (see `_charge`),
-    so a column evolves only on the box states of the Q sectors it occupies.
-    Columns that occupy the same sectors form one block, which crosses the
-    clone-idler squeeze with chi = gamma + ln(2)/2 per column, then the
-    gamma-independent factor, over flows built on those sectors alone.  A
-    column that occupies every sector evolves over the whole box.  An empty
-    list of probes is refused, and so is a gamma that ``AsymSpec`` refuses:
-    one that is not real and finite or has |gamma| > ``circuits.GAMMA_LIMIT``.
+    stays exactly zero.  The columns first cross the clone-idler squeeze,
+    chi = gamma + ln(2)/2 per column, exactly on its chains over the box
+    (`_squeeze`).  Both factors conserve the charge Q (see `_charge`), so for
+    the gamma-independent factor a column needs only the box states of the Q
+    sectors it occupies.  Columns that occupy the same sectors form a group;
+    the groups' flows, each built on its sectors alone, are stacked as one
+    block diagonal, and one recurrence carries every group, with group g's
+    columns in slots 0..k_g-1 of its own rows.  A column that occupies every
+    sector evolves over the whole box.  An empty list of probes is refused,
+    and so is a gamma that ``AsymSpec`` refuses: one that is not real and
+    finite or has |gamma| > ``circuits.GAMMA_LIMIT``.
     """
     if not probes:
         raise ValueError("apply_cloning_fock_block needs at least one probe")
@@ -322,8 +374,10 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
     if space.n_modes != 3:
         raise ValueError(f"the cloner acts on 3 modes, got {space.n_modes}")
     charge = _charge(space, np.arange(space.dim))
-    # occupied sectors -> the (probe, imag, chi, part) of each column that occupies them
-    groups: dict[tuple[int, ...], list[tuple[int, int, float, np.ndarray]]] = {}
+    columns: list[tuple[int, int]] = []  # the (probe, imag) of each real column
+    parts: list[np.ndarray] = []
+    chis: list[float] = []
+    groups: dict[tuple[int, ...], list[int]] = {}  # occupied sectors -> the columns in them
     for i, (gamma, state) in enumerate(probes):
         if state.space != space:
             raise ValueError(f"every probe needs the register {space}, got {state.space}")
@@ -331,17 +385,24 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
         for imag, part in enumerate((state.amplitudes.real, state.amplitudes.imag)):
             if part.any():
                 sectors = tuple(np.unique(charge[part != 0]).tolist())
-                groups.setdefault(sectors, []).append((i, imag, chi, part))
+                groups.setdefault(sectors, []).append(len(columns))
+                columns.append((i, imag))
+                parts.append(part)
+                chis.append(chi)
     amps = [np.zeros(space.dim, dtype=complex) for _ in probes]
-    for sectors, columns in groups.items():
-        basis = np.flatnonzero(np.isin(charge, sectors))
-        squeeze, fixed = _cloner_flows(space, basis)
-        block = np.stack([part[basis] for *_, part in columns], axis=1)
-        block = _propagate(squeeze, block, np.array([chi for _, _, chi, _ in columns]))
-        block = _propagate(fixed, block, 1.0)
-        for (i, imag, _, _), column in zip(columns, block.T, strict=True):
-            out = amps[i].imag if imag else amps[i].real
-            out[basis] = column
+    if columns:
+        squeezed = _squeeze(space, np.stack(parts, axis=1), chis)
+        bases = [np.flatnonzero(np.isin(charge, sectors)) for sectors in groups]
+        starts = np.cumsum([0] + [basis.size for basis in bases]).tolist()
+        block = np.zeros((starts[-1], max(map(len, groups.values()))))
+        for start, basis, cols in zip(starts, bases, groups.values()):
+            block[start:start + basis.size, :len(cols)] = squeezed[np.ix_(basis, cols)]
+        block = _propagate(_cloner_flows(space, *bases), block)
+        for start, basis, cols in zip(starts, bases, groups.values()):
+            for slot, col in enumerate(cols):
+                i, imag = columns[col]
+                out = amps[i].imag if imag else amps[i].real
+                out[basis] = block[start:start + basis.size, slot]
     return [FockState(space, vec, copy=False) for vec in amps]
 
 

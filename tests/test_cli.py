@@ -8,6 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -386,8 +387,10 @@ def test_verify_reports_a_truncated_oracle_as_failed(capsys):
 
 def _count_calls(monkeypatch, fn, calls, key, covered=lambda *args: 1):
     """Route every cvcloner module's binding of fn through a counter that
-    adds what each call covers: 1 by default, else covered(*args)."""
+    adds what each call covers: 1 by default, else covered(*args).  An
+    iterator argument is read once, into a list that both calls are given."""
     def counting(*args, **kwargs):
+        args = [list(arg) if isinstance(arg, Iterator) else arg for arg in args]
         calls[key] += covered(*args)
         return fn(*args, **kwargs)
 
@@ -418,6 +421,15 @@ def test_each_machine_is_built_and_checked_once(monkeypatch, capsys):
         code, _, _ = run(capsys, argv)
         assert code == 0
         assert calls == {"build": specs, "check": len(specs)}, argv
+
+
+def test_a_counted_build_given_a_generator_still_builds_every_spec(monkeypatch):
+    calls = {"build": [], "check": 0}
+    _count_machines(monkeypatch, calls)
+    specs = [AsymSpec(g) for g in (-0.5, 0.3, 1.0)]
+    machines = circuits.build_cloners(spec for spec in specs)
+    assert [machine.spec for machine in machines] == specs
+    assert calls == {"build": specs, "check": 3}
 
 
 def test_a_warm_verify_checks_only_the_full_state_routes(monkeypatch, capsys):

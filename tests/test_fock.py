@@ -1,4 +1,4 @@
-"""Truncated Fock oracle: generators, Chebyshev propagation, fidelity cross-checks."""
+"""Truncated Fock oracle: generators, chain squeeze, Chebyshev series, fidelity cross-checks."""
 
 import decimal
 import math
@@ -12,7 +12,7 @@ from scipy.special import jv
 from scipy.sparse.linalg import expm_multiply
 
 import cvcloner.fock as fock
-from cvcloner.circuits import AsymSpec, asym_direct
+from cvcloner.circuits import GAMMA_LIMIT, AsymSpec, asym_direct
 from cvcloner.verification import _oracle_dev, oracle_agreement
 from cvcloner.fock import (
     FockSpace,
@@ -34,6 +34,21 @@ def test_space_enforces_budget_and_cutoff():
     with pytest.raises(ValueError):
         FockSpace(0, 5)
     assert FockSpace(3, 14).dim == 15 ** 3
+
+
+# the clone-idler squeeze as a flow, which the oracle itself never builds
+SQUEEZE_TERMS = (((fock._CLONE, fock._IDLER), True),)
+
+
+def _box_flows(space):
+    """The clone-idler squeeze flow and the fixed flow, each over the whole box."""
+    box = np.arange(space.dim)
+    return fock._flow(space, SQUEEZE_TERMS, box), fock._cloner_flows(space, box)
+
+
+def _scaled(flow, t):
+    """The flow of tK, whose 1-norm is |t| times that of K."""
+    return fock._Flow(t * flow.matrix, abs(t) * flow.one_norm)
 
 
 def _box_flow(space, pair, squeeze):
@@ -217,12 +232,45 @@ def test_oracle_builds_one_set_of_flows_per_rung(monkeypatch):
     monkeypatch.setattr(fock, "_pair_nonzeros", counting)
     result = oracle_agreement(cutoffs=(10, 12))
     assert result.passed
-    # per rung, three generators (clone-idler squeeze, mix, signal-idler squeeze)
-    # for each group: the vacuum probes on Q = 0, the xi = 0.3 probes on Q in [0, c]
+    # per rung, two generators (mix, signal-idler squeeze) for each group: the
+    # vacuum probes on Q = 0, the xi = 0.3 probes on Q in [0, c]; the
+    # clone-idler squeeze is applied on its chains and builds no generator
     want = []
     for c in (10, 12):
-        want += [(c, _sector_size(c, [0]))] * 3 + [(c, _sector_size(c, range(c + 1)))] * 3
+        want += [(c, _sector_size(c, [0]))] * 2 + [(c, _sector_size(c, range(c + 1)))] * 2
     assert calls == want
+
+
+class _CountedMatrix:
+    """A sparse matrix that records the shape of every block it multiplies."""
+
+    def __init__(self, matrix, products):
+        self.matrix, self.products = matrix, products
+
+    def __mul__(self, scalar):
+        return _CountedMatrix(self.matrix * scalar, self.products)
+
+    def __matmul__(self, block):
+        self.products.append(block.shape)
+        return self.matrix @ block
+
+
+def test_a_rung_makes_one_recurrence_of_at_most_110_products(monkeypatch):
+    calls, products = [], []
+    real = fock._propagate
+
+    def counting(flow, block):
+        calls.append(block.shape)
+        return real(fock._Flow(_CountedMatrix(flow.matrix, products), flow.one_norm), block)
+
+    monkeypatch.setattr(fock, "_propagate", counting)
+    assert math.isfinite(_oracle_dev(16))
+    # one call over both groups' rows, with the three real columns of each
+    # group (one per gamma) side by side; the design with a squeeze flow made
+    # 307 sparse products per rung here, in four recurrences
+    assert calls == [(_sector_size(16, [0]) + _sector_size(16, range(17)), 3)]
+    assert set(products) == set(calls)
+    assert len(products) <= 110
 
 
 def test_real_input_evolves_to_exactly_real_amplitudes():
@@ -299,9 +347,9 @@ def test_propagator_matches_expm_multiply(cutoff, gamma):
     space = FockSpace(3, cutoff)
     amps = coherent_fock(space, [0.1 - 0.05j, 0j, 0.3 + 0.2j]).amplitudes
     block = np.stack([amps.real, amps.imag], axis=1)
-    squeeze, fixed = fock._cloner_flows(space, np.arange(space.dim))
+    squeeze, fixed = _box_flows(space)
     for flow, t in ((squeeze, _chi(gamma)), (fixed, 1.0)):
-        got = fock._propagate(flow, block, np.full(2, t)).T
+        got = fock._propagate(_scaled(flow, t), block).T
         want = expm_multiply(t * flow.matrix, amps, traceA=0.0)
         assert np.abs(got[0] + 1j * got[1] - want).max() <= 1e-13
 
@@ -311,10 +359,77 @@ def test_propagator_backward_undoes_forward(t):
     space = FockSpace(3, 12)
     block = np.stack([coherent_fock(space, [0j, 0j, 0.3 + 0j]).amplitudes.real,
                       coherent_fock(space, [0.2 + 0j, 0j, 0.4 + 0j]).amplitudes.real], axis=1)
-    for flow in fock._cloner_flows(space, np.arange(space.dim)):
-        there = fock._propagate(flow, block, np.full(2, t))
-        back = fock._propagate(flow, there, np.full(2, -t))
+    for flow in _box_flows(space):
+        there = fock._propagate(_scaled(flow, t), block)
+        back = fock._propagate(_scaled(flow, -t), there)
         assert np.abs(back - block).max() <= 1e-13
+
+
+def _signal_vacuum_columns(space):
+    """Box indices of the (clone, idler) states with no signal photon, in box order."""
+    return np.flatnonzero(np.arange(space.dim) % space.levels == 0)
+
+
+CHAIN_CHIS = [_chi(-GAMMA_LIMIT), _chi(-0.5), _chi(0.0), _chi(0.5), 2.0, _chi(GAMMA_LIMIT)]
+
+
+@pytest.mark.parametrize("cutoff", range(1, 7))
+def test_the_chain_squeeze_equals_the_dense_exponential(cutoff):
+    space = FockSpace(3, cutoff)
+    a, b, _ = _kron_ladders(3, cutoff)  # clone, idler, signal
+    for gamma in (-0.5, 0.0, 0.5):
+        chi = _chi(gamma)
+        got = fock._squeeze(space, np.eye(space.dim), np.full(space.dim, chi))
+        assert np.abs(got - expm(chi * (a @ b - a.T @ b.T))).max() <= 1e-13
+
+
+@pytest.mark.parametrize("cutoff", [1, 4, 6, 11, 16])
+def test_the_chain_squeeze_is_orthogonal_and_its_inverse_is_minus_chi(cutoff):
+    # E(chi) on the (clone, idler) register: the columns with no signal photon
+    space = FockSpace(3, cutoff)
+    cols = _signal_vacuum_columns(space)
+    probe = np.zeros((space.dim, cols.size))
+    probe[cols, np.arange(cols.size)] = 1.0
+    for chi in CHAIN_CHIS:
+        there, back = (fock._squeeze(space, probe, np.full(cols.size, t)) for t in (chi, -chi))
+        assert (np.delete(there, cols, axis=0) == 0).all()
+        there, back = there[cols], back[cols]
+        assert np.abs(there @ back - np.eye(cols.size)).max() <= 32 * 2.0 ** -52
+        assert np.abs(there @ there.T - np.eye(cols.size)).max() <= 32 * 2.0 ** -52
+
+
+def test_the_chain_squeeze_at_chi_zero_is_exactly_the_identity():
+    space = FockSpace(3, 9)
+    block = np.random.default_rng(9).standard_normal((space.dim, 3))
+    assert np.array_equal(fock._squeeze(space, block, np.zeros(3)), block)
+    assert np.array_equal(fock._squeeze(space, np.eye(space.dim), np.zeros(space.dim)),
+                          np.eye(space.dim))
+
+
+@pytest.mark.parametrize("cutoff", [6, 11, 16])
+def test_the_chain_squeeze_matches_the_propagator_on_the_box_flow(cutoff):
+    space = FockSpace(3, cutoff)
+    flow = fock._flow(space, SQUEEZE_TERMS, np.arange(space.dim))
+    block = np.random.default_rng(cutoff).standard_normal((space.dim, len(CHAIN_CHIS)))
+    block /= np.linalg.norm(block, axis=0)
+    # every column with its own chi, in one call
+    got = fock._squeeze(space, block, CHAIN_CHIS)
+    for j, chi in enumerate(CHAIN_CHIS):
+        want = fock._propagate(_scaled(flow, chi), block[:, [j]])
+        assert np.abs(got[:, [j]] - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [1, 6, 16])
+def test_a_vacuum_clone_and_idler_stay_on_the_d_zero_chain(cutoff):
+    # a_clone a_idler keeps n_clone - n_idler, so from |0, 0> every amplitude
+    # off n_clone = n_idler is exactly zero
+    space = FockSpace(3, cutoff)
+    clone, idler, _ = np.unravel_index(np.arange(space.dim), (space.levels,) * 3)
+    block = np.column_stack([coherent_fock(space, [0j, 0j, xi]).amplitudes.real
+                             for xi in (0.0, 0.3, 1.1)])
+    out = fock._squeeze(space, block, [_chi(0.5), _chi(GAMMA_LIMIT), _chi(-0.5)])
+    assert (out[clone != idler] == 0).all()
+    assert (np.abs(out[clone == idler]).max(axis=0) > 0).all()
 
 
 def _bessel_j(k, x):
@@ -372,25 +487,10 @@ def test_the_one_norm_bounds_the_spectrum_of_each_flow(cutoff):
     space = FockSpace(3, cutoff)
     charge = fock._charge(space, np.arange(space.dim))
     for basis in (np.arange(space.dim), np.flatnonzero(charge == 0)):
-        for flow in fock._cloner_flows(space, basis):
+        for flow in (fock._flow(space, SQUEEZE_TERMS, basis), fock._cloner_flows(space, basis)):
             eigenvalues = np.linalg.eigvals(flow.matrix.toarray())
             assert np.abs(eigenvalues.real).max() <= 1e-12
             assert np.abs(eigenvalues).max() <= flow.one_norm
-
-
-@pytest.mark.parametrize("cutoff", [6, 11, 16])
-def test_mixed_sign_times_equal_one_call_per_column(cutoff):
-    space = FockSpace(3, cutoff)
-    rng = np.random.default_rng(cutoff)
-    block = np.column_stack([coherent_fock(space, [0j, 0j, xi]).amplitudes.real
-                             for xi in (0.0, 0.3, 0.5)] + [rng.standard_normal(space.dim)])
-    block /= np.linalg.norm(block, axis=0)
-    times = np.array([0.2, -0.4, 0.9, -0.35])
-    for flow in fock._cloner_flows(space, np.arange(space.dim)):
-        got = fock._propagate(flow, block, times)
-        for j, t in enumerate(times):
-            alone = fock._propagate(flow, block[:, [j]], times[[j]])
-            assert np.abs(got[:, [j]] - alone).max() <= 1e-15
 
 
 def test_a_block_equals_one_call_per_probe():
@@ -451,7 +551,7 @@ def test_a_block_takes_a_gamma_at_the_limit(gamma):
 def test_box_flows_equal_the_kron_built_generators(cutoff):
     space = FockSpace(3, cutoff)
     a, b, c = _kron_ladders(3, cutoff)  # clone, idler, signal
-    squeeze, fixed = fock._cloner_flows(space, np.arange(space.dim))
+    squeeze, fixed = _box_flows(space)
     assert (squeeze.matrix.toarray() == a @ b - a.T @ b.T).all()
     assert (fixed.matrix.toarray() == (a.T @ c - c.T @ a) + (c @ b - c.T @ b.T)).all()
     for flow in (squeeze, fixed):
@@ -464,24 +564,30 @@ def test_both_flows_conserve_the_charge(cutoff):
     clone, idler, signal = np.unravel_index(np.arange(space.dim), (cutoff + 1,) * 3)
     charge = clone + signal - idler
     assert (fock._charge(space, np.arange(space.dim)) == charge).all()
-    for flow in fock._cloner_flows(space, np.arange(space.dim)):
+    for flow in _box_flows(space):
         nonzeros = flow.matrix.tocoo()
         assert nonzeros.nnz > 0
         assert (charge[nonzeros.row] == charge[nonzeros.col]).all()
 
 
 def test_sector_norms_of_the_oracle_register():
-    # the xi = 0.3 probes occupy Q in [0, c], whose flows have the box's norms;
-    # the vacuum occupies Q = 0, whose fixed flow is smaller
+    # the xi = 0.3 probes occupy Q in [0, c], whose fixed flow has the box's
+    # norm; the vacuum occupies Q = 0, whose fixed flow is smaller.  Both
+    # groups' flows stacked as one block diagonal take the larger norm.
     space = FockSpace(3, 16)
     charge = fock._charge(space, np.arange(space.dim))
+    signal_basis = np.flatnonzero((charge >= 0) & (charge <= 16))
+    vacuum_basis = np.flatnonzero(charge == 0)
     box = fock._cloner_flows(space, np.arange(space.dim))
-    signal = fock._cloner_flows(space, np.flatnonzero((charge >= 0) & (charge <= 16)))
-    vacuum = fock._cloner_flows(space, np.flatnonzero(charge == 0))
-    assert [f.one_norm for f in signal] == [f.one_norm for f in box]
-    assert [round(f.one_norm, 1) for f in box] == [31.0, 62.0]
-    assert [round(f.one_norm, 1) for f in vacuum] == [31.0, 41.0]
-    assert [f.matrix.shape[0] for f in (box[0], signal[0], vacuum[0])] == [4913, 3281, 153]
+    signal = fock._cloner_flows(space, signal_basis)
+    vacuum = fock._cloner_flows(space, vacuum_basis)
+    both = fock._cloner_flows(space, vacuum_basis, signal_basis)
+    assert signal.one_norm == box.one_norm == both.one_norm
+    assert [round(f.one_norm, 1) for f in (box, vacuum)] == [62.0, 41.0]
+    assert [f.matrix.shape[0] for f in (box, signal, vacuum, both)] == [4913, 3281, 153, 3434]
+    assert (both.matrix[:153, :153] != vacuum.matrix).nnz == 0
+    assert (both.matrix[153:, 153:] != signal.matrix).nnz == 0
+    assert both.matrix[:153, 153:].nnz == both.matrix[153:, :153].nnz == 0
 
 
 @pytest.mark.parametrize("amplitudes", [[0j, 0j, 0j], [0j, 0j, 0.3 + 0j],
@@ -489,7 +595,8 @@ def test_sector_norms_of_the_oracle_register():
 def test_a_flow_that_breaks_the_charge_is_refused(monkeypatch, amplitudes):
     # the clone-idler pair built as a mix moves a photon from the idler to the
     # clone, so Q changes by 2; even a probe on the whole box is refused
-    monkeypatch.setattr(fock, "_SQUEEZE_TERMS", (((fock._CLONE, fock._IDLER), False),))
+    monkeypatch.setattr(fock, "_FIXED_TERMS",
+                        fock._FIXED_TERMS + (((fock._CLONE, fock._IDLER), False),))
     space = FockSpace(3, 8)
     with pytest.raises(ValueError, match="does not conserve Q"):
         apply_cloning_fock_block([(0.2, coherent_fock(space, amplitudes))])
@@ -507,11 +614,10 @@ def _reference_probes(space):
 
 def _box_reference(gamma, state):
     """One probe evolved over the whole box, its two parts as one block."""
-    space = state.space
-    squeeze, fixed = fock._cloner_flows(space, np.arange(space.dim))
+    squeeze, fixed = _box_flows(state.space)
     block = np.stack([state.amplitudes.real, state.amplitudes.imag], axis=1)
-    block = fock._propagate(squeeze, block, np.full(2, _chi(gamma)))
-    block = fock._propagate(fixed, block, np.ones(2))
+    block = fock._propagate(_scaled(squeeze, _chi(gamma)), block)
+    block = fock._propagate(fixed, block)
     return block[:, 0] + 1j * block[:, 1]
 
 
@@ -536,15 +642,6 @@ def test_a_mixed_block_equals_the_box_propagation(cutoff):
     outs = apply_cloning_fock_block(probes)
     for (gamma, state), out in zip(probes, outs, strict=True):
         assert np.abs(out.amplitudes - _box_reference(gamma, state)).max() <= 1e-14
-
-
-def test_a_scalar_time_steps_as_a_vector_of_it():
-    space = FockSpace(3, 10)
-    block = np.stack([coherent_fock(space, [0j, 0j, xi]).amplitudes.real for xi in (0.0, 0.3)],
-                     axis=1)
-    for flow in fock._cloner_flows(space, np.arange(space.dim)):
-        assert np.array_equal(fock._propagate(flow, block, 1.0),
-                              fock._propagate(flow, block, np.ones(2)))
 
 
 def test_a_state_keeps_its_own_copy_of_the_callers_array():
