@@ -236,6 +236,10 @@ def _physics_violations(symplectic_dev: float, reports: list[CloneReport], tol: 
 # of a row in a top-level list on its own line, at the depth indent=2 gives it
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
                                 separators=(",\n      ", ": "))
+_ROW_BOUNDARY = "\n    },\n    {\n      "  # between two rows, as indent=2 writes it
+# rows per encoder call: a long table's text is made a slice at a time, and
+# a table this short or shorter (every clone table, a 41-point sweep) in one call
+JSON_ROWS = 256
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
@@ -249,44 +253,53 @@ def _flat_rows(value: object) -> bool:
             and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, value)))))
 
 
-def _json(document: dict) -> str:
-    """The bytes of json.dumps(document, sort_keys=True, indent=2,
-    allow_nan=False) plus a newline, for a non-empty dict with string keys.
+def _json(document: dict) -> list[str]:
+    """The text of json.dumps(document, sort_keys=True, indent=2,
+    allow_nan=False) plus a newline, for a non-empty dict with string keys,
+    as pieces to write in order.
 
-    A list of flat rows (the clones, the sweep rows) is encoded in one C
-    encoder call and re-indented by rewriting its row boundaries.  That is
-    exact because a JSON string never holds a raw newline, so every newline
-    the encoder writes is a separator.  allow_nan=False: a non-finite figure
-    is an error, never a bare NaN token.
+    A list of flat rows (the clones, the sweep rows) is encoded by the C
+    encoder, JSON_ROWS rows a call, and re-indented by rewriting its row
+    boundaries.  That is exact because a JSON string never holds a raw
+    newline, so every newline the encoder writes is a separator.  The pieces
+    are the text once over, never joined: a long sweep is held once, not
+    once per rewrite.  allow_nan=False: a non-finite figure is an error,
+    never a bare NaN token, and it is raised before any piece is written.
     """
-    parts = []
+    pieces = ["{\n"]
     for key in sorted(document):
         value = document[key]
+        pieces.append(f"  {json.dumps(key)}: ")
         if _flat_rows(value):
-            rows = _ROW_ENCODER.encode(value)[2:-2]  # strip "[{" and "}]"
-            text = ("[\n    {\n      " + rows.replace("},\n      {", "\n    },\n    {\n      ")
-                    + "\n    }\n  ]")
+            pieces.append("[\n    {\n      ")
+            for start in range(0, len(value), JSON_ROWS):
+                if start:
+                    pieces.append(_ROW_BOUNDARY)
+                rows = _ROW_ENCODER.encode(value[start:start + JSON_ROWS])[2:-2]  # strip "[{" and "}]"
+                pieces.append(rows.replace("},\n      {", _ROW_BOUNDARY))
+            pieces.append("\n    }\n  ]")
         else:
-            text = json.dumps(value, sort_keys=True, indent=2,
-                              allow_nan=False).replace("\n", "\n  ")
-        parts.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+            pieces.append(json.dumps(value, sort_keys=True, indent=2,
+                                     allow_nan=False).replace("\n", "\n  "))
+        pieces.append(",\n")
+    pieces[-1] = "\n}\n"
+    return pieces
 
 
-def _emit(text: str, output_path: str | None) -> None:
+def _emit(pieces: list[str], output_path: str | None) -> None:
     if output_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
-def _csv_table(header: list[str], rows: list[list[object]]) -> str:
-    lines = [",".join(header)]
+def _csv_table(header: list[str], rows: list[list[object]]) -> list[str]:
+    lines = [",".join(header) + "\n"]
     for row in rows:
         cells = [f"{v:.10g}" if isinstance(v, float) else str(v) for v in row]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join(cells) + "\n")
+    return lines
 
 
 def cmd_clone(spec: ClonerSpec, xi: complex, output_format: str,
@@ -349,7 +362,7 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
         echo = {"kind": "sym_sweep", "n": n, "m_range": list(grid)}
         points = [(f"m={m}", SymSpec(n, m)) for m in range(grid[0], grid[1] + 1)]
     echo["xi"] = [xi.real, xi.imag]
-    rows: list[list[object]] = []
+    rows: list = []  # each in the form the chosen output writes: a dict for JSON
     problems: list[str] = []
     batch_size = SWEEP_STACK_LIMIT if n is None else 1
     for start in range(0, len(points), batch_size):
@@ -369,13 +382,10 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
         for (where, _), machine, reports in zip(chunk, machines, reads, strict=True):
             violations = _physics_violations(machine.symplectic_dev, reports, tolerance)
             problems.extend(f"{where}: {p}" for p in violations)
-            rows.append(_sweep_row(machine, reports))
+            row = _sweep_row(machine, reports)
+            rows.append(dict(zip(header, row, strict=True)) if output_format == "json" else row)
     if output_format == "json":
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "spec": echo,
-            "rows": [dict(zip(header, row, strict=True)) for row in rows],
-        }
+        document = {"schema_version": SCHEMA_VERSION, "spec": echo, "rows": rows}
         _emit(_json(document), output_path)
     else:
         _emit(_csv_table(header, rows), output_path)

@@ -19,11 +19,11 @@ levels, which is measured and gated rather than ignored.  C is never formed
 as a matrix.  The clone-idler squeeze conserves n_clone - n_idler, so it
 splits the (clone, idler) register into 2c+1 tridiagonal chains of at most
 c+1 states, and it acts exactly, through one batched eigendecomposition of
-the chains per call, whatever chi is (`_squeeze`).  The gamma-independent
-factor acts by a Chebyshev series in its sparse generator (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81 (1984) 3967), whose Bessel coefficients and
-length are fixed before the first product, from the generator's exact
-1-norm, computed once beside the generator.
+the chains, whatever chi is (`_squeeze`).  The gamma-independent factor
+acts by a Chebyshev series in its sparse generator (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81 (1984) 3967), whose Bessel coefficients and length are
+fixed before the first product, from the generator's exact 1-norm,
+computed once beside the generator.
 
 Each generator is written directly from basis-index arithmetic: the nonzeros
 of a_p^dag a_q (or a_p a_q) are sqrt(n_p + 1) sqrt(n_q) (or sqrt(n_p)
@@ -46,6 +46,12 @@ at cutoff 16 that is 153 and 3281 of the 4913 box states, so the recurrence
 runs over 3434 rows.  A vector that occupies every sector, such as a
 coherent state on all three modes, evolves over the whole box.
 
+What the cutoff alone fixes, each register's charge map and chain
+eigenbasis and each sector grouping's checked flow and bases, is built on
+first use and kept for the process, read-only, in `_CACHE` (bounded by
+DIMENSION_BUDGET box states).  No state and no figure is kept: every call
+still squeezes, propagates and gates its own probes.
+
 scipy is imported in `_flow` alone, when the oracle builds a generator
 (`scipy.sparse.csr_matrix`); the chains need only `numpy.linalg.eigh`.  So
 importing this module loads no scipy, and neither does any path that never
@@ -67,9 +73,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections.abc import Sequence
+from collections import OrderedDict
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import InitVar, dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -83,6 +90,8 @@ if TYPE_CHECKING:
 DIMENSION_BUDGET = 200_000
 LEAKAGE_TOL = 1e-2
 COHERENT_NORM_TOL = 1e-6
+
+_T = TypeVar("_T")
 
 
 def __getattr__(name: str):
@@ -238,11 +247,100 @@ def _flow(space: FockSpace, terms: Sequence[tuple[tuple[int, int], bool]],
 def _cloner_flows(space: FockSpace, *bases: np.ndarray) -> _Flow:
     """The gamma-independent flow on the span of each basis, as one block diagonal.
 
-    A rung builds it once, with one basis per group of probes, so that one
-    recurrence carries every group; nothing is kept between calls.  The
-    clone-idler squeeze has no flow: `_squeeze` applies it exactly.
+    It is built with one basis per group of probes, so that one recurrence
+    carries every group; `_fixed_flow` keeps what it builds for the process.
+    The clone-idler squeeze has no flow: `_squeeze` applies it exactly.
     """
     return _flow(space, _FIXED_TERMS, *bases)
+
+
+class _BoxCache:
+    """What the oracle builds from a register alone, kept for the process.
+
+    Each entry spans some box states of one register: a register's record
+    (`_register`) its whole box, a fixed flow (`_fixed_flow`) its rows.  The
+    entries held span at most `budget` states in all; past that, the least
+    recently used go first, but never the entry just read.  Every array an
+    entry holds is read-only, so every caller can share it.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self._entries: OrderedDict[Hashable, tuple[int, object]] = OrderedDict()
+
+    def get(self, key: Hashable, build: Callable[[], tuple[int, _T]]) -> _T:
+        """The entry at `key`, or the (states, entry) pair `build()` returns, kept."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        else:
+            self._entries[key] = build()
+            held = sum(states for states, _ in self._entries.values())
+            while held > self.budget and len(self._entries) > 1:
+                held -= self._entries.popitem(last=False)[1][0]
+        return self._entries[key][1]  # type: ignore[return-value]
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+_CACHE = _BoxCache(DIMENSION_BUDGET)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
+class _Register(NamedTuple):
+    """What a cutoff fixes of the cloner's 3-mode register, whatever the probes."""
+
+    charge: np.ndarray    # Q of every box state (`_charge`)
+    rows: np.ndarray      # (2c+1, c+1): the (n_clone, n_idler) row of chain d's slot j, or (c+1)^2
+    on_chain: np.ndarray  # (2c+1, c+1): whether slot j lies on chain d, not in its padding
+    lam: np.ndarray       # (c+1, c+1): the eigenvalues of the padded J of each |d| (`_squeeze`)
+    w: np.ndarray         # (c+1, c+1, c+1): their eigenvectors
+
+
+def _register(space: FockSpace) -> _Register:
+    """The register's record, built on its first use and kept in `_CACHE`."""
+    return _CACHE.get(space, lambda: (space.dim, _build_register(space)))
+
+
+def _build_register(space: FockSpace) -> _Register:
+    """The register's charge map and padded chains, with one batched eigh of the chains."""
+    levels = space.levels
+    j = np.arange(levels)
+    d = np.arange(-space.cutoff, levels)[:, None]
+    on_chain = j < levels - np.abs(d)
+    rows = np.where(on_chain, (j + np.maximum(d, 0)) * levels + j + np.maximum(-d, 0),
+                    levels ** 2)
+    gap = j[:, None]  # |d|, one padded J per value
+    hops = np.where(j[1:] < levels - gap, np.sqrt(j[1:] * (gap + j[1:])), 0.0)
+    jacobi = np.zeros((levels, levels, levels))
+    jacobi[:, j[1:], j[:-1]] = jacobi[:, j[:-1], j[1:]] = hops
+    lam, w = np.linalg.eigh(jacobi)
+    # Q runs from -c to 2c, so int16 holds it for any register under the budget
+    charge = _charge(space, np.arange(space.dim)).astype(np.int16)
+    register = _Register(charge, rows, on_chain, lam, w)
+    _read_only(*register)
+    return register
+
+
+def _fixed_flow(space: FockSpace,
+                groups: tuple[tuple[int, ...], ...]) -> tuple[_Flow, tuple[np.ndarray, ...]]:
+    """The fixed flow over the sectors of each group, and each group's basis.
+
+    Built on the first call for these groups in this order, its charge
+    checked by `_flow`, and kept in `_CACHE`.
+    """
+    def build() -> tuple[int, tuple[_Flow, tuple[np.ndarray, ...]]]:
+        charge = _register(space).charge
+        bases = tuple(np.flatnonzero(np.isin(charge, sectors)) for sectors in groups)
+        flow = _cloner_flows(space, *bases)
+        _read_only(*bases, flow.matrix.data, flow.matrix.indices, flow.matrix.indptr)
+        return flow.matrix.shape[0], (flow, bases)
+
+    return _CACHE.get((space, groups), build)
 
 
 def _squeeze(space: FockSpace, block: np.ndarray, chis: Sequence[float]) -> np.ndarray:
@@ -257,8 +355,9 @@ def _squeeze(space: FockSpace, block: np.ndarray, chis: Sequence[float]) -> np.n
     exp(chi K) = I + Re(V diag(e^(i chi lambda) - 1) V^H).  Every chain is
     padded to c+1 states; a padded state is isolated, with lambda = 0, and
     reads a row of zeros.  Chains d and -d share J, so one batched eigh of
-    c+1 matrices, computed here, serves every chain and every chi, at a cost
-    that does not grow with chi.
+    c+1 matrices serves every chain and every chi, at a cost that does not
+    grow with chi.  The register's record (`_register`) keeps lambda and W;
+    V is formed here, on every call.
 
     The block is read as a ((c+1)^2, (c+1) k) matrix, rows (n_clone, n_idler)
     and columns (n_signal, column), which needs the clone and idler to be the
@@ -266,18 +365,10 @@ def _squeeze(space: FockSpace, block: np.ndarray, chis: Sequence[float]) -> np.n
     of 0 is exactly the identity, and a (d, n_signal) slice that is zero (an
     unoccupied sector Q = d + n_signal) stays exactly zero.
     """
-    levels = space.levels
-    j = np.arange(levels)
-    d = np.arange(-space.cutoff, levels)[:, None]
-    on_chain = j < levels - np.abs(d)
-    rows = np.where(on_chain, (j + np.maximum(d, 0)) * levels + j + np.maximum(-d, 0),
-                    levels ** 2)
-    gap = j[:, None]  # |d|, one padded J per value
-    hops = np.where(j[1:] < levels - gap, np.sqrt(j[1:] * (gap + j[1:])), 0.0)
-    jacobi = np.zeros((levels, levels, levels))
-    jacobi[:, j[1:], j[:-1]] = jacobi[:, j[:-1], j[1:]] = hops
-    lam, w = np.linalg.eigh(jacobi)
-    v = np.array([1, 1j, -1, -1j])[j % 4, None] * w  # DW, with i^j exact
+    register = _register(space)
+    levels, rows, on_chain = space.levels, register.rows, register.on_chain
+    gaps = np.abs(np.arange(-space.cutoff, levels))  # |d| of each chain
+    v = np.array([1, 1j, -1, -1j])[np.arange(levels) % 4, None] * register.w  # DW, with i^j exact
     vh = v.conj().swapaxes(1, 2)
     chis = np.asarray(chis, dtype=float)
     out = np.empty_like(block)
@@ -285,8 +376,8 @@ def _squeeze(space: FockSpace, block: np.ndarray, chis: Sequence[float]) -> np.n
         cols = np.flatnonzero(chis == chi)
         part = block[:, cols].reshape(levels ** 2, -1)
         chains = np.vstack([part, np.zeros((1, part.shape[1]))])[rows]
-        step = ((v * np.expm1(1j * chi * lam)[:, None, :]) @ vh).real  # exp(chi K) - I per |d|
-        chains += step[np.abs(d[:, 0])] @ chains
+        step = ((v * np.expm1(1j * chi * register.lam)[:, None, :]) @ vh).real  # exp(chi K) - I per |d|
+        chains += step[gaps] @ chains
         part[rows[on_chain]] = chains[on_chain]
         out[:, cols] = part.reshape(space.dim, -1)
     return out
@@ -362,9 +453,10 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
     the gamma-independent factor a column needs only the box states of the Q
     sectors it occupies.  Columns that occupy the same sectors form a group;
     the groups' flows, each built on its sectors alone, are stacked as one
-    block diagonal, and one recurrence carries every group, with group g's
-    columns in slots 0..k_g-1 of its own rows.  A column that occupies every
-    sector evolves over the whole box.  An empty list of probes is refused,
+    block diagonal, built once per grouping and kept (`_fixed_flow`), and
+    one recurrence carries every group, with group g's columns in slots
+    0..k_g-1 of its own rows.  A column that occupies every sector evolves
+    over the whole box.  An empty list of probes is refused,
     and so is a gamma that ``AsymSpec`` refuses: one that is not real and
     finite or has |gamma| > ``circuits.GAMMA_LIMIT``.
     """
@@ -373,7 +465,7 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
     space = probes[0][1].space
     if space.n_modes != 3:
         raise ValueError(f"the cloner acts on 3 modes, got {space.n_modes}")
-    charge = _charge(space, np.arange(space.dim))
+    charge = _register(space).charge
     columns: list[tuple[int, int]] = []  # the (probe, imag) of each real column
     parts: list[np.ndarray] = []
     chis: list[float] = []
@@ -392,12 +484,12 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
     amps = [np.zeros(space.dim, dtype=complex) for _ in probes]
     if columns:
         squeezed = _squeeze(space, np.stack(parts, axis=1), chis)
-        bases = [np.flatnonzero(np.isin(charge, sectors)) for sectors in groups]
+        flow, bases = _fixed_flow(space, tuple(groups))
         starts = np.cumsum([0] + [basis.size for basis in bases]).tolist()
         block = np.zeros((starts[-1], max(map(len, groups.values()))))
         for start, basis, cols in zip(starts, bases, groups.values()):
             block[start:start + basis.size, :len(cols)] = squeezed[np.ix_(basis, cols)]
-        block = _propagate(_cloner_flows(space, *bases), block)
+        block = _propagate(flow, block)
         for start, basis, cols in zip(starts, bases, groups.values()):
             for slot, col in enumerate(cols):
                 i, imag = columns[col]

@@ -18,7 +18,9 @@ suite that reads those figures.
 
 The oracle_agreement suite is the expensive one (truncated Fock evolution);
 it is opt-in from the CLI and covers only the 1->2 machine, which is the
-scope limit of the Fock module.
+scope limit of the Fock module.  Its rungs read the registers the Fock
+module keeps for the process, but every rung evolves its own probes and
+every figure it reports is computed afresh.
 """
 
 from __future__ import annotations
@@ -170,8 +172,8 @@ def _oracle_dev(cutoff: int) -> float:
     """Worst fidelity gap between the Fock oracle at one cutoff and the closed forms."""
     space = FockSpace(3, cutoff)
     probes = [(g, xi) for g in (-0.5, 0.0, 0.5) for xi in (0.0, 0.3)]
-    outs = apply_cloning_fock_block([(g, coherent_fock(space, [0.0, 0.0, xi]))
-                                     for g, xi in probes])
+    states = {xi: coherent_fock(space, [0.0, 0.0, xi]) for xi in (0.0, 0.3)}  # frozen, shared
+    outs = apply_cloning_fock_block([(g, states[xi]) for g, xi in probes])
     devs = []
     for (g, xi), out in zip(probes, outs, strict=True):
         fa_form, fc_form = expected_fidelities(AsymSpec(g))

@@ -126,9 +126,13 @@ _ODD_ROW = {"s": _AWKWARD, _AWKWARD: 1, "none": None, "yes": True, "no": False,
     {"empty": [], "empty_rows": [{}], "mixed": [{"a": 1}, 2], "scalars": [5e-324, 1e16, -0.0]},
     {"nested": [{"a": [1, {"b": _AWKWARD}]}, {"a": []}], "deep": [{"a": {"b": None}}],
      "spec": {"z": [True, False], "a": -0.0}},
-], ids=["one-row", "rows-and-scalars", "lists-off-the-row-path", "nested-rows"])
+    # past two encoder calls' rows: the calls' texts meet at row boundaries
+    {"rows": [_ODD_ROW if i % cli.JSON_ROWS in (0, cli.JSON_ROWS - 1) else {"i": i}
+              for i in range(2 * cli.JSON_ROWS + 1)], "z": [{"i": -1}]},
+], ids=["one-row", "rows-and-scalars", "lists-off-the-row-path", "nested-rows",
+        "rows-past-two-calls"])
 def test_json_writes_the_indent_2_bytes_of_odd_documents(document):
-    assert cli._json(document) == _indent_2(document)
+    assert "".join(cli._json(document)) == _indent_2(document)
 
 
 def test_clone_factorized_flag(capsys):
@@ -728,20 +732,30 @@ def test_a_sweep_reads_its_points_as_bounded_stacks(monkeypatch, capsys, argv, s
     assert run(capsys, argv) == (0, out, "")
 
 
+def _traced_peak(capsys, argv):
+    """The most memory Python held at once over one successful CLI call, its captured output included."""
+    tracemalloc.start()
+    try:
+        assert run(capsys, argv)[0] == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_sym_sweep_holds_one_machine_at_a_time(capsys):
     # each sym point is read and dropped before the next is built: holding
     # all 41 machines for one read at the end peaks near the sum of their
     # transforms, about seven times what one 1->80 clone takes
-    def traced_peak(argv):
-        tracemalloc.start()
-        try:
-            assert run(capsys, argv)[0] == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    one = _traced_peak(capsys, ["clone", "--sym", "--n", "1", "--m", "80"])
+    assert _traced_peak(capsys, ["sweep", "--sym", "--n", "1", "--m-range", "40", "80"]) < 1.5 * one
 
-    one = traced_peak(["clone", "--sym", "--n", "1", "--m", "80"])
-    assert traced_peak(["sweep", "--sym", "--n", "1", "--m-range", "40", "80"]) < 1.5 * one
+
+def test_a_json_sweep_holds_its_rows_once_and_its_text_once(capsys):
+    # a 4000-point JSON sweep peaks at 1.7 times the CSV one, its text being
+    # three times as long; with every row held as a list and as a dict, and
+    # the text copied whole by each rewrite, it peaked at 2.3 times
+    argv = ["sweep", "--asym", "--gamma-range", "-6", "6", "4000"]
+    assert _traced_peak(capsys, argv) < 2.0 * _traced_peak(capsys, argv + ["--format", "csv"])
 
 
 def _outcome(capsys, argv):

@@ -221,15 +221,44 @@ def _sector_size(cutoff, sectors):
     return int(np.isin(charge, sectors).sum())
 
 
-def test_oracle_builds_one_set_of_flows_per_rung(monkeypatch):
-    calls = []
-    real = fock._pair_nonzeros
+@pytest.fixture
+def cold_registers():
+    """An empty register cache on entry and on exit.
 
-    def counting(space, pair, squeeze, cols):
-        calls.append((space.cutoff, cols.size))
-        return real(space, pair, squeeze, cols)
+    For a test that counts the builds or patches what a build reads
+    (`_FIXED_TERMS`, `_pair_nonzeros`): an entry another test built would
+    be read instead, and one this test built would outlive its patch.
+    """
+    fock._CACHE.clear()
+    yield
+    fock._CACHE.clear()
 
-    monkeypatch.setattr(fock, "_pair_nonzeros", counting)
+
+def _count_builds(monkeypatch):
+    """Record each generator build (`_pair_nonzeros`) and each chain eigh the oracle runs."""
+    built, eighs, propagated = [], [], []
+    pair_nonzeros, eigh, propagate = fock._pair_nonzeros, np.linalg.eigh, fock._propagate
+
+    def counting_pairs(space, pair, squeeze, cols):
+        built.append((space.cutoff, cols.size))
+        return pair_nonzeros(space, pair, squeeze, cols)
+
+    def counting_eigh(matrices, *args, **kwargs):
+        eighs.append(matrices.shape)
+        return eigh(matrices, *args, **kwargs)
+
+    def counting_propagate(flow, block):
+        propagated.append(block.shape)
+        return propagate(flow, block)
+
+    monkeypatch.setattr(fock, "_pair_nonzeros", counting_pairs)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(fock, "_propagate", counting_propagate)
+    return built, eighs, propagated
+
+
+def test_oracle_builds_one_set_of_flows_per_rung(monkeypatch, cold_registers):
+    built, eighs, propagated = _count_builds(monkeypatch)
     result = oracle_agreement(cutoffs=(10, 12))
     assert result.passed
     # per rung, two generators (mix, signal-idler squeeze) for each group: the
@@ -238,7 +267,62 @@ def test_oracle_builds_one_set_of_flows_per_rung(monkeypatch):
     want = []
     for c in (10, 12):
         want += [(c, _sector_size(c, [0]))] * 2 + [(c, _sector_size(c, range(c + 1)))] * 2
-    assert calls == want
+    assert built == want
+    assert eighs == [(c + 1,) * 3 for c in (10, 12)]  # the padded chains, once per register
+    # a warm ladder builds nothing, and still evolves its probes once per rung
+    del built[:], eighs[:], propagated[:]
+    assert oracle_agreement(cutoffs=(10, 12)) == result
+    assert built == eighs == []
+    assert [rows for rows, _ in propagated] == [
+        _sector_size(c, [0]) + _sector_size(c, range(c + 1)) for c in (10, 12)]
+
+
+def test_cold_and_warm_amplitudes_are_bit_identical(cold_registers):
+    space = FockSpace(3, 11)
+    probes = list(zip((-0.5, 0.0, 0.5, 0.2), _reference_probes(space).values(), strict=True))
+    cold = apply_cloning_fock_block(probes)
+    warm = apply_cloning_fock_block(probes)
+    for cold_out, warm_out in zip(cold, warm, strict=True):
+        assert np.array_equal(cold_out.amplitudes, warm_out.amplitudes)
+        assert cold_out.amplitudes is not warm_out.amplitudes
+
+
+def test_every_cached_array_is_read_only(cold_registers):
+    space = FockSpace(3, 6)
+    apply_cloning_fock_block([(0.1, coherent_fock(space, [0j, 0j, 0.3 + 0j]))])
+    flow, bases = fock._fixed_flow(space, (tuple(range(7)),))
+    arrays = [*fock._register(space), *bases,
+              flow.matrix.data, flow.matrix.indices, flow.matrix.indptr]
+    assert len(arrays) == 9
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+
+
+def test_the_cache_evicts_the_least_recently_used_past_its_budget():
+    cache = fock._BoxCache(10)
+    assert cache.get("a", lambda: (4, "A")) == "A"
+    cache.get("b", lambda: (4, "B"))
+    assert cache.get("a", lambda: pytest.fail("a was held")) == "A"  # a is now the most recent
+    cache.get("c", lambda: (4, "C"))  # 12 states: b goes
+    assert cache.get("a", lambda: pytest.fail("a was evicted")) == "A"
+    assert cache.get("c", lambda: pytest.fail("c was evicted")) == "C"
+    assert cache.get("b", lambda: (4, "B again")) == "B again"  # 12 again: a goes
+    # an entry past the budget alone is still kept, and every other goes
+    assert cache.get("d", lambda: (11, "D")) == "D"
+    assert cache.get("d", lambda: pytest.fail("d was evicted")) == "D"
+    assert cache.get("c", lambda: (4, "C again")) == "C again"
+
+
+def test_registers_past_the_dimension_budget_evict_the_oldest(monkeypatch, cold_registers):
+    _, eighs, _ = _count_builds(monkeypatch)
+    # 41^3 + 46^3 box states fit DIMENSION_BUDGET; 48^3 more do not
+    for cutoff in (40, 45, 47, 47, 40):
+        space = FockSpace(3, cutoff)
+        apply_cloning_fock_block([(0.2, coherent_fock(space, [0j, 0j, 0j]))])
+    assert eighs == [(c + 1,) * 3 for c in (40, 45, 47, 40)]
+    held = sum(states for states, _ in fock._CACHE._entries.values())
+    assert held <= fock.DIMENSION_BUDGET
 
 
 class _CountedMatrix:
@@ -592,7 +676,7 @@ def test_sector_norms_of_the_oracle_register():
 
 @pytest.mark.parametrize("amplitudes", [[0j, 0j, 0j], [0j, 0j, 0.3 + 0j],
                                         [0.1 - 0.05j, 0.2j, 0.3 + 0.2j]])
-def test_a_flow_that_breaks_the_charge_is_refused(monkeypatch, amplitudes):
+def test_a_flow_that_breaks_the_charge_is_refused(monkeypatch, cold_registers, amplitudes):
     # the clone-idler pair built as a mix moves a photon from the idler to the
     # clone, so Q changes by 2; even a probe on the whole box is refused
     monkeypatch.setattr(fock, "_FIXED_TERMS",

@@ -104,3 +104,27 @@ def test_oracle_agreement_refuses_an_empty_ladder():
     # a ladder with no rung would read max_dev 0.0 and pass having run nothing
     with pytest.raises(ValueError, match="at least one cutoff"):
         verification.oracle_agreement(cutoffs=())
+
+
+def test_a_rung_builds_each_probe_state_once(monkeypatch):
+    # two coherent states, xi = 0 and xi = 0.3, each sent at the three gammas
+    built, sent = [], []
+    coherent, block = verification.coherent_fock, verification.apply_cloning_fock_block
+
+    def counting(space, amplitudes):
+        built.append(amplitudes[-1])
+        return coherent(space, amplitudes)
+
+    def sending(probes):
+        sent.extend(probes)
+        return block(probes)
+
+    monkeypatch.setattr(verification, "coherent_fock", counting)
+    monkeypatch.setattr(verification, "apply_cloning_fock_block", sending)
+    verification._oracle_dev(10)
+    assert built == [0.0, 0.3]
+    assert [gamma for gamma, _ in sent] == [-0.5, -0.5, 0.0, 0.0, 0.5, 0.5]
+    vacuum, signal = sent[0][1], sent[1][1]
+    assert vacuum is not signal
+    assert all(state is (vacuum, signal)[i % 2] for i, (_, state) in enumerate(sent))
+    assert not vacuum.amplitudes.flags.writeable
