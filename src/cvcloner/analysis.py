@@ -24,10 +24,15 @@ and signal modes) and are read as one (k, M, n) stack of their clone rows
 of (A, B): those variances and means go through array helpers that take
 any leading axes, so each formula and each gate runs once per stack, not
 once per machine, and each machine in a stack reads bit for bit what it
-reads alone.  ``clone_report`` is ``clone_reports`` on one machine, and a
-``CloneReport`` carries every figure a caller reads: there is no
-single-row reader beside it.  The gates fail closed: a NaN variance or
-amplitude is refused, never passed, and the refusal names the clone.
+reads alone.  One read serves several amplitudes (``_reports_at``): the
+variances, n_ch and phase defects do not depend on xi and are computed
+once, and each amplitude's means, gain gate and Q are computed as a read
+at that amplitude alone computes them, so every report is bit for bit the
+same.  ``clone_reports`` is that read at one amplitude, ``clone_report`` is
+``clone_reports`` on one machine, and a ``CloneReport`` carries every
+figure a caller reads: there is no single-row reader beside it.  The gates
+fail closed: a NaN variance or amplitude is refused, never passed, and the
+refusal names the clone.
 ``clone_output_state`` is the independent full-state route, S (I/2) S^T,
 for the suites that need every mode.
 """
@@ -35,7 +40,7 @@ for the suites that need every mode.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,17 +183,33 @@ def clone_reports(machines: Iterable[CloningMachine],
 
     The machines are read as one stack: their clone rows of A and B are
     gathered, never their whole transforms, and each formula and gate runs
-    once over the stack.  A list that mixes layouts is refused.
+    once over the stack.  A list that mixes layouts is refused.  This is
+    ``_reports_at`` at one amplitude.
+    """
+    return _reports_at(machines, (xi,))[0]
+
+
+def _reports_at(machines: Iterable[CloningMachine],
+                xis: Sequence[complex]) -> list[list[list[CloneReport]]]:
+    """``clone_reports`` of the machines at each amplitude of xis, in order,
+    from one read of their clone rows.
+
+    The variances, n_ch and phase defects do not depend on the amplitude,
+    so they are computed once; each amplitude's means are the same
+    ``quad @ means`` products ``clone_reports`` takes at that amplitude
+    alone, and the gain gate and Q run once per amplitude, in order.  So
+    every report is bit for bit the one-amplitude read, and a refusal names
+    the clone that the first refusing amplitude read alone would name.
     """
     machines = list(machines)
+    xis = [complex(xi) for xi in xis]
     if not machines:
-        return []
+        return [[] for _ in xis]
     first = machines[0]
     layout = _layout(first)
     if any(_layout(m) != layout for m in machines):
         raise ValueError("clone_reports takes machines of one layout: "
                          "one register size, clone modes and signal modes")
-    xi = complex(xi)
     rows = np.array([m.index for m in first.clone_modes])
     names = [m.name for m in first.clone_modes]
     a = np.empty((len(machines), rows.size, first.n_modes))
@@ -197,30 +218,34 @@ def clone_reports(machines: Iterable[CloningMachine],
         a[k] = machine.transform.A[rows]
         b[k] = machine.transform.B[rows]
     b_photons = _chaotic_photons(b)  # its b**2 is freed before X's buffer exists
-    means = coherent_means(first.input_amplitudes(xi))
+    means = [coherent_means(first.input_amplitudes(xi)) for xi in xis]
     # one buffer holds the clone rows of X, then those of P
     quad = np.add(a, b)
-    var_x, mean_x = 0.5 * np.einsum("...j,...j->...", quad, quad), quad @ means[0::2]
+    var_x = 0.5 * np.einsum("...j,...j->...", quad, quad)
+    mean_x = [quad @ mean[0::2] for mean in means]
     np.subtract(a, b, out=quad)
-    var_p, mean_p = 0.5 * np.einsum("...j,...j->...", quad, quad), quad @ means[1::2]
-    amps = _amplitudes(mean_x, mean_p)
+    var_p = 0.5 * np.einsum("...j,...j->...", quad, quad)
+    mean_p = [quad @ mean[1::2] for mean in means]
     n_state = _photons(var_x, var_p, names)
-    per_machine = zip(
-        machines,
-        b_photons.tolist(),
-        n_state.tolist(),
-        _fidelities(amps, xi, n_state, names).tolist(),
-        _husimi(amps, n_state, xi).tolist(),
-        _phase_covariance_defects(a, b, [m.index for m in first.signal_modes]).tolist(),
-        strict=True,
-    )
-    # each zip yields a clone's figures in CloneReport's field order
-    return [
-        [CloneReport(*fields) for fields in zip(
-            first.clone_modes, n_rows, n_cov, expected_chaotic_photons(machine.spec),
-            fidelity, expected_fidelities(machine.spec), q_peak, defect, strict=True)]
-        for machine, n_rows, n_cov, fidelity, q_peak, defect in per_machine
-    ]
+    amplitude_free = [(n_rows, n_cov, expected_chaotic_photons(machine.spec),
+              expected_fidelities(machine.spec), defect)
+             for machine, n_rows, n_cov, defect in zip(
+                 machines, b_photons.tolist(), n_state.tolist(),
+                 _phase_covariance_defects(a, b, [m.index for m in first.signal_modes]).tolist(),
+                 strict=True)]
+    per_xi = []
+    for xi, x_means, p_means in zip(xis, mean_x, mean_p, strict=True):
+        amps = _amplitudes(x_means, p_means)
+        per_machine = zip(amplitude_free, _fidelities(amps, xi, n_state, names).tolist(),
+                          _husimi(amps, n_state, xi).tolist(), strict=True)
+        # each zip yields a clone's figures in CloneReport's field order
+        per_xi.append([
+            [CloneReport(*fields) for fields in zip(
+                first.clone_modes, n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect,
+                strict=True)]
+            for (n_rows, n_cov, n_form, f_form, defect), fidelity, q_peak in per_machine
+        ])
+    return per_xi
 
 
 def clone_report(machine: ClonerSpec | CloningMachine,

@@ -8,9 +8,9 @@ unitary directly in a photon-number basis with a hard cutoff,
 
 where U_mix mixes the signal into the first clone mode, V_sq is a two-mode
 squeeze of the signal against the idler, and Y_sq pre-squeezes clone against
-idler.  Evolving exact state vectors and tracing out modes gives clone
-fidelities with no Gaussian assumptions, so agreement with the covariance
-pipeline checks both sides.
+idler.  Evolving exact state vectors and projecting one mode onto the
+coherent target gives clone fidelities with no Gaussian assumptions, so
+agreement with the covariance pipeline checks both sides.
 
 Numerical core: each generator is i times a real antisymmetric matrix in the
 number basis, so every factor of C is a real orthogonal matrix.  Truncation
@@ -19,11 +19,17 @@ levels, which is measured and gated rather than ignored.  C is never formed
 as a matrix.  The clone-idler squeeze conserves n_clone - n_idler, so it
 splits the (clone, idler) register into 2c+1 tridiagonal chains of at most
 c+1 states, and it acts exactly, through one batched eigendecomposition of
-the chains, whatever chi is (`_squeeze`).  The gamma-independent factor
-acts by a Chebyshev series in its sparse generator (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81 (1984) 3967), whose Bessel coefficients and length are
-fixed before the first product, from the generator's exact 1-norm,
-computed once beside the generator.
+the chains, whatever chi is, on the chains a vector occupies (`_squeeze`).
+The gamma-independent factor acts by a Chebyshev series in its sparse
+generator (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967), whose
+Bessel coefficients and length are fixed before the first product, from a
+proven bound on the generator's spectral radius, computed once beside the
+generator: the smaller of its exact 1-norm and the sum of its terms' chain
+spectra.  A beam splitter conserves its pair's photon sum and a NOPA its
+photon difference, so each term is a direct sum of tridiagonal chains whose
+largest |eigenvalue| the register keeps (`_flow`).  At cutoff 16 that bound
+is 50.96 where the 1-norm is 61.98, and the series makes 93 sparse
+products, not 107.
 
 Each generator is written directly from basis-index arithmetic: the nonzeros
 of a_p^dag a_q (or a_p a_q) are sqrt(n_p + 1) sqrt(n_q) (or sqrt(n_p)
@@ -34,26 +40,31 @@ that is all zeros is dropped, since its image is exactly zero.
 
 Both factors conserve the charge Q = n_clone + n_signal - n_idler: a beam
 splitter keeps the photon sum of its pair and a NOPA the photon difference.
-The squeeze acts on whole box vectors, and a zero (chain, n_signal) slice,
-an unoccupied sector, stays exactly zero.  For the gamma-independent factor
+The squeeze acts on the chains a box vector occupies, and a zero
+(chain, n_signal) slice, an unoccupied sector, stays exactly zero.  For the gamma-independent factor
 a vector needs only the box states of the Q sectors it occupies.  The
 vectors that occupy the same sectors form a group, whose flow is built on
 those states alone, and every nonzero is checked to conserve Q as it is
-built.  The groups' flows are stacked as one block diagonal, whose 1-norm is
-the largest of theirs, and one recurrence carries every group.  The
+built.  The groups' flows are stacked as one block diagonal, and one
+recurrence carries every group.  The
 oracle's probes |0, 0, xi> occupy Q = 0 (xi = 0) or Q in [0, c] (xi != 0):
 at cutoff 16 that is 153 and 3281 of the 4913 box states, so the recurrence
 runs over 3434 rows.  A vector that occupies every sector, such as a
 coherent state on all three modes, evolves over the whole box.
 
-What the cutoff alone fixes, each register's charge map and chain
-eigenbasis and each sector grouping's checked flow and bases, is built on
-first use and kept for the process, read-only, in `_CACHE` (bounded by
-DIMENSION_BUDGET box states).  No state and no figure is kept: every call
-still squeezes, propagates and gates its own probes.
+A clone's fidelity <xi| rho |xi> is read as ||(<xi|_m (x) I) psi||^2, one
+contraction of a view of the state against the target, and its leakage as
+the norm^2 of psi on the mode's top level (`fidelities_fock`): no state is
+copied and no reduced density matrix is formed.
+
+What the cutoff alone fixes, each register's charge map, chain eigenbasis
+and chain bounds, and each sector grouping's checked flow and bases, is
+built on first use and kept for the process, read-only, in `_CACHE`
+(bounded by DIMENSION_BUDGET box states).  No state and no figure is kept:
+every call still squeezes, propagates and gates its own probes.
 
 scipy is imported in `_flow` alone, when the oracle builds a generator
-(`scipy.sparse.csr_matrix`); the chains need only `numpy.linalg.eigh`.  So
+(`scipy.sparse.csr_matrix`); the chains need only `numpy.linalg`.  So
 importing this module loads no scipy, and neither does any path that never
 runs the oracle (`clone`, `sweep`, plain `verify`).  Nothing here calls
 scipy's `expm_multiply`, but the benchmark's tracer looks it up as
@@ -209,10 +220,10 @@ def _charge(space: FockSpace, index: np.ndarray) -> np.ndarray:
 
 
 class _Flow(NamedTuple):
-    """A real antisymmetric generator and its exact 1-norm, which bounds its spectrum."""
+    """A real antisymmetric generator and a proven bound on its spectral radius (`_flow`)."""
 
     matrix: sp.csr_matrix
-    one_norm: float
+    radius: float
 
 
 def _flow(space: FockSpace, terms: Sequence[tuple[tuple[int, int], bool]],
@@ -220,11 +231,19 @@ def _flow(space: FockSpace, terms: Sequence[tuple[tuple[int, int], bool]],
     """The sum over `terms` of K = H - H^T on the span of each basis, as one block diagonal.
 
     Each basis holds the sorted box indices of a union of charge sectors, and
-    its states take the rows after those of the bases before it, so the
-    1-norm is the largest of the blocks' 1-norms.  Every nonzero of H must
-    join two states of equal charge, so that K maps each span into itself; a
-    term that breaks the law is refused, since its amplitude would otherwise
-    leave the span unseen.  No box-sized matrix is formed.
+    its states take the rows after those of the bases before it.  Every
+    nonzero of H must join two states of equal charge, so that K maps each
+    span into itself; a term that breaks the law is refused, since its
+    amplitude would otherwise leave the span unseen.  No box-sized matrix is
+    formed.
+
+    The flow's radius is min(||K||_1, sum over the terms of rho_term), and
+    both bound the spectral radius of K.  ||K||_1 bounds it for any matrix.
+    K is normal (real antisymmetric), so its spectral radius is ||K||_2, and
+    on an invariant span ||K||_2 is at most the box's, which is at most the
+    sum of each term's ||K_term||_2 on the box.  A term's K is a direct sum
+    of tridiagonal chains, whose largest |eigenvalue| is rho_term: the
+    register keeps it for a beam splitter and for a NOPA (`_register`).
     """
     from scipy.sparse import csr_matrix  # the package's one scipy import; see the module docstring
 
@@ -241,7 +260,9 @@ def _flow(space: FockSpace, terms: Sequence[tuple[tuple[int, int], bool]],
     values, rows, cols = (np.concatenate(parts) for parts in zip(*blocks))
     half = csr_matrix((values, (rows, cols)), shape=(offset, offset))
     matrix = (half - half.T).tocsr()
-    return _Flow(matrix, float(abs(matrix).sum(axis=0).max()))
+    radii = _register(space).radii
+    chains = math.fsum(float(radii[int(squeeze)]) for _, squeeze in terms)
+    return _Flow(matrix, min(float(abs(matrix).sum(axis=0).max()), chains))
 
 
 def _cloner_flows(space: FockSpace, *bases: np.ndarray) -> _Flow:
@@ -299,6 +320,7 @@ class _Register(NamedTuple):
     on_chain: np.ndarray  # (2c+1, c+1): whether slot j lies on chain d, not in its padding
     lam: np.ndarray       # (c+1, c+1): the eigenvalues of the padded J of each |d| (`_squeeze`)
     w: np.ndarray         # (c+1, c+1, c+1): their eigenvectors
+    radii: np.ndarray     # (2,): rho of a beam splitter's chains, then a NOPA's (`_flow`)
 
 
 def _register(space: FockSpace) -> _Register:
@@ -306,22 +328,46 @@ def _register(space: FockSpace) -> _Register:
     return _CACHE.get(space, lambda: (space.dim, _build_register(space)))
 
 
-def _build_register(space: FockSpace) -> _Register:
-    """The register's charge map and padded chains, with one batched eigh of the chains."""
-    levels = space.levels
+# eigvalsh is backward stable: each computed eigenvalue of a chain J of n <= 201
+# states is within a modest multiple of n u ||J||_2 (about 1e-13 relative) of an
+# exact one.  The chain bounds are raised by this relative margin, far above that.
+_RADIUS_MARGIN = 1e-10
+
+
+def _jacobi(hops: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal matrices with the given off-diagonals, one per row of hops."""
+    levels = hops.shape[-1] + 1
     j = np.arange(levels)
-    d = np.arange(-space.cutoff, levels)[:, None]
+    jacobi = np.zeros((hops.shape[0], levels, levels))
+    jacobi[:, j[1:], j[:-1]] = jacobi[:, j[:-1], j[1:]] = hops
+    return jacobi
+
+
+def _build_register(space: FockSpace) -> _Register:
+    """The register's charge map and padded chains, with one batched eigh of the
+    squeeze chains and one batched eigvalsh of the beam-splitter chains."""
+    levels, c = space.levels, space.cutoff
+    j = np.arange(levels)
+    d = np.arange(-c, levels)[:, None]
     on_chain = j < levels - np.abs(d)
     rows = np.where(on_chain, (j + np.maximum(d, 0)) * levels + j + np.maximum(-d, 0),
                     levels ** 2)
-    gap = j[:, None]  # |d|, one padded J per value
-    hops = np.where(j[1:] < levels - gap, np.sqrt(j[1:] * (gap + j[1:])), 0.0)
-    jacobi = np.zeros((levels, levels, levels))
-    jacobi[:, j[1:], j[:-1]] = jacobi[:, j[:-1], j[1:]] = hops
-    lam, w = np.linalg.eigh(jacobi)
+    # a NOPA on a pair keeps d = n_p - n_q; chains d and -d share one padded J per |d|,
+    # with J[j-1, j] = sqrt(j (|d| + j))
+    gap = j[:, None]
+    lam, w = np.linalg.eigh(_jacobi(
+        np.where(j[1:] < levels - gap, np.sqrt(j[1:] * (gap + j[1:])), 0.0)))
+    # a beam splitter on a pair keeps s = n_p + n_q: chain s has slots n_p = max(s - c, 0) + j,
+    # and J[j, j+1] = sqrt((n_p + 1)(s - n_p)), on the min(s, 2c - s) + 1 slots of the chain
+    s = np.arange(2 * c + 1)[:, None]
+    n_p = np.maximum(s - c, 0) + j[:-1]
+    mix = np.linalg.eigvalsh(_jacobi(
+        np.where(j[1:] <= np.minimum(s, 2 * c - s),
+                 np.sqrt((n_p + 1) * np.maximum(s - n_p, 0)), 0.0)))
+    radii = np.array([np.abs(mix).max(), np.abs(lam).max()]) * (1.0 + _RADIUS_MARGIN)
     # Q runs from -c to 2c, so int16 holds it for any register under the budget
     charge = _charge(space, np.arange(space.dim)).astype(np.int16)
-    register = _Register(charge, rows, on_chain, lam, w)
+    register = _Register(charge, rows, on_chain, lam, w, radii)
     _read_only(*register)
     return register
 
@@ -356,30 +402,38 @@ def _squeeze(space: FockSpace, block: np.ndarray, chis: Sequence[float]) -> np.n
     padded to c+1 states; a padded state is isolated, with lambda = 0, and
     reads a row of zeros.  Chains d and -d share J, so one batched eigh of
     c+1 matrices serves every chain and every chi, at a cost that does not
-    grow with chi.  The register's record (`_register`) keeps lambda and W;
-    V is formed here, on every call.
+    grow with chi.  The register's record (`_register`) keeps lambda and W.
 
-    The block is read as a ((c+1)^2, (c+1) k) matrix, rows (n_clone, n_idler)
-    and columns (n_signal, column), which needs the clone and idler to be the
-    two slowest modes; each distinct chi acts once, on its own columns.  A chi
-    of 0 is exactly the identity, and a (d, n_signal) slice that is zero (an
-    unoccupied sector Q = d + n_signal) stays exactly zero.
+    The block is read as (chain, slot, n_signal, column), which needs the
+    clone and idler to be the two slowest modes.  Only the (chain, column)
+    pairs whose slice is not all zero are touched: the step matrices
+    exp(chi K) - I of the distinct (chi, |d|) those pairs need are built at
+    once, and one batched product applies each to its pair's (c+1, c+1)
+    slice of (slot, n_signal).  A zero chain is copied, so it stays exactly
+    zero, and a chi of 0 is exactly the identity.  The oracle's probes
+    |0, 0, xi> occupy the d = 0 chain alone.
     """
     register = _register(space)
-    levels, rows, on_chain = space.levels, register.rows, register.on_chain
-    gaps = np.abs(np.arange(-space.cutoff, levels))  # |d| of each chain
-    v = np.array([1, 1j, -1, -1j])[np.arange(levels) % 4, None] * register.w  # DW, with i^j exact
-    vh = v.conj().swapaxes(1, 2)
-    chis = np.asarray(chis, dtype=float)
-    out = np.empty_like(block)
-    for chi in np.unique(chis):
-        cols = np.flatnonzero(chis == chi)
-        part = block[:, cols].reshape(levels ** 2, -1)
-        chains = np.vstack([part, np.zeros((1, part.shape[1]))])[rows]
-        step = ((v * np.expm1(1j * chi * register.lam)[:, None, :]) @ vh).real  # exp(chi K) - I per |d|
-        chains += step[gaps] @ chains
-        part[rows[on_chain]] = chains[on_chain]
-        out[:, cols] = part.reshape(space.dim, -1)
+    levels, k = space.levels, block.shape[1]
+    distinct, which = np.unique(np.asarray(chis, dtype=float), return_inverse=True)
+    out = block.copy()
+    boxed = out.reshape(levels ** 2, levels, k)  # rows (n_clone, n_idler), then n_signal
+    padded = np.concatenate([boxed, np.zeros((1, levels, k))])  # row (c+1)^2 reads zeros
+    rows = register.rows
+    # the occupied (chain, column) pairs
+    chain, col = np.nonzero(padded.any(axis=1)[rows].any(axis=1))
+    if chain.size:
+        pairs = which[col] * levels + np.abs(chain - space.cutoff)  # (chi, |d|) of each pair
+        needed, step_of = np.unique(pairs, return_inverse=True)
+        chi, gap = distinct[needed // levels], needed % levels
+        v = np.array([1, 1j, -1, -1j])[np.arange(levels) % 4, None] * register.w[gap]  # DW
+        steps = ((v * np.expm1(1j * chi[:, None] * register.lam[gap])[:, None, :])
+                 @ v.conj().swapaxes(1, 2)).real  # exp(chi K) - I per (chi, |d|)
+        cols = np.broadcast_to(col[:, None], (chain.size, levels))
+        slices = padded[rows[chain], :, cols]  # (pair, slot, n_signal)
+        slices += steps[step_of] @ slices
+        on_chain = register.on_chain[chain]
+        boxed[rows[chain][on_chain], :, cols[on_chain]] = slices[on_chain]
     return out
 
 
@@ -420,18 +474,19 @@ def _propagate(flow: _Flow, block: np.ndarray) -> np.ndarray:
     """exp(K) applied to every column of a real (dim, k) block at once.
 
     A Chebyshev series (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967).
-    K is real antisymmetric with spectrum in +-i ||K||_2 <= +-i `flow.one_norm`,
-    so with A = K / ||K||_1, w_0 = v, w_1 = A v and w_{k+1} = 2 A w_k + w_{k-1},
-    each w_k is real with ||w_k||_2 <= ||v||_2, and exp(K) v =
-    J_0(rho) w_0 + 2 sum_k J_k(rho) w_k, rho = ||K||_1: the series is cut
-    before its first product where the dropped tail is <= u/2.  The columns
-    share the recurrence and its scalar coefficients.  exp(tK) is the flow
-    of tK, whose 1-norm is |t| ||K||_1.
+    K is real antisymmetric with spectrum in +-i rho, rho = `flow.radius`
+    (`_flow`), so with A = K / rho, w_0 = v, w_1 = A v and
+    w_{k+1} = 2 A w_k + w_{k-1}, each w_k is real with ||w_k||_2 <= ||v||_2,
+    and exp(K) v = J_0(rho) w_0 + 2 sum_k J_k(rho) w_k: the series is cut
+    before its first product where the dropped tail is <= u/2.  Its length
+    grows with rho, so the tightest proven bound makes the fewest products.
+    The columns share the recurrence and its scalar coefficients.  exp(tK)
+    is the flow of tK, whose radius is |t| rho.
     """
-    coeffs = _bessel_coefficients(flow.one_norm)
+    coeffs = _bessel_coefficients(flow.radius)
     out = coeffs[0] * block
     if len(coeffs) > 1:
-        double = flow.matrix * (2.0 / flow.one_norm)  # 2A
+        double = flow.matrix * (2.0 / flow.radius)  # 2A
         prev, cur = block, 0.5 * (double @ block)
         out += (2.0 * coeffs[1]) * cur
         for c in coeffs[2:]:
@@ -528,48 +583,54 @@ def _coherent_column(levels: int, xi: complex) -> np.ndarray:
     return mags * phases
 
 
-def _mode_rows(state: FockState, mode: int | ModeLabel) -> np.ndarray:
-    """Amplitudes as a (levels, rest) matrix whose row index is one mode's photon number."""
-    space = state.space
-    m = mode_index(mode, space.n_modes)
-    d = space.levels
-    psi = np.asarray(state.amplitudes).reshape((d,) * space.n_modes)
-    return np.moveaxis(psi, m, 0).reshape(d, -1)
+def fidelities_fock(reads: Sequence[tuple[FockState, int | ModeLabel, complex]]) -> list[float]:
+    """Overlap <xi| rho_m |xi> of each (state, mode m, xi) read, with no rho formed.
 
+    <xi| rho_m |xi> = ||(<xi|_m (x) I) psi||^2, and mode m's population on its
+    top level is ||psi restricted to n_m = c||^2.  Each read takes both from
+    a view of its state with one axis per mode: the top-level slice, and one
+    contraction of mode m's axis against the target, so no state is copied.
+    Each distinct xi's truncated |xi> is built once.  The states must share
+    one register.
 
-def reduced_density_matrix(state: FockState, mode: int | ModeLabel) -> np.ndarray:
-    """Density matrix of one mode, the rest traced out."""
-    psi = _mode_rows(state, mode)
-    return psi @ psi.conj().T
-
-
-def fidelity_fock(state: FockState, clone_mode: int | ModeLabel, xi: complex) -> float:
-    """Overlap <xi| rho_clone |xi> of one output mode with the coherent target.
-
-    Refuses to answer when the truncated |xi> itself is too lossy (norm below
-    1 - 1e-6) or when the clone has pushed more than LEAKAGE_TOL of its
-    population onto the top Fock level: a silently truncated fidelity would
+    Refuses to answer when a truncated |xi> itself is too lossy (norm below
+    1 - 1e-6) or when a read's mode has more than LEAKAGE_TOL of its
+    population on the top Fock level: a silently truncated fidelity would
     look like a cloning result while actually measuring the box size.  Both
     gates fail closed: a NaN norm or population is refused, and so is a
     non-finite xi.
     """
-    xi = complex(xi)
-    if not cmath.isfinite(xi):
-        raise ValueError(f"coherent amplitude must be finite, got {xi}")
-    levels = state.space.levels
-    target = _coherent_column(levels, xi)
-    norm2 = float(np.vdot(target, target).real)
-    if not norm2 >= 1.0 - COHERENT_NORM_TOL:
-        raise TruncationError(
-            f"coherent amplitude {xi} keeps only norm^2 = {norm2} below cutoff "
-            f"{state.space.cutoff}; raise the cutoff"
-        )
-    rho = reduced_density_matrix(state, clone_mode)
-    leak = float(rho[-1, -1].real)
-    if not leak <= LEAKAGE_TOL:
-        raise TruncationError(
-            f"top-level population {leak:.3e} exceeds {LEAKAGE_TOL}; "
-            f"the cutoff is too small for this evolution"
-        )
-    return float(np.real(np.vdot(target, rho @ target)))
-
+    if not reads:
+        raise ValueError("fidelities_fock needs at least one read")
+    space = reads[0][0].space
+    bras: dict[complex, np.ndarray] = {}  # <xi| of each distinct xi
+    for state, _, xi in reads:
+        if state.space != space:
+            raise ValueError(f"every read needs the register {space}, got {state.space}")
+        xi = complex(xi)
+        if not cmath.isfinite(xi):
+            raise ValueError(f"coherent amplitude must be finite, got {xi}")
+        if xi not in bras:
+            target = _coherent_column(space.levels, xi)
+            norm2 = float(np.vdot(target, target).real)
+            if not norm2 >= 1.0 - COHERENT_NORM_TOL:
+                raise TruncationError(
+                    f"coherent amplitude {xi} keeps only norm^2 = {norm2} below cutoff "
+                    f"{space.cutoff}; raise the cutoff"
+                )
+            bras[xi] = target.conj()
+    axes = list(range(space.n_modes))
+    fidelities = []
+    for state, mode, xi in reads:
+        m = mode_index(mode, space.n_modes)
+        psi = state.amplitudes.reshape((space.levels,) * space.n_modes)  # a view, mode k on axis k
+        top = psi[(slice(None),) * m + (-1,)]
+        leak = float((top.real ** 2 + top.imag ** 2).sum())
+        if not leak <= LEAKAGE_TOL:
+            raise TruncationError(
+                f"top-level population {leak:.3e} exceeds {LEAKAGE_TOL}; "
+                f"the cutoff is too small for this evolution"
+            )
+        overlap = np.einsum(psi, axes, bras[complex(xi)], [m])  # (<xi|_m (x) I) psi
+        fidelities.append(float((overlap.real ** 2 + overlap.imag ** 2).sum()))
+    return fidelities

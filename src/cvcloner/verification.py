@@ -11,16 +11,18 @@ Every machine the suites read is built and checked once per process, in one
 cache, ``_shared``: each asymmetric form as one ``build_cloners`` stack over
 GAMMA_GRID and the shared gammas off it, each SYM_CASES machine alone.
 ``standard_suites`` is the one place that chooses what each suite reads.
-It reads the shared machines at each amplitude by ``clone_reports``, the
-asymmetric ones as one stack and each symmetric one alone, and the direct
-grid machines at xi = 1 as one stack, and hands the same reports to every
+It reads the shared machines once per layout for every amplitude they are
+read at (the asymmetric ones as one stack, each symmetric one alone, each
+at XI_PROBES and Q_PROBE), and the direct grid machines at xi = 1 as one
+stack: 8 readout passes per ``verify``.  It hands the same reports to every
 suite that reads those figures.
 
 The oracle_agreement suite is the expensive one (truncated Fock evolution);
 it is opt-in from the CLI and covers only the 1->2 machine, which is the
 scope limit of the Fock module.  Its rungs read the registers the Fock
 module keeps for the process, but every rung evolves its own probes and
-every figure it reports is computed afresh.
+every figure it reports is computed afresh; a rung reads each of its
+twelve clone fidelities by one contraction, with no density matrix.
 """
 
 from __future__ import annotations
@@ -32,14 +34,20 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import CloneReport, clone_output_state, clone_reports, expected_fidelities
+from .analysis import (
+    CloneReport,
+    _reports_at,
+    clone_output_state,
+    clone_reports,
+    expected_fidelities,
+)
 from .circuits import AsymSpec, CloningMachine, SymSpec, asym_params, build_cloner, build_cloners
 from .fock import (
     FockSpace,
     TruncationError,
     apply_cloning_fock_block,
     coherent_fock,
-    fidelity_fock,
+    fidelities_fock,
 )
 from .gaussian import uncertainty_defect, worst_dev
 
@@ -83,9 +91,11 @@ def _shared() -> tuple[Pairs, Machines, Machines]:
     return grid, asym, tuple(build_cloner(SymSpec(n, m)) for n, m in SYM_CASES)
 
 
-def _read(asym: Machines, sym: Machines, xi: complex) -> list[list[CloneReport]]:
-    """Each shared machine's reports at xi, the asymmetric ones read as one stack."""
-    return clone_reports(asym, xi) + [clone_reports([machine], xi)[0] for machine in sym]
+def _read(asym: Machines, sym: Machines, xis: Sequence[complex]) -> list[list[list[CloneReport]]]:
+    """Each shared machine's reports at each amplitude of xis: one read of
+    the asymmetric stack and one of each symmetric machine, for all of xis."""
+    reads = [_reports_at(asym, xis)] + [_reports_at([machine], xis) for machine in sym]
+    return [[reports for read in reads for reports in read[i]] for i in range(len(xis))]
 
 
 def symplectic_invariants(machines: Machines) -> SuiteResult:
@@ -174,12 +184,11 @@ def _oracle_dev(cutoff: int) -> float:
     probes = [(g, xi) for g in (-0.5, 0.0, 0.5) for xi in (0.0, 0.3)]
     states = {xi: coherent_fock(space, [0.0, 0.0, xi]) for xi in (0.0, 0.3)}  # frozen, shared
     outs = apply_cloning_fock_block([(g, states[xi]) for g, xi in probes])
-    devs = []
-    for (g, xi), out in zip(probes, outs, strict=True):
-        fa_form, fc_form = expected_fidelities(AsymSpec(g))
-        devs += [abs(fidelity_fock(out, 0, xi) - fa_form),
-                 abs(fidelity_fock(out, 2, xi) - fc_form)]
-    return worst_dev(devs)
+    # clone a is mode 0 and clone c mode 2, in expected_fidelities' order
+    fidelities = fidelities_fock([(out, mode, xi) for (_, xi), out in zip(probes, outs, strict=True)
+                                  for mode in (0, 2)])
+    forms = [form for g, _ in probes for form in expected_fidelities(AsymSpec(g))]
+    return worst_dev(abs(f - form) for f, form in zip(fidelities, forms, strict=True))
 
 
 def oracle_agreement(tol: float | None = None, *, cutoffs: tuple[int, ...]) -> SuiteResult:
@@ -226,8 +235,7 @@ def standard_suites(tol: float | None = None) -> list[SuiteResult]:
     """
     grid, asym, sym = _shared()
     shared = asym + sym
-    per_xi = [_read(asym, sym, xi) for xi in XI_PROBES]
-    at_probe = _read(asym, sym, Q_PROBE)
+    *per_xi, at_probe = _read(asym, sym, (*XI_PROBES, Q_PROBE))
     on_grid = clone_reports([direct for direct, _ in grid])
     at_one = on_grid + per_xi[XI_PROBES.index(1)][len(asym):]
     suites = [

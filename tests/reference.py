@@ -4,7 +4,10 @@ The package builds every transform by ``fold_stack``, checks it with one
 product X P^T (one batched product over a stack) and reads every clone
 from the clone rows of X = A + B and P = A - B; these are the dense,
 two-row, four-product and single-mode routes that those results are
-checked against, kept here because only tests need them.
+checked against, kept here because only tests need them.  The Fock
+oracle reads each clone by one contraction against its coherent target and
+forms no density matrix; ``reduced_density_matrix`` is the partial trace
+that reading is checked against.
 ``build_per_point`` builds one machine as the package built every machine
 before it built a run of them as one stack: each transform folded (here by
 the two-row fold) or written out, and checked by one product, on its own.
@@ -40,7 +43,7 @@ from cvcloner.circuits import (
     asym_params,
 )
 from cvcloner.elements import beam_splitter_block, collect_gates, distribute_gates
-from cvcloner.fock import FockState, _mode_rows
+from cvcloner.fock import FockState
 from cvcloner.gaussian import (
     NOPA,
     BogoliubovTransform,
@@ -197,6 +200,15 @@ def reduce_mode(s: GaussianState, mode: int | ModeLabel) -> GaussianState:
     return GaussianState(mean=s.mean[k:k + 2], cov=s.cov[k:k + 2, k:k + 2])
 
 
+def _mode_rows(state: FockState, mode: int | ModeLabel) -> np.ndarray:
+    """Amplitudes as a (levels, rest) matrix whose row index is one mode's photon number."""
+    space = state.space
+    m = mode_index(mode, space.n_modes)
+    d = space.levels
+    psi = np.asarray(state.amplitudes).reshape((d,) * space.n_modes)
+    return np.moveaxis(psi, m, 0).reshape(d, -1)
+
+
 def mode_expectation(state: FockState, mode: int | ModeLabel) -> complex:
     """<a_mode> in the current state, for Heisenberg-picture cross-checks.
 
@@ -205,6 +217,15 @@ def mode_expectation(state: FockState, mode: int | ModeLabel) -> complex:
     psi = _mode_rows(state, mode)
     root_k = np.sqrt(np.arange(1, state.space.levels))
     return complex(np.vdot(psi[:-1], root_k[:, None] * psi[1:]))
+
+
+def reduced_density_matrix(state: FockState, mode: int | ModeLabel) -> np.ndarray:
+    """Density matrix of one mode, the rest traced out: the partial trace the
+    oracle's readout (``fidelities_fock``) is checked against.  It is formed
+    in the platform's long double, so that its own rounding (up to 5.6e-16
+    in a fidelity read from it in float64) stays below the readout's."""
+    psi = _mode_rows(state, mode).astype(np.clongdouble)
+    return psi @ psi.conj().T
 
 
 def apply_to_gaussian(t: BogoliubovTransform, s: GaussianState) -> GaussianState:

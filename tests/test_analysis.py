@@ -30,7 +30,7 @@ from cvcloner.gaussian import (
     coherent_means,
     fold_gates,
 )
-from cvcloner.verification import GAMMA_GRID, SYM_CASES
+from cvcloner.verification import GAMMA_GRID, Q_PROBE, SYM_CASES, XI_PROBES
 from reference import (
     _isotropic_photons,
     apply_to_gaussian,
@@ -479,6 +479,44 @@ def test_a_refused_stack_raises_a_refusal_a_loop_would_raise():
         assert str(err.value) in refusals
     assert "non-unit gain" in _refusals(crafted[0], xi)[0]
     assert _refusals(crafted[2], xi)[0].startswith("clone_2: covariance is not isotropic")
+
+
+READ_XI = (*XI_PROBES, Q_PROBE)  # what verify reads each shared machine at; 0 comes first
+
+
+def test_one_read_at_several_amplitudes_equals_a_read_at_each():
+    # exact equality: the amplitude-free figures are computed once, and each
+    # amplitude's means by the product a one-amplitude read takes
+    direct = [build_cloner(AsymSpec(float(g))) for g in GAMMA_GRID]
+    factorized = [build_cloner(AsymSpec(float(g), factorized=True)) for g in GAMMA_GRID]
+    sym = [build_cloner(SymSpec(n, m)) for n, m in SYM_CASES]
+    for machines in (direct, factorized, [build_cloner(SymSpec(16, 128))], *([m] for m in sym)):
+        assert analysis._reports_at(machines, READ_XI) == [
+            clone_reports(machines, xi) for xi in READ_XI]
+    assert analysis._reports_at([], READ_XI) == [[]] * len(READ_XI)
+    assert analysis._reports_at(direct, ()) == []
+
+
+def test_a_read_at_several_amplitudes_names_the_clone_the_first_refusing_one_names():
+    # a gain of -1 keeps xi = 0, so the first amplitude passes and xi = 1 refuses
+    asym = [build_cloner(AsymSpec(g)) for g in (-0.6, 0.1, 0.4)]
+    sym = build_cloner(SymSpec(2, 3))
+    named = []
+    for machines in ([asym[0], _faulty(asym[1], "gain_first"), asym[2]],
+                     [_faulty(asym[2], "gain_last"), _faulty(asym[0], "gain_first")],
+                     [_faulty(sym, "gain_last")],
+                     [asym[1], _faulty(asym[0], "squeezed_first")]):
+        with pytest.raises(ValueError) as err:
+            analysis._reports_at(machines, READ_XI)
+        refusals = []
+        for xi in READ_XI:
+            try:
+                clone_reports(machines, xi)
+            except ValueError as exc:
+                refusals.append(str(exc))
+        assert str(err.value) == refusals[0]
+        named.append(str(err.value).split(":")[0])
+    assert named == ["clone_1", "clone_2", "clone_3", "clone_1"]
 
 
 def test_clone_output_state_is_the_reference_evolution_bit_for_bit():

@@ -479,23 +479,25 @@ def test_a_warm_verify_forms_the_quadrature_matrix_only_for_the_full_state(monke
     assert callers == ["clone_output_state"] * 32
 
 
-def test_a_cold_verify_checks_each_machine_once_and_reads_them_in_43_passes(monkeypatch, capsys):
+def test_a_cold_verify_checks_each_machine_once_and_reads_them_in_8_passes(monkeypatch, capsys):
     # 90 distinct specs: the direct and factorized machine at each of the 41
     # grid points, and the 8 shared machines that are not on the grid
     verification._shared.cache_clear()
     calls = {"build": [], "check": 0, "read": Counter()}
     _count_machines(monkeypatch, calls)
-    _count_calls(monkeypatch, analysis.clone_reports, calls, "read",
-                 lambda machines, *xi: Counter(passes=1, machines=len(machines)))
+    # every clone_reports call is a one-amplitude _reports_at pass
+    _count_calls(monkeypatch, analysis._reports_at, calls, "read",
+                 lambda machines, xis: Counter(passes=1, machines=len(machines),
+                                               reports=len(machines) * len(xis)))
     assert cli.cmd_verify(None, None) == 0
     capsys.readouterr()
     assert len(calls["build"]) == len(set(calls["build"])) == 90
     assert calls["check"] == 90
-    # at each of the 5 XI_PROBES and the Q probe, one stack of the 10 shared
-    # asymmetric machines and each of the 6 symmetric ones alone; then one
-    # stack of the 41 direct grid machines at xi = 1, which holds the 4
-    # shared direct machines on the grid a second time
-    assert calls["read"] == Counter(passes=6 * (1 + 6) + 1, machines=6 * 16 + 41)
+    # one pass over the stack of the 10 shared asymmetric machines and one over
+    # each of the 6 symmetric ones, each at the 5 XI_PROBES and the Q probe;
+    # then one stack of the 41 direct grid machines at xi = 1, which holds the
+    # 4 shared direct machines on the grid a second time
+    assert calls["read"] == Counter(passes=1 + 6 + 1, machines=16 + 41, reports=6 * 16 + 41)
 
 
 @pytest.mark.parametrize("factorized", [False, True])

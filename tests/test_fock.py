@@ -20,10 +20,9 @@ from cvcloner.fock import (
     TruncationError,
     apply_cloning_fock_block,
     coherent_fock,
-    fidelity_fock,
-    reduced_density_matrix,
+    fidelities_fock,
 )
-from reference import mode_expectation
+from reference import mode_expectation, reduced_density_matrix
 
 
 def test_space_enforces_budget_and_cutoff():
@@ -36,8 +35,10 @@ def test_space_enforces_budget_and_cutoff():
     assert FockSpace(3, 14).dim == 15 ** 3
 
 
-# the clone-idler squeeze as a flow, which the oracle itself never builds
+# the clone-idler squeeze as a flow, which the oracle itself never builds, and
+# the clone-signal beam splitter alone
 SQUEEZE_TERMS = (((fock._CLONE, fock._IDLER), True),)
+MIX_TERMS = (((fock._CLONE, fock._SIGNAL), False),)
 
 
 def _box_flows(space):
@@ -47,8 +48,8 @@ def _box_flows(space):
 
 
 def _scaled(flow, t):
-    """The flow of tK, whose 1-norm is |t| times that of K."""
-    return fock._Flow(t * flow.matrix, abs(t) * flow.one_norm)
+    """The flow of tK, whose radius is |t| times that of K."""
+    return fock._Flow(t * flow.matrix, abs(t) * flow.radius)
 
 
 def _box_flow(space, pair, squeeze):
@@ -116,7 +117,7 @@ def test_coherent_state_is_nearly_normalized_and_poissonian():
 def test_fidelity_of_unevolved_vacuum_is_one():
     space = FockSpace(3, 4)
     state = coherent_fock(space, [0j, 0j, 0j])
-    assert np.isclose(fidelity_fock(state, 0, 0j), 1.0, atol=1e-14)
+    assert np.isclose(fidelities_fock([(state, 0, 0j)])[0], 1.0, atol=1e-14)
 
 
 def test_two_mode_squeezed_vacuum_thermal_overlap():
@@ -128,7 +129,7 @@ def test_two_mode_squeezed_vacuum_thermal_overlap():
     vac[0] = 1.0
     flow = _box_flow(space, (0, 1), squeeze=True)
     state = FockState(space, expm_multiply(r * flow, vac))
-    got = fidelity_fock(state, 0, 0j)
+    (got,) = fidelities_fock([(state, 0, 0j)])
     assert np.isclose(got, 1 / math.cosh(r) ** 2, atol=1e-10)
 
 
@@ -136,28 +137,30 @@ def test_truncated_coherent_overlap_gate():
     space = FockSpace(2, 6)
     state = coherent_fock(space, [0j, 0j])
     with pytest.raises(TruncationError):
-        fidelity_fock(state, 0, 4.0 + 0j)
+        fidelities_fock([(state, 0, 4.0 + 0j)])
 
 
 def test_leakage_gate_trips_on_undersized_cutoff():
     space = FockSpace(3, 3)
     out = apply_cloning_fock_block([(1.5, coherent_fock(space, [0j, 0j, 0.5 + 0j]))])[0]
     with pytest.raises(TruncationError):
-        fidelity_fock(out, 0, 0.5 + 0j)
+        fidelities_fock([(out, 0, 0.5 + 0j)])
 
 
 def test_symmetric_point_fidelity_converges_to_two_thirds():
     space = FockSpace(3, 12)
     out = apply_cloning_fock_block([(0.0, coherent_fock(space, [0j, 0j, 0.5 + 0j]))])[0]
-    assert abs(fidelity_fock(out, 0, 0.5) - 2 / 3) < 2e-3
-    assert abs(fidelity_fock(out, 2, 0.5) - 2 / 3) < 2e-3
+    clone, signal = fidelities_fock([(out, 0, 0.5), (out, 2, 0.5)])
+    assert abs(clone - 2 / 3) < 2e-3
+    assert abs(signal - 2 / 3) < 2e-3
 
 
 def test_asymmetric_point_fidelities_converge():
     space = FockSpace(3, 14)
     out = apply_cloning_fock_block([(0.5, coherent_fock(space, [0j, 0j, 0.5 + 0j]))])[0]
-    assert abs(fidelity_fock(out, 0, 0.5) - 2 / (math.e + 2)) < 5e-3
-    assert abs(fidelity_fock(out, 2, 0.5) - 2 / (math.exp(-1) + 2)) < 5e-3
+    clone, signal = fidelities_fock([(out, 0, 0.5), (out, 2, 0.5)])
+    assert abs(clone - 2 / (math.e + 2)) < 5e-3
+    assert abs(signal - 2 / (math.exp(-1) + 2)) < 5e-3
 
 
 def test_heisenberg_means_match_the_transform_picture():
@@ -293,7 +296,7 @@ def test_every_cached_array_is_read_only(cold_registers):
     flow, bases = fock._fixed_flow(space, (tuple(range(7)),))
     arrays = [*fock._register(space), *bases,
               flow.matrix.data, flow.matrix.indices, flow.matrix.indptr]
-    assert len(arrays) == 9
+    assert len(arrays) == 10
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = array.flat[0]
@@ -339,22 +342,23 @@ class _CountedMatrix:
         return self.matrix @ block
 
 
-def test_a_rung_makes_one_recurrence_of_at_most_110_products(monkeypatch):
+def test_a_rung_makes_one_recurrence_of_at_most_95_products(monkeypatch):
     calls, products = [], []
     real = fock._propagate
 
     def counting(flow, block):
         calls.append(block.shape)
-        return real(fock._Flow(_CountedMatrix(flow.matrix, products), flow.one_norm), block)
+        return real(fock._Flow(_CountedMatrix(flow.matrix, products), flow.radius), block)
 
     monkeypatch.setattr(fock, "_propagate", counting)
     assert math.isfinite(_oracle_dev(16))
     # one call over both groups' rows, with the three real columns of each
     # group (one per gamma) side by side; the design with a squeeze flow made
-    # 307 sparse products per rung here, in four recurrences
+    # 307 sparse products per rung here, in four recurrences, and a series
+    # sized by the 1-norm (62.0) 107; sized by the chain bound (51.0) it makes 93
     assert calls == [(_sector_size(16, [0]) + _sector_size(16, range(17)), 3)]
     assert set(products) == set(calls)
-    assert len(products) <= 110
+    assert len(products) <= 95
 
 
 def test_real_input_evolves_to_exactly_real_amplitudes():
@@ -399,7 +403,7 @@ def test_complex_input_matches_the_dense_exponentials():
 def test_fidelity_fock_refuses_a_non_finite_target(xi):
     state = coherent_fock(FockSpace(1, 10), [0.3])
     with pytest.raises(ValueError, match="must be finite"):
-        fidelity_fock(state, 0, xi)
+        fidelities_fock([(state, 0, xi)])
 
 
 @pytest.mark.parametrize("xi", [math.nan, math.inf, complex(0.0, -math.inf)])
@@ -418,7 +422,7 @@ def test_fidelity_fock_refuses_a_nan_state():
     space = FockSpace(2, 6)
     state = FockState(space, np.full(space.dim, np.nan, dtype=complex))
     with pytest.raises(TruncationError, match="top-level population nan"):
-        fidelity_fock(state, 0, 0.3)
+        fidelities_fock([(state, 0, 0.3)])
 
 
 def _chi(gamma):
@@ -565,16 +569,27 @@ def test_bessel_coefficients_of_a_large_rho_stay_finite():
     assert np.abs(got - jv(np.arange(got.size), 12000.0)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("cutoff", range(1, 7))
+@pytest.mark.parametrize("cutoff", range(1, 9))
 def test_the_one_norm_bounds_the_spectrum_of_each_flow(cutoff):
-    # the Chebyshev series needs the eigenvalues of K / one_norm in [-i, i]
+    # the 1-norm bounds the spectrum, and the radius that sizes the Chebyshev
+    # series (which needs the eigenvalues of K / radius in [-i, i]) is the
+    # smaller of the 1-norm and the chain bound, so it lies between the
+    # spectral radius and the 1-norm, for a flow over the box, over
+    # Q = 0 alone (whose 1-norm is the smaller), over the signal probes'
+    # sectors, stacked over both, or of one term alone
     space = FockSpace(3, cutoff)
     charge = fock._charge(space, np.arange(space.dim))
-    for basis in (np.arange(space.dim), np.flatnonzero(charge == 0)):
-        for flow in (fock._flow(space, SQUEEZE_TERMS, basis), fock._cloner_flows(space, basis)):
-            eigenvalues = np.linalg.eigvals(flow.matrix.toarray())
-            assert np.abs(eigenvalues.real).max() <= 1e-12
-            assert np.abs(eigenvalues).max() <= flow.one_norm
+    box, vacuum = np.arange(space.dim), np.flatnonzero(charge == 0)
+    signal = np.flatnonzero((charge >= 0) & (charge <= cutoff))
+    flows = [fock._flow(space, terms, basis) for terms in (SQUEEZE_TERMS, MIX_TERMS)
+             for basis in (box, vacuum)]
+    flows += [fock._cloner_flows(space, *bases)
+              for bases in ((box,), (vacuum,), (signal,), (vacuum, signal))]
+    for flow in flows:
+        dense = flow.matrix.toarray()
+        assert (dense == -dense.T).all()
+        spectral_radius = np.abs(np.linalg.eigvalsh(1j * dense)).max()  # iK is Hermitian
+        assert spectral_radius <= flow.radius <= np.abs(dense).sum(axis=0).max()
 
 
 def test_a_block_equals_one_call_per_probe():
@@ -638,8 +653,10 @@ def test_box_flows_equal_the_kron_built_generators(cutoff):
     squeeze, fixed = _box_flows(space)
     assert (squeeze.matrix.toarray() == a @ b - a.T @ b.T).all()
     assert (fixed.matrix.toarray() == (a.T @ c - c.T @ a) + (c @ b - c.T @ b.T)).all()
-    for flow in (squeeze, fixed):
-        assert flow.one_norm == np.abs(flow.matrix.toarray()).sum(axis=0).max()
+    mix_radius, squeeze_radius = fock._register(space).radii
+    chain_bounds = (squeeze_radius, math.fsum((mix_radius, squeeze_radius)))
+    for flow, chains in zip((squeeze, fixed), chain_bounds, strict=True):
+        assert flow.radius == min(np.abs(flow.matrix.toarray()).sum(axis=0).max(), chains)
 
 
 @pytest.mark.parametrize("cutoff", [1, 5, 10, 16, 20])
@@ -657,7 +674,10 @@ def test_both_flows_conserve_the_charge(cutoff):
 def test_sector_norms_of_the_oracle_register():
     # the xi = 0.3 probes occupy Q in [0, c], whose fixed flow has the box's
     # norm; the vacuum occupies Q = 0, whose fixed flow is smaller.  Both
-    # groups' flows stacked as one block diagonal take the larger norm.
+    # groups' flows stacked as one block diagonal take the larger norm.  The
+    # radius of the box, signal and stacked flows is the chain bound
+    # rho_BS + rho_NOPA = 25.14 + 25.82, below their 1-norm 62.0 (their
+    # spectral radius is 49.42); the vacuum flow keeps its 1-norm 41.0
     space = FockSpace(3, 16)
     charge = fock._charge(space, np.arange(space.dim))
     signal_basis = np.flatnonzero((charge >= 0) & (charge <= 16))
@@ -666,8 +686,16 @@ def test_sector_norms_of_the_oracle_register():
     signal = fock._cloner_flows(space, signal_basis)
     vacuum = fock._cloner_flows(space, vacuum_basis)
     both = fock._cloner_flows(space, vacuum_basis, signal_basis)
-    assert signal.one_norm == box.one_norm == both.one_norm
-    assert [round(f.one_norm, 1) for f in (box, vacuum)] == [62.0, 41.0]
+    def one_norm(flow):
+        return abs(flow.matrix).sum(axis=0).max()
+
+    assert one_norm(signal) == one_norm(box) == one_norm(both)
+    assert [round(one_norm(f), 1) for f in (box, vacuum)] == [62.0, 41.0]
+    radii = fock._register(space).radii
+    assert [round(r, 2) for r in radii] == [25.14, 25.82]
+    assert signal.radius == box.radius == both.radius == math.fsum(radii)
+    assert round(box.radius, 2) == 50.96
+    assert vacuum.radius == one_norm(vacuum)
     assert [f.matrix.shape[0] for f in (box, signal, vacuum, both)] == [4913, 3281, 153, 3434]
     assert (both.matrix[:153, :153] != vacuum.matrix).nnz == 0
     assert (both.matrix[153:, 153:] != signal.matrix).nnz == 0
@@ -771,3 +799,103 @@ ORACLE_DEVS_BY_EXPM_MULTIPLY = {
 def test_oracle_dev_matches_the_expm_multiply_values(cutoff):
     assert abs(_oracle_dev(cutoff) - ORACLE_DEVS_BY_EXPM_MULTIPLY[cutoff]) <= 1e-14
 
+
+
+def _all_chain_squeeze(space, block, chis):
+    """`fock._squeeze` with every (chain, column) pair taken as occupied."""
+    register = fock._register(space)
+    levels, k = space.levels, block.shape[1]
+    distinct, which = np.unique(np.asarray(chis, dtype=float), return_inverse=True)
+    out = block.copy()
+    boxed = out.reshape(levels ** 2, levels, k)
+    padded = np.concatenate([boxed, np.zeros((1, levels, k))])
+    chain, col = (grid.ravel() for grid in np.meshgrid(np.arange(2 * levels - 1), np.arange(k),
+                                                       indexing="ij"))
+    gap = np.abs(chain - space.cutoff)
+    v = np.array([1, 1j, -1, -1j])[np.arange(levels) % 4, None] * register.w[gap]
+    steps = ((v * np.expm1(1j * distinct[which[col], None] * register.lam[gap])[:, None, :])
+             @ v.conj().swapaxes(1, 2)).real
+    cols = np.broadcast_to(col[:, None], (chain.size, levels))
+    slices = padded[register.rows[chain], :, cols]
+    slices += steps @ slices
+    on_chain = register.on_chain[chain]
+    boxed[register.rows[chain][on_chain], :, cols[on_chain]] = slices[on_chain]
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [1, 4, 9, 16])
+def test_the_occupied_chain_squeeze_equals_the_all_chain_one_bit_for_bit(cutoff):
+    space = FockSpace(3, cutoff)
+    rng = np.random.default_rng(cutoff)
+    clone, idler, _ = np.unravel_index(np.arange(space.dim), (space.levels,) * 3)
+    chain = clone - idler
+    block = rng.standard_normal((space.dim, 5))
+    for j in range(5):  # each column keeps a random set of chains, none or all among them
+        kept = rng.random(2 * cutoff + 1) < (0.0, 0.3, 0.6, 1.0, 0.5)[j]
+        block[~kept[chain + cutoff], j] = 0.0
+    chis = [_chi(0.5), _chi(-0.5), _chi(0.5), 0.0, _chi(GAMMA_LIMIT)]
+    got = fock._squeeze(space, block, chis)
+    assert np.array_equal(got, _all_chain_squeeze(space, block, chis))
+    for j in range(5):  # a chain a column leaves empty stays exactly zero
+        assert (got[~np.isin(chain, chain[block[:, j] != 0]), j] == 0).all()
+
+
+def test_the_oracle_probes_touch_only_the_d_zero_chain(monkeypatch):
+    # with every chain's eigenbasis but d = 0's poisoned, the oracle's probes
+    # still evolve to the same amplitudes: no other chain's step is formed
+    space = FockSpace(3, 12)
+    probes = [(g, coherent_fock(space, [0j, 0j, xi]))
+              for g in (-0.5, 0.0, 0.5) for xi in (0.0, 0.3)]
+    want = apply_cloning_fock_block(probes)
+    register = fock._register(space)
+    lam, w = register.lam.copy(), register.w.copy()
+    lam[1:], w[1:] = np.nan, np.nan
+    monkeypatch.setattr(fock, "_register", lambda _: register._replace(lam=lam, w=w))
+    for out, alone in zip(apply_cloning_fock_block(probes), want, strict=True):
+        assert np.array_equal(out.amplitudes, alone.amplitudes)
+    # a probe with an idler photon occupies the d = -1 chain, and reads the poison
+    stray = apply_cloning_fock_block([(0.0, coherent_fock(space, [0j, 0.2 + 0j, 0.3 + 0j]))])
+    assert np.isnan(stray[0].amplitudes).any()
+
+
+def _fidelity_by_trace(state, mode, xi):
+    """<xi| rho |xi> from the partial trace, the reference the readout is checked against."""
+    target = fock._coherent_column(state.space.levels, complex(xi)).astype(np.clongdouble)
+    return float((target.conj() @ reduced_density_matrix(state, mode) @ target).real)
+
+
+@pytest.mark.parametrize("cutoff", [10, 13, 16])
+def test_the_readout_matches_the_partial_trace(cutoff):
+    space = FockSpace(3, cutoff)
+    probes = _reference_probes(space)
+    states = [probes["vacuum"], probes["complex on three modes"],
+              *apply_cloning_fock_block([(g, probes["signal"]) for g in (-0.5, 0.5)]),
+              apply_cloning_fock_block([(0.2, probes["complex on three modes"])])[0]]
+    reads = [(state, mode, xi) for state in states for mode in range(3)
+             for xi in (0.0, 0.3, 0.2 - 0.4j)]
+    got = fidelities_fock(reads)
+    assert len(got) == len(reads)
+    for f, (state, mode, xi) in zip(got, reads, strict=True):
+        assert abs(f - _fidelity_by_trace(state, mode, xi)) <= 1e-15
+
+
+def test_the_readout_refuses_a_nan_state_and_a_leaking_read_among_good_ones():
+    # every target is the vacuum, whose truncated norm is exactly 1, so only
+    # the leakage gate can refuse
+    space = FockSpace(3, 3)
+    good = coherent_fock(space, [0j, 0j, 0.3 + 0j])
+    leaking = apply_cloning_fock_block([(1.5, coherent_fock(space, [0j, 0j, 0.5 + 0j]))])[0]
+    nan = FockState(space, np.full(space.dim, np.nan, dtype=complex))
+    assert len(fidelities_fock([(good, 0, 0), (good, 2, 0)])) == 2
+    with pytest.raises(TruncationError, match=r"top-level population \d"):
+        fidelities_fock([(good, 0, 0), (leaking, 0, 0), (good, 2, 0)])
+    with pytest.raises(TruncationError, match="top-level population nan"):
+        fidelities_fock([(good, 0, 0), (nan, 1, 0)])
+
+
+def test_the_readout_refuses_no_reads_and_mixed_registers():
+    with pytest.raises(ValueError, match="at least one read"):
+        fidelities_fock([])
+    with pytest.raises(ValueError, match="every read needs the register"):
+        fidelities_fock([(coherent_fock(FockSpace(3, 6), [0j, 0j, 0.3]), 0, 0.3),
+                         (coherent_fock(FockSpace(3, 7), [0j, 0j, 0.3]), 0, 0.3)])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, build_cloner, build_cloners
-from cvcloner.fock import FockSpace, coherent_fock, reduced_density_matrix
+from cvcloner.fock import FockSpace, coherent_fock, fidelities_fock
 from cvcloner.gaussian import (
     NOPA,
     BogoliubovTransform,
@@ -399,7 +399,7 @@ def test_passive_stores_its_block_as_floats():
     (lambda k: chaotic_photons(asym_direct(0.3), k), 3),
     (lambda k: phase_covariance_defect(asym_direct(0.3), k, (2,)), -1),
     (lambda k: phase_covariance_defect(asym_direct(0.3), 0, (k,)), -1),
-    (lambda k: reduced_density_matrix(coherent_fock(FockSpace(3, 2), [0j] * 3), k), -1),
+    (lambda k: fidelities_fock([(coherent_fock(FockSpace(3, 2), [0j] * 3), k, 0j)]), -1),
 ], ids=["amplitude-negative", "amplitude-past-end", "photons-negative", "photons-past-end",
         "defect-clone-negative", "defect-signal-negative", "fock-negative"])
 def test_a_mode_outside_the_register_is_refused(read, mode):
