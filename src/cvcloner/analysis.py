@@ -13,7 +13,7 @@ the transform, and the reduced output covariance) and F by three (1/(n+1)
 from either n_ch route, and the Q-function peak), so agreement between them
 is a real consistency check rather than one formula printed twice.
 
-``clone_reports`` reads every clone of a list of built machines from the
+``read_clones`` reads every clone of a list of built machines from the
 clone rows of the two quadrature maps X = A + B (on x) and P = A - B (on
 p), never forming the quadrature matrix S or the full output state.  Every
 input is coherent or vacuum, with covariance I/2, and a real transform keeps
@@ -21,18 +21,19 @@ x and p apart, so clone j's 2x2 block is diag(|X_j|^2 / 2, |P_j|^2 / 2),
 with a cross term of exactly zero, and its means are X_j and P_j times the
 input x and p means.  The machines share one layout (register size, clone
 and signal modes) and are read as one (k, M, n) stack of their clone rows
-of (A, B): those variances and means go through array helpers that take
-any leading axes, so each formula and each gate runs once per stack, not
-once per machine, and each machine in a stack reads bit for bit what it
-reads alone.  One read serves several amplitudes (``_reports_at``): the
-variances, n_ch and phase defects do not depend on xi and are computed
-once, and each amplitude's means, gain gate and Q are computed as a read
-at that amplitude alone computes them, so every report is bit for bit the
-same.  ``clone_reports`` is that read at one amplitude, ``clone_report`` is
-``clone_reports`` on one machine, and a ``CloneReport`` carries every
-figure a caller reads: there is no single-row reader beside it.  The gates
-fail closed: a NaN variance or amplitude is refused, never passed, and the
-refusal names the clone.
+of (A, B), at every amplitude of a list at once: the variances, n_ch and
+phase defects do not depend on the amplitude and are computed once, the
+input means of all X amplitudes are one array per quadrature, so the output
+means are one stacked product per quadrature, and the gain gate and Q run
+once over (X, k, M).  Each figure is bit for bit what a read of that
+machine alone at that amplitude alone gives.  The read returns a
+``Readout`` of arrays, which the verification suites compare as they are.
+The gates fail closed: a NaN variance or amplitude is refused, never
+passed, and the refusal names the clone; a ``Readout`` carries the
+refusal and marks the refused machines.  ``clone_reports`` is that read at
+one amplitude, raising its refusal, as a list of ``CloneReport`` objects,
+which carry every figure ``clone`` and ``sweep`` print; ``clone_report``
+is ``clone_reports`` on one machine.
 ``clone_output_state`` is the independent full-state route, S (I/2) S^T,
 for the suites that need every mode.
 """
@@ -73,23 +74,21 @@ def _chaotic_photons(b_rows: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.sum(b_rows ** 2, axis=-1)
 
 
-def _photons(vxx: NDArray[np.float64], vpp: NDArray[np.float64], names: list[str],
-             vxp: NDArray[np.float64] | float = 0.0) -> NDArray[np.float64]:
-    """Chaotic photons (var(x) + var(p))/2 - 1/2 per clone, over any leading
-    axes, with clone j's name at names[j] along the last axis.
-
-    Fails closed, NaN included, unless each clone has equal x and p variances
-    and no cross term within ISOTROPY_TOL; a real transform's clones have no
-    cross term, so it defaults to 0.
-    """
+def _isotropy(vxx: NDArray[np.float64], vpp: NDArray[np.float64], names: list[str],
+              vxp: NDArray[np.float64] | float = 0.0) -> tuple[NDArray[np.bool_], str | None]:
+    """Whether each clone has equal x and p variances and no cross term
+    within ISOTROPY_TOL (False for NaN), over any leading axes, with clone
+    j's name at names[j] along the last axis; and the refusal that names the
+    first clone without it, or None.  A real transform's clones have no
+    cross term, so it defaults to 0."""
     isotropic = (np.abs(vxx - vpp) <= ISOTROPY_TOL) & (np.abs(vxp) <= ISOTROPY_TOL)
-    if not isotropic.all():
-        i = np.unravel_index(np.argmin(isotropic), isotropic.shape)
-        raise ValueError(
-            f"{names[i[-1]]}: covariance is not isotropic: "
-            f"var(x)={vxx[i]}, var(p)={vpp[i]}, cov(x,p)={np.broadcast_to(vxp, vxx.shape)[i]}"
-        )
-    return (vxx + vpp) / 2.0 - 0.5
+    if isotropic.all():
+        return isotropic, None
+    i = np.unravel_index(np.argmin(isotropic), isotropic.shape)
+    return isotropic, (
+        f"{names[i[-1]]}: covariance is not isotropic: "
+        f"var(x)={vxx[i]}, var(p)={vpp[i]}, cov(x,p)={np.broadcast_to(vxp, vxx.shape)[i]}"
+    )
 
 
 def _amplitudes(x_means: NDArray[np.float64],
@@ -99,25 +98,30 @@ def _amplitudes(x_means: NDArray[np.float64],
     return x_means / root2 + 1j * (p_means / root2)
 
 
-def _fidelities(amps: NDArray[np.complex128], xi: complex, n: NDArray[np.float64],
-                names: list[str]) -> NDArray[np.float64]:
-    """1/(n + 1) per clone, refused (NaN included) unless each clone kept xi
-    at unit gain within GAIN_TOL: these machines preserve gain by
-    construction, so a gain error is a fault, not a lower fidelity.  Leading
-    axes and names as in ``_photons``."""
-    unit_gain = np.abs(amps - xi) <= GAIN_TOL * max(1.0, abs(xi))
-    if not unit_gain.all():
-        i = np.unravel_index(np.argmin(unit_gain), unit_gain.shape)
-        raise ValueError(
-            f"{names[i[-1]]}: clone amplitude {complex(amps[i])} does not match "
-            f"the target {xi}: non-unit gain"
-        )
-    return 1.0 / (n + 1.0)
+def _unit_gain(amps: NDArray[np.complex128], xis: Sequence[complex],
+               names: list[str]) -> tuple[NDArray[np.bool_], str | None]:
+    """Whether each clone kept its target at unit gain within
+    GAIN_TOL * max(1, |xi|) (False for NaN), for amps of shape (X, ..., M)
+    read at xis[x] along the first axis, with names as in ``_isotropy``; and
+    the refusal that names the first such clone of the first amplitude that
+    has one, or None.  These machines preserve gain by construction, so a
+    gain error is a fault, not a lower fidelity."""
+    shape = (len(xis),) + (1,) * (amps.ndim - 1)
+    tol = np.array([GAIN_TOL * max(1.0, abs(xi)) for xi in xis]).reshape(shape)
+    unit_gain = np.abs(amps - np.array(xis).reshape(shape)) <= tol
+    if unit_gain.all():
+        return unit_gain, None
+    i = np.unravel_index(np.argmin(unit_gain), unit_gain.shape)
+    return unit_gain, (
+        f"{names[i[-1]]}: clone amplitude {complex(amps[i])} does not match "
+        f"the target {xis[i[0]]}: non-unit gain"
+    )
 
 
 def _husimi(amps: NDArray[np.complex128], n: NDArray[np.float64],
-            alpha: complex) -> NDArray[np.float64]:
-    """Q(alpha) = exp(-|alpha - xi|^2 / (n + 1)) / ((n + 1) pi) per clone."""
+            alpha: complex | NDArray[np.complex128]) -> NDArray[np.float64]:
+    """Q(alpha) = exp(-|alpha - xi|^2 / (n + 1)) / ((n + 1) pi) per clone,
+    with alpha one amplitude or an array that broadcasts against amps."""
     return np.exp(-np.abs(alpha - amps) ** 2 / (n + 1.0)) / ((n + 1.0) * math.pi)
 
 
@@ -176,35 +180,49 @@ def _layout(machine: CloningMachine) -> tuple:
     return machine.n_modes, machine.clone_modes, machine.signal_modes
 
 
-def clone_reports(machines: Iterable[CloningMachine],
-                  xi: complex = 1.0 + 0.0j) -> list[list[CloneReport]]:
-    """Every clone's quality figures for each of some built machines of one
-    layout (register size, clone and signal modes), in order.
+@dataclass(frozen=True)
+class Readout:
+    """Every clone's figures for k machines of one layout read at X
+    amplitudes, as arrays: clone j of machine i is [i, j] of a figure that
+    does not depend on the amplitude, and [x, i, j] of one read at xis[x].
 
-    The machines are read as one stack: their clone rows of A and B are
-    gathered, never their whole transforms, and each formula and gate runs
-    once over the stack.  A list that mixes layouts is refused.  This is
-    ``_reports_at`` at one amplitude.
+    The fields carry ``CloneReport``'s figures under its names.  ``refused``
+    marks each machine that a gate refuses at some amplitude, and
+    ``refusal`` is what the read raises when one is, or None: the isotropy
+    gate's refusal before the gain gate's, each naming the clone that the
+    first refusing amplitude read alone would name.  A refused machine's
+    figures are computed all the same, and they are not to be trusted.
     """
-    return _reports_at(machines, (xi,))[0]
+
+    n_chaotic: NDArray[np.float64]                # (k, M)
+    n_chaotic_state: NDArray[np.float64]          # (k, M)
+    n_chaotic_formula: NDArray[np.float64]        # (k, M)
+    fidelity_formula: NDArray[np.float64]         # (k, M)
+    phase_covariance_defect: NDArray[np.float64]  # (k, M)
+    fidelity: NDArray[np.float64]                 # (X, k, M)
+    q_peak: NDArray[np.float64]                   # (X, k, M)
+    refused: NDArray[np.bool_]                    # (k,)
+    refusal: str | None
 
 
-def _reports_at(machines: Iterable[CloningMachine],
-                xis: Sequence[complex]) -> list[list[list[CloneReport]]]:
-    """``clone_reports`` of the machines at each amplitude of xis, in order,
-    from one read of their clone rows.
+def read_clones(machines: Sequence[CloningMachine], xis: Sequence[complex]) -> Readout:
+    """Every clone of some built machines of one layout (register size,
+    clone and signal modes) at each amplitude of xis, as one ``Readout``.
 
-    The variances, n_ch and phase defects do not depend on the amplitude,
-    so they are computed once; each amplitude's means are the same
-    ``quad @ means`` products ``clone_reports`` takes at that amplitude
-    alone, and the gain gate and Q run once per amplitude, in order.  So
-    every report is bit for bit the one-amplitude read, and a refusal names
-    the clone that the first refusing amplitude read alone would name.
+    The machines are read as one (k, M, n) stack of their clone rows of
+    (A, B), never their whole transforms.  The variances, n_ch and phase
+    defects do not depend on the amplitude and are computed once.  The
+    input means of every amplitude are one (X, n, 1) array per quadrature,
+    so each quadrature's output means are one stacked product whose every
+    (x, i) core is the matrix-vector product a read at xis[x] alone takes
+    (one matrix product over the amplitudes would round differently); the
+    gain gate and Q then run once over (X, k, M).  So each figure is bit
+    for bit the one a read of that machine alone, at that amplitude alone,
+    gives.  An empty list, or one that mixes layouts, is refused.
     """
-    machines = list(machines)
     xis = [complex(xi) for xi in xis]
     if not machines:
-        return [[] for _ in xis]
+        raise ValueError("read_clones needs at least one machine")
     first = machines[0]
     layout = _layout(first)
     if any(_layout(m) != layout for m in machines):
@@ -212,40 +230,72 @@ def _reports_at(machines: Iterable[CloningMachine],
                          "one register size, clone modes and signal modes")
     rows = np.array([m.index for m in first.clone_modes])
     names = [m.name for m in first.clone_modes]
-    a = np.empty((len(machines), rows.size, first.n_modes))
-    b = np.empty_like(a)
-    for k, machine in enumerate(machines):  # one gathered temporary at a time
-        a[k] = machine.transform.A[rows]
-        b[k] = machine.transform.B[rows]
+    # each machine's clone rows, then one stack of them
+    a = np.array([machine.transform.A.take(rows, axis=0) for machine in machines])
+    b = np.array([machine.transform.B.take(rows, axis=0) for machine in machines])
     b_photons = _chaotic_photons(b)  # its b**2 is freed before X's buffer exists
-    means = [coherent_means(first.input_amplitudes(xi)) for xi in xis]
+    # coherent_means of every amplitude, x means then p means: sqrt(2) Re xi
+    # and sqrt(2) Im xi on each signal input, 0 on every other
+    targets = np.array(xis, dtype=complex)
+    means = np.zeros((2, len(xis), first.n_modes, 1))
+    signal = [m.index for m in first.signal_modes]
+    means[:, :, signal] = (np.sqrt(2.0) * targets.view(float).reshape(-1, 2).T)[..., None, None]
     # one buffer holds the clone rows of X, then those of P
     quad = np.add(a, b)
     var_x = 0.5 * np.einsum("...j,...j->...", quad, quad)
-    mean_x = [quad @ mean[0::2] for mean in means]
+    mean_x = (quad @ means[0][:, None])[..., 0]
     np.subtract(a, b, out=quad)
     var_p = 0.5 * np.einsum("...j,...j->...", quad, quad)
-    mean_p = [quad @ mean[1::2] for mean in means]
-    n_state = _photons(var_x, var_p, names)
-    amplitude_free = [(n_rows, n_cov, expected_chaotic_photons(machine.spec),
-              expected_fidelities(machine.spec), defect)
-             for machine, n_rows, n_cov, defect in zip(
-                 machines, b_photons.tolist(), n_state.tolist(),
-                 _phase_covariance_defects(a, b, [m.index for m in first.signal_modes]).tolist(),
-                 strict=True)]
-    per_xi = []
-    for xi, x_means, p_means in zip(xis, mean_x, mean_p, strict=True):
-        amps = _amplitudes(x_means, p_means)
-        per_machine = zip(amplitude_free, _fidelities(amps, xi, n_state, names).tolist(),
-                          _husimi(amps, n_state, xi).tolist(), strict=True)
-        # each zip yields a clone's figures in CloneReport's field order
-        per_xi.append([
-            [CloneReport(*fields) for fields in zip(
-                first.clone_modes, n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect,
-                strict=True)]
-            for (n_rows, n_cov, n_form, f_form, defect), fidelity, q_peak in per_machine
-        ])
-    return per_xi
+    mean_p = (quad @ means[1][:, None])[..., 0]
+    amps = _amplitudes(mean_x, mean_p)
+    isotropic, refusal = _isotropy(var_x, var_p, names)
+    unit_gain, gain_refusal = _unit_gain(amps, xis, names)
+    n_state = (var_x + var_p) / 2.0 - 0.5
+    fidelity = np.empty(amps.shape)  # 1/(n + 1) at every amplitude
+    np.divide(1.0, n_state + 1.0, out=fidelity)
+    if refusal is None and gain_refusal is None:
+        refused = np.zeros(len(machines), dtype=bool)
+    else:
+        refused = ~(isotropic.all(axis=-1) & unit_gain.all(axis=(0, -1)))
+    return Readout(
+        n_chaotic=b_photons,
+        n_chaotic_state=n_state,
+        n_chaotic_formula=np.array([expected_chaotic_photons(m.spec) for m in machines]),
+        fidelity_formula=np.array([expected_fidelities(m.spec) for m in machines]),
+        phase_covariance_defect=_phase_covariance_defects(a, b, signal),
+        fidelity=fidelity,
+        q_peak=_husimi(amps, n_state, targets[:, None, None]),
+        refused=refused,
+        refusal=gain_refusal if refusal is None else refusal,
+    )
+
+
+def clone_reports(machines: Iterable[CloningMachine],
+                  xi: complex = 1.0 + 0.0j) -> list[list[CloneReport]]:
+    """Every clone's quality figures for each of some built machines of one
+    layout (register size, clone and signal modes), in order.
+
+    The machines are read as one stack by ``read_clones`` at xi, which
+    raises its refusal, if any, before a ``CloneReport`` is built.  A list
+    that mixes layouts is refused.
+    """
+    machines = list(machines)
+    if not machines:
+        return []
+    read = read_clones(machines, (xi,))
+    if read.refusal is not None:
+        raise ValueError(read.refusal)
+    # each zip yields a clone's figures in CloneReport's field order
+    return [
+        [CloneReport(*fields) for fields in zip(
+            machines[0].clone_modes, n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect,
+            strict=True)]
+        for n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect in zip(
+            read.n_chaotic.tolist(), read.n_chaotic_state.tolist(),
+            read.n_chaotic_formula.tolist(), read.fidelity[0].tolist(),
+            read.fidelity_formula.tolist(), read.q_peak[0].tolist(),
+            read.phase_covariance_defect.tolist(), strict=True)
+    ]
 
 
 def clone_report(machine: ClonerSpec | CloningMachine,

@@ -525,17 +525,23 @@ def apply_cloning_fock_block(probes: Sequence[tuple[float, FockState]]) -> list[
     parts: list[np.ndarray] = []
     chis: list[float] = []
     groups: dict[tuple[int, ...], list[int]] = {}  # occupied sectors -> the columns in them
+    # each distinct state's nonzero parts and their sectors, found once; an
+    # entry holds its state, so no id is reused while the call runs
+    occupied: dict[int, tuple[FockState, list[tuple[int, np.ndarray, tuple[int, ...]]]]] = {}
     for i, (gamma, state) in enumerate(probes):
         if state.space != space:
             raise ValueError(f"every probe needs the register {space}, got {state.space}")
         chi = AsymSpec(gamma).gamma + 0.5 * math.log(2.0)
-        for imag, part in enumerate((state.amplitudes.real, state.amplitudes.imag)):
-            if part.any():
-                sectors = tuple(np.unique(charge[part != 0]).tolist())
-                groups.setdefault(sectors, []).append(len(columns))
-                columns.append((i, imag))
-                parts.append(part)
-                chis.append(chi)
+        if id(state) not in occupied:
+            occupied[id(state)] = (state, [
+                (imag, part, tuple(np.unique(charge[part != 0]).tolist()))
+                for imag, part in enumerate((state.amplitudes.real, state.amplitudes.imag))
+                if part.any()])
+        for imag, part, sectors in occupied[id(state)][1]:
+            groups.setdefault(sectors, []).append(len(columns))
+            columns.append((i, imag))
+            parts.append(part)
+            chis.append(chi)
     amps = [np.zeros(space.dim, dtype=complex) for _ in probes]
     if columns:
         squeezed = _squeeze(space, np.stack(parts, axis=1), chis)
@@ -568,9 +574,11 @@ def coherent_fock(space: FockSpace, amplitudes: list[complex] | tuple[complex, .
     amps = [complex(xi) for xi in amplitudes]
     if not all(map(cmath.isfinite, amps)):
         raise ValueError(f"coherent amplitudes must be finite, got {amplitudes!r}")
+    # the Kronecker product mode by mode, mode 0 slowest: vec (x) column is
+    # the outer product laid flat, the products np.kron takes, in its order
     vec = np.ones(1, dtype=complex)
     for xi in amps:
-        vec = np.kron(vec, _coherent_column(space.levels, xi))
+        vec = (vec[:, None] * _coherent_column(space.levels, xi)).ravel()
     return FockState(space, vec, copy=False)
 
 

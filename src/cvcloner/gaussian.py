@@ -30,6 +30,7 @@ so the vacuum variance is 1/2 and a coherent amplitude xi has mean
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Iterable
@@ -181,12 +182,16 @@ class SymplecticCheck:
         return self.max_dev <= DEFAULT_TOL
 
 
-def worst_dev(devs: Iterable[float]) -> float:
+def worst_dev(devs: Iterable[float] | NDArray[np.float64]) -> float:
     """Largest of some deviations, counting NaN as +inf (0.0 when empty).
 
     Python's max() keeps whichever argument came first when a NaN is
     compared, so a NaN deviation could vanish from a gate; here it fails it.
+    An array is read in one reduction, whose maximum is NaN if any entry is.
     """
+    if isinstance(devs, np.ndarray):
+        worst = float(devs.max()) if devs.size else 0.0
+        return math.inf if math.isnan(worst) else worst
     return max((math.inf if math.isnan(d) else float(d) for d in devs), default=0.0)
 
 
@@ -273,9 +278,12 @@ def _check_pair(p: int, q: int) -> None:
         raise ValueError(f"a gate needs two distinct modes >= 0, got ({p}, {q})")
 
 
+@functools.lru_cache(maxsize=16)
 def symplectic_form(n_modes: int) -> NDArray[np.float64]:
-    """Interleaved symplectic form Omega, [r_j, r_k] = i Omega_jk."""
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    """Interleaved symplectic form Omega, [r_j, r_k] = i Omega_jk: one
+    read-only array per n_modes, made on first use and shared while it is
+    among the 16 sizes last asked for."""
+    return _readonly(np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]])))
 
 
 def fold_stack(gates: Iterable[Gate | tuple], n_modes: int,
@@ -455,4 +463,3 @@ def uncertainty_defect(s: GaussianState) -> float:
     omega = symplectic_form(s.n_modes)
     eigs = np.linalg.eigvalsh(s.cov + 0.5j * omega)
     return float(max(0.0, -eigs.min()))
-

@@ -3,7 +3,8 @@
 Each suite exercises one falsifiable claim about the machines (closed-form
 fidelities, noise-product saturation, factorization equivalence, and so on),
 measures the worst deviation it can find, and compares that against a
-tolerance.  The suites are plain functions of the machines or reports they
+tolerance; a NaN deviation reads as inf and fails.  The suites are plain
+functions of the machines, output states or arrays of clone figures they
 read, returning SuiteResult, so they run under pytest, from the CLI, or
 interactively with identical semantics.
 
@@ -11,11 +12,16 @@ Every machine the suites read is built and checked once per process, in one
 cache, ``_shared``: each asymmetric form as one ``build_cloners`` stack over
 GAMMA_GRID and the shared gammas off it, each SYM_CASES machine alone.
 ``standard_suites`` is the one place that chooses what each suite reads.
-It reads the shared machines once per layout for every amplitude they are
-read at (the asymmetric ones as one stack, each symmetric one alone, each
-at XI_PROBES and Q_PROBE), and the direct grid machines at xi = 1 as one
-stack: 8 readout passes per ``verify``.  It hands the same reports to every
-suite that reads those figures.
+It reads the shared machines' clones once per layout for every amplitude
+they are read at (the asymmetric ones as one stack, each symmetric one
+alone, each at XI_PROBES and Q_PROBE), and the direct grid machines at
+xi = 1 as one stack: 8 ``analysis.read_clones`` passes per ``verify``,
+whose arrays the readout suites compare as they are, with no
+``CloneReport`` built.  It forms each shared machine's full output state
+once, at GAIN_PROBE, for both full-state suites: the covariance does not
+depend on the amplitude.  A read fails closed: a shared machine whose read
+is refused has every clone figure NaN, so every suite that reads it fails
+with an infinite deviation, and ``verify`` still prints every suite.
 
 The oracle_agreement suite is the expensive one (truncated Fock evolution);
 it is opt-in from the CLI and covers only the 1->2 machine, which is the
@@ -30,17 +36,12 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .analysis import (
-    CloneReport,
-    _reports_at,
-    clone_output_state,
-    clone_reports,
-    expected_fidelities,
-)
+from .analysis import Readout, clone_output_state, expected_fidelities, read_clones
 from .circuits import AsymSpec, CloningMachine, SymSpec, asym_params, build_cloner, build_cloners
 from .fock import (
     FockSpace,
@@ -49,16 +50,18 @@ from .fock import (
     coherent_fock,
     fidelities_fock,
 )
-from .gaussian import uncertainty_defect, worst_dev
+from .gaussian import GaussianState, uncertainty_defect, worst_dev
 
 GAMMA_GRID = tuple(np.linspace(-1.0, 1.0, 41))
 SYM_CASES = ((1, 2), (2, 3), (3, 5), (2, 5), (4, 4), (1, 5))
 XI_PROBES = (0j, 1 + 0j, 2j, -1.5 + 0.5j, 3 - 2j)
 Q_PROBE = 0.7 - 0.2j  # the amplitude the shared machines' Q and phase suites read
+GAIN_PROBE = 1.1 - 0.6j  # the amplitude each shared machine's full output state is formed at
 
 Machines = Sequence[CloningMachine]
 Pairs = Sequence[tuple[CloningMachine, CloningMachine]]  # (direct, factorized)
-Reports = Sequence[list[CloneReport]]  # one clone_report per machine
+Outputs = Sequence[tuple[CloningMachine, GaussianState]]  # a machine and its state at GAIN_PROBE
+Figures = NDArray[np.float64]  # one figure of every clone read, on the last axis
 
 
 @dataclass(frozen=True)
@@ -91,90 +94,105 @@ def _shared() -> tuple[Pairs, Machines, Machines]:
     return grid, asym, tuple(build_cloner(SymSpec(n, m)) for n, m in SYM_CASES)
 
 
-def _read(asym: Machines, sym: Machines, xis: Sequence[complex]) -> list[list[list[CloneReport]]]:
-    """Each shared machine's reports at each amplitude of xis: one read of
-    the asymmetric stack and one of each symmetric machine, for all of xis."""
-    reads = [_reports_at(asym, xis)] + [_reports_at([machine], xis) for machine in sym]
-    return [[reports for read in reads for reports in read[i]] for i in range(len(xis))]
+def _read(machines: Machines, xis: Sequence[complex]) -> Readout:
+    """The machines' ``read_clones`` at xis, failing closed: every figure of
+    a machine whose read is refused is NaN, so it reads as an infinite
+    deviation in every suite that reads it."""
+    read = read_clones(machines, xis)
+    if not read.refused.any():
+        return read
+    refused = read.refused[:, None]  # broadcasts over each machine's clones
+    return replace(read, **{f.name: np.where(refused, np.nan, getattr(read, f.name))
+                            for f in fields(Readout) if f.name not in ("refused", "refusal")})
+
+
+def _clones(reads: Sequence[Readout], figure: str) -> Figures:
+    """One figure of every clone of some reads, clone by clone on the last
+    axis, with a figure read per amplitude keeping its amplitude axis."""
+    arrays = [getattr(read, figure) for read in reads]
+    return np.concatenate([a.reshape(*a.shape[:-2], -1) for a in arrays], axis=-1)
 
 
 def symplectic_invariants(machines: Machines) -> SuiteResult:
     """Every constructed transform satisfies the Bogoliubov conditions."""
-    worst = worst_dev(machine.symplectic_dev for machine in machines)
+    worst = worst_dev(np.array([machine.symplectic_dev for machine in machines]))
     return SuiteResult("symplectic_invariants", worst, 1e-10)
 
 
 def factorization_equivalence(grid: Pairs) -> SuiteResult:
     """BS/NOPA/BS assembly matches the closed-form machine elementwise."""
-    devs = []
-    for direct, factorized in grid:
-        d, f = direct.transform, factorized.transform
-        devs += [float(np.abs(d.A - f.A).max()), float(np.abs(d.B - f.B).max())]
     u0 = abs(asym_params(0.0).u)
-    return SuiteResult("factorization_equivalence", worst_dev(devs + [u0]), 1e-9,
+    devs = [u0]
+    if grid:
+        # (pair, direct A and B then factorized A and B, n, n): one stack
+        blocks = np.array([(d.transform.A, d.transform.B, f.transform.A, f.transform.B)
+                           for d, f in grid])
+        devs.append(worst_dev(np.abs(blocks[:, :2] - blocks[:, 2:])))
+    return SuiteResult("factorization_equivalence", worst_dev(devs), 1e-9,
                        details={"u_at_gamma_zero": u0})
 
 
-def fidelity_closed_forms(reports: Reports) -> SuiteResult:
+def fidelity_closed_forms(fidelity: Figures, formula: Figures) -> SuiteResult:
     """Pipeline fidelities reproduce the closed forms for every machine."""
-    worst = worst_dev(abs(r.fidelity - r.fidelity_formula) for rs in reports for r in rs)
-    return SuiteResult("fidelity_closed_forms", worst, 1e-10)
+    return SuiteResult("fidelity_closed_forms", worst_dev(np.abs(fidelity - formula)), 1e-10)
 
 
-def chaotic_photon_forms(reports: Reports) -> SuiteResult:
+def chaotic_photon_forms(n_chaotic: Figures, formula: Figures) -> SuiteResult:
     """B-row photon counts reproduce the closed forms for every machine."""
-    worst = worst_dev(abs(r.n_chaotic - r.n_chaotic_formula) for rs in reports for r in rs)
-    return SuiteResult("chaotic_photon_forms", worst, 1e-10)
+    return SuiteResult("chaotic_photon_forms", worst_dev(np.abs(n_chaotic - formula)), 1e-10)
 
 
-def noise_product_saturation(reports: Reports) -> SuiteResult:
+def noise_product_saturation(n_chaotic: Figures) -> SuiteResult:
     """The asymmetric family sits exactly on the 1/4 noise-product floor.
 
-    Reads the reports of the 1->2 machines, whose two clones' added noise
-    multiplies to 1/4 for every noise split gamma.
+    Reads the B-row photon counts of 1->2 machines, one (clone 1, clone 2)
+    row per machine, whose product is 1/4 for every noise split gamma.
     """
-    worst = worst_dev(abs(r1.n_chaotic * r2.n_chaotic - 0.25) for r1, r2 in reports)
+    worst = worst_dev(np.abs(n_chaotic[:, 0] * n_chaotic[:, 1] - 0.25))
     return SuiteResult("noise_product_saturation", worst, 1e-12)
 
 
-def q_function_identity(reports: Reports) -> SuiteResult:
+def q_function_identity(q_peak: Figures, fidelity: Figures) -> SuiteResult:
     """pi * Q(xi) equals the fidelity for every clone of every machine."""
-    worst = worst_dev(abs(np.pi * r.q_peak - r.fidelity) for rs in reports for r in rs)
-    return SuiteResult("q_function_identity", worst, 1e-10)
+    return SuiteResult("q_function_identity", worst_dev(np.abs(np.pi * q_peak - fidelity)), 1e-10)
 
 
-def fidelity_invariance(per_xi: Sequence[Reports]) -> SuiteResult:
+def fidelity_invariance(fidelity: Figures) -> SuiteResult:
     """Fidelity does not depend on the input amplitude.
 
-    Reads, at each XI_PROBES amplitude, one report per machine in one order.
+    Reads every clone's fidelity at each XI_PROBES amplitude, one row per
+    amplitude.
     """
-    devs = []
-    for reads in zip(*per_xi, strict=True):  # one machine at every amplitude
-        arr = np.asarray([[r.fidelity for r in reports] for reports in reads])
-        devs += list(arr.max(axis=0) - arr.min(axis=0))
-    return SuiteResult("fidelity_invariance", worst_dev(devs), 1e-10)
+    worst = worst_dev(fidelity.max(axis=0) - fidelity.min(axis=0))
+    return SuiteResult("fidelity_invariance", worst, 1e-10)
 
 
-def phase_covariance(reports: Reports) -> SuiteResult:
+def phase_covariance(defect: Figures) -> SuiteResult:
     """Added noise on every clone is phase insensitive."""
-    worst = worst_dev(abs(r.phase_covariance_defect) for rs in reports for r in rs)
-    return SuiteResult("phase_covariance", worst, 1e-10)
+    return SuiteResult("phase_covariance", worst_dev(np.abs(defect)), 1e-10)
 
 
-def uncertainty_preservation(machines: Machines) -> SuiteResult:
+def uncertainty_preservation(outputs: Outputs) -> SuiteResult:
     """Output states of every machine remain physical Gaussian states."""
-    worst = worst_dev(uncertainty_defect(clone_output_state(machine, 0.8 + 0.3j))
-                      for machine in machines)
+    worst = worst_dev([uncertainty_defect(state) for _, state in outputs])
     return SuiteResult("uncertainty_preservation", worst, 1e-10)
 
 
-def unit_signal_gain(machines: Machines) -> SuiteResult:
-    """Every clone keeps the input amplitude exactly."""
-    xi = 1.1 - 0.6j
-    devs = []
-    for machine in machines:
-        out = clone_output_state(machine, xi)
-        devs += [abs(out.mode_amplitude(mode) - xi) for mode in machine.clone_modes]
+def unit_signal_gain(outputs: Outputs) -> SuiteResult:
+    """Every clone keeps the input amplitude exactly.
+
+    Reads each machine's output state at GAIN_PROBE: clone j's amplitude is
+    (x_j + i p_j)/sqrt(2) of its means, and its deviation |amplitude - xi|,
+    over every machine's means laid end to end.
+    """
+    means = np.concatenate([[], *(state.mean for _, state in outputs)])
+    rows, start = [], 0  # each clone's x row in means; its p row is the next
+    for machine, state in outputs:
+        rows += [start + 2 * mode.index for mode in machine.clone_modes]
+        start += state.mean.size
+    x = np.array(rows, dtype=int)
+    root2 = np.sqrt(2.0)
+    devs = np.hypot(means[x] / root2 - GAIN_PROBE.real, means[x + 1] / root2 - GAIN_PROBE.imag)
     return SuiteResult("unit_signal_gain", worst_dev(devs), 1e-12)
 
 
@@ -227,27 +245,37 @@ def standard_suites(tol: float | None = None) -> list[SuiteResult]:
     """The fast suites, in reporting order (everything except the oracle).
 
     A given tol replaces every suite's own tolerance; no suite's deviation
-    depends on it.  The closed-form suites share the reports at xi = 1 of
-    the direct machine at each GAMMA_GRID point, read as one stack, and of
-    the SYM_CASES machines; fidelity_invariance reads every shared machine
-    at each XI_PROBES amplitude, 1 included, and the Q and phase suites
-    read them at Q_PROBE.
+    depends on it.  The closed-form suites read the direct machine at each
+    GAMMA_GRID point, as one stack, and the SYM_CASES machines, at xi = 1;
+    fidelity_invariance reads every shared machine at each XI_PROBES
+    amplitude, 1 included, and the Q and phase suites read them at
+    Q_PROBE.  Each shared machine's full output state is formed once, at
+    GAIN_PROBE, for both full-state suites.
     """
     grid, asym, sym = _shared()
     shared = asym + sym
-    *per_xi, at_probe = _read(asym, sym, (*XI_PROBES, Q_PROBE))
-    on_grid = clone_reports([direct for direct, _ in grid])
-    at_one = on_grid + per_xi[XI_PROBES.index(1)][len(asym):]
+    # one read of the asymmetric stack and one of each symmetric machine, at
+    # every amplitude; the XI_PROBES rows first, then the Q_PROBE row
+    reads = [_read(asym, (*XI_PROBES, Q_PROBE))] + [
+        _read([machine], (*XI_PROBES, Q_PROBE)) for machine in sym]
+    on_grid = _read([direct for direct, _ in grid], (1,))
+    one, probe = XI_PROBES.index(1), len(XI_PROBES)
+    at_one = [on_grid] + reads[1:]  # the grid is read at 1 alone, the rest at XI_PROBES[one]
+    fidelity = _clones(reads, "fidelity")
+    outputs = [(machine, clone_output_state(machine, GAIN_PROBE)) for machine in shared]
     suites = [
         symplectic_invariants([machine for pair in grid for machine in pair] + list(shared)),
         factorization_equivalence(grid),
-        fidelity_closed_forms(at_one),
-        chaotic_photon_forms(at_one),
-        noise_product_saturation(on_grid),
-        q_function_identity(at_probe),
-        fidelity_invariance(per_xi),
-        phase_covariance(at_probe),
-        uncertainty_preservation(shared),
-        unit_signal_gain(shared),
+        fidelity_closed_forms(
+            np.concatenate([_clones([on_grid], "fidelity")[0],
+                            _clones(reads[1:], "fidelity")[one]]),
+            _clones(at_one, "fidelity_formula")),
+        chaotic_photon_forms(_clones(at_one, "n_chaotic"), _clones(at_one, "n_chaotic_formula")),
+        noise_product_saturation(on_grid.n_chaotic),
+        q_function_identity(_clones(reads, "q_peak")[probe], fidelity[probe]),
+        fidelity_invariance(fidelity[:probe]),
+        phase_covariance(_clones(reads, "phase_covariance_defect")),
+        uncertainty_preservation(outputs),
+        unit_signal_gain(outputs),
     ]
     return suites if tol is None else [replace(result, tolerance=tol) for result in suites]

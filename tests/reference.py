@@ -15,10 +15,12 @@ The one-row readers take a bare transform, where the package reads a built
 machine's clones through ``clone_reports``; they call the same array helpers
 with one row.  ``row_norm_report`` reads one machine's clones with those
 helpers, gathering that machine's clone rows alone, as the package read them
-before it read a stack of machines at once.
+before it read a stack of machines at once.  ``faulty`` breaks one clone of a
+built machine, for the tests of what a refused read does.
 """
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -27,10 +29,10 @@ from cvcloner.analysis import (
     CloneReport,
     _amplitudes,
     _chaotic_photons,
-    _fidelities,
     _husimi,
+    _isotropy,
     _phase_covariance_defects,
-    _photons,
+    _unit_gain,
     expected_chaotic_photons,
     expected_fidelities,
 )
@@ -52,6 +54,7 @@ from cvcloner.gaussian import (
     Passive,
     SymplecticCheck,
     coherent_means,
+    fold_gates,
     mode_index,
     require_symplectic,
 )
@@ -265,6 +268,25 @@ def coherent_vacuum_input(amplitudes: list[complex] | tuple[complex, ...]) -> Ga
     return GaussianState(mean=mean, cov=0.5 * np.eye(mean.size))
 
 
+def _photons(vxx: np.ndarray, vpp: np.ndarray, names: list[str],
+             vxp: np.ndarray | float = 0.0) -> np.ndarray:
+    """Chaotic photons (var(x) + var(p))/2 - 1/2 per clone, raising the
+    package's isotropy refusal unless each clone is isotropic."""
+    refusal = _isotropy(vxx, vpp, names, vxp)[1]
+    if refusal is not None:
+        raise ValueError(refusal)
+    return (vxx + vpp) / 2.0 - 0.5
+
+
+def _fidelities(amps: np.ndarray, xi: complex, n: np.ndarray, names: list[str]) -> np.ndarray:
+    """1/(n + 1) per clone, raising the package's gain refusal unless each
+    clone kept xi at unit gain."""
+    refusal = _unit_gain(amps[None], (xi,), names)[1]
+    if refusal is not None:
+        raise ValueError(refusal)
+    return 1.0 / (n + 1.0)
+
+
 def _isotropic_photons(blocks: np.ndarray, names: list[str]) -> np.ndarray:
     """Chaotic photons (var(x) + var(p))/2 - 1/2 of stacked 2x2 covariances,
     refused by the package's isotropy gate unless each block is isotropic."""
@@ -312,3 +334,31 @@ def row_norm_report(machine: CloningMachine, xi: complex = 1.0 + 0.0j) -> list[C
         )
         for mode, n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect in columns
     ]
+
+
+def unchecked(machine, transform):
+    """The machine with another transform put in past the build's check: the
+    check refuses a NaN transform, so only this way does one reach the readout."""
+    doctored = replace(machine)
+    object.__setattr__(doctored, "transform", transform)
+    return doctored
+
+
+def faulty(machine, fault):
+    """The machine with one clone broken: a pi beam splitter on the first or
+    last clone's wire and wire 1, never a clone's, negates that clone (the
+    machine stays symplectic, the gain is -1); a one-mode squeezer makes the
+    first clone anisotropic; a NaN poisons the last clone's row of A."""
+    t, n = machine.transform, machine.n_modes
+    first, last = machine.clone_modes[0].index, machine.clone_modes[-1].index
+    if fault in ("gain_first", "gain_last"):
+        wire = first if fault == "gain_first" else last
+        pi = fold_gates((beam_splitter_gate(math.pi, wire, 1),), n)
+        return replace(machine, transform=compose(pi, t))
+    if fault == "squeezed_first":
+        A, B = np.eye(n), np.zeros((n, n))
+        A[first, first], B[first, first] = np.cosh(0.25), -np.sinh(0.25)
+        return replace(machine, transform=compose(BogoliubovTransform(A=A, B=B), t))
+    A = t.A.copy()
+    A[last, 1] = math.nan
+    return unchecked(machine, BogoliubovTransform(A=A, B=t.B))

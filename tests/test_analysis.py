@@ -12,7 +12,6 @@ import pytest
 from cvcloner.analysis import (
     CloneReport,
     _amplitudes,
-    _fidelities,
     _husimi,
     clone_output_state,
     clone_report,
@@ -32,13 +31,14 @@ from cvcloner.gaussian import (
 )
 from cvcloner.verification import GAMMA_GRID, Q_PROBE, SYM_CASES, XI_PROBES
 from reference import (
+    _fidelities,
     _isotropic_photons,
     apply_to_gaussian,
-    beam_splitter_gate,
     chaotic_photons,
     coherent_vacuum_input,
     compose,
     embed,
+    faulty,
     noise_product,
     phase_covariance_defect,
     reduce_mode,
@@ -417,34 +417,6 @@ def test_a_list_of_mixed_layouts_is_refused():
     assert clone_reports([]) == []
 
 
-def _unchecked(machine, transform):
-    """The machine with another transform put in past the build's check: the
-    check refuses a NaN transform, so only this way does one reach the readout."""
-    doctored = replace(machine)
-    object.__setattr__(doctored, "transform", transform)
-    return doctored
-
-
-def _faulty(machine, fault):
-    """The machine with one clone broken: a pi beam splitter on the first or
-    last clone's wire and wire 1, never a clone's, negates that clone (the
-    machine stays symplectic, the gain is -1); a one-mode squeezer makes the
-    first clone anisotropic; a NaN poisons the last clone's row of A."""
-    t, n = machine.transform, machine.n_modes
-    first, last = machine.clone_modes[0].index, machine.clone_modes[-1].index
-    if fault in ("gain_first", "gain_last"):
-        wire = first if fault == "gain_first" else last
-        pi = fold_gates((beam_splitter_gate(math.pi, wire, 1),), n)
-        return replace(machine, transform=compose(pi, t))
-    if fault == "squeezed_first":
-        A, B = np.eye(n), np.zeros((n, n))
-        A[first, first], B[first, first] = np.cosh(0.25), -np.sinh(0.25)
-        return replace(machine, transform=compose(BogoliubovTransform(A=A, B=B), t))
-    A = t.A.copy()
-    A[last, 1] = math.nan
-    return _unchecked(machine, BogoliubovTransform(A=A, B=t.B))
-
-
 def _refusals(machines, xi):
     """What reading each machine alone raises, for those refused."""
     refusals = []
@@ -464,12 +436,12 @@ def test_a_refused_stack_raises_a_refusal_a_loop_would_raise():
     xi = 0.7 - 0.2j
     crafted = [
         # a gain fault before an anisotropic clone
-        [asym[0], _faulty(asym[1], "gain_first"), _faulty(asym[2], "squeezed_first")],
-        [sym[0], _faulty(sym[2], "gain_last"), _faulty(sym[1], "squeezed_first")],
+        [asym[0], faulty(asym[1], "gain_first"), faulty(asym[2], "squeezed_first")],
+        [sym[0], faulty(sym[2], "gain_last"), faulty(sym[1], "squeezed_first")],
         # one machine with a gain fault on clone 1 and a NaN on clone 2
-        [asym[0], _faulty(_faulty(asym[3], "gain_first"), "nan_last")],
+        [asym[0], faulty(faulty(asym[3], "gain_first"), "nan_last")],
     ]
-    pool = asym + [_faulty(asym[k], fault) for k, fault in enumerate(
+    pool = asym + [faulty(asym[k], fault) for k, fault in enumerate(
         ("gain_first", "gain_last", "squeezed_first", "nan_last"))]
     shuffled = [random.Random(seed).sample(pool, len(pool)) for seed in range(12)]
     for machines in crafted + shuffled:
@@ -484,17 +456,30 @@ def test_a_refused_stack_raises_a_refusal_a_loop_would_raise():
 READ_XI = (*XI_PROBES, Q_PROBE)  # what verify reads each shared machine at; 0 comes first
 
 
+def _reports_of(read, machines, x):
+    """The CloneReport objects of a read_clones read at its amplitude x."""
+    free = [read.n_chaotic, read.n_chaotic_state, read.n_chaotic_formula,
+            read.fidelity[x], read.fidelity_formula, read.q_peak[x],
+            read.phase_covariance_defect]
+    return [[CloneReport(mode, *(float(figure[i, j]) for figure in free))
+             for j, mode in enumerate(machine.clone_modes)]
+            for i, machine in enumerate(machines)]
+
+
 def test_one_read_at_several_amplitudes_equals_a_read_at_each():
     # exact equality: the amplitude-free figures are computed once, and each
-    # amplitude's means by the product a one-amplitude read takes
+    # amplitude's means by the matrix-vector product a one-amplitude read takes
     direct = [build_cloner(AsymSpec(float(g))) for g in GAMMA_GRID]
     factorized = [build_cloner(AsymSpec(float(g), factorized=True)) for g in GAMMA_GRID]
     sym = [build_cloner(SymSpec(n, m)) for n, m in SYM_CASES]
     for machines in (direct, factorized, [build_cloner(SymSpec(16, 128))], *([m] for m in sym)):
-        assert analysis._reports_at(machines, READ_XI) == [
+        read = analysis.read_clones(machines, READ_XI)
+        assert read.refusal is None and not read.refused.any()
+        assert [_reports_of(read, machines, x) for x in range(len(READ_XI))] == [
             clone_reports(machines, xi) for xi in READ_XI]
-    assert analysis._reports_at([], READ_XI) == [[]] * len(READ_XI)
-    assert analysis._reports_at(direct, ()) == []
+    with pytest.raises(ValueError, match="at least one machine"):
+        analysis.read_clones([], READ_XI)
+    assert analysis.read_clones(direct, ()).fidelity.shape == (0, 41, 2)
 
 
 def test_a_read_at_several_amplitudes_names_the_clone_the_first_refusing_one_names():
@@ -502,20 +487,21 @@ def test_a_read_at_several_amplitudes_names_the_clone_the_first_refusing_one_nam
     asym = [build_cloner(AsymSpec(g)) for g in (-0.6, 0.1, 0.4)]
     sym = build_cloner(SymSpec(2, 3))
     named = []
-    for machines in ([asym[0], _faulty(asym[1], "gain_first"), asym[2]],
-                     [_faulty(asym[2], "gain_last"), _faulty(asym[0], "gain_first")],
-                     [_faulty(sym, "gain_last")],
-                     [asym[1], _faulty(asym[0], "squeezed_first")]):
-        with pytest.raises(ValueError) as err:
-            analysis._reports_at(machines, READ_XI)
+    for machines, refused in (([asym[0], faulty(asym[1], "gain_first"), asym[2]], [1]),
+                              ([faulty(asym[2], "gain_last"), faulty(asym[0], "gain_first")],
+                               [0, 1]),
+                              ([faulty(sym, "gain_last")], [0]),
+                              ([asym[1], faulty(asym[0], "squeezed_first")], [1])):
+        read = analysis.read_clones(machines, READ_XI)
         refusals = []
         for xi in READ_XI:
             try:
                 clone_reports(machines, xi)
             except ValueError as exc:
                 refusals.append(str(exc))
-        assert str(err.value) == refusals[0]
-        named.append(str(err.value).split(":")[0])
+        assert read.refusal == refusals[0]
+        assert np.flatnonzero(read.refused).tolist() == refused
+        named.append(read.refusal.split(":")[0])
     assert named == ["clone_1", "clone_2", "clone_3", "clone_1"]
 
 

@@ -22,7 +22,7 @@ from cvcloner.analysis import clone_report, clone_reports
 from cvcloner.circuits import AsymSpec, SymSpec, build_cloner
 from cvcloner.cli import main
 from cvcloner.gaussian import BogoliubovTransform, Passive, fold_gates
-from reference import beam_splitter_gate, build_per_point, compose
+from reference import beam_splitter_gate, build_per_point, compose, faulty
 
 
 def run(capsys, argv):
@@ -475,8 +475,9 @@ def test_a_warm_verify_forms_the_quadrature_matrix_only_for_the_full_state(monke
     monkeypatch.setattr(gaussian.BogoliubovTransform, "symplectic_matrix", recording)
     assert cli.cmd_verify(None, None) == 0
     capsys.readouterr()
-    # uncertainty_preservation and unit_signal_gain, one full state per machine
-    assert callers == ["clone_output_state"] * 32
+    # one full state per shared machine, read by both uncertainty_preservation
+    # and unit_signal_gain
+    assert callers == ["clone_output_state"] * 16
 
 
 def test_a_cold_verify_checks_each_machine_once_and_reads_them_in_8_passes(monkeypatch, capsys):
@@ -485,10 +486,11 @@ def test_a_cold_verify_checks_each_machine_once_and_reads_them_in_8_passes(monke
     verification._shared.cache_clear()
     calls = {"build": [], "check": 0, "read": Counter()}
     _count_machines(monkeypatch, calls)
-    # every clone_reports call is a one-amplitude _reports_at pass
-    _count_calls(monkeypatch, analysis._reports_at, calls, "read",
+    # every read of clone rows, a clone_reports call included, is one
+    # read_clones pass over some machines at some amplitudes
+    _count_calls(monkeypatch, analysis.read_clones, calls, "read",
                  lambda machines, xis: Counter(passes=1, machines=len(machines),
-                                               reports=len(machines) * len(xis)))
+                                               reads=len(machines) * len(xis)))
     assert cli.cmd_verify(None, None) == 0
     capsys.readouterr()
     assert len(calls["build"]) == len(set(calls["build"])) == 90
@@ -497,7 +499,7 @@ def test_a_cold_verify_checks_each_machine_once_and_reads_them_in_8_passes(monke
     # each of the 6 symmetric ones, each at the 5 XI_PROBES and the Q probe;
     # then one stack of the 41 direct grid machines at xi = 1, which holds the
     # 4 shared direct machines on the grid a second time
-    assert calls["read"] == Counter(passes=1 + 6 + 1, machines=16 + 41, reports=6 * 16 + 41)
+    assert calls["read"] == Counter(passes=1 + 6 + 1, machines=16 + 41, reads=6 * 16 + 41)
 
 
 @pytest.mark.parametrize("factorized", [False, True])
@@ -680,10 +682,23 @@ def test_a_stack_refusal_that_no_point_repeats_is_still_an_error(monkeypatch, ca
     assert run(capsys, ASYM_5) == (1, "", "error: refused as a stack\n")
 
 
-def test_verify_prints_a_refused_readout_as_an_error(monkeypatch, capsys):
+# the suites that read the shared machines' clone figures
+READOUT_SUITES = {"fidelity_closed_forms", "chaotic_photon_forms", "q_function_identity",
+                  "fidelity_invariance", "phase_covariance"}
+
+
+def _suite_lines(out):
+    """verify's (max_dev, status) by suite name, and its summary line."""
+    *lines, summary = out.splitlines()
+    return {name: (dev.removeprefix("max_dev="), status)
+            for name, dev, _, status, *_ in map(str.split, lines)}, summary
+
+
+def test_verify_fails_every_suite_that_reads_a_refused_readout(monkeypatch, capsys):
     # negating row q of the last split makes the last clone of every
     # symmetric machine come out at gain -1: still symplectic, refused when
-    # the suites read it
+    # the suites read it, so every suite that reads it fails with inf and
+    # verify still prints every suite line
     real = circuits.distribute_gates
 
     def negated(M, modes):
@@ -697,9 +712,36 @@ def test_verify_prints_a_refused_readout_as_an_error(monkeypatch, capsys):
         code, out, err = run(capsys, ["verify"])
     finally:
         verification._shared.cache_clear()  # no broken machine outlives the test
-    assert (code, out) == (1, "")
-    assert err.startswith("error: clone_") and err.endswith(": non-unit gain\n")
-    assert err.count("\n") == 1
+    suites, summary = _suite_lines(out)
+    assert (code, err) == (1, "")
+    assert len(suites) == 10 and summary == "4/10 suites passed"
+    for name, (dev, status) in suites.items():
+        if name in READOUT_SUITES:
+            assert (dev, status) == ("inf", "FAIL"), name
+        elif name == "unit_signal_gain":  # read from the full state: a finite gain fault
+            assert dev != "inf" and status == "FAIL", name
+        else:
+            assert status == "PASS", name
+
+
+@pytest.mark.parametrize("fault", ["gain_last", "squeezed_first", "nan_last"])
+def test_verify_fails_closed_on_one_refused_shared_machine(monkeypatch, capsys, fault):
+    # one symmetric machine broken as the readout tests break one: its read
+    # is refused, every suite that reads its clone figures fails with inf,
+    # and verify prints all ten suite lines and exits 1, with no error
+    grid, asym, sym = verification._shared()
+    broken = sym[:2] + (faulty(sym[2], fault),) + sym[3:]
+    monkeypatch.setattr(verification, "_shared", lambda: (grid, asym, broken))
+    code, out, err = run(capsys, ["verify"])
+    suites, summary = _suite_lines(out)
+    assert (code, err) == (1, "")
+    assert len(suites) == 10 and summary.endswith("/10 suites passed")
+    inf = READOUT_SUITES | ({"uncertainty_preservation", "unit_signal_gain"}
+                           if fault == "nan_last" else set())  # a NaN reaches the full state too
+    for name in inf:
+        assert suites[name] == ("inf", "FAIL"), name
+    for name in ("symplectic_invariants", "factorization_equivalence", "noise_product_saturation"):
+        assert suites[name][1] == "PASS", name
 
 
 def test_verify_passes_an_os_error_on_without_reading_output(monkeypatch):

@@ -3,6 +3,7 @@
 import decimal
 import math
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -899,3 +900,49 @@ def test_the_readout_refuses_no_reads_and_mixed_registers():
     with pytest.raises(ValueError, match="every read needs the register"):
         fidelities_fock([(coherent_fock(FockSpace(3, 6), [0j, 0j, 0.3]), 0, 0.3),
                          (coherent_fock(FockSpace(3, 7), [0j, 0j, 0.3]), 0, 0.3)])
+
+
+def test_coherent_fock_is_the_kron_product_of_its_columns():
+    # the product is built by broadcasting, in the association np.kron takes
+    for cutoff in (3, 10, 16):
+        space = FockSpace(3, cutoff)
+        for amps in ([0j, 0j, 0.3], [0.5 - 1j, 0j, -1.2 + 0.4j], [1e-3, 2j, -0.7 - 0.1j]):
+            vec = np.ones(1, dtype=complex)
+            for xi in amps:
+                vec = np.kron(vec, fock._coherent_column(space.levels, complex(xi)))
+            assert np.array_equal(coherent_fock(space, amps).amplitudes, vec)
+
+
+def test_probes_that_share_a_state_evolve_as_probes_with_copies_of_it():
+    # a block finds each distinct state's sectors once; what it finds for a
+    # state sent twice is what it finds for two equal states sent once each
+    space = FockSpace(3, 10)
+    vacuum, signal = (coherent_fock(space, [0j, 0j, xi]) for xi in (0j, 0.3 - 0.2j))
+    gammas = (-0.5, 0.0, 0.5)
+    shared = apply_cloning_fock_block([(g, s) for g in gammas for s in (vacuum, signal)])
+    copied = apply_cloning_fock_block([(g, FockState(space, s.amplitudes))
+                                       for g in gammas for s in (vacuum, signal)])
+    for one, other in zip(shared, copied, strict=True):
+        assert np.array_equal(one.amplitudes, other.amplitudes)
+
+    class Fresh(Sequence):
+        """Probes whose every read builds its state again, so that a state
+        read and dropped could leave its id to the next one."""
+
+        def __init__(self, pairs):
+            self.pairs = list(pairs)
+
+        def __len__(self):
+            return len(self.pairs)
+
+        def __getitem__(self, i):
+            gamma, amps = self.pairs[i]
+            return gamma, FockState(space, amps)
+
+    # a probe two reads on is another state, which could take a dropped state's id
+    pairs = list(zip((-0.5, -0.5, 0.0, 0.0, 0.5, 0.5),
+                     (signal, vacuum, vacuum, signal, signal, vacuum), strict=True))
+    fresh = apply_cloning_fock_block(Fresh((g, s.amplitudes) for g, s in pairs))
+    expected = apply_cloning_fock_block(pairs)
+    for one, other in zip(fresh, expected, strict=True):
+        assert np.array_equal(one.amplitudes, other.amplitudes)

@@ -412,3 +412,11 @@ def test_a_mode_outside_the_register_is_refused(read, mode):
 def test_coherent_input_needs_a_flat_list_of_amplitudes(amplitudes):
     with pytest.raises(ValueError, match="one amplitude per mode"):
         coherent_vacuum_input(amplitudes)
+
+
+def test_the_symplectic_form_is_one_read_only_array_per_size():
+    omega = symplectic_form(4)
+    assert symplectic_form(4) is omega
+    with pytest.raises(ValueError, match="read-only"):
+        omega[0, 1] = 2.0
+    assert np.array_equal(omega, np.kron(np.eye(4), [[0.0, 1.0], [-1.0, 0.0]]))

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from cvcloner import circuits, verification
-from cvcloner.analysis import clone_report
+from cvcloner.analysis import clone_output_state
 from cvcloner.circuits import AsymSpec
+from cvcloner.gaussian import BogoliubovTransform
+from cvcloner.verification import Q_PROBE
+from reference import faulty, unchecked
 
 
 def _machines():
@@ -18,18 +21,27 @@ def _machines():
     return asym + sym
 
 
-def _on_grid():
+def _noise_products():
+    # noise_product_saturation reads the direct grid machines' B-row counts
     grid, _, _ = verification._shared()
-    return [clone_report(direct) for direct, _ in grid]
+    return verification._read([direct for direct, _ in grid], (1,)).n_chaotic
 
 
-def _at_probe():
-    return [clone_report(m, verification.Q_PROBE) for m in _machines()]
+def _defects():
+    # phase_covariance reads every shared machine's clones
+    _, asym, sym = verification._shared()
+    reads = [verification._read(machines, (Q_PROBE,)) for machines in (asym, *([m] for m in sym))]
+    return verification._clones(reads, "phase_covariance_defect")
 
 
-# figure -> (the report field that carries it, the reports its suite reads)
-REPORT_FIGURES = {"noise_product": ("n_chaotic", _on_grid),
-                  "phase_covariance_defect": ("phase_covariance_defect", _at_probe)}
+READ_XI = (*verification.XI_PROBES, Q_PROBE)  # what standard_suites reads the shared machines at
+
+# figure -> the array of it that its suite reads
+FIGURES = {"noise_product": _noise_products, "phase_covariance_defect": _defects}
+
+
+def _outputs():
+    return [(m, clone_output_state(m, verification.GAIN_PROBE)) for m in _machines()]
 
 
 @pytest.mark.parametrize("suite, figure", [
@@ -38,20 +50,87 @@ REPORT_FIGURES = {"noise_product": ("n_chaotic", _on_grid),
     (verification.phase_covariance, "phase_covariance_defect"),
 ])
 def test_a_nan_deviation_fails_the_suite(monkeypatch, suite, figure):
-    if figure in REPORT_FIGURES:
-        # the suite reads its reports: hand it one clone's figure as NaN
-        field, reports_for = REPORT_FIGURES[figure]
-        reports = reports_for()
-        assert suite(reports).passed
-        first, *rest = reports
-        result = suite([[replace(first[0], **{field: math.nan}), *first[1:]], *rest])
+    if figure in FIGURES:
+        # the suite reads an array of figures: hand it one clone's figure as NaN
+        figures = FIGURES[figure]()
+        assert suite(figures).passed
+        figures = figures.copy()
+        figures.flat[0] = math.nan
+        result = suite(figures)
     else:
-        machines = _machines()
-        assert suite(machines).passed
+        outputs = _outputs()
+        assert suite(outputs).passed
         monkeypatch.setattr(verification, figure, lambda *args, **kwargs: math.nan)
-        result = suite(machines)
+        result = suite(outputs)
     assert not result.passed
     assert result.max_dev == math.inf
+
+
+def _array_suites():
+    """Each suite that reads arrays of figures, with clean arguments of the
+    shapes standard_suites gives it."""
+    _, asym, sym = verification._shared()
+    reads = [verification._read(m, READ_XI) for m in (asym, *([s] for s in sym))]
+    fidelity = verification._clones(reads, "fidelity")
+    n_chaotic = verification._clones(reads, "n_chaotic")
+    return [
+        (verification.fidelity_closed_forms,
+         (fidelity[1], verification._clones(reads, "fidelity_formula"))),
+        (verification.chaotic_photon_forms,
+         (n_chaotic, verification._clones(reads, "n_chaotic_formula"))),
+        (verification.noise_product_saturation, (_noise_products(),)),
+        (verification.q_function_identity, (verification._clones(reads, "q_peak")[-1],
+                                            fidelity[-1])),
+        (verification.fidelity_invariance, (fidelity[:-1],)),
+        (verification.phase_covariance, (_defects(),)),
+    ]
+
+
+def test_a_nan_in_any_figure_a_suite_reads_fails_it_with_inf():
+    for suite, args in _array_suites():
+        assert suite(*args).passed, suite.__name__
+        for k in range(len(args)):
+            poisoned = [a.copy() for a in args]
+            poisoned[k][..., -1] = math.nan
+            result = suite(*poisoned)
+            assert result.max_dev == math.inf and not result.passed, (suite.__name__, k)
+    outputs = _outputs()
+    machine, state = outputs[-1]
+    mean = state.mean.copy()
+    mean[2 * machine.clone_modes[-1].index + 1] = math.nan
+    poisoned = outputs[:-1] + [(machine, replace(state, mean=mean))]
+    assert verification.unit_signal_gain(outputs).passed
+    assert verification.unit_signal_gain(poisoned).max_dev == math.inf
+    grid = list(verification._shared()[0])
+    direct, factorized = grid[7]
+    A = factorized.transform.A.copy()
+    A[0, 0] = math.nan
+    grid[7] = (direct, unchecked(factorized, BogoliubovTransform(A=A, B=factorized.transform.B)))
+    assert verification.factorization_equivalence(grid).max_dev == math.inf
+
+
+def test_a_refused_machine_reads_nan_and_the_rest_of_its_stack_as_alone():
+    _, asym, _ = verification._shared()
+    broken = [asym[0], faulty(asym[1], "gain_first"), asym[2], faulty(asym[3], "squeezed_first")]
+    read = verification._read(broken, READ_XI)
+    assert read.refused.tolist() == [False, True, False, True]
+    for field in ("n_chaotic", "n_chaotic_state", "n_chaotic_formula", "fidelity_formula",
+                  "phase_covariance_defect", "fidelity", "q_peak"):
+        figure = getattr(read, field)
+        assert np.isnan(figure[..., 1, :]).all() and np.isnan(figure[..., 3, :]).all(), field
+        for k in (0, 2):
+            alone = getattr(verification._read([broken[k]], READ_XI), field)
+            assert np.array_equal(figure[..., k, :], alone[..., 0, :]), field
+    clean = verification._read(asym, READ_XI)
+    assert clean.refusal is None and not clean.refused.any()
+
+
+def test_one_output_state_per_machine_serves_both_full_state_suites():
+    # the covariance S (I/2) S^T does not depend on the input amplitude
+    for machine in _machines():
+        at_gain = clone_output_state(machine, verification.GAIN_PROBE)
+        for xi in (0j, 0.8 + 0.3j, *READ_XI):
+            assert np.array_equal(clone_output_state(machine, xi).cov, at_gain.cov)
 
 
 def test_suites_share_one_build_of_each_machine(monkeypatch):
