@@ -15,11 +15,11 @@ is a real consistency check rather than one formula printed twice.
 
 ``read_clones`` reads every clone of a list of built machines from the
 clone rows of the two quadrature maps X = A + B (on x) and P = A - B (on
-p), never forming the quadrature matrix S or the full output state.  Every
-input is coherent or vacuum, with covariance I/2, and a real transform keeps
-x and p apart, so clone j's 2x2 block is diag(|X_j|^2 / 2, |P_j|^2 / 2),
-with a cross term of exactly zero, and its means are X_j and P_j times the
-input x and p means.  The machines share one layout (register size, clone
+p); the package forms no full output state.  Every input is coherent or
+vacuum, with covariance I/2, and a real transform keeps x and p apart, so
+clone j's 2x2 block is diag(|X_j|^2 / 2, |P_j|^2 / 2), with a cross term
+of exactly zero, and its means are X_j and P_j times the input x and p
+means.  The machines share one layout (register size, clone
 and signal modes) and are read as one (k, M, n) stack of their clone rows
 of (A, B), at every amplitude of a list at once: the variances, n_ch and
 phase defects do not depend on the amplitude and are computed once, the
@@ -27,15 +27,14 @@ input means of all X amplitudes are one array per quadrature, so the output
 means are one stacked product per quadrature, and the gain gate and Q run
 once over (X, k, M).  Each figure is bit for bit what a read of that
 machine alone at that amplitude alone gives.  The read returns a
-``Readout`` of arrays, which the verification suites compare as they are.
+``Readout`` of arrays, each clone's amplitude among them, which the
+verification suites compare as they are.
 The gates fail closed: a NaN variance or amplitude is refused, never
 passed, and the refusal names the clone; a ``Readout`` carries the
 refusal and marks the refused machines.  ``clone_reports`` is that read at
 one amplitude, raising its refusal, as a list of ``CloneReport`` objects,
 which carry every figure ``clone`` and ``sweep`` print; ``clone_report``
 is ``clone_reports`` on one machine.
-``clone_output_state`` is the independent full-state route, S (I/2) S^T,
-for the suites that need every mode.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .circuits import AsymSpec, ClonerSpec, CloningMachine, SymSpec, build_cloner
-from .gaussian import GaussianState, ModeLabel, coherent_means
+from .gaussian import ModeLabel
 
 ISOTROPY_TOL = 1e-8
 GAIN_TOL = 1e-8
@@ -163,19 +162,6 @@ def expected_fidelities(spec: ClonerSpec) -> tuple[float, ...]:
     raise TypeError(f"unknown cloner spec: {spec!r}")
 
 
-def clone_output_state(machine: CloningMachine, xi: complex) -> GaussianState:
-    """Full multimode Gaussian state leaving the machine for input amplitude xi.
-
-    mean -> S mean and cov -> S (I/2) S^T = (S/2) S^T, one gemm, with no
-    check: the machine's transform was checked when the machine was built.
-    (S/2) S^T is bit for bit the two-product S (I/2) S^T; 0.5 (S S^T) is
-    not, since numpy hands S S^T to a symmetric rank-k update.
-    """
-    mean = coherent_means(machine.input_amplitudes(xi))
-    S = machine.transform.symplectic_matrix()
-    return GaussianState(mean=S @ mean, cov=(0.5 * S) @ S.T)
-
-
 def _layout(machine: CloningMachine) -> tuple:
     return machine.n_modes, machine.clone_modes, machine.signal_modes
 
@@ -186,7 +172,9 @@ class Readout:
     amplitudes, as arrays: clone j of machine i is [i, j] of a figure that
     does not depend on the amplitude, and [x, i, j] of one read at xis[x].
 
-    The fields carry ``CloneReport``'s figures under its names.  ``refused``
+    The fields carry ``CloneReport``'s figures under its names, and
+    ``amplitude``, each clone's coherent amplitude (x + i p)/sqrt(2) of its
+    means, which the gain gate compares with xis[x].  ``refused``
     marks each machine that a gate refuses at some amplitude, and
     ``refusal`` is what the read raises when one is, or None: the isotropy
     gate's refusal before the gain gate's, each naming the clone that the
@@ -201,6 +189,7 @@ class Readout:
     phase_covariance_defect: NDArray[np.float64]  # (k, M)
     fidelity: NDArray[np.float64]                 # (X, k, M)
     q_peak: NDArray[np.float64]                   # (X, k, M)
+    amplitude: NDArray[np.complex128]             # (X, k, M)
     refused: NDArray[np.bool_]                    # (k,)
     refusal: str | None
 
@@ -226,7 +215,7 @@ def read_clones(machines: Sequence[CloningMachine], xis: Sequence[complex]) -> R
     first = machines[0]
     layout = _layout(first)
     if any(_layout(m) != layout for m in machines):
-        raise ValueError("clone_reports takes machines of one layout: "
+        raise ValueError("read_clones takes machines of one layout: "
                          "one register size, clone modes and signal modes")
     rows = np.array([m.index for m in first.clone_modes])
     names = [m.name for m in first.clone_modes]
@@ -234,7 +223,7 @@ def read_clones(machines: Sequence[CloningMachine], xis: Sequence[complex]) -> R
     a = np.array([machine.transform.A.take(rows, axis=0) for machine in machines])
     b = np.array([machine.transform.B.take(rows, axis=0) for machine in machines])
     b_photons = _chaotic_photons(b)  # its b**2 is freed before X's buffer exists
-    # coherent_means of every amplitude, x means then p means: sqrt(2) Re xi
+    # the input means of every amplitude, x means then p means: sqrt(2) Re xi
     # and sqrt(2) Im xi on each signal input, 0 on every other
     targets = np.array(xis, dtype=complex)
     means = np.zeros((2, len(xis), first.n_modes, 1))
@@ -265,6 +254,7 @@ def read_clones(machines: Sequence[CloningMachine], xis: Sequence[complex]) -> R
         phase_covariance_defect=_phase_covariance_defects(a, b, signal),
         fidelity=fidelity,
         q_peak=_husimi(amps, n_state, targets[:, None, None]),
+        amplitude=amps,
         refused=refused,
         refusal=gain_refusal if refusal is None else refusal,
     )

@@ -141,13 +141,6 @@ class CloningMachine:
     def n_modes(self) -> int:
         return self.transform.n_modes
 
-    def input_amplitudes(self, xi: complex) -> list[complex]:
-        """Coherent amplitude per mode: xi on every signal input, vacuum elsewhere."""
-        amps = [0j] * self.n_modes
-        for m in self.signal_modes:
-            amps[m.index] = complex(xi)
-        return amps
-
 
 def _asym_direct_rows(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     """``fold_stack`` rows of the closed-form machine at each gamma of an

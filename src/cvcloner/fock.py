@@ -84,6 +84,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from collections import OrderedDict
 from collections.abc import Callable, Hashable, Sequence
 from dataclasses import InitVar, dataclass
@@ -121,12 +122,22 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockSpace:
-    """A register of modes, each truncated at `cutoff` photons."""
+    """A register of modes, each truncated at `cutoff` photons.
+
+    Both sizes are stored as ints; anything that is not an integer, a float
+    such as 10.0 included, is refused.
+    """
 
     n_modes: int
     cutoff: int
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "n_modes", operator.index(self.n_modes))
+            object.__setattr__(self, "cutoff", operator.index(self.cutoff))
+        except TypeError:
+            raise ValueError(f"n_modes and cutoff must be integers, got "
+                             f"n_modes={self.n_modes!r}, cutoff={self.cutoff!r}") from None
         if self.n_modes < 1:
             raise ValueError(f"need at least one mode, got {self.n_modes}")
         if self.cutoff < 1:

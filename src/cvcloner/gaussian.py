@@ -1,4 +1,4 @@
-"""Linear bosonic-mode transformations and Gaussian states.
+"""Linear bosonic-mode transformations.
 
 A circuit element acting on n modes is stored in the Heisenberg picture as a
 pair of real matrices (A, B) with
@@ -15,8 +15,10 @@ transform apart: x' = X x and p' = P p with X = A + B and P = A - B, and
 both conditions together read X P^T = I, which :func:`check_symplectic`
 measures with one product, and :func:`checked_transforms` with one batched
 product over a stack of transforms built at once.  The clone readout works
-from the clone rows of X and P as well; only the full output state forms
-the interleaved 2n x 2n quadrature matrix S.
+from the clone rows of X and P as well.  No quadrature matrix is formed:
+the only 2n x 2n array here is the output covariance that
+:func:`uncertainty_defect` diagonalises, written from the two n x n blocks
+(X/2) X^T and (P/2) P^T.
 
 Quadrature conventions (hbar = 1):
 
@@ -30,7 +32,6 @@ so the vacuum variance is 1/2 and a coherent amplitude xi has mean
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections.abc import Iterable
@@ -113,57 +114,6 @@ class BogoliubovTransform:
     @property
     def n_modes(self) -> int:
         return self.A.shape[0]
-
-    def symplectic_matrix(self) -> NDArray[np.float64]:
-        """Real 2n x 2n quadrature matrix S with r_out = S r_in.
-
-        With real (A, B), x' = (A+B) x and p' = (A-B) p: the xxpp blocks
-        [[A+B, 0], [0, A-B]] are written straight into the interleaved
-        convention, where x rows and columns are the even indices and p the
-        odd ones.  S Omega S^T = Omega holds exactly when (A, B) satisfy the
-        commutation constraints; that property is enforced by tests rather
-        than assumed here.  Only the full output state,
-        ``analysis.clone_output_state``, forms S: the check and the clone
-        readout work from A + B and A - B directly.
-        """
-        S = np.zeros((2 * self.n_modes, 2 * self.n_modes))
-        S[0::2, 0::2] = self.A + self.B
-        S[1::2, 1::2] = self.A - self.B
-        return S
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """Gaussian state of n modes: quadrature mean vector and covariance matrix."""
-
-    mean: NDArray[np.float64]
-    cov: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
-        if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
-            raise ValueError(f"mean must have even positive length, got {mean.shape}")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-        # mirrored NaNs and equal infs pass: inf - inf reads NaN, which no gap
-        # exceeds, and a NaN must sit at the mirror image of a NaN
-        with np.errstate(invalid="ignore"):
-            gapped = (np.abs(cov - cov.T) > 1e-8).any()
-        nan = np.isnan(cov)
-        if gapped or not (nan == nan.T).all():
-            raise ValueError("covariance matrix is not symmetric")
-        object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "cov", _readonly(cov))
-
-    @property
-    def n_modes(self) -> int:
-        return self.mean.size // 2
-
-    def mode_amplitude(self, mode: int | ModeLabel) -> complex:
-        """Coherent amplitude (x + i p)/sqrt(2) carried by one mode's mean."""
-        k = mode_index(mode, self.n_modes)
-        return complex(self.mean[2 * k] + 1j * self.mean[2 * k + 1]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -276,14 +226,6 @@ def _is_real_number(x: object) -> bool:
 def _check_pair(p: int, q: int) -> None:
     if p == q or p < 0 or q < 0:
         raise ValueError(f"a gate needs two distinct modes >= 0, got ({p}, {q})")
-
-
-@functools.lru_cache(maxsize=16)
-def symplectic_form(n_modes: int) -> NDArray[np.float64]:
-    """Interleaved symplectic form Omega, [r_j, r_k] = i Omega_jk: one
-    read-only array per n_modes, made on first use and shared while it is
-    among the 16 sizes last asked for."""
-    return _readonly(np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]])))
 
 
 def fold_stack(gates: Iterable[Gate | tuple], n_modes: int,
@@ -441,25 +383,29 @@ def require_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
     return diag
 
 
-def coherent_means(amplitudes: list[complex] | tuple[complex, ...]) -> NDArray[np.float64]:
-    """Interleaved quadrature means (sqrt(2) Re xi, sqrt(2) Im xi) per mode."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.ndim != 1 or amps.size == 0:
-        raise ValueError(f"need one amplitude per mode and at least one mode, got {amplitudes!r}")
-    mean = np.empty(2 * amps.size)
-    mean[0::2] = np.sqrt(2.0) * amps.real
-    mean[1::2] = np.sqrt(2.0) * amps.imag
-    return mean
+def uncertainty_defect(t: BogoliubovTransform) -> float:
+    """How far the output covariance of vacuum and coherent inputs, plus
+    (i/2) Omega, is from positive semidefinite (0 for a physical state).
 
-
-def uncertainty_defect(s: GaussianState) -> float:
-    """How far cov + (i/2) Omega is from positive semidefinite (0 if valid).
-
-    Returns max(0, -lambda_min); a physical state keeps this at numerical zero.
-    A covariance with a NaN or infinite entry returns inf: it is no state.
+    Every input has covariance I/2 and a real transform keeps x and p apart,
+    so the output covariance is two n x n blocks, (X/2) X^T on x and
+    (P/2) P^T on p, with X = A + B and P = A - B.  They are written into the
+    interleaved x and p entries of one 2n x 2n Hermitian matrix, whose
+    entries (2k, 2k+1) and (2k+1, 2k) carry Omega's +-i/2; every other entry
+    is zero.  Returns max(0, -lambda_min) of its eigenvalues.  A transform
+    with a NaN or infinite entry returns inf: its output is no state.
     """
-    if not np.isfinite(s.cov).all():
+    n = t.n_modes
+    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 read NaN: inf is returned
+        X, P = t.A + t.B, t.A - t.B
+        h.real[0::2, 0::2] = (0.5 * X) @ X.T
+        h.real[1::2, 1::2] = (0.5 * P) @ P.T
+    if not np.isfinite(h.real).all():
         return math.inf
-    omega = symplectic_form(s.n_modes)
-    eigs = np.linalg.eigvalsh(s.cov + 0.5j * omega)
+    k = np.arange(n)
+    h[2 * k, 2 * k + 1] = complex(0.0, 0.5)
+    # not -0.5j, whose real part is -0.0: the eigensolver reads a zero's sign
+    h[2 * k + 1, 2 * k] = complex(0.0, -0.5)
+    eigs = np.linalg.eigvalsh(h)
     return float(max(0.0, -eigs.min()))

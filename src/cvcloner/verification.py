@@ -4,9 +4,9 @@ Each suite exercises one falsifiable claim about the machines (closed-form
 fidelities, noise-product saturation, factorization equivalence, and so on),
 measures the worst deviation it can find, and compares that against a
 tolerance; a NaN deviation reads as inf and fails.  The suites are plain
-functions of the machines, output states or arrays of clone figures they
-read, returning SuiteResult, so they run under pytest, from the CLI, or
-interactively with identical semantics.
+functions of the machines or arrays of clone figures they read, returning
+SuiteResult, so they run under pytest, from the CLI, or interactively with
+identical semantics.
 
 Every machine the suites read is built and checked once per process, in one
 cache, ``_shared``: each asymmetric form as one ``build_cloners`` stack over
@@ -14,14 +14,16 @@ GAMMA_GRID and the shared gammas off it, each SYM_CASES machine alone.
 ``standard_suites`` is the one place that chooses what each suite reads.
 It reads the shared machines' clones once per layout for every amplitude
 they are read at (the asymmetric ones as one stack, each symmetric one
-alone, each at XI_PROBES and Q_PROBE), and the direct grid machines at
-xi = 1 as one stack: 8 ``analysis.read_clones`` passes per ``verify``,
-whose arrays the readout suites compare as they are, with no
-``CloneReport`` built.  It forms each shared machine's full output state
-once, at GAIN_PROBE, for both full-state suites: the covariance does not
-depend on the amplitude.  A read fails closed: a shared machine whose read
-is refused has every clone figure NaN, so every suite that reads it fails
-with an infinite deviation, and ``verify`` still prints every suite.
+alone, each at XI_PROBES, Q_PROBE and GAIN_PROBE), and the direct grid
+machines at xi = 1 as one stack: 8 ``analysis.read_clones`` passes per
+``verify``, whose arrays the readout suites compare as they are, with no
+``CloneReport`` built.  No suite forms a machine's full output state:
+unit_signal_gain reads the clone amplitudes the readout computes at
+GAIN_PROBE, and uncertainty_preservation reads each shared machine's output
+covariance from its x and p blocks (``gaussian.uncertainty_defect``).  A
+read fails closed: a shared machine whose read is refused has every clone
+figure NaN, so every suite that reads it fails with an infinite deviation,
+and ``verify`` still prints every suite.
 
 The oracle_agreement suite is the expensive one (truncated Fock evolution);
 it is opt-in from the CLI and covers only the 1->2 machine, which is the
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .analysis import Readout, clone_output_state, expected_fidelities, read_clones
+from .analysis import Readout, expected_fidelities, read_clones
 from .circuits import AsymSpec, CloningMachine, SymSpec, asym_params, build_cloner, build_cloners
 from .fock import (
     FockSpace,
@@ -50,17 +52,16 @@ from .fock import (
     coherent_fock,
     fidelities_fock,
 )
-from .gaussian import GaussianState, uncertainty_defect, worst_dev
+from .gaussian import uncertainty_defect, worst_dev
 
 GAMMA_GRID = tuple(np.linspace(-1.0, 1.0, 41))
 SYM_CASES = ((1, 2), (2, 3), (3, 5), (2, 5), (4, 4), (1, 5))
 XI_PROBES = (0j, 1 + 0j, 2j, -1.5 + 0.5j, 3 - 2j)
 Q_PROBE = 0.7 - 0.2j  # the amplitude the shared machines' Q and phase suites read
-GAIN_PROBE = 1.1 - 0.6j  # the amplitude each shared machine's full output state is formed at
+GAIN_PROBE = 1.1 - 0.6j  # the amplitude unit_signal_gain reads the shared machines' clones at
 
 Machines = Sequence[CloningMachine]
 Pairs = Sequence[tuple[CloningMachine, CloningMachine]]  # (direct, factorized)
-Outputs = Sequence[tuple[CloningMachine, GaussianState]]  # a machine and its state at GAIN_PROBE
 Figures = NDArray[np.float64]  # one figure of every clone read, on the last axis
 
 
@@ -161,7 +162,10 @@ def fidelity_invariance(fidelity: Figures) -> SuiteResult:
     """Fidelity does not depend on the input amplitude.
 
     Reads every clone's fidelity at each XI_PROBES amplitude, one row per
-    amplitude.
+    amplitude.  This comparison cannot fail: the readout computes each
+    fidelity as 1/(n + 1) of the clone's variances, which do not depend on
+    the amplitude, so every row is the same array, a broken machine's
+    included.  Only a refused read, whose figures are NaN, fails it.
     """
     worst = worst_dev(fidelity.max(axis=0) - fidelity.min(axis=0))
     return SuiteResult("fidelity_invariance", worst, 1e-10)
@@ -172,28 +176,24 @@ def phase_covariance(defect: Figures) -> SuiteResult:
     return SuiteResult("phase_covariance", worst_dev(np.abs(defect)), 1e-10)
 
 
-def uncertainty_preservation(outputs: Outputs) -> SuiteResult:
-    """Output states of every machine remain physical Gaussian states."""
-    worst = worst_dev([uncertainty_defect(state) for _, state in outputs])
+def uncertainty_preservation(machines: Machines) -> SuiteResult:
+    """Output states of every machine remain physical Gaussian states.
+
+    Reads each machine's output covariance for coherent inputs, from the x
+    and p blocks of its transform; it does not depend on the amplitude.
+    """
+    worst = worst_dev([uncertainty_defect(machine.transform) for machine in machines])
     return SuiteResult("uncertainty_preservation", worst, 1e-10)
 
 
-def unit_signal_gain(outputs: Outputs) -> SuiteResult:
+def unit_signal_gain(amplitude: NDArray[np.complex128]) -> SuiteResult:
     """Every clone keeps the input amplitude exactly.
 
-    Reads each machine's output state at GAIN_PROBE: clone j's amplitude is
-    (x_j + i p_j)/sqrt(2) of its means, and its deviation |amplitude - xi|,
-    over every machine's means laid end to end.
+    Reads every clone's amplitude at GAIN_PROBE, as the readout computes it
+    for its gain gate, which passes a clone up to GAIN_TOL * |xi|; here the
+    deviation |amplitude - xi| must stay within 1e-12.
     """
-    means = np.concatenate([[], *(state.mean for _, state in outputs)])
-    rows, start = [], 0  # each clone's x row in means; its p row is the next
-    for machine, state in outputs:
-        rows += [start + 2 * mode.index for mode in machine.clone_modes]
-        start += state.mean.size
-    x = np.array(rows, dtype=int)
-    root2 = np.sqrt(2.0)
-    devs = np.hypot(means[x] / root2 - GAIN_PROBE.real, means[x + 1] / root2 - GAIN_PROBE.imag)
-    return SuiteResult("unit_signal_gain", worst_dev(devs), 1e-12)
+    return SuiteResult("unit_signal_gain", worst_dev(np.abs(amplitude - GAIN_PROBE)), 1e-12)
 
 
 def _oracle_dev(cutoff: int) -> float:
@@ -248,21 +248,19 @@ def standard_suites(tol: float | None = None) -> list[SuiteResult]:
     depends on it.  The closed-form suites read the direct machine at each
     GAMMA_GRID point, as one stack, and the SYM_CASES machines, at xi = 1;
     fidelity_invariance reads every shared machine at each XI_PROBES
-    amplitude, 1 included, and the Q and phase suites read them at
-    Q_PROBE.  Each shared machine's full output state is formed once, at
-    GAIN_PROBE, for both full-state suites.
+    amplitude, 1 included, the Q and phase suites read them at Q_PROBE, and
+    unit_signal_gain reads their clone amplitudes at GAIN_PROBE.
     """
     grid, asym, sym = _shared()
     shared = asym + sym
     # one read of the asymmetric stack and one of each symmetric machine, at
-    # every amplitude; the XI_PROBES rows first, then the Q_PROBE row
-    reads = [_read(asym, (*XI_PROBES, Q_PROBE))] + [
-        _read([machine], (*XI_PROBES, Q_PROBE)) for machine in sym]
+    # every amplitude; the XI_PROBES rows first, then Q_PROBE's, then GAIN_PROBE's
+    xis = (*XI_PROBES, Q_PROBE, GAIN_PROBE)
+    reads = [_read(asym, xis)] + [_read([machine], xis) for machine in sym]
     on_grid = _read([direct for direct, _ in grid], (1,))
-    one, probe = XI_PROBES.index(1), len(XI_PROBES)
+    one, probe, gain = XI_PROBES.index(1), len(XI_PROBES), len(XI_PROBES) + 1
     at_one = [on_grid] + reads[1:]  # the grid is read at 1 alone, the rest at XI_PROBES[one]
     fidelity = _clones(reads, "fidelity")
-    outputs = [(machine, clone_output_state(machine, GAIN_PROBE)) for machine in shared]
     suites = [
         symplectic_invariants([machine for pair in grid for machine in pair] + list(shared)),
         factorization_equivalence(grid),
@@ -275,7 +273,7 @@ def standard_suites(tol: float | None = None) -> list[SuiteResult]:
         q_function_identity(_clones(reads, "q_peak")[probe], fidelity[probe]),
         fidelity_invariance(fidelity[:probe]),
         phase_covariance(_clones(reads, "phase_covariance_defect")),
-        uncertainty_preservation(outputs),
-        unit_signal_gain(outputs),
+        uncertainty_preservation(shared),
+        unit_signal_gain(np.concatenate([read.amplitude[gain].ravel() for read in reads])),
     ]
     return suites if tol is None else [replace(result, tolerance=tol) for result in suites]

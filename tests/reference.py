@@ -17,10 +17,19 @@ with one row.  ``row_norm_report`` reads one machine's clones with those
 helpers, gathering that machine's clone rows alone, as the package read them
 before it read a stack of machines at once.  ``faulty`` breaks one clone of a
 built machine, for the tests of what a refused read does.
+
+The full-state route lives here too.  The package never forms the 2n x 2n
+quadrature matrix S or a machine's full output state: its readout reads the
+clone rows of X and P, and ``gaussian.uncertainty_defect`` writes the
+output covariance from the n x n blocks (X/2) X^T and (P/2) P^T.
+``clone_output_state`` is the route those are checked against: the mean
+S mean_in and the covariance S (I/2) S^T of a ``GaussianState``, from
+which ``reduce_mode`` takes one clone and ``state_uncertainty_defect`` reads
+how far the whole state is from physical.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -49,15 +58,111 @@ from cvcloner.fock import FockState
 from cvcloner.gaussian import (
     NOPA,
     BogoliubovTransform,
-    GaussianState,
     ModeLabel,
     Passive,
     SymplecticCheck,
-    coherent_means,
     fold_gates,
     mode_index,
     require_symplectic,
 )
+
+
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Interleaved symplectic form Omega, [r_j, r_k] = i Omega_jk."""
+    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def symplectic_matrix(t: BogoliubovTransform) -> np.ndarray:
+    """Real 2n x 2n quadrature matrix S with r_out = S r_in.
+
+    With real (A, B), x' = (A+B) x and p' = (A-B) p: the xxpp blocks
+    [[A+B, 0], [0, A-B]] are written straight into the interleaved
+    convention, where x rows and columns are the even indices and p the odd
+    ones.
+    """
+    S = np.zeros((2 * t.n_modes, 2 * t.n_modes))
+    S[0::2, 0::2] = t.A + t.B
+    S[1::2, 1::2] = t.A - t.B
+    return S
+
+
+@dataclass(frozen=True)
+class GaussianState:
+    """Gaussian state of n modes: quadrature mean vector and covariance
+    matrix, refused unless the covariance is symmetric."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self) -> None:
+        mean = np.array(self.mean, dtype=float)
+        cov = np.array(self.cov, dtype=float)
+        if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
+            raise ValueError(f"mean must have even positive length, got {mean.shape}")
+        if cov.shape != (mean.size, mean.size):
+            raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
+        # mirrored NaNs and equal infs pass: inf - inf reads NaN, which no gap
+        # exceeds, and a NaN must sit at the mirror image of a NaN
+        with np.errstate(invalid="ignore"):
+            gapped = (np.abs(cov - cov.T) > 1e-8).any()
+        nan = np.isnan(cov)
+        if gapped or not (nan == nan.T).all():
+            raise ValueError("covariance matrix is not symmetric")
+        mean.flags.writeable = cov.flags.writeable = False
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
+
+    @property
+    def n_modes(self) -> int:
+        return self.mean.size // 2
+
+    def mode_amplitude(self, mode: int | ModeLabel) -> complex:
+        """Coherent amplitude (x + i p)/sqrt(2) carried by one mode's mean."""
+        k = mode_index(mode, self.n_modes)
+        return complex(self.mean[2 * k] + 1j * self.mean[2 * k + 1]) / np.sqrt(2.0)
+
+
+def coherent_means(amplitudes: list[complex] | tuple[complex, ...]) -> np.ndarray:
+    """Interleaved quadrature means (sqrt(2) Re xi, sqrt(2) Im xi) per mode."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim != 1 or amps.size == 0:
+        raise ValueError(f"need one amplitude per mode and at least one mode, got {amplitudes!r}")
+    mean = np.empty(2 * amps.size)
+    mean[0::2] = np.sqrt(2.0) * amps.real
+    mean[1::2] = np.sqrt(2.0) * amps.imag
+    return mean
+
+
+def input_amplitudes(machine, xi: complex) -> list[complex]:
+    """Coherent amplitude per mode of a machine: xi on every signal input,
+    vacuum elsewhere."""
+    amps = [0j] * machine.n_modes
+    for m in machine.signal_modes:
+        amps[m.index] = complex(xi)
+    return amps
+
+
+def clone_output_state(machine, xi: complex) -> GaussianState:
+    """Full multimode Gaussian state leaving the machine for input amplitude xi.
+
+    mean -> S mean and cov -> S (I/2) S^T = (S/2) S^T, one gemm, with no
+    check: the machine's transform was checked when the machine was built.
+    (S/2) S^T is bit for bit the two-product S (I/2) S^T; 0.5 (S S^T) is
+    not, since numpy hands S S^T to a symmetric rank-k update.
+    """
+    mean = coherent_means(input_amplitudes(machine, xi))
+    S = symplectic_matrix(machine.transform)
+    return GaussianState(mean=S @ mean, cov=(0.5 * S) @ S.T)
+
+
+def state_uncertainty_defect(s: GaussianState) -> float:
+    """How far cov + (i/2) Omega is from positive semidefinite (0 if valid),
+    as max(0, -lambda_min); a covariance with a NaN or infinite entry
+    returns inf."""
+    if not np.isfinite(s.cov).all():
+        return math.inf
+    eigs = np.linalg.eigvalsh(s.cov + 0.5j * symplectic_form(s.n_modes))
+    return float(max(0.0, -eigs.min()))
 
 
 def beam_splitter_gate(theta: float, p: int, q: int) -> Passive:
@@ -239,7 +344,7 @@ def apply_to_gaussian(t: BogoliubovTransform, s: GaussianState) -> GaussianState
     if t.n_modes != s.n_modes:
         raise ValueError(f"mode count mismatch: transform {t.n_modes}, state {s.n_modes}")
     require_symplectic(t)
-    S = t.symplectic_matrix()
+    S = symplectic_matrix(t)
     return GaussianState(mean=S @ s.mean, cov=S @ s.cov @ S.T)
 
 
@@ -303,7 +408,7 @@ def row_norm_report(machine: CloningMachine, xi: complex = 1.0 + 0.0j) -> list[C
     names = [m.name for m in machine.clone_modes]
     a, b = t.A[rows], t.B[rows]
     b_photons = _chaotic_photons(b)
-    means = coherent_means(machine.input_amplitudes(xi))
+    means = coherent_means(input_amplitudes(machine, xi))
     quad = np.add(a, b)
     var_x, mean_x = 0.5 * np.einsum("ij,ij->i", quad, quad), quad @ means[0::2]
     np.subtract(a, b, out=quad)

@@ -13,7 +13,6 @@ import numpy as np
 from cvcloner.analysis import (
     _amplitudes,
     _husimi,
-    clone_output_state,
     clone_report,
 )
 from cvcloner.circuits import (
@@ -37,8 +36,10 @@ from reference import (
     _isotropic_photons,
     apply_to_gaussian,
     beam_splitter_gate,
+    clone_output_state,
     coherent_vacuum_input,
     reduce_mode,
+    state_uncertainty_defect,
 )
 
 GAMMA_GRID = np.linspace(-1.0, 1.0, 41)
@@ -190,8 +191,10 @@ def test_criterion_11_property_suite():
     dev_defect = 0.0
     dev_unc = 0.0
     for machine in machines:
+        # the reference's full state, and the package's covariance from X and P
         out = clone_output_state(machine, 0.9 + 0.2j)
-        dev_unc = worst_dev((dev_unc, uncertainty_defect(out)))
+        dev_unc = worst_dev((dev_unc, state_uncertainty_defect(out),
+                             uncertainty_defect(machine.transform)))
         for r in clone_report(machine, 0.9 + 0.2j):
             dev_defect = worst_dev((dev_defect, abs(r.phase_covariance_defect)))
     report(11, "phase-covariance defect vanishes on every clone", dev_defect, 1e-10)

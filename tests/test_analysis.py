@@ -13,7 +13,6 @@ from cvcloner.analysis import (
     CloneReport,
     _amplitudes,
     _husimi,
-    clone_output_state,
     clone_report,
     clone_reports,
     expected_chaotic_photons,
@@ -24,21 +23,23 @@ from cvcloner import analysis, gaussian
 from cvcloner.gaussian import (
     NOPA,
     BogoliubovTransform,
-    GaussianState,
     SymplecticCheck,
-    coherent_means,
     fold_gates,
 )
 from cvcloner.verification import GAMMA_GRID, Q_PROBE, SYM_CASES, XI_PROBES
 from reference import (
+    GaussianState,
     _fidelities,
     _isotropic_photons,
     apply_to_gaussian,
     chaotic_photons,
+    clone_output_state,
+    coherent_means,
     coherent_vacuum_input,
     compose,
     embed,
     faulty,
+    input_amplitudes,
     noise_product,
     phase_covariance_defect,
     reduce_mode,
@@ -202,7 +203,7 @@ def _per_clone_route(machine, xi):
     """Reference readout: each clone's rows X_j = A_j + B_j and P_j = A_j - B_j
     gathered on their own and read through the array helpers one row at a time."""
     t = machine.transform
-    means = coherent_means(machine.input_amplitudes(xi))
+    means = coherent_means(input_amplitudes(machine, xi))
     reports = []
     for mode, n_form, f_form in zip(machine.clone_modes,
                                     expected_chaotic_photons(machine.spec),
@@ -340,16 +341,18 @@ def _patch_everywhere(monkeypatch, fn, replacement):
 
 @pytest.mark.parametrize("spec", [SymSpec(3, 7), AsymSpec(0.4), AsymSpec(-0.2, factorized=True)])
 def test_clone_report_reads_the_clone_rows_without_the_output_state(monkeypatch, spec):
+    # the output covariance that uncertainty_defect writes is the only 2n x 2n
+    # array the package forms
     machine = build_cloner(spec)
-    calls = {"clone_output_state": 0, "check_symplectic": 0}
-    for fn in (analysis.clone_output_state, gaussian.check_symplectic):
+    calls = {"uncertainty_defect": 0, "check_symplectic": 0}
+    for fn in (gaussian.uncertainty_defect, gaussian.check_symplectic):
         def counting(*args, fn=fn, **kwargs):
             calls[fn.__name__] += 1
             return fn(*args, **kwargs)
         _patch_everywhere(monkeypatch, fn, counting)
     clone_report(machine, 0.4 - 0.9j)
     # the machine's transform was checked when it was built
-    assert calls == {"clone_output_state": 0, "check_symplectic": 0}
+    assert calls == {"uncertainty_defect": 0, "check_symplectic": 0}
 
 
 def test_clone_report_refuses_a_non_symplectic_transform_as_the_state_route_does():
@@ -359,7 +362,7 @@ def test_clone_report_refuses_a_non_symplectic_transform_as_the_state_route_does
     t = machine.transform
     broken = BogoliubovTransform(A=1.01 * t.A, B=t.B)
     with pytest.raises(ValueError) as state_route:
-        apply_to_gaussian(broken, coherent_vacuum_input(machine.input_amplitudes(1.0)))
+        apply_to_gaussian(broken, coherent_vacuum_input(input_amplitudes(machine, 1.0)))
     with pytest.raises(ValueError) as built:
         replace(machine, transform=broken)
     assert str(built.value) == str(state_route.value)
@@ -412,7 +415,7 @@ def test_a_list_of_mixed_layouts_is_refused():
     asym, sym = build_cloner(AsymSpec(0.2)), build_cloner(SymSpec(2, 3))
     one_two = build_cloner(SymSpec(1, 2))  # three modes, as asym, on other clone wires
     for machines in ([asym, sym], [sym, asym, asym], [asym, one_two]):
-        with pytest.raises(ValueError, match="machines of one layout"):
+        with pytest.raises(ValueError, match="^read_clones takes machines of one layout"):
             clone_reports(machines)
     assert clone_reports([]) == []
 
@@ -512,6 +515,6 @@ def test_clone_output_state_is_the_reference_evolution_bit_for_bit():
         for xi in (0j, 0.7 - 0.2j):
             out = clone_output_state(machine, xi)
             ref = apply_to_gaussian(machine.transform,
-                                    coherent_vacuum_input(machine.input_amplitudes(xi)))
+                                    coherent_vacuum_input(input_amplitudes(machine, xi)))
             assert np.array_equal(out.mean, ref.mean), spec
             assert np.array_equal(out.cov, ref.cov), spec

@@ -21,7 +21,8 @@ from cvcloner import analysis, circuits, cli, gaussian, verification
 from cvcloner.analysis import clone_report, clone_reports
 from cvcloner.circuits import AsymSpec, SymSpec, build_cloner
 from cvcloner.cli import main
-from cvcloner.gaussian import BogoliubovTransform, Passive, fold_gates
+from cvcloner.elements import collect_gates, distribute_gates
+from cvcloner.gaussian import NOPA, BogoliubovTransform, Passive, fold_gates
 from reference import beam_splitter_gate, build_per_point, compose, faulty
 
 
@@ -437,8 +438,9 @@ def test_a_counted_build_given_a_generator_still_builds_every_spec(monkeypatch):
 
 
 def test_a_warm_verify_checks_only_the_full_state_routes(monkeypatch, capsys):
-    # the suites read each cached machine's symplectic_dev, and the full-state
-    # suites evolve the built machines' transforms: nothing checks again
+    # the suites read each cached machine's symplectic_dev, and
+    # uncertainty_preservation reads the built machines' transforms: nothing
+    # checks again
     assert cli.cmd_verify(None, None) == 0  # fills the machine caches
     calls = {"build": [], "check": 0}
     _count_machines(monkeypatch, calls)
@@ -455,29 +457,35 @@ def test_a_warm_verify_checks_only_the_full_state_routes(monkeypatch, capsys):
     ["sweep", "--sym", "--n", "2", "--m-range", "2", "6"],
 ], ids=["clone-sym", "clone-asym", "clone-asym-factorized", "sweep-asym", "sweep-sym"])
 def test_clone_and_sweep_never_form_the_quadrature_matrix(monkeypatch, capsys, argv):
-    def refuse(self):
-        raise AssertionError("symplectic_matrix called")
+    # the package forms no quadrature matrix S: its one 2n x 2n array is the
+    # output covariance that uncertainty_defect writes from X and P
+    def refuse(t):
+        raise AssertionError("uncertainty_defect called")
 
-    monkeypatch.setattr(gaussian.BogoliubovTransform, "symplectic_matrix", refuse)
+    for module in (gaussian, verification):
+        monkeypatch.setattr(module, "uncertainty_defect", refuse)
     code, out, _ = run(capsys, argv)
     assert code == 0 and out
 
 
 def test_a_warm_verify_forms_the_quadrature_matrix_only_for_the_full_state(monkeypatch, capsys):
+    # the output covariance, the package's one 2n x 2n array, is formed once
+    # per shared machine, by uncertainty_preservation alone
     assert cli.cmd_verify(None, None) == 0  # fills the machine caches
     callers = []
-    symplectic_matrix = gaussian.BogoliubovTransform.symplectic_matrix
+    uncertainty_defect = gaussian.uncertainty_defect
 
-    def recording(self):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return symplectic_matrix(self)
+    def recording(t):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            caller = caller.f_back
+        callers.append(caller.f_code.co_name)
+        return uncertainty_defect(t)
 
-    monkeypatch.setattr(gaussian.BogoliubovTransform, "symplectic_matrix", recording)
+    monkeypatch.setattr(verification, "uncertainty_defect", recording)
     assert cli.cmd_verify(None, None) == 0
     capsys.readouterr()
-    # one full state per shared machine, read by both uncertainty_preservation
-    # and unit_signal_gain
-    assert callers == ["clone_output_state"] * 16
+    assert callers == ["uncertainty_preservation"] * 16
 
 
 def test_a_cold_verify_checks_each_machine_once_and_reads_them_in_8_passes(monkeypatch, capsys):
@@ -496,10 +504,10 @@ def test_a_cold_verify_checks_each_machine_once_and_reads_them_in_8_passes(monke
     assert len(calls["build"]) == len(set(calls["build"])) == 90
     assert calls["check"] == 90
     # one pass over the stack of the 10 shared asymmetric machines and one over
-    # each of the 6 symmetric ones, each at the 5 XI_PROBES and the Q probe;
-    # then one stack of the 41 direct grid machines at xi = 1, which holds the
-    # 4 shared direct machines on the grid a second time
-    assert calls["read"] == Counter(passes=1 + 6 + 1, machines=16 + 41, reads=6 * 16 + 41)
+    # each of the 6 symmetric ones, each at the 5 XI_PROBES, the Q probe and
+    # the gain probe; then one stack of the 41 direct grid machines at xi = 1,
+    # which holds the 4 shared direct machines on the grid a second time
+    assert calls["read"] == Counter(passes=1 + 6 + 1, machines=16 + 41, reads=7 * 16 + 41)
 
 
 @pytest.mark.parametrize("factorized", [False, True])
@@ -684,7 +692,7 @@ def test_a_stack_refusal_that_no_point_repeats_is_still_an_error(monkeypatch, ca
 
 # the suites that read the shared machines' clone figures
 READOUT_SUITES = {"fidelity_closed_forms", "chaotic_photon_forms", "q_function_identity",
-                  "fidelity_invariance", "phase_covariance"}
+                  "fidelity_invariance", "phase_covariance", "unit_signal_gain"}
 
 
 def _suite_lines(out):
@@ -718,8 +726,6 @@ def test_verify_fails_every_suite_that_reads_a_refused_readout(monkeypatch, caps
     for name, (dev, status) in suites.items():
         if name in READOUT_SUITES:
             assert (dev, status) == ("inf", "FAIL"), name
-        elif name == "unit_signal_gain":  # read from the full state: a finite gain fault
-            assert dev != "inf" and status == "FAIL", name
         else:
             assert status == "PASS", name
 
@@ -736,12 +742,44 @@ def test_verify_fails_closed_on_one_refused_shared_machine(monkeypatch, capsys, 
     suites, summary = _suite_lines(out)
     assert (code, err) == (1, "")
     assert len(suites) == 10 and summary.endswith("/10 suites passed")
-    inf = READOUT_SUITES | ({"uncertainty_preservation", "unit_signal_gain"}
-                           if fault == "nan_last" else set())  # a NaN reaches the full state too
+    inf = READOUT_SUITES | ({"uncertainty_preservation"}
+                           if fault == "nan_last" else set())  # a NaN reaches the covariance too
     for name in inf:
         assert suites[name] == ("inf", "FAIL"), name
     for name in ("symplectic_invariants", "factorization_equivalence", "noise_product_saturation"):
         assert suites[name][1] == "PASS", name
+
+
+def test_unit_signal_gain_fails_a_gain_fault_the_readout_gate_passes(monkeypatch, capsys):
+    # the 1->2 machine with its NOPA's r scaled by 1 + 3e-11: still symplectic,
+    # and its clones' gain error, about 2.3e-11 at GAIN_PROBE, passes the
+    # readout's gate (GAIN_TOL * |xi|), so the read is not refused; only
+    # unit_signal_gain, at 1e-12, fails it
+    grid, asym, sym = verification._shared()
+    machine = sym[0]
+    assert machine.spec == SymSpec(1, 2)
+    r = math.acosh(math.sqrt(2.0))
+    wires = [0, 2]
+
+    def transform(scale):
+        gates = collect_gates(1) + (NOPA(scale * r, 0, 1),) + distribute_gates(2, wires)
+        return fold_gates(gates, 3)
+
+    assert np.array_equal(transform(1.0).A, machine.transform.A)
+    assert np.array_equal(transform(1.0).B, machine.transform.B)
+    scaled = replace(machine, transform=transform(1.0 + 3e-11))  # checked again: it passes
+    read = analysis.read_clones([scaled], (*verification.XI_PROBES, verification.Q_PROBE,
+                                           verification.GAIN_PROBE))
+    assert read.refusal is None
+    gain_dev = np.abs(read.amplitude[-1] - verification.GAIN_PROBE).max()
+    assert 1e-12 < gain_dev < analysis.GAIN_TOL
+    monkeypatch.setattr(verification, "_shared", lambda: (grid, asym, (scaled, *sym[1:])))
+    code, out, err = run(capsys, ["verify"])
+    suites, summary = _suite_lines(out)
+    assert (code, err, summary) == (1, "", "9/10 suites passed")
+    dev, status = suites.pop("unit_signal_gain")
+    assert status == "FAIL" and math.isfinite(float(dev)) and float(dev) > 1e-12
+    assert all(status == "PASS" for _, status in suites.values()), suites
 
 
 def test_verify_passes_an_os_error_on_without_reading_output(monkeypatch):

@@ -36,6 +36,27 @@ def test_space_enforces_budget_and_cutoff():
     assert FockSpace(3, 14).dim == 15 ** 3
 
 
+@pytest.mark.parametrize("n_modes, cutoff", [(3, 10.0), (3.0, 4), (3, 12.5), (3, "12"), (None, 4)],
+                         ids=["float-cutoff", "float-modes", "fractional", "string", "none"])
+def test_space_refuses_sizes_that_are_not_integers(n_modes, cutoff):
+    # a float size would make a float dim, 1331.0 at (3, 10.0)
+    with pytest.raises(ValueError, match=rf"must be integers, got n_modes={n_modes!r}, "
+                                         rf"cutoff={cutoff!r}"):
+        FockSpace(n_modes, cutoff)
+
+
+def test_space_stores_integer_sizes_as_ints():
+    space = FockSpace(np.int64(3), np.int32(10))
+    assert type(space.n_modes) is type(space.cutoff) is type(space.dim) is int
+    assert space == FockSpace(3, 10)
+
+
+def test_oracle_agreement_refuses_a_float_cutoff_at_the_boundary():
+    # refused where the register is made, not by numpy deep inside the oracle
+    with pytest.raises(ValueError, match=r"cutoff=12\.0"):
+        oracle_agreement(cutoffs=(12.0,))
+
+
 # the clone-idler squeeze as a flow, which the oracle itself never builds, and
 # the clone-signal beam splitter alone
 SQUEEZE_TERMS = (((fock._CLONE, fock._IDLER), True),)

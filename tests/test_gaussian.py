@@ -12,16 +12,15 @@ from cvcloner.fock import FockSpace, coherent_fock, fidelities_fock
 from cvcloner.gaussian import (
     NOPA,
     BogoliubovTransform,
-    GaussianState,
     ModeLabel,
     Passive,
     SymplecticCheck,
     check_symplectic,
     fold_gates,
-    symplectic_form,
     uncertainty_defect,
 )
 from reference import (
+    GaussianState,
     apply_to_gaussian,
     chaotic_photons,
     check_symplectic_four_products,
@@ -30,6 +29,8 @@ from reference import (
     embed,
     phase_covariance_defect,
     reduce_mode,
+    symplectic_form,
+    symplectic_matrix,
 )
 
 
@@ -51,7 +52,7 @@ def test_identity_transform_checks_out():
     assert np.array_equal(t.A, np.eye(3))
     assert not t.B.any()
     assert check_symplectic(t).passed
-    assert np.allclose(t.symplectic_matrix(), np.eye(6))
+    assert np.allclose(symplectic_matrix(t), np.eye(6))
 
 
 def test_identity_transform_rejects_nonpositive_mode_count():
@@ -136,12 +137,12 @@ def test_a_non_finite_entry_fails_the_check_and_is_refused(block, value):
 def test_symplectic_matrix_satisfies_symplectic_condition():
     rng = np.random.default_rng(7)
     t = random_passive(3, rng)
-    s = t.symplectic_matrix()
+    s = symplectic_matrix(t)
     omega = symplectic_form(3)
     assert np.abs(s @ omega @ s.T - omega).max() < 1e-12
 
 
-# compose, embed and reduce_mode are the dense references of reference.py,
+# compose, embed, reduce_mode and symplectic_matrix are the dense references of reference.py,
 # checked here before other tests lean on them
 
 def test_compose_is_associative_and_has_identity():
@@ -158,8 +159,8 @@ def test_compose_is_associative_and_has_identity():
 def test_compose_symplectic_matrices_multiply():
     rng = np.random.default_rng(13)
     t1, t2 = random_passive(2, rng), random_passive(2, rng)
-    s = compose(t2, t1).symplectic_matrix()
-    assert np.allclose(s, t2.symplectic_matrix() @ t1.symplectic_matrix())
+    s = symplectic_matrix(compose(t2, t1))
+    assert np.allclose(s, symplectic_matrix(t2) @ symplectic_matrix(t1))
 
 
 def test_embed_rejects_bad_targets():
@@ -197,7 +198,7 @@ def test_apply_to_gaussian_transforms_moments():
     t = random_passive(2, rng)
     state = coherent_vacuum_input([1 + 1j, -0.5j])
     out = apply_to_gaussian(t, state)
-    s = t.symplectic_matrix()
+    s = symplectic_matrix(t)
     assert np.allclose(out.mean, s @ state.mean)
     assert np.allclose(out.cov, s @ state.cov @ s.T)
     # passive transform preserves amplitude map: a_out = A a_in
@@ -221,9 +222,10 @@ def test_reduce_mode_picks_the_right_block():
 
 
 def test_uncertainty_defect_zero_for_vacuum_positive_for_squashed():
-    vac = coherent_vacuum_input([0j])
-    assert uncertainty_defect(vac) == 0.0
-    squashed = GaussianState(mean=np.zeros(2), cov=0.2 * np.eye(2))
+    # the identity leaves the vacuum's I/2; A = sqrt(0.4) squashes it to 0.2 I,
+    # which (i/2) Omega takes below zero
+    assert uncertainty_defect(fold_gates((), 1)) == 0.0
+    squashed = BogoliubovTransform(A=np.sqrt(0.4) * np.eye(1), B=np.zeros((1, 1)))
     assert uncertainty_defect(squashed) > 0.01
 
 
@@ -250,13 +252,17 @@ def test_symplectic_check_fails_on_nan_in_either_constraint():
         assert not check.passed
 
 
-@pytest.mark.parametrize("cov", [
-    [[np.nan, 0.0], [0.0, np.nan]],   # read 0.707 before it failed closed
-    [[np.inf, 0.0], [0.0, 0.5]],      # read 0.0, a silent pass
-])
-def test_uncertainty_defect_fails_closed_on_a_non_finite_covariance(cov):
-    state = GaussianState(mean=np.zeros(2), cov=cov)
-    assert uncertainty_defect(state) == math.inf
+@pytest.mark.parametrize("block", ["A", "B"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_uncertainty_defect_fails_closed_on_a_non_finite_transform(block, value):
+    # a NaN covariance read 0.707 and an infinite one 0.0, a silent pass,
+    # before the defect failed closed
+    machine = build_cloner(SymSpec(2, 3))
+    arrays = {"A": machine.transform.A.copy(), "B": machine.transform.B.copy()}
+    arrays[block][1, 3] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert uncertainty_defect(BogoliubovTransform(**arrays)) == math.inf
 
 
 @pytest.mark.parametrize("cov", [
@@ -412,11 +418,3 @@ def test_a_mode_outside_the_register_is_refused(read, mode):
 def test_coherent_input_needs_a_flat_list_of_amplitudes(amplitudes):
     with pytest.raises(ValueError, match="one amplitude per mode"):
         coherent_vacuum_input(amplitudes)
-
-
-def test_the_symplectic_form_is_one_read_only_array_per_size():
-    omega = symplectic_form(4)
-    assert symplectic_form(4) is omega
-    with pytest.raises(ValueError, match="read-only"):
-        omega[0, 1] = 2.0
-    assert np.array_equal(omega, np.kron(np.eye(4), [[0.0, 1.0], [-1.0, 0.0]]))

@@ -1,5 +1,7 @@
 """The scripts under scripts/ run end to end."""
 
+import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -24,3 +26,20 @@ def test_oracle_convergence_script_runs():
     assert rows[0][2] == "refused"
     dev = float(rows[1][2])
     assert math.isfinite(dev) and dev <= 5e-3
+
+
+def test_the_output_corpus_holds_the_bench_19_argvs_the_ladder_and_both_streams():
+    # the script is not run here: a CI step runs it on this tree and its parent
+    spec = importlib.util.spec_from_file_location("output_corpus",
+                                                  ROOT / "scripts" / "output_corpus.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argvs = [" ".join(argv) for argv in script.corpus()]
+    bench = json.loads((ROOT / "BENCH_19.json").read_text(encoding="utf-8"))
+    assert argvs[:29] == bench["outputs"]["argvs"]
+    assert argvs[29:39] == [f"verify --oracle --cutoff {c}" for c in (5, *range(10, 17), 18, 20)]
+    assert [argv.split()[0] for argv in argvs[39:]] == ["sweep"] * 256 + ["clone"] * 256
+    # a usage error exits 2 with its message on stderr, and hashes the same twice
+    usage = script.digest(["clone", "--sym", "--n", "0", "--m", "5"])
+    assert usage == script.digest(["clone", "--sym", "--n", "0", "--m", "5"])
+    assert usage != script.digest(["clone", "--sym", "--n", "1", "--m", "1"])

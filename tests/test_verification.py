@@ -3,17 +3,15 @@
 import math
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cvcloner import circuits, verification
-from cvcloner.analysis import clone_output_state
+from cvcloner import circuits, gaussian, verification
 from cvcloner.circuits import AsymSpec
 from cvcloner.gaussian import BogoliubovTransform
-from cvcloner.verification import Q_PROBE
-from reference import faulty, unchecked
+from cvcloner.verification import GAIN_PROBE, Q_PROBE, XI_PROBES
+from reference import clone_output_state, faulty, symplectic_form, unchecked
 
 
 def _machines():
@@ -34,14 +32,11 @@ def _defects():
     return verification._clones(reads, "phase_covariance_defect")
 
 
-READ_XI = (*verification.XI_PROBES, Q_PROBE)  # what standard_suites reads the shared machines at
+READ_XI = (*XI_PROBES, Q_PROBE, GAIN_PROBE)  # what standard_suites reads the shared machines at
+Q, GAIN = len(XI_PROBES), len(XI_PROBES) + 1  # the rows of READ_XI after the XI_PROBES rows
 
 # figure -> the array of it that its suite reads
 FIGURES = {"noise_product": _noise_products, "phase_covariance_defect": _defects}
-
-
-def _outputs():
-    return [(m, clone_output_state(m, verification.GAIN_PROBE)) for m in _machines()]
 
 
 @pytest.mark.parametrize("suite, figure", [
@@ -58,10 +53,10 @@ def test_a_nan_deviation_fails_the_suite(monkeypatch, suite, figure):
         figures.flat[0] = math.nan
         result = suite(figures)
     else:
-        outputs = _outputs()
-        assert suite(outputs).passed
+        machines = _machines()
+        assert suite(machines).passed
         monkeypatch.setattr(verification, figure, lambda *args, **kwargs: math.nan)
-        result = suite(outputs)
+        result = suite(machines)
     assert not result.passed
     assert result.max_dev == math.inf
 
@@ -79,10 +74,11 @@ def _array_suites():
         (verification.chaotic_photon_forms,
          (n_chaotic, verification._clones(reads, "n_chaotic_formula"))),
         (verification.noise_product_saturation, (_noise_products(),)),
-        (verification.q_function_identity, (verification._clones(reads, "q_peak")[-1],
-                                            fidelity[-1])),
-        (verification.fidelity_invariance, (fidelity[:-1],)),
+        (verification.q_function_identity, (verification._clones(reads, "q_peak")[Q],
+                                            fidelity[Q])),
+        (verification.fidelity_invariance, (fidelity[:Q],)),
         (verification.phase_covariance, (_defects(),)),
+        (verification.unit_signal_gain, (verification._clones(reads, "amplitude")[GAIN],)),
     ]
 
 
@@ -94,13 +90,13 @@ def test_a_nan_in_any_figure_a_suite_reads_fails_it_with_inf():
             poisoned[k][..., -1] = math.nan
             result = suite(*poisoned)
             assert result.max_dev == math.inf and not result.passed, (suite.__name__, k)
-    outputs = _outputs()
-    machine, state = outputs[-1]
-    mean = state.mean.copy()
-    mean[2 * machine.clone_modes[-1].index + 1] = math.nan
-    poisoned = outputs[:-1] + [(machine, replace(state, mean=mean))]
-    assert verification.unit_signal_gain(outputs).passed
-    assert verification.unit_signal_gain(poisoned).max_dev == math.inf
+    machines = list(_machines())
+    last = machines[-1]
+    A = last.transform.A.copy()
+    A[last.clone_modes[-1].index, 1] = math.nan
+    machines[-1] = unchecked(last, BogoliubovTransform(A=A, B=last.transform.B))
+    assert verification.uncertainty_preservation(_machines()).passed
+    assert verification.uncertainty_preservation(machines).max_dev == math.inf
     grid = list(verification._shared()[0])
     direct, factorized = grid[7]
     A = factorized.transform.A.copy()
@@ -115,7 +111,7 @@ def test_a_refused_machine_reads_nan_and_the_rest_of_its_stack_as_alone():
     read = verification._read(broken, READ_XI)
     assert read.refused.tolist() == [False, True, False, True]
     for field in ("n_chaotic", "n_chaotic_state", "n_chaotic_formula", "fidelity_formula",
-                  "phase_covariance_defect", "fidelity", "q_peak"):
+                  "phase_covariance_defect", "fidelity", "q_peak", "amplitude"):
         figure = getattr(read, field)
         assert np.isnan(figure[..., 1, :]).all() and np.isnan(figure[..., 3, :]).all(), field
         for k in (0, 2):
@@ -125,12 +121,40 @@ def test_a_refused_machine_reads_nan_and_the_rest_of_its_stack_as_alone():
     assert clean.refusal is None and not clean.refused.any()
 
 
-def test_one_output_state_per_machine_serves_both_full_state_suites():
-    # the covariance S (I/2) S^T does not depend on the input amplitude
+def test_the_covariance_uncertainty_defect_reads_is_the_full_state_s_bit_for_bit(monkeypatch):
+    # the x and p blocks (X/2) X^T and (P/2) P^T, with Omega's +-i/2 written
+    # in place, are byte for byte the reference's (S/2) S^T + (i/2) Omega at
+    # every amplitude, so the defect is the one the full state gave
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(h):
+        seen.append(h.copy())
+        return eigvalsh(h)
+
+    monkeypatch.setattr(gaussian.np.linalg, "eigvalsh", recording)
     for machine in _machines():
-        at_gain = clone_output_state(machine, verification.GAIN_PROBE)
+        gaussian.uncertainty_defect(machine.transform)
+        h = seen.pop()
+        assert h.shape == (2 * machine.n_modes,) * 2
         for xi in (0j, 0.8 + 0.3j, *READ_XI):
-            assert np.array_equal(clone_output_state(machine, xi).cov, at_gain.cov)
+            cov = clone_output_state(machine, xi).cov
+            assert h.tobytes() == (cov + 0.5j * symplectic_form(machine.n_modes)).tobytes()
+
+
+def test_the_amplitudes_unit_signal_gain_reads_are_the_full_state_s_within_two_ulp():
+    # the readout's X_j x_in against the full state's S mean_in: the two
+    # products round apart, by at most one ulp in each part (measured worst
+    # |difference| 2.5e-16, one ulp of 1.1 and one of 0.6), so within two
+    # ulp of |xi|
+    _, asym, sym = verification._shared()
+    for machines in (asym, *([m] for m in sym)):
+        amplitude = verification._read(machines, READ_XI).amplitude[GAIN]
+        for machine, amps in zip(machines, amplitude, strict=True):
+            state = clone_output_state(machine, GAIN_PROBE)
+            for mode, amp in zip(machine.clone_modes, amps, strict=True):
+                ref = state.mode_amplitude(mode)
+                assert abs(amp - ref) <= 2 * np.spacing(abs(GAIN_PROBE)), (machine.spec, mode)
 
 
 def test_suites_share_one_build_of_each_machine(monkeypatch):
