@@ -4,9 +4,11 @@
 Each entry is one argv, run in-process through ``cvcloner.cli.main``, and
 prints one line, ``sha256  argv``, whose hash covers the exit code, stdout
 and stderr.  The corpus is the 29 argvs of ``BENCH_19.json``, ``verify
---oracle --cutoff c`` for c in 5, 10..16, 18 and 20, and the first 256 ops
+--oracle --cutoff c`` for c in 5, 10..16, 18 and 20, the first 256 ops
 of the ``asym_sweep`` and ``sym_clone`` workloads for seed 901, read from
-the ``perfbench/workloads.py`` next to this script.
+the ``perfbench/workloads.py`` next to this script, and three symmetric
+runs that take the table writer's other paths: invariant violations on
+stderr, and a clone table of more than one chunk.
 
 cvcloner is imported from wherever Python finds it, so that one copy of
 the script hashes two trees' packages and a diff shows the argvs whose
@@ -62,6 +64,11 @@ BENCH_19_ARGVS = (
     "verify --oracle --cutoff 14",
 )
 ORACLE_CUTOFFS = (5, *range(10, 17), 18, 20)
+WRITER_ARGVS = (
+    "clone --sym --n 3 --m 5 --tolerance 0",
+    "sweep --sym --n 2 --m-range 2 9 --tolerance 0",
+    "clone --sym --n 16 --m 300",
+)
 STREAM_SEED = 901
 STREAM_OPS = 256
 
@@ -73,6 +80,7 @@ def corpus() -> list[list[str]]:
     for workload in ("asym_sweep", "sym_clone"):
         ops = itertools.chain.from_iterable(blocks(workload, STREAM_SEED))
         argvs += [list(op.argv) for op in itertools.islice(ops, STREAM_OPS)]
+    argvs += [argv.split() for argv in WRITER_ARGVS]
     return argvs
 
 

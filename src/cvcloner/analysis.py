@@ -31,10 +31,10 @@ machine alone at that amplitude alone gives.  The read returns a
 verification suites compare as they are.
 The gates fail closed: a NaN variance or amplitude is refused, never
 passed, and the refusal names the clone; a ``Readout`` carries the
-refusal and marks the refused machines.  ``clone_reports`` is that read at
-one amplitude, raising its refusal, as a list of ``CloneReport`` objects,
-which carry every figure ``clone`` and ``sweep`` print; ``clone_report``
-is ``clone_reports`` on one machine.
+refusal and marks the refused machines.  ``clone`` and ``sweep`` print
+from those arrays.  ``clone_reports`` is that read at one amplitude,
+raising its refusal, as lists of ``CloneReport`` objects, one per clone;
+``clone_report`` is ``clone_reports`` on one machine.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .circuits import AsymSpec, ClonerSpec, CloningMachine, SymSpec, build_cloner
-from .gaussian import ModeLabel
 
 ISOTROPY_TOL = 1e-8
 GAIN_TOL = 1e-8
@@ -55,9 +54,12 @@ GAIN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class CloneReport:
-    """Quality figures for one clone, numeric routes next to closed forms."""
+    """Quality figures for one clone, numeric routes next to closed forms.
 
-    clone_mode: ModeLabel
+    A machine's reports come in its clone order: report j is the clone on
+    the machine's clone_modes[j].
+    """
+
     n_chaotic: float           # |B row|^2 of the transform
     n_chaotic_state: float     # from the clone's output covariance
     n_chaotic_formula: float   # closed form for this machine
@@ -278,8 +280,7 @@ def clone_reports(machines: Iterable[CloningMachine],
     # each zip yields a clone's figures in CloneReport's field order
     return [
         [CloneReport(*fields) for fields in zip(
-            machines[0].clone_modes, n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect,
-            strict=True)]
+            n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect, strict=True)]
         for n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect in zip(
             read.n_chaotic.tolist(), read.n_chaotic_state.tolist(),
             read.n_chaotic_formula.tolist(), read.fidelity[0].tolist(),

@@ -10,10 +10,16 @@ Exit codes: 0 success, 1 a physics invariant or verification suite failed,
 2 usage error, which includes every flag the run would not read: one of the
 other machine family (see _FAMILY_FLAGS), one the subcommand does not
 declare or that is abbreviated, and --cutoff without --oracle.  JSON output
-is deterministic (sorted keys, shortest round-trip floats); CSV carries 10
-significant digits.  The default tolerance is 1e-10, overridable per run
-with --tolerance or globally with the CVCLONER_TOLERANCE environment
-variable.
+is deterministic (sorted keys, shortest round-trip floats), the bytes of
+json.dumps with indent=2; CSV carries 10 significant digits.  The default
+tolerance is 1e-10, overridable per run with --tolerance or globally with
+the CVCLONER_TOLERANCE environment variable.
+
+clone and sweep read their machines with ``analysis.read_clones`` and print
+from its arrays, with no object per clone: the invariant gate is a few
+array comparisons, and a table is written from its columns, a chunk of
+JSON_ROWS rows at a time, each distinct nonzero float of a chunk formatted
+once.
 """
 
 from __future__ import annotations
@@ -24,11 +30,14 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import CloneReport, clone_report, clone_reports
+from .analysis import Readout, clone_report, read_clones
 from .circuits import (
     AsymSpec,
     ClonerSpec,
@@ -183,22 +192,6 @@ def _spec_echo(spec: ClonerSpec, xi: complex) -> dict:
     return echo
 
 
-def _clone_rows(reports: list[CloneReport]) -> list[dict]:
-    rows = []
-    for r in reports:
-        rows.append({
-            "mode": r.clone_mode.index,
-            "name": r.clone_mode.name,
-            "n_chaotic": r.n_chaotic,
-            "n_chaotic_formula": r.n_chaotic_formula,
-            "fidelity": r.fidelity,
-            "fidelity_formula": r.fidelity_formula,
-            "q_peak": r.q_peak,
-            "defect": abs(r.phase_covariance_defect),
-        })
-    return rows
-
-
 def _factorization_dev(machine: CloningMachine) -> float | None:
     # compare the built transform against the other form of the same machine
     spec = machine.spec
@@ -209,84 +202,167 @@ def _factorization_dev(machine: CloningMachine) -> float | None:
     return float(max(np.abs(built.A - other.A).max(), np.abs(built.B - other.B).max()))
 
 
-def _physics_violations(symplectic_dev: float, reports: list[CloneReport], tol: float) -> list[str]:
-    # every gate reads "not (dev <= tol)" so that a NaN deviation fails it
+def _read(machines: list[CloningMachine], xi: complex) -> Readout:
+    """``read_clones`` of some machines of one layout at xi, raising its refusal."""
+    read = read_clones(machines, (xi,))
+    if read.refusal is not None:
+        raise ValueError(read.refusal)
+    return read
+
+
+def _physics_violations(symplectic_devs: list[float], read: Readout, names: list[str],
+                        tol: float) -> list[tuple[int, str]]:
+    """The invariant violations of each machine of a one-amplitude read, as
+    (machine, message) pairs: machine i's symplectic deviation, then each of
+    its clones' four checks, clone by clone, with clone j named names[j].
+
+    The checks are array comparisons over the read that a NaN deviation
+    fails: the largest deviation against tol (NaN if any deviation is), and
+    only when that fails, "not (dev <= tol)" check by check.  A message is
+    formatted only for a failing check, from its own entries.
+    """
+    fidelity = read.fidelity[0]
+    devs = np.concatenate((fidelity * (read.n_chaotic_state + 1.0) - 1.0,
+                           math.pi * read.q_peak[0] - fidelity,
+                           fidelity - read.fidelity_formula,
+                           read.phase_covariance_defect))
+    np.abs(devs, out=devs)
+    if devs.max() <= tol and all(dev <= tol for dev in symplectic_devs):
+        return []
+    devs = devs.reshape(4, *fidelity.shape).transpose(1, 2, 0)  # (k, M, check)
     problems = []
-    if not symplectic_dev <= tol:
-        problems.append(f"symplectic deviation {symplectic_dev:.3e} > {tol:.3e}")
-    for r in reports:
-        if not abs(r.fidelity * (r.n_chaotic_state + 1.0) - 1.0) <= tol:
-            problems.append(f"{r.clone_mode.name}: F*(n+1) != 1 beyond {tol:.3e}")
-        if not abs(math.pi * r.q_peak - r.fidelity) <= tol:
-            problems.append(f"{r.clone_mode.name}: pi*Q(xi) != F beyond {tol:.3e}")
-        if not abs(r.fidelity - r.fidelity_formula) <= tol:
-            problems.append(
-                f"{r.clone_mode.name}: fidelity {r.fidelity!r} vs closed form "
-                f"{r.fidelity_formula!r} beyond {tol:.3e}"
-            )
-        if not abs(r.phase_covariance_defect) <= tol:
-            problems.append(
-                f"{r.clone_mode.name}: phase covariance defect "
-                f"{abs(r.phase_covariance_defect):.3e} > {tol:.3e}"
-            )
+    for i, failed in enumerate(~(devs <= tol)):
+        if not symplectic_devs[i] <= tol:
+            problems.append((i, f"symplectic deviation {symplectic_devs[i]:.3e} > {tol:.3e}"))
+        for j, check in zip(*np.nonzero(failed)):
+            name = names[j]
+            problems.append((i, (
+                f"{name}: F*(n+1) != 1 beyond {tol:.3e}",
+                f"{name}: pi*Q(xi) != F beyond {tol:.3e}",
+                f"{name}: fidelity {float(fidelity[i, j])!r} vs closed form "
+                f"{float(read.fidelity_formula[i, j])!r} beyond {tol:.3e}",
+                f"{name}: phase covariance defect {devs[i, j, 3]:.3e} > {tol:.3e}",
+            )[check]))
     return problems
 
 
-# indent=None lets json run its C encoder; this item separator puts each key
-# of a row in a top-level list on its own line, at the depth indent=2 gives it
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
-                                separators=(",\n      ", ": "))
-_ROW_BOUNDARY = "\n    },\n    {\n      "  # between two rows, as indent=2 writes it
-# rows per encoder call: a long table's text is made a slice at a time, and
-# a table this short or shorter (every clone table, a 41-point sweep) in one call
+class _Table(NamedTuple):
+    """A table as columns under its header, with at least one column, all
+    of one length: each column a float array, or an array or list of ints,
+    or a list of strings.  The writers print it from the columns, with no
+    object per row.
+    """
+
+    header: tuple[str, ...]
+    columns: tuple
+
+
+# rows per chunk of a written table: a long table's text is made and
+# written a chunk at a time, and a table this short or shorter (every clone
+# table, a 41-point sweep) in one piece
 JSON_ROWS = 256
-_SCALARS = frozenset((str, int, float, bool, type(None)))
+# each cell's text, by the type of its value, as json.dumps writes it and as CSV does
+_JSON_TEXT = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
+_CSV_TEXT = {float: "{:.10g}".format, int: str, str: str}
 
 
-def _flat_rows(value: object) -> bool:
-    """True for a non-empty list of non-empty dicts that hold only scalars.
+def _texts(values: list, text_of: dict[type, Callable[[object], str]]) -> list[str]:
+    """The text of each value, by text_of its type; for floats, made once
+    for each distinct nonzero value.
 
-    Types are matched exactly, so that the test runs at C speed; a subclass
-    of a scalar type only sends the list down the general path.
+    Zeros are never memoized: -0.0 == 0.0, so one entry would print both
+    zeros alike; each zero is written by its own call.
     """
-    return (type(value) is list and set(map(type, value)) == {dict} and all(value)
-            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, value)))))
+    kind = type(values[0])  # a column holds values of one type
+    text = text_of[kind]
+    if kind is not float:
+        return list(map(text, values))
+    distinct = set(values)
+    if len(distinct) == len(values):  # no value repeats
+        return list(map(text, values))
+    memo = dict(zip(distinct, map(text, distinct)))
+    if 0 not in memo:
+        return list(map(memo.__getitem__, values))
+    del memo[0]
+    return [memo[v] if v else text(v) for v in values]
 
 
-def _json(document: dict) -> list[str]:
+def _chunks(columns: Sequence, text_of: dict) -> Iterator[list[list[str]]]:
+    """The texts of each column's cells, JSON_ROWS rows at a time."""
+    for start in range(0, len(columns[0]), JSON_ROWS):
+        cells = []
+        for column in columns:
+            values = column[start:start + JSON_ROWS]
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
+            cells.append(_texts(values, text_of))
+        yield cells
+
+
+def _json_rows(table: _Table) -> Iterator[str]:
+    """The text of a table's rows as a list of objects, as json.dumps(...,
+    sort_keys=True, indent=2) writes it as the value of a top-level key."""
+    if not len(table.columns[0]):
+        yield "[]"
+        return
+    order = sorted(range(len(table.header)), key=table.header.__getitem__)
+    # the row template, cut before each cell: its opening and the cell's key
+    keys = [encode_basestring_ascii(table.header[c]) for c in order]
+    heads = [f"    {{\n      {keys[0]}: "] + [f",\n      {key}: " for key in keys[1:]]
+    tail = "\n    }"
+    opening = "[\n"
+    for cells in _chunks([table.columns[c] for c in order], _JSON_TEXT):
+        interleaved = chain.from_iterable(zip(map(repeat, heads), cells))
+        yield opening + (tail + ",\n").join(map("".join, zip(*interleaved))) + tail
+        opening = ",\n"
+    yield "\n  ]"
+
+
+def _json(document: dict) -> Iterator[str]:
     """The text of json.dumps(document, sort_keys=True, indent=2,
-    allow_nan=False) plus a newline, for a non-empty dict with string keys,
-    as pieces to write in order.
+    allow_nan=False) plus a newline, for a non-empty dict with string keys
+    whose values are JSON values or ``_Table``s, the tables standing for
+    their lists of rows, as pieces to write in order.
 
-    A list of flat rows (the clones, the sweep rows) is encoded by the C
-    encoder, JSON_ROWS rows a call, and re-indented by rewriting its row
-    boundaries.  That is exact because a JSON string never holds a raw
-    newline, so every newline the encoder writes is a separator.  The pieces
-    are the text once over, never joined: a long sweep is held once, not
-    once per rewrite.  allow_nan=False: a non-finite figure is an error,
-    never a bare NaN token, and it is raised before any piece is written.
+    A table is written from its columns by one row template, JSON_ROWS rows
+    a piece, and each distinct nonzero float of a chunk is repr'd once.
+    allow_nan=False: a non-finite figure is an error, never a bare NaN
+    token, and it is raised here, before any piece is made.
     """
-    pieces = ["{\n"]
+    items = []
     for key in sorted(document):
         value = document[key]
-        pieces.append(f"  {json.dumps(key)}: ")
-        if _flat_rows(value):
-            pieces.append("[\n    {\n      ")
-            for start in range(0, len(value), JSON_ROWS):
-                if start:
-                    pieces.append(_ROW_BOUNDARY)
-                rows = _ROW_ENCODER.encode(value[start:start + JSON_ROWS])[2:-2]  # strip "[{" and "}]"
-                pieces.append(rows.replace("},\n      {", _ROW_BOUNDARY))
-            pieces.append("\n    }\n  ]")
+        if isinstance(value, _Table):
+            for column in value.columns:
+                if isinstance(column, np.ndarray) and not np.isfinite(column).all():
+                    # raises json's own error for the first non-finite figure
+                    json.dumps(column[~np.isfinite(column)][0].item(), allow_nan=False)
         else:
-            pieces.append(json.dumps(value, sort_keys=True, indent=2,
-                                     allow_nan=False).replace("\n", "\n  "))
-        pieces.append(",\n")
-    pieces[-1] = "\n}\n"
-    return pieces
+            value = json.dumps(value, sort_keys=True, indent=2,
+                               allow_nan=False).replace("\n", "\n  ")
+        items.append((f"  {encode_basestring_ascii(key)}: ", value))
+    return _json_pieces(items)
 
 
-def _emit(pieces: list[str], output_path: str | None) -> None:
+def _json_pieces(items: list[tuple[str, str | _Table]]) -> Iterator[str]:
+    yield "{\n"
+    for i, (head, value) in enumerate(items):
+        yield (",\n" if i else "") + head
+        if isinstance(value, _Table):
+            yield from _json_rows(value)
+        else:
+            yield value
+    yield "\n}\n"
+
+
+def _csv(table: _Table) -> Iterator[str]:
+    """A table as CSV, its floats at 10 significant digits, JSON_ROWS rows a piece."""
+    yield ",".join(table.header) + "\n"
+    for cells in _chunks(table.columns, _CSV_TEXT):
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _emit(pieces: Iterable[str], output_path: str | None) -> None:
     if output_path is None:
         sys.stdout.writelines(pieces)
     else:
@@ -294,48 +370,45 @@ def _emit(pieces: list[str], output_path: str | None) -> None:
             fh.writelines(pieces)
 
 
-def _csv_table(header: list[str], rows: list[list[object]]) -> list[str]:
-    lines = [",".join(header) + "\n"]
-    for row in rows:
-        cells = [f"{v:.10g}" if isinstance(v, float) else str(v) for v in row]
-        lines.append(",".join(cells) + "\n")
-    return lines
-
-
 def cmd_clone(spec: ClonerSpec, xi: complex, output_format: str,
               output_path: str | None, tolerance: float) -> int:
     machine = build_cloner(spec)
-    reports = clone_report(machine, xi)
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "spec": _spec_echo(spec, xi),
-        "clones": _clone_rows(reports),
-        "diagnostics": {
-            "symplectic_dev": machine.symplectic_dev,
-            "factorization_dev": _factorization_dev(machine),
-        },
-    }
+    read = _read([machine], xi)
+    names = [m.name for m in machine.clone_modes]
+    header = ("mode", "name", "n_chaotic", "n_chaotic_formula",
+              "fidelity", "fidelity_formula", "q_peak", "defect")
+    table = _Table(header, (
+        [m.index for m in machine.clone_modes], names,
+        read.n_chaotic[0], read.n_chaotic_formula[0], read.fidelity[0, 0],
+        read.fidelity_formula[0], read.q_peak[0, 0], np.abs(read.phase_covariance_defect[0])))
     if output_format == "json":
-        _emit(_json(document), output_path)
+        _emit(_json({
+            "schema_version": SCHEMA_VERSION,
+            "spec": _spec_echo(spec, xi),
+            "clones": table,
+            "diagnostics": {
+                "symplectic_dev": machine.symplectic_dev,
+                "factorization_dev": _factorization_dev(machine),
+            },
+        }), output_path)
     else:
-        header = ["mode", "name", "n_chaotic", "n_chaotic_formula",
-                  "fidelity", "fidelity_formula", "q_peak", "defect"]
-        rows = [[c[k] for k in header] for c in document["clones"]]
-        _emit(_csv_table(header, rows), output_path)
-    problems = _physics_violations(machine.symplectic_dev, reports, tolerance)
-    for p in problems:
+        _emit(_csv(table), output_path)
+    problems = _physics_violations([machine.symplectic_dev], read, names, tolerance)
+    for _, p in problems:
         print(f"invariant violation: {p}", file=sys.stderr)
     return 1 if problems else 0
 
 
-def _sweep_row(machine: CloningMachine, reports: list[CloneReport]) -> list[object]:
-    spec = machine.spec
+def _sweep_columns(machines: list[CloningMachine], read: Readout) -> list:
+    """The sweep table's columns over one stack of points."""
+    spec = machines[0].spec
     if isinstance(spec, SymSpec):
-        return [spec.n, spec.m, reports[0].n_chaotic, reports[0].fidelity]
-    angles = machine.angles
-    r1, r2 = reports
-    return [spec.gamma, angles.u, angles.v, angles.w, r1.n_chaotic, r2.n_chaotic,
-            r1.fidelity, r2.fidelity, r1.n_chaotic * r2.n_chaotic]
+        # copies: a view of clone 1 would keep the point's whole read alive
+        return [[spec.n], [spec.m], read.n_chaotic[:, 0].copy(), read.fidelity[0, :, 0].copy()]
+    angles = np.array([(m.angles.u, m.angles.v, m.angles.w) for m in machines])
+    n_1, n_2 = read.n_chaotic.T
+    return [np.array([m.spec.gamma for m in machines]), *angles.T, n_1, n_2,
+            *read.fidelity[0].T, n_1 * n_2]
 
 
 def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | None,
@@ -345,50 +418,55 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
 
     An asym sweep's points share one form and one layout: each chunk of up
     to SWEEP_STACK_LIMIT of them is built and checked as one stack by one
-    ``build_cloners`` call and read by one ``clone_reports`` call.  Every
+    ``build_cloners`` call and read by one ``read_clones`` call.  Every
     sym point is a layout of its own, built, read and dropped before the
     next is built.  A refused chunk is run again one point at a time, so
     that the refusal named, with its point, is the first one a loop over
-    the points would meet.
+    the points would meet.  The table is kept as columns, one array or list
+    per column and chunk, and written from them.
     """
     if n is None:
-        header = ["gamma", "u", "v", "w", "n_chaotic_1", "n_chaotic_2",
-                  "fidelity_1", "fidelity_2", "noise_product"]
+        header = ("gamma", "u", "v", "w", "n_chaotic_1", "n_chaotic_2",
+                  "fidelity_1", "fidelity_2", "noise_product")
         echo: dict = {"kind": "asym_sweep", "gamma_range": list(grid)}
-        points = [(f"gamma={g}", AsymSpec(float(g), factorized=factorized))
-                  for g in np.linspace(*grid)]
+        label, grid_points = "gamma", np.linspace(*grid)
+        specs = [AsymSpec(g, factorized=factorized) for g in grid_points.tolist()]
     else:
-        header = ["n", "m", "n_chaotic", "fidelity"]
+        header = ("n", "m", "n_chaotic", "fidelity")
         echo = {"kind": "sym_sweep", "n": n, "m_range": list(grid)}
-        points = [(f"m={m}", SymSpec(n, m)) for m in range(grid[0], grid[1] + 1)]
+        label, grid_points = "m", range(grid[0], grid[1] + 1)
+        specs = [SymSpec(n, m) for m in grid_points]
     echo["xi"] = [xi.real, xi.imag]
-    rows: list = []  # each in the form the chosen output writes: a dict for JSON
+    parts: list[list] = []  # each chunk's columns
     problems: list[str] = []
     batch_size = SWEEP_STACK_LIMIT if n is None else 1
-    for start in range(0, len(points), batch_size):
-        chunk = points[start:start + batch_size]
+    for start in range(0, len(specs), batch_size):
+        chunk = specs[start:start + batch_size]
         try:
-            machines = build_cloners([spec for _, spec in chunk])
-            reads = clone_reports(machines, xi)
+            machines = build_cloners(chunk)
+            read = _read(machines, xi)
         except ValueError:
             # a stack runs each gate over all its points in turn, so a later
             # point's refusal can come first
-            for where, spec in chunk:
+            for i, spec in enumerate(chunk, start):
                 try:
                     clone_report(build_cloner(spec), xi)
                 except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
+                    raise ValueError(f"{label}={grid_points[i]}: {exc}") from None
             raise
-        for (where, _), machine, reports in zip(chunk, machines, reads, strict=True):
-            violations = _physics_violations(machine.symplectic_dev, reports, tolerance)
-            problems.extend(f"{where}: {p}" for p in violations)
-            row = _sweep_row(machine, reports)
-            rows.append(dict(zip(header, row, strict=True)) if output_format == "json" else row)
+        names = [m.name for m in machines[0].clone_modes]
+        violations = _physics_violations([m.symplectic_dev for m in machines], read, names,
+                                         tolerance)
+        problems.extend(f"{label}={grid_points[start + i]}: {p}" for i, p in violations)
+        parts.append(_sweep_columns(machines, read))
+    table = _Table(header, tuple(
+        np.concatenate(column) if isinstance(column[0], np.ndarray) else [*chain(*column)]
+        for column in zip(*parts)))
     if output_format == "json":
-        document = {"schema_version": SCHEMA_VERSION, "spec": echo, "rows": rows}
-        _emit(_json(document), output_path)
+        _emit(_json({"schema_version": SCHEMA_VERSION, "spec": echo, "rows": table}),
+              output_path)
     else:
-        _emit(_csv_table(header, rows), output_path)
+        _emit(_csv(table), output_path)
     for p in problems:
         print(f"invariant violation: {p}", file=sys.stderr)
     return 1 if problems else 0

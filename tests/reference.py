@@ -15,7 +15,9 @@ The one-row readers take a bare transform, where the package reads a built
 machine's clones through ``clone_reports``; they call the same array helpers
 with one row.  ``row_norm_report`` reads one machine's clones with those
 helpers, gathering that machine's clone rows alone, as the package read them
-before it read a stack of machines at once.  ``faulty`` breaks one clone of a
+before it read a stack of machines at once.  ``physics_violations`` is the
+CLI's invariant gate as it ran before it compared arrays: one clone's
+report at a time.  ``faulty`` breaks one clone of a
 built machine, for the tests of what a refused read does.
 
 The full-state route lives here too.  The package never forms the 2n x 2n
@@ -416,7 +418,6 @@ def row_norm_report(machine: CloningMachine, xi: complex = 1.0 + 0.0j) -> list[C
     amps = _amplitudes(mean_x, mean_p)
     n_state = _photons(var_x, var_p, names)
     columns = zip(
-        machine.clone_modes,
         b_photons.tolist(),
         n_state.tolist(),
         expected_chaotic_photons(machine.spec),
@@ -428,7 +429,6 @@ def row_norm_report(machine: CloningMachine, xi: complex = 1.0 + 0.0j) -> list[C
     )
     return [
         CloneReport(
-            clone_mode=mode,
             n_chaotic=n_rows,
             n_chaotic_state=n_cov,
             n_chaotic_formula=n_form,
@@ -437,8 +437,35 @@ def row_norm_report(machine: CloningMachine, xi: complex = 1.0 + 0.0j) -> list[C
             q_peak=q_peak,
             phase_covariance_defect=defect,
         )
-        for mode, n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect in columns
+        for n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect in columns
     ]
+
+
+def physics_violations(machine: CloningMachine, reports: list[CloneReport],
+                       tol: float) -> list[str]:
+    """The CLI's invariant gate over one machine's reports, a clone at a
+    time: its symplectic deviation, then each clone's F*(n+1) = 1,
+    pi*Q(xi) = F, closed-form fidelity and phase-covariance checks, each
+    in the form "not (dev <= tol)" so that NaN fails it."""
+    problems = []
+    if not machine.symplectic_dev <= tol:
+        problems.append(f"symplectic deviation {machine.symplectic_dev:.3e} > {tol:.3e}")
+    for mode, r in zip(machine.clone_modes, reports, strict=True):
+        if not abs(r.fidelity * (r.n_chaotic_state + 1.0) - 1.0) <= tol:
+            problems.append(f"{mode.name}: F*(n+1) != 1 beyond {tol:.3e}")
+        if not abs(math.pi * r.q_peak - r.fidelity) <= tol:
+            problems.append(f"{mode.name}: pi*Q(xi) != F beyond {tol:.3e}")
+        if not abs(r.fidelity - r.fidelity_formula) <= tol:
+            problems.append(
+                f"{mode.name}: fidelity {r.fidelity!r} vs closed form "
+                f"{r.fidelity_formula!r} beyond {tol:.3e}"
+            )
+        if not abs(r.phase_covariance_defect) <= tol:
+            problems.append(
+                f"{mode.name}: phase covariance defect "
+                f"{abs(r.phase_covariance_defect):.3e} > {tol:.3e}"
+            )
+    return problems
 
 
 def unchecked(machine, transform):

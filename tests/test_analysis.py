@@ -216,7 +216,6 @@ def _per_clone_route(machine, xi):
         n_state = _isotropic_photons(block, name)
         amp = _amplitudes(x_row @ means[0::2], p_row @ means[1::2])
         reports.append(CloneReport(
-            clone_mode=mode,
             n_chaotic=chaotic_photons(t, mode),
             n_chaotic_state=float(n_state[0]),
             n_chaotic_formula=n_form,
@@ -464,8 +463,8 @@ def _reports_of(read, machines, x):
     free = [read.n_chaotic, read.n_chaotic_state, read.n_chaotic_formula,
             read.fidelity[x], read.fidelity_formula, read.q_peak[x],
             read.phase_covariance_defect]
-    return [[CloneReport(mode, *(float(figure[i, j]) for figure in free))
-             for j, mode in enumerate(machine.clone_modes)]
+    return [[CloneReport(*(float(figure[i, j]) for figure in free))
+             for j in range(len(machine.clone_modes))]
             for i, machine in enumerate(machines)]
 
 

@@ -23,7 +23,7 @@ from cvcloner.circuits import AsymSpec, SymSpec, build_cloner
 from cvcloner.cli import main
 from cvcloner.elements import collect_gates, distribute_gates
 from cvcloner.gaussian import NOPA, BogoliubovTransform, Passive, fold_gates
-from reference import beam_splitter_gate, build_per_point, compose, faulty
+from reference import beam_splitter_gate, build_per_point, compose, faulty, physics_violations
 
 
 def run(capsys, argv):
@@ -92,6 +92,18 @@ def _indent_2(document):
     return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _rows(table):
+    """A table's rows, as the list of dicts it stands for in a report."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.columns]
+    return [dict(zip(table.header, row, strict=True)) for row in zip(*columns, strict=True)]
+
+
+def _plain(document):
+    """A report document with each of its tables as its list of rows."""
+    return {key: _rows(value) if isinstance(value, cli._Table) else value
+            for key, value in document.items()}
+
+
 @pytest.mark.parametrize("argv", [
     ["clone", "--asym", "--gamma", "0.3"],
     ["clone", "--sym", "--n", "1", "--m", "1"],
@@ -110,9 +122,9 @@ def test_json_writes_the_indent_2_bytes_of_a_report(monkeypatch, capsys, argv):
     code, out, _ = run(capsys, argv)
     assert code == 0
     (document,) = documents
-    assert out == _indent_2(document)
-    # the table takes the C-encoder row path, not the general one
-    assert cli._flat_rows(document["clones" if argv[0] == "clone" else "rows"])
+    assert out == _indent_2(_plain(document))
+    # the table is written from its columns, not by the general encoder
+    assert isinstance(document["clones" if argv[0] == "clone" else "rows"], cli._Table)
 
 
 # a quote, a backslash, a newline, a row boundary as _json writes it, non-ASCII
@@ -134,6 +146,35 @@ _ODD_ROW = {"s": _AWKWARD, _AWKWARD: 1, "none": None, "yes": True, "no": False,
         "rows-past-two-calls"])
 def test_json_writes_the_indent_2_bytes_of_odd_documents(document):
     assert "".join(cli._json(document)) == _indent_2(document)
+
+
+def test_a_table_is_written_as_json_dumps_writes_its_rows(capsys):
+    # floats that repeat, both zeros in one column, the smallest subnormal
+    # and a float past 2**53; ints; strings and a key json must escape; and
+    # more rows than three chunks
+    n = 2 * cli.JSON_ROWS + 3
+    table = cli._Table(("x", "zeros", 'key "100%" \\ \u00e9', "name", "i", "j"), (
+        np.resize([-0.0, 0.1, 0.0, 5e-324, 1e16, -2.5, 0.1, 1e16], n),
+        np.resize([0.0, -0.0, -0.0], n),
+        np.resize([3.0, 7.0], n),
+        [f"{_AWKWARD} {i % 3}" for i in range(n)],
+        list(range(-3, n - 3)),
+        np.arange(n) % 5))
+    document = {"rows": table, "spec": {"a": -0.0, "s": _AWKWARD}, "schema_version": 1}
+    assert "".join(cli._json(document)) == _indent_2(_plain(document))
+    # CSV: floats at 10 significant digits, everything else as str()
+    rows = _rows(table)
+    assert "".join(cli._csv(table)) == "".join(
+        [",".join(table.header) + "\n"]
+        + [",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row.values()) + "\n"
+           for row in rows])
+    # a non-finite figure, even in the last chunk, is refused before any piece is written
+    for bad in (math.nan, math.inf, -math.inf):
+        column = np.ones(n)
+        column[-1] = bad
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._emit(cli._json({"rows": cli._Table(("x",), (column,))}), None)
+        assert capsys.readouterr().out == ""
 
 
 def test_clone_factorized_flag(capsys):
@@ -349,37 +390,67 @@ def test_bad_input_is_a_usage_error(monkeypatch, capsys, tmp_path, argv, env):
 
 
 def test_non_finite_figure_fails_instead_of_printing_nan(monkeypatch, capsys):
-    real = analysis.clone_reports
+    real = analysis.read_clones
     # one non-finite field per run: q_peak is in the clone table, fidelity in
-    # both sweep tables; clone reads its machine through clone_report, a stack
-    # of one, and sweep reads all its points in one clone_reports call
+    # both sweep tables; clone reads its machine by one read_clones call, a
+    # stack of one, and sweep reads all its points in one read_clones call
     for argv, field in ((["clone", "--asym", "--gamma", "0.1"], "q_peak"),
                         (["clone", "--sym", "--n", "2", "--m", "5"], "q_peak"),
                         (["sweep", "--asym", "--gamma-range", "-1", "1", "5"], "fidelity"),
                         (["sweep", "--sym", "--n", "2", "--m-range", "2", "5"], "fidelity")):
-        def poisoned(machines, xi, field=field):
-            return [[replace(r, **{field: math.nan}) for r in reports]
-                    for reports in real(machines, xi)]
+        def poisoned(machines, xis, field=field):
+            read = real(machines, xis)
+            return replace(read, **{field: np.full_like(getattr(read, field), math.nan)})
 
-        for module in (analysis, cli):
-            monkeypatch.setattr(module, "clone_reports", poisoned)
+        monkeypatch.setattr(cli, "read_clones", poisoned)
         code, out, err = run(capsys, argv)
         assert code == 1, argv
         assert "NaN" not in out, argv
         assert "error" in err, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["clone", "--sym", "--n", "16", "--m", "128"],
+    ["sweep", "--asym", "--gamma-range", "-1", "1", "41"],
+], ids=["clone-sym", "sweep-asym"])
+def test_a_passing_clone_or_sweep_builds_no_clone_report(monkeypatch, capsys, argv):
+    # clone and sweep print from the read's arrays, with no object per clone
+    def refuse(*args, **kwargs):
+        raise AssertionError("CloneReport built")
+
+    monkeypatch.setattr(analysis, "CloneReport", refuse)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["clone", "--sym", "--n", "3", "--m", "5"], SymSpec(3, 5)),
+    (["clone", "--asym", "--gamma", "0.3"], AsymSpec(0.3)),
+], ids=["sym-3-5", "asym-0.3"])
+def test_a_failing_clone_prints_the_lines_of_the_per_clone_gate(capsys, argv, spec):
+    # at a zero tolerance some checks fail; the array gate prints the lines a
+    # gate over each clone's report prints, in its order and text
+    machine = build_cloner(spec)
+    expected = physics_violations(machine, clone_report(machine), 0.0)
+    assert expected
+    code, _, err = run(capsys, argv + ["--tolerance", "0"])
+    assert (code, err) == (1, "".join(f"invariant violation: {p}\n" for p in expected))
+
+
 @pytest.mark.parametrize("field", ["fidelity", "q_peak", "symplectic_dev",
                                    "phase_covariance_defect"])
 def test_nan_figures_are_violations(field):
     machine = build_cloner(AsymSpec(0.2))
-    reports = clone_report(machine)
-    assert cli._physics_violations(machine.symplectic_dev, reports, 1e-10) == []
+    read = analysis.read_clones([machine], (1.0,))
+    names = [mode.name for mode in machine.clone_modes]
+    assert cli._physics_violations([machine.symplectic_dev], read, names, 1e-10) == []
     if field == "symplectic_dev":  # the machine's figure, not a clone's
-        assert cli._physics_violations(math.nan, reports, 1e-10)
+        assert cli._physics_violations([math.nan], read, names, 1e-10)
     else:
-        poisoned = [replace(reports[0], **{field: math.nan})] + reports[1:]
-        assert cli._physics_violations(machine.symplectic_dev, poisoned, 1e-10)
+        figure = getattr(read, field).copy()
+        figure[..., 0] = math.nan  # the first clone's
+        poisoned = replace(read, **{field: figure})
+        assert cli._physics_violations([machine.symplectic_dev], poisoned, names, 1e-10)
 
 
 def test_verify_reports_a_truncated_oracle_as_failed(capsys):
@@ -614,9 +685,9 @@ def test_a_sweep_names_the_first_point_its_stacked_check_refuses(monkeypatch, ca
     with pytest.raises(ValueError) as refusal:
         build_cloner(AsymSpec(float(gammas[j])))
     reads = []
-    real_stack, real_one = cli.clone_reports, cli.clone_report
-    monkeypatch.setattr(cli, "clone_reports", lambda machines, xi: reads.append(
-        [m.spec.gamma for m in machines]) or real_stack(machines, xi))
+    real_stack, real_one = cli.read_clones, cli.clone_report
+    monkeypatch.setattr(cli, "read_clones", lambda machines, xis: reads.append(
+        [m.spec.gamma for m in machines]) or real_stack(machines, xis))
     monkeypatch.setattr(cli, "clone_report", lambda machine, xi: reads.append(
         [machine.spec.gamma]) or real_one(machine, xi))
     code, out, err = run(capsys, ["sweep", "--asym", "--gamma-range", "6", "7", "11"])
@@ -671,9 +742,9 @@ def test_a_refusal_in_a_later_chunk_names_its_point(monkeypatch, capsys):
         clone_report(_broken(build_cloner(AsymSpec(0.25)), "gain"), xi)
     _fault_builds(monkeypatch, {0.25: lambda m: _broken(m, "gain"), 0.5: _squeezed})
     sizes = []
-    real = cli.clone_reports
-    monkeypatch.setattr(cli, "clone_reports", lambda machines, xi: sizes.append(
-        len(machines)) or real(machines, xi))
+    real = cli.read_clones
+    monkeypatch.setattr(cli, "read_clones", lambda machines, xis: sizes.append(
+        len(machines)) or real(machines, xis))
     code, out, err = run(capsys, ["sweep", "--asym", "--gamma-range", "-1", "1", "9",
                                   "--xi=0.3,-1.2"])
     assert (code, out, err) == (1, "", f"error: gamma=0.25: {first.value}\n")
@@ -683,10 +754,10 @@ def test_a_refusal_in_a_later_chunk_names_its_point(monkeypatch, capsys):
 def test_a_stack_refusal_that_no_point_repeats_is_still_an_error(monkeypatch, capsys):
     # fails closed: when no point read alone is refused, the stack's own
     # refusal is the error, with no point named
-    def refuse(machines, xi):
+    def refuse(machines, xis):
         raise ValueError("refused as a stack")
 
-    monkeypatch.setattr(cli, "clone_reports", refuse)
+    monkeypatch.setattr(cli, "read_clones", refuse)
     assert run(capsys, ASYM_5) == (1, "", "error: refused as a stack\n")
 
 
@@ -801,13 +872,13 @@ def test_a_sweep_reads_its_points_as_bounded_stacks(monkeypatch, capsys, argv, s
     # asym points share a layout and are read up to the stack limit at a
     # time; every sym point is a layout of its own
     monkeypatch.setattr(cli, "SWEEP_STACK_LIMIT", 16)
-    real, sizes = cli.clone_reports, []
+    real, sizes = cli.read_clones, []
 
-    def sized(machines, xi):
+    def sized(machines, xis):
         sizes.append(len(machines))
-        return real(machines, xi)
+        return real(machines, xis)
 
-    monkeypatch.setattr(cli, "clone_reports", sized)
+    monkeypatch.setattr(cli, "read_clones", sized)
     code, out, _ = run(capsys, argv)
     assert code == 0 and sizes == stacks
     monkeypatch.setattr(cli, "SWEEP_STACK_LIMIT", 256)
@@ -833,8 +904,9 @@ def test_a_sym_sweep_holds_one_machine_at_a_time(capsys):
 
 
 def test_a_json_sweep_holds_its_rows_once_and_its_text_once(capsys):
-    # a 4000-point JSON sweep peaks at 1.7 times the CSV one, its text being
-    # three times as long; with every row held as a list and as a dict, and
+    # a 4000-point JSON sweep peaks at 1.4 times the CSV one, its text being
+    # three times as long: both hold the table as columns and make its text
+    # a chunk at a time; with every row held as a list and as a dict, and
     # the text copied whole by each rewrite, it peaked at 2.3 times
     argv = ["sweep", "--asym", "--gamma-range", "-6", "6", "4000"]
     assert _traced_peak(capsys, argv) < 2.0 * _traced_peak(capsys, argv + ["--format", "csv"])

@@ -38,7 +38,11 @@ def test_the_output_corpus_holds_the_bench_19_argvs_the_ladder_and_both_streams(
     bench = json.loads((ROOT / "BENCH_19.json").read_text(encoding="utf-8"))
     assert argvs[:29] == bench["outputs"]["argvs"]
     assert argvs[29:39] == [f"verify --oracle --cutoff {c}" for c in (5, *range(10, 17), 18, 20)]
-    assert [argv.split()[0] for argv in argvs[39:]] == ["sweep"] * 256 + ["clone"] * 256
+    assert [argv.split()[0] for argv in argvs[39:551]] == ["sweep"] * 256 + ["clone"] * 256
+    # the writer's failure and multi-chunk paths
+    assert argvs[551:] == ["clone --sym --n 3 --m 5 --tolerance 0",
+                           "sweep --sym --n 2 --m-range 2 9 --tolerance 0",
+                           "clone --sym --n 16 --m 300"]
     # a usage error exits 2 with its message on stderr, and hashes the same twice
     usage = script.digest(["clone", "--sym", "--n", "0", "--m", "5"])
     assert usage == script.digest(["clone", "--sym", "--n", "0", "--m", "5"])
