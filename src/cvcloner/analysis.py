@@ -13,15 +13,17 @@ the transform, and the reduced output covariance) and F by three (1/(n+1)
 from either n_ch route, and the Q-function peak), so agreement between them
 is a real consistency check rather than one formula printed twice.
 
-``read_clones`` reads every clone of a list of built machines from the
-clone rows of the two quadrature maps X = A + B (on x) and P = A - B (on
-p); the package forms no full output state.  Every input is coherent or
-vacuum, with covariance I/2, and a real transform keeps x and p apart, so
-clone j's 2x2 block is diag(|X_j|^2 / 2, |P_j|^2 / 2), with a cross term
-of exactly zero, and its means are X_j and P_j times the input x and p
-means.  The machines share one layout (register size, clone
-and signal modes) and are read as one (k, M, n) stack of their clone rows
-of (A, B), at every amplitude of a list at once: the variances, n_ch and
+``read_clones`` reads every clone of a ``circuits.MachineStack`` (what
+``build_cloners`` returns, or a list of built machines made into one by
+``machine_stack``) from the clone rows of the two quadrature maps
+X = A + B (on x) and P = A - B (on p); the package forms no full output
+state.  Every input is coherent or vacuum, with covariance I/2, and a real
+transform keeps x and p apart, so clone j's 2x2 block is
+diag(|X_j|^2 / 2, |P_j|^2 / 2), with a cross term of exactly zero, and its
+means are X_j and P_j times the input x and p means.  The machines share
+one layout (register size, clone and signal modes), and their clone rows
+of (A, B) are gathered from the stack's arrays once, as (k, M, n) arrays,
+and read at every amplitude of a list at once: the variances, n_ch and
 phase defects do not depend on the amplitude and are computed once, the
 input means of all X amplitudes are one array per quadrature, so the output
 means are one stacked product per quadrature, and the gain gate and Q run
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .circuits import AsymSpec, ClonerSpec, CloningMachine, SymSpec, build_cloner
+from .circuits import AsymSpec, ClonerSpec, CloningMachine, MachineStack, SymSpec, build_cloner
 
 ISOTROPY_TOL = 1e-8
 GAIN_TOL = 1e-8
@@ -168,6 +170,40 @@ def _layout(machine: CloningMachine) -> tuple:
     return machine.n_modes, machine.clone_modes, machine.signal_modes
 
 
+def machine_stack(machines: MachineStack | Sequence[CloningMachine]) -> MachineStack:
+    """The ``MachineStack`` that ``read_clones`` reads: a stack as it is, or
+    one made from a list of built machines of one layout (register size,
+    clone and signal modes), which hands those machines back.
+
+    A list's A blocks are gathered into one (k, n, n) array and its B
+    blocks into another (a list of one machine is viewed, not copied), its
+    checks and angles into one array each; nothing is checked again.  An
+    empty list or stack, or a list that mixes layouts, is refused.
+    """
+    if not machines:
+        raise ValueError("read_clones needs at least one machine")
+    if isinstance(machines, MachineStack):
+        return machines
+    first = machines[0]
+    layout = _layout(first)
+    if any(_layout(m) != layout for m in machines):
+        raise ValueError("read_clones takes machines of one layout: "
+                         "one register size, clone modes and signal modes")
+    if len(machines) == 1:
+        A, B = first.transform.A[None], first.transform.B[None]
+    else:
+        A = np.array([m.transform.A for m in machines])
+        B = np.array([m.transform.B for m in machines])
+    params = [m.angles for m in machines]
+    angles = None if None in params else np.array([(p.u, p.v, p.w) for p in params])
+    devs = np.array([m.symplectic_dev for m in machines])
+    for array in (A, B, devs, angles):
+        if array is not None:
+            array.flags.writeable = False
+    return MachineStack([m.spec for m in machines], A, B, devs, angles,
+                        first.signal_modes, first.clone_modes, machines)
+
+
 @dataclass(frozen=True)
 class Readout:
     """Every clone's figures for k machines of one layout read at X
@@ -196,12 +232,14 @@ class Readout:
     refusal: str | None
 
 
-def read_clones(machines: Sequence[CloningMachine], xis: Sequence[complex]) -> Readout:
-    """Every clone of some built machines of one layout (register size,
-    clone and signal modes) at each amplitude of xis, as one ``Readout``.
+def read_clones(machines: MachineStack | Sequence[CloningMachine],
+                xis: Sequence[complex]) -> Readout:
+    """Every clone of a ``MachineStack``, or of a list of built machines of
+    one layout (register size, clone and signal modes) made into one by
+    ``machine_stack``, at each amplitude of xis, as one ``Readout``.
 
-    The machines are read as one (k, M, n) stack of their clone rows of
-    (A, B), never their whole transforms.  The variances, n_ch and phase
+    The stack's clone rows of (A, B) are gathered once, as two (k, M, n)
+    arrays, never their whole transforms.  The variances, n_ch and phase
     defects do not depend on the amplitude and are computed once.  The
     input means of every amplitude are one (X, n, 1) array per quadrature,
     so each quadrature's output means are one stacked product whose every
@@ -212,24 +250,17 @@ def read_clones(machines: Sequence[CloningMachine], xis: Sequence[complex]) -> R
     gives.  An empty list, or one that mixes layouts, is refused.
     """
     xis = [complex(xi) for xi in xis]
-    if not machines:
-        raise ValueError("read_clones needs at least one machine")
-    first = machines[0]
-    layout = _layout(first)
-    if any(_layout(m) != layout for m in machines):
-        raise ValueError("read_clones takes machines of one layout: "
-                         "one register size, clone modes and signal modes")
-    rows = np.array([m.index for m in first.clone_modes])
-    names = [m.name for m in first.clone_modes]
-    # each machine's clone rows, then one stack of them
-    a = np.array([machine.transform.A.take(rows, axis=0) for machine in machines])
-    b = np.array([machine.transform.B.take(rows, axis=0) for machine in machines])
+    stack = machine_stack(machines)
+    rows = [m.index for m in stack.clone_modes]
+    names = [m.name for m in stack.clone_modes]
+    # every machine's clone rows at once, each (k, M, n) gather in C order
+    a, b = stack.A.take(rows, axis=1), stack.B.take(rows, axis=1)
     b_photons = _chaotic_photons(b)  # its b**2 is freed before X's buffer exists
     # the input means of every amplitude, x means then p means: sqrt(2) Re xi
     # and sqrt(2) Im xi on each signal input, 0 on every other
     targets = np.array(xis, dtype=complex)
-    means = np.zeros((2, len(xis), first.n_modes, 1))
-    signal = [m.index for m in first.signal_modes]
+    means = np.zeros((2, len(xis), stack.n_modes, 1))
+    signal = [m.index for m in stack.signal_modes]
     means[:, :, signal] = (np.sqrt(2.0) * targets.view(float).reshape(-1, 2).T)[..., None, None]
     # one buffer holds the clone rows of X, then those of P
     quad = np.add(a, b)
@@ -245,14 +276,14 @@ def read_clones(machines: Sequence[CloningMachine], xis: Sequence[complex]) -> R
     fidelity = np.empty(amps.shape)  # 1/(n + 1) at every amplitude
     np.divide(1.0, n_state + 1.0, out=fidelity)
     if refusal is None and gain_refusal is None:
-        refused = np.zeros(len(machines), dtype=bool)
+        refused = np.zeros(len(stack), dtype=bool)
     else:
         refused = ~(isotropic.all(axis=-1) & unit_gain.all(axis=(0, -1)))
     return Readout(
         n_chaotic=b_photons,
         n_chaotic_state=n_state,
-        n_chaotic_formula=np.array([expected_chaotic_photons(m.spec) for m in machines]),
-        fidelity_formula=np.array([expected_fidelities(m.spec) for m in machines]),
+        n_chaotic_formula=np.array([expected_chaotic_photons(spec) for spec in stack.specs]),
+        fidelity_formula=np.array([expected_fidelities(spec) for spec in stack.specs]),
         phase_covariance_defect=_phase_covariance_defects(a, b, signal),
         fidelity=fidelity,
         q_peak=_husimi(amps, n_state, targets[:, None, None]),
@@ -262,17 +293,19 @@ def read_clones(machines: Sequence[CloningMachine], xis: Sequence[complex]) -> R
     )
 
 
-def clone_reports(machines: Iterable[CloningMachine],
+def clone_reports(machines: MachineStack | Iterable[CloningMachine],
                   xi: complex = 1.0 + 0.0j) -> list[list[CloneReport]]:
-    """Every clone's quality figures for each of some built machines of one
-    layout (register size, clone and signal modes), in order.
+    """Every clone's quality figures for each machine of a ``MachineStack``,
+    or of some built machines of one layout (register size, clone and
+    signal modes), in order.
 
     The machines are read as one stack by ``read_clones`` at xi, which
     raises its refusal, if any, before a ``CloneReport`` is built.  A list
     that mixes layouts is refused.
     """
-    machines = list(machines)
-    if not machines:
+    if not isinstance(machines, MachineStack):
+        machines = list(machines)
+    if not len(machines):
         return []
     read = read_clones(machines, (xi,))
     if read.refusal is not None:

@@ -19,9 +19,11 @@ folded into (A, B) by ``gaussian.fold_stack``; ``build_cloners`` lays out
 every machine's wires and gates in one place.  It builds specs of one form
 (a sweep's asymmetric machines, in one form) as one stack: the closed
 form's entries over an array of gammas, or one fold of the gate list with
-arrays of angles, and one batched check.  Each machine is still a
-``CloningMachine`` that requires its transform's check;
-``build_cloner(spec)`` is ``build_cloners([spec])[0]``.
+arrays of angles, and one batched check, and returns them as one
+``MachineStack`` of arrays: the specs, the A and B blocks, each register's
+check and the angles.  It makes a ``CloningMachine`` for a register only
+when one is asked for, so a sweep that reads the stack's arrays makes
+none; ``build_cloner(spec)`` is ``build_cloners([spec])[0]``.
 
 Mode ordering for the symmetric machines: N signal modes, then the NOPA
 idler, then the M-1 distribution ancillas.  The M clones come out on the
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +43,9 @@ from numpy.typing import NDArray
 
 from .elements import beam_splitter_block, collect_gates, distribute_gates
 from .gaussian import (
-    NOPA,
     BogoliubovTransform,
     ModeLabel,
-    checked_transforms,
+    checked_stack,
     fold_gates,
     fold_stack,
     require_symplectic,
@@ -58,10 +59,12 @@ MODE_LIMIT = 1024  # largest register N + M a SymSpec may describe
 
 def _check_gamma(gamma: float) -> float:
     # float() would take a string, and would only warn as it dropped the
-    # imaginary part of a numpy complex
-    if not isinstance(gamma, numbers.Real):
-        raise ValueError(f"gamma must be a real number, got {gamma!r}")
-    gamma = float(gamma)
+    # imaginary part of a numpy complex; a float, as a sweep's grid gives,
+    # needs neither the ABC check nor the conversion
+    if type(gamma) is not float:
+        if not isinstance(gamma, numbers.Real):
+            raise ValueError(f"gamma must be a real number, got {gamma!r}")
+        gamma = float(gamma)
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
     if abs(gamma) > GAMMA_LIMIT:
@@ -119,10 +122,11 @@ class FactorizationParams:
 class CloningMachine:
     """A built cloner plus the mode bookkeeping needed to read out clones.
 
-    Building one requires its transform's check, by ``require_symplectic``,
+    Making one requires its transform's check, by ``require_symplectic``,
     and keeps the deviation as ``symplectic_dev``; a failing transform is
-    refused.  A transform from ``checked_transforms`` carries the check its
-    stack ran; any other is checked here, once.
+    refused.  A machine that a ``MachineStack`` makes from one of its
+    registers keeps the deviation the stack's check measured, and is not
+    checked again; one made from it by ``dataclasses.replace`` is.
     An asymmetric machine keeps its BS1 / NOPA / BS2 angles, whichever form
     built it; a symmetric one has none.
     """
@@ -140,6 +144,70 @@ class CloningMachine:
     @property
     def n_modes(self) -> int:
         return self.transform.n_modes
+
+
+class MachineStack(Sequence[CloningMachine]):
+    """k built machines of one layout, as arrays: what ``build_cloners``
+    returns.
+
+    * ``specs``: the k specs, in order;
+    * ``A`` and ``B``: read-only, shape (k, n, n), machine i's at [i]; a
+      build's are the two views of its one (k, n, 2, n) array of rows;
+    * ``symplectic_dev``: each register's check, read-only, shape (k,);
+    * ``angles``: each asymmetric machine's (u, v, w), read-only, shape
+      (k, 3), or None for symmetric machines;
+    * ``signal_modes`` and ``clone_modes``: the layout every register shares.
+
+    The stack is the sequence of its machines.  stack[i] makes machine i
+    from its register when first asked, equal bit for bit to
+    ``build_cloner(stack.specs[i])``, and keeps it; it carries the stack's
+    check and is not checked again.  A stack made from machines that
+    exist already (``analysis.machine_stack``) hands those back.  A stack
+    equals a list or tuple of the same machines.
+    """
+
+    def __init__(self, specs: Sequence[ClonerSpec], A: NDArray[np.float64],
+                 B: NDArray[np.float64], symplectic_dev: NDArray[np.float64],
+                 angles: NDArray[np.float64] | None, signal_modes: tuple[ModeLabel, ...],
+                 clone_modes: tuple[ModeLabel, ...],
+                 machines: Sequence[CloningMachine] | None = None) -> None:
+        self.specs = tuple(specs)
+        self.A, self.B = A, B
+        self.symplectic_dev = symplectic_dev
+        self.angles = angles
+        self.signal_modes = signal_modes
+        self.clone_modes = clone_modes
+        self._machines = list(machines) if machines is not None else [None] * len(self.specs)
+
+    @property
+    def n_modes(self) -> int:
+        return self.A.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        machine = self._machines[i]
+        if machine is None:
+            i = range(len(self))[i]
+            angles = None if self.angles is None else FactorizationParams(*self.angles[i].tolist())
+            # the stack checked the register: __init__ would check it again
+            machine = object.__new__(CloningMachine)
+            machine.__dict__.update(
+                spec=self.specs[i], transform=BogoliubovTransform(A=self.A[i], B=self.B[i]),
+                signal_modes=self.signal_modes, clone_modes=self.clone_modes, angles=angles,
+                symplectic_dev=float(self.symplectic_dev[i]))
+            self._machines[i] = machine
+        return machine
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, tuple, MachineStack)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def _asym_direct_rows(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -170,6 +238,24 @@ def asym_direct(gamma: float) -> BogoliubovTransform:
     return BogoliubovTransform(A=rows[:, 0], B=rows[:, 1])
 
 
+def _asym_angles(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``asym_params``' (u, v, w) at each checked gamma of a 1-d array, as
+    a (k, 3) array.
+
+    Only exp(2 gamma) is taken over the array, which numpy rounds as it
+    rounds one gamma; atan, sinh and log are math's, one gamma at a time:
+    numpy's differ from math's in the last bit for some gammas, which would
+    move the angles a sweep prints.
+    """
+    angles = []
+    for g, s in zip(gamma.tolist(), np.exp(2.0 * gamma).tolist(), strict=True):
+        root = math.sqrt(1.0 + s * s)
+        angles.append((-math.atan(math.sqrt(2.0) * math.sinh(g)),
+                       0.5 * math.log((1.0 + s + root) ** 2 / (2.0 * s)),
+                       math.atan(s)))
+    return np.array(angles).reshape(-1, 3)
+
+
 def asym_params(gamma: float) -> FactorizationParams:
     """Angles (u, v, w) that factor the asymmetric cloner into BS/NOPA/BS.
 
@@ -180,17 +266,10 @@ def asym_params(gamma: float) -> FactorizationParams:
     v is evaluated through 0.5*log(((1+s) + sqrt(1+s^2))^2 / (2 s)) with
     s = exp(2 gamma), the same function without artanh's cancellation near 1:
     at |gamma| = 6 it keeps sinh(v)^2 = cosh(2 gamma) to 4e-16, artanh to 2e-11.
-    It takes one gamma at a time: numpy's atan, sinh and log differ from
-    math's in the last bit for some gammas, which would move the angles a
-    sweep prints.
+    The gamma is checked here; a build takes the same floats for its
+    already checked specs.
     """
-    g = _check_gamma(gamma)
-    s = np.exp(2.0 * g)
-    w = math.atan(s)
-    u = -math.atan(math.sqrt(2.0) * math.sinh(g))
-    root = math.sqrt(1.0 + s * s)
-    v = 0.5 * math.log((1.0 + s + root) ** 2 / (2.0 * s))
-    return FactorizationParams(u=u, v=v, w=w)
+    return FactorizationParams(*_asym_angles(np.array([_check_gamma(gamma)]))[0].tolist())
 
 
 def _asym_gates(u, v, w) -> tuple:
@@ -221,20 +300,21 @@ def _form(spec: ClonerSpec) -> object:
     return ("asym", spec.factorized) if isinstance(spec, AsymSpec) else spec
 
 
-def build_cloners(specs: Iterable[ClonerSpec]) -> list[CloningMachine]:
+def build_cloners(specs: Iterable[ClonerSpec]) -> MachineStack:
     """Build the machines some specs of one form describe, in order, with
-    labeled signal/clone modes.
+    labeled signal/clone modes, as one ``MachineStack``.
 
     The specs are asymmetric in one form, or copies of one symmetric
     machine; a list that mixes forms is refused.  They are built as one
     stack of k registers, by ``fold_stack`` or, for the closed form, over an
     array of gammas, and checked by one batched product in
-    ``checked_transforms``.  Every machine is still a ``CloningMachine``
-    that requires its own check, so a refusal is the first failing spec's.
+    ``checked_stack``, which refuses a failing stack with its first failing
+    spec's refusal.  No machine object is made until one is asked for.
     """
-    specs = list(specs)
+    specs = tuple(specs)
     if not specs:
-        return []
+        empty = np.zeros((0, 0, 0))
+        return MachineStack((), empty, empty, np.zeros(0), None, (), ())
     first, k = specs[0], len(specs)
     form = _form(first)
     if any(_form(s) != form for s in specs):
@@ -242,13 +322,16 @@ def build_cloners(specs: Iterable[ClonerSpec]) -> list[CloningMachine]:
                          "in one form, or copies of one symmetric machine")
     # one machine folds with no register axis, which the fold indexes faster
     stack = (k,) if k > 1 else ()
+    angles = None
     if isinstance(first, AsymSpec):
-        angles: list[FactorizationParams | None] = [asym_params(s.gamma) for s in specs]
+        gammas = np.array([s.gamma for s in specs])
+        angles = _asym_angles(gammas)
+        angles.flags.writeable = False
         if first.factorized:
-            u, v, w = np.array([(p.u, p.v, p.w) for p in angles]).T.reshape(3, *stack)
+            u, v, w = angles.T.reshape(3, *stack)
             rows = fold_stack(_asym_gates(u, v, w), 3, stack)
         else:
-            rows = _asym_direct_rows(np.array([s.gamma for s in specs]).reshape(stack))
+            rows = _asym_direct_rows(gammas.reshape(stack))
         signals, clones = _ASYM_SIGNALS, _ASYM_CLONES
     elif isinstance(first, SymSpec):
         # collect the N copies on mode 0, amplify it by sqrt(M/N) against the
@@ -257,18 +340,16 @@ def build_cloners(specs: Iterable[ClonerSpec]) -> list[CloningMachine]:
         clone_wires = [0, *range(N + 1, N + M)]
         gates = (
             collect_gates(N)
-            + (NOPA(math.acosh(math.sqrt(M / N)), 0, N),)
+            + ((math.acosh(math.sqrt(M / N)), 0, N),)
             + distribute_gates(M, clone_wires)
         )
         rows = fold_stack(gates, N + M, stack)
-        angles = [None] * k
         signals = tuple(ModeLabel(j, f"in_{j + 1}") for j in range(N))
         clones = tuple(ModeLabel(w, f"clone_{j + 1}") for j, w in enumerate(clone_wires))
     else:
         raise TypeError(f"unknown cloner spec: {first!r}")
-    return [CloningMachine(spec=spec, transform=transform, signal_modes=signals,
-                           clone_modes=clones, angles=p)
-            for spec, transform, p in zip(specs, checked_transforms(rows), angles, strict=True)]
+    rows, devs = checked_stack(rows)
+    return MachineStack(specs, rows[:, :, 0], rows[:, :, 1], devs, angles, signals, clones)
 
 
 def build_cloner(spec: ClonerSpec) -> CloningMachine:

@@ -15,11 +15,12 @@ json.dumps with indent=2; CSV carries 10 significant digits.  The default
 tolerance is 1e-10, overridable per run with --tolerance or globally with
 the CVCLONER_TOLERANCE environment variable.
 
-clone and sweep read their machines with ``analysis.read_clones`` and print
-from its arrays, with no object per clone: the invariant gate is a few
-array comparisons, and a table is written from its columns, a chunk of
-JSON_ROWS rows at a time, each distinct nonzero float of a chunk formatted
-once.
+clone and sweep build their machines as ``circuits.MachineStack``s, read
+each with ``analysis.read_clones``, and print from the stack's arrays (the
+checks and angles) and the read's, with no machine object and no object
+per clone: the invariant gate is a few array comparisons, and a table is
+written from its columns, a chunk of JSON_ROWS rows at a time, each
+distinct nonzero float of a chunk formatted once.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import Readout, clone_report, read_clones
+from .analysis import Readout, clone_report, machine_stack, read_clones
 from .circuits import (
     AsymSpec,
     ClonerSpec,
     CloningMachine,
+    FactorizationParams,
+    MachineStack,
     SymSpec,
     asym_direct,
     asym_factorized,
@@ -192,25 +195,30 @@ def _spec_echo(spec: ClonerSpec, xi: complex) -> dict:
     return echo
 
 
-def _factorization_dev(machine: CloningMachine) -> float | None:
+def _factorization_dev(stack: MachineStack) -> float | None:
     # compare the built transform against the other form of the same machine
-    spec = machine.spec
+    spec = stack.specs[0]
     if not isinstance(spec, AsymSpec):
         return None
-    built = machine.transform
-    other = asym_direct(spec.gamma) if spec.factorized else asym_factorized(machine.angles)
-    return float(max(np.abs(built.A - other.A).max(), np.abs(built.B - other.B).max()))
+    if spec.factorized:
+        other = asym_direct(spec.gamma)
+    else:
+        other = asym_factorized(FactorizationParams(*stack.angles[0].tolist()))
+    return float(max(np.abs(stack.A[0] - other.A).max(), np.abs(stack.B[0] - other.B).max()))
 
 
-def _read(machines: list[CloningMachine], xi: complex) -> Readout:
-    """``read_clones`` of some machines of one layout at xi, raising its refusal."""
-    read = read_clones(machines, (xi,))
+def _read(machines: MachineStack | list[CloningMachine],
+          xi: complex) -> tuple[MachineStack, Readout]:
+    """The stack of some machines of one layout and its ``read_clones`` at
+    xi, raising its refusal."""
+    stack = machine_stack(machines)
+    read = read_clones(stack, (xi,))
     if read.refusal is not None:
         raise ValueError(read.refusal)
-    return read
+    return stack, read
 
 
-def _physics_violations(symplectic_devs: list[float], read: Readout, names: list[str],
+def _physics_violations(symplectic_devs: Sequence[float], read: Readout, names: list[str],
                         tol: float) -> list[tuple[int, str]]:
     """The invariant violations of each machine of a one-amplitude read, as
     (machine, message) pairs: machine i's symplectic deviation, then each of
@@ -227,7 +235,8 @@ def _physics_violations(symplectic_devs: list[float], read: Readout, names: list
                            fidelity - read.fidelity_formula,
                            read.phase_covariance_defect))
     np.abs(devs, out=devs)
-    if devs.max() <= tol and all(dev <= tol for dev in symplectic_devs):
+    symplectic_devs = np.asarray(symplectic_devs)
+    if devs.max() <= tol and (symplectic_devs <= tol).all():
         return []
     devs = devs.reshape(4, *fidelity.shape).transpose(1, 2, 0)  # (k, M, check)
     problems = []
@@ -372,13 +381,12 @@ def _emit(pieces: Iterable[str], output_path: str | None) -> None:
 
 def cmd_clone(spec: ClonerSpec, xi: complex, output_format: str,
               output_path: str | None, tolerance: float) -> int:
-    machine = build_cloner(spec)
-    read = _read([machine], xi)
-    names = [m.name for m in machine.clone_modes]
+    stack, read = _read(build_cloners([spec]), xi)
+    names = [m.name for m in stack.clone_modes]
     header = ("mode", "name", "n_chaotic", "n_chaotic_formula",
               "fidelity", "fidelity_formula", "q_peak", "defect")
     table = _Table(header, (
-        [m.index for m in machine.clone_modes], names,
+        [m.index for m in stack.clone_modes], names,
         read.n_chaotic[0], read.n_chaotic_formula[0], read.fidelity[0, 0],
         read.fidelity_formula[0], read.q_peak[0, 0], np.abs(read.phase_covariance_defect[0])))
     if output_format == "json":
@@ -387,28 +395,27 @@ def cmd_clone(spec: ClonerSpec, xi: complex, output_format: str,
             "spec": _spec_echo(spec, xi),
             "clones": table,
             "diagnostics": {
-                "symplectic_dev": machine.symplectic_dev,
-                "factorization_dev": _factorization_dev(machine),
+                "symplectic_dev": float(stack.symplectic_dev[0]),
+                "factorization_dev": _factorization_dev(stack),
             },
         }), output_path)
     else:
         _emit(_csv(table), output_path)
-    problems = _physics_violations([machine.symplectic_dev], read, names, tolerance)
+    problems = _physics_violations(stack.symplectic_dev, read, names, tolerance)
     for _, p in problems:
         print(f"invariant violation: {p}", file=sys.stderr)
     return 1 if problems else 0
 
 
-def _sweep_columns(machines: list[CloningMachine], read: Readout) -> list:
-    """The sweep table's columns over one stack of points."""
-    spec = machines[0].spec
+def _sweep_columns(stack: MachineStack, read: Readout, points: Sequence) -> list:
+    """The sweep table's columns over one stack of points, built at the
+    grid points given."""
+    spec = stack.specs[0]
     if isinstance(spec, SymSpec):
         # copies: a view of clone 1 would keep the point's whole read alive
         return [[spec.n], [spec.m], read.n_chaotic[:, 0].copy(), read.fidelity[0, :, 0].copy()]
-    angles = np.array([(m.angles.u, m.angles.v, m.angles.w) for m in machines])
     n_1, n_2 = read.n_chaotic.T
-    return [np.array([m.spec.gamma for m in machines]), *angles.T, n_1, n_2,
-            *read.fidelity[0].T, n_1 * n_2]
+    return [points, *stack.angles.T, n_1, n_2, *read.fidelity[0].T, n_1 * n_2]
 
 
 def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | None,
@@ -418,7 +425,8 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
 
     An asym sweep's points share one form and one layout: each chunk of up
     to SWEEP_STACK_LIMIT of them is built and checked as one stack by one
-    ``build_cloners`` call and read by one ``read_clones`` call.  Every
+    ``build_cloners`` call and read by one ``read_clones`` call, and its
+    columns and checks are the stack's arrays, with no machine object.  Every
     sym point is a layout of its own, built, read and dropped before the
     next is built.  A refused chunk is run again one point at a time, so
     that the refusal named, with its point, is the first one a loop over
@@ -443,8 +451,7 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
     for start in range(0, len(specs), batch_size):
         chunk = specs[start:start + batch_size]
         try:
-            machines = build_cloners(chunk)
-            read = _read(machines, xi)
+            stack, read = _read(build_cloners(chunk), xi)
         except ValueError:
             # a stack runs each gate over all its points in turn, so a later
             # point's refusal can come first
@@ -454,11 +461,10 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
                 except ValueError as exc:
                     raise ValueError(f"{label}={grid_points[i]}: {exc}") from None
             raise
-        names = [m.name for m in machines[0].clone_modes]
-        violations = _physics_violations([m.symplectic_dev for m in machines], read, names,
-                                         tolerance)
+        names = [m.name for m in stack.clone_modes]
+        violations = _physics_violations(stack.symplectic_dev, read, names, tolerance)
         problems.extend(f"{label}={grid_points[start + i]}: {p}" for i, p in violations)
-        parts.append(_sweep_columns(machines, read))
+        parts.append(_sweep_columns(stack, read, grid_points[start:start + batch_size]))
     table = _Table(header, tuple(
         np.concatenate(column) if isinstance(column[0], np.ndarray) else [*chain(*column)]
         for column in zip(*parts)))

@@ -12,18 +12,16 @@ All elements are real-coefficient two-mode gates:
 * the collect/distribute beam-splitter cascades that concentrate N identical
   inputs into one mode and split one mode evenly over M outputs.
 
-Each cascade is an ordered list of gates, mirroring the table-top layout;
-``circuits.build_cloners`` splices the lists into the N->M machine and hands
-them to ``fold_stack``, which builds every machine's transform.
+Each cascade is an ordered list of gates, mirroring the table-top layout,
+written as ``fold_stack`` tuples (block, p, q) of Python floats, with no
+gate object; ``circuits.build_cloners`` splices the lists into the N->M
+machine and hands them to ``fold_stack``, which builds every machine's
+transform.  ``gaussian.Passive`` is there for gates written by hand.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .gaussian import Passive
 
 
 def beam_splitter_block(theta: float | np.ndarray) -> tuple:
@@ -33,8 +31,9 @@ def beam_splitter_block(theta: float | np.ndarray) -> tuple:
     return (c, s), (-s, c)
 
 
-def collect_gates(N: int) -> tuple[Passive, ...]:
-    """N-1 beam splitters concentrating N equal inputs on modes 0..N-1 into mode 0.
+def collect_gates(N: int) -> tuple[tuple, ...]:
+    """N-1 beam splitters concentrating N equal inputs on modes 0..N-1 into
+    mode 0, as ``fold_stack`` tuples (block, p, q) of Python floats.
 
     Step j (1-based) mixes the running collected mode d_j with input j+1:
 
@@ -42,20 +41,19 @@ def collect_gates(N: int) -> tuple[Passive, ...]:
         out_{j+1} = sqrt(1/(j+1)) d_j - sqrt(j/(j+1)) c_{j+1}
 
     so N identical coherent amplitudes xi leave sqrt(N) xi on mode 0 and
-    vacuum on the rest.
+    vacuum on the rest.  The coefficients are taken over an array of j:
+    sqrt and division are correctly rounded, so each equals math's.
     """
     if N < 1:
         raise ValueError(f"need at least one mode, got {N}")
-    gates = []
-    for j in range(1, N):
-        keep = math.sqrt(j / (j + 1.0))
-        leak = math.sqrt(1.0 / (j + 1.0))
-        gates.append(Passive(((keep, leak), (leak, -keep)), 0, j))
-    return tuple(gates)
+    j = np.arange(1.0, N)
+    keep, leak = np.sqrt(j / (j + 1.0)).tolist(), np.sqrt(1.0 / (j + 1.0)).tolist()
+    return tuple((((k, t), (t, -k)), 0, q) for q, k, t in zip(range(1, N), keep, leak))
 
 
-def distribute_gates(M: int, modes: list[int]) -> tuple[Passive, ...]:
-    """M-1 beam splitters splitting the first wire in modes evenly over all M wires.
+def distribute_gates(M: int, modes: list[int]) -> tuple[tuple, ...]:
+    """M-1 beam splitters splitting the first wire in modes evenly over all
+    M wires, as ``fold_stack`` tuples (block, p, q) of Python floats.
 
     Step j taps the running signal e_j into fresh wire j:
 
@@ -63,15 +61,14 @@ def distribute_gates(M: int, modes: list[int]) -> tuple[Passive, ...]:
         e_{j+1} = sqrt((M-j)/(M-j+1)) e_j - sqrt(1/(M-j+1)) a_j
 
     Every output acquires signal coefficient 1/sqrt(M); the last split signal
-    e_M stays on the first wire.
+    e_M stays on the first wire.  The coefficients are taken over an array
+    of j, as in ``collect_gates``.
     """
     if M < 1:
         raise ValueError(f"need at least one mode, got {M}")
     if len(modes) != M or len(set(modes)) != M:
         raise ValueError(f"need {M} distinct modes, got {modes}")
-    gates = []
-    for j in range(1, M):
-        tap = math.sqrt(1.0 / (M - j + 1.0))
-        keep = math.sqrt((M - j) / (M - j + 1.0))
-        gates.append(Passive(((keep, -tap), (tap, keep)), modes[0], modes[j]))
-    return tuple(gates)
+    rest = M - np.arange(1.0, M)  # M - j
+    tap, keep = np.sqrt(1.0 / (rest + 1.0)).tolist(), np.sqrt(rest / (rest + 1.0)).tolist()
+    p = modes[0]
+    return tuple((((k, -t), (t, k)), p, q) for q, k, t in zip(modes[1:], keep, tap))

@@ -13,8 +13,8 @@ coefficients.  Preservation of the commutation relations requires
 which everything downstream relies on.  With real (A, B) the quadratures
 transform apart: x' = X x and p' = P p with X = A + B and P = A - B, and
 both conditions together read X P^T = I, which :func:`check_symplectic`
-measures with one product, and :func:`checked_transforms` with one batched
-product over a stack of transforms built at once.  The clone readout works
+measures with one product, and :func:`checked_stack` with one batched
+product over a stack of registers built at once.  The clone readout works
 from the clone rows of X and P as well.  No quadrature matrix is formed:
 the only 2n x 2n array here is the output covariance that
 :func:`uncertainty_defect` diagonalises, written from the two n x n blocks
@@ -32,6 +32,7 @@ so the vacuum variance is 1/2 and a coherent amplitude xi has mean
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Iterable
@@ -87,11 +88,8 @@ class BogoliubovTransform:
     A and B are real and stored as float64, read-only; a complex matrix is
     refused.  An array that a caller could still write to is copied.  One
     that no one can write through, read-only down to the array that owns
-    its data (a fold's rows, a slice of a stack that ``checked_transforms``
-    froze), is kept as it is.  A transform that ``checked_transforms`` made
-    also keeps its ``SymplecticCheck``, which ``require_symplectic`` reads;
-    every other transform, one made by ``dataclasses.replace`` included, is
-    checked when it is required.
+    its data (a fold's rows, a register of a stack that ``checked_stack``
+    froze), is kept as it is.
     """
 
     A: NDArray[np.float64]
@@ -123,8 +121,9 @@ class SymplecticCheck:
     commutation_dev: float  # max |A A^T - B B^T - I|
     symmetry_dev: float     # max |A B^T - B A^T|
 
-    @property
+    @functools.cached_property
     def max_dev(self) -> float:
+        # worked out once: passed reads it, and so does whoever required the check
         return worst_dev((self.commutation_dev, self.symmetry_dev))
 
     @property
@@ -310,7 +309,7 @@ def _deviations(A: NDArray[np.float64],
     """commutation_dev and symmetry_dev of one transform's (A, B), or of
     each transform of a (k, n, n) stack of them, as arrays of 1 or k: the
     one check body, behind both ``check_symplectic`` and
-    ``checked_transforms``."""
+    ``checked_stack``."""
     with np.errstate(invalid="ignore"):  # inf - inf reads NaN, which fails
         # C order: each X P^T is then one gemm, and each diagonal one stride
         X, P = np.add(A, B, order="C"), np.subtract(A, B, order="C")
@@ -335,52 +334,51 @@ def check_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
     commutation_dev = max|(G + G^T)/2 - I| and symmetry_dev = max|(G - G^T)/2|.
     A NaN or infinite entry of A or B reaches G and reads as a NaN or inf
     deviation, which ``SymplecticCheck.max_dev`` counts as inf.  The body
-    that runs it checks a stack in ``checked_transforms``.
+    that runs it checks a stack in ``checked_stack``.
     """
     commutation, symmetry = _deviations(t.A, t.B)
     return SymplecticCheck(commutation_dev=float(commutation[0]),
                            symmetry_dev=float(symmetry[0]))
 
 
-def checked_transforms(rows: NDArray[np.float64]) -> list[BogoliubovTransform]:
-    """The transforms of a stack of rows, as ``fold_stack`` returns it (one
-    for no register axis, k for (k,)), checked by one batched product
-    X P^T over the stack.
+def checked_stack(rows: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """A stack of rows, as ``fold_stack`` returns it (one register for no
+    register axis, k for (k,)), checked by one batched product X P^T.
 
-    The stack is laid out register by register and made read-only, so each
-    transform keeps its own slice of it without a copy, together with its
-    ``SymplecticCheck``, which ``require_symplectic`` reads there.  A
-    failing transform is returned too: it is refused where it is required.
+    Returns the stack as a read-only (k, n, 2, n) array, laid out register
+    by register (rows[i, :, 0] is register i's A and rows[i, :, 1] its B),
+    and each register's ``SymplecticCheck.max_dev`` as one array of k.  A
+    stack with a failing register is refused with the ValueError
+    ``require_symplectic`` raises for the first one.
     """
     n = rows.shape[0]
     # (k, n, 2, n): a copy unless k is 1, so rows is made read-only as well
     stack = _readonly(np.ascontiguousarray(
         _readonly(rows).reshape(n, 2, n, -1).transpose(3, 0, 1, 2)))
-    A, B = stack[:, :, 0], stack[:, :, 1]
-    commutation, symmetry = _deviations(A, B)
-    transforms = []
-    for a, b, c, s in zip(A, B, commutation.tolist(), symmetry.tolist(), strict=True):
-        t = BogoliubovTransform(A=a, B=b)
-        object.__setattr__(t, "_symplectic_check",
-                           SymplecticCheck(commutation_dev=c, symmetry_dev=s))
-        transforms.append(t)
-    return transforms
+    commutation, symmetry = _deviations(stack[:, :, 0], stack[:, :, 1])
+    devs = np.maximum(commutation, symmetry)  # NaN if either is, which counts as inf
+    devs[np.isnan(devs)] = math.inf
+    failing = ~(devs <= DEFAULT_TOL)
+    if failing.any():
+        i = int(failing.argmax())
+        _require(SymplecticCheck(commutation_dev=float(commutation[i]),
+                                 symmetry_dev=float(symmetry[i])))
+    return stack, _readonly(devs)
+
+
+def _require(check: SymplecticCheck) -> SymplecticCheck:
+    if not check.passed:
+        raise ValueError(
+            f"transform is not symplectic within tol={DEFAULT_TOL}: "
+            f"commutation dev {check.commutation_dev:.3e}, symmetry dev {check.symmetry_dev:.3e}"
+        )
+    return check
 
 
 def require_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
-    """The transform's ``SymplecticCheck`` at DEFAULT_TOL, raising ValueError
-    unless it passes: the one ``checked_transforms`` left on it while its
-    arrays are still read-only (a deep copy's are not), or else
-    ``check_symplectic``."""
-    diag = getattr(t, "_symplectic_check", None)
-    if diag is None or not (_frozen(t.A) and _frozen(t.B)):
-        diag = check_symplectic(t)
-    if not diag.passed:
-        raise ValueError(
-            f"transform is not symplectic within tol={DEFAULT_TOL}: "
-            f"commutation dev {diag.commutation_dev:.3e}, symmetry dev {diag.symmetry_dev:.3e}"
-        )
-    return diag
+    """The transform's ``check_symplectic`` at DEFAULT_TOL, raising
+    ValueError unless it passes."""
+    return _require(check_symplectic(t))
 
 
 def uncertainty_defect(t: BogoliubovTransform) -> float:

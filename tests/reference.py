@@ -53,7 +53,6 @@ from cvcloner.circuits import (
     CloningMachine,
     FactorizationParams,
     SymSpec,
-    asym_params,
 )
 from cvcloner.elements import beam_splitter_block, collect_gates, distribute_gates
 from cvcloner.fock import FockState
@@ -185,6 +184,16 @@ def check_one_transform(t: BogoliubovTransform) -> SymplecticCheck:
     return SymplecticCheck(commutation_dev=float(commutation), symmetry_dev=float(symmetry))
 
 
+def asym_params_one(gamma: float) -> FactorizationParams:
+    """``asym_params`` at one gamma, every step on one scalar."""
+    s = np.exp(2.0 * gamma)
+    w = math.atan(s)
+    u = -math.atan(math.sqrt(2.0) * math.sinh(gamma))
+    root = math.sqrt(1.0 + s * s)
+    v = 0.5 * math.log((1.0 + s + root) ** 2 / (2.0 * s))
+    return FactorizationParams(u=u, v=v, w=w)
+
+
 def asym_direct_one(gamma: float) -> BogoliubovTransform:
     """The closed-form asymmetric 1->2 machine at one gamma, written out."""
     ep = np.exp(gamma) / np.sqrt(2.0)
@@ -217,7 +226,7 @@ def build_per_point(spec: ClonerSpec) -> PointMachine:
     """One machine, folded or written out and checked on its own; it refuses
     nothing, so that a failing transform's deviation can be read."""
     if isinstance(spec, AsymSpec):
-        angles = asym_params(spec.gamma)
+        angles = asym_params_one(spec.gamma)
         if spec.factorized:
             t = fold_two_rows((beam_splitter_gate(angles.u, 0, 2), NOPA(angles.v, 2, 1),
                                beam_splitter_gate(angles.w, 0, 2)), 3)
@@ -277,19 +286,24 @@ def embed(
 
 def fold_two_rows(gates, n_modes: int) -> BogoliubovTransform:
     """``fold_gates`` with every gate read as a two-row update: rows p and q
-    of (A, B) are both read, whether or not a wire is still untouched."""
+    of (A, B) are both read, whether or not a wire is still untouched.  A
+    gate is a Passive or a NOPA, or a ``fold_stack`` tuple (block, p, q) or
+    (r, p, q)."""
     rows = np.zeros((n_modes, 2, n_modes))  # rows[j] = (A[j], B[j])
     rows[:, 0] = np.eye(n_modes)
     for gate in gates:
-        p, q = gate.p, gate.q
+        if isinstance(gate, tuple):
+            coef, p, q = gate
+        else:
+            coef, p, q = (gate.block if isinstance(gate, Passive) else gate.r), gate.p, gate.q
         xp, xq = rows[p].copy(), rows[q].copy()
-        if isinstance(gate, Passive):
-            (a, b), (c, d) = gate.block
+        if isinstance(coef, tuple):
+            (a, b), (c, d) = coef
             rows[p] = a * xp + b * xq
             rows[q] = c * xp + d * xq
         else:
             # xq[::-1] is (B_q, A_q): the a^dag rows a NOPA feeds across the pair
-            ch, sh = np.cosh(gate.r), np.sinh(gate.r)
+            ch, sh = np.cosh(coef), np.sinh(coef)
             rows[p] = ch * xp - sh * xq[::-1]
             rows[q] = ch * xq - sh * xp[::-1]
     return BogoliubovTransform(A=rows[:, 0], B=rows[:, 1])

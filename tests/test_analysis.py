@@ -4,13 +4,14 @@ import math
 import random
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from cvcloner.analysis import (
     CloneReport,
+    Readout,
     _amplitudes,
     _husimi,
     clone_report,
@@ -19,7 +20,7 @@ from cvcloner.analysis import (
     expected_fidelities,
 )
 from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, build_cloner
-from cvcloner import analysis, gaussian
+from cvcloner import analysis, circuits, gaussian
 from cvcloner.gaussian import (
     NOPA,
     BogoliubovTransform,
@@ -482,6 +483,30 @@ def test_one_read_at_several_amplitudes_equals_a_read_at_each():
     with pytest.raises(ValueError, match="at least one machine"):
         analysis.read_clones([], READ_XI)
     assert analysis.read_clones(direct, ()).fidelity.shape == (0, 41, 2)
+
+
+def test_a_stack_reads_as_a_list_of_its_machines():
+    # one read body: a list of machines is read as the stack machine_stack
+    # makes of it, field for field what the stack build_cloners returns reads
+    stacks = [circuits.build_cloners([AsymSpec(float(g), factorized=f) for g in GAMMA_GRID])
+              for f in (False, True)]
+    stacks += [circuits.build_cloners([SymSpec(n, m)]) for n, m in SYM_CASES]
+    stacks.append(circuits.build_cloners([SymSpec(3, 5)] * 2))
+    for stack in stacks:
+        machines = list(stack)
+        assert analysis.machine_stack(stack) is stack
+        as_list = analysis.machine_stack(machines)
+        assert as_list == stack and as_list[0] is machines[0]
+        assert not any(a.flags.writeable for a in (as_list.A, as_list.B, as_list.symplectic_dev))
+        from_stack, from_list = (analysis.read_clones(s, READ_XI) for s in (stack, machines))
+        for f in fields(Readout):
+            a, b = getattr(from_stack, f.name), getattr(from_list, f.name)
+            if f.name == "refusal":
+                assert a is b is None
+            else:
+                assert np.array_equal(a, b), f.name
+    with pytest.raises(ValueError, match="at least one machine"):
+        analysis.read_clones(circuits.build_cloners([]), READ_XI)
 
 
 def test_a_read_at_several_amplitudes_names_the_clone_the_first_refusing_one_names():

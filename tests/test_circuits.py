@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvcloner import circuits
+from cvcloner import circuits, gaussian
 from cvcloner.circuits import (
     AsymSpec,
     SymSpec,
@@ -29,7 +29,7 @@ from cvcloner.gaussian import (
     require_symplectic,
 )
 from cvcloner.verification import GAMMA_GRID, SYM_CASES
-from reference import build_per_point, compose, embed, input_amplitudes
+from reference import asym_params_one, build_per_point, compose, embed, input_amplitudes
 
 GAMMAS = np.linspace(-1.5, 1.5, 31)
 
@@ -309,6 +309,75 @@ def test_a_machine_built_in_a_stack_refuses_a_replaced_transform():
     copied.A[0, 0] *= 1.01
     with pytest.raises(ValueError, match="not symplectic"):
         replace(machines[1], transform=copied)
+
+
+def _assert_same_machine(made, built):
+    """Two machines hold the same figures bit for bit."""
+    assert made.spec == built.spec
+    assert np.array_equal(made.transform.A, built.transform.A)
+    assert np.array_equal(made.transform.B, built.transform.B)
+    assert made.symplectic_dev == built.symplectic_dev
+    assert made.angles == built.angles
+    assert (made.signal_modes, made.clone_modes) == (built.signal_modes, built.clone_modes)
+
+
+@pytest.mark.parametrize("specs", [
+    [AsymSpec(float(g)) for g in GAMMA_GRID],
+    [AsymSpec(float(g), factorized=True) for g in GAMMA_GRID],
+    *([SymSpec(n, m)] for n, m in SYM_CASES),
+    [SymSpec(2, 3)] * 3,
+], ids=["grid-direct", "grid-factorized", *(f"sym-{n}-{m}" for n, m in SYM_CASES),
+        "sym-2-3-copies"])
+def test_a_stack_makes_each_machine_as_build_cloner_does(monkeypatch, specs):
+    # the stack holds arrays; stack[i] makes register i's machine when first
+    # asked, from the stack's check, and keeps it
+    built = [build_cloner(spec) for spec in specs]
+    checks = []
+    real = gaussian._deviations
+    monkeypatch.setattr(gaussian, "_deviations", lambda A, B: checks.append(len(A)) or real(A, B))
+    stack = build_cloners(specs)
+    assert checks == [len(specs)] and len(stack) == len(specs)
+    assert stack.specs == tuple(specs)
+    assert not (stack.A.flags.writeable or stack.B.flags.writeable
+                or stack.symplectic_dev.flags.writeable)
+    assert stack.symplectic_dev.tolist() == [m.symplectic_dev for m in built]
+    if stack.angles is None:
+        assert all(m.angles is None for m in built)
+    else:
+        assert not stack.angles.flags.writeable
+        assert stack.angles.tolist() == [[m.angles.u, m.angles.v, m.angles.w] for m in built]
+    for i, machine in enumerate(built):
+        assert np.array_equal(stack.A[i], machine.transform.A)
+        assert np.array_equal(stack.B[i], machine.transform.B)
+        _assert_same_machine(stack[i], machine)
+        assert stack[i] is stack[i] is stack[i - len(stack)]
+    assert checks == [len(specs)]  # no machine is checked again
+    assert list(stack) == stack[:] == [stack[i] for i in range(len(specs))]
+
+
+def test_a_machine_evaluates_its_check_once(monkeypatch):
+    machine = build_cloner(SymSpec(2, 3))
+    calls = []
+    real = gaussian.worst_dev
+    monkeypatch.setattr(gaussian, "worst_dev", lambda devs: calls.append(1) or real(devs))
+    assert replace(machine, transform=machine.transform) == machine
+    assert calls == [1]
+
+
+def test_a_stack_takes_the_angles_asym_params_takes_without_checking_again(monkeypatch):
+    # the angles of a stack, taken over its array of gammas, are the floats
+    # of one gamma at a time, and its specs' gammas are not checked again
+    gammas = [*np.linspace(-6.0, 6.0, 1201).tolist(),
+              *np.random.default_rng(29).uniform(-6.0, 6.0, 2000).tolist()]
+    specs = [AsymSpec(g, factorized=True) for g in gammas]
+    checked = []
+    real = circuits._check_gamma
+    monkeypatch.setattr(circuits, "_check_gamma", lambda g: checked.append(g) or real(g))
+    stack = build_cloners(specs)
+    assert checked == []
+    one_by_one = [asym_params_one(g) for g in gammas]
+    assert [circuits.FactorizationParams(*row) for row in stack.angles.tolist()] == one_by_one
+    assert [asym_params(g) for g in gammas] == one_by_one
 
 
 @pytest.mark.parametrize("factorized", [False, True], ids=["direct", "factorized"])

@@ -22,7 +22,7 @@ from cvcloner.analysis import clone_report, clone_reports
 from cvcloner.circuits import AsymSpec, SymSpec, build_cloner
 from cvcloner.cli import main
 from cvcloner.elements import collect_gates, distribute_gates
-from cvcloner.gaussian import NOPA, BogoliubovTransform, Passive, fold_gates
+from cvcloner.gaussian import NOPA, BogoliubovTransform, fold_gates
 from reference import beam_splitter_gate, build_per_point, compose, faulty, physics_violations
 
 
@@ -423,6 +423,24 @@ def test_a_passing_clone_or_sweep_builds_no_clone_report(monkeypatch, capsys, ar
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("flags", [[], ["--factorized"]], ids=["direct", "factorized"])
+def test_a_passing_asym_sweep_makes_no_machine_or_transform_object(monkeypatch, capsys, flags):
+    # a sweep reads its stack's arrays: no CloningMachine and no
+    # BogoliubovTransform is made, by its class or by any module's name for it
+    argv = ["sweep", "--asym", "--gamma-range", "-1", "1", "41", *flags]
+    _, expected, _ = run(capsys, argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("machine or transform object made")
+
+    for cls in (circuits.CloningMachine, gaussian.BogoliubovTransform):
+        monkeypatch.setattr(cls, "__init__", refuse)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "cvcloner" and getattr(module, cls.__name__, None) is cls:
+                monkeypatch.setattr(module, cls.__name__, refuse)
+    assert run(capsys, argv) == (0, expected, "")
+
+
 @pytest.mark.parametrize("argv, spec", [
     (["clone", "--sym", "--n", "3", "--m", "5"], SymSpec(3, 5)),
     (["clone", "--asym", "--gamma", "0.3"], AsymSpec(0.3)),
@@ -598,7 +616,7 @@ def test_clone_asym_builds_each_form_once(monkeypatch, capsys, factorized):
 def test_a_sweep_takes_each_points_angles_once(monkeypatch, capsys, factorized):
     # the factorized build folds the angles it took, and the table prints them
     calls = {"angles": 0}
-    _count_calls(monkeypatch, circuits.asym_params, calls, "angles")
+    _count_calls(monkeypatch, circuits._asym_angles, calls, "angles", len)
     argv = ["sweep", "--asym", "--gamma-range", "-1", "1", "41"]
     code, _, _ = run(capsys, argv + (["--factorized"] if factorized else []))
     assert code == 0
@@ -781,9 +799,8 @@ def test_verify_fails_every_suite_that_reads_a_refused_readout(monkeypatch, caps
     real = circuits.distribute_gates
 
     def negated(M, modes):
-        *gates, last = real(M, modes)
-        (a, b), (c, d) = last.block
-        return (*gates, Passive(((a, b), (-c, -d)), last.p, last.q))
+        *gates, (((a, b), (c, d)), p, q) = real(M, modes)
+        return (*gates, (((a, b), (-c, -d)), p, q))
 
     verification._shared.cache_clear()
     monkeypatch.setattr(circuits, "distribute_gates", negated)

@@ -11,7 +11,6 @@ import pytest
 from cvcloner.elements import collect_gates, distribute_gates
 from cvcloner.gaussian import (
     NOPA,
-    Passive,
     check_symplectic,
     fold_gates,
 )
@@ -177,18 +176,19 @@ def test_chains_reject_bad_sizes():
 
 @pytest.mark.parametrize("n, m", [*SYM_CASES, (16, 128)])
 def test_cascades_take_the_square_roots_numpy_takes(n, m):
-    # math.sqrt and np.sqrt are both correctly rounded, so the gates are equal;
-    # math.sqrt's Python floats take Passive's short path
+    # the cascades take their square roots over arrays of j; sqrt and division
+    # are correctly rounded, so each coefficient equals numpy's scalar one, and
+    # each is a Python float in a fold_stack tuple
     wires = [0, *range(n + 1, n + m)]
     collect = tuple(
-        Passive(((np.sqrt(j / (j + 1.0)), np.sqrt(1.0 / (j + 1.0))),
-                 (np.sqrt(1.0 / (j + 1.0)), -np.sqrt(j / (j + 1.0)))), 0, j)
+        (((np.sqrt(j / (j + 1.0)), np.sqrt(1.0 / (j + 1.0))),
+          (np.sqrt(1.0 / (j + 1.0)), -np.sqrt(j / (j + 1.0)))), 0, j)
         for j in range(1, n))
     distribute = tuple(
-        Passive(((np.sqrt((m - j) / (m - j + 1.0)), -np.sqrt(1.0 / (m - j + 1.0))),
-                 (np.sqrt(1.0 / (m - j + 1.0)), np.sqrt((m - j) / (m - j + 1.0)))),
-                wires[0], wires[j])
+        (((np.sqrt((m - j) / (m - j + 1.0)), -np.sqrt(1.0 / (m - j + 1.0))),
+          (np.sqrt(1.0 / (m - j + 1.0)), np.sqrt((m - j) / (m - j + 1.0)))),
+         wires[0], wires[j])
         for j in range(1, m))
     gates = collect_gates(n) + distribute_gates(m, wires)
     assert gates == collect + distribute
-    assert all(type(x) is float for gate in gates for row in gate.block for x in row)
+    assert all(type(x) is float for block, _, _ in gates for row in block for x in row)
