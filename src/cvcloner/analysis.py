@@ -166,6 +166,27 @@ def expected_fidelities(spec: ClonerSpec) -> tuple[float, ...]:
     raise TypeError(f"unknown cloner spec: {spec!r}")
 
 
+def _closed_forms(specs: Sequence[ClonerSpec]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``expected_chaotic_photons`` and ``expected_fidelities`` of each spec
+    of a stack, as two (k, M) arrays, bit for bit.
+
+    A stack's specs share a layout, so they are all asymmetric or all
+    symmetric.  The asymmetric forms are taken in one pass over the gammas:
+    exp(+-2 gamma) by math's exp, as the per-spec forms take it (numpy's can
+    differ in the last bit), and the sums and quotients over arrays, which
+    round as Python's do.  A symmetric stack, one machine in every path that
+    reads one, takes the per-spec forms.
+    """
+    if not isinstance(specs[0], AsymSpec):
+        return (np.array([expected_chaotic_photons(spec) for spec in specs]),
+                np.array([expected_fidelities(spec) for spec in specs]))
+    gammas = [spec.gamma for spec in specs]
+    grow = np.array([math.exp(2.0 * g) for g in gammas])
+    shrink = np.array([math.exp(-2.0 * g) for g in gammas])
+    return (np.stack((grow / 2.0, shrink / 2.0), axis=-1),
+            np.stack((2.0 / (grow + 2.0), 2.0 / (shrink + 2.0)), axis=-1))
+
+
 def _layout(machine: CloningMachine) -> tuple:
     return machine.n_modes, machine.clone_modes, machine.signal_modes
 
@@ -279,11 +300,12 @@ def read_clones(machines: MachineStack | Sequence[CloningMachine],
         refused = np.zeros(len(stack), dtype=bool)
     else:
         refused = ~(isotropic.all(axis=-1) & unit_gain.all(axis=(0, -1)))
+    n_formula, f_formula = _closed_forms(stack.specs)
     return Readout(
         n_chaotic=b_photons,
         n_chaotic_state=n_state,
-        n_chaotic_formula=np.array([expected_chaotic_photons(spec) for spec in stack.specs]),
-        fidelity_formula=np.array([expected_fidelities(spec) for spec in stack.specs]),
+        n_chaotic_formula=n_formula,
+        fidelity_formula=f_formula,
         phase_covariance_defect=_phase_covariance_defects(a, b, signal),
         fidelity=fidelity,
         q_peak=_husimi(amps, n_state, targets[:, None, None]),

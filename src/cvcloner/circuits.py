@@ -162,8 +162,10 @@ class MachineStack(Sequence[CloningMachine]):
     from its register when first asked, equal bit for bit to
     ``build_cloner(stack.specs[i])``, and keeps it; it carries the stack's
     check and is not checked again.  A stack made from machines that
-    exist already (``analysis.machine_stack``) hands those back.  A stack
-    equals a list or tuple of the same machines.
+    exist already (``analysis.machine_stack``) hands those back.
+    ``take`` and ``join_stacks`` make a stack of some stacks' registers
+    from their arrays alone.  A stack equals a list or tuple of the same
+    machines.
     """
 
     def __init__(self, specs: Sequence[ClonerSpec], A: NDArray[np.float64],
@@ -208,6 +210,43 @@ class MachineStack(Sequence[CloningMachine]):
         return list(self) == list(other)
 
     __hash__ = None  # type: ignore[assignment]
+
+    def take(self, indices: Sequence[int]) -> MachineStack:
+        """The stack of this one's registers at indices, in that order: each
+        array gathered once, read-only, with no machine made and none
+        checked again."""
+        indices = list(indices)
+        arrays = [None if a is None else a.take(indices, axis=0)
+                  for a in (self.A, self.B, self.symplectic_dev, self.angles)]
+        for array in arrays:
+            if array is not None:
+                array.flags.writeable = False
+        return MachineStack([self.specs[i] for i in indices], *arrays,
+                            self.signal_modes, self.clone_modes)
+
+
+def join_stacks(stacks: Sequence[MachineStack]) -> MachineStack:
+    """One stack of the registers of some stacks of one layout (register
+    size, signal and clone modes), stack by stack: each array joined once,
+    read-only, with no machine made and none checked again.  The angles are
+    kept if every stack has them.  No stack, or stacks that mix layouts, are
+    refused."""
+    if not stacks:
+        raise ValueError("join_stacks needs at least one stack")
+    first = stacks[0]
+    layout = (first.n_modes, first.signal_modes, first.clone_modes)
+    if any((s.n_modes, s.signal_modes, s.clone_modes) != layout for s in stacks):
+        raise ValueError("join_stacks takes stacks of one layout: "
+                         "one register size, signal modes and clone modes")
+    angles = [s.angles for s in stacks]
+    arrays = [np.concatenate([s.A for s in stacks]), np.concatenate([s.B for s in stacks]),
+              np.concatenate([s.symplectic_dev for s in stacks]),
+              None if any(a is None for a in angles) else np.concatenate(angles)]
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+    return MachineStack([spec for s in stacks for spec in s.specs], *arrays,
+                        first.signal_modes, first.clone_modes)
 
 
 def _asym_direct_rows(gamma: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -21,6 +21,9 @@ checks and angles) and the read's, with no machine object and no object
 per clone: the invariant gate is a few array comparisons, and a table is
 written from its columns, a chunk of JSON_ROWS rows at a time, each
 distinct nonzero float of a chunk formatted once.
+
+``verification`` and ``fock`` are imported on the verify path alone, so a
+clone or sweep process never loads them.
 """
 
 from __future__ import annotations
@@ -51,9 +54,7 @@ from .circuits import (
     build_cloner,
     build_cloners,
 )
-from .fock import FockSpace, TruncationError
 from .gaussian import DEFAULT_TOL
-from .verification import oracle_agreement, standard_suites
 
 SCHEMA_VERSION = 1
 SWEEP_STEPS_LIMIT = 10_000
@@ -493,6 +494,8 @@ def cmd_verify(tolerance: float | None, oracle_cutoff: int | None) -> int:
 
     A tolerance of None keeps each suite's own default.
     """
+    from .verification import oracle_agreement, standard_suites
+
     results = standard_suites(tolerance)
     if oracle_cutoff is not None:
         results.append(oracle_agreement(tolerance, cutoffs=_oracle_ladder(oracle_cutoff)))
@@ -542,8 +545,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     override = _tolerance_override(args, parser)
+    errors: tuple[type[Exception], ...] = (ValueError,)
 
     if args.command == "verify":
+        from .fock import FockSpace, TruncationError
+
+        errors = (ValueError, TruncationError)
         if args.cutoff is not None and not args.oracle:
             parser.error("--cutoff only applies with --oracle")
         cutoff = 14 if args.cutoff is None else args.cutoff
@@ -563,7 +570,7 @@ def main(argv: list[str] | None = None) -> int:
                                 override if override is not None else DEFAULT_TOL)
     try:
         return run()
-    except (ValueError, TruncationError) as exc:
+    except errors as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -60,8 +60,10 @@ copied and no reduced density matrix is formed.
 What the cutoff alone fixes, each register's charge map, chain eigenbasis
 and chain bounds, and each sector grouping's checked flow and bases, is
 built on first use and kept for the process, read-only, in `_CACHE`
-(bounded by DIMENSION_BUDGET box states).  No state and no figure is kept:
-every call still squeezes, propagates and gates its own probes.
+(bounded by DIMENSION_BUDGET box states), and so is each truncated coherent
+column, in `_COLUMNS` (bounded by DIMENSION_BUDGET levels).  No state and
+no figure is kept: every call still squeezes, propagates and gates its own
+probes.
 
 scipy is imported in `_flow` alone, when the oracle builds a generator
 (`scipy.sparse.csr_matrix`); the chains need only `numpy.linalg`.  So
@@ -287,13 +289,14 @@ def _cloner_flows(space: FockSpace, *bases: np.ndarray) -> _Flow:
 
 
 class _BoxCache:
-    """What the oracle builds from a register alone, kept for the process.
+    """What the oracle builds from fixed inputs alone, kept for the process.
 
-    Each entry spans some box states of one register: a register's record
-    (`_register`) its whole box, a fixed flow (`_fixed_flow`) its rows.  The
-    entries held span at most `budget` states in all; past that, the least
-    recently used go first, but never the entry just read.  Every array an
-    entry holds is read-only, so every caller can share it.
+    Each entry spans some states: a register's record (`_register`) its
+    whole box, a fixed flow (`_fixed_flow`) its rows, a coherent column
+    (`_coherent_column`) its levels.  The entries held span at most
+    `budget` states in all; past that, the least recently used go first,
+    but never the entry just read.  Every array an entry holds is
+    read-only, so every caller can share it.
     """
 
     def __init__(self, budget: int) -> None:
@@ -427,12 +430,19 @@ def _squeeze(space: FockSpace, block: np.ndarray, chis: Sequence[float]) -> np.n
     register = _register(space)
     levels, k = space.levels, block.shape[1]
     distinct, which = np.unique(np.asarray(chis, dtype=float), return_inverse=True)
-    out = block.copy()
-    boxed = out.reshape(levels ** 2, levels, k)  # rows (n_clone, n_idler), then n_signal
-    padded = np.concatenate([boxed, np.zeros((1, levels, k))])  # row (c+1)^2 reads zeros
+    # one buffer: the block's copy, rows (n_clone, n_idler) then n_signal, and
+    # after it row (c+1)^2, of zeros, which every padding slot reads
+    padded = np.empty((levels ** 2 + 1, levels, k))
+    padded[-1] = 0.0
+    boxed = padded[:-1]
+    out = boxed.reshape(block.shape)
+    out[...] = block
     rows = register.rows
-    # the occupied (chain, column) pairs
-    chain, col = np.nonzero(padded.any(axis=1)[rows].any(axis=1))
+    # the occupied (chain, column) pairs: a (row, column) is occupied where
+    # its sum of |entries| over n_signal is not 0 (NaN included), which one
+    # matrix-vector product reads faster than any() over the middle axis
+    occupied = (np.abs(padded).transpose(0, 2, 1) @ np.ones(levels)) != 0
+    chain, col = np.nonzero(occupied[rows].any(axis=1))
     if chain.size:
         pairs = which[col] * levels + np.abs(chain - space.cutoff)  # (chi, |d|) of each pair
         needed, step_of = np.unique(pairs, return_inverse=True)
@@ -593,13 +603,29 @@ def coherent_fock(space: FockSpace, amplitudes: list[complex] | tuple[complex, .
     return FockState(space, vec, copy=False)
 
 
+_COLUMNS = _BoxCache(DIMENSION_BUDGET)  # truncated coherent columns, each holding its levels
+
+
 def _coherent_column(levels: int, xi: complex) -> np.ndarray:
+    """exp(-|xi|^2/2) xi^n / sqrt(n!) for n < levels, read-only: built on
+    the first call for (levels, xi) and kept in `_COLUMNS`, which holds at
+    most DIMENSION_BUDGET levels in all, since every rung of a ladder reads
+    the same few.  -0.0 == 0.0, but the sign of a zero part moves
+    np.angle(xi) (by 2 pi when the real part is negative), so both signs
+    are part of the key."""
+    key = (levels, xi, math.copysign(1.0, xi.real), math.copysign(1.0, xi.imag))
+    return _COLUMNS.get(key, lambda: (levels, _build_coherent_column(levels, xi)))
+
+
+def _build_coherent_column(levels: int, xi: complex) -> np.ndarray:
     ns = np.arange(levels)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, levels)))))
     mags = np.exp(-abs(xi) ** 2 / 2.0 + ns * np.log(abs(xi)) - log_fact / 2.0) \
         if xi != 0 else np.concatenate(([1.0], np.zeros(levels - 1)))
     phases = np.exp(1j * ns * np.angle(xi)) if xi != 0 else np.ones(levels)
-    return mags * phases
+    column = mags * phases
+    _read_only(column)
+    return column
 
 
 def fidelities_fock(reads: Sequence[tuple[FockState, int | ModeLabel, complex]]) -> list[float]:
@@ -609,8 +635,9 @@ def fidelities_fock(reads: Sequence[tuple[FockState, int | ModeLabel, complex]])
     top level is ||psi restricted to n_m = c||^2.  Each read takes both from
     a view of its state with one axis per mode: the top-level slice, and one
     contraction of mode m's axis against the target, so no state is copied.
-    Each distinct xi's truncated |xi> is built once.  The states must share
-    one register.
+    Each distinct xi's truncated |xi> is read once, from the columns kept
+    for the process (`_coherent_column`).  The states must share one
+    register.
 
     Refuses to answer when a truncated |xi> itself is too lossy (norm below
     1 - 1e-6) or when a read's mode has more than LEAKAGE_TOL of its

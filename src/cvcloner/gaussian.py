@@ -16,9 +16,9 @@ both conditions together read X P^T = I, which :func:`check_symplectic`
 measures with one product, and :func:`checked_stack` with one batched
 product over a stack of registers built at once.  The clone readout works
 from the clone rows of X and P as well.  No quadrature matrix is formed:
-the only 2n x 2n array here is the output covariance that
-:func:`uncertainty_defect` diagonalises, written from the two n x n blocks
-(X/2) X^T and (P/2) P^T.
+the only 2n x 2n arrays here are the output covariances that
+:func:`uncertainty_defect` diagonalises, a stack of them at once, each
+written from the two n x n blocks (X/2) X^T and (P/2) P^T.
 
 Quadrature conventions (hbar = 1):
 
@@ -381,29 +381,34 @@ def require_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
     return _require(check_symplectic(t))
 
 
-def uncertainty_defect(t: BogoliubovTransform) -> float:
+def uncertainty_defect(A: NDArray[np.float64], B: NDArray[np.float64]) -> NDArray[np.float64]:
     """How far the output covariance of vacuum and coherent inputs, plus
-    (i/2) Omega, is from positive semidefinite (0 for a physical state).
+    (i/2) Omega, is from positive semidefinite (0 for a physical state), for
+    each transform of a (k, n, n) stack of (A, B), as an array of k: one
+    transform is a stack of one.
 
     Every input has covariance I/2 and a real transform keeps x and p apart,
     so the output covariance is two n x n blocks, (X/2) X^T on x and
     (P/2) P^T on p, with X = A + B and P = A - B.  They are written into the
     interleaved x and p entries of one 2n x 2n Hermitian matrix, whose
-    entries (2k, 2k+1) and (2k+1, 2k) carry Omega's +-i/2; every other entry
-    is zero.  Returns max(0, -lambda_min) of its eigenvalues.  A transform
-    with a NaN or infinite entry returns inf: its output is no state.
+    entries (2j, 2j+1) and (2j+1, 2j) carry Omega's +-i/2; every other entry
+    is zero.  All k matrices are written at once, and one batched eigvalsh
+    reads them, each as a call on it alone would; a transform's defect is
+    max(0, -lambda_min) of its eigenvalues.  A transform with a NaN or
+    infinite entry reads inf: its output is no state.
     """
-    n = t.n_modes
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    k, n = A.shape[0], A.shape[-1]
+    h = np.zeros((k, 2 * n, 2 * n), dtype=complex)
     with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 read NaN: inf is returned
-        X, P = t.A + t.B, t.A - t.B
-        h.real[0::2, 0::2] = (0.5 * X) @ X.T
-        h.real[1::2, 1::2] = (0.5 * P) @ P.T
-    if not np.isfinite(h.real).all():
-        return math.inf
-    k = np.arange(n)
-    h[2 * k, 2 * k + 1] = complex(0.0, 0.5)
+        X, P = A + B, A - B
+        h.real[:, 0::2, 0::2] = (0.5 * X) @ X.swapaxes(1, 2)
+        h.real[:, 1::2, 1::2] = (0.5 * P) @ P.swapaxes(1, 2)
+    finite = np.isfinite(h.real).all(axis=(1, 2))
+    j = np.arange(n)
+    h[:, 2 * j, 2 * j + 1] = complex(0.0, 0.5)
     # not -0.5j, whose real part is -0.0: the eigensolver reads a zero's sign
-    h[2 * k + 1, 2 * k] = complex(0.0, -0.5)
-    eigs = np.linalg.eigvalsh(h)
-    return float(max(0.0, -eigs.min()))
+    h[:, 2 * j + 1, 2 * j] = complex(0.0, -0.5)
+    defects = np.full(k, math.inf)
+    eigs = np.linalg.eigvalsh(h if finite.all() else h[finite])
+    defects[finite] = np.maximum(0.0, -eigs.min(axis=-1))
+    return defects

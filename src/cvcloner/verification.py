@@ -4,33 +4,40 @@ Each suite exercises one falsifiable claim about the machines (closed-form
 fidelities, noise-product saturation, factorization equivalence, and so on),
 measures the worst deviation it can find, and compares that against a
 tolerance; a NaN deviation reads as inf and fails.  The suites are plain
-functions of the machines or arrays of clone figures they read, returning
-SuiteResult, so they run under pytest, from the CLI, or interactively with
-identical semantics.
+functions of the machine stacks or arrays of clone figures they read,
+returning SuiteResult, so they run under pytest, from the CLI, or
+interactively with identical semantics.
 
 Every machine the suites read is built and checked once per process, in one
-cache, ``_shared``: each asymmetric form as one ``build_cloners`` stack over
-GAMMA_GRID and the shared gammas off it, each SYM_CASES machine alone.
-``standard_suites`` is the one place that chooses what each suite reads.
-It reads the shared machines' clones once per layout for every amplitude
-they are read at (the asymmetric ones as one stack, each symmetric one
-alone, each at XI_PROBES, Q_PROBE and GAIN_PROBE), and the direct grid
-machines at xi = 1 as one stack: 8 ``analysis.read_clones`` passes per
-``verify``, whose arrays the readout suites compare as they are, with no
-``CloneReport`` built.  No suite forms a machine's full output state:
-unit_signal_gain reads the clone amplitudes the readout computes at
-GAIN_PROBE, and uncertainty_preservation reads each shared machine's output
-covariance from its x and p blocks (``gaussian.uncertainty_defect``).  A
-read fails closed: a shared machine whose read is refused has every clone
-figure NaN, so every suite that reads it fails with an infinite deviation,
-and ``verify`` still prints every suite.
+cache, ``_shared``, and kept as the ``MachineStack``s it was built as: each
+asymmetric form is one ``build_cloners`` stack over GAMMA_GRID and the
+shared gammas off it, whose arrays give the direct and factorized grid
+stacks and the stack of the ten shared asymmetric machines, and each
+SYM_CASES machine is a stack of one.  ``standard_suites`` is the one place
+that chooses what each suite reads, and every suite reads the stacks'
+arrays: symplectic_invariants their checks, factorization_equivalence the
+grid stacks' A and B blocks, and the readout suites the arrays of
+``analysis.read_clones``, so a warm ``verify`` makes no machine object and
+no stack from a list of machines.  It reads the shared stacks' clones once
+per stack for every amplitude they are read at (XI_PROBES, Q_PROBE and
+GAIN_PROBE), and the direct grid stack at xi = 1: 8 ``read_clones``
+passes per ``verify``, whose arrays the readout suites compare as they
+are, with no ``CloneReport`` built.  No suite forms a machine's full
+output state: unit_signal_gain reads the clone amplitudes the readout
+computes at GAIN_PROBE, and uncertainty_preservation reads each shared
+machine's output covariance from its x and p blocks, one
+``gaussian.uncertainty_defect`` call per stack.  A read fails closed: a
+shared machine whose read is refused has every clone figure NaN, so every
+suite that reads it fails with an infinite deviation, and ``verify`` still
+prints every suite.
 
 The oracle_agreement suite is the expensive one (truncated Fock evolution);
 it is opt-in from the CLI and covers only the 1->2 machine, which is the
-scope limit of the Fock module.  Its rungs read the registers the Fock
-module keeps for the process, but every rung evolves its own probes and
-every figure it reports is computed afresh; a rung reads each of its
-twelve clone fidelities by one contraction, with no density matrix.
+scope limit of the Fock module.  Its rungs read the registers, flows and
+coherent columns the Fock module keeps for the process, but every rung
+evolves its own probes and every figure it reports is computed afresh; a
+rung reads each of its twelve clone fidelities by one contraction, with no
+density matrix.
 """
 
 from __future__ import annotations
@@ -39,12 +46,13 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .analysis import Readout, expected_fidelities, read_clones
-from .circuits import AsymSpec, CloningMachine, SymSpec, asym_params, build_cloner, build_cloners
+from .circuits import AsymSpec, MachineStack, SymSpec, asym_params, build_cloners, join_stacks
 from .fock import (
     FockSpace,
     TruncationError,
@@ -60,8 +68,6 @@ XI_PROBES = (0j, 1 + 0j, 2j, -1.5 + 0.5j, 3 - 2j)
 Q_PROBE = 0.7 - 0.2j  # the amplitude the shared machines' Q and phase suites read
 GAIN_PROBE = 1.1 - 0.6j  # the amplitude unit_signal_gain reads the shared machines' clones at
 
-Machines = Sequence[CloningMachine]
-Pairs = Sequence[tuple[CloningMachine, CloningMachine]]  # (direct, factorized)
 Figures = NDArray[np.float64]  # one figure of every clone read, on the last axis
 
 
@@ -77,29 +83,39 @@ class SuiteResult:
         return self.max_dev <= self.tolerance  # False for a NaN deviation
 
 
-@functools.cache
-def _shared() -> tuple[Pairs, Machines, Machines]:
-    """(grid, asym, sym): the (direct, factorized) machine at each GAMMA_GRID
-    point, both forms at each shared gamma, and the SYM_CASES machines.
+class _Shared(NamedTuple):
+    """The machines the suites read, as the stacks they were built as."""
 
-    Each asymmetric form is one stack over the grid and the shared gammas
-    not on it, so a shared machine on the grid is the grid's own.  Sharing
-    is safe: a machine is frozen and its transform's arrays are read-only.
+    direct: MachineStack            # the direct machine at each GAMMA_GRID point
+    factorized: MachineStack        # the factorized machine at each GAMMA_GRID point
+    asym: MachineStack              # the direct then the factorized machine at each shared gamma
+    sym: tuple[MachineStack, ...]   # each SYM_CASES machine, a stack of one
+
+
+@functools.cache
+def _shared() -> _Shared:
+    """The stacks the suites read, built and checked once per process.
+
+    Each asymmetric form is one build over the grid and the shared gammas
+    not on it, so a shared machine on the grid is the grid's own; the grid
+    and shared stacks take their registers' arrays from those builds.
+    Sharing is safe: every array of a stack is read-only.
     """
     shared = (-1.0, -0.5, 0.0, 0.3, 1.0)
     gammas = [*GAMMA_GRID, *(g for g in shared if g not in GAMMA_GRID)]
-    built = {machine.spec: machine for f in (False, True)
-             for machine in build_cloners([AsymSpec(g, factorized=f) for g in gammas])}
-    grid = tuple((built[AsymSpec(g)], built[AsymSpec(g, factorized=True)]) for g in GAMMA_GRID)
-    asym = tuple(built[AsymSpec(g, factorized=f)] for g in shared for f in (False, True))
-    return grid, asym, tuple(build_cloner(SymSpec(n, m)) for n, m in SYM_CASES)
+    direct, factorized = (build_cloners([AsymSpec(g, factorized=f) for g in gammas])
+                          for f in (False, True))
+    grid, at = range(len(GAMMA_GRID)), [gammas.index(g) for g in shared]
+    return _Shared(direct.take(grid), factorized.take(grid),
+                   join_stacks([direct.take(at), factorized.take(at)]),
+                   tuple(build_cloners([SymSpec(n, m)]) for n, m in SYM_CASES))
 
 
-def _read(machines: Machines, xis: Sequence[complex]) -> Readout:
-    """The machines' ``read_clones`` at xis, failing closed: every figure of
+def _read(stack: MachineStack, xis: Sequence[complex]) -> Readout:
+    """The stack's ``read_clones`` at xis, failing closed: every figure of
     a machine whose read is refused is NaN, so it reads as an infinite
     deviation in every suite that reads it."""
-    read = read_clones(machines, xis)
+    read = read_clones(stack, xis)
     if not read.refused.any():
         return read
     refused = read.refused[:, None]  # broadcasts over each machine's clones
@@ -114,21 +130,23 @@ def _clones(reads: Sequence[Readout], figure: str) -> Figures:
     return np.concatenate([a.reshape(*a.shape[:-2], -1) for a in arrays], axis=-1)
 
 
-def symplectic_invariants(machines: Machines) -> SuiteResult:
-    """Every constructed transform satisfies the Bogoliubov conditions."""
-    worst = worst_dev(np.array([machine.symplectic_dev for machine in machines]))
+def symplectic_invariants(stacks: Sequence[MachineStack]) -> SuiteResult:
+    """Every constructed transform satisfies the Bogoliubov conditions.
+
+    Reads the check each stack's build measured for each register.
+    """
+    worst = worst_dev(np.concatenate([stack.symplectic_dev for stack in stacks]))
     return SuiteResult("symplectic_invariants", worst, 1e-10)
 
 
-def factorization_equivalence(grid: Pairs) -> SuiteResult:
-    """BS/NOPA/BS assembly matches the closed-form machine elementwise."""
+def factorization_equivalence(direct: MachineStack, factorized: MachineStack) -> SuiteResult:
+    """BS/NOPA/BS assembly matches the closed-form machine elementwise.
+
+    Compares the two stacks' A and B blocks, register by register.
+    """
     u0 = abs(asym_params(0.0).u)
-    devs = [u0]
-    if grid:
-        # (pair, direct A and B then factorized A and B, n, n): one stack
-        blocks = np.array([(d.transform.A, d.transform.B, f.transform.A, f.transform.B)
-                           for d, f in grid])
-        devs.append(worst_dev(np.abs(blocks[:, :2] - blocks[:, 2:])))
+    devs = [u0, worst_dev(np.abs(direct.A - factorized.A)),
+            worst_dev(np.abs(direct.B - factorized.B))]
     return SuiteResult("factorization_equivalence", worst_dev(devs), 1e-9,
                        details={"u_at_gamma_zero": u0})
 
@@ -176,13 +194,14 @@ def phase_covariance(defect: Figures) -> SuiteResult:
     return SuiteResult("phase_covariance", worst_dev(np.abs(defect)), 1e-10)
 
 
-def uncertainty_preservation(machines: Machines) -> SuiteResult:
+def uncertainty_preservation(stacks: Sequence[MachineStack]) -> SuiteResult:
     """Output states of every machine remain physical Gaussian states.
 
     Reads each machine's output covariance for coherent inputs, from the x
     and p blocks of its transform; it does not depend on the amplitude.
+    Each stack's machines are read by one ``uncertainty_defect`` call.
     """
-    worst = worst_dev([uncertainty_defect(machine.transform) for machine in machines])
+    worst = worst_dev(np.concatenate([uncertainty_defect(stack.A, stack.B) for stack in stacks]))
     return SuiteResult("uncertainty_preservation", worst, 1e-10)
 
 
@@ -251,19 +270,19 @@ def standard_suites(tol: float | None = None) -> list[SuiteResult]:
     amplitude, 1 included, the Q and phase suites read them at Q_PROBE, and
     unit_signal_gain reads their clone amplitudes at GAIN_PROBE.
     """
-    grid, asym, sym = _shared()
-    shared = asym + sym
+    stacks = _shared()
+    direct, factorized, shared = stacks.direct, stacks.factorized, [stacks.asym, *stacks.sym]
     # one read of the asymmetric stack and one of each symmetric machine, at
     # every amplitude; the XI_PROBES rows first, then Q_PROBE's, then GAIN_PROBE's
     xis = (*XI_PROBES, Q_PROBE, GAIN_PROBE)
-    reads = [_read(asym, xis)] + [_read([machine], xis) for machine in sym]
-    on_grid = _read([direct for direct, _ in grid], (1,))
+    reads = [_read(stack, xis) for stack in shared]
+    on_grid = _read(direct, (1,))
     one, probe, gain = XI_PROBES.index(1), len(XI_PROBES), len(XI_PROBES) + 1
     at_one = [on_grid] + reads[1:]  # the grid is read at 1 alone, the rest at XI_PROBES[one]
     fidelity = _clones(reads, "fidelity")
     suites = [
-        symplectic_invariants([machine for pair in grid for machine in pair] + list(shared)),
-        factorization_equivalence(grid),
+        symplectic_invariants([direct, factorized, *shared]),
+        factorization_equivalence(direct, factorized),
         fidelity_closed_forms(
             np.concatenate([_clones([on_grid], "fidelity")[0],
                             _clones(reads[1:], "fidelity")[one]]),

@@ -194,7 +194,8 @@ def test_criterion_11_property_suite():
         # the reference's full state, and the package's covariance from X and P
         out = clone_output_state(machine, 0.9 + 0.2j)
         dev_unc = worst_dev((dev_unc, state_uncertainty_defect(out),
-                             uncertainty_defect(machine.transform)))
+                             *uncertainty_defect(machine.transform.A[None],
+                                                 machine.transform.B[None])))
         for r in clone_report(machine, 0.9 + 0.2j):
             dev_defect = worst_dev((dev_defect, abs(r.phase_covariance_defect)))
     report(11, "phase-covariance defect vanishes on every clone", dev_defect, 1e-10)

@@ -542,3 +542,21 @@ def test_clone_output_state_is_the_reference_evolution_bit_for_bit():
                                     coherent_vacuum_input(input_amplitudes(machine, xi)))
             assert np.array_equal(out.mean, ref.mean), spec
             assert np.array_equal(out.cov, ref.cov), spec
+
+
+@pytest.mark.parametrize("specs", [
+    [AsymSpec(float(g)) for g in GAMMA_GRID],
+    [AsymSpec(float(g), factorized=True) for g in GAMMA_GRID],
+    [AsymSpec(g) for g in np.linspace(-6.0, 6.0, 2001).tolist()],
+    *([SymSpec(n, m)] for n, m in SYM_CASES),
+], ids=["grid-direct", "grid-factorized", "2001-points", *(f"sym-{n}-{m}" for n, m in SYM_CASES)])
+def test_a_read_takes_each_spec_s_closed_forms_bit_for_bit(specs):
+    # the asymmetric forms are taken in one pass over the stack's gammas,
+    # and equal the per-spec closed forms, float for float
+    read = analysis.read_clones(circuits.build_cloners(specs), (1,))
+    assert read.n_chaotic_formula.tolist() == [list(expected_chaotic_photons(s)) for s in specs]
+    assert read.fidelity_formula.tolist() == [list(expected_fidelities(s)) for s in specs]
+    assert read.n_chaotic_formula.tobytes() == np.array(
+        [expected_chaotic_photons(s) for s in specs]).tobytes()
+    assert read.fidelity_formula.tobytes() == np.array(
+        [expected_fidelities(s) for s in specs]).tobytes()

@@ -18,6 +18,7 @@ from cvcloner.circuits import (
     asym_params,
     build_cloner,
     build_cloners,
+    join_stacks,
 )
 from cvcloner.elements import distribute_gates
 from cvcloner.gaussian import (
@@ -353,6 +354,41 @@ def test_a_stack_makes_each_machine_as_build_cloner_does(monkeypatch, specs):
         assert stack[i] is stack[i] is stack[i - len(stack)]
     assert checks == [len(specs)]  # no machine is checked again
     assert list(stack) == stack[:] == [stack[i] for i in range(len(specs))]
+
+
+def test_a_taken_or_joined_stack_holds_its_registers_bit_for_bit(monkeypatch):
+    # take and join_stacks gather registers from the stacks' arrays: no
+    # machine is made, none is checked again, and every array is read-only
+    direct = build_cloners([AsymSpec(g) for g in (-1.0, 0.3, 2.0)])
+    factorized = build_cloners([AsymSpec(g, factorized=True) for g in (0.5, -0.25)])
+    origin = [(direct, 2), (direct, 0), (factorized, 0), (factorized, 1)]
+    alone = [build_cloner(stack.specs[i]) for stack, i in origin]
+    checks = []
+    real = gaussian._deviations
+    monkeypatch.setattr(gaussian, "_deviations", lambda A, B: checks.append(len(A)) or real(A, B))
+    taken = direct.take([2, 0])
+    joined = join_stacks([taken, factorized])
+    assert checks == []
+    assert joined.specs == (direct.specs[2], direct.specs[0], *factorized.specs)
+    for field in ("A", "B", "symplectic_dev", "angles"):
+        array = getattr(joined, field)
+        assert not array.flags.writeable, field
+        assert array.tobytes() == np.stack([getattr(s, field)[i] for s, i in origin]).tobytes()
+    assert (joined.signal_modes, joined.clone_modes) == (direct.signal_modes, direct.clone_modes)
+    for made, built in zip(joined, alone, strict=True):
+        _assert_same_machine(made, built)
+    assert checks == []
+    # a symmetric stack has no angles, and a join keeps none of it
+    sym = build_cloners([SymSpec(1, 2)] * 2)
+    assert sym.take([1]).angles is None and join_stacks([sym, sym]).angles is None
+
+
+def test_join_stacks_refuses_no_stack_and_mixed_layouts():
+    with pytest.raises(ValueError, match="at least one stack"):
+        join_stacks([])
+    # the 1->2 machines share a register size and clone modes, not signal modes
+    with pytest.raises(ValueError, match="one layout"):
+        join_stacks([build_cloners([AsymSpec(0.3)]), build_cloners([SymSpec(1, 2)])])
 
 
 def test_a_machine_evaluates_its_check_once(monkeypatch):

@@ -548,7 +548,7 @@ def test_a_warm_verify_checks_only_the_full_state_routes(monkeypatch, capsys):
 def test_clone_and_sweep_never_form_the_quadrature_matrix(monkeypatch, capsys, argv):
     # the package forms no quadrature matrix S: its one 2n x 2n array is the
     # output covariance that uncertainty_defect writes from X and P
-    def refuse(t):
+    def refuse(A, B):
         raise AssertionError("uncertainty_defect called")
 
     for module in (gaussian, verification):
@@ -559,22 +559,25 @@ def test_clone_and_sweep_never_form_the_quadrature_matrix(monkeypatch, capsys, a
 
 def test_a_warm_verify_forms_the_quadrature_matrix_only_for_the_full_state(monkeypatch, capsys):
     # the output covariance, the package's one 2n x 2n array, is formed once
-    # per shared machine, by uncertainty_preservation alone
+    # per shared machine, by uncertainty_preservation alone: one call over the
+    # stack of the 10 shared asymmetric machines and one over each of the 6
+    # symmetric ones
     assert cli.cmd_verify(None, None) == 0  # fills the machine caches
     callers = []
     uncertainty_defect = gaussian.uncertainty_defect
 
-    def recording(t):
+    def recording(A, B):
         caller = sys._getframe(1)
         while caller.f_code.co_name.startswith("<"):  # a comprehension's own frame
             caller = caller.f_back
-        callers.append(caller.f_code.co_name)
-        return uncertainty_defect(t)
+        callers.append((caller.f_code.co_name, len(A)))
+        return uncertainty_defect(A, B)
 
     monkeypatch.setattr(verification, "uncertainty_defect", recording)
     assert cli.cmd_verify(None, None) == 0
     capsys.readouterr()
-    assert callers == ["uncertainty_preservation"] * 16
+    assert callers == [("uncertainty_preservation", 10)] + [("uncertainty_preservation", 1)] * 6
+    assert sum(k for _, k in callers) == 16
 
 
 def test_a_cold_verify_checks_each_machine_once_and_reads_them_in_8_passes(monkeypatch, capsys):
@@ -823,9 +826,10 @@ def test_verify_fails_closed_on_one_refused_shared_machine(monkeypatch, capsys, 
     # one symmetric machine broken as the readout tests break one: its read
     # is refused, every suite that reads its clone figures fails with inf,
     # and verify prints all ten suite lines and exits 1, with no error
-    grid, asym, sym = verification._shared()
-    broken = sym[:2] + (faulty(sym[2], fault),) + sym[3:]
-    monkeypatch.setattr(verification, "_shared", lambda: (grid, asym, broken))
+    shared = verification._shared()
+    sym = shared.sym
+    broken = sym[:2] + (analysis.machine_stack([faulty(sym[2][0], fault)]),) + sym[3:]
+    monkeypatch.setattr(verification, "_shared", lambda: shared._replace(sym=broken))
     code, out, err = run(capsys, ["verify"])
     suites, summary = _suite_lines(out)
     assert (code, err) == (1, "")
@@ -843,8 +847,9 @@ def test_unit_signal_gain_fails_a_gain_fault_the_readout_gate_passes(monkeypatch
     # and its clones' gain error, about 2.3e-11 at GAIN_PROBE, passes the
     # readout's gate (GAIN_TOL * |xi|), so the read is not refused; only
     # unit_signal_gain, at 1e-12, fails it
-    grid, asym, sym = verification._shared()
-    machine = sym[0]
+    shared = verification._shared()
+    sym = shared.sym
+    machine = sym[0][0]
     assert machine.spec == SymSpec(1, 2)
     r = math.acosh(math.sqrt(2.0))
     wires = [0, 2]
@@ -861,7 +866,9 @@ def test_unit_signal_gain_fails_a_gain_fault_the_readout_gate_passes(monkeypatch
     assert read.refusal is None
     gain_dev = np.abs(read.amplitude[-1] - verification.GAIN_PROBE).max()
     assert 1e-12 < gain_dev < analysis.GAIN_TOL
-    monkeypatch.setattr(verification, "_shared", lambda: (grid, asym, (scaled, *sym[1:])))
+    scaled_stack = analysis.machine_stack([scaled])
+    monkeypatch.setattr(verification, "_shared",
+                        lambda: shared._replace(sym=(scaled_stack, *sym[1:])))
     code, out, err = run(capsys, ["verify"])
     suites, summary = _suite_lines(out)
     assert (code, err, summary) == (1, "", "9/10 suites passed")
@@ -1025,3 +1032,16 @@ def test_main_keeps_the_exit_contract_for_random_argv(drawn):
     if code != 2 and text.startswith("{"):
         json.loads(text, parse_constant=_refuse_constant)
     assert not _MISSING_DIR.exists()
+
+
+def test_verify_exits_1_on_a_truncation_error_no_suite_caught(monkeypatch, capsys):
+    # the verify path imports the Fock module, and a TruncationError that
+    # reaches main is an error line and exit 1, never a traceback
+    from cvcloner.fock import TruncationError
+
+    def truncated(*args):
+        raise TruncationError("top-level population too high")
+
+    monkeypatch.setattr(cli, "cmd_verify", truncated)
+    code, out, err = run(capsys, ["verify", "--oracle", "--cutoff", "10"])
+    assert (code, out, err) == (1, "", "error: top-level population too high\n")

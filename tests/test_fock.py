@@ -967,3 +967,47 @@ def test_probes_that_share_a_state_evolve_as_probes_with_copies_of_it():
     expected = apply_cloning_fock_block(pairs)
     for one, other in zip(fresh, expected, strict=True):
         assert np.array_equal(one.amplitudes, other.amplitudes)
+
+
+def test_a_coherent_column_is_built_once_read_only_and_equal_to_a_fresh_build():
+    fock._COLUMNS.clear()
+    # complex(-0.3, -0.0) == complex(-0.3, 0.0), but np.angle reads the sign of
+    # a zero part (-pi against pi), so the two are kept apart
+    cases = [(11, 0.3 + 0j), (17, 0j), (17, complex(-0.0, -0.0)), (15, -1.2 + 0.4j),
+             (13, complex(-0.3, 0.0)), (13, complex(-0.3, -0.0)), (13, complex(0.3, -0.0))]
+    first = [fock._coherent_column(levels, xi) for levels, xi in cases]
+    for (levels, xi), column in zip(cases, first, strict=True):
+        assert not column.flags.writeable
+        assert fock._coherent_column(levels, xi) is column
+        assert column.tobytes() == fock._build_coherent_column(levels, xi).tobytes()
+        n = np.arange(levels)
+        exact = [math.exp(-abs(xi) ** 2 / 2) * xi ** k / math.sqrt(math.factorial(k)) for k in n]
+        assert np.allclose(column, exact, rtol=1e-13, atol=1e-300)
+    assert first[4] is not first[5] and first[4].tobytes() != first[5].tobytes()
+    assert len({id(column) for column in first}) == len(cases)
+
+
+def test_the_coherent_columns_kept_hold_at_most_the_dimension_budget_of_levels(monkeypatch):
+    monkeypatch.setattr(fock, "_COLUMNS", fock._BoxCache(100))
+    for levels in (30, 40, 50, 20):
+        fock._coherent_column(levels, 0.5 + 0j)
+    held = [states for states, _ in fock._COLUMNS._entries.values()]
+    assert held == [50, 20]  # 30 and 40 went first, least recently used
+    assert fock._COLUMNS.budget == 100 and fock.DIMENSION_BUDGET == 200_000
+
+
+def test_a_chain_holding_only_a_nan_or_a_subnormal_is_occupied():
+    # occupancy reads a sum of |entries|, which is not 0 for a NaN or for the
+    # smallest subnormal, as any() reads them: both chains are squeezed
+    space = FockSpace(3, 6)
+    clone, idler, signal = np.unravel_index(np.arange(space.dim), (space.levels,) * 3)
+    block = np.zeros((space.dim, 3))
+    on_d1 = np.flatnonzero((clone - idler == 1) & (signal == 2))
+    block[on_d1[0], 0] = math.nan
+    block[on_d1[1], 1] = 5e-324
+    block[on_d1[2], 2] = -0.0
+    chis = [_chi(0.5)] * 3
+    got = fock._squeeze(space, block, chis)
+    assert np.array_equal(got, _all_chain_squeeze(space, block, chis), equal_nan=True)
+    assert np.isnan(got[:, 0]).sum() > 1  # the NaN spread along its chain
+    assert (got[:, 2] == 0).all() and np.signbit(got[on_d1[2], 2])  # a -0.0 chain is copied

@@ -224,9 +224,10 @@ def test_reduce_mode_picks_the_right_block():
 def test_uncertainty_defect_zero_for_vacuum_positive_for_squashed():
     # the identity leaves the vacuum's I/2; A = sqrt(0.4) squashes it to 0.2 I,
     # which (i/2) Omega takes below zero
-    assert uncertainty_defect(fold_gates((), 1)) == 0.0
+    identity = fold_gates((), 1)
+    assert uncertainty_defect(identity.A[None], identity.B[None]).tolist() == [0.0]
     squashed = BogoliubovTransform(A=np.sqrt(0.4) * np.eye(1), B=np.zeros((1, 1)))
-    assert uncertainty_defect(squashed) > 0.01
+    assert uncertainty_defect(squashed.A[None], squashed.B[None])[0] > 0.01
 
 
 def test_state_validation_rejects_asymmetric_covariance():
@@ -262,7 +263,8 @@ def test_uncertainty_defect_fails_closed_on_a_non_finite_transform(block, value)
     arrays[block][1, 3] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert uncertainty_defect(BogoliubovTransform(**arrays)) == math.inf
+        t = BogoliubovTransform(**arrays)
+        assert uncertainty_defect(t.A[None], t.B[None]).tolist() == [math.inf]
 
 
 @pytest.mark.parametrize("cov", [

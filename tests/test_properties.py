@@ -127,7 +127,7 @@ def test_symmetric_machines_hit_the_closed_forms(n, extra, xi):
 @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), amplitudes)
 def test_outputs_remain_physical_states(g, xi):
     machine = build_cloner(AsymSpec(g))
-    assert uncertainty_defect(machine.transform) < 1e-10
+    assert uncertainty_defect(machine.transform.A[None], machine.transform.B[None])[0] < 1e-10
     assert state_uncertainty_defect(clone_output_state(machine, xi)) < 1e-10
 
 

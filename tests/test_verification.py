@@ -7,28 +7,27 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cvcloner import circuits, gaussian, verification
-from cvcloner.circuits import AsymSpec
+from cvcloner import analysis, circuits, gaussian, verification
+from cvcloner.circuits import AsymSpec, SymSpec
 from cvcloner.gaussian import BogoliubovTransform
 from cvcloner.verification import GAIN_PROBE, Q_PROBE, XI_PROBES
 from reference import clone_output_state, faulty, symplectic_form, unchecked
 
 
-def _machines():
-    _, asym, sym = verification._shared()
-    return asym + sym
+def _stacks():
+    # the shared machines: the asymmetric stack, then each symmetric stack of one
+    shared = verification._shared()
+    return [shared.asym, *shared.sym]
 
 
 def _noise_products():
     # noise_product_saturation reads the direct grid machines' B-row counts
-    grid, _, _ = verification._shared()
-    return verification._read([direct for direct, _ in grid], (1,)).n_chaotic
+    return verification._read(verification._shared().direct, (1,)).n_chaotic
 
 
 def _defects():
     # phase_covariance reads every shared machine's clones
-    _, asym, sym = verification._shared()
-    reads = [verification._read(machines, (Q_PROBE,)) for machines in (asym, *([m] for m in sym))]
+    reads = [verification._read(stack, (Q_PROBE,)) for stack in _stacks()]
     return verification._clones(reads, "phase_covariance_defect")
 
 
@@ -53,10 +52,11 @@ def test_a_nan_deviation_fails_the_suite(monkeypatch, suite, figure):
         figures.flat[0] = math.nan
         result = suite(figures)
     else:
-        machines = _machines()
-        assert suite(machines).passed
-        monkeypatch.setattr(verification, figure, lambda *args, **kwargs: math.nan)
-        result = suite(machines)
+        # the suite reads stacks: every machine's figure reads NaN
+        stacks = _stacks()
+        assert suite(stacks).passed
+        monkeypatch.setattr(verification, figure, lambda A, B: np.full(len(A), math.nan))
+        result = suite(stacks)
     assert not result.passed
     assert result.max_dev == math.inf
 
@@ -64,8 +64,7 @@ def test_a_nan_deviation_fails_the_suite(monkeypatch, suite, figure):
 def _array_suites():
     """Each suite that reads arrays of figures, with clean arguments of the
     shapes standard_suites gives it."""
-    _, asym, sym = verification._shared()
-    reads = [verification._read(m, READ_XI) for m in (asym, *([s] for s in sym))]
+    reads = [verification._read(stack, READ_XI) for stack in _stacks()]
     fidelity = verification._clones(reads, "fidelity")
     n_chaotic = verification._clones(reads, "n_chaotic")
     return [
@@ -90,24 +89,28 @@ def test_a_nan_in_any_figure_a_suite_reads_fails_it_with_inf():
             poisoned[k][..., -1] = math.nan
             result = suite(*poisoned)
             assert result.max_dev == math.inf and not result.passed, (suite.__name__, k)
-    machines = list(_machines())
-    last = machines[-1]
+    stacks = _stacks()
+    last = stacks[-1][0]
     A = last.transform.A.copy()
     A[last.clone_modes[-1].index, 1] = math.nan
-    machines[-1] = unchecked(last, BogoliubovTransform(A=A, B=last.transform.B))
-    assert verification.uncertainty_preservation(_machines()).passed
-    assert verification.uncertainty_preservation(machines).max_dev == math.inf
-    grid = list(verification._shared()[0])
-    direct, factorized = grid[7]
-    A = factorized.transform.A.copy()
+    stacks[-1] = analysis.machine_stack(
+        [unchecked(last, BogoliubovTransform(A=A, B=last.transform.B))])
+    assert verification.uncertainty_preservation(_stacks()).passed
+    assert verification.uncertainty_preservation(stacks).max_dev == math.inf
+    shared = verification._shared()
+    factorized = list(shared.factorized)
+    A = factorized[7].transform.A.copy()
     A[0, 0] = math.nan
-    grid[7] = (direct, unchecked(factorized, BogoliubovTransform(A=A, B=factorized.transform.B)))
-    assert verification.factorization_equivalence(grid).max_dev == math.inf
+    factorized[7] = unchecked(factorized[7], BogoliubovTransform(A=A, B=factorized[7].transform.B))
+    assert verification.factorization_equivalence(shared.direct, shared.factorized).passed
+    assert verification.factorization_equivalence(
+        shared.direct, analysis.machine_stack(factorized)).max_dev == math.inf
 
 
 def test_a_refused_machine_reads_nan_and_the_rest_of_its_stack_as_alone():
-    _, asym, _ = verification._shared()
-    broken = [asym[0], faulty(asym[1], "gain_first"), asym[2], faulty(asym[3], "squeezed_first")]
+    asym = verification._shared().asym
+    broken = analysis.machine_stack(
+        [asym[0], faulty(asym[1], "gain_first"), asym[2], faulty(asym[3], "squeezed_first")])
     read = verification._read(broken, READ_XI)
     assert read.refused.tolist() == [False, True, False, True]
     for field in ("n_chaotic", "n_chaotic_state", "n_chaotic_formula", "fidelity_formula",
@@ -115,7 +118,7 @@ def test_a_refused_machine_reads_nan_and_the_rest_of_its_stack_as_alone():
         figure = getattr(read, field)
         assert np.isnan(figure[..., 1, :]).all() and np.isnan(figure[..., 3, :]).all(), field
         for k in (0, 2):
-            alone = getattr(verification._read([broken[k]], READ_XI), field)
+            alone = getattr(verification._read(broken.take([k]), READ_XI), field)
             assert np.array_equal(figure[..., k, :], alone[..., 0, :]), field
     clean = verification._read(asym, READ_XI)
     assert clean.refusal is None and not clean.refused.any()
@@ -133,13 +136,16 @@ def test_the_covariance_uncertainty_defect_reads_is_the_full_state_s_bit_for_bit
         return eigvalsh(h)
 
     monkeypatch.setattr(gaussian.np.linalg, "eigvalsh", recording)
-    for machine in _machines():
-        gaussian.uncertainty_defect(machine.transform)
-        h = seen.pop()
-        assert h.shape == (2 * machine.n_modes,) * 2
-        for xi in (0j, 0.8 + 0.3j, *READ_XI):
-            cov = clone_output_state(machine, xi).cov
-            assert h.tobytes() == (cov + 0.5j * symplectic_form(machine.n_modes)).tobytes()
+    for stack in _stacks():
+        # one batched call per stack, one Hermitian matrix per machine
+        gaussian.uncertainty_defect(stack.A, stack.B)
+        hs = seen.pop()
+        assert hs.shape == (len(stack), *(2 * stack.n_modes,) * 2)
+        for machine, h in zip(stack, hs, strict=True):
+            for xi in (0j, 0.8 + 0.3j, *READ_XI):
+                cov = clone_output_state(machine, xi).cov
+                assert h.tobytes() == (cov + 0.5j * symplectic_form(machine.n_modes)).tobytes()
+    assert seen == []
 
 
 def test_the_amplitudes_unit_signal_gain_reads_are_the_full_state_s_within_two_ulp():
@@ -147,10 +153,9 @@ def test_the_amplitudes_unit_signal_gain_reads_are_the_full_state_s_within_two_u
     # products round apart, by at most one ulp in each part (measured worst
     # |difference| 2.5e-16, one ulp of 1.1 and one of 0.6), so within two
     # ulp of |xi|
-    _, asym, sym = verification._shared()
-    for machines in (asym, *([m] for m in sym)):
-        amplitude = verification._read(machines, READ_XI).amplitude[GAIN]
-        for machine, amps in zip(machines, amplitude, strict=True):
+    for stack in _stacks():
+        amplitude = verification._read(stack, READ_XI).amplitude[GAIN]
+        for machine, amps in zip(stack, amplitude, strict=True):
             state = clone_output_state(machine, GAIN_PROBE)
             for mode, amp in zip(machine.clone_modes, amps, strict=True):
                 ref = state.mode_amplitude(mode)
@@ -179,9 +184,9 @@ def test_suites_share_one_build_of_each_machine(monkeypatch):
         cold = built.copy()
         built.clear()
         assert verification.standard_suites() == first
-        grid, asym, sym = verification._shared()
-        shared = [machine.spec for machine in asym + sym]
-        grid = [(d.spec, f.spec) for d, f in grid]
+        stacks = verification._shared()
+        shared = [spec for stack in (stacks.asym, *stacks.sym) for spec in stack.specs]
+        grid = list(zip(stacks.direct.specs, stacks.factorized.specs, strict=True))
     finally:
         verification._shared.cache_clear()
     assert built == Counter()
@@ -231,3 +236,89 @@ def test_a_rung_builds_each_probe_state_once(monkeypatch):
     assert vacuum is not signal
     assert all(state is (vacuum, signal)[i % 2] for i, (_, state) in enumerate(sent))
     assert not vacuum.amplitudes.flags.writeable
+
+
+def test_a_stacked_uncertainty_defect_is_each_transform_s_alone_bit_for_bit():
+    # one batched eigvalsh reads each matrix as a call on it alone does, for
+    # every shared machine, the grid stacks and a stack of 16->128 copies
+    shared = verification._shared()
+    stacks = [*_stacks(), shared.direct, shared.factorized,
+              circuits.build_cloners([SymSpec(16, 128)] * 3)]
+    for stack in stacks:
+        batched = gaussian.uncertainty_defect(stack.A, stack.B)
+        alone = [gaussian.uncertainty_defect(stack.A[i:i + 1], stack.B[i:i + 1])
+                 for i in range(len(stack))]
+        assert batched.shape == (len(stack),)
+        assert batched.tobytes() == np.concatenate(alone).tobytes()
+        assert (batched < 1e-10).all()
+
+
+def test_a_non_finite_transform_reads_inf_and_leaves_the_rest_of_its_stack_alone():
+    asym = verification._shared().asym
+    clean = gaussian.uncertainty_defect(asym.A, asym.B)
+    for value in (math.nan, math.inf):
+        A = asym.A.copy()
+        A[3, 1, 2] = value
+        defects = gaussian.uncertainty_defect(A, asym.B)
+        assert defects[3] == math.inf
+        assert np.delete(defects, 3).tobytes() == np.delete(clean, 3).tobytes()
+
+
+def test_a_warm_standard_suites_makes_no_machine_and_no_stack_from_a_list(monkeypatch):
+    first = verification.standard_suites()  # builds the shared stacks if no test has
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a machine was made")
+
+    real = analysis.machine_stack
+
+    def stacks_only(machines):
+        if not isinstance(machines, circuits.MachineStack):
+            raise AssertionError("a stack was made from a list of machines")
+        return real(machines)
+
+    monkeypatch.setattr(circuits.CloningMachine, "__post_init__", refuse)
+    monkeypatch.setattr(circuits.MachineStack, "__getitem__", refuse)
+    monkeypatch.setattr(analysis, "machine_stack", stacks_only)
+    assert verification.standard_suites() == first
+    # the patches bite: a machine asked of a stack, or a list made a stack, raises
+    with pytest.raises(AssertionError, match="a machine was made"):
+        verification._shared().asym[0]  # noqa: B018
+    with pytest.raises(AssertionError, match="from a list"):
+        analysis.read_clones([], (1,))
+
+
+def test_the_shared_stacks_hold_the_machines_each_build_makes():
+    shared = verification._shared()
+    assert shared.direct.specs == tuple(AsymSpec(float(g)) for g in verification.GAMMA_GRID)
+    assert shared.factorized.specs == tuple(AsymSpec(float(g), factorized=True)
+                                            for g in verification.GAMMA_GRID)
+    gammas = (-1.0, -0.5, 0.0, 0.3, 1.0)
+    assert shared.asym.specs == tuple(AsymSpec(g, factorized=f)
+                                      for f in (False, True) for g in gammas)
+    assert [stack.specs for stack in shared.sym] == [(SymSpec(n, m),)
+                                                     for n, m in verification.SYM_CASES]
+    for stack in (shared.direct, shared.factorized, shared.asym, *shared.sym):
+        assert not any(a.flags.writeable for a in (stack.A, stack.B, stack.symplectic_dev))
+        assert stack.angles is None or not stack.angles.flags.writeable
+        for i, spec in enumerate(stack.specs):
+            alone = circuits.build_cloner(spec)
+            assert stack.A[i].tobytes() == alone.transform.A.tobytes()
+            assert stack.B[i].tobytes() == alone.transform.B.tobytes()
+            assert stack.symplectic_dev[i] == alone.symplectic_dev
+            if stack.angles is None:
+                assert alone.angles is None
+            else:
+                assert stack.angles[i].tolist() == [alone.angles.u, alone.angles.v, alone.angles.w]
+            assert (stack.signal_modes, stack.clone_modes) == (alone.signal_modes,
+                                                               alone.clone_modes)
+
+
+def test_an_oracle_ladder_run_twice_in_one_process_reads_the_same_details():
+    # the rungs read the kept registers, flows and coherent columns the
+    # second time, and recompute every figure they report
+    first = verification.oracle_agreement(cutoffs=(10, 12))
+    second = verification.oracle_agreement(cutoffs=(10, 12))
+    assert first == second
+    assert [d.hex() for d in first.details.values()] == [d.hex() for d in second.details.values()]
+    assert first.passed and set(first.details) == {"cutoff_10", "cutoff_12", "monotone_break"}
