@@ -5,22 +5,24 @@ transforms, extracts clone fidelities and added-noise figures, and
 cross-validates everything against closed forms and an independent
 truncated-Fock-space oracle.
 
-The top level holds what a caller needs to build a machine and read its
-clones; every other name is imported from its submodule (``gaussian``,
+The top level holds what a caller needs to build machines and read their
+clones: ``build_cloners(specs)`` returns one ``MachineStack`` (a machine
+is a stack of one), and ``read_clones(stack, xis)`` one ``Readout`` of
+arrays.  Every other name is imported from its submodule (``gaussian``,
 ``elements``, ``circuits``, ``analysis``, ``fock``, ``verification``).
 """
 
-from .analysis import CloneReport, clone_report
-from .circuits import AsymSpec, ClonerSpec, CloningMachine, SymSpec, build_cloner
+from .analysis import Readout, read_clones
+from .circuits import AsymSpec, ClonerSpec, MachineStack, SymSpec, build_cloners
 
 __all__ = [
     "AsymSpec",
-    "CloneReport",
     "ClonerSpec",
-    "CloningMachine",
+    "MachineStack",
+    "Readout",
     "SymSpec",
-    "build_cloner",
-    "clone_report",
+    "build_cloners",
+    "read_clones",
 ]
 
 __version__ = "0.1.0"

@@ -13,9 +13,8 @@ the transform, and the reduced output covariance) and F by three (1/(n+1)
 from either n_ch route, and the Q-function peak), so agreement between them
 is a real consistency check rather than one formula printed twice.
 
-``read_clones`` reads every clone of a ``circuits.MachineStack`` (what
-``build_cloners`` returns, or a list of built machines made into one by
-``machine_stack``) from the clone rows of the two quadrature maps
+``read_clones`` reads every clone of a ``circuits.MachineStack``, what
+``build_cloners`` returns, from the clone rows of the two quadrature maps
 X = A + B (on x) and P = A - B (on p); the package forms no full output
 state.  Every input is coherent or vacuum, with covariance I/2, and a real
 transform keeps x and p apart, so clone j's 2x2 block is
@@ -33,42 +32,23 @@ machine alone at that amplitude alone gives.  The read returns a
 verification suites compare as they are.
 The gates fail closed: a NaN variance or amplitude is refused, never
 passed, and the refusal names the clone; a ``Readout`` carries the
-refusal and marks the refused machines.  ``clone`` and ``sweep`` print
-from those arrays.  ``clone_reports`` is that read at one amplitude,
-raising its refusal, as lists of ``CloneReport`` objects, one per clone;
-``clone_report`` is ``clone_reports`` on one machine.
+refusal and marks the refused machines.  It is the package's one read:
+``clone``, ``sweep`` and ``verify`` all read its arrays.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .circuits import AsymSpec, ClonerSpec, CloningMachine, MachineStack, SymSpec, build_cloner
+from .circuits import AsymSpec, ClonerSpec, MachineStack, SymSpec
 
 ISOTROPY_TOL = 1e-8
 GAIN_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CloneReport:
-    """Quality figures for one clone, numeric routes next to closed forms.
-
-    A machine's reports come in its clone order: report j is the clone on
-    the machine's clone_modes[j].
-    """
-
-    n_chaotic: float           # |B row|^2 of the transform
-    n_chaotic_state: float     # from the clone's output covariance
-    n_chaotic_formula: float   # closed form for this machine
-    fidelity: float            # 1 / (n_chaotic_state + 1)
-    fidelity_formula: float    # closed form for this machine
-    q_peak: float              # Q(xi) of the reduced clone state; pi*q_peak = fidelity
-    phase_covariance_defect: float
 
 
 def _chaotic_photons(b_rows: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -187,57 +167,23 @@ def _closed_forms(specs: Sequence[ClonerSpec]) -> tuple[NDArray[np.float64], NDA
             np.stack((2.0 / (grow + 2.0), 2.0 / (shrink + 2.0)), axis=-1))
 
 
-def _layout(machine: CloningMachine) -> tuple:
-    return machine.n_modes, machine.clone_modes, machine.signal_modes
-
-
-def machine_stack(machines: MachineStack | Sequence[CloningMachine]) -> MachineStack:
-    """The ``MachineStack`` that ``read_clones`` reads: a stack as it is, or
-    one made from a list of built machines of one layout (register size,
-    clone and signal modes), which hands those machines back.
-
-    A list's A blocks are gathered into one (k, n, n) array and its B
-    blocks into another (a list of one machine is viewed, not copied), its
-    checks and angles into one array each; nothing is checked again.  An
-    empty list or stack, or a list that mixes layouts, is refused.
-    """
-    if not machines:
-        raise ValueError("read_clones needs at least one machine")
-    if isinstance(machines, MachineStack):
-        return machines
-    first = machines[0]
-    layout = _layout(first)
-    if any(_layout(m) != layout for m in machines):
-        raise ValueError("read_clones takes machines of one layout: "
-                         "one register size, clone modes and signal modes")
-    if len(machines) == 1:
-        A, B = first.transform.A[None], first.transform.B[None]
-    else:
-        A = np.array([m.transform.A for m in machines])
-        B = np.array([m.transform.B for m in machines])
-    params = [m.angles for m in machines]
-    angles = None if None in params else np.array([(p.u, p.v, p.w) for p in params])
-    devs = np.array([m.symplectic_dev for m in machines])
-    for array in (A, B, devs, angles):
-        if array is not None:
-            array.flags.writeable = False
-    return MachineStack([m.spec for m in machines], A, B, devs, angles,
-                        first.signal_modes, first.clone_modes, machines)
-
-
 @dataclass(frozen=True)
 class Readout:
     """Every clone's figures for k machines of one layout read at X
     amplitudes, as arrays: clone j of machine i is [i, j] of a figure that
     does not depend on the amplitude, and [x, i, j] of one read at xis[x].
 
-    The fields carry ``CloneReport``'s figures under its names, and
-    ``amplitude``, each clone's coherent amplitude (x + i p)/sqrt(2) of its
-    means, which the gain gate compares with xis[x].  ``refused``
-    marks each machine that a gate refuses at some amplitude, and
-    ``refusal`` is what the read raises when one is, or None: the isotropy
-    gate's refusal before the gain gate's, each naming the clone that the
-    first refusing amplitude read alone would name.  A refused machine's
+    n_chaotic is |B row|^2 of the transform, n_chaotic_state the same noise
+    read from the clone's output covariance, fidelity 1/(n_chaotic_state
+    + 1), q_peak Q(xi) of the clone (pi * q_peak = fidelity), and the two
+    _formula fields the spec's closed forms; phase_covariance_defect is
+    zero for phase-insensitive noise.  ``amplitude`` is each clone's
+    coherent amplitude (x + i p)/sqrt(2) of its means, which the gain gate
+    compares with xis[x].  ``refused`` marks each machine that a gate
+    refuses at some amplitude, and ``refusal`` is the message a caller
+    raises when one is, or None: the isotropy gate's refusal before the
+    gain gate's, each naming the clone that the first refusing amplitude
+    read alone would name.  A refused machine's
     figures are computed all the same, and they are not to be trusted.
     """
 
@@ -253,11 +199,9 @@ class Readout:
     refusal: str | None
 
 
-def read_clones(machines: MachineStack | Sequence[CloningMachine],
-                xis: Sequence[complex]) -> Readout:
-    """Every clone of a ``MachineStack``, or of a list of built machines of
-    one layout (register size, clone and signal modes) made into one by
-    ``machine_stack``, at each amplitude of xis, as one ``Readout``.
+def read_clones(stack: MachineStack, xis: Sequence[complex]) -> Readout:
+    """Every clone of a ``MachineStack`` at each amplitude of xis, as one
+    ``Readout``.
 
     The stack's clone rows of (A, B) are gathered once, as two (k, M, n)
     arrays, never their whole transforms.  The variances, n_ch and phase
@@ -268,10 +212,13 @@ def read_clones(machines: MachineStack | Sequence[CloningMachine],
     (one matrix product over the amplitudes would round differently); the
     gain gate and Q then run once over (X, k, M).  So each figure is bit
     for bit the one a read of that machine alone, at that amplitude alone,
-    gives.  An empty list, or one that mixes layouts, is refused.
+    gives.  An empty stack, or no amplitude, is refused.
     """
     xis = [complex(xi) for xi in xis]
-    stack = machine_stack(machines)
+    if not len(stack):
+        raise ValueError("read_clones needs at least one machine")
+    if not xis:
+        raise ValueError("read_clones needs at least one amplitude")
     rows = [m.index for m in stack.clone_modes]
     names = [m.name for m in stack.clone_modes]
     # every machine's clone rows at once, each (k, M, n) gather in C order
@@ -313,48 +260,3 @@ def read_clones(machines: MachineStack | Sequence[CloningMachine],
         refused=refused,
         refusal=gain_refusal if refusal is None else refusal,
     )
-
-
-def clone_reports(machines: MachineStack | Iterable[CloningMachine],
-                  xi: complex = 1.0 + 0.0j) -> list[list[CloneReport]]:
-    """Every clone's quality figures for each machine of a ``MachineStack``,
-    or of some built machines of one layout (register size, clone and
-    signal modes), in order.
-
-    The machines are read as one stack by ``read_clones`` at xi, which
-    raises its refusal, if any, before a ``CloneReport`` is built.  A list
-    that mixes layouts is refused.
-    """
-    if not isinstance(machines, MachineStack):
-        machines = list(machines)
-    if not len(machines):
-        return []
-    read = read_clones(machines, (xi,))
-    if read.refusal is not None:
-        raise ValueError(read.refusal)
-    # each zip yields a clone's figures in CloneReport's field order
-    return [
-        [CloneReport(*fields) for fields in zip(
-            n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect, strict=True)]
-        for n_rows, n_cov, n_form, fidelity, f_form, q_peak, defect in zip(
-            read.n_chaotic.tolist(), read.n_chaotic_state.tolist(),
-            read.n_chaotic_formula.tolist(), read.fidelity[0].tolist(),
-            read.fidelity_formula.tolist(), read.q_peak[0].tolist(),
-            read.phase_covariance_defect.tolist(), strict=True)
-    ]
-
-
-def clone_report(machine: ClonerSpec | CloningMachine,
-                 xi: complex = 1.0 + 0.0j) -> list[CloneReport]:
-    """Run a cloner on |xi> inputs and report every clone's quality figures.
-
-    Takes a spec, or a machine already built from one so that a caller who
-    needs the machine too builds it only once.  Building a machine checked
-    its transform, so none is checked here.  The machine is read by
-    ``clone_reports`` as a stack of one: all clones at once from the clone
-    rows of (A, B) and of X = A + B and P = A - B, clone j's variances being
-    |X_j|^2/2 and |P_j|^2/2 and its means X_j x_in and P_j p_in.
-    """
-    if not isinstance(machine, CloningMachine):
-        machine = build_cloner(machine)
-    return clone_reports([machine], xi)[0]

@@ -1,18 +1,22 @@
 """The cloning machines, built as Bogoliubov transforms.
 
-Three constructions:
+Three constructions, each built by ``build_cloners``:
 
-* ``asym_direct(gamma)`` -- the asymmetric 1->2 cloner as a closed-form
-  3-mode matrix (mode order: clone a, ancilla b, signal c).  gamma tunes the
-  noise split between the two clones; gamma = 0 is the symmetric machine.
-* ``asym_factorized(asym_params(gamma))`` -- the same machine assembled
-  from hardware: beam splitter BS1(u) on (a, c), a NOPA(v) on (c, b), beam
-  splitter BS2(w) on (a, c), with the three angles given by ``asym_params``.
-  It is a Mach-Zehnder interferometer with an amplifier in one arm.
-* the symmetric N->M machine, built by ``build_cloner(SymSpec(N, M))``:
-  collect N identical inputs into one mode, amplify by sqrt(M/N) in a
-  single NOPA, and split the result evenly over M output modes (N = 1 is
-  the 1->M machine).
+* the asymmetric 1->2 cloner in closed form, ``AsymSpec(gamma)``: an
+  explicit 3-mode matrix (mode order: clone a, ancilla b, signal c), whose
+  entries ``_asym_direct_rows`` writes over an array of gammas.  gamma tunes
+  the noise split between the two clones; gamma = 0 is the symmetric
+  machine.  Both clone rows carry the signal c with coefficient exactly 1;
+  the added noise lands on clone a as exp(2 gamma)/2 chaotic photons and on
+  clone c as exp(-2 gamma)/2, so the noise product stays at the 1/4 floor.
+* the same machine assembled from hardware, ``AsymSpec(gamma,
+  factorized=True)``: beam splitter BS1(u) on (a, c), a NOPA(v) on (c, b),
+  beam splitter BS2(w) on (a, c), with the three angles given by
+  ``asym_params``.  It is a Mach-Zehnder interferometer with an amplifier
+  in one arm, and equals the closed form elementwise.
+* the symmetric N->M machine, ``SymSpec(N, M)``: collect N identical
+  inputs into one mode, amplify by sqrt(M/N) in a single NOPA, and split
+  the result evenly over M output modes (N = 1 is the 1->M machine).
 
 The factorized and symmetric machines are ordered lists of two-mode gates,
 folded into (A, B) by ``gaussian.fold_stack``; ``build_cloners`` lays out
@@ -21,9 +25,8 @@ every machine's wires and gates in one place.  It builds specs of one form
 form's entries over an array of gammas, or one fold of the gate list with
 arrays of angles, and one batched check, and returns them as one
 ``MachineStack`` of arrays: the specs, the A and B blocks, each register's
-check and the angles.  It makes a ``CloningMachine`` for a register only
-when one is asked for, so a sweep that reads the stack's arrays makes
-none; ``build_cloner(spec)`` is ``build_cloners([spec])[0]``.
+check and the angles.  The stack is the package's one machine type; a
+machine is a stack of one.
 
 Mode ordering for the symmetric machines: N signal modes, then the NOPA
 idler, then the M-1 distribution ancillas.  The M clones come out on the
@@ -36,23 +39,16 @@ import math
 import numbers
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .elements import beam_splitter_block, collect_gates, distribute_gates
-from .gaussian import (
-    BogoliubovTransform,
-    ModeLabel,
-    checked_stack,
-    fold_gates,
-    fold_stack,
-    require_symplectic,
-)
+from .gaussian import ModeLabel, checked_stack, fold_stack
 
 # widest gamma either asymmetric form is built for: beyond it rounding can push
-# one past check_symplectic at DEFAULT_TOL (first at |gamma| = 6.59)
+# one past checked_stack at DEFAULT_TOL (first at |gamma| = 6.59)
 GAMMA_LIMIT = 6.0
 MODE_LIMIT = 1024  # largest register N + M a SymSpec may describe
 
@@ -109,46 +105,9 @@ class SymSpec:
 ClonerSpec = AsymSpec | SymSpec
 
 
-@dataclass(frozen=True)
-class FactorizationParams:
-    """Angles of the BS1 / NOPA / BS2 factorization of the asymmetric cloner."""
-
-    u: float  # first beam splitter, in [-pi/2, pi/2]
-    v: float  # NOPA squeeze parameter, >= 0
-    w: float  # second beam splitter, in [0, pi/2]
-
-
-@dataclass(frozen=True)
-class CloningMachine:
-    """A built cloner plus the mode bookkeeping needed to read out clones.
-
-    Making one requires its transform's check, by ``require_symplectic``,
-    and keeps the deviation as ``symplectic_dev``; a failing transform is
-    refused.  A machine that a ``MachineStack`` makes from one of its
-    registers keeps the deviation the stack's check measured, and is not
-    checked again; one made from it by ``dataclasses.replace`` is.
-    An asymmetric machine keeps its BS1 / NOPA / BS2 angles, whichever form
-    built it; a symmetric one has none.
-    """
-
-    spec: ClonerSpec
-    transform: BogoliubovTransform
-    signal_modes: tuple[ModeLabel, ...]
-    clone_modes: tuple[ModeLabel, ...]
-    angles: FactorizationParams | None = None
-    symplectic_dev: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symplectic_dev", require_symplectic(self.transform).max_dev)
-
-    @property
-    def n_modes(self) -> int:
-        return self.transform.n_modes
-
-
-class MachineStack(Sequence[CloningMachine]):
+class MachineStack:
     """k built machines of one layout, as arrays: what ``build_cloners``
-    returns.
+    returns, and what ``analysis.read_clones`` reads.
 
     * ``specs``: the k specs, in order;
     * ``A`` and ``B``: read-only, shape (k, n, n), machine i's at [i]; a
@@ -158,28 +117,20 @@ class MachineStack(Sequence[CloningMachine]):
       (k, 3), or None for symmetric machines;
     * ``signal_modes`` and ``clone_modes``: the layout every register shares.
 
-    The stack is the sequence of its machines.  stack[i] makes machine i
-    from its register when first asked, equal bit for bit to
-    ``build_cloner(stack.specs[i])``, and keeps it; it carries the stack's
-    check and is not checked again.  A stack made from machines that
-    exist already (``analysis.machine_stack``) hands those back.
-    ``take`` and ``join_stacks`` make a stack of some stacks' registers
-    from their arrays alone.  A stack equals a list or tuple of the same
-    machines.
+    A machine is a stack of one.  ``take`` and ``join_stacks`` make a stack
+    of some stacks' registers from their arrays alone.
     """
 
     def __init__(self, specs: Sequence[ClonerSpec], A: NDArray[np.float64],
                  B: NDArray[np.float64], symplectic_dev: NDArray[np.float64],
                  angles: NDArray[np.float64] | None, signal_modes: tuple[ModeLabel, ...],
-                 clone_modes: tuple[ModeLabel, ...],
-                 machines: Sequence[CloningMachine] | None = None) -> None:
+                 clone_modes: tuple[ModeLabel, ...]) -> None:
         self.specs = tuple(specs)
         self.A, self.B = A, B
         self.symplectic_dev = symplectic_dev
         self.angles = angles
         self.signal_modes = signal_modes
         self.clone_modes = clone_modes
-        self._machines = list(machines) if machines is not None else [None] * len(self.specs)
 
     @property
     def n_modes(self) -> int:
@@ -188,33 +139,9 @@ class MachineStack(Sequence[CloningMachine]):
     def __len__(self) -> int:
         return len(self.specs)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        machine = self._machines[i]
-        if machine is None:
-            i = range(len(self))[i]
-            angles = None if self.angles is None else FactorizationParams(*self.angles[i].tolist())
-            # the stack checked the register: __init__ would check it again
-            machine = object.__new__(CloningMachine)
-            machine.__dict__.update(
-                spec=self.specs[i], transform=BogoliubovTransform(A=self.A[i], B=self.B[i]),
-                signal_modes=self.signal_modes, clone_modes=self.clone_modes, angles=angles,
-                symplectic_dev=float(self.symplectic_dev[i]))
-            self._machines[i] = machine
-        return machine
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (list, tuple, MachineStack)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
     def take(self, indices: Sequence[int]) -> MachineStack:
         """The stack of this one's registers at indices, in that order: each
-        array gathered once, read-only, with no machine made and none
-        checked again."""
+        array gathered once, read-only, and no register checked again."""
         indices = list(indices)
         arrays = [None if a is None else a.take(indices, axis=0)
                   for a in (self.A, self.B, self.symplectic_dev, self.angles)]
@@ -228,9 +155,8 @@ class MachineStack(Sequence[CloningMachine]):
 def join_stacks(stacks: Sequence[MachineStack]) -> MachineStack:
     """One stack of the registers of some stacks of one layout (register
     size, signal and clone modes), stack by stack: each array joined once,
-    read-only, with no machine made and none checked again.  The angles are
-    kept if every stack has them.  No stack, or stacks that mix layouts, are
-    refused."""
+    read-only, and no register checked again.  The angles are kept if every
+    stack has them.  No stack, or stacks that mix layouts, are refused."""
     if not stacks:
         raise ValueError("join_stacks needs at least one stack")
     first = stacks[0]
@@ -251,8 +177,7 @@ def join_stacks(stacks: Sequence[MachineStack]) -> MachineStack:
 
 def _asym_direct_rows(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     """``fold_stack`` rows of the closed-form machine at each gamma of an
-    array, shape (3, 2, 3, *gamma.shape): ``asym_direct``'s entries,
-    evaluated over the array."""
+    array, shape (3, 2, 3, *gamma.shape)."""
     ep = np.exp(gamma) / np.sqrt(2.0)
     em = np.exp(-gamma) / np.sqrt(2.0)
     rows = np.zeros((3, 2, 3, *gamma.shape))
@@ -264,17 +189,6 @@ def _asym_direct_rows(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     B[1, 0], B[1, 2] = -np.sqrt(2.0) * np.sinh(gamma), -1.0
     B[2, 1] = -em
     return rows
-
-
-def asym_direct(gamma: float) -> BogoliubovTransform:
-    """Asymmetric 1->2 cloner as an explicit 3-mode matrix (modes a, b, c).
-
-    Both clone rows carry the signal c with coefficient exactly 1; the added
-    noise lands on clone a as exp(2 gamma)/2 chaotic photons and on clone c
-    as exp(-2 gamma)/2, so the noise product stays at the 1/4 floor.
-    """
-    rows = _asym_direct_rows(np.array(_check_gamma(gamma)))
-    return BogoliubovTransform(A=rows[:, 0], B=rows[:, 1])
 
 
 def _asym_angles(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -295,7 +209,7 @@ def _asym_angles(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.array(angles).reshape(-1, 3)
 
 
-def asym_params(gamma: float) -> FactorizationParams:
+def asym_params(gamma: float) -> tuple[float, float, float]:
     """Angles (u, v, w) that factor the asymmetric cloner into BS/NOPA/BS.
 
         w = arctan(exp(2 gamma))
@@ -308,7 +222,8 @@ def asym_params(gamma: float) -> FactorizationParams:
     The gamma is checked here; a build takes the same floats for its
     already checked specs.
     """
-    return FactorizationParams(*_asym_angles(np.array([_check_gamma(gamma)]))[0].tolist())
+    u, v, w = _asym_angles(np.array([_check_gamma(gamma)]))[0].tolist()
+    return u, v, w
 
 
 def _asym_gates(u, v, w) -> tuple:
@@ -317,16 +232,6 @@ def _asym_gates(u, v, w) -> tuple:
     return ((beam_splitter_block(u), 0, 2),   # BS1 on (a, c)
             (v, 2, 1),                        # amplifier on (c, b)
             (beam_splitter_block(w), 0, 2))   # BS2 on (a, c)
-
-
-def asym_factorized(p: FactorizationParams) -> BogoliubovTransform:
-    """Asymmetric 1->2 cloner assembled from two beam splitters and one NOPA.
-
-    Physical order: BS1(u) mixes (a, c), the NOPA(v) squeezes (c, b), BS2(w)
-    recombines (a, c).  With p = ``asym_params(gamma)`` it equals
-    ``asym_direct(gamma)`` elementwise.
-    """
-    return fold_gates(_asym_gates(p.u, p.v, p.w), 3)
 
 
 _ASYM_SIGNALS = (ModeLabel(2, "in"),)
@@ -348,7 +253,7 @@ def build_cloners(specs: Iterable[ClonerSpec]) -> MachineStack:
     stack of k registers, by ``fold_stack`` or, for the closed form, over an
     array of gammas, and checked by one batched product in
     ``checked_stack``, which refuses a failing stack with its first failing
-    spec's refusal.  No machine object is made until one is asked for.
+    spec's refusal.
     """
     specs = tuple(specs)
     if not specs:
@@ -389,8 +294,3 @@ def build_cloners(specs: Iterable[ClonerSpec]) -> MachineStack:
         raise TypeError(f"unknown cloner spec: {first!r}")
     rows, devs = checked_stack(rows)
     return MachineStack(specs, rows[:, :, 0], rows[:, :, 1], devs, angles, signals, clones)
-
-
-def build_cloner(spec: ClonerSpec) -> CloningMachine:
-    """Build the machine a spec describes: ``build_cloners`` on one spec."""
-    return build_cloners([spec])[0]

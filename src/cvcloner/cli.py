@@ -15,12 +15,12 @@ json.dumps with indent=2; CSV carries 10 significant digits.  The default
 tolerance is 1e-10, overridable per run with --tolerance or globally with
 the CVCLONER_TOLERANCE environment variable.
 
-clone and sweep build their machines as ``circuits.MachineStack``s, read
-each with ``analysis.read_clones``, and print from the stack's arrays (the
-checks and angles) and the read's, with no machine object and no object
-per clone: the invariant gate is a few array comparisons, and a table is
-written from its columns, a chunk of JSON_ROWS rows at a time, each
-distinct nonzero float of a chunk formatted once.
+clone and sweep build their machines with ``circuits.build_cloners``,
+read each ``MachineStack`` with ``analysis.read_clones``, and print from
+the stack's arrays (the checks and angles) and the read's: the invariant
+gate is a few array comparisons, and a table is written from its columns,
+a chunk of JSON_ROWS rows at a time, each distinct nonzero float of a
+chunk formatted once.
 
 ``verification`` and ``fock`` are imported on the verify path alone, so a
 clone or sweep process never loads them.
@@ -41,19 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import Readout, clone_report, machine_stack, read_clones
-from .circuits import (
-    AsymSpec,
-    ClonerSpec,
-    CloningMachine,
-    FactorizationParams,
-    MachineStack,
-    SymSpec,
-    asym_direct,
-    asym_factorized,
-    build_cloner,
-    build_cloners,
-)
+from .analysis import Readout, read_clones
+from .circuits import AsymSpec, ClonerSpec, MachineStack, SymSpec, build_cloners
 from .gaussian import DEFAULT_TOL
 
 SCHEMA_VERSION = 1
@@ -201,22 +190,17 @@ def _factorization_dev(stack: MachineStack) -> float | None:
     spec = stack.specs[0]
     if not isinstance(spec, AsymSpec):
         return None
-    if spec.factorized:
-        other = asym_direct(spec.gamma)
-    else:
-        other = asym_factorized(FactorizationParams(*stack.angles[0].tolist()))
-    return float(max(np.abs(stack.A[0] - other.A).max(), np.abs(stack.B[0] - other.B).max()))
+    other = build_cloners([AsymSpec(spec.gamma, factorized=not spec.factorized)])
+    return float(max(np.abs(stack.A[0] - other.A[0]).max(),
+                     np.abs(stack.B[0] - other.B[0]).max()))
 
 
-def _read(machines: MachineStack | list[CloningMachine],
-          xi: complex) -> tuple[MachineStack, Readout]:
-    """The stack of some machines of one layout and its ``read_clones`` at
-    xi, raising its refusal."""
-    stack = machine_stack(machines)
+def _read(stack: MachineStack, xi: complex) -> Readout:
+    """The stack's ``read_clones`` at xi, raising its refusal."""
     read = read_clones(stack, (xi,))
     if read.refusal is not None:
         raise ValueError(read.refusal)
-    return stack, read
+    return read
 
 
 def _physics_violations(symplectic_devs: Sequence[float], read: Readout, names: list[str],
@@ -382,7 +366,8 @@ def _emit(pieces: Iterable[str], output_path: str | None) -> None:
 
 def cmd_clone(spec: ClonerSpec, xi: complex, output_format: str,
               output_path: str | None, tolerance: float) -> int:
-    stack, read = _read(build_cloners([spec]), xi)
+    stack = build_cloners([spec])
+    read = _read(stack, xi)
     names = [m.name for m in stack.clone_modes]
     header = ("mode", "name", "n_chaotic", "n_chaotic_formula",
               "fidelity", "fidelity_formula", "q_peak", "defect")
@@ -427,10 +412,10 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
     An asym sweep's points share one form and one layout: each chunk of up
     to SWEEP_STACK_LIMIT of them is built and checked as one stack by one
     ``build_cloners`` call and read by one ``read_clones`` call, and its
-    columns and checks are the stack's arrays, with no machine object.  Every
-    sym point is a layout of its own, built, read and dropped before the
-    next is built.  A refused chunk is run again one point at a time, so
-    that the refusal named, with its point, is the first one a loop over
+    columns and checks are the stack's arrays.  Every sym point is a layout
+    of its own, built, read and dropped before the next is built.  A refused
+    chunk is built and read again one point at a time, each a stack of one,
+    so that the refusal named, with its point, is the first one a loop over
     the points would meet.  The table is kept as columns, one array or list
     per column and chunk, and written from them.
     """
@@ -452,13 +437,14 @@ def cmd_sweep(grid: tuple, xi: complex, output_format: str, output_path: str | N
     for start in range(0, len(specs), batch_size):
         chunk = specs[start:start + batch_size]
         try:
-            stack, read = _read(build_cloners(chunk), xi)
+            stack = build_cloners(chunk)
+            read = _read(stack, xi)
         except ValueError:
             # a stack runs each gate over all its points in turn, so a later
             # point's refusal can come first
             for i, spec in enumerate(chunk, start):
                 try:
-                    clone_report(build_cloner(spec), xi)
+                    _read(build_cloners([spec]), xi)
                 except ValueError as exc:
                     raise ValueError(f"{label}={grid_points[i]}: {exc}") from None
             raise

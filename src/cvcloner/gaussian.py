@@ -12,12 +12,12 @@ coefficients.  Preservation of the commutation relations requires
 
 which everything downstream relies on.  With real (A, B) the quadratures
 transform apart: x' = X x and p' = P p with X = A + B and P = A - B, and
-both conditions together read X P^T = I, which :func:`check_symplectic`
-measures with one product, and :func:`checked_stack` with one batched
-product over a stack of registers built at once.  The clone readout works
-from the clone rows of X and P as well.  No quadrature matrix is formed:
-the only 2n x 2n arrays here are the output covariances that
-:func:`uncertainty_defect` diagonalises, a stack of them at once, each
+both conditions together read X P^T = I, which :func:`checked_stack`
+measures with one batched product over a stack of registers built at once.
+:func:`fold_stack` writes that stack's rows from an ordered gate list.  The
+clone readout works from the clone rows of X and P as well.  No quadrature
+matrix is formed: the only 2n x 2n arrays here are the output covariances
+that :func:`uncertainty_defect` diagonalises, a stack of them at once, each
 written from the two n x n blocks (X/2) X^T and (P/2) P^T.
 
 Quadrature conventions (hbar = 1):
@@ -32,7 +32,6 @@ so the vacuum variance is 1/2 and a coherent amplitude xi has mean
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections.abc import Iterable
@@ -47,18 +46,6 @@ DEFAULT_TOL = 1e-10
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _frozen(arr: object) -> bool:
-    """True for a float64 ndarray that is read-only, as is every array it
-    views, down to the one that owns its data: no caller can write to it."""
-    if type(arr) is not np.ndarray or arr.dtype != np.float64:
-        return False
-    while type(arr) is np.ndarray and not arr.flags.writeable:
-        if arr.base is None:
-            return True
-        arr = arr.base
-    return False
 
 
 @dataclass(frozen=True)
@@ -79,56 +66,6 @@ def mode_index(mode: int | ModeLabel, n_modes: int) -> int:
     if not 0 <= k < n_modes:
         raise ValueError(f"mode {k} out of range for {n_modes} modes")
     return k
-
-
-@dataclass(frozen=True)
-class BogoliubovTransform:
-    """Heisenberg-picture linear mode map a_out = A a + B a^dag.
-
-    A and B are real and stored as float64, read-only; a complex matrix is
-    refused.  An array that a caller could still write to is copied.  One
-    that no one can write through, read-only down to the array that owns
-    its data (a fold's rows, a register of a stack that ``checked_stack``
-    froze), is kept as it is.
-    """
-
-    A: NDArray[np.float64]
-    B: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        A, B = self.A, self.B
-        if not (_frozen(A) and _frozen(B)):
-            A, B = np.asarray(A), np.asarray(B)
-            if np.iscomplexobj(A) or np.iscomplexobj(B):
-                raise ValueError(f"A and B must be real, got {A.dtype} and {B.dtype}")
-            A, B = _readonly(np.array(A, dtype=float)), _readonly(np.array(B, dtype=float))
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
-        if B.shape != A.shape:
-            raise ValueError(f"A and B shapes differ: {A.shape} vs {B.shape}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-
-    @property
-    def n_modes(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass(frozen=True)
-class SymplecticCheck:
-    """Deviations of the two commutation-preservation constraints."""
-
-    commutation_dev: float  # max |A A^T - B B^T - I|
-    symmetry_dev: float     # max |A B^T - B A^T|
-
-    @functools.cached_property
-    def max_dev(self) -> float:
-        # worked out once: passed reads it, and so does whoever required the check
-        return worst_dev((self.commutation_dev, self.symmetry_dev))
-
-    @property
-    def passed(self) -> bool:
-        return self.max_dev <= DEFAULT_TOL
 
 
 def worst_dev(devs: Iterable[float] | NDArray[np.float64]) -> float:
@@ -237,10 +174,10 @@ def fold_stack(gates: Iterable[Gate | tuple], n_modes: int,
     A gate is a Passive or a NOPA, acting alike on every register, or the
     same gate written as a tuple, (block, p, q) with block ((a, b), (c, d))
     or (r, p, q), whose coefficients may each be an array of the stack's
-    shape, one value per register.  ``fold_gates`` folds one register; the
-    asymmetric machines of a sweep fold as one stack, with arrays of
-    angles.  The register axis comes last, so that such an array
-    broadcasts as it is and row j of every register is one block.
+    shape, one value per register.  The asymmetric machines of a sweep
+    fold as one stack, with arrays of angles.  The register axis comes
+    last, so that such an array broadcasts as it is and row j of every
+    register is one block.
 
     Each gate rewrites only rows p and q of (A, B), so a gate costs O(n)
     where multiplying by the gate's dense n-mode transform costs O(n^3).
@@ -296,20 +233,18 @@ def fold_stack(gates: Iterable[Gate | tuple], n_modes: int,
     return rows
 
 
-def fold_gates(gates: Iterable[Gate | tuple], n_modes: int) -> BogoliubovTransform:
-    """Transform of an n_modes register after the gates act in order, by
-    ``fold_stack``, unchecked.  The transform keeps the fold's rows, made
-    read-only, without a copy."""
-    rows = _readonly(fold_stack(gates, n_modes))
-    return BogoliubovTransform(A=rows[:, 0], B=rows[:, 1])
-
-
 def _deviations(A: NDArray[np.float64],
                 B: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """commutation_dev and symmetry_dev of one transform's (A, B), or of
     each transform of a (k, n, n) stack of them, as arrays of 1 or k: the
-    one check body, behind both ``check_symplectic`` and
-    ``checked_stack``."""
+    body of ``checked_stack``.
+
+    With real (A, B), G = X P^T has symmetric part A A^T - B B^T and
+    antisymmetric part B A^T - A B^T, so one product gives both constraints:
+    commutation_dev = max|(G + G^T)/2 - I| and symmetry_dev = max|(G - G^T)/2|.
+    A NaN or infinite entry of A or B reaches G and reads as a NaN or inf
+    deviation.
+    """
     with np.errstate(invalid="ignore"):  # inf - inf reads NaN, which fails
         # C order: each X P^T is then one gemm, and each diagonal one stride
         X, P = np.add(A, B, order="C"), np.subtract(A, B, order="C")
@@ -325,31 +260,16 @@ def _deviations(A: NDArray[np.float64],
     return commutation, symmetry
 
 
-def check_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
-    """Measure how far (A, B) sits from a valid Bogoliubov transform.
-
-    With real (A, B) the quadrature maps are X = A + B on x and P = A - B on
-    p, and G = X P^T has symmetric part A A^T - B B^T and antisymmetric part
-    B A^T - A B^T.  So one n x n product gives both constraints:
-    commutation_dev = max|(G + G^T)/2 - I| and symmetry_dev = max|(G - G^T)/2|.
-    A NaN or infinite entry of A or B reaches G and reads as a NaN or inf
-    deviation, which ``SymplecticCheck.max_dev`` counts as inf.  The body
-    that runs it checks a stack in ``checked_stack``.
-    """
-    commutation, symmetry = _deviations(t.A, t.B)
-    return SymplecticCheck(commutation_dev=float(commutation[0]),
-                           symmetry_dev=float(symmetry[0]))
-
-
 def checked_stack(rows: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """A stack of rows, as ``fold_stack`` returns it (one register for no
     register axis, k for (k,)), checked by one batched product X P^T.
 
     Returns the stack as a read-only (k, n, 2, n) array, laid out register
     by register (rows[i, :, 0] is register i's A and rows[i, :, 1] its B),
-    and each register's ``SymplecticCheck.max_dev`` as one array of k.  A
-    stack with a failing register is refused with the ValueError
-    ``require_symplectic`` raises for the first one.
+    and each register's deviation, the larger of its two ``_deviations``
+    with NaN read as inf, as one array of k.  A stack with a register past
+    DEFAULT_TOL is refused with a ValueError that gives the first such
+    register's two deviations.
     """
     n = rows.shape[0]
     # (k, n, 2, n): a copy unless k is 1, so rows is made read-only as well
@@ -361,24 +281,11 @@ def checked_stack(rows: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArr
     failing = ~(devs <= DEFAULT_TOL)
     if failing.any():
         i = int(failing.argmax())
-        _require(SymplecticCheck(commutation_dev=float(commutation[i]),
-                                 symmetry_dev=float(symmetry[i])))
-    return stack, _readonly(devs)
-
-
-def _require(check: SymplecticCheck) -> SymplecticCheck:
-    if not check.passed:
         raise ValueError(
             f"transform is not symplectic within tol={DEFAULT_TOL}: "
-            f"commutation dev {check.commutation_dev:.3e}, symmetry dev {check.symmetry_dev:.3e}"
-        )
-    return check
-
-
-def require_symplectic(t: BogoliubovTransform) -> SymplecticCheck:
-    """The transform's ``check_symplectic`` at DEFAULT_TOL, raising
-    ValueError unless it passes."""
-    return _require(check_symplectic(t))
+            f"commutation dev {float(commutation[i]):.3e}, "
+            f"symmetry dev {float(symmetry[i]):.3e}")
+    return stack, _readonly(devs)
 
 
 def uncertainty_defect(A: NDArray[np.float64], B: NDArray[np.float64]) -> NDArray[np.float64]:

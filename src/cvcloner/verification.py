@@ -17,12 +17,11 @@ SYM_CASES machine is a stack of one.  ``standard_suites`` is the one place
 that chooses what each suite reads, and every suite reads the stacks'
 arrays: symplectic_invariants their checks, factorization_equivalence the
 grid stacks' A and B blocks, and the readout suites the arrays of
-``analysis.read_clones``, so a warm ``verify`` makes no machine object and
-no stack from a list of machines.  It reads the shared stacks' clones once
-per stack for every amplitude they are read at (XI_PROBES, Q_PROBE and
-GAIN_PROBE), and the direct grid stack at xi = 1: 8 ``read_clones``
-passes per ``verify``, whose arrays the readout suites compare as they
-are, with no ``CloneReport`` built.  No suite forms a machine's full
+``analysis.read_clones``, with no object made per machine or per clone.
+It reads the shared stacks' clones once per stack for every amplitude they
+are read at (XI_PROBES, Q_PROBE and GAIN_PROBE), and the direct grid stack
+at xi = 1: 8 ``read_clones`` passes per ``verify``, whose arrays the
+readout suites compare as they are.  No suite forms a machine's full
 output state: unit_signal_gain reads the clone amplitudes the readout
 computes at GAIN_PROBE, and uncertainty_preservation reads each shared
 machine's output covariance from its x and p blocks, one
@@ -144,7 +143,7 @@ def factorization_equivalence(direct: MachineStack, factorized: MachineStack) ->
 
     Compares the two stacks' A and B blocks, register by register.
     """
-    u0 = abs(asym_params(0.0).u)
+    u0 = abs(asym_params(0.0)[0])
     devs = [u0, worst_dev(np.abs(direct.A - factorized.A)),
             worst_dev(np.abs(direct.B - factorized.B))]
     return SuiteResult("factorization_equivalence", worst_dev(devs), 1e-9,

@@ -10,31 +10,21 @@ import time
 
 import numpy as np
 
-from cvcloner.analysis import (
-    _amplitudes,
-    _husimi,
-    clone_report,
-)
-from cvcloner.circuits import (
-    AsymSpec,
-    SymSpec,
-    asym_direct,
-    asym_factorized,
-    asym_params,
-    build_cloner,
-)
+from cvcloner.analysis import _amplitudes, _husimi, read_clones
+from cvcloner.circuits import AsymSpec, SymSpec, asym_params, build_cloners
 from cvcloner.elements import collect_gates, distribute_gates
 from cvcloner.fock import FockSpace, apply_cloning_fock_block, coherent_fock, fidelities_fock
 from cvcloner.gaussian import (
     NOPA,
-    check_symplectic,
-    fold_gates,
+    _deviations,
+    fold_stack,
     uncertainty_defect,
     worst_dev,
 )
 from reference import (
     _isotropic_photons,
     apply_to_gaussian,
+    as_transform,
     beam_splitter_gate,
     clone_output_state,
     coherent_vacuum_input,
@@ -59,61 +49,63 @@ def report(num, label, dev, tol, *, elapsed=None, budget=None):
     assert ok, f"criterion {num} failed: {label}: dev {dev} tol {tol} {timing}"
 
 
+def read(specs, xis=(1,)):
+    """The read of one stack of specs at xis, which no gate refuses."""
+    result = read_clones(build_cloners(specs), xis)
+    assert result.refusal is None, result.refusal
+    return result
+
+
+def asym_grid(factorized=False):
+    """The asymmetric machines over GAMMA_GRID, in one form, as one stack."""
+    return [AsymSpec(float(g), factorized=factorized) for g in GAMMA_GRID]
+
+
 def test_criterion_01_symmetric_fidelity_two_thirds():
     start = time.perf_counter()
-    reports = clone_report(AsymSpec(0.0), 1 + 0j)
+    fidelity = read([AsymSpec(0.0)]).fidelity
     elapsed = time.perf_counter() - start
-    dev = worst_dev(abs(r.fidelity - 2 / 3) for r in reports)
+    dev = worst_dev(np.abs(fidelity - 2 / 3))
     report(1, "symmetric 1->2 point: both clone fidelities equal 2/3",
            dev, 1e-10, elapsed=elapsed, budget=0.1)
 
 
 def test_criterion_02_asymmetric_fidelity_curves():
-    dev = 0.0
-    for g in GAMMA_GRID:
-        ra, rc = clone_report(AsymSpec(float(g)))
-        dev = worst_dev((dev,
-                         abs(ra.fidelity - 2 / (math.exp(2 * g) + 2)),
-                         abs(rc.fidelity - 2 / (math.exp(-2 * g) + 2))))
+    fa, fc = read(asym_grid()).fidelity[0].T
+    dev = worst_dev(np.concatenate((np.abs(fa - 2 / (np.exp(2 * GAMMA_GRID) + 2)),
+                                    np.abs(fc - 2 / (np.exp(-2 * GAMMA_GRID) + 2)))))
     report(2, "asymmetric fidelity curves over 41 gamma points", dev, 1e-10)
 
 
 def test_criterion_03_chaotic_photons_and_noise_product():
-    dev_n = 0.0
-    dev_prod = 0.0
-    for g in GAMMA_GRID:
-        ra, rc = clone_report(AsymSpec(float(g)))
-        dev_n = worst_dev((dev_n,
-                           abs(ra.n_chaotic - math.exp(2 * g) / 2),
-                           abs(rc.n_chaotic - math.exp(-2 * g) / 2)))
-        dev_prod = worst_dev((dev_prod, abs(ra.n_chaotic * rc.n_chaotic - 0.25)))
+    na, nc = read(asym_grid()).n_chaotic.T
+    dev_n = worst_dev(np.concatenate((np.abs(na - np.exp(2 * GAMMA_GRID) / 2),
+                                      np.abs(nc - np.exp(-2 * GAMMA_GRID) / 2))))
+    dev_prod = worst_dev(np.abs(na * nc - 0.25))
     report(3, "chaotic photon curves", dev_n, 1e-10)
     report(3, "noise product pinned at 1/4", dev_prod, 1e-12)
 
 
 def test_criterion_04_factorization_equivalence():
-    dev = 0.0
-    for g in GAMMA_GRID:
-        d, f = asym_direct(float(g)), asym_factorized(asym_params(float(g)))
-        dev = worst_dev((dev, float(np.abs(d.A - f.A).max()), float(np.abs(d.B - f.B).max())))
-    dev = worst_dev((dev, abs(asym_params(0.0).u)))
+    d, f = build_cloners(asym_grid()), build_cloners(asym_grid(factorized=True))
+    dev = worst_dev((worst_dev(np.abs(d.A - f.A)), worst_dev(np.abs(d.B - f.B)),
+                     abs(asym_params(0.0)[0])))
     report(4, "BS/NOPA/BS factorization equals the closed form, u(0)=0", dev, 1e-9)
 
 
 def test_criterion_05_one_to_m_fidelity():
     dev = 0.0
     for m in range(2, 7):
-        for r in clone_report(SymSpec(1, m)):
-            dev = worst_dev((dev, abs(r.fidelity - m / (2 * m - 1))))
+        dev = worst_dev((dev, worst_dev(np.abs(read([SymSpec(1, m)]).fidelity - m / (2 * m - 1)))))
     report(5, "1->M fidelity hits M/(2M-1) for M=2..6", dev, 1e-10)
 
 
 def test_criterion_06_n_to_m_fidelity_and_noise():
     dev = 0.0
     for n, m in ((1, 2), (2, 3), (3, 5), (2, 5), (4, 4)):
-        for r in clone_report(SymSpec(n, m)):
-            dev = worst_dev((dev, abs(r.fidelity - (m * n) / (m * n + m - n)),
-                             abs(r.n_chaotic - (m - n) / (m * n))))
+        clones = read([SymSpec(n, m)])
+        dev = worst_dev((dev, worst_dev(np.abs(clones.fidelity - (m * n) / (m * n + m - n))),
+                         worst_dev(np.abs(clones.n_chaotic - (m - n) / (m * n)))))
     report(6, "N->M fidelity and added noise hit the optimal forms", dev, 1e-10)
 
 
@@ -121,7 +113,7 @@ def test_criterion_07_signal_collection():
     dev = 0.0
     xi = 0.8 - 0.6j
     for n in (2, 3, 4):
-        state = apply_to_gaussian(fold_gates(collect_gates(n), n),
+        state = apply_to_gaussian(as_transform(fold_stack(collect_gates(n), n)),
                                   coherent_vacuum_input([xi] * n))
         dev = worst_dev((dev, abs(state.mode_amplitude(0) - math.sqrt(n) * xi)))
         for k in range(1, n):
@@ -133,7 +125,7 @@ def test_criterion_07_signal_collection():
 def test_criterion_08_fidelity_invariance_over_inputs():
     dev = 0.0
     for spec in MACHINES:
-        table = np.array([[r.fidelity for r in clone_report(spec, xi)] for xi in XI_SET])
+        table = read([spec], XI_SET).fidelity  # one row per amplitude
         dev = worst_dev((dev, float((table.max(axis=0) - table.min(axis=0)).max())))
     report(8, "fidelity identical across five input amplitudes", dev, 1e-10)
 
@@ -142,13 +134,14 @@ def test_criterion_09_q_function_identity():
     dev = 0.0
     xi = 1.2 - 0.4j
     for spec in MACHINES:
-        machine = build_cloner(spec)
-        out = clone_output_state(machine, xi)
-        for mode, r in zip(machine.clone_modes, clone_report(spec, xi), strict=True):
+        stack = build_cloners([spec])
+        out = clone_output_state(stack, xi)
+        fidelity = read([spec], (xi,)).fidelity[0, 0]
+        for mode, f in zip(stack.clone_modes, fidelity.tolist(), strict=True):
             clone = reduce_mode(out, mode)
             n = _isotropic_photons(clone.cov[None], [mode.name])
             q = _husimi(_amplitudes(clone.mean[0::2], clone.mean[1::2]), n, xi)
-            dev = worst_dev((dev, abs(math.pi * q[0] - r.fidelity)))
+            dev = worst_dev((dev, abs(math.pi * q[0] - f)))
     report(9, "pi Q(xi) equals the fidelity on every clone", dev, 1e-10)
 
 
@@ -175,17 +168,16 @@ def test_criterion_10_fock_oracle_agreement():
 
 
 def test_criterion_11_property_suite():
-    dev_symp = 0.0
-    transforms = [fold_gates((beam_splitter_gate(0.7, 0, 1),), 2),
-                  fold_gates((NOPA(0.9, 0, 1),), 2),
-                  fold_gates(collect_gates(4), 4),
-                  fold_gates(distribute_gates(5, list(range(5))), 5)]
-    transforms += [asym_direct(float(g)) for g in GAMMA_GRID]
-    transforms += [asym_factorized(asym_params(float(g))) for g in GAMMA_GRID]
-    machines = [build_cloner(spec) for spec in MACHINES]
-    transforms += [m.transform for m in machines]
-    for t in transforms:
-        dev_symp = worst_dev((dev_symp, check_symplectic(t).max_dev))
+    # each fold's rows as a stack of one register, then the built stacks
+    folds = [fold_stack((beam_splitter_gate(0.7, 0, 1),), 2),
+             fold_stack((NOPA(0.9, 0, 1),), 2),
+             fold_stack(collect_gates(4), 4),
+             fold_stack(distribute_gates(5, list(range(5))), 5)]
+    machines = [build_cloners([spec]) for spec in MACHINES]
+    stacks = [(rows[None, :, 0], rows[None, :, 1]) for rows in folds]
+    stacks += [(s.A, s.B) for s in (build_cloners(asym_grid()),
+                                    build_cloners(asym_grid(factorized=True)), *machines)]
+    dev_symp = worst_dev(np.concatenate([np.concatenate(_deviations(A, B)) for A, B in stacks]))
     report(11, "every constructed transform is symplectic", dev_symp, 1e-10)
 
     dev_defect = 0.0
@@ -194,9 +186,8 @@ def test_criterion_11_property_suite():
         # the reference's full state, and the package's covariance from X and P
         out = clone_output_state(machine, 0.9 + 0.2j)
         dev_unc = worst_dev((dev_unc, state_uncertainty_defect(out),
-                             *uncertainty_defect(machine.transform.A[None],
-                                                 machine.transform.B[None])))
-        for r in clone_report(machine, 0.9 + 0.2j):
-            dev_defect = worst_dev((dev_defect, abs(r.phase_covariance_defect)))
+                             *uncertainty_defect(machine.A, machine.B)))
+        defect = read(machine.specs, (0.9 + 0.2j,)).phase_covariance_defect
+        dev_defect = worst_dev((dev_defect, worst_dev(np.abs(defect))))
     report(11, "phase-covariance defect vanishes on every clone", dev_defect, 1e-10)
     report(11, "uncertainty relations preserved by every application", dev_unc, 1e-10)

@@ -1,104 +1,97 @@
 """Cloning machine constructions: closed form, factorized, symmetric."""
 
-import copy
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvcloner import circuits, gaussian
-from cvcloner.circuits import (
-    AsymSpec,
-    SymSpec,
-    asym_direct,
-    asym_factorized,
-    asym_params,
-    build_cloner,
-    build_cloners,
-    join_stacks,
-)
+from cvcloner import circuits, cli, gaussian
+from cvcloner.analysis import read_clones
+from cvcloner.circuits import AsymSpec, SymSpec, asym_params, build_cloners, join_stacks
 from cvcloner.elements import distribute_gates
-from cvcloner.gaussian import (
-    DEFAULT_TOL,
-    NOPA,
-    BogoliubovTransform,
-    check_symplectic,
-    fold_gates,
-    require_symplectic,
-)
+from cvcloner.gaussian import DEFAULT_TOL, NOPA, fold_stack
 from cvcloner.verification import GAMMA_GRID, SYM_CASES
-from reference import asym_params_one, build_per_point, compose, embed, input_amplitudes
+from reference import (
+    as_transform,
+    asym_params_one,
+    build_per_point,
+    compose,
+    embed,
+    input_amplitudes,
+)
 
 GAMMAS = np.linspace(-1.5, 1.5, 31)
 
 
+def _direct(gammas):
+    """The closed-form machines at some gammas, as one stack."""
+    return build_cloners([AsymSpec(float(g)) for g in gammas])
+
+
 def test_asym_direct_matrix_at_gamma_zero():
-    t = asym_direct(0.0)
+    stack = _direct([0.0])
     rt2 = np.sqrt(2.0)
-    assert np.allclose(t.A, [[1 / rt2, 0, 1], [0, rt2, 0], [-1 / rt2, 0, 1]])
-    assert np.allclose(t.B, [[0, -1 / rt2, 0], [0, 0, -1], [0, -1 / rt2, 0]])
+    assert np.allclose(stack.A[0], [[1 / rt2, 0, 1], [0, rt2, 0], [-1 / rt2, 0, 1]])
+    assert np.allclose(stack.B[0], [[0, -1 / rt2, 0], [0, 0, -1], [0, -1 / rt2, 0]])
 
 
 def test_asym_direct_signal_coefficient_is_always_one():
-    for g in GAMMAS:
-        t = asym_direct(g)
-        assert t.A[0, 2] == 1.0 and t.A[2, 2] == 1.0
-        assert t.B[0, 2] == 0.0 and t.B[2, 2] == 0.0
+    stack = _direct(GAMMAS)
+    assert (stack.A[:, 0, 2] == 1.0).all() and (stack.A[:, 2, 2] == 1.0).all()
+    assert (stack.B[:, 0, 2] == 0.0).all() and (stack.B[:, 2, 2] == 0.0).all()
 
 
 def test_asym_direct_is_symplectic_across_gamma():
-    for g in GAMMAS:
-        assert check_symplectic(asym_direct(g)).max_dev < 1e-12
+    assert (_direct(GAMMAS).symplectic_dev < 1e-12).all()
 
 
 def test_asym_params_special_values_at_gamma_zero():
-    p = asym_params(0.0)
-    assert p.u == 0.0
-    assert np.isclose(p.w, np.pi / 4)
+    u, v, w = asym_params(0.0)
+    assert u == 0.0
+    assert np.isclose(w, np.pi / 4)
     # sinh(v) = sqrt(cosh(0)) = 1, so v = arcsinh(1) = ln(1 + sqrt 2)
-    assert np.isclose(p.v, math.log(1 + math.sqrt(2)))
+    assert np.isclose(v, math.log(1 + math.sqrt(2)))
 
 
 def test_asym_params_internal_identities():
     for g in (-1.2, -0.3, 0.0, 0.4, 1.7):
-        p = asym_params(g)
-        assert np.isclose(math.sinh(p.v), math.sqrt(math.cosh(2 * g)), atol=1e-12)
-        assert np.isclose(math.cosh(p.v), math.sqrt(2) * math.cosh(g), atol=1e-12)
-        assert np.isclose(math.tan(p.w), math.exp(2 * g), atol=1e-12)
+        _, v, w = asym_params(g)
+        assert np.isclose(math.sinh(v), math.sqrt(math.cosh(2 * g)), atol=1e-12)
+        assert np.isclose(math.cosh(v), math.sqrt(2) * math.cosh(g), atol=1e-12)
+        assert np.isclose(math.tan(w), math.exp(2 * g), atol=1e-12)
 
 
 def test_asym_params_agree_with_direct_artanh_form():
     for g in (-2.0, -0.5, 0.1, 1.0, 3.0):
-        p = asym_params(g)
+        v = asym_params(g)[1]
         naive = math.atanh(math.sqrt(1 + math.exp(4 * g)) / (1 + math.exp(2 * g)))
-        assert np.isclose(p.v, naive, rtol=1e-12)
+        assert np.isclose(v, naive, rtol=1e-12)
 
 
 def test_asym_params_stable_at_large_gamma():
     # at the edge of the domain the artanh argument rounds toward 1
     for g in (6.0, -6.0):
-        p = asym_params(g)
-        assert math.isfinite(p.u) and math.isfinite(p.v) and math.isfinite(p.w)
-        assert np.isclose(math.sinh(p.v) ** 2, math.cosh(2 * g), rtol=1e-10)
+        angles = asym_params(g)
+        assert all(map(math.isfinite, angles))
+        assert np.isclose(math.sinh(angles[1]) ** 2, math.cosh(2 * g), rtol=1e-10)
 
 
 def test_factorized_equals_direct_elementwise():
-    for g in GAMMAS:
-        d, f = asym_direct(g), asym_factorized(asym_params(g))
-        assert np.abs(d.A - f.A).max() < 1e-12
-        assert np.abs(d.B - f.B).max() < 1e-12
+    d = _direct(GAMMAS)
+    f = build_cloners([AsymSpec(float(g), factorized=True) for g in GAMMAS])
+    assert np.abs(d.A - f.A).max() < 1e-12
+    assert np.abs(d.B - f.B).max() < 1e-12
 
 
 def test_gamma_domain_is_enforced():
     with pytest.raises(ValueError):
-        asym_direct(20.5)
+        AsymSpec(20.5)
     with pytest.raises(ValueError):
         asym_params(-21.0)
     with pytest.raises(ValueError):
-        asym_direct(6.5)
+        AsymSpec(6.5)
     with pytest.raises(ValueError):
         asym_params(-6.5)
     with pytest.raises(ValueError):
@@ -109,16 +102,21 @@ def test_gamma_domain_is_enforced():
 
 def test_gamma_limit_sits_below_the_first_failing_check(monkeypatch):
     # GAMMA_LIMIT's comment: rounding first pushes an asymmetric machine past
-    # check_symplectic at |gamma| = 6.59 on a 0.01 grid, and at |gamma| <= 6
-    # the worst deviation (3.2e-11) stays well inside DEFAULT_TOL
+    # checked_stack at |gamma| = 6.59 on a 0.01 grid, and at |gamma| <= 6
+    # the worst deviation (3.2e-11) stays well inside DEFAULT_TOL; each form
+    # is folded as a build of one folds it, and measured unrefused
     monkeypatch.setattr(circuits, "GAMMA_LIMIT", 7.0)
 
+    def direct(g):
+        return circuits._asym_direct_rows(np.array(g))
+
     def factorized(g):
-        return asym_factorized(asym_params(g))
+        return fold_stack(circuits._asym_gates(*asym_params(g)), 3)
 
     def worst(g):
-        return max(check_symplectic(build(s * g)).max_dev
-                   for build in (asym_direct, factorized) for s in (1.0, -1.0))
+        devs = [gaussian._deviations(rows[:, 0], rows[:, 1])
+                for build in (direct, factorized) for rows in (build(g), build(-g))]
+        return max(float(dev[0]) for pair in devs for dev in pair)
 
     assert max(worst(k / 100) for k in range(601)) <= DEFAULT_TOL / 2
     first = next(k / 100 for k in range(601, 701) if worst(k / 100) > DEFAULT_TOL)
@@ -156,43 +154,44 @@ def test_sym_spec_takes_numpy_integers_as_ints():
     spec = SymSpec(np.int64(2), np.int32(5))
     assert (type(spec.n), type(spec.m)) == (int, int)
     assert spec == SymSpec(2, 5)
-    assert np.array_equal(build_cloner(spec).transform.A, build_cloner(SymSpec(2, 5)).transform.A)
+    assert np.array_equal(build_cloners([spec]).A, build_cloners([SymSpec(2, 5)]).A)
 
 
 def test_sym_one_input_is_nopa_then_split():
     # dense reference: NOPA(acosh sqrt M) on (signal, idler), then the split
     for m in (1, 2, 4):
         total = m + 1
-        amp = embed(fold_gates((NOPA(math.acosh(math.sqrt(m)), 0, 1),), 2), [0, 1], total)
-        split = embed(fold_gates(distribute_gates(m, list(range(m))), m),
+        amp = embed(as_transform(fold_stack((NOPA(math.acosh(math.sqrt(m)), 0, 1),), 2)),
+                    [0, 1], total)
+        split = embed(as_transform(fold_stack(distribute_gates(m, list(range(m))), m)),
                       [0, *range(2, total)], total)
-        a, b = compose(split, amp), build_cloner(SymSpec(1, m)).transform
-        assert np.allclose(a.A, b.A, atol=1e-14)
-        assert np.allclose(a.B, b.B, atol=1e-14)
+        a, b = compose(split, amp), build_cloners([SymSpec(1, m)])
+        assert np.allclose(a.A, b.A[0], atol=1e-14)
+        assert np.allclose(a.B, b.B[0], atol=1e-14)
 
 
 def test_sym_n_to_m_mode_count_and_symplectic():
     for n, m in ((1, 2), (2, 3), (3, 5), (2, 5), (4, 4)):
-        t = build_cloner(SymSpec(n, m)).transform
-        assert t.n_modes == n + m
-        assert check_symplectic(t).max_dev < 1e-12
+        stack = build_cloners([SymSpec(n, m)])
+        assert stack.n_modes == n + m and stack.A.shape == (1, n + m, n + m)
+        assert stack.symplectic_dev[0] < 1e-12
 
 
 def test_sym_n_to_m_rejects_shrinking():
     with pytest.raises(ValueError):
-        build_cloner(SymSpec(3, 2))
+        build_cloners([SymSpec(3, 2)])
     with pytest.raises(ValueError):
         SymSpec(1, 0)
 
 
-def _idle_modes(machine):
+def _idle_modes(stack):
     """The modes that are neither a signal nor a clone: the NOPA idler alone."""
-    return set(range(machine.n_modes)) - {m.index for m in machine.signal_modes
-                                          + machine.clone_modes}
+    return set(range(stack.n_modes)) - {m.index for m in stack.signal_modes
+                                        + stack.clone_modes}
 
 
 def test_build_cloner_asym_wiring():
-    machine = build_cloner(AsymSpec(0.2))
+    machine = build_cloners([AsymSpec(0.2)])
     assert machine.n_modes == 3
     assert [m.index for m in machine.clone_modes] == [0, 2]
     assert machine.signal_modes[0].index == 2
@@ -202,15 +201,17 @@ def test_build_cloner_asym_wiring():
 
 
 def test_build_cloner_respects_factorized_flag():
-    direct = build_cloner(AsymSpec(0.4)).transform
-    fact = build_cloner(AsymSpec(0.4, factorized=True)).transform
+    direct = build_cloners([AsymSpec(0.4)])
+    fact = build_cloners([AsymSpec(0.4, factorized=True)])
     assert np.abs(direct.A - fact.A).max() < 1e-12
-    # both go through distinct code paths; spot a genuinely different object
-    assert direct is not fact
+    # both go through distinct code paths; spot a genuinely different array
+    assert direct.A.base is not fact.A.base
+    # the closed form keeps the angles that only the factorized build folds
+    assert direct.angles.tolist() == fact.angles.tolist()
 
 
 def test_build_cloner_sym_wiring():
-    machine = build_cloner(SymSpec(2, 4))
+    machine = build_cloners([SymSpec(2, 4)])
     assert machine.n_modes == 6
     assert [m.index for m in machine.signal_modes] == [0, 1]
     assert _idle_modes(machine) == {2}
@@ -221,19 +222,24 @@ def test_build_cloner_sym_wiring():
 
 
 def _assert_built_one_by_one(specs):
-    """build_cloners(specs), for specs of one form, holds, machine by
-    machine, what each spec built on its own, folded or written out and
-    checked alone, holds."""
-    machines = build_cloners(specs)
-    assert [m.spec for m in machines] == list(specs)
-    for machine in machines:
-        alone = build_per_point(machine.spec)
-        assert np.array_equal(machine.transform.A, alone.transform.A)
-        assert np.array_equal(machine.transform.B, alone.transform.B)
-        assert machine.symplectic_dev == alone.symplectic_dev
-        assert machine.angles == alone.angles
-        assert machine.signal_modes == alone.signal_modes
-        assert machine.clone_modes == alone.clone_modes
+    """build_cloners(specs), for specs of one form, holds, register by
+    register, what each spec built on its own, folded or written out and
+    checked alone, holds, in read-only arrays."""
+    stack = build_cloners(specs)
+    assert stack.specs == tuple(specs) and len(stack) == len(specs)
+    arrays = [stack.A, stack.B, stack.symplectic_dev, stack.angles]
+    assert not specs or not any(a.flags.writeable for a in arrays if a is not None)
+    for i, spec in enumerate(stack.specs):
+        alone = build_per_point(spec)
+        assert np.array_equal(stack.A[i], alone.A[0])
+        assert np.array_equal(stack.B[i], alone.B[0])
+        assert stack.symplectic_dev[i] == alone.symplectic_dev[0]
+        if alone.angles is None:
+            assert stack.angles is None
+        else:
+            assert stack.angles[i].tolist() == alone.angles[0].tolist()
+        assert stack.signal_modes == alone.signal_modes
+        assert stack.clone_modes == alone.clone_modes
 
 
 def _assert_each_form_built_one_by_one(specs):
@@ -272,7 +278,7 @@ def test_duplicate_specs_build_as_one_by_one():
 @pytest.mark.parametrize("spec", MIXED_SPECS, ids=str)
 def test_a_list_of_one_builds_as_one_by_one(spec):
     _assert_built_one_by_one([spec])
-    assert build_cloners([]) == []
+    assert len(build_cloners([])) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,33 +299,19 @@ def test_a_list_of_mixed_forms_is_refused(specs):
     # one stack has one form: the list is not built in its first spec's form
     with pytest.raises(ValueError, match="specs of one form"):
         build_cloners(specs)
-    assert build_cloners([]) == []
+    assert len(build_cloners([])) == 0
 
 
-def test_a_machine_built_in_a_stack_refuses_a_replaced_transform():
-    # a stacked machine's check stays with its own transform: any other one,
-    # made by hand or by replace, is checked again
-    machines = build_cloners([AsymSpec(g) for g in (-0.5, 0.0, 0.5)])
-    t = machines[1].transform
-    for scaled in (BogoliubovTransform(A=1.01 * t.A, B=t.B), replace(t, A=1.01 * t.A)):
-        with pytest.raises(ValueError, match="not symplectic"):
-            replace(machines[1], transform=scaled)
-    assert replace(machines[1], transform=t) == machines[1]
-    # a deep copy's arrays can be written to, so its check is run again
-    copied = copy.deepcopy(t)
-    copied.A[0, 0] *= 1.01
-    with pytest.raises(ValueError, match="not symplectic"):
-        replace(machines[1], transform=copied)
-
-
-def _assert_same_machine(made, built):
-    """Two machines hold the same figures bit for bit."""
-    assert made.spec == built.spec
-    assert np.array_equal(made.transform.A, built.transform.A)
-    assert np.array_equal(made.transform.B, built.transform.B)
-    assert made.symplectic_dev == built.symplectic_dev
-    assert made.angles == built.angles
-    assert (made.signal_modes, made.clone_modes) == (built.signal_modes, built.clone_modes)
+def _assert_same_register(stack, i, alone):
+    """Register i of a stack holds what a stack of one holds, bit for bit."""
+    assert stack.specs[i] == alone.specs[0]
+    for field in ("A", "B", "symplectic_dev"):
+        assert getattr(stack, field)[i].tobytes() == getattr(alone, field)[0].tobytes(), field
+    if alone.angles is None:
+        assert stack.angles is None
+    else:
+        assert stack.angles[i].tobytes() == alone.angles[0].tobytes()
+    assert (stack.signal_modes, stack.clone_modes) == (alone.signal_modes, alone.clone_modes)
 
 
 @pytest.mark.parametrize("specs", [
@@ -330,9 +322,9 @@ def _assert_same_machine(made, built):
 ], ids=["grid-direct", "grid-factorized", *(f"sym-{n}-{m}" for n, m in SYM_CASES),
         "sym-2-3-copies"])
 def test_a_stack_makes_each_machine_as_build_cloner_does(monkeypatch, specs):
-    # the stack holds arrays; stack[i] makes register i's machine when first
-    # asked, from the stack's check, and keeps it
-    built = [build_cloner(spec) for spec in specs]
+    # a stack of k specs is checked by one batched product, and holds,
+    # register by register, what a build of each spec alone holds
+    alone = [build_cloners([spec]) for spec in specs]
     checks = []
     real = gaussian._deviations
     monkeypatch.setattr(gaussian, "_deviations", lambda A, B: checks.append(len(A)) or real(A, B))
@@ -341,28 +333,18 @@ def test_a_stack_makes_each_machine_as_build_cloner_does(monkeypatch, specs):
     assert stack.specs == tuple(specs)
     assert not (stack.A.flags.writeable or stack.B.flags.writeable
                 or stack.symplectic_dev.flags.writeable)
-    assert stack.symplectic_dev.tolist() == [m.symplectic_dev for m in built]
-    if stack.angles is None:
-        assert all(m.angles is None for m in built)
-    else:
-        assert not stack.angles.flags.writeable
-        assert stack.angles.tolist() == [[m.angles.u, m.angles.v, m.angles.w] for m in built]
-    for i, machine in enumerate(built):
-        assert np.array_equal(stack.A[i], machine.transform.A)
-        assert np.array_equal(stack.B[i], machine.transform.B)
-        _assert_same_machine(stack[i], machine)
-        assert stack[i] is stack[i] is stack[i - len(stack)]
-    assert checks == [len(specs)]  # no machine is checked again
-    assert list(stack) == stack[:] == [stack[i] for i in range(len(specs))]
+    assert stack.angles is None or not stack.angles.flags.writeable
+    for i, one in enumerate(alone):
+        _assert_same_register(stack, i, one)
 
 
 def test_a_taken_or_joined_stack_holds_its_registers_bit_for_bit(monkeypatch):
-    # take and join_stacks gather registers from the stacks' arrays: no
-    # machine is made, none is checked again, and every array is read-only
+    # take and join_stacks gather registers from the stacks' arrays: none is
+    # checked again, and every array is read-only
     direct = build_cloners([AsymSpec(g) for g in (-1.0, 0.3, 2.0)])
     factorized = build_cloners([AsymSpec(g, factorized=True) for g in (0.5, -0.25)])
     origin = [(direct, 2), (direct, 0), (factorized, 0), (factorized, 1)]
-    alone = [build_cloner(stack.specs[i]) for stack, i in origin]
+    alone = [build_cloners([stack.specs[i]]) for stack, i in origin]
     checks = []
     real = gaussian._deviations
     monkeypatch.setattr(gaussian, "_deviations", lambda A, B: checks.append(len(A)) or real(A, B))
@@ -375,9 +357,8 @@ def test_a_taken_or_joined_stack_holds_its_registers_bit_for_bit(monkeypatch):
         assert not array.flags.writeable, field
         assert array.tobytes() == np.stack([getattr(s, field)[i] for s, i in origin]).tobytes()
     assert (joined.signal_modes, joined.clone_modes) == (direct.signal_modes, direct.clone_modes)
-    for made, built in zip(joined, alone, strict=True):
-        _assert_same_machine(made, built)
-    assert checks == []
+    for i, one in enumerate(alone):
+        _assert_same_register(joined, i, one)
     # a symmetric stack has no angles, and a join keeps none of it
     sym = build_cloners([SymSpec(1, 2)] * 2)
     assert sym.take([1]).angles is None and join_stacks([sym, sym]).angles is None
@@ -392,11 +373,15 @@ def test_join_stacks_refuses_no_stack_and_mixed_layouts():
 
 
 def test_a_machine_evaluates_its_check_once(monkeypatch):
-    machine = build_cloner(SymSpec(2, 3))
+    # the build runs the check body once; reading the machine, and the
+    # CLI's gate over the read, read its deviation and run it never again
     calls = []
-    real = gaussian.worst_dev
-    monkeypatch.setattr(gaussian, "worst_dev", lambda devs: calls.append(1) or real(devs))
-    assert replace(machine, transform=machine.transform) == machine
+    real = gaussian._deviations
+    monkeypatch.setattr(gaussian, "_deviations", lambda A, B: calls.append(len(A)) or real(A, B))
+    machine = build_cloners([SymSpec(2, 3)])
+    read = read_clones(machine, (1.0, 0.3j))
+    names = [m.name for m in machine.clone_modes]
+    assert cli._physics_violations(machine.symplectic_dev, read, names, DEFAULT_TOL) == []
     assert calls == [1]
 
 
@@ -412,7 +397,7 @@ def test_a_stack_takes_the_angles_asym_params_takes_without_checking_again(monke
     stack = build_cloners(specs)
     assert checked == []
     one_by_one = [asym_params_one(g) for g in gammas]
-    assert [circuits.FactorizationParams(*row) for row in stack.angles.tolist()] == one_by_one
+    assert [tuple(row) for row in stack.angles.tolist()] == one_by_one
     assert [asym_params(g) for g in gammas] == one_by_one
 
 
@@ -423,10 +408,10 @@ def test_a_stack_refuses_the_first_spec_a_loop_would_refuse(monkeypatch, factori
     monkeypatch.setattr(circuits, "GAMMA_LIMIT", 7.0)
     specs = [AsymSpec(float(g), factorized=factorized) for g in np.linspace(6.0, 7.0, 21)]
     alone = [build_per_point(spec) for spec in specs]
-    failing = [j for j, machine in enumerate(alone) if not machine.symplectic_dev <= DEFAULT_TOL]
+    failing = [j for j, one in enumerate(alone) if not one.symplectic_dev[0] <= DEFAULT_TOL]
     assert 0 < failing[0] < failing[-1]
     with pytest.raises(ValueError) as first:
-        require_symplectic(alone[failing[0]].transform)
+        build_cloners([specs[failing[0]]])
     with pytest.raises(ValueError) as refused:
         build_cloners(specs)
     assert str(refused.value) == str(first.value)

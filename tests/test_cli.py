@@ -18,12 +18,22 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cvcloner import analysis, circuits, cli, gaussian, verification
-from cvcloner.analysis import clone_report, clone_reports
-from cvcloner.circuits import AsymSpec, SymSpec, build_cloner
+from cvcloner.circuits import AsymSpec, SymSpec, build_cloners, join_stacks
 from cvcloner.cli import main
 from cvcloner.elements import collect_gates, distribute_gates
-from cvcloner.gaussian import NOPA, BogoliubovTransform, fold_gates
-from reference import beam_splitter_gate, build_per_point, compose, faulty, physics_violations
+from cvcloner.gaussian import NOPA, fold_stack
+from reference import (
+    Transform,
+    as_transform,
+    beam_splitter_gate,
+    build_per_point,
+    compose,
+    faulty,
+    physics_violations,
+    register,
+    row_norm_report,
+    unchecked,
+)
 
 
 def run(capsys, argv):
@@ -414,31 +424,29 @@ def test_non_finite_figure_fails_instead_of_printing_nan(monkeypatch, capsys):
     ["sweep", "--asym", "--gamma-range", "-1", "1", "41"],
 ], ids=["clone-sym", "sweep-asym"])
 def test_a_passing_clone_or_sweep_builds_no_clone_report(monkeypatch, capsys, argv):
-    # clone and sweep print from the read's arrays, with no object per clone
-    def refuse(*args, **kwargs):
-        raise AssertionError("CloneReport built")
-
-    monkeypatch.setattr(analysis, "CloneReport", refuse)
-    code, out, _ = run(capsys, argv)
-    assert code == 0 and out
+    # clone and sweep print from the read's arrays, with no object per
+    # clone: one Readout holds every clone of the run
+    _, expected, _ = run(capsys, argv)
+    made = []
+    real = analysis.Readout
+    monkeypatch.setattr(analysis, "Readout", lambda *args, **kwargs: made.append(1) or real(
+        *args, **kwargs))
+    assert run(capsys, argv) == (0, expected, "")
+    assert made == [1]
 
 
 @pytest.mark.parametrize("flags", [[], ["--factorized"]], ids=["direct", "factorized"])
 def test_a_passing_asym_sweep_makes_no_machine_or_transform_object(monkeypatch, capsys, flags):
-    # a sweep reads its stack's arrays: no CloningMachine and no
-    # BogoliubovTransform is made, by its class or by any module's name for it
+    # a sweep reads its stack's arrays: its 41 machines are one stack, and no
+    # object is made for any one of them
     argv = ["sweep", "--asym", "--gamma-range", "-1", "1", "41", *flags]
     _, expected, _ = run(capsys, argv)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("machine or transform object made")
-
-    for cls in (circuits.CloningMachine, gaussian.BogoliubovTransform):
-        monkeypatch.setattr(cls, "__init__", refuse)
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "cvcloner" and getattr(module, cls.__name__, None) is cls:
-                monkeypatch.setattr(module, cls.__name__, refuse)
+    made = []
+    real = circuits.MachineStack.__init__
+    monkeypatch.setattr(circuits.MachineStack, "__init__", lambda self, specs, *args: made.append(
+        len(specs)) or real(self, specs, *args))
     assert run(capsys, argv) == (0, expected, "")
+    assert made == [41]
 
 
 @pytest.mark.parametrize("argv, spec", [
@@ -448,8 +456,8 @@ def test_a_passing_asym_sweep_makes_no_machine_or_transform_object(monkeypatch, 
 def test_a_failing_clone_prints_the_lines_of_the_per_clone_gate(capsys, argv, spec):
     # at a zero tolerance some checks fail; the array gate prints the lines a
     # gate over each clone's report prints, in its order and text
-    machine = build_cloner(spec)
-    expected = physics_violations(machine, clone_report(machine), 0.0)
+    machine = build_cloners([spec])
+    expected = physics_violations(machine, row_norm_report(machine), 0.0)
     assert expected
     code, _, err = run(capsys, argv + ["--tolerance", "0"])
     assert (code, err) == (1, "".join(f"invariant violation: {p}\n" for p in expected))
@@ -458,17 +466,17 @@ def test_a_failing_clone_prints_the_lines_of_the_per_clone_gate(capsys, argv, sp
 @pytest.mark.parametrize("field", ["fidelity", "q_peak", "symplectic_dev",
                                    "phase_covariance_defect"])
 def test_nan_figures_are_violations(field):
-    machine = build_cloner(AsymSpec(0.2))
-    read = analysis.read_clones([machine], (1.0,))
+    machine = build_cloners([AsymSpec(0.2)])
+    read = analysis.read_clones(machine, (1.0,))
     names = [mode.name for mode in machine.clone_modes]
-    assert cli._physics_violations([machine.symplectic_dev], read, names, 1e-10) == []
+    assert cli._physics_violations(machine.symplectic_dev, read, names, 1e-10) == []
     if field == "symplectic_dev":  # the machine's figure, not a clone's
         assert cli._physics_violations([math.nan], read, names, 1e-10)
     else:
         figure = getattr(read, field).copy()
         figure[..., 0] = math.nan  # the first clone's
         poisoned = replace(read, **{field: figure})
-        assert cli._physics_violations([machine.symplectic_dev], poisoned, names, 1e-10)
+        assert cli._physics_violations(machine.symplectic_dev, poisoned, names, 1e-10)
 
 
 def test_verify_reports_a_truncated_oracle_as_failed(capsys):
@@ -506,7 +514,9 @@ def test_each_machine_is_built_and_checked_once(monkeypatch, capsys):
     _count_machines(monkeypatch, calls)
     for argv, specs in (
         (["clone", "--sym", "--n", "2", "--m", "5"], [SymSpec(2, 5)]),
-        (["clone", "--asym", "--gamma", "0.3", "--factorized"], [AsymSpec(0.3, factorized=True)]),
+        # factorization_dev builds the other form, a machine of its own, after it
+        (["clone", "--asym", "--gamma", "0.3", "--factorized"],
+         [AsymSpec(0.3, factorized=True), AsymSpec(0.3)]),
         (["sweep", "--sym", "--n", "1", "--m-range", "2", "4"], [SymSpec(1, m) for m in (2, 3, 4)]),
         (["sweep", "--asym", "--gamma-range", "-1", "1", "5"],
          [AsymSpec(g) for g in (-1.0, -0.5, 0.0, 0.5, 1.0)]),
@@ -521,8 +531,8 @@ def test_a_counted_build_given_a_generator_still_builds_every_spec(monkeypatch):
     calls = {"build": [], "check": 0}
     _count_machines(monkeypatch, calls)
     specs = [AsymSpec(g) for g in (-0.5, 0.3, 1.0)]
-    machines = circuits.build_cloners(spec for spec in specs)
-    assert [machine.spec for machine in machines] == specs
+    stack = circuits.build_cloners(spec for spec in specs)
+    assert stack.specs == tuple(specs) and len(stack.A) == 3
     assert calls == {"build": specs, "check": 3}
 
 
@@ -586,8 +596,8 @@ def test_a_cold_verify_checks_each_machine_once_and_reads_them_in_8_passes(monke
     verification._shared.cache_clear()
     calls = {"build": [], "check": 0, "read": Counter()}
     _count_machines(monkeypatch, calls)
-    # every read of clone rows, a clone_reports call included, is one
-    # read_clones pass over some machines at some amplitudes
+    # every read of clone rows is one read_clones pass over some machines
+    # at some amplitudes
     _count_calls(monkeypatch, analysis.read_clones, calls, "read",
                  lambda machines, xis: Counter(passes=1, machines=len(machines),
                                                reads=len(machines) * len(xis)))
@@ -630,15 +640,31 @@ ASYM_5 = ["sweep", "--asym", "--gamma-range", "-1", "1", "5", "--xi=0.3,-1.2"]
 SYM_5 = ["sweep", "--sym", "--n", "1", "--m-range", "2", "6", "--xi=0.3,-1.2"]
 
 
-def _broken(machine, fault):
-    """gain: a pi beam splitter on clone 1's wire and wire 1 keeps the machine
-    symplectic and negates clone 1, which the readout refuses; check: a
-    scaled A, refused when the machine is built."""
-    t = machine.transform
+def _broken(stack, fault):
+    """A stack of one with a fault.  gain: a pi beam splitter on clone 1's
+    wire and wire 1 keeps the machine symplectic and negates clone 1, which
+    the readout refuses; check: a scaled A, which the build's check refuses,
+    so here it raises that refusal."""
+    t = register(stack)
     if fault == "check":
-        return replace(machine, transform=BogoliubovTransform(A=1.01 * t.A, B=t.B))
-    pi = fold_gates((beam_splitter_gate(math.pi, 0, 1),), machine.n_modes)
-    return replace(machine, transform=compose(pi, t))
+        gaussian.checked_stack(np.stack((1.01 * t.A, t.B), axis=1))
+    pi = as_transform(fold_stack((beam_splitter_gate(math.pi, 0, 1),), stack.n_modes))
+    return unchecked(stack, compose(pi, t))
+
+
+def _refusal(stack, xi):
+    """What the read of a stack at xi refuses, or None."""
+    return analysis.read_clones(stack, (xi,)).refusal
+
+
+def _faulted(stack, fault_of):
+    """The stack with register i put through fault_of(spec i), a function
+    of a stack of one, where it gives one, and kept where it gives None."""
+    parts = []
+    for i, spec in enumerate(stack.specs):
+        one, fault = stack.take([i]), fault_of(spec)
+        parts.append(one if fault is None else fault(one))
+    return join_stacks(parts)
 
 
 @pytest.mark.parametrize("kinds", [("gain",), ("check",), ("gain", "gain"), ("check", "check"),
@@ -650,14 +676,19 @@ def test_a_refused_sweep_point_names_its_grid_point(monkeypatch, capsys, argv, o
     faults = dict(zip(one if len(kinds) == 1 else two, kinds, strict=True))
     value = min(faults)
     spec = AsymSpec(float(value)) if argv is ASYM_5 else circuits.SymSpec(1, value)
-    with pytest.raises(ValueError) as refusal:
-        clone_report(_broken(build_cloner(spec), faults[value]), complex(0.3, -1.2))
+    xi = complex(0.3, -1.2)
+    if faults[value] == "check":
+        with pytest.raises(ValueError) as raised:
+            _broken(build_cloners([spec]), "check")
+        refusal = str(raised.value)
+    else:
+        refusal = _refusal(_broken(build_cloners([spec]), "gain"), xi)
     expected = "non-unit gain" if faults[value] == "gain" else "not symplectic"
-    assert expected in str(refusal.value)
+    assert expected in refusal
 
     # a check fault scales A in its register of the stack that build_cloners
     # checks, so that the stacked check refuses it; a gain fault replaces
-    # the built machine
+    # the built register
     def point(spec):
         return spec.gamma if isinstance(spec, AsymSpec) else spec.m
 
@@ -676,23 +707,25 @@ def test_a_refused_sweep_point_names_its_grid_point(monkeypatch, capsys, argv, o
             rows[:, 0] *= 1.01
         return rows
 
+    def gain(stack):
+        return _broken(stack, "gain")
+
     def build(specs):
-        return [_broken(machine, "gain") if faults.get(point(machine.spec)) == "gain" else machine
-                for machine in real_build(specs)]
+        return _faulted(real_build(specs),
+                        lambda spec: gain if faults.get(point(spec)) == "gain" else None)
 
     if argv is ASYM_5:
         monkeypatch.setattr(circuits, "_asym_direct_rows", direct_rows)
     else:
         monkeypatch.setattr(circuits, "fold_stack", fold)
     monkeypatch.setattr(cli, "build_cloners", build)
-    monkeypatch.setattr(cli, "build_cloner", lambda spec: build([spec])[0])
     named = f"gamma={float(value)}" if argv is ASYM_5 else f"m={value}"
     code, out, err = run(capsys, argv)
-    assert (code, out, err) == (1, "", f"error: {named}: {refusal.value}\n")
+    assert (code, out, err) == (1, "", f"error: {named}: {refusal}\n")
     # clone prints the same refusal and no grid point
     flags = [f"--gamma={float(value)}"] if argv is ASYM_5 else ["--n", "1", "--m", str(value)]
     code, out, err = run(capsys, ["clone", argv[1], *flags, argv[-1]])
-    assert (code, out, err) == (1, "", f"error: {refusal.value}\n")
+    assert (code, out, err) == (1, "", f"error: {refusal}\n")
 
 
 def test_a_sweep_names_the_first_point_its_stacked_check_refuses(monkeypatch, capsys):
@@ -700,42 +733,36 @@ def test_a_sweep_names_the_first_point_its_stacked_check_refuses(monkeypatch, ca
     # |gamma| = 6.59); the points before the refused one are read first
     monkeypatch.setattr(circuits, "GAMMA_LIMIT", 7.0)
     gammas = np.linspace(6.0, 7.0, 11)
-    devs = [build_per_point(AsymSpec(float(g))).symplectic_dev for g in gammas]
+    devs = [build_per_point(AsymSpec(float(g))).symplectic_dev[0] for g in gammas]
     j = next(i for i, dev in enumerate(devs) if dev > gaussian.DEFAULT_TOL)
     assert 0 < j < len(gammas) - 1
     with pytest.raises(ValueError) as refusal:
-        build_cloner(AsymSpec(float(gammas[j])))
+        build_cloners([AsymSpec(float(gammas[j]))])
     reads = []
-    real_stack, real_one = cli.read_clones, cli.clone_report
-    monkeypatch.setattr(cli, "read_clones", lambda machines, xis: reads.append(
-        [m.spec.gamma for m in machines]) or real_stack(machines, xis))
-    monkeypatch.setattr(cli, "clone_report", lambda machine, xi: reads.append(
-        [machine.spec.gamma]) or real_one(machine, xi))
+    real = cli.read_clones
+    monkeypatch.setattr(cli, "read_clones", lambda stack, xis: reads.append(
+        [spec.gamma for spec in stack.specs]) or real(stack, xis))
     code, out, err = run(capsys, ["sweep", "--asym", "--gamma-range", "6", "7", "11"])
     assert (code, out, err) == (1, "", f"error: gamma={gammas[j]}: {refusal.value}\n")
     # the refused stack is read by no one; each point before j is read once, alone
     assert reads == [[g] for g in gammas[:j].tolist()]
 
 
-def _squeezed(machine):
-    """A one-mode squeezer on clone 1's wire after the machine keeps it
+def _squeezed(stack):
+    """A one-mode squeezer on clone 1's wire after a stack of one keeps it
     symplectic and makes clone 1 anisotropic, which the readout refuses."""
-    n = machine.n_modes
+    n = stack.n_modes
     A, B = np.eye(n), np.zeros((n, n))
     A[0, 0], B[0, 0] = np.cosh(0.25), -np.sinh(0.25)
-    return replace(machine, transform=compose(BogoliubovTransform(A=A, B=B), machine.transform))
+    return unchecked(stack, compose(Transform(A, B), register(stack)))
 
 
 def _fault_builds(monkeypatch, faults):
     """cli builds the asym point at gamma g with faults[g] applied, if any,
     whether it builds a stack or one point."""
     real = cli.build_cloners
-
-    def build(specs):
-        return [faults.get(m.spec.gamma, lambda m: m)(m) for m in real(specs)]
-
-    monkeypatch.setattr(cli, "build_cloners", build)
-    monkeypatch.setattr(cli, "build_cloner", lambda spec: build([spec])[0])
+    monkeypatch.setattr(cli, "build_cloners",
+                        lambda specs: _faulted(real(specs), lambda spec: faults.get(spec.gamma)))
 
 
 def test_a_sweep_names_a_gain_fault_before_a_later_anisotropic_clone(monkeypatch, capsys):
@@ -744,39 +771,44 @@ def test_a_sweep_names_a_gain_fault_before_a_later_anisotropic_clone(monkeypatch
     xi = complex(0.3, -1.2)
     gammas = np.linspace(-1.0, 1.0, 5).tolist()
     faults = {-0.5: lambda m: _broken(m, "gain"), 0.5: _squeezed}
-    stack = [faults.get(g, lambda m: m)(build_cloner(AsymSpec(g))) for g in gammas]
-    with pytest.raises(ValueError, match="not isotropic"):
-        clone_reports(stack, xi)
-    with pytest.raises(ValueError, match="non-unit gain") as first:
-        clone_report(stack[1], xi)
+    stack = _faulted(build_cloners([AsymSpec(g) for g in gammas]),
+                     lambda spec: faults.get(spec.gamma))
+    assert "not isotropic" in _refusal(stack, xi)
+    first = _refusal(stack.take([1]), xi)
+    assert "non-unit gain" in first
     _fault_builds(monkeypatch, faults)
     code, out, err = run(capsys, ASYM_5)
-    assert (code, out, err) == (1, "", f"error: gamma=-0.5: {first.value}\n")
+    assert (code, out, err) == (1, "", f"error: gamma=-0.5: {first}\n")
 
 
 def test_a_refusal_in_a_later_chunk_names_its_point(monkeypatch, capsys):
     # 9 points in chunks of 4, 4 and 1: the first chunk is read, the second
-    # is refused at its second point, before its third point's refusal
+    # is refused at its second point, before its third point's refusal; the
+    # second chunk's points are then read alone up to the refused one
     monkeypatch.setattr(cli, "SWEEP_STACK_LIMIT", 4)
     xi = complex(0.3, -1.2)
-    with pytest.raises(ValueError, match="non-unit gain") as first:
-        clone_report(_broken(build_cloner(AsymSpec(0.25)), "gain"), xi)
+    first = _refusal(_broken(build_cloners([AsymSpec(0.25)]), "gain"), xi)
+    assert "non-unit gain" in first
     _fault_builds(monkeypatch, {0.25: lambda m: _broken(m, "gain"), 0.5: _squeezed})
     sizes = []
     real = cli.read_clones
-    monkeypatch.setattr(cli, "read_clones", lambda machines, xis: sizes.append(
-        len(machines)) or real(machines, xis))
+    monkeypatch.setattr(cli, "read_clones", lambda stack, xis: sizes.append(
+        len(stack)) or real(stack, xis))
     code, out, err = run(capsys, ["sweep", "--asym", "--gamma-range", "-1", "1", "9",
                                   "--xi=0.3,-1.2"])
-    assert (code, out, err) == (1, "", f"error: gamma=0.25: {first.value}\n")
-    assert sizes == [4, 4]
+    assert (code, out, err) == (1, "", f"error: gamma=0.25: {first}\n")
+    assert sizes == [4, 4, 1, 1]
 
 
 def test_a_stack_refusal_that_no_point_repeats_is_still_an_error(monkeypatch, capsys):
     # fails closed: when no point read alone is refused, the stack's own
     # refusal is the error, with no point named
-    def refuse(machines, xis):
-        raise ValueError("refused as a stack")
+    real = cli.read_clones
+
+    def refuse(stack, xis):
+        if len(stack) > 1:
+            raise ValueError("refused as a stack")
+        return real(stack, xis)
 
     monkeypatch.setattr(cli, "read_clones", refuse)
     assert run(capsys, ASYM_5) == (1, "", "error: refused as a stack\n")
@@ -828,7 +860,7 @@ def test_verify_fails_closed_on_one_refused_shared_machine(monkeypatch, capsys, 
     # and verify prints all ten suite lines and exits 1, with no error
     shared = verification._shared()
     sym = shared.sym
-    broken = sym[:2] + (analysis.machine_stack([faulty(sym[2][0], fault)]),) + sym[3:]
+    broken = sym[:2] + (faulty(sym[2], fault),) + sym[3:]
     monkeypatch.setattr(verification, "_shared", lambda: shared._replace(sym=broken))
     code, out, err = run(capsys, ["verify"])
     suites, summary = _suite_lines(out)
@@ -849,26 +881,27 @@ def test_unit_signal_gain_fails_a_gain_fault_the_readout_gate_passes(monkeypatch
     # unit_signal_gain, at 1e-12, fails it
     shared = verification._shared()
     sym = shared.sym
-    machine = sym[0][0]
-    assert machine.spec == SymSpec(1, 2)
+    machine = sym[0]
+    assert machine.specs == (SymSpec(1, 2),)
     r = math.acosh(math.sqrt(2.0))
     wires = [0, 2]
 
-    def transform(scale):
+    def rows(scale):
         gates = collect_gates(1) + (NOPA(scale * r, 0, 1),) + distribute_gates(2, wires)
-        return fold_gates(gates, 3)
+        return fold_stack(gates, 3)
 
-    assert np.array_equal(transform(1.0).A, machine.transform.A)
-    assert np.array_equal(transform(1.0).B, machine.transform.B)
-    scaled = replace(machine, transform=transform(1.0 + 3e-11))  # checked again: it passes
-    read = analysis.read_clones([scaled], (*verification.XI_PROBES, verification.Q_PROBE,
-                                           verification.GAIN_PROBE))
+    assert np.array_equal(rows(1.0)[:, 0], machine.A[0])
+    assert np.array_equal(rows(1.0)[:, 1], machine.B[0])
+    checked, devs = gaussian.checked_stack(rows(1.0 + 3e-11))  # checked again: it passes
+    scaled = circuits.MachineStack(machine.specs, checked[:, :, 0], checked[:, :, 1], devs,
+                                   None, machine.signal_modes, machine.clone_modes)
+    read = analysis.read_clones(scaled, (*verification.XI_PROBES, verification.Q_PROBE,
+                                         verification.GAIN_PROBE))
     assert read.refusal is None
     gain_dev = np.abs(read.amplitude[-1] - verification.GAIN_PROBE).max()
     assert 1e-12 < gain_dev < analysis.GAIN_TOL
-    scaled_stack = analysis.machine_stack([scaled])
     monkeypatch.setattr(verification, "_shared",
-                        lambda: shared._replace(sym=(scaled_stack, *sym[1:])))
+                        lambda: shared._replace(sym=(scaled, *sym[1:])))
     code, out, err = run(capsys, ["verify"])
     suites, summary = _suite_lines(out)
     assert (code, err, summary) == (1, "", "9/10 suites passed")

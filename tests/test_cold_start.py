@@ -1,5 +1,6 @@
 """A cold CLI process loads scipy only when it runs the Fock oracle, and
-the verification suites and the Fock module only when it runs verify.
+the verification suites and the Fock module only when it runs verify; a
+cold import of the package loads none of them.
 
 Other tests import scipy and every cvcloner module into the pytest process,
 so each command runs in a fresh interpreter, which then lists the scipy and
@@ -85,6 +86,34 @@ def test_a_cold_oracle_run_loads_scipy_sparse():
     run = _cold_run(["verify", "--oracle", "--cutoff", "10"])
     assert run["code"] == 0
     assert "scipy.sparse" in run["scipy"]
+
+
+# imports the package alone, then prints the names of __all__ that do not
+# resolve, __all__ itself, and every scipy and cvcloner module now loaded
+_IMPORT_PROBE = """
+import json, sys
+import cvcloner
+print(json.dumps({"unresolved": [name for name in cvcloner.__all__
+                                 if not hasattr(cvcloner, name)],
+                  "all": sorted(cvcloner.__all__),
+                  "modules": sorted(name for name in sys.modules
+                                    if name.split(".")[0] in ("scipy", "cvcloner"))}))
+"""
+
+
+def test_a_cold_import_of_the_package_loads_no_scipy_verification_or_fock():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["unresolved"] == []
+    assert run["all"] == ["AsymSpec", "ClonerSpec", "MachineStack", "Readout", "SymSpec",
+                          "build_cloners", "read_clones"]
+    assert not [name for name in run["modules"] if name.split(".")[0] == "scipy"]
+    assert not {"cvcloner.verification", "cvcloner.fock"} & set(run["modules"])
+    # the probe sees the package's modules, so the checks above are not vacuous
+    assert {"cvcloner.analysis", "cvcloner.circuits"} <= set(run["modules"])
 
 
 def test_fock_resolves_expm_multiply_on_demand():

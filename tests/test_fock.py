@@ -13,7 +13,7 @@ from scipy.special import jv
 from scipy.sparse.linalg import expm_multiply
 
 import cvcloner.fock as fock
-from cvcloner.circuits import GAMMA_LIMIT, AsymSpec, asym_direct
+from cvcloner.circuits import GAMMA_LIMIT, AsymSpec, build_cloners
 from cvcloner.verification import _oracle_dev, oracle_agreement
 from cvcloner.fock import (
     FockSpace,
@@ -189,9 +189,10 @@ def test_heisenberg_means_match_the_transform_picture():
     gamma, xi = 0.3, 0.4 + 0.15j
     space = FockSpace(3, 14)
     out = apply_cloning_fock_block([(gamma, coherent_fock(space, [0j, 0j, xi]))])[0]
-    t = asym_direct(gamma)
+    stack = build_cloners([AsymSpec(gamma)])
+    A, B = stack.A[0], stack.B[0]
     for mode in range(3):
-        want = t.A[mode, 2] * xi + t.B[mode, 2] * np.conj(xi)
+        want = A[mode, 2] * xi + B[mode, 2] * np.conj(xi)
         assert abs(mode_expectation(out, mode) - want) < 2e-3
 
 

@@ -2,26 +2,29 @@
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cvcloner.circuits import AsymSpec, SymSpec, asym_direct, build_cloner, build_cloners
+from cvcloner import gaussian
+from cvcloner.circuits import AsymSpec, SymSpec, build_cloners
 from cvcloner.fock import FockSpace, coherent_fock, fidelities_fock
 from cvcloner.gaussian import (
+    DEFAULT_TOL,
     NOPA,
-    BogoliubovTransform,
     ModeLabel,
     Passive,
-    SymplecticCheck,
-    check_symplectic,
-    fold_gates,
+    _deviations,
+    checked_stack,
+    fold_stack,
     uncertainty_defect,
+    worst_dev,
 )
 from reference import (
     GaussianState,
+    Transform,
     apply_to_gaussian,
+    as_transform,
     chaotic_photons,
     check_symplectic_four_products,
     coherent_vacuum_input,
@@ -29,6 +32,7 @@ from reference import (
     embed,
     phase_covariance_defect,
     reduce_mode,
+    register,
     symplectic_form,
     symplectic_matrix,
 )
@@ -37,7 +41,18 @@ from reference import (
 def random_passive(n, rng):
     # orthogonal A, zero B: always a valid transform
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return BogoliubovTransform(A=q, B=np.zeros((n, n)))
+    return Transform(q, np.zeros((n, n)))
+
+
+def _checked(t):
+    """``checked_stack`` on one transform's (A, B): its rows, with no
+    register axis, as ``fold_stack`` writes them."""
+    return checked_stack(np.stack((t.A, t.B), axis=1))
+
+
+def _max_dev(t):
+    """The larger of one transform's two ``_deviations``, NaN read as inf."""
+    return worst_dev(np.concatenate(_deviations(t.A, t.B)))
 
 
 def test_symplectic_form_is_antisymmetric_and_squares_to_minus_one():
@@ -48,57 +63,43 @@ def test_symplectic_form_is_antisymmetric_and_squares_to_minus_one():
 
 
 def test_identity_transform_checks_out():
-    t = fold_gates((), 3)
+    t = as_transform(fold_stack((), 3))
     assert np.array_equal(t.A, np.eye(3))
     assert not t.B.any()
-    assert check_symplectic(t).passed
+    assert _checked(t)[1].tolist() == [0.0]
     assert np.allclose(symplectic_matrix(t), np.eye(6))
 
 
 def test_identity_transform_rejects_nonpositive_mode_count():
     with pytest.raises(ValueError):
-        fold_gates((), 0)
-
-
-def test_transform_validation_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        BogoliubovTransform(A=np.eye(2), B=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        BogoliubovTransform(A=np.ones((2, 3)), B=np.zeros((2, 3)))
+        fold_stack((), 0)
 
 
 def test_transform_arrays_are_read_only():
-    t = fold_gates((), 2)
-    with pytest.raises(ValueError):
-        t.A[0, 0] = 5.0
-
-
-def test_a_transform_copies_an_array_its_caller_can_still_write():
-    A, B = np.eye(3), np.zeros((3, 3))
-    frozen_view = np.eye(3)[:, :]  # read-only, but its base is not
-    frozen_view.flags.writeable = False
-    for t in (BogoliubovTransform(A=A, B=B), BogoliubovTransform(A=frozen_view, B=B)):
-        A[0, 0], B[0, 1] = 5.0, 7.0
-        frozen_view.base[0, 0] = 5.0
-        assert np.array_equal(t.A, np.eye(3)) and np.array_equal(t.B, np.zeros((3, 3)))
-        A[0, 0], B[0, 1], frozen_view.base[0, 0] = 1.0, 0.0, 1.0
+    # the checked stack, and the fold's rows it was made from
+    rows = fold_stack((), 2)
+    stack, devs = checked_stack(rows)
+    for array in (stack, devs, rows):
+        with pytest.raises(ValueError):
+            array[0] = 5.0
 
 
 def test_a_transform_keeps_the_rows_a_builder_froze_without_a_copy():
-    # a fold's rows, and each machine's slice of a stack built at once
-    t = fold_gates((NOPA(0.3, 0, 1),), 2)
-    assert t.A.base is t.B.base is not None
-    machines = build_cloners([AsymSpec(g) for g in (-0.5, 0.0, 0.5)])
-    stack = machines[0].transform.A.base
-    assert stack is not None and not stack.flags.writeable
-    assert all(m.transform.A.base is m.transform.B.base is stack for m in machines)
+    # a stack's A and B are two views of the one read-only array of rows
+    # that its check froze, every register's included, a stack of one's too
+    for stack in (build_cloners([AsymSpec(g) for g in (-0.5, 0.0, 0.5)]),
+                  build_cloners([SymSpec(2, 3)])):
+        rows = stack.A.base
+        assert rows is not None and not rows.flags.writeable
+        assert stack.A.base is stack.B.base is rows
 
 
 def test_check_symplectic_flags_broken_transform():
-    bad = BogoliubovTransform(A=1.1 * np.eye(2), B=np.zeros((2, 2)))
-    chk = check_symplectic(bad)
-    assert not chk.passed
-    assert chk.commutation_dev > 0.1
+    bad = Transform(1.1 * np.eye(2), np.zeros((2, 2)))
+    commutation, _ = _deviations(bad.A, bad.B)
+    assert commutation[0] > 0.1
+    with pytest.raises(ValueError, match="transform is not symplectic"):
+        _checked(bad)
 
 
 # every asym gamma of a 0.05 grid in both forms, N -> M for N <= 11 and M < 40,
@@ -114,24 +115,26 @@ def test_one_product_check_agrees_with_the_four_product_check():
     # B A^T - A B^T; they round differently (measured worst gap 6.2e-12)
     assert len(CHECKED_SPECS) == 859
     for spec in CHECKED_SPECS:
-        t = build_cloner(spec).transform
-        one, four = check_symplectic(t), check_symplectic_four_products(t)
-        assert abs(one.commutation_dev - four.commutation_dev) <= 1e-11, spec
-        assert abs(one.symmetry_dev - four.symmetry_dev) <= 1e-11, spec
+        t = register(build_cloners([spec]))
+        (commutation,), (symmetry,) = _deviations(t.A, t.B)
+        four = check_symplectic_four_products(t)
+        assert abs(commutation - four[0]) <= 1e-11, spec
+        assert abs(symmetry - four[1]) <= 1e-11, spec
 
 
 @pytest.mark.parametrize("block", ["A", "B"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_entry_fails_the_check_and_is_refused(block, value):
-    machine = build_cloner(SymSpec(2, 3))
-    arrays = {"A": machine.transform.A.copy(), "B": machine.transform.B.copy()}
+    stack = build_cloners([SymSpec(2, 3)])
+    arrays = {"A": stack.A[0].copy(), "B": stack.B[0].copy()}
     arrays[block][1, 3] = value
-    broken = BogoliubovTransform(**arrays)
+    rows = np.stack((arrays["A"], arrays["B"]), axis=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert check_symplectic(broken).max_dev == math.inf
-        with pytest.raises(ValueError, match="transform is not symplectic"):
-            replace(machine, transform=broken)
+        assert _max_dev(Transform(**arrays)) == math.inf
+        with pytest.raises(ValueError, match="transform is not symplectic") as refused:
+            checked_stack(rows)
+    assert "dev nan" in str(refused.value)
 
 
 def test_symplectic_matrix_satisfies_symplectic_condition():
@@ -151,7 +154,7 @@ def test_compose_is_associative_and_has_identity():
     left = compose(compose(t3, t2), t1)
     right = compose(t3, compose(t2, t1))
     assert np.allclose(left.A, right.A) and np.allclose(left.B, right.B)
-    ident = fold_gates((), 2)
+    ident = as_transform(fold_stack((), 2))
     same = compose(ident, t1)
     assert np.allclose(same.A, t1.A) and np.allclose(same.B, t1.B)
 
@@ -164,7 +167,7 @@ def test_compose_symplectic_matrices_multiply():
 
 
 def test_embed_rejects_bad_targets():
-    t = fold_gates((), 2)
+    t = as_transform(fold_stack((), 2))
     with pytest.raises(ValueError):
         embed(t, [0, 0], 3)
     with pytest.raises(ValueError):
@@ -179,7 +182,7 @@ def test_embed_acts_only_on_targets():
     big = embed(t, [1, 3], 4)
     assert big.A[0, 0] == 1 and big.A[2, 2] == 1
     assert big.A[1, 1] == t.A[0, 0] and big.A[3, 1] == t.A[1, 0]
-    assert check_symplectic(big).passed
+    assert _max_dev(big) <= DEFAULT_TOL
 
 
 def test_coherent_vacuum_input_moments():
@@ -208,7 +211,7 @@ def test_apply_to_gaussian_transforms_moments():
 
 
 def test_apply_to_gaussian_rejects_nonsymplectic():
-    bad = BogoliubovTransform(A=2 * np.eye(1), B=np.zeros((1, 1)))
+    bad = Transform(2 * np.eye(1), np.zeros((1, 1)))
     with pytest.raises(ValueError):
         apply_to_gaussian(bad, coherent_vacuum_input([0j]))
 
@@ -224,9 +227,9 @@ def test_reduce_mode_picks_the_right_block():
 def test_uncertainty_defect_zero_for_vacuum_positive_for_squashed():
     # the identity leaves the vacuum's I/2; A = sqrt(0.4) squashes it to 0.2 I,
     # which (i/2) Omega takes below zero
-    identity = fold_gates((), 1)
+    identity = as_transform(fold_stack((), 1))
     assert uncertainty_defect(identity.A[None], identity.B[None]).tolist() == [0.0]
-    squashed = BogoliubovTransform(A=np.sqrt(0.4) * np.eye(1), B=np.zeros((1, 1)))
+    squashed = Transform(np.sqrt(0.4) * np.eye(1), np.zeros((1, 1)))
     assert uncertainty_defect(squashed.A[None], squashed.B[None])[0] > 0.01
 
 
@@ -246,11 +249,18 @@ def test_state_validation_rejects_an_asymmetric_nan_covariance(cov):
         GaussianState(mean=np.zeros(2), cov=cov)
 
 
-def test_symplectic_check_fails_on_nan_in_either_constraint():
-    for devs in ((float("nan"), 0.0), (0.0, float("nan"))):
-        check = SymplecticCheck(*devs)
-        assert check.max_dev == float("inf")
-        assert not check.passed
+def test_symplectic_check_fails_on_nan_in_either_constraint(monkeypatch):
+    # a NaN in either deviation fails the check, and reads as inf, never as
+    # the other deviation; the refusal gives both as they were measured
+    rows = fold_stack((), 2)
+    for devs in ((math.nan, 0.0), (0.0, math.nan)):
+        monkeypatch.setattr(gaussian, "_deviations",
+                            lambda A, B, devs=devs: tuple(np.array([d]) for d in devs))
+        with pytest.raises(ValueError) as refused:
+            checked_stack(rows)
+        assert str(refused.value) == (
+            f"transform is not symplectic within tol={DEFAULT_TOL}: "
+            f"commutation dev {devs[0]:.3e}, symmetry dev {devs[1]:.3e}")
 
 
 @pytest.mark.parametrize("block", ["A", "B"])
@@ -258,12 +268,12 @@ def test_symplectic_check_fails_on_nan_in_either_constraint():
 def test_uncertainty_defect_fails_closed_on_a_non_finite_transform(block, value):
     # a NaN covariance read 0.707 and an infinite one 0.0, a silent pass,
     # before the defect failed closed
-    machine = build_cloner(SymSpec(2, 3))
-    arrays = {"A": machine.transform.A.copy(), "B": machine.transform.B.copy()}
+    stack = build_cloners([SymSpec(2, 3)])
+    arrays = {"A": stack.A[0].copy(), "B": stack.B[0].copy()}
     arrays[block][1, 3] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        t = BogoliubovTransform(**arrays)
+        t = Transform(**arrays)
         assert uncertainty_defect(t.A[None], t.B[None]).tolist() == [math.inf]
 
 
@@ -277,13 +287,6 @@ def test_symmetry_check_accepts_mirrored_infs_without_a_warning(cov):
         warnings.simplefilter("error")
         state = GaussianState(mean=np.zeros(2), cov=cov)
     assert np.array_equal(state.cov, cov)
-
-
-def test_transform_keeps_real_matrices_real():
-    ints = BogoliubovTransform(A=np.eye(2, dtype=int), B=np.zeros((2, 2), dtype=int))
-    assert ints.A.dtype == ints.B.dtype == np.float64
-    with pytest.raises(ValueError, match="must be real"):
-        BogoliubovTransform(A=np.eye(2), B=np.zeros((2, 2), dtype=complex))
 
 
 @pytest.mark.parametrize("block", [
@@ -372,7 +375,7 @@ def test_nopa_refuses_a_non_real_squeeze(r):
 def test_nopa_stores_r_as_a_float_and_folds_in_float64():
     gate = NOPA(np.float32(0.3), 0, 1)
     assert type(gate.r) is float and gate.r == float(np.float32(0.3))
-    assert fold_gates((gate,), 2).A[0, 0] == math.cosh(gate.r)
+    assert fold_stack((gate,), 2)[0, 0, 0] == math.cosh(gate.r)
     assert type(NOPA(1, 0, 1).r) is float
 
 
@@ -400,13 +403,18 @@ def test_passive_stores_its_block_as_floats():
     assert all(type(x) is float for row in gate.block for x in row)
 
 
+def _asym(gamma):
+    """The closed-form asymmetric machine's (A, B)."""
+    return register(build_cloners([AsymSpec(gamma)]))
+
+
 @pytest.mark.parametrize("read, mode", [
     (lambda k: coherent_vacuum_input([0j] * 3).mode_amplitude(k), -1),
     (lambda k: coherent_vacuum_input([0j] * 3).mode_amplitude(k), 3),
-    (lambda k: chaotic_photons(asym_direct(0.3), k), -1),
-    (lambda k: chaotic_photons(asym_direct(0.3), k), 3),
-    (lambda k: phase_covariance_defect(asym_direct(0.3), k, (2,)), -1),
-    (lambda k: phase_covariance_defect(asym_direct(0.3), 0, (k,)), -1),
+    (lambda k: chaotic_photons(_asym(0.3), k), -1),
+    (lambda k: chaotic_photons(_asym(0.3), k), 3),
+    (lambda k: phase_covariance_defect(_asym(0.3), k, (2,)), -1),
+    (lambda k: phase_covariance_defect(_asym(0.3), 0, (k,)), -1),
     (lambda k: fidelities_fock([(coherent_fock(FockSpace(3, 2), [0j] * 3), k, 0j)]), -1),
 ], ids=["amplitude-negative", "amplitude-past-end", "photons-negative", "photons-past-end",
         "defect-clone-negative", "defect-signal-negative", "fock-negative"])

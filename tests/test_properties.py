@@ -14,29 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvcloner import circuits
-from cvcloner.analysis import clone_report
-from cvcloner.circuits import (
-    AsymSpec,
-    SymSpec,
-    asym_direct,
-    asym_factorized,
-    asym_params,
-    build_cloner,
-    build_cloners,
-)
+from cvcloner.analysis import read_clones
+from cvcloner.circuits import AsymSpec, SymSpec, build_cloners
 from cvcloner.gaussian import (
     DEFAULT_TOL,
     NOPA,
-    BogoliubovTransform,
     Passive,
-    check_symplectic,
-    fold_gates,
+    _deviations,
     fold_stack,
     uncertainty_defect,
+    worst_dev,
 )
 from cvcloner.verification import GAMMA_GRID, SYM_CASES
 from reference import (
+    Transform,
     apply_to_gaussian,
+    as_transform,
     beam_splitter_gate,
     check_symplectic_four_products,
     clone_output_state,
@@ -54,50 +47,63 @@ squeezes = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 amplitudes = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
 
 
+def _max_dev(A, B):
+    """The larger of one transform's two ``_deviations``, NaN read as inf."""
+    return worst_dev(np.concatenate(_deviations(A, B)))
+
+
 @given(gammas)
 def test_asym_machines_are_symplectic(g):
-    assert check_symplectic(asym_direct(g)).max_dev <= 1e-10
-    assert check_symplectic(asym_factorized(asym_params(g))).max_dev <= 1e-9
+    assert build_cloners([AsymSpec(g)]).symplectic_dev[0] <= 1e-10
+    assert build_cloners([AsymSpec(g, factorized=True)]).symplectic_dev[0] <= 1e-9
 
 
 @given(gammas)
 def test_factorization_matches_direct(g):
-    d, f = asym_direct(g), asym_factorized(asym_params(g))
+    d, f = build_cloners([AsymSpec(g)]), build_cloners([AsymSpec(g, factorized=True)])
     scale = max(1.0, np.abs(d.A).max())
     assert np.abs(d.A - f.A).max() / scale < 1e-9
     assert np.abs(d.B - f.B).max() / scale < 1e-9
 
 
+def _n_chaotic(spec):
+    """Each clone's |B row|^2, read at xi = 1."""
+    return read_clones(build_cloners([spec]), (1,)).n_chaotic[0]
+
+
 @given(gammas)
 def test_noise_product_pinned_at_quarter(g):
-    ra, rc = clone_report(AsymSpec(g))
-    assert abs(ra.n_chaotic * rc.n_chaotic - 0.25) < 1e-9 * max(1.0, np.exp(2 * abs(g)) * 1e-4)
+    na, nc = _n_chaotic(AsymSpec(g))
+    assert abs(na * nc - 0.25) < 1e-9 * max(1.0, np.exp(2 * abs(g)) * 1e-4)
 
 
 @given(gammas)
 def test_clone_photon_counts_scale_as_advertised(g):
-    ra, rc = clone_report(AsymSpec(g))
-    assert np.isclose(ra.n_chaotic, np.exp(2 * g) / 2, rtol=1e-12)
-    assert np.isclose(rc.n_chaotic, np.exp(-2 * g) / 2, rtol=1e-12)
+    na, nc = _n_chaotic(AsymSpec(g))
+    assert np.isclose(na, np.exp(2 * g) / 2, rtol=1e-12)
+    assert np.isclose(nc, np.exp(-2 * g) / 2, rtol=1e-12)
 
 
 @given(angles, squeezes, angles)
 def test_random_circuits_stay_symplectic(theta, r, phi):
-    circuit = fold_gates((
+    circuit = as_transform(fold_stack((
         beam_splitter_gate(theta, 0, 1),
         NOPA(r, 0, 2),
         beam_splitter_gate(phi, 1, 2),
-    ), 3)
-    assert check_symplectic(circuit).max_dev <= 1e-10
+    ), 3))
+    assert _max_dev(*circuit) <= 1e-10
 
 
 @given(angles, squeezes, amplitudes)
 def test_compose_equals_sequential_application(theta, r, xi):
     first, second = beam_splitter_gate(theta, 0, 1), NOPA(r, 1, 2)
     state = coherent_vacuum_input([xi, 0.5 * xi, 0j])
-    fused = apply_to_gaussian(fold_gates((first, second), 3), state)
-    stepped = apply_to_gaussian(fold_gates((second,), 3),
-                                apply_to_gaussian(fold_gates((first,), 3), state))
+
+    def fold(*gates):
+        return as_transform(fold_stack(gates, 3))
+
+    fused = apply_to_gaussian(fold(first, second), state)
+    stepped = apply_to_gaussian(fold(second), apply_to_gaussian(fold(first), state))
     assert np.allclose(fused.mean, stepped.mean, atol=1e-9)
     assert np.allclose(fused.cov, stepped.cov, atol=1e-9)
 
@@ -105,10 +111,9 @@ def test_compose_equals_sequential_application(theta, r, xi):
 @settings(max_examples=40)
 @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), amplitudes)
 def test_fidelity_ignores_the_input_amplitude(g, xi):
-    base = clone_report(AsymSpec(g), 0j)
-    moved = clone_report(AsymSpec(g), xi)
-    for a, b in zip(base, moved):
-        assert abs(a.fidelity - b.fidelity) < 1e-10
+    read = read_clones(build_cloners([AsymSpec(g)]), (0j, xi))
+    base, moved = read.fidelity[:, 0]
+    assert (np.abs(base - moved) < 1e-10).all()
 
 
 @settings(max_examples=25)
@@ -116,19 +121,20 @@ def test_fidelity_ignores_the_input_amplitude(g, xi):
        amplitudes)
 def test_symmetric_machines_hit_the_closed_forms(n, extra, xi):
     m = n + extra
-    machine = build_cloner(SymSpec(n, m))
-    assert check_symplectic(machine.transform).max_dev <= 1e-10
-    for r in clone_report(SymSpec(n, m), xi):
-        assert abs(r.fidelity - (m * n) / (m * n + m - n)) < 1e-10
-        assert abs(r.phase_covariance_defect) < 1e-10
+    stack = build_cloners([SymSpec(n, m)])
+    assert stack.symplectic_dev[0] <= 1e-10
+    read = read_clones(stack, (xi,))
+    assert read.refusal is None
+    assert (np.abs(read.fidelity[0, 0] - (m * n) / (m * n + m - n)) < 1e-10).all()
+    assert (np.abs(read.phase_covariance_defect[0]) < 1e-10).all()
 
 
 @settings(max_examples=40)
 @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), amplitudes)
 def test_outputs_remain_physical_states(g, xi):
-    machine = build_cloner(AsymSpec(g))
-    assert uncertainty_defect(machine.transform.A[None], machine.transform.B[None])[0] < 1e-10
-    assert state_uncertainty_defect(clone_output_state(machine, xi)) < 1e-10
+    stack = build_cloners([AsymSpec(g)])
+    assert uncertainty_defect(stack.A, stack.B)[0] < 1e-10
+    assert state_uncertainty_defect(clone_output_state(stack, xi)) < 1e-10
 
 
 def _gate_on(n):
@@ -152,16 +158,16 @@ def registers_and_gates(draw):
 @given(registers_and_gates())
 def test_fold_equals_composing_the_embedded_gates(case):
     n, gates = case
-    dense = BogoliubovTransform(A=np.eye(n), B=np.zeros((n, n)))
+    dense = Transform(np.eye(n), np.zeros((n, n)))
     for g in gates:
         if isinstance(g, Passive):
-            two = BogoliubovTransform(A=np.array(g.block), B=np.zeros((2, 2)))
+            two = Transform(np.array(g.block), np.zeros((2, 2)))
         else:
             # the NOPA's closed form, independent of the fold under test
-            two = BogoliubovTransform(A=np.cosh(g.r) * np.eye(2),
-                                      B=-np.sinh(g.r) * np.array([[0.0, 1.0], [1.0, 0.0]]))
+            two = Transform(np.cosh(g.r) * np.eye(2),
+                            -np.sinh(g.r) * np.array([[0.0, 1.0], [1.0, 0.0]]))
         dense = compose(embed(two, [g.p, g.q], n), dense)
-    folded = fold_gates(gates, n)
+    folded = as_transform(fold_stack(gates, n))
     scale = max(1.0, np.abs(dense.A).max(), np.abs(dense.B).max())
     assert np.abs(folded.A - dense.A).max() <= 1e-12 * scale
     assert np.abs(folded.B - dense.B).max() <= 1e-12 * scale
@@ -170,7 +176,7 @@ def test_fold_equals_composing_the_embedded_gates(case):
 def _assert_fold_equals_the_two_row_fold(gates, n):
     # np.array_equal ignores the sign of a zero, the one thing the
     # untouched-wire update may change
-    folded, two_row = fold_gates(gates, n), fold_two_rows(gates, n)
+    folded, two_row = as_transform(fold_stack(gates, n)), fold_two_rows(gates, n)
     assert np.array_equal(folded.A, two_row.A)
     assert np.array_equal(folded.B, two_row.B)
 
@@ -215,7 +221,7 @@ def test_machine_folds_equal_the_two_row_fold(monkeypatch):
     specs = ([SymSpec(n, m) for n, m in SYM_CASES] + [SymSpec(16, 128)]
              + [AsymSpec(float(g), factorized=True) for g in GAMMA_GRID])
     for spec in specs:
-        build_cloner(spec)
+        build_cloners([spec])
     build_cloners(specs[-len(GAMMA_GRID):])
     assert [rows.shape[-1] for _, _, rows in folds] == [1] * len(specs) + [len(GAMMA_GRID)]
     for gates, n, rows in folds:
@@ -238,14 +244,14 @@ PERTURBED_SPECS = ([SymSpec(n, m) for n, m in SYM_CASES if m > n]
 def test_both_checks_fail_a_perturbed_entry(spec, block, data, delta, sign):
     # every input of these machines reaches two outputs or more through A or B,
     # so moving one entry by delta moves X P^T by delta times an O(1) entry
-    machine = build_cloner(spec)
-    n = machine.n_modes
+    stack = build_cloners([spec])
+    n = stack.n_modes
     i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    arrays = {"A": machine.transform.A.copy(), "B": machine.transform.B.copy()}
+    arrays = {"A": stack.A[0].copy(), "B": stack.B[0].copy()}
     arrays[block][i, k] += sign * delta
-    perturbed = BogoliubovTransform(**arrays)
-    assert check_symplectic(perturbed).max_dev > DEFAULT_TOL
-    assert check_symplectic_four_products(perturbed).max_dev > DEFAULT_TOL
+    perturbed = Transform(**arrays)
+    assert _max_dev(*perturbed) > DEFAULT_TOL
+    assert worst_dev(check_symplectic_four_products(perturbed)) > DEFAULT_TOL
 
 
 @st.composite
@@ -265,7 +271,7 @@ def test_symplectic_matrix_is_the_permuted_block_matrix(pair):
     blocks = np.block([[A + B, zero], [zero, A - B]])
     perm = np.arange(2 * n).reshape(2, n).T.reshape(-1)  # xxpp -> interleaved
     expected = blocks[np.ix_(perm, perm)]
-    assert np.array_equal(symplectic_matrix(BogoliubovTransform(A=A, B=B)), expected)
+    assert np.array_equal(symplectic_matrix(Transform(A, B)), expected)
 
 
 def test_a_failing_property_is_reported_with_its_example(tmp_path):

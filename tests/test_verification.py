@@ -7,11 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cvcloner import analysis, circuits, gaussian, verification
-from cvcloner.circuits import AsymSpec, SymSpec
-from cvcloner.gaussian import BogoliubovTransform
+from cvcloner import circuits, gaussian, verification
+from cvcloner.circuits import AsymSpec, SymSpec, join_stacks
 from cvcloner.verification import GAIN_PROBE, Q_PROBE, XI_PROBES
-from reference import clone_output_state, faulty, symplectic_form, unchecked
+from reference import Transform, clone_output_state, faulty, symplectic_form, unchecked
 
 
 def _stacks():
@@ -90,27 +89,29 @@ def test_a_nan_in_any_figure_a_suite_reads_fails_it_with_inf():
             result = suite(*poisoned)
             assert result.max_dev == math.inf and not result.passed, (suite.__name__, k)
     stacks = _stacks()
-    last = stacks[-1][0]
-    A = last.transform.A.copy()
+    last = stacks[-1]
+    A = last.A[0].copy()
     A[last.clone_modes[-1].index, 1] = math.nan
-    stacks[-1] = analysis.machine_stack(
-        [unchecked(last, BogoliubovTransform(A=A, B=last.transform.B))])
+    stacks[-1] = unchecked(last, Transform(A, last.B[0]))
     assert verification.uncertainty_preservation(_stacks()).passed
     assert verification.uncertainty_preservation(stacks).max_dev == math.inf
     shared = verification._shared()
-    factorized = list(shared.factorized)
-    A = factorized[7].transform.A.copy()
+    factorized = shared.factorized
+    A = factorized.A[7].copy()
     A[0, 0] = math.nan
-    factorized[7] = unchecked(factorized[7], BogoliubovTransform(A=A, B=factorized[7].transform.B))
+    k = len(factorized)
+    poisoned = join_stacks([factorized.take(range(7)),
+                            unchecked(factorized, Transform(A, factorized.B[7]), 7),
+                            factorized.take(range(8, k))])
     assert verification.factorization_equivalence(shared.direct, shared.factorized).passed
     assert verification.factorization_equivalence(
-        shared.direct, analysis.machine_stack(factorized)).max_dev == math.inf
+        shared.direct, poisoned).max_dev == math.inf
 
 
 def test_a_refused_machine_reads_nan_and_the_rest_of_its_stack_as_alone():
     asym = verification._shared().asym
-    broken = analysis.machine_stack(
-        [asym[0], faulty(asym[1], "gain_first"), asym[2], faulty(asym[3], "squeezed_first")])
+    broken = join_stacks([asym.take([0]), faulty(asym, "gain_first", 1), asym.take([2]),
+                          faulty(asym, "squeezed_first", 3)])
     read = verification._read(broken, READ_XI)
     assert read.refused.tolist() == [False, True, False, True]
     for field in ("n_chaotic", "n_chaotic_state", "n_chaotic_formula", "fidelity_formula",
@@ -141,10 +142,10 @@ def test_the_covariance_uncertainty_defect_reads_is_the_full_state_s_bit_for_bit
         gaussian.uncertainty_defect(stack.A, stack.B)
         hs = seen.pop()
         assert hs.shape == (len(stack), *(2 * stack.n_modes,) * 2)
-        for machine, h in zip(stack, hs, strict=True):
+        for i, h in enumerate(hs):
             for xi in (0j, 0.8 + 0.3j, *READ_XI):
-                cov = clone_output_state(machine, xi).cov
-                assert h.tobytes() == (cov + 0.5j * symplectic_form(machine.n_modes)).tobytes()
+                cov = clone_output_state(stack, xi, i).cov
+                assert h.tobytes() == (cov + 0.5j * symplectic_form(stack.n_modes)).tobytes()
     assert seen == []
 
 
@@ -155,11 +156,11 @@ def test_the_amplitudes_unit_signal_gain_reads_are_the_full_state_s_within_two_u
     # ulp of |xi|
     for stack in _stacks():
         amplitude = verification._read(stack, READ_XI).amplitude[GAIN]
-        for machine, amps in zip(stack, amplitude, strict=True):
-            state = clone_output_state(machine, GAIN_PROBE)
-            for mode, amp in zip(machine.clone_modes, amps, strict=True):
+        for i, amps in enumerate(amplitude):
+            state = clone_output_state(stack, GAIN_PROBE, i)
+            for mode, amp in zip(stack.clone_modes, amps, strict=True):
                 ref = state.mode_amplitude(mode)
-                assert abs(amp - ref) <= 2 * np.spacing(abs(GAIN_PROBE)), (machine.spec, mode)
+                assert abs(amp - ref) <= 2 * np.spacing(abs(GAIN_PROBE)), (stack.specs[i], mode)
 
 
 def test_suites_share_one_build_of_each_machine(monkeypatch):
@@ -265,27 +266,18 @@ def test_a_non_finite_transform_reads_inf_and_leaves_the_rest_of_its_stack_alone
 
 
 def test_a_warm_standard_suites_makes_no_machine_and_no_stack_from_a_list(monkeypatch):
+    # the suites read the cached stacks as they are: a warm call makes no
+    # stack at all, by a build, a take or a join
     first = verification.standard_suites()  # builds the shared stacks if no test has
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a machine was made")
+        raise AssertionError("a stack was made")
 
-    real = analysis.machine_stack
-
-    def stacks_only(machines):
-        if not isinstance(machines, circuits.MachineStack):
-            raise AssertionError("a stack was made from a list of machines")
-        return real(machines)
-
-    monkeypatch.setattr(circuits.CloningMachine, "__post_init__", refuse)
-    monkeypatch.setattr(circuits.MachineStack, "__getitem__", refuse)
-    monkeypatch.setattr(analysis, "machine_stack", stacks_only)
+    monkeypatch.setattr(circuits.MachineStack, "__init__", refuse)
     assert verification.standard_suites() == first
-    # the patches bite: a machine asked of a stack, or a list made a stack, raises
-    with pytest.raises(AssertionError, match="a machine was made"):
-        verification._shared().asym[0]  # noqa: B018
-    with pytest.raises(AssertionError, match="from a list"):
-        analysis.read_clones([], (1,))
+    # the patch bites: a stack taken from a cached one raises
+    with pytest.raises(AssertionError, match="a stack was made"):
+        verification._shared().asym.take([0])
 
 
 def test_the_shared_stacks_hold_the_machines_each_build_makes():
@@ -302,14 +294,14 @@ def test_the_shared_stacks_hold_the_machines_each_build_makes():
         assert not any(a.flags.writeable for a in (stack.A, stack.B, stack.symplectic_dev))
         assert stack.angles is None or not stack.angles.flags.writeable
         for i, spec in enumerate(stack.specs):
-            alone = circuits.build_cloner(spec)
-            assert stack.A[i].tobytes() == alone.transform.A.tobytes()
-            assert stack.B[i].tobytes() == alone.transform.B.tobytes()
-            assert stack.symplectic_dev[i] == alone.symplectic_dev
+            alone = circuits.build_cloners([spec])
+            assert stack.A[i].tobytes() == alone.A[0].tobytes()
+            assert stack.B[i].tobytes() == alone.B[0].tobytes()
+            assert stack.symplectic_dev[i] == alone.symplectic_dev[0]
             if stack.angles is None:
                 assert alone.angles is None
             else:
-                assert stack.angles[i].tolist() == [alone.angles.u, alone.angles.v, alone.angles.w]
+                assert stack.angles[i].tolist() == alone.angles[0].tolist()
             assert (stack.signal_modes, stack.clone_modes) == (alone.signal_modes,
                                                                alone.clone_modes)
 
