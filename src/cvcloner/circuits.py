@@ -249,16 +249,15 @@ def build_cloners(specs: Iterable[ClonerSpec]) -> MachineStack:
     labeled signal/clone modes, as one ``MachineStack``.
 
     The specs are asymmetric in one form, or copies of one symmetric
-    machine; a list that mixes forms is refused.  They are built as one
-    stack of k registers, by ``fold_stack`` or, for the closed form, over an
-    array of gammas, and checked by one batched product in
-    ``checked_stack``, which refuses a failing stack with its first failing
-    spec's refusal.
+    machine; a list that mixes forms, or no spec at all, is refused.  They
+    are built as one stack of k registers, by ``fold_stack`` or, for the
+    closed form, over an array of gammas, and checked by one batched
+    product in ``checked_stack``, which refuses a failing stack with its
+    first failing spec's refusal.
     """
     specs = tuple(specs)
     if not specs:
-        empty = np.zeros((0, 0, 0))
-        return MachineStack((), empty, empty, np.zeros(0), None, (), ())
+        raise ValueError("build_cloners needs at least one spec")
     first, k = specs[0], len(specs)
     form = _form(first)
     if any(_form(s) != form for s in specs):

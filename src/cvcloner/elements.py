@@ -6,17 +6,17 @@ All elements are real-coefficient two-mode gates:
       m1' =  cos(theta) m1 + sin(theta) m2
       m2' = -sin(theta) m1 + cos(theta) m2
 * non-degenerate parametric amplifier (NOPA, two-mode squeezer) with
-  squeeze parameter r, the ``gaussian.NOPA`` gate:
+  squeeze parameter r, the ``fold_stack`` tuple (r, m1, m2):
       m1' = cosh(r) m1 - sinh(r) m2^dag
       m2' = cosh(r) m2 - sinh(r) m1^dag
 * the collect/distribute beam-splitter cascades that concentrate N identical
   inputs into one mode and split one mode evenly over M outputs.
 
 Each cascade is an ordered list of gates, mirroring the table-top layout,
-written as ``fold_stack`` tuples (block, p, q) of Python floats, with no
-gate object; ``circuits.build_cloners`` splices the lists into the N->M
+written as ``fold_stack`` tuples (block, p, q) of Python floats, the one
+gate format; ``circuits.build_cloners`` splices the lists into the N->M
 machine and hands them to ``fold_stack``, which builds every machine's
-transform.  ``gaussian.Passive`` is there for gates written by hand.
+transform.
 """
 
 from __future__ import annotations

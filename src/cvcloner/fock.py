@@ -278,16 +278,6 @@ def _flow(space: FockSpace, terms: Sequence[tuple[tuple[int, int], bool]],
     return _Flow(matrix, min(float(abs(matrix).sum(axis=0).max()), chains))
 
 
-def _cloner_flows(space: FockSpace, *bases: np.ndarray) -> _Flow:
-    """The gamma-independent flow on the span of each basis, as one block diagonal.
-
-    It is built with one basis per group of probes, so that one recurrence
-    carries every group; `_fixed_flow` keeps what it builds for the process.
-    The clone-idler squeeze has no flow: `_squeeze` applies it exactly.
-    """
-    return _flow(space, _FIXED_TERMS, *bases)
-
-
 class _BoxCache:
     """What the oracle builds from fixed inputs alone, kept for the process.
 
@@ -388,15 +378,18 @@ def _build_register(space: FockSpace) -> _Register:
 
 def _fixed_flow(space: FockSpace,
                 groups: tuple[tuple[int, ...], ...]) -> tuple[_Flow, tuple[np.ndarray, ...]]:
-    """The fixed flow over the sectors of each group, and each group's basis.
+    """The gamma-independent flow over the sectors of each group, as one
+    block diagonal, and each group's basis.
 
-    Built on the first call for these groups in this order, its charge
-    checked by `_flow`, and kept in `_CACHE`.
+    It is built with one basis per group of probes, so that one recurrence
+    carries every group.  The clone-idler squeeze has no flow: `_squeeze`
+    applies it exactly.  Built on the first call for these groups in this
+    order, its charge checked by `_flow`, and kept in `_CACHE`.
     """
     def build() -> tuple[int, tuple[_Flow, tuple[np.ndarray, ...]]]:
         charge = _register(space).charge
         bases = tuple(np.flatnonzero(np.isin(charge, sectors)) for sectors in groups)
-        flow = _cloner_flows(space, *bases)
+        flow = _flow(space, _FIXED_TERMS, *bases)
         _read_only(*bases, flow.matrix.data, flow.matrix.indices, flow.matrix.indptr)
         return flow.matrix.shape[0], (flow, bases)
 

@@ -14,10 +14,12 @@ which everything downstream relies on.  With real (A, B) the quadratures
 transform apart: x' = X x and p' = P p with X = A + B and P = A - B, and
 both conditions together read X P^T = I, which :func:`checked_stack`
 measures with one batched product over a stack of registers built at once.
-:func:`fold_stack` writes that stack's rows from an ordered gate list.  The
-clone readout works from the clone rows of X and P as well.  No quadrature
-matrix is formed: the only 2n x 2n arrays here are the output covariances
-that :func:`uncertainty_defect` diagonalises, a stack of them at once, each
+:func:`fold_stack` writes that stack's rows from an ordered gate list, each
+gate a tuple: (block, p, q) for a passive 2x2 block, or (r, p, q) for a NOPA
+of squeeze parameter r, on the wires p and q.  The clone readout works
+from the clone rows of X and P as well.  No quadrature matrix is formed:
+the only 2n x 2n arrays here are the output covariances that
+:func:`uncertainty_defect` diagonalises, a stack of them at once, each
 written from the two n x n blocks (X/2) X^T and (P/2) P^T.
 
 Quadrature conventions (hbar = 1):
@@ -33,7 +35,6 @@ so the vacuum variance is 1/2 and a coherent amplitude xi has mean
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -81,103 +82,25 @@ def worst_dev(devs: Iterable[float] | NDArray[np.float64]) -> float:
     return max((math.inf if math.isnan(d) else float(d) for d in devs), default=0.0)
 
 
-@dataclass(frozen=True)
-class Passive:
-    """2x2 passive block ((a, b), (c, d)) on the mode pair (p, q):
-
-        a_p' = a a_p + b a_q,    a_q' = c a_p + d a_q.
-
-    The block is stored as floats.  It is refused unless it is 2x2, real
-    and finite.  Each entry must be a real number: a Python or numpy real
-    scalar, or a real 0-d array.  A complex entry is refused even when its
-    imaginary part is zero, since float() of a numpy complex only warns and
-    drops that part, and so is a string or bytes entry, which float() would
-    parse.  An entry that is no number at all reads as a malformed block.
-    """
-
-    block: tuple[tuple[float, float], tuple[float, float]]
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        _check_pair(self.p, self.q)
-        try:
-            (a, b), (c, d) = self.block
-            # four Python floats, as the package's own gate lists carry, are kept as
-            # they are; other floats and ints are real, and any other entry is
-            # judged by its type
-            real = exact = type(a) is type(b) is type(c) is type(d) is float
-            if not exact:
-                entries = (a, b, c, d)
-                real = all(isinstance(x, (float, int)) or _is_real_number(x) for x in entries)
-                # np.complex128 parses any number, complex or a numeric string
-                # alike, and raises on anything else
-                a, b, c, d = map(float if real else np.complex128, entries)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"Passive gate on ({self.p}, {self.q}) needs a 2x2 block, got {self.block!r}"
-            ) from None
-        if not real:
-            raise ValueError(
-                f"Passive gate on ({self.p}, {self.q}) needs a real block, got {self.block!r}"
-            )
-        if not all(map(math.isfinite, (a, b, c, d))):
-            raise ValueError(
-                f"Passive gate on ({self.p}, {self.q}) has a non-finite block {self.block!r}"
-            )
-        object.__setattr__(self, "block", ((a, b), (c, d)))
-
-
-@dataclass(frozen=True)
-class NOPA:
-    """Two-mode squeezer on the pair (p, q): a_p' = cosh r a_p - sinh r a_q^dag,
-    and the same with p and q swapped.
-
-    r is stored as a float; anything but a finite real number is refused.
-    """
-
-    r: float
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        _check_pair(self.p, self.q)
-        if not isinstance(self.r, numbers.Real):
-            raise ValueError(f"NOPA gate on ({self.p}, {self.q}) needs a real r, got {self.r!r}")
-        if not math.isfinite(self.r):
-            raise ValueError(f"NOPA gate on ({self.p}, {self.q}) needs a finite r, got {self.r}")
-        object.__setattr__(self, "r", float(self.r))
-
-
-Gate = Passive | NOPA
-
-
-def _is_real_number(x: object) -> bool:
-    """True for a numbers.Real (numpy's real scalars included) or a 0-d
-    numpy array of bool, integer or float dtype."""
-    return isinstance(x, numbers.Real) or (
-        isinstance(x, np.ndarray) and x.ndim == 0 and x.dtype.kind in "biuf")
-
-
-def _check_pair(p: int, q: int) -> None:
-    if p == q or p < 0 or q < 0:
-        raise ValueError(f"a gate needs two distinct modes >= 0, got ({p}, {q})")
-
-
-def fold_stack(gates: Iterable[Gate | tuple], n_modes: int,
+def fold_stack(gates: Iterable[tuple], n_modes: int,
                stack: tuple[int, ...] = ()) -> NDArray[np.float64]:
     """Rows of a stack of n_modes registers after the gates act in order,
     in an array of shape (n, 2, n, *stack): rows[j, 0] = A[j] and
     rows[j, 1] = B[j], register by register along the stack axes.
 
     stack is () for one register, with no register axis, or (k,) for k.
-    A gate is a Passive or a NOPA, acting alike on every register, or the
-    same gate written as a tuple, (block, p, q) with block ((a, b), (c, d))
-    or (r, p, q), whose coefficients may each be an array of the stack's
-    shape, one value per register.  The asymmetric machines of a sweep
-    fold as one stack, with arrays of angles.  The register axis comes
-    last, so that such an array broadcasts as it is and row j of every
-    register is one block.
+    A gate is a tuple on two distinct wires p and q in [0, n_modes): a
+    passive gate (block, p, q) with block ((a, b), (c, d)), which acts as
+
+        a_p' = a a_p + b a_q,    a_q' = c a_p + d a_q,
+
+    or a NOPA (r, p, q), which acts as a_p' = cosh r a_p - sinh r a_q^dag
+    and the same with p and q swapped.  Each coefficient is a real float,
+    the same on every register, or an array of the stack's shape, one
+    value per register.  The asymmetric machines of a sweep fold as one
+    stack, with arrays of angles.  The register axis comes last, so that
+    such an array broadcasts as it is and row j of every register is one
+    block.  Any other pair of wires is refused with a ValueError.
 
     Each gate rewrites only rows p and q of (A, B), so a gate costs O(n)
     where multiplying by the gate's dense n-mode transform costs O(n^3).
@@ -202,13 +125,9 @@ def fold_stack(gates: Iterable[Gate | tuple], n_modes: int,
     rows[diagonal, 0, diagonal] = 1.0
     wire = list(rows)  # wire[j] is rows[j], without indexing rows again per gate
     untouched = [True] * n
-    for gate in gates:
-        if isinstance(gate, tuple):
-            coef, p, q = gate
-        else:
-            coef, p, q = (gate.block if isinstance(gate, Passive) else gate.r), gate.p, gate.q
-        if p >= n or q >= n:
-            raise ValueError(f"gate modes ({p}, {q}) out of range for {n} modes")
+    for coef, p, q in gates:
+        if p == q or not (0 <= p < n and 0 <= q < n):
+            raise ValueError(f"a gate needs two distinct modes in [0, {n}), got ({p}, {q})")
         passive = isinstance(coef, tuple)
         fresh, untouched[p], untouched[q] = untouched[q], False, False
         xp, xq = wire[p], wire[q]

@@ -54,9 +54,7 @@ from cvcloner.circuits import AsymSpec, MachineStack, SymSpec
 from cvcloner.elements import beam_splitter_block, collect_gates, distribute_gates
 from cvcloner.fock import FockState
 from cvcloner.gaussian import (
-    NOPA,
     ModeLabel,
-    Passive,
     checked_stack,
     fold_stack,
     mode_index,
@@ -185,9 +183,10 @@ def state_uncertainty_defect(s: GaussianState) -> float:
     return float(max(0.0, -eigs.min()))
 
 
-def beam_splitter_gate(theta: float, p: int, q: int) -> Passive:
-    """Beam splitter of mixing angle theta on the ordered pair (p, q), as a gate."""
-    return Passive(beam_splitter_block(theta), p, q)
+def beam_splitter_gate(theta: float, p: int, q: int) -> tuple:
+    """Beam splitter of mixing angle theta on the ordered pair (p, q), as a
+    ``fold_stack`` tuple (block, p, q)."""
+    return beam_splitter_block(theta), p, q
 
 
 def check_one_transform(t: Transform) -> tuple[float, float]:
@@ -239,7 +238,7 @@ def build_per_point(spec) -> MachineStack:
         angles = asym_params_one(spec.gamma)
         u, v, w = angles
         if spec.factorized:
-            t = fold_two_rows((beam_splitter_gate(u, 0, 2), NOPA(v, 2, 1),
+            t = fold_two_rows((beam_splitter_gate(u, 0, 2), (v, 2, 1),
                                beam_splitter_gate(w, 0, 2)), 3)
         else:
             t = asym_direct_one(spec.gamma)
@@ -249,7 +248,7 @@ def build_per_point(spec) -> MachineStack:
         angles = None
         N, M = spec.n, spec.m
         clone_wires = [0, *range(N + 1, N + M)]
-        gates = (collect_gates(N) + (NOPA(math.acosh(math.sqrt(M / N)), 0, N),)
+        gates = (collect_gates(N) + ((math.acosh(math.sqrt(M / N)), 0, N),)
                  + distribute_gates(M, clone_wires))
         t = fold_two_rows(gates, N + M)
         signals = tuple(ModeLabel(k, f"in_{k + 1}") for k in range(N))
@@ -297,15 +296,11 @@ def embed(
 def fold_two_rows(gates, n_modes: int) -> Transform:
     """One register's ``fold_stack`` with every gate read as a two-row
     update: rows p and q of (A, B) are both read, whether or not a wire is
-    still untouched.  A gate is a Passive or a NOPA, or a ``fold_stack``
-    tuple (block, p, q) or (r, p, q)."""
+    still untouched.  A gate is a ``fold_stack`` tuple, (block, p, q) or
+    (r, p, q)."""
     rows = np.zeros((n_modes, 2, n_modes))  # rows[j] = (A[j], B[j])
     rows[:, 0] = np.eye(n_modes)
-    for gate in gates:
-        if isinstance(gate, tuple):
-            coef, p, q = gate
-        else:
-            coef, p, q = (gate.block if isinstance(gate, Passive) else gate.r), gate.p, gate.q
+    for coef, p, q in gates:
         xp, xq = rows[p].copy(), rows[q].copy()
         if isinstance(coef, tuple):
             (a, b), (c, d) = coef

@@ -15,7 +15,6 @@ from cvcloner.circuits import AsymSpec, SymSpec, asym_params, build_cloners
 from cvcloner.elements import collect_gates, distribute_gates
 from cvcloner.fock import FockSpace, apply_cloning_fock_block, coherent_fock, fidelities_fock
 from cvcloner.gaussian import (
-    NOPA,
     _deviations,
     fold_stack,
     uncertainty_defect,
@@ -170,7 +169,7 @@ def test_criterion_10_fock_oracle_agreement():
 def test_criterion_11_property_suite():
     # each fold's rows as a stack of one register, then the built stacks
     folds = [fold_stack((beam_splitter_gate(0.7, 0, 1),), 2),
-             fold_stack((NOPA(0.9, 0, 1),), 2),
+             fold_stack(((0.9, 0, 1),), 2),
              fold_stack(collect_gates(4), 4),
              fold_stack(distribute_gates(5, list(range(5))), 5)]
     machines = [build_cloners([spec]) for spec in MACHINES]

@@ -17,7 +17,7 @@ from cvcloner.analysis import (
 )
 from cvcloner.circuits import AsymSpec, SymSpec, build_cloners, join_stacks
 from cvcloner import analysis, circuits, gaussian
-from cvcloner.gaussian import NOPA, fold_stack
+from cvcloner.gaussian import fold_stack
 from cvcloner.verification import GAMMA_GRID, Q_PROBE, SYM_CASES, XI_PROBES
 from reference import (
     FIGURES,
@@ -98,7 +98,7 @@ def test_noise_product_saturates_for_the_asymmetric_family():
 def test_extra_amplifier_pushes_noise_product_above_the_floor():
     # park a fourth mode, amplify clone a against it: more noise, same signal
     base = embed(register(_one(AsymSpec(0.0))), [0, 1, 2], 4)
-    noisier = compose(as_transform(fold_stack((NOPA(0.3, 0, 3),), 4)), base)
+    noisier = compose(as_transform(fold_stack(((0.3, 0, 3),), 4)), base)
     assert noise_product(noisier) > 0.25 + 1e-3
 
 
@@ -431,15 +431,19 @@ def test_a_list_of_mixed_layouts_is_refused():
         build_cloners([AsymSpec(0.2), SymSpec(2, 3)])
 
 
-@pytest.mark.parametrize("specs, xis, refusal", [
-    ([], (1.0,), "machine"),
-    ([AsymSpec(float(g)) for g in GAMMA_GRID], (), "amplitude"),
+@pytest.mark.parametrize("specs, indices, xis, refusal", [
+    ([AsymSpec(0.2)], [], (1.0,), "machine"),
+    ([AsymSpec(float(g)) for g in GAMMA_GRID], None, (), "amplitude"),
 ], ids=["no-machine", "no-amplitude"])
-def test_a_read_refuses_no_machine_and_no_amplitude(specs, xis, refusal):
+def test_a_read_refuses_no_machine_and_no_amplitude(specs, indices, xis, refusal):
     # an empty stack or an empty list of amplitudes reads nothing, and would
-    # pass every gate having read nothing: both are refused
+    # pass every gate having read nothing: both are refused.  build_cloners
+    # refuses an empty list, so the empty stack is a take of no register
+    stack = build_cloners(specs)
+    if indices is not None:
+        stack = stack.take(indices)
     with pytest.raises(ValueError, match=f"^read_clones needs at least one {refusal}$"):
-        read_clones(build_cloners(specs), xis)
+        read_clones(stack, xis)
 
 
 def _refusals(stacks, xi):

@@ -21,7 +21,7 @@ from cvcloner import analysis, circuits, cli, gaussian, verification
 from cvcloner.circuits import AsymSpec, SymSpec, build_cloners, join_stacks
 from cvcloner.cli import main
 from cvcloner.elements import collect_gates, distribute_gates
-from cvcloner.gaussian import NOPA, fold_stack
+from cvcloner.gaussian import fold_stack
 from reference import (
     Transform,
     as_transform,
@@ -887,7 +887,7 @@ def test_unit_signal_gain_fails_a_gain_fault_the_readout_gate_passes(monkeypatch
     wires = [0, 2]
 
     def rows(scale):
-        gates = collect_gates(1) + (NOPA(scale * r, 0, 1),) + distribute_gates(2, wires)
+        gates = collect_gates(1) + ((scale * r, 0, 1),) + distribute_gates(2, wires)
         return fold_stack(gates, 3)
 
     assert np.array_equal(rows(1.0)[:, 0], machine.A[0])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cvcloner.elements import collect_gates, distribute_gates
-from cvcloner.gaussian import DEFAULT_TOL, NOPA, checked_stack, fold_stack
+from cvcloner.gaussian import DEFAULT_TOL, checked_stack, fold_stack
 from cvcloner.verification import SYM_CASES
 from reference import apply_to_gaussian, as_transform, beam_splitter_gate, coherent_vacuum_input
 
@@ -67,7 +67,7 @@ def test_beam_splitters_on_same_pair_add_angles():
 
 def test_nopa_coefficients_and_symplectic_identity():
     r = 0.8
-    t = as_transform(fold_stack((NOPA(r, 0, 1),), 2))
+    t = as_transform(fold_stack(((r, 0, 1),), 2))
     assert np.isclose(t.A[0, 0], np.cosh(r)) and np.isclose(t.A[1, 1], np.cosh(r))
     assert np.isclose(t.B[0, 1], -np.sinh(r)) and np.isclose(t.B[1, 0], -np.sinh(r))
     assert t.B[0, 0] == 0 and t.B[1, 1] == 0
@@ -76,13 +76,13 @@ def test_nopa_coefficients_and_symplectic_identity():
 
 
 def test_nopa_zero_gain_is_identity():
-    t = as_transform(fold_stack((NOPA(0.0, 0, 1),), 2))
+    t = as_transform(fold_stack(((0.0, 0, 1),), 2))
     assert np.allclose(t.A, np.eye(2)) and not t.B.any()
 
 
 def test_two_mode_squeezed_vacuum_covariance():
     r = 0.6
-    out = apply_to_gaussian(as_transform(fold_stack((NOPA(r, 0, 1),), 2)),
+    out = apply_to_gaussian(as_transform(fold_stack(((r, 0, 1),), 2)),
                             coherent_vacuum_input([0j, 0j]))
     c2, s2 = np.cosh(2 * r) / 2, np.sinh(2 * r) / 2
     # x1x1 and p1p1 grow symmetrically; x1x2 and p1p2 carry opposite signs
@@ -95,7 +95,7 @@ def test_two_mode_squeezed_vacuum_covariance():
 def test_nopa_amplifies_signal_mean():
     r = 0.4
     xi = 1.2 + 0.3j
-    out = apply_to_gaussian(as_transform(fold_stack((NOPA(r, 0, 1),), 2)),
+    out = apply_to_gaussian(as_transform(fold_stack(((r, 0, 1),), 2)),
                             coherent_vacuum_input([xi, 0j]))
     assert np.isclose(out.mode_amplitude(0), np.cosh(r) * xi)
     assert np.isclose(out.mode_amplitude(1), -np.sinh(r) * np.conj(xi))

@@ -66,7 +66,7 @@ MIX_TERMS = (((fock._CLONE, fock._SIGNAL), False),)
 def _box_flows(space):
     """The clone-idler squeeze flow and the fixed flow, each over the whole box."""
     box = np.arange(space.dim)
-    return fock._flow(space, SQUEEZE_TERMS, box), fock._cloner_flows(space, box)
+    return fock._flow(space, SQUEEZE_TERMS, box), fock._flow(space, fock._FIXED_TERMS, box)
 
 
 def _scaled(flow, t):
@@ -606,7 +606,7 @@ def test_the_one_norm_bounds_the_spectrum_of_each_flow(cutoff):
     signal = np.flatnonzero((charge >= 0) & (charge <= cutoff))
     flows = [fock._flow(space, terms, basis) for terms in (SQUEEZE_TERMS, MIX_TERMS)
              for basis in (box, vacuum)]
-    flows += [fock._cloner_flows(space, *bases)
+    flows += [fock._flow(space, fock._FIXED_TERMS, *bases)
               for bases in ((box,), (vacuum,), (signal,), (vacuum, signal))]
     for flow in flows:
         dense = flow.matrix.toarray()
@@ -705,10 +705,10 @@ def test_sector_norms_of_the_oracle_register():
     charge = fock._charge(space, np.arange(space.dim))
     signal_basis = np.flatnonzero((charge >= 0) & (charge <= 16))
     vacuum_basis = np.flatnonzero(charge == 0)
-    box = fock._cloner_flows(space, np.arange(space.dim))
-    signal = fock._cloner_flows(space, signal_basis)
-    vacuum = fock._cloner_flows(space, vacuum_basis)
-    both = fock._cloner_flows(space, vacuum_basis, signal_basis)
+    box = fock._flow(space, fock._FIXED_TERMS, np.arange(space.dim))
+    signal = fock._flow(space, fock._FIXED_TERMS, signal_basis)
+    vacuum = fock._flow(space, fock._FIXED_TERMS, vacuum_basis)
+    both = fock._flow(space, fock._FIXED_TERMS, vacuum_basis, signal_basis)
     def one_norm(flow):
         return abs(flow.matrix).sum(axis=0).max()
 

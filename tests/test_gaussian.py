@@ -11,9 +11,7 @@ from cvcloner.circuits import AsymSpec, SymSpec, build_cloners
 from cvcloner.fock import FockSpace, coherent_fock, fidelities_fock
 from cvcloner.gaussian import (
     DEFAULT_TOL,
-    NOPA,
     ModeLabel,
-    Passive,
     _deviations,
     checked_stack,
     fold_stack,
@@ -289,51 +287,6 @@ def test_symmetry_check_accepts_mirrored_infs_without_a_warning(cov):
     assert np.array_equal(state.cov, cov)
 
 
-@pytest.mark.parametrize("block", [
-    ((1, 0), (0,)),
-    ((1, 0), (0, 1), (0, 0)),
-    ((1, "x"), (0, 1)),
-    None,
-])
-def test_passive_refuses_a_block_that_is_not_2x2(block):
-    with pytest.raises(ValueError, match=r"Passive gate on \(0, 1\) needs a 2x2 block"):
-        Passive(block, 0, 1)
-
-
-@pytest.mark.parametrize("block", [
-    ((np.nan, 0), (0, 1)),
-    ((1, 0), (0, np.inf)),
-])
-def test_passive_refuses_a_non_finite_block(block):
-    with pytest.raises(ValueError, match=r"Passive gate on \(0, 1\) has a non-finite block"):
-        Passive(block, 0, 1)
-
-
-@pytest.mark.parametrize("entry", [
-    complex(0, np.nan),
-    1 + 0j,
-    0.5j,
-    np.complex128(1),
-    np.complex64(1),
-    "0.8",
-    b"0.8",
-], ids=["complex-nan", "zero-imaginary", "imaginary", "complex128", "complex64", "str", "bytes"])
-def test_passive_refuses_a_block_that_is_not_real(entry):
-    # a str or bytes entry parses under float(), but it is not a real number
-    with pytest.raises(ValueError, match=r"Passive gate on \(0, 1\) needs a real block"):
-        Passive(((1, entry), (0, 1)), 0, 1)
-
-
-def test_passive_refuses_a_zero_dimensional_complex_array():
-    with pytest.raises(ValueError, match=r"Passive gate on \(0, 1\) needs a real block"):
-        Passive(((1, np.array(1j)), (0, 1)), 0, 1)
-
-
-def test_passive_accepts_a_zero_dimensional_real_array():
-    gate = Passive(((1, np.array(0.5)), (0, 1)), 0, 1)
-    assert gate.block == ((1.0, 0.5), (0.0, 1.0))
-
-
 @pytest.mark.parametrize("cov, symmetric", [
     ([[np.nan, 0.0], [0.0, np.nan]], True),        # NaNs at mirror images
     ([[0.5, np.nan], [np.nan, 0.5]], True),
@@ -358,49 +311,22 @@ def test_symmetry_check_agrees_with_isclose(cov, symmetric):
             GaussianState(mean=np.zeros(2), cov=cov)
 
 
-@pytest.mark.parametrize("r", [np.inf, -np.inf, np.nan])
-def test_nopa_refuses_a_non_finite_squeeze(r):
-    with pytest.raises(ValueError, match=r"NOPA gate on \(0, 1\) needs a finite r"):
-        NOPA(r, 0, 1)
+ROTATION = ((0.6, 0.8), (-0.8, 0.6))
 
 
-@pytest.mark.parametrize("r", [np.complex128(0.3 + 0.2j), 0.3 + 0j, np.complex64(0.3), "0.3"],
-                         ids=["numpy-complex", "python-complex", "complex-zero-imag", "string"])
-def test_nopa_refuses_a_non_real_squeeze(r):
-    # the stem Passive uses for a non-real block
-    with pytest.raises(ValueError, match=r"NOPA gate on \(0, 1\) needs a real r"):
-        NOPA(r, 0, 1)
-
-
-def test_nopa_stores_r_as_a_float_and_folds_in_float64():
-    gate = NOPA(np.float32(0.3), 0, 1)
-    assert type(gate.r) is float and gate.r == float(np.float32(0.3))
-    assert fold_stack((gate,), 2)[0, 0, 0] == math.cosh(gate.r)
-    assert type(NOPA(1, 0, 1).r) is float
-
-
-@pytest.mark.parametrize("make_gate", [
-    lambda: Passive(((0.6, 0.8), (-0.8, 0.6)), 1, 1),
-    lambda: NOPA(0.3, 1, 1),
-    lambda: Passive(((0.6, 0.8), (-0.8, 0.6)), -1, 0),
-    lambda: NOPA(0.3, 0, -1),
-], ids=["passive-equal", "nopa-equal", "passive-negative", "nopa-negative"])
-def test_gate_refuses_a_pair_that_is_not_two_distinct_modes(make_gate):
-    with pytest.raises(ValueError, match="two distinct modes >= 0"):
-        make_gate()
-
-
-@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
-def test_passive_refuses_four_floats_that_are_not_all_finite(entry):
-    # four Python floats skip the realness checks, never the finiteness one
-    with pytest.raises(ValueError, match=r"Passive gate on \(0, 1\) has a non-finite block"):
-        Passive(((0.6, 0.8), (entry, -0.6)), 0, 1)
-
-
-def test_passive_stores_its_block_as_floats():
-    gate = Passive(((1, np.float64(0.5)), (np.int64(0), -1)), 0, 1)
-    assert gate.block == ((1.0, 0.5), (0.0, -1.0))
-    assert all(type(x) is float for row in gate.block for x in row)
+@pytest.mark.parametrize("gate, n", [
+    ((ROTATION, 1, 1), 2),
+    ((0.3, 1, 1), 2),
+    ((ROTATION, -1, 0), 2),
+    ((0.3, 0, -1), 2),
+    ((ROTATION, -1, 0), 3),
+], ids=["passive-equal", "nopa-equal", "passive-negative", "nopa-negative",
+        "negative-is-not-the-last-of-three"])
+def test_gate_refuses_a_pair_that_is_not_two_distinct_modes(gate, n):
+    # a wire of -1 must not fold onto the last mode, as numpy indexing would
+    _, p, q = gate
+    with pytest.raises(ValueError, match=rf"two distinct modes in \[0, {n}\), got \({p}, {q}\)"):
+        fold_stack((gate,), n)
 
 
 def _asym(gamma):

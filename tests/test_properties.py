@@ -18,8 +18,6 @@ from cvcloner.analysis import read_clones
 from cvcloner.circuits import AsymSpec, SymSpec, build_cloners
 from cvcloner.gaussian import (
     DEFAULT_TOL,
-    NOPA,
-    Passive,
     _deviations,
     fold_stack,
     uncertainty_defect,
@@ -88,7 +86,7 @@ def test_clone_photon_counts_scale_as_advertised(g):
 def test_random_circuits_stay_symplectic(theta, r, phi):
     circuit = as_transform(fold_stack((
         beam_splitter_gate(theta, 0, 1),
-        NOPA(r, 0, 2),
+        (r, 0, 2),
         beam_splitter_gate(phi, 1, 2),
     ), 3))
     assert _max_dev(*circuit) <= 1e-10
@@ -96,7 +94,7 @@ def test_random_circuits_stay_symplectic(theta, r, phi):
 
 @given(angles, squeezes, amplitudes)
 def test_compose_equals_sequential_application(theta, r, xi):
-    first, second = beam_splitter_gate(theta, 0, 1), NOPA(r, 1, 2)
+    first, second = beam_splitter_gate(theta, 0, 1), (r, 1, 2)
     state = coherent_vacuum_input([xi, 0.5 * xi, 0j])
 
     def fold(*gates):
@@ -139,12 +137,12 @@ def test_outputs_remain_physical_states(g, xi):
 
 def _gate_on(n):
     """A random real passive block (not necessarily orthogonal) or NOPA on a
-    random pair."""
+    random pair, as a ``fold_stack`` tuple."""
     pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
     entry = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
-    passive = st.builds(lambda b, pq: Passive(((b[0], b[1]), (b[2], b[3])), *pq),
+    passive = st.builds(lambda b, pq: (((b[0], b[1]), (b[2], b[3])), *pq),
                         st.lists(entry, min_size=4, max_size=4), pair)
-    squeeze = st.builds(lambda r, pq: NOPA(r, *pq),
+    squeeze = st.builds(lambda r, pq: (r, *pq),
                         st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), pair)
     return st.one_of(passive, squeeze)
 
@@ -159,14 +157,14 @@ def registers_and_gates(draw):
 def test_fold_equals_composing_the_embedded_gates(case):
     n, gates = case
     dense = Transform(np.eye(n), np.zeros((n, n)))
-    for g in gates:
-        if isinstance(g, Passive):
-            two = Transform(np.array(g.block), np.zeros((2, 2)))
+    for coef, p, q in gates:
+        if isinstance(coef, tuple):
+            two = Transform(np.array(coef), np.zeros((2, 2)))
         else:
             # the NOPA's closed form, independent of the fold under test
-            two = Transform(np.cosh(g.r) * np.eye(2),
-                            -np.sinh(g.r) * np.array([[0.0, 1.0], [1.0, 0.0]]))
-        dense = compose(embed(two, [g.p, g.q], n), dense)
+            two = Transform(np.cosh(coef) * np.eye(2),
+                            -np.sinh(coef) * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        dense = compose(embed(two, [p, q], n), dense)
     folded = as_transform(fold_stack(gates, n))
     scale = max(1.0, np.abs(dense.A).max(), np.abs(dense.B).max())
     assert np.abs(folded.A - dense.A).max() <= 1e-12 * scale
@@ -188,22 +186,18 @@ def test_fold_equals_the_two_row_fold(case):
 
 
 def _register_gates(gates, i):
-    """The gates register i of a stack folded: a tuple gate's coefficients
-    read at i where they are arrays, as a Passive or a NOPA."""
+    """The gates register i of a stack folded: each gate's coefficients
+    read at i where they are arrays, as floats."""
     def at(x):
         return float(x[i]) if isinstance(x, np.ndarray) else x
 
     out = []
-    for gate in gates:
-        if not isinstance(gate, tuple):
-            out.append(gate)
-            continue
-        coef, p, q = gate
+    for coef, p, q in gates:
         if isinstance(coef, tuple):
             (a, b), (c, d) = coef
-            out.append(Passive(((at(a), at(b)), (at(c), at(d))), p, q))
+            out.append((((at(a), at(b)), (at(c), at(d))), p, q))
         else:
-            out.append(NOPA(at(coef), p, q))
+            out.append((at(coef), p, q))
     return out
 
 
